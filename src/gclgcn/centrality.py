@@ -10,12 +10,11 @@ Conventions (fixed so golden values are well defined):
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, adjacency_matrix, shortest_path_hops, support_pairs
 
 __all__ = [
     "MEASURES",
@@ -30,6 +29,10 @@ __all__ = [
 
 # Column order of the composite matrix.
 MEASURES = ("degree", "betweenness", "closeness")
+
+# Betweenness runs its breadth-first searches for a block of sources at once,
+# on (n, block) matrices of about this many elements.
+_SOURCE_BLOCK_ELEMENTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -47,9 +50,10 @@ class CentralityMatrix:
 
 @dataclass(frozen=True)
 class SpatialBias:
-    """Pairwise bias d(i, j) for every edge and self-pair, symmetric, zero diagonal."""
+    """Bias d(i, j) for every entry of the attention support, in the order of
+    graph.support_pairs: symmetric, zero on the self-loops."""
 
-    values: dict[tuple[int, int], float]
+    values: np.ndarray  # (2 * edges + n,)
     mode: str  # "euclidean" | "shortest-path"
 
 
@@ -61,64 +65,53 @@ def degree_centrality(g: Graph) -> np.ndarray:
     return deg / top
 
 
-def _brandes_source(adj: list[list[int]], s: int, score: np.ndarray) -> None:
-    """Accumulate one source's pair dependencies into score (Brandes' algorithm)."""
-    n = len(adj)
-    dist = [-1] * n
-    sigma = [0.0] * n
-    preds: list[list[int]] = [[] for _ in range(n)]
-    dist[s] = 0
-    sigma[s] = 1.0
-    order: list[int] = []
-    queue = deque([s])
-    while queue:
-        v = queue.popleft()
-        order.append(v)
-        for w in adj[v]:
-            if dist[w] < 0:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-            if dist[w] == dist[v] + 1:
-                sigma[w] += sigma[v]
-                preds[w].append(v)
-    delta = [0.0] * n
-    for w in reversed(order):
-        for v in preds[w]:
-            delta[v] += (sigma[v] / sigma[w]) * (1.0 + delta[w])
-        if w != s:
-            score[w] += delta[w]
-
-
 def betweenness_centrality(g: Graph) -> np.ndarray:
     """Exact betweenness over unordered pairs on unit-weight shortest paths.
 
-    Sources are processed in ascending order so the floating-point result is
-    bit-deterministic.
+    Level-synchronous Brandes: for a block of sources at once, each
+    breadth-first level is one sparse x dense product that sums the path
+    counts sigma of the previous level, and the dependency accumulation walks
+    the levels back with one product each. Blocks and levels run in a fixed
+    order, so the floating-point result is bit-deterministic.
     """
-    adj = g.neighbors()
-    score = np.zeros(g.n)
-    for s in range(g.n):
-        _brandes_source(adj, s, score)
+    n = g.n
+    adj = adjacency_matrix(g)
+    score = np.zeros(n)
+    block = max(1, min(n, _SOURCE_BLOCK_ELEMENTS // max(n, 1)))
+    for lo in range(0, n, block):
+        sources = np.arange(lo, min(lo + block, n))
+        cols = np.arange(sources.size)
+        level = np.full((n, sources.size), -1, dtype=np.int64)
+        level[sources, cols] = 0
+        sigma = np.zeros((n, sources.size))
+        sigma[sources, cols] = 1.0
+        frontier = sigma.copy()
+        depth = 0
+        while True:
+            reach = adj @ frontier
+            new = (level < 0) & (reach > 0)
+            if not new.any():
+                break
+            depth += 1
+            level[new] = depth
+            frontier = np.where(new, reach, 0.0)
+            sigma += frontier
+        delta = np.zeros_like(sigma)
+        for d in range(depth, 0, -1):
+            share = np.divide(1.0 + delta, sigma, out=np.zeros_like(sigma), where=level == d)
+            delta += np.where(level == d - 1, sigma * (adj @ share), 0.0)
+        delta[sources, cols] = 0.0
+        score += delta.sum(axis=1)
     # Each unordered pair was counted from both endpoints.
     return score / 2.0
 
 
 def closeness_centrality(g: Graph) -> np.ndarray:
-    adj = g.neighbors()
+    """1 / (sum of hop distances to the reachable nodes); an isolated node scores 0."""
+    hops = shortest_path_hops(g)
+    total = np.where(hops < g.n, hops, 0).sum(axis=1)
     out = np.zeros(g.n)
-    for s in range(g.n):
-        dist = [-1] * g.n
-        dist[s] = 0
-        queue = deque([s])
-        total = 0
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if dist[w] < 0:
-                    dist[w] = dist[v] + 1
-                    total += dist[w]
-                    queue.append(w)
-        out[s] = 1.0 / total if total > 0 else 0.0
+    np.divide(1.0, total, out=out, where=total > 0)
     return out
 
 
@@ -142,21 +135,18 @@ def composite_centrality(g: Graph, measures=MEASURES) -> CentralityMatrix:
 
 
 def spatial_bias(g: Graph, mode: str = "euclidean") -> SpatialBias:
-    """Bias values for each connected pair (both orders) and each self-pair.
+    """Bias values for each entry of the attention support (graph.support_pairs).
 
     euclidean: feature-space distance between the endpoints.
-    shortest-path: hop distance, which is 1 for every stored edge.
+    shortest-path: hop distance, which is 1 on every edge because attention
+    only reaches neighbours; the mode is a constant neighbour bias of 1.
     """
     if mode not in ("euclidean", "shortest-path"):
         raise ValueError(f"unknown spatial mode {mode!r}")
-    values: dict[tuple[int, int], float] = {}
-    for i in range(g.n):
-        values[(i, i)] = 0.0
-    for u, v in g.edges:
-        if mode == "euclidean":
-            d = float(np.linalg.norm(g.features[u] - g.features[v]))
-        else:
-            d = 1.0
-        values[(u, v)] = d
-        values[(v, u)] = d
+    rows, cols = support_pairs(g)
+    if mode == "euclidean":
+        diff = g.features[rows] - g.features[cols]
+        values = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    else:
+        values = (rows != cols).astype(np.float64)
     return SpatialBias(values=values, mode=mode)

@@ -66,7 +66,10 @@ def _lloyd(
         d2 = _squared_distances(z, centers)
         labels = d2.argmin(axis=1)
         sse = float(d2[np.arange(z.shape[0]), labels].sum())
-        assert sse <= prev_sse * (1 + 1e-12) + 1e-9, "SSE increased across a Lloyd iteration"
+        if sse > prev_sse * (1 + 1e-12) + 1e-9:
+            raise RuntimeError(
+                f"kmeans: SSE increased across a Lloyd iteration ({prev_sse!r} -> {sse!r})"
+            )
         prev_sse = sse
 
         new_centers = centers.copy()

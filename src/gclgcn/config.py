@@ -73,6 +73,8 @@ class ExperimentConfig:
     heads: int = 1
     layers: int = 4
     centrality: tuple[str, ...] = MEASURES
+    # Attention sees only neighbours, so "shortest-path" is a constant bias
+    # of 1 on every edge (0 on self-loops); "euclidean" uses feature distance.
     spatial_mode: str = "euclidean"
     spatial_sign: str = "+"
     contrastive: ContrastiveConfig = field(default_factory=ContrastiveConfig)

@@ -1,8 +1,9 @@
 """Attributed-graph data model, text-file ingestion, and synthetic generators.
 
-Graphs are undirected, unweighted, and desk-scale: adjacency is kept dense.
-Edge lists store each pair once as (min, max). All containers are frozen
-after construction so graphs can be shared freely.
+Graphs are undirected and unweighted. Edge lists store each pair once as
+(min, max); adjacency matrices are scipy CSR arrays whose column indices
+ascend within each row. All containers are frozen after construction so
+graphs can be shared freely.
 """
 
 from __future__ import annotations
@@ -11,11 +12,14 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 __all__ = [
     "Graph",
     "NormalizedAdjacency",
     "SbmSpec",
+    "support_pairs",
     "adjacency_matrix",
     "normalize_adjacency",
     "shortest_path_hops",
@@ -81,16 +85,6 @@ class Graph:
     def f(self) -> int:
         return self.features.shape[1]
 
-    def neighbors(self) -> list[list[int]]:
-        """Adjacency lists, neighbor ids ascending."""
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        for lst in adj:
-            lst.sort()
-        return adj
-
     def degrees(self) -> np.ndarray:
         deg = np.zeros(self.n, dtype=np.int64)
         for u, v in self.edges:
@@ -103,11 +97,11 @@ class Graph:
 class NormalizedAdjacency:
     """Symmetrically normalized adjacency with self-loops and its degree vector."""
 
-    matrix: np.ndarray  # (n, n), D^{-1/2} (A+I) D^{-1/2}
+    matrix: sp.csr_array  # (n, n), D^{-1/2} (A+I) D^{-1/2}, pattern support_pairs(g)
     degrees: np.ndarray  # (n,), 1 + degree
 
     def __post_init__(self):
-        self.matrix.setflags(write=False)
+        self.matrix.data.setflags(write=False)
         self.degrees.setflags(write=False)
 
 
@@ -143,47 +137,52 @@ class SbmSpec:
         return sum(self.block_sizes)
 
 
-def adjacency_matrix(g: Graph) -> np.ndarray:
-    """Dense binary adjacency, no self-loops."""
-    a = np.zeros((g.n, g.n), dtype=np.float64)
-    for u, v in g.edges:
-        a[u, v] = 1.0
-        a[v, u] = 1.0
-    return a
+def support_pairs(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) of every edge in both orientations plus every self-loop,
+    sorted row-major. This is the sparsity pattern of normalize_adjacency(g)
+    and the entry order of spatial_bias(g): the attention support."""
+    e = np.asarray(g.edges, dtype=np.int64).reshape(-1, 2)
+    loops = np.arange(g.n, dtype=np.int64)
+    rows = np.concatenate([e[:, 0], e[:, 1], loops])
+    cols = np.concatenate([e[:, 1], e[:, 0], loops])
+    order = np.lexsort((cols, rows))
+    return rows[order], cols[order]
+
+
+def _csr(n: int, rows: np.ndarray, cols: np.ndarray, data: np.ndarray) -> sp.csr_array:
+    """CSR array from entries already sorted row-major."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return sp.csr_array((data, cols, indptr), shape=(n, n))
+
+
+def adjacency_matrix(g: Graph) -> sp.csr_array:
+    """Binary adjacency in CSR, both orientations of every edge, no self-loops."""
+    rows, cols = support_pairs(g)
+    off = rows != cols
+    return _csr(g.n, rows[off], cols[off], np.ones(int(off.sum())))
 
 
 def normalize_adjacency(g: Graph) -> NormalizedAdjacency:
-    """D^{-1/2} (A+I) D^{-1/2} with self-loop degrees d_i = 1 + deg(i).
+    """D^{-1/2} (A+I) D^{-1/2} with self-loop degrees d_i = 1 + deg(i), in CSR.
 
-    Exactly symmetric by construction: the scaling matrix is built from a
-    symmetric outer product before the division.
+    Exactly symmetric by construction: entry (i, j) is 1 / sqrt(d_i * d_j),
+    and the product commutes.
     """
-    a = adjacency_matrix(g)
-    np.fill_diagonal(a, 1.0)
-    dhat = a.sum(axis=1)  # = 1 + degree
-    scale = np.sqrt(np.outer(dhat, dhat))
-    return NormalizedAdjacency(matrix=a / scale, degrees=dhat)
+    rows, cols = support_pairs(g)
+    dhat = np.bincount(rows, minlength=g.n).astype(np.float64)  # = 1 + degree
+    data = 1.0 / np.sqrt(dhat[rows] * dhat[cols])
+    return NormalizedAdjacency(matrix=_csr(g.n, rows, cols, data), degrees=dhat)
 
 
 def shortest_path_hops(g: Graph) -> np.ndarray:
-    """All-pairs BFS hop counts; unreachable pairs hold the sentinel n."""
-    n = g.n
-    adj = g.neighbors()
-    dist = np.full((n, n), n, dtype=np.int64)
-    for s in range(n):
-        dist[s, s] = 0
-        frontier = [s]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for u in frontier:
-                for w in adj[u]:
-                    if dist[s, w] == n and w != s:
-                        dist[s, w] = d
-                        nxt.append(w)
-            frontier = nxt
-    return dist
+    """All-pairs hop counts (scipy csgraph, unit edge weights); unreachable
+    pairs hold the sentinel n."""
+    dist = csgraph.shortest_path(
+        adjacency_matrix(g), method="D", directed=False, unweighted=True
+    )
+    dist[np.isinf(dist)] = g.n
+    return dist.astype(np.int64)
 
 
 def generate_sbm(spec: SbmSpec, seed: int) -> Graph:

@@ -13,11 +13,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .centrality import SpatialBias
-from .graph import Graph
 
 __all__ = [
     "ladder_dims",
@@ -30,7 +29,6 @@ __all__ = [
     "ae_forward",
     "ae_loss",
     "gcn_layer",
-    "attention_logit_bias",
     "graphormer_layer",
     "augment_features",
     "contrastive_encoder",
@@ -140,9 +138,16 @@ class GcnParams:
         return out
 
 
-def gcn_layer(adj: Tensor, z: Tensor, w: Tensor, activate: bool = True) -> Tensor:
-    """One propagation step over the normalized self-looped adjacency."""
-    out = ad.matmul(ad.matmul(adj, z), w)
+def _propagate(adj: sp.csr_array, z: Tensor, w: Tensor) -> Tensor:
+    """adj @ z @ w, associated so the sparse product runs on the narrower side."""
+    if w.shape[1] < w.shape[0]:
+        return ad.spmm(adj, ad.matmul(z, w))
+    return ad.matmul(ad.spmm(adj, z), w)
+
+
+def gcn_layer(adj: sp.csr_array, z: Tensor, w: Tensor, activate: bool = True) -> Tensor:
+    """One propagation step over the normalized self-looped adjacency (CSR)."""
+    out = _propagate(adj, z, w)
     return ad.leaky_relu(out) if activate else out
 
 
@@ -209,25 +214,6 @@ class GraphormerParams:
         return out
 
 
-def attention_logit_bias(g: Graph, bias: SpatialBias, sign: str = "+") -> np.ndarray:
-    """Dense additive logit term: signed spatial distance on each neighbor or
-    self pair, -inf outside the attention support."""
-    if sign not in ("+", "-"):
-        raise ValueError(f"spatial sign must be '+' or '-', got {sign!r}")
-    s = 1.0 if sign == "+" else -1.0
-    n = g.n
-    out = np.full((n, n), -np.inf)
-    try:
-        for i in range(n):
-            out[i, i] = s * bias.values[(i, i)]
-        for u, v in g.edges:
-            out[u, v] = s * bias.values[(u, v)]
-            out[v, u] = s * bias.values[(v, u)]
-    except KeyError as exc:
-        raise ValueError(f"spatial bias missing required pair {exc.args[0]}") from None
-    return out
-
-
 def _cols(t: Tensor, lo: int, hi: int) -> Tensor:
     return ad.transpose(ad.gather_rows(ad.transpose(t), np.arange(lo, hi)))
 
@@ -235,15 +221,17 @@ def _cols(t: Tensor, lo: int, hi: int) -> Tensor:
 def graphormer_layer(
     z: Tensor,
     centrality: Tensor,
-    logit_bias: Tensor,
+    adj: sp.csr_array,
+    logit_bias: np.ndarray,
     params: GraphormerLayerParams,
     heads: int = 1,
     activate: bool = True,
 ) -> Tensor:
-    """Attention over each node's neighborhood (self included), with centrality
-    terms added to every projection and the spatial bias added to the logits.
-    Head outputs are averaged, then passed through Leaky ReLU unless this is a
-    final (linear) reconstruction layer."""
+    """Attention over each node's neighborhood (self included): the entries
+    of the self-looped adjacency adj. Centrality terms are added to every
+    projection, and logit_bias (the signed spatial bias, aligned with adj's
+    entries) is added to the logits. Head outputs are averaged, then passed
+    through Leaky ReLU unless this is a final (linear) reconstruction layer."""
     if centrality.shape[0] != z.shape[0]:
         raise ValueError(
             f"graphormer_layer: centrality rows {centrality.shape[0]} != nodes {z.shape[0]}"
@@ -261,12 +249,7 @@ def graphormer_layer(
             kh = _cols(keys, h * d_head, (h + 1) * d_head)
             qh = _cols(queries, h * d_head, (h + 1) * d_head)
             vh = _cols(values, h * d_head, (h + 1) * d_head)
-        logits = ad.add(
-            ad.scale(ad.matmul(qh, ad.transpose(kh)), 1.0 / math.sqrt(d_head)),
-            logit_bias,
-        )
-        att = ad.row_softmax(logits)
-        head_out = ad.matmul(att, vh)
+        head_out = ad.edge_attention(qh, kh, vh, adj, logit_bias, 1.0 / math.sqrt(d_head))
         combined = head_out if combined is None else ad.add(combined, head_out)
     out = ad.scale(combined, 1.0 / heads)
     return ad.leaky_relu(out) if activate else out
@@ -301,10 +284,11 @@ def augment_features(x: np.ndarray, p: float, seed: int) -> np.ndarray:
     return x * mask
 
 
-def contrastive_encoder(adj: Tensor, x: Tensor, params: ContrastiveParams) -> Tensor:
-    """Two propagation layers: ReLU after the first, linear second."""
-    c1 = ad.relu(ad.matmul(ad.matmul(adj, x), params.w0))
-    return ad.matmul(ad.matmul(adj, c1), params.w1)
+def contrastive_encoder(adj: sp.csr_array, x: Tensor, params: ContrastiveParams) -> Tensor:
+    """Two propagation layers over the normalized adjacency: ReLU after the
+    first, linear second."""
+    c1 = ad.relu(_propagate(adj, x, params.w0))
+    return _propagate(adj, c1, params.w1)
 
 
 def combined_similarity(c1: Tensor, c2: Tensor, exponent: float = 1.0) -> Tensor:

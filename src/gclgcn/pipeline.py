@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import autodiff as ad
 from .autodiff import AdamState, Tensor, adam_step, backward, zero_grad
@@ -26,7 +27,6 @@ from .layers import (
     GraphormerParams,
     ae_forward,
     ae_loss,
-    attention_logit_bias,
     combined_similarity,
     contrastive_encoder,
     contrastive_loss,
@@ -177,7 +177,7 @@ def pretrain_contrastive(g: Graph, cfg: ExperimentConfig) -> np.ndarray:
     mask_rng = _stream(cfg.seed, _STREAM_CONTRASTIVE_MASK)
     tensors = [t for _, t in params.named()]
     opt = AdamState.for_params(tensors, cfg.lr)
-    adj = ad.constant(normalize_adjacency(g).matrix)
+    adj = normalize_adjacency(g).matrix
     x = ad.constant(g.features)
     for epoch in range(cc.epochs):
         zero_grad(tensors)
@@ -228,7 +228,7 @@ def fuse_final(
     z_gcn: Tensor | None,
     z_ae: Tensor,
     z_t: Tensor | None,
-    adj: Tensor,
+    adj: sp.csr_array,
     lam: float,
     theta: float,
     gamma: float,
@@ -243,7 +243,7 @@ def fuse_final(
             continue
         term = ad.scale(z, weight)
         total = term if total is None else ad.add(total, term)
-    return ad.matmul(adj, total)
+    return ad.spmm(adj, total)
 
 
 def _as_node(x) -> Tensor:
@@ -313,12 +313,12 @@ class _Constants:
 
     x: Tensor
     x_enhanced: Tensor  # X + X_c, first-layer input of both graph channels
-    adj: Tensor  # normalized adjacency with self-loops
-    a_binary: Tensor  # raw 0/1 adjacency, reconstruction target
+    adj: sp.csr_array  # normalized adjacency with self-loops
+    a_binary: Tensor  # raw 0/1 adjacency, dense: the decoder losses compare against all of it
     target_feat: np.ndarray  # adj @ X, the feature reconstruction target
     target_w: np.ndarray  # target of the joint decoder-consistency term
     centrality: Tensor | None
-    logit_bias: Tensor | None
+    logit_bias: np.ndarray | None  # signed spatial bias on adj's entries
 
 
 def _build_constants(g: Graph, cfg: ExperimentConfig, x_c: np.ndarray) -> _Constants:
@@ -330,14 +330,14 @@ def _build_constants(g: Graph, cfg: ExperimentConfig, x_c: np.ndarray) -> _Const
     logit_bias = None
     if cfg.ablation != "-Graphormer":
         cent = composite_centrality(g, cfg.centrality)
-        bias = spatial_bias(g, cfg.spatial_mode)
+        sign = 1.0 if cfg.spatial_sign == "+" else -1.0
         centrality = ad.constant(cent.values)
-        logit_bias = ad.constant(attention_logit_bias(g, bias, cfg.spatial_sign))
+        logit_bias = sign * spatial_bias(g, cfg.spatial_mode).values
     return _Constants(
         x=ad.constant(g.features),
         x_enhanced=ad.constant(g.features + x_c),
-        adj=ad.constant(na.matrix),
-        a_binary=ad.constant(a),
+        adj=na.matrix,
+        a_binary=ad.constant(a.toarray()),
         target_feat=target_feat,
         target_w=target_w,
         centrality=centrality,
@@ -442,11 +442,14 @@ def _forward_channels(state: ModelState, cons: _Constants, cfg: ExperimentConfig
     z_t = zhat_t = None
     if state.graphormer is not None:
         gp = state.graphormer
-        z = graphormer_layer(cons.x_enhanced, cons.centrality, cons.logit_bias, gp.enc[0], gp.heads)
+        z = graphormer_layer(
+            cons.x_enhanced, cons.centrality, cons.adj, cons.logit_bias, gp.enc[0], gp.heads
+        )
         for i in range(1, len(gp.enc)):
             z = graphormer_layer(
                 fused_input(hs[i - 1], z, cfg.epsilon),
                 cons.centrality,
+                cons.adj,
                 cons.logit_bias,
                 gp.enc[i],
                 gp.heads,
@@ -454,7 +457,7 @@ def _forward_channels(state: ModelState, cons: _Constants, cfg: ExperimentConfig
         z_t = z
         last = len(gp.dec) - 1
         for i, lp in enumerate(gp.dec):
-            z = graphormer_layer(z, cons.centrality, cons.logit_bias, lp, gp.heads,
+            z = graphormer_layer(z, cons.centrality, cons.adj, cons.logit_bias, lp, gp.heads,
                                  activate=(i != last))
         zhat_t = z
 

@@ -1,8 +1,10 @@
 """Independent reference implementations used only to check production code.
 
 These deliberately take different algorithmic routes: betweenness is counted
-via Floyd-Warshall all-pairs path counting (the implementation uses per-source
-BFS accumulation), and the matching accuracy enumerates every bijection.
+via Floyd-Warshall all-pairs path counting (the implementation uses
+level-synchronous Brandes accumulation), the matching accuracy enumerates
+every bijection, and the graph operators are dense n x n matrices (the
+implementation keeps the adjacency and the attention weights in CSR).
 """
 
 from __future__ import annotations
@@ -95,3 +97,64 @@ def random_er_graph(n: int, p: float, rng: np.random.Generator):
             if rng.random() < p:
                 edges.append((i, j))
     return edges
+
+
+def dense_normalized_adjacency(n: int, edges) -> np.ndarray:
+    """D^{-1/2} (A+I) D^{-1/2} as a dense matrix."""
+    a = np.eye(n)
+    for u, v in edges:
+        a[u, v] = a[v, u] = 1.0
+    d = a.sum(axis=1)
+    return a / np.sqrt(np.outer(d, d))
+
+
+def dense_logit_bias(features: np.ndarray, edges, sign: float = 1.0) -> np.ndarray:
+    """Signed euclidean distance on every edge (both orders), 0 on the
+    diagonal, -inf outside the self-looped neighbourhood."""
+    n = features.shape[0]
+    out = np.full((n, n), -np.inf)
+    np.fill_diagonal(out, 0.0)
+    for u, v in edges:
+        out[u, v] = out[v, u] = sign * float(np.linalg.norm(features[u] - features[v]))
+    return out
+
+
+def leaky_relu(x: np.ndarray, slope: float = 0.01) -> np.ndarray:
+    return np.where(x > 0, x, slope * x)
+
+
+def dense_gcn_layer(adj: np.ndarray, z: np.ndarray, w: np.ndarray, activate=True) -> np.ndarray:
+    out = (adj @ z) @ w
+    return leaky_relu(out) if activate else out
+
+
+def masked_attention(q, k, v, logit_bias: np.ndarray, scale: float) -> np.ndarray:
+    """softmax(scale * q k^T + logit_bias) v over full rows; -inf logits get
+    exactly zero weight."""
+    logits = scale * (q @ k.T) + logit_bias
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return (e / e.sum(axis=1, keepdims=True)) @ v
+
+
+def dense_graphormer_layer(z, centrality, logit_bias, params, heads=1, activate=True):
+    """Multi-head masked attention with the centrality terms of every
+    projection; params is a layers.GraphormerLayerParams."""
+    def proj(role):
+        return (z @ getattr(params, f"w_{role}").value
+                + centrality @ getattr(params, f"wc_{role}").value)
+
+    keys, queries, values = proj("key"), proj("query"), proj("value")
+    d_head = keys.shape[1] // heads
+    out = 0.0
+    for h in range(heads):
+        cols = slice(h * d_head, (h + 1) * d_head)
+        out = out + masked_attention(
+            queries[:, cols], keys[:, cols], values[:, cols], logit_bias, 1.0 / np.sqrt(d_head)
+        )
+    out = out / heads
+    return leaky_relu(out) if activate else out
+
+
+def support_values(rows, cols, values) -> dict:
+    """{(i, j): value} for entries listed in support order."""
+    return {(int(i), int(j)): float(x) for i, j, x in zip(rows, cols, values)}

@@ -16,22 +16,6 @@ class TestForwardValues:
         ad.backward(ad.reduce_sum(out))
         assert np.array_equal(m.grad, np.ones((2, 2)))
 
-    def test_row_softmax_uniform(self):
-        out = ad.row_softmax(ad.constant([[0.0, 0.0]]))
-        assert np.allclose(out.value, [[0.5, 0.5]], atol=0)
-
-    def test_row_softmax_rows_sum_to_one(self):
-        rng = np.random.default_rng(0)
-        x = ad.constant(rng.standard_normal((7, 5)) * 10)
-        s = ad.row_softmax(x).value
-        assert np.all(np.abs(s.sum(axis=1) - 1.0) <= 1e-12)
-
-    def test_row_softmax_handles_neg_inf(self):
-        logits = np.array([[0.0, -np.inf, 1.0]])
-        s = ad.row_softmax(ad.constant(logits)).value
-        assert s[0, 1] == 0.0
-        assert s[0].sum() == pytest.approx(1.0, abs=1e-12)
-
     def test_mse_self_zero_with_zero_grad(self):
         x = ad.parameter([[1.0, -2.0]])
         loss = ad.mse(x, x)
@@ -124,7 +108,6 @@ UNARY_OPS = [
     ("sigmoid", ad.sigmoid, None),
     ("relu", ad.relu, None),
     ("leaky_relu", ad.leaky_relu, None),
-    ("row_softmax", ad.row_softmax, None),
     ("transpose", ad.transpose, None),
 ]
 

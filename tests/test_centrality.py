@@ -9,14 +9,19 @@ from gclgcn.centrality import (
     degree_centrality,
     spatial_bias,
 )
-from gclgcn.graph import Graph
+from gclgcn.graph import Graph, support_pairs
 
 from oracles import (
     betweenness_reference,
     closeness_reference,
     degree_reference,
     random_er_graph,
+    support_values,
 )
+
+
+def bias_pairs(g, mode="euclidean"):
+    return support_values(*support_pairs(g), spatial_bias(g, mode).values)
 
 
 def path3():
@@ -154,28 +159,27 @@ class TestComposite:
 class TestSpatialBias:
     def test_identical_rows_zero(self):
         g = Graph(features=np.ones((2, 3)), edges=[(0, 1)])
-        assert spatial_bias(g).values[(0, 1)] == 0.0
+        assert bias_pairs(g)[(0, 1)] == 0.0
 
     def test_three_four_five(self):
         g = Graph(features=np.array([[0.0, 0.0], [3.0, 4.0]]), edges=[(0, 1)])
-        sb = spatial_bias(g, "euclidean")
-        assert sb.values[(0, 1)] == pytest.approx(5.0, abs=1e-12)
+        assert bias_pairs(g, "euclidean")[(0, 1)] == pytest.approx(5.0, abs=1e-12)
 
     def test_shortest_path_mode_edges_are_one(self):
         g = Graph(features=np.zeros((3, 2)), edges=[(0, 2)])
-        sb = spatial_bias(g, "shortest-path")
-        assert sb.values[(0, 2)] == 1.0 and sb.values[(2, 0)] == 1.0
+        pairs = bias_pairs(g, "shortest-path")
+        assert pairs[(0, 2)] == 1.0 and pairs[(2, 0)] == 1.0
 
     def test_symmetric_zero_diagonal_only_required_pairs(self):
         rng = np.random.default_rng(5)
         g = Graph(features=rng.standard_normal((6, 3)), edges=[(0, 1), (2, 4)])
-        sb = spatial_bias(g)
+        pairs = bias_pairs(g)
         for i in range(6):
-            assert sb.values[(i, i)] == 0.0
-        for (i, j), d in sb.values.items():
+            assert pairs[(i, i)] == 0.0
+        for (i, j), d in pairs.items():
             assert d >= 0.0
-            assert sb.values[(j, i)] == d
-        assert (0, 2) not in sb.values
+            assert pairs[(j, i)] == d
+        assert (0, 2) not in pairs
 
     def test_unknown_mode(self):
         g = Graph(features=np.zeros((2, 1)), edges=[])

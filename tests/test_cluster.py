@@ -38,6 +38,23 @@ class TestKMeans:
         assert np.array_equal(a.centroids, b.centroids)
         assert a.sse == b.sse
 
+    def test_rising_sse_raises(self, monkeypatch):
+        # A Lloyd step never raises the SSE; if distances ever make it rise,
+        # kmeans stops with an error that survives `python -O`.
+        from gclgcn import cluster
+
+        calls = []
+        exact = cluster._squared_distances
+
+        def growing(z, centers):
+            calls.append(None)
+            return exact(z, centers) + len(calls)
+
+        monkeypatch.setattr(cluster, "_squared_distances", growing)
+        z = np.random.default_rng(6).standard_normal((20, 2))
+        with pytest.raises(RuntimeError, match="SSE increased"):
+            kmeans(z, 2, restarts=1, seed=0)
+
     def test_sse_matches_recomputation(self):
         rng = np.random.default_rng(5)
         z = rng.standard_normal((30, 2))

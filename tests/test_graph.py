@@ -111,12 +111,12 @@ class TestLoadGraph:
 class TestNormalizedAdjacency:
     def test_edgeless_is_identity(self):
         g = Graph(features=np.zeros((2, 1)), edges=[])
-        assert np.array_equal(normalize_adjacency(g).matrix, np.eye(2))
+        assert np.array_equal(normalize_adjacency(g).matrix.toarray(), np.eye(2))
 
     def test_single_edge(self):
         g = Graph(features=np.zeros((2, 1)), edges=[(0, 1)])
         na = normalize_adjacency(g)
-        assert np.allclose(na.matrix, 0.5 * np.ones((2, 2)), atol=0, rtol=0)
+        assert np.allclose(na.matrix.toarray(), 0.5 * np.ones((2, 2)), atol=0, rtol=0)
         assert np.array_equal(na.degrees, [2.0, 2.0])
 
     def test_path_value(self):
@@ -135,10 +135,11 @@ class TestNormalizedAdjacency:
             ]
             g = Graph(features=np.zeros((n, 1)), edges=edges)
             na = normalize_adjacency(g)
-            assert np.array_equal(na.matrix, na.matrix.T)
-            assert np.all(na.matrix >= 0)
-            assert np.all(na.matrix.sum(axis=1) <= np.sqrt(na.degrees) + 1e-12)
-            assert np.allclose(np.diag(na.matrix), 1.0 / na.degrees, atol=1e-15)
+            m = na.matrix.toarray()
+            assert np.array_equal(m, m.T)
+            assert np.all(m >= 0)
+            assert np.all(m.sum(axis=1) <= np.sqrt(na.degrees) + 1e-12)
+            assert np.allclose(np.diag(m), 1.0 / na.degrees, atol=1e-15)
 
 
 class TestHops:
@@ -191,7 +192,7 @@ class TestSbm:
 
 def test_adjacency_matrix_binary_symmetric():
     g = path3()
-    a = adjacency_matrix(g)
+    a = adjacency_matrix(g).toarray()
     assert np.array_equal(a, a.T)
     assert a.sum() == 4  # two undirected edges
     assert np.all(np.diag(a) == 0)

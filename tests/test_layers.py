@@ -3,14 +3,15 @@ import pytest
 
 from gclgcn import autodiff as ad
 from gclgcn.centrality import composite_centrality, spatial_bias
+from gclgcn.config import ExperimentConfig
 from gclgcn.graph import Graph, normalize_adjacency
+from gclgcn.pipeline import _build_constants  # noqa: internal, signed logit bias
 from gclgcn.layers import (
     AEParams,
     ContrastiveParams,
     GraphormerParams,
     ae_forward,
     ae_loss,
-    attention_logit_bias,
     augment_features,
     combined_similarity,
     contrastive_encoder,
@@ -85,14 +86,14 @@ class TestAutoencoder:
 class TestGcnLayer:
     def test_edgeless_identity(self):
         g = Graph(features=np.zeros((3, 2)), edges=[])
-        adj = ad.constant(normalize_adjacency(g).matrix)
+        adj = normalize_adjacency(g).matrix
         z = np.abs(np.random.default_rng(0).standard_normal((3, 2)))
         out = gcn_layer(adj, ad.constant(z), ad.constant(np.eye(2)))
         assert np.allclose(out.value, z, atol=0)
 
     def test_single_edge_preactivation(self):
         g = Graph(features=np.zeros((2, 1)), edges=[(0, 1)])
-        adj = ad.constant(normalize_adjacency(g).matrix)
+        adj = normalize_adjacency(g).matrix
         out = gcn_layer(adj, ad.constant(np.eye(2)), ad.constant(np.eye(2)), activate=False)
         assert np.allclose(out.value, 0.5 * np.ones((2, 2)), atol=0)
 
@@ -100,7 +101,7 @@ class TestGcnLayer:
         for seed in range(5):
             rng = np.random.default_rng(seed)
             g = tiny_graph(seed)
-            adj = ad.constant(normalize_adjacency(g).matrix)
+            adj = normalize_adjacency(g).matrix
             w = ad.parameter(rng.standard_normal((4, 3)))
             target = ad.constant(rng.standard_normal((5, 3)))
 
@@ -112,19 +113,18 @@ class TestGcnLayer:
 
 def build_attention(g, heads=1, measures=("degree", "betweenness", "closeness"), seed=0):
     cent = composite_centrality(g, measures)
-    bias = attention_logit_bias(g, spatial_bias(g), "+")
     params = GraphormerParams.init(
         np.random.default_rng(seed), [g.f, 3], len(measures), heads,
         cent_scale=np.sqrt((cent.values**2).mean(axis=0)),
     )
-    return ad.constant(cent.values), ad.constant(bias), params
+    return ad.constant(cent.values), normalize_adjacency(g).matrix, spatial_bias(g).values, params
 
 
 class TestGraphormerLayer:
     def test_isolated_node_attends_to_itself(self):
         g = Graph(features=np.random.default_rng(0).standard_normal((3, 4)), edges=[(0, 1)])
-        cent, bias, params = build_attention(g)
-        out = graphormer_layer(ad.constant(g.features), cent, bias, params.enc[0], 1)
+        cent, adj, bias, params = build_attention(g)
+        out = graphormer_layer(ad.constant(g.features), cent, adj, bias, params.enc[0], 1)
         # node 2 is isolated: output = LeakyReLU(v_2)
         v = g.features @ params.enc[0].w_value.value + \
             cent.value @ params.enc[0].wc_value.value
@@ -135,9 +135,10 @@ class TestGraphormerLayer:
         feats = np.tile(np.array([[1.0, 2.0]]), (2, 1))
         g = Graph(features=feats, edges=[(0, 1)])
         cent = ad.constant(np.ones((2, 1)))
-        bias = ad.constant(np.zeros((2, 2)))
+        adj = normalize_adjacency(g).matrix
+        bias = np.zeros(adj.nnz)
         params = GraphormerParams.init(np.random.default_rng(3), [2, 3], 1, 1)
-        out = graphormer_layer(ad.constant(feats), cent, bias, params.enc[0], 1)
+        out = graphormer_layer(ad.constant(feats), cent, adj, bias, params.enc[0], 1)
         # both nodes identical: attention [0.5, 0.5], outputs equal v mean
         v = feats @ params.enc[0].w_value.value + np.ones((2, 1)) @ params.enc[0].wc_value.value
         want = 0.5 * (v[0] + v[1])
@@ -147,66 +148,63 @@ class TestGraphormerLayer:
 
     def test_attention_support_masked_rows_sum_to_one(self):
         g = tiny_graph(4)
-        bias = attention_logit_bias(g, spatial_bias(g), "+")
-        logits = np.random.default_rng(0).standard_normal((g.n, g.n)) + bias
-        s = ad.row_softmax(ad.constant(logits)).value
-        allowed = np.isfinite(bias)
+        adj = normalize_adjacency(g).matrix
+        qk = np.random.default_rng(0).standard_normal((g.n, 3))
+        # values = identity reads the attention weights out as a dense matrix
+        s = ad.edge_attention(qk, qk, np.eye(g.n), adj, spatial_bias(g).values, 1.0).value
+        allowed = adj.toarray() > 0
         assert np.all(s[~allowed] == 0.0)
         assert np.all(np.abs(s.sum(axis=1) - 1.0) <= 1e-12)
 
     def test_spatial_sign_flips_bias(self):
         g = tiny_graph(5)
-        plus = attention_logit_bias(g, spatial_bias(g), "+")
-        minus = attention_logit_bias(g, spatial_bias(g), "-")
-        finite = np.isfinite(plus)
-        assert np.allclose(plus[finite], -minus[finite], atol=0)
+        x_c = np.zeros_like(g.features)
+        plus = _build_constants(g, ExperimentConfig(spatial_sign="+"), x_c).logit_bias
+        minus = _build_constants(g, ExperimentConfig(spatial_sign="-"), x_c).logit_bias
+        assert plus.shape == (2 * len(g.edges) + g.n,)
+        assert np.allclose(plus, -minus, atol=0)
 
     def test_missing_bias_pair_rejected(self):
         g = tiny_graph(6)
-        sb = spatial_bias(g)
-        broken = dict(sb.values)
-        broken.pop(g.edges[0])
-        from gclgcn.centrality import SpatialBias
-
-        with pytest.raises(ValueError, match="missing required pair"):
-            attention_logit_bias(g, SpatialBias(values=broken, mode="euclidean"), "+")
+        cent, adj, bias, params = build_attention(g)
+        with pytest.raises(ValueError, match="bias has"):
+            graphormer_layer(ad.constant(g.features), cent, adj, bias[:-1], params.enc[0], 1)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(7)
         g = tiny_graph(7, n=6)
-        cent, bias, params = build_attention(g, seed=7)
-        out = graphormer_layer(ad.constant(g.features), cent, bias, params.enc[0], 1).value
+        cent, adj, bias, params = build_attention(g, seed=7)
+        out = graphormer_layer(ad.constant(g.features), cent, adj, bias, params.enc[0], 1).value
 
         perm = rng.permutation(g.n)  # old id -> new id
         pedges = [(int(perm[u]), int(perm[v])) for u, v in g.edges]
         pg = Graph(features=g.features[np.argsort(perm)], edges=pedges)
         pcent = composite_centrality(pg)
-        pbias = attention_logit_bias(pg, spatial_bias(pg), "+")
         pout = graphormer_layer(
-            ad.constant(pg.features), ad.constant(pcent.values), ad.constant(pbias),
-            params.enc[0], 1,
+            ad.constant(pg.features), ad.constant(pcent.values), normalize_adjacency(pg).matrix,
+            spatial_bias(pg).values, params.enc[0], 1,
         ).value
         # row for old node i sits at new position perm[i]
         assert np.allclose(out, pout[perm], atol=1e-9)
 
     def test_multi_head_output_width(self):
         g = tiny_graph(8)
-        cent, bias, params = build_attention(g, heads=3, seed=8)
-        out = graphormer_layer(ad.constant(g.features), cent, bias, params.enc[0], 3)
+        cent, adj, bias, params = build_attention(g, heads=3, seed=8)
+        out = graphormer_layer(ad.constant(g.features), cent, adj, bias, params.enc[0], 3)
         assert out.shape == (g.n, 3)
 
     def test_gradients(self):
         for seed in range(5):
             rng = np.random.default_rng(seed)
             g = tiny_graph(seed, n=4)
-            cent, bias, params = build_attention(g, seed=seed)
+            cent, adj, bias, params = build_attention(g, seed=seed)
             lp = params.enc[0]
             tensors = [lp.w_key, lp.w_query, lp.w_value, lp.wc_key, lp.wc_query, lp.wc_value]
             target = ad.constant(rng.standard_normal((g.n, 3)))
 
             def loss(_):
                 return ad.mse(
-                    graphormer_layer(ad.constant(g.features), cent, bias, lp, 1), target
+                    graphormer_layer(ad.constant(g.features), cent, adj, bias, lp, 1), target
                 )
 
             assert ad.finite_difference_check(loss, tensors) <= 1e-4
@@ -239,7 +237,7 @@ class TestAugment:
 class TestContrastive:
     def test_zero_weights_zero_output(self):
         g = tiny_graph(0)
-        adj = ad.constant(normalize_adjacency(g).matrix)
+        adj = normalize_adjacency(g).matrix
         params = ContrastiveParams.init(np.random.default_rng(0), g.f, 6)
         params.w0.value[...] = 0
         params.w1.value[...] = 0
@@ -248,7 +246,7 @@ class TestContrastive:
 
     def test_edgeless_identity_weights(self):
         g = Graph(features=np.abs(np.random.default_rng(1).standard_normal((4, 3))), edges=[])
-        adj = ad.constant(normalize_adjacency(g).matrix)
+        adj = normalize_adjacency(g).matrix
         params = ContrastiveParams.init(np.random.default_rng(0), 3, 3)
         params.w0.value[...] = np.eye(3)
         params.w1.value[...] = np.eye(3)
@@ -309,7 +307,7 @@ class TestContrastive:
         for seed in range(12):
             rng = np.random.default_rng(seed)
             g = tiny_graph(seed)
-            adj = ad.constant(normalize_adjacency(g).matrix)
+            adj = normalize_adjacency(g).matrix
             params = ContrastiveParams.init(rng, g.f, 5)
             view = ad.constant(augment_features(g.features, 0.3, seed=seed))
 

@@ -56,7 +56,7 @@ class TestFusion:
 
     def test_fuse_final_single_channel_edgeless(self):
         g = Graph(features=np.zeros((3, 1)), edges=[])
-        adj = ad.constant(normalize_adjacency(g).matrix)
+        adj = normalize_adjacency(g).matrix
         z = ad.constant(np.random.default_rng(0).standard_normal((3, 2)))
         out = fuse_final(z, ad.constant(np.zeros((3, 2))), ad.constant(np.zeros((3, 2))),
                          adj, 1.0, 0.0, 0.0)
@@ -64,13 +64,13 @@ class TestFusion:
 
     def test_fuse_final_convexity(self):
         g = small_sbm()
-        adj = ad.constant(normalize_adjacency(g).matrix)
+        adj = normalize_adjacency(g).matrix
         m = ad.constant(np.random.default_rng(1).standard_normal((g.n, 3)))
         out = fuse_final(m, m, m, adj, 0.25, 0.35, 0.4)
-        assert np.allclose(out.value, adj.value @ m.value, atol=1e-12)
+        assert np.allclose(out.value, adj @ m.value, atol=1e-12)
 
     def test_fuse_final_missing_channel_needs_zero_weight(self):
-        adj = ad.constant(np.eye(2))
+        adj = normalize_adjacency(Graph(features=np.zeros((2, 1)), edges=[])).matrix
         z = ad.constant(np.zeros((2, 2)))
         with pytest.raises(ValueError, match="nonzero weight"):
             fuse_final(None, z, z, adj, 0.5, 0.25, 0.25)
@@ -234,7 +234,7 @@ class TestPretraining:
 
         g = small_sbm()
         assert np.array_equal(augment_features(g.features, 0.0, seed=0), g.features)
-        adj = ad.constant(normalize_adjacency(g).matrix)
+        adj = normalize_adjacency(g).matrix
         params = ContrastiveParams.init(np.random.default_rng(0), g.f, 8)
         c = contrastive_encoder(adj, ad.constant(g.features), params)
         s = combined_similarity(c, c, 1.0).value
@@ -253,7 +253,7 @@ class TestPretraining:
                                    contrastive_encoder, contrastive_loss)
         g = small_sbm()
         cfg = tiny_cfg(contrastive=ContrastiveConfig(hidden=8, epochs=20))
-        adj = ad.constant(normalize_adjacency(g).matrix)
+        adj = normalize_adjacency(g).matrix
 
         def eval_loss(params):
             from gclgcn.layers import augment_features
