@@ -43,11 +43,9 @@ __all__ = [
     "sqrt",
     "clamp_min",
     "signed_pow",
-    "reduce_mean",
     "reduce_sum",
     "mse",
     "gather_rows",
-    "concat_cols",
 ]
 
 
@@ -419,17 +417,6 @@ def reduce_sum(a: Tensor) -> Tensor:
     return Tensor(a.value.sum(), _parents=(a,), _rule=rule)
 
 
-def reduce_mean(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    shape = a.shape
-    size = a.value.size
-
-    def rule(g):
-        return (np.full(shape, g[0, 0] / size),)
-
-    return Tensor(a.value.mean(), _parents=(a,), _rule=rule)
-
-
 def mse(a: Tensor, b: Tensor) -> Tensor:
     """Mean over all entries of the squared difference."""
     a, b = _as_tensor(a), _as_tensor(b)
@@ -461,20 +448,6 @@ def gather_rows(a: Tensor, indices) -> Tensor:
         return (out,)
 
     return Tensor(a.value[idx], _parents=(a,), _rule=rule)
-
-
-def concat_cols(*tensors: Tensor) -> Tensor:
-    ts = [_as_tensor(t) for t in tensors]
-    _check(len(ts) >= 1, "concat_cols", "needs at least one operand")
-    rows = ts[0].shape[0]
-    _check(all(t.shape[0] == rows for t in ts), "concat_cols", "row counts differ")
-    widths = [t.shape[1] for t in ts]
-    splits = np.cumsum(widths)[:-1]
-
-    def rule(g):
-        return tuple(np.ascontiguousarray(part) for part in np.hsplit(g, splits))
-
-    return Tensor(np.hstack([t.value for t in ts]), _parents=tuple(ts), _rule=rule)
 
 
 # ---------------------------------------------------------------------------

@@ -35,26 +35,39 @@ def save_checkpoint(path: str | Path, named) -> None:
 
 
 def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
-    """Read back the named arrays, insertion-ordered."""
+    """Read back the named arrays, insertion-ordered. A file cut short or
+    carrying trailing bytes raises ValueError naming the byte offset."""
     data = Path(path).read_bytes()
     if data[:4] != MAGIC:
         raise ValueError(f"{path}: not a checkpoint file (bad magic)")
-    (version,) = struct.unpack_from("<H", data, 4)
+    view = memoryview(data)
+    pos = 4
+
+    def read(size: int, what: str) -> memoryview:
+        nonlocal pos
+        if pos + size > len(data):
+            raise ValueError(
+                f"{path}: truncated {what} at byte {pos}: "
+                f"needs {size} bytes, {len(data) - pos} left"
+            )
+        pos += size
+        return view[pos - size : pos]
+
+    (version,) = struct.unpack("<H", read(2, "format version"))
     if version != VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    offset = 6
     out: dict[str, np.ndarray] = {}
-    while offset < len(data):
-        (name_len,) = struct.unpack_from("<H", data, offset)
-        offset += 2
-        name = data[offset : offset + name_len].decode("utf-8")
-        offset += name_len
-        (rank,) = struct.unpack_from("<B", data, offset)
-        offset += 1
-        shape = struct.unpack_from(f"<{rank}I", data, offset)
-        offset += 4 * rank
+    while pos < len(data):
+        if len(data) - pos < 3:  # a name length and a rank: the smallest entry header
+            raise ValueError(
+                f"{path}: {len(data) - pos} trailing byte(s) at byte {pos}, "
+                "too few for an entry header"
+            )
+        (name_len,) = struct.unpack("<H", read(2, "entry header"))
+        name = bytes(read(name_len, "entry name")).decode("utf-8")
+        (rank,) = read(1, f"rank of {name!r}")
+        shape = struct.unpack(f"<{rank}I", read(4 * rank, f"shape of {name!r}"))
         count = int(np.prod(shape)) if rank else 1
-        arr = np.frombuffer(data, dtype="<f8", count=count, offset=offset).reshape(shape)
-        offset += 8 * count
-        out[name] = arr.astype(np.float64)
+        payload = read(8 * count, f"payload of {name!r}")
+        out[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
     return out

@@ -10,6 +10,7 @@ from .centrality import MEASURES
 
 __all__ = [
     "ConfigError",
+    "ABLATIONS",
     "ContrastiveConfig",
     "ExperimentConfig",
     "PRESETS",
@@ -23,7 +24,8 @@ class ConfigError(ValueError):
     """Invalid, missing, or out-of-range configuration."""
 
 
-_ABLATIONS = ("norm", "-GCN", "-Graphormer", "-ContrastiveLearning")
+# The full model, then each module removed in turn.
+ABLATIONS = ("norm", "-GCN", "-Graphormer", "-ContrastiveLearning")
 _SPATIAL_MODES = ("euclidean", "shortest-path")
 
 
@@ -34,7 +36,6 @@ class ContrastiveConfig:
     beta_sim: float = 1.0  # exponent of the combined similarity
     hidden: int = 256
     epochs: int = 50
-    variant: str = "v0"
 
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
@@ -47,10 +48,6 @@ class ContrastiveConfig:
             raise ConfigError("contrastive.hidden must be >= 1")
         if self.epochs < 0:
             raise ConfigError("contrastive.epochs must be >= 0")
-        if self.variant != "v0":
-            raise ConfigError(
-                f"contrastive.variant {self.variant!r} is a hook only; v0 is implemented"
-            )
 
 
 @dataclass(frozen=True)
@@ -117,8 +114,8 @@ class ExperimentConfig:
             raise ConfigError(f"spatial_mode must be one of {_SPATIAL_MODES}")
         if self.spatial_sign not in ("+", "-"):
             raise ConfigError("spatial_sign must be '+' or '-'")
-        if self.ablation not in _ABLATIONS:
-            raise ConfigError(f"ablation must be one of {_ABLATIONS}")
+        if self.ablation not in ABLATIONS:
+            raise ConfigError(f"ablation must be one of {ABLATIONS}")
 
 
 # Stock per-dataset settings (epochs, loss weights, bottleneck width,
@@ -149,7 +146,7 @@ _KNOWN_KEYS = (
     | _INT_KEYS
     | _FLOAT_KEYS
     | _PATH_KEYS
-    | {f"contrastive.{k}" for k in _CONTRASTIVE_INT | _CONTRASTIVE_FLOAT | {"variant"}}
+    | {f"contrastive.{k}" for k in _CONTRASTIVE_INT | _CONTRASTIVE_FLOAT}
 )
 
 
@@ -215,12 +212,7 @@ def parse_config(source: str | Path) -> ExperimentConfig:
                 fields[key] = _parse_bool(key, raw)
             elif key.startswith("contrastive."):
                 sub = key.split(".", 1)[1]
-                if sub in _CONTRASTIVE_INT:
-                    contrastive[sub] = int(raw)
-                elif sub in _CONTRASTIVE_FLOAT:
-                    contrastive[sub] = float(raw)
-                else:
-                    contrastive[sub] = raw
+                contrastive[sub] = int(raw) if sub in _CONTRASTIVE_INT else float(raw)
         except ValueError as exc:
             if isinstance(exc, ConfigError):
                 raise
@@ -261,7 +253,6 @@ def write_config(cfg: ExperimentConfig, path: str | Path) -> None:
         f"contrastive.beta_sim={cfg.contrastive.beta_sim!r}",
         f"contrastive.hidden={cfg.contrastive.hidden}",
         f"contrastive.epochs={cfg.contrastive.epochs}",
-        f"contrastive.variant={cfg.contrastive.variant}",
         f"ablation={cfg.ablation}",
         f"raw_ax_target={str(cfg.raw_ax_target).lower()}",
     ]

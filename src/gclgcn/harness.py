@@ -1,9 +1,10 @@
 """Experiment studies and their CSV result tables: module ablations, layer
 counts, encoding variants, and the fusion / loss-weight sweeps.
 
-Every study reuses the pretraining artifacts across runs that share a seed
-(pretraining does not depend on the swept parameters) and emits rows with
-the four metrics plus the composite index (their mean).
+Pretraining does not read what the ablation and encoding studies and the
+sweeps vary, so each of them pretrains once for all its rows; the layer study
+pretrains per depth (the autoencoder ladder). Rows hold the four metrics plus
+the composite index (their mean).
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from dataclasses import replace
 from pathlib import Path
 
 from .cluster import metric_row
-from .config import ConfigError, ExperimentConfig
+from .config import ABLATIONS, ConfigError, ExperimentConfig
 from .graph import Graph
-from .pipeline import ABLATION_VARIANTS, Pretrained, pretrain, train
+from .pipeline import Pretrained, pretrain, train
 
 __all__ = [
     "METRIC_COLUMNS",
@@ -83,11 +84,14 @@ def _run(g: Graph, cfg: ExperimentConfig, pretrained: Pretrained | None = None) 
 
 
 def ablation_study(g: Graph, cfg: ExperimentConfig, dataset: str = "dataset") -> list[dict]:
-    """One row per variant: the full model and each module removed in turn."""
+    """One row per variant: the full model and each module removed in turn.
+    The full model's pretraining serves every row; train() zeroes the
+    contrastive features for the -ContrastiveLearning row."""
     _require_labels(g)
+    pre = pretrain(g, replace(cfg, ablation="norm"))
     rows = []
-    for variant in ABLATION_VARIANTS:
-        metrics = _run(g, replace(cfg, ablation=variant))
+    for variant in ABLATIONS:
+        metrics = _run(g, replace(cfg, ablation=variant), pretrained=pre)
         rows.append({"dataset": dataset, "variant": variant, **metrics})
     return rows
 
@@ -108,10 +112,11 @@ def encoding_study(g: Graph, cfg: ExperimentConfig, dataset: str = "dataset") ->
     """The five standard encoding variants: the full composite with feature
     distances, the composite with hop distances, and each single measure."""
     _require_labels(g)
+    pre = pretrain(g, cfg)
     rows = []
     for label, measures, mode in ENCODING_VARIANTS:
         metrics = _run(
-            g, replace(cfg, centrality=measures, spatial_mode=mode)
+            g, replace(cfg, centrality=measures, spatial_mode=mode), pretrained=pre
         )
         rows.append({"dataset": dataset, "variant": label, **metrics})
     return rows

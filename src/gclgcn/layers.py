@@ -30,7 +30,6 @@ __all__ = [
     "ae_loss",
     "gcn_layer",
     "graphormer_layer",
-    "augment_features",
     "contrastive_encoder",
     "combined_similarity",
     "contrastive_loss",
@@ -132,11 +131,6 @@ class GcnParams:
         dec = [ad.parameter(glorot(rng, a, b)) for a, b in zip(rev[:-1], rev[1:])]
         return cls(enc, dec)
 
-    def named(self, prefix: str = "gcn") -> list[tuple[str, Tensor]]:
-        out = [(f"{prefix}.enc.{i}.w", w) for i, w in enumerate(self.enc_w)]
-        out += [(f"{prefix}.dec.{i}.w", w) for i, w in enumerate(self.dec_w)]
-        return out
-
 
 def _propagate(adj: sp.csr_array, z: Tensor, w: Tensor) -> Tensor:
     """adj @ z @ w, associated so the sparse product runs on the narrower side."""
@@ -163,6 +157,14 @@ class GraphormerLayerParams:
     wc_key: Tensor
     wc_query: Tensor
     wc_value: Tensor
+
+    def named(self) -> list[tuple[str, Tensor]]:
+        """(role, tensor) pairs, each projection followed by its centrality term."""
+        return [
+            (f"{kind}_{role}", getattr(self, f"{kind}_{role}"))
+            for role in ("key", "query", "value")
+            for kind in ("w", "wc")
+        ]
 
 
 @dataclass
@@ -203,15 +205,6 @@ class GraphormerParams:
         rev = dims[::-1]
         dec = [layer(a, b) for a, b in zip(rev[:-1], rev[1:])]
         return cls(enc, dec, heads)
-
-    def named(self, prefix: str = "graphormer") -> list[tuple[str, Tensor]]:
-        out = []
-        for part, layers in (("enc", self.enc), ("dec", self.dec)):
-            for i, lp in enumerate(layers):
-                for role in ("key", "query", "value"):
-                    out.append((f"{prefix}.{part}.{i}.w_{role}", getattr(lp, f"w_{role}")))
-                    out.append((f"{prefix}.{part}.{i}.wc_{role}", getattr(lp, f"wc_{role}")))
-        return out
 
 
 def _cols(t: Tensor, lo: int, hi: int) -> Tensor:
@@ -273,15 +266,6 @@ class ContrastiveParams:
 
     def named(self, prefix: str = "contrastive") -> list[tuple[str, Tensor]]:
         return [(f"{prefix}.w0", self.w0), (f"{prefix}.w1", self.w1)]
-
-
-def augment_features(x: np.ndarray, p: float, seed: int) -> np.ndarray:
-    """Random feature masking: each entry survives with probability 1 - p."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"mask rate must be in [0, 1], got {p}")
-    rng = np.random.default_rng(seed)
-    mask = rng.random(x.shape) >= p
-    return x * mask
 
 
 def contrastive_encoder(adj: sp.csr_array, x: Tensor, params: ContrastiveParams) -> Tensor:

@@ -1,6 +1,6 @@
-"""Training orchestration: pretraining phases, channel forwards with
+"""Training orchestration: pretraining phases, graph channels with
 representation injection, fused soft assignments, the composite objective,
-the joint optimization loop, and module-ablation variants.
+and the joint optimization loop over the modules the ablation leaves on.
 
 All randomness flows from named child streams of the experiment seed, so
 every phase is bit-reproducible and composes identically whether run
@@ -10,6 +10,8 @@ standalone or inside train().
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import reduce
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,12 +40,12 @@ from .layers import (
 
 __all__ = [
     "NumericError",
+    "Channel",
     "ModelState",
     "Pretrained",
     "AssignmentPair",
     "TrainResult",
     "AE_PRETRAIN_EPOCHS",
-    "ABLATION_VARIANTS",
     "pretrain_ae",
     "pretrain_contrastive",
     "pretrain",
@@ -56,11 +58,9 @@ __all__ = [
     "assign_labels",
     "loss_total",
     "train",
-    "ablate",
 ]
 
 AE_PRETRAIN_EPOCHS = 50
-ABLATION_VARIANTS = ("norm", "-GCN", "-Graphormer", "-ContrastiveLearning")
 
 # Fixed child-stream indices of the experiment seed.
 _STREAM_AE = 0
@@ -70,17 +70,66 @@ _STREAM_CONTRASTIVE_INIT = 3
 _STREAM_CONTRASTIVE_MASK = 4
 _STREAM_KMEANS = 5
 
+# Graph channels in forward and checkpoint order, each with the history key
+# of its adjacency-decoder loss.
+_CHANNELS = {"gcn": "L_a1", "graphormer": "L_a2"}
+# The module each ablation variant removes ("norm" removes none).
+_REMOVED = {"-GCN": "gcn", "-Graphormer": "graphormer", "-ContrastiveLearning": "contrastive"}
+
 
 class NumericError(RuntimeError):
     """A loss or parameter went non-finite."""
 
 
-def _stream(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed).spawn(index + 1)[index])
-
-
 def _stream_seed(seed: int, index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed).spawn(index + 1)[index]
+
+
+def _stream(seed: int, index: int) -> np.random.Generator:
+    return np.random.default_rng(_stream_seed(seed, index))
+
+
+def _modules(cfg: ExperimentConfig) -> tuple[tuple[str, ...], bool]:
+    """The enabled graph channels (GCN before attention) and whether the
+    contrastive features are used, as selected by cfg.ablation."""
+    removed = _REMOVED.get(cfg.ablation)
+    return tuple(name for name in _CHANNELS if name != removed), removed != "contrastive"
+
+
+@dataclass
+class Channel:
+    """A graph channel: encoder and decoder layer parameters, saved under a
+    checkpoint prefix, and the layer function that applies one of them as
+    layer(constants, input, layer_params, activate)."""
+
+    prefix: str
+    enc: list
+    dec: list
+    layer: Callable
+
+    @classmethod
+    def gcn(cls, params: GcnParams) -> "Channel":
+        def layer(cons, z, w, activate):
+            return gcn_layer(cons.adj, z, w, activate=activate)
+
+        return cls("gcn", params.enc_w, params.dec_w, layer)
+
+    @classmethod
+    def attention(cls, params: GraphormerParams) -> "Channel":
+        def layer(cons, z, lp, activate):
+            return graphormer_layer(
+                z, cons.centrality, cons.adj, cons.logit_bias, lp, params.heads, activate=activate
+            )
+
+        return cls("graphormer", params.enc, params.dec, layer)
+
+    def named(self) -> list[tuple[str, Tensor]]:
+        out = []
+        for part, layers in (("enc", self.enc), ("dec", self.dec)):
+            for i, lp in enumerate(layers):
+                roles = [("w", lp)] if isinstance(lp, Tensor) else lp.named()
+                out += [(f"{self.prefix}.{part}.{i}.{role}", t) for role, t in roles]
+        return out
 
 
 @dataclass
@@ -88,29 +137,21 @@ class ModelState:
     """Everything trainable plus the frozen contrastive features."""
 
     ae: AEParams
-    gcn: GcnParams | None
-    graphormer: GraphormerParams | None
+    channels: list[Channel]  # the enabled graph channels, GCN before attention
     centroids: Tensor
     x_c: np.ndarray
 
+    def _named(self) -> list[tuple[str, Tensor]]:
+        out = self.ae.named()
+        for channel in self.channels:
+            out += channel.named()
+        return out + [("centroids", self.centroids)]
+
     def trainable(self) -> list[Tensor]:
-        params = [t for _, t in self.ae.named()]
-        if self.gcn is not None:
-            params += [t for _, t in self.gcn.named()]
-        if self.graphormer is not None:
-            params += [t for _, t in self.graphormer.named()]
-        params.append(self.centroids)
-        return params
+        return [t for _, t in self._named()]
 
     def named_arrays(self) -> list[tuple[str, np.ndarray]]:
-        out = [(name, t.value) for name, t in self.ae.named()]
-        if self.gcn is not None:
-            out += [(name, t.value) for name, t in self.gcn.named()]
-        if self.graphormer is not None:
-            out += [(name, t.value) for name, t in self.graphormer.named()]
-        out.append(("centroids", self.centroids.value))
-        out.append(("x_c", self.x_c))
-        return out
+        return [(name, t.value) for name, t in self._named()] + [("x_c", self.x_c)]
 
 
 @dataclass
@@ -164,6 +205,7 @@ def pretrain_ae(g: Graph, cfg: ExperimentConfig) -> AEParams:
 
 
 def _mask_features(rng: np.random.Generator, x: np.ndarray, p: float) -> np.ndarray:
+    """Random feature masking: each entry survives with probability 1 - p."""
     return x * (rng.random(x.shape) >= p)
 
 
@@ -194,11 +236,11 @@ def pretrain_contrastive(g: Graph, cfg: ExperimentConfig) -> np.ndarray:
 
 
 def pretrain(g: Graph, cfg: ExperimentConfig) -> Pretrained:
+    """Autoencoder pretraining, then the contrastive features (zeros when the
+    ablation removes contrastive learning)."""
     ae = pretrain_ae(g, cfg)
-    if cfg.ablation == "-ContrastiveLearning":
-        x_c = np.zeros_like(g.features)
-    else:
-        x_c = pretrain_contrastive(g, cfg)
+    _, contrastive = _modules(cfg)
+    x_c = pretrain_contrastive(g, cfg) if contrastive else np.zeros_like(g.features)
     return Pretrained(
         ae_named=[(name, t.value.copy()) for name, t in ae.named()], x_c=x_c
     )
@@ -224,26 +266,10 @@ def fused_input(h_ae: Tensor, z_prev: Tensor, eps: float) -> Tensor:
     return ad.add(ad.scale(h_ae, eps), ad.scale(z_prev, 1.0 - eps))
 
 
-def fuse_final(
-    z_gcn: Tensor | None,
-    z_ae: Tensor,
-    z_t: Tensor | None,
-    adj: sp.csr_array,
-    lam: float,
-    theta: float,
-    gamma: float,
-) -> Tensor:
-    """Propagated convex combination of the three bottlenecks. Channels with
-    zero weight may be passed as None."""
-    total = None
-    for weight, z in ((lam, z_gcn), (theta, z_ae), (gamma, z_t)):
-        if z is None:
-            if weight != 0.0:
-                raise ValueError("fuse_final: missing channel has nonzero weight")
-            continue
-        term = ad.scale(z, weight)
-        total = term if total is None else ad.add(total, term)
-    return ad.spmm(adj, total)
+def fuse_final(terms, adj: sp.csr_array) -> Tensor:
+    """Propagated combination adj @ sum(weight * z) of the (weight,
+    bottleneck) terms, summed in the order given."""
+    return ad.spmm(adj, reduce(ad.add, [ad.scale(z, weight) for weight, z in terms]))
 
 
 def _as_node(x) -> Tensor:
@@ -319,6 +345,22 @@ class _Constants:
     target_w: np.ndarray  # target of the joint decoder-consistency term
     centrality: Tensor | None
     logit_bias: np.ndarray | None  # signed spatial bias on adj's entries
+    fusion: dict[str, float]  # fusion weight per bottleneck, in summation order
+
+
+def _fusion_weights(cfg: ExperimentConfig) -> dict[str, float]:
+    """Fusion weight of each enabled bottleneck in summation order (GCN,
+    autoencoder, attention). With a channel removed, the remaining weights
+    are renormalised to sum to 1; otherwise they are used as configured."""
+    channels, _ = _modules(cfg)
+    weights = {"gcn": cfg.lam, "ae": cfg.theta, "graphormer": cfg.gamma}
+    kept = {name: w for name, w in weights.items() if name == "ae" or name in channels}
+    if len(kept) == len(weights):
+        return kept
+    rest = sum(kept.values())
+    if rest <= 0:
+        raise ConfigError(f"the fusion weights left after the ablation must sum above 0: {kept}")
+    return {name: w / rest for name, w in kept.items()}
 
 
 def _build_constants(g: Graph, cfg: ExperimentConfig, x_c: np.ndarray) -> _Constants:
@@ -328,7 +370,7 @@ def _build_constants(g: Graph, cfg: ExperimentConfig, x_c: np.ndarray) -> _Const
     target_w = (a @ g.features) if cfg.raw_ax_target else target_feat
     centrality = None
     logit_bias = None
-    if cfg.ablation != "-Graphormer":
+    if "graphormer" in _modules(cfg)[0]:
         cent = composite_centrality(g, cfg.centrality)
         sign = 1.0 if cfg.spatial_sign == "+" else -1.0
         centrality = ad.constant(cent.values)
@@ -342,66 +384,54 @@ def _build_constants(g: Graph, cfg: ExperimentConfig, x_c: np.ndarray) -> _Const
         target_w=target_w,
         centrality=centrality,
         logit_bias=logit_bias,
+        fusion=_fusion_weights(cfg),
     )
 
 
-def _effective_fusion(cfg: ExperimentConfig) -> tuple[float, float, float]:
-    lam, theta, gamma = cfg.lam, cfg.theta, cfg.gamma
-    if cfg.ablation == "-GCN":
-        rest = theta + gamma
-        if rest <= 0:
-            raise ConfigError("-GCN ablation needs theta + gamma > 0")
-        return 0.0, theta / rest, gamma / rest
-    if cfg.ablation == "-Graphormer":
-        rest = lam + theta
-        if rest <= 0:
-            raise ConfigError("-Graphormer ablation needs lambda + theta > 0")
-        return lam / rest, theta / rest, 0.0
-    return lam, theta, gamma
+def _pretrained_ae(pre: Pretrained, dims: list[int]) -> AEParams:
+    """Trainable copies of the pretrained autoencoder weights, whose shapes
+    must follow the configured ladder."""
+    rev = dims[::-1]
+    layers = [*zip(dims[:-1], dims[1:]), *zip(rev[:-1], rev[1:])]
+    want = [shape for a, b in layers for shape in ((a, b), (1, b))]
+    got = [arr.shape for _, arr in pre.ae_named]
+    if got != want:
+        raise ConfigError(
+            f"pretrained autoencoder does not match the configured ladder {dims}: "
+            f"shapes {got}, expected {want}"
+        )
+    t = [ad.parameter(arr) for _, arr in pre.ae_named]
+    depth = 2 * (len(dims) - 1)
+    return AEParams(t[0:depth:2], t[1:depth:2], t[depth::2], t[depth + 1::2])
+
+
+def _init_channel(name: str, cfg: ExperimentConfig, dims: list[int], cons: _Constants) -> Channel:
+    if name == "gcn":
+        return Channel.gcn(GcnParams.init(_stream(cfg.seed, _STREAM_GCN), dims))
+    cent_scale = np.sqrt((cons.centrality.value**2).mean(axis=0))
+    return Channel.attention(GraphormerParams.init(
+        _stream(cfg.seed, _STREAM_ATT), dims, len(cfg.centrality), cfg.heads,
+        cent_scale=cent_scale,
+    ))
 
 
 def _init_state(
     g: Graph, cfg: ExperimentConfig, pre: Pretrained, cons: _Constants
 ) -> ModelState:
     dims = ladder_dims(g.f, cfg.n_z, cfg.layers)
-    ae = AEParams.init(np.random.default_rng(0), dims)
-    named = ae.named()
-    if len(named) != len(pre.ae_named):
-        raise ConfigError(
-            "pretrained autoencoder does not match the configured ladder"
-        )
-    for (_, tensor), (_, value) in zip(named, pre.ae_named):
-        if tensor.value.shape != value.shape:
-            raise ConfigError(
-                "pretrained autoencoder does not match the configured ladder"
-            )
-        tensor.value[...] = value
-
-    gcn = None
-    if cfg.ablation != "-GCN":
-        gcn = GcnParams.init(_stream(cfg.seed, _STREAM_GCN), dims)
-    graphormer = None
-    if cfg.ablation != "-Graphormer":
-        cent_scale = np.sqrt((cons.centrality.value**2).mean(axis=0))
-        graphormer = GraphormerParams.init(
-            _stream(cfg.seed, _STREAM_ATT), dims, len(cfg.centrality), cfg.heads,
-            cent_scale=cent_scale,
-        )
-
+    state = ModelState(
+        ae=_pretrained_ae(pre, dims),
+        channels=[_init_channel(name, cfg, dims, cons) for name in _modules(cfg)[0]],
+        centroids=ad.parameter(np.zeros((cfg.k, cfg.n_z)), name="centroids"),
+        x_c=pre.x_c,
+    )
     # The initial partition comes from kmeans on the pretrained bottleneck;
     # the centroid coordinates are that partition's means in the fused space
     # the soft assignment actually measures, otherwise the first assignment
     # is degenerate and self-training cannot recover.
-    hs, _ = ae_forward(ae, ad.constant(g.features))
+    hs, _, outs = _forward_channels(state, cons, cfg)
     km = kmeans(hs[-1].value, cfg.k, restarts=20, seed=_stream_seed(cfg.seed, _STREAM_KMEANS))
-    state = ModelState(
-        ae=ae, gcn=gcn, graphormer=graphormer,
-        centroids=ad.parameter(np.zeros((cfg.k, cfg.n_z)), name="centroids"),
-        x_c=pre.x_c,
-    )
-    hs, _, z_gcn, _, z_t, _ = _forward_channels(state, cons, cfg)
-    lam, theta, gamma = _effective_fusion(cfg)
-    fused = fuse_final(z_gcn, hs[-1], z_t, cons.adj, lam, theta, gamma).value
+    fused = _fuse(cons, hs, outs).value
     state.centroids.value[...] = _partition_means(fused, km.labels, cfg.k)
     return state
 
@@ -426,42 +456,28 @@ def _partition_means(z: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
 
 
 def _forward_channels(state: ModelState, cons: _Constants, cfg: ExperimentConfig):
+    """Autoencoder layer outputs and reconstruction, plus (bottleneck,
+    reconstruction) of every graph channel keyed by its prefix. Encoder layer
+    i > 0 of a channel takes the epsilon-blend of autoencoder layer i - 1 and
+    its own previous output."""
     hs, xhat_ae = ae_forward(state.ae, cons.x)
+    outs = {}
+    for channel in state.channels:
+        z = cons.x_enhanced
+        for i, lp in enumerate(channel.enc):
+            z_in = z if i == 0 else fused_input(hs[i - 1], z, cfg.epsilon)
+            z = channel.layer(cons, z_in, lp, True)
+        bottleneck = z
+        last = len(channel.dec) - 1
+        for i, lp in enumerate(channel.dec):
+            z = channel.layer(cons, z, lp, i != last)
+        outs[channel.prefix] = (bottleneck, z)
+    return hs, xhat_ae, outs
 
-    z_gcn = zhat_gcn = None
-    if state.gcn is not None:
-        z = gcn_layer(cons.adj, cons.x_enhanced, state.gcn.enc_w[0])
-        for i in range(1, len(state.gcn.enc_w)):
-            z = gcn_layer(cons.adj, fused_input(hs[i - 1], z, cfg.epsilon), state.gcn.enc_w[i])
-        z_gcn = z
-        last = len(state.gcn.dec_w) - 1
-        for i, w in enumerate(state.gcn.dec_w):
-            z = gcn_layer(cons.adj, z, w, activate=(i != last))
-        zhat_gcn = z
 
-    z_t = zhat_t = None
-    if state.graphormer is not None:
-        gp = state.graphormer
-        z = graphormer_layer(
-            cons.x_enhanced, cons.centrality, cons.adj, cons.logit_bias, gp.enc[0], gp.heads
-        )
-        for i in range(1, len(gp.enc)):
-            z = graphormer_layer(
-                fused_input(hs[i - 1], z, cfg.epsilon),
-                cons.centrality,
-                cons.adj,
-                cons.logit_bias,
-                gp.enc[i],
-                gp.heads,
-            )
-        z_t = z
-        last = len(gp.dec) - 1
-        for i, lp in enumerate(gp.dec):
-            z = graphormer_layer(z, cons.centrality, cons.adj, cons.logit_bias, lp, gp.heads,
-                                 activate=(i != last))
-        zhat_t = z
-
-    return hs, xhat_ae, z_gcn, zhat_gcn, z_t, zhat_t
+def _fuse(cons: _Constants, hs: list[Tensor], outs: dict) -> Tensor:
+    bottlenecks = {"ae": hs[-1], **{name: z for name, (z, _) in outs.items()}}
+    return fuse_final([(w, bottlenecks[name]) for name, w in cons.fusion.items()], cons.adj)
 
 
 def _epoch_losses(
@@ -470,35 +486,35 @@ def _epoch_losses(
     cfg: ExperimentConfig,
     p_fixed: np.ndarray | None = None,
 ):
-    hs, xhat_ae, z_gcn, zhat_gcn, z_t, zhat_t = _forward_channels(state, cons, cfg)
+    hs, xhat_ae, outs = _forward_channels(state, cons, cfg)
 
-    lam, theta, gamma = _effective_fusion(cfg)
-    z_fused = fuse_final(z_gcn, hs[-1], z_t, cons.adj, lam, theta, gamma)
+    z_fused = _fuse(cons, hs, outs)
     q = soft_assign(z_fused, state.centroids, cfg.t)
     q_prime = soft_assign(hs[-1], state.centroids, cfg.t)
     p = target_distribution(q.value) if p_fixed is None else p_fixed
 
-    zero = ad.constant(0.0)
-    if zhat_gcn is not None and zhat_t is not None:
-        joint = ad.scale(ad.add(zhat_gcn, zhat_t), 0.5)
-    else:
-        joint = zhat_gcn if zhat_gcn is not None else zhat_t
+    # Joint reconstruction: the mean of the channels' reconstructions.
+    zhats = [zhat for _, zhat in outs.values()]
+    joint = reduce(ad.add, zhats)
+    if len(zhats) > 1:
+        joint = ad.scale(joint, 1.0 / len(zhats))
     l_w = ad.mse(joint, ad.constant(cons.target_w))
-    l_a1 = ad.mse(inner_product_decode(z_gcn), cons.a_binary) if z_gcn is not None else zero
-    l_a2 = ad.mse(inner_product_decode(z_t), cons.a_binary) if z_t is not None else zero
+    l_a = {
+        name: ad.mse(inner_product_decode(z), cons.a_binary) for name, (z, _) in outs.items()
+    }
     l_ae = ad.mse(xhat_ae, ad.constant(cons.target_feat))
     l_clu = kl_div(ad.constant(p), q)
     l_con = kl_div(q, q_prime)
 
     total = ad.add(
-        ad.add(ad.add(l_w, ad.scale(ad.add(l_a1, l_a2), 0.1)), l_ae),
+        ad.add(ad.add(l_w, ad.scale(reduce(ad.add, l_a.values()), 0.1)), l_ae),
         ad.add(ad.scale(l_clu, cfg.alpha), ad.scale(l_con, cfg.beta)),
     )
     components = {
         "L_AE": float(l_ae.value[0, 0]),
         "L_w": float(l_w.value[0, 0]),
-        "L_a1": float(l_a1.value[0, 0]),
-        "L_a2": float(l_a2.value[0, 0]),
+        **{key: float(l_a[name].value[0, 0]) if name in l_a else 0.0
+           for name, key in _CHANNELS.items()},
         "L_clu": float(l_clu.value[0, 0]),
         "L_con": float(l_con.value[0, 0]),
     }
@@ -528,9 +544,10 @@ def train(
     abort_path=None,
     inspect=None,
 ) -> TrainResult:
-    """Run the full procedure: pretrain, seed centroids from the partition of
-    the autoencoder bottleneck, then jointly optimize every channel plus the
-    centroids.
+    """Run the full procedure: pretrain unless given matching artifacts
+    (whose x_c is zeroed if the ablation removes contrastive learning), seed
+    centroids from the partition of the autoencoder bottleneck, then jointly
+    optimize every enabled channel plus the centroids.
 
     inspect, when given, is called every epoch with (epoch, AssignmentPair)
     before the update step. On a non-finite loss the last finite-state
@@ -541,6 +558,13 @@ def train(
         raise ConfigError(f"k={cfg.k} exceeds node count {g.n}")
     if pretrained is None:
         pretrained = pretrain(g, cfg)
+    elif pretrained.x_c.shape != g.features.shape:
+        raise ConfigError(
+            f"pretrained x_c has shape {pretrained.x_c.shape}, "
+            f"but the graph's features have shape {g.features.shape}"
+        )
+    if not _modules(cfg)[1]:
+        pretrained = replace(pretrained, x_c=np.zeros_like(g.features))
     cons = _build_constants(g, cfg, pretrained.x_c)
     state = _init_state(g, cfg, pretrained, cons)
     params = state.trainable()
@@ -571,15 +595,3 @@ def train(
 
     _, _, assignments = _epoch_losses(state, cons, cfg)
     return TrainResult(state=state, history=history, labels=assign_labels(assignments.q))
-
-
-def ablate(g: Graph, cfg: ExperimentConfig, variant: str) -> dict[str, float]:
-    """Train one ablation variant and report its four metrics."""
-    if variant not in ABLATION_VARIANTS:
-        raise ConfigError(
-            f"unknown ablation variant {variant!r}; expected one of {ABLATION_VARIANTS}"
-        )
-    if g.labels is None:
-        raise ConfigError("ablation study needs ground-truth labels")
-    result = train(g, replace(cfg, ablation=variant))
-    return metric_row(result.labels, g.labels)

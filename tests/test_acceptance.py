@@ -27,7 +27,6 @@ from gclgcn.layers import (
     GraphormerParams,
     ae_forward,
     ae_loss,
-    augment_features,
     combined_similarity,
     contrastive_encoder,
     contrastive_loss,
@@ -89,8 +88,10 @@ def _manual_state(rng, g, dims, k):
     scale = np.sqrt((cent.values**2).mean(axis=0))
     state = P.ModelState(
         ae=AEParams.init(rng, dims),
-        gcn=GcnParams.init(rng, dims),
-        graphormer=GraphormerParams.init(rng, dims, 3, 1, cent_scale=scale),
+        channels=[
+            P.Channel.gcn(GcnParams.init(rng, dims)),
+            P.Channel.attention(GraphormerParams.init(rng, dims, 3, 1, cent_scale=scale)),
+        ],
         centroids=ad.parameter(rng.standard_normal((k, dims[-1]))),
         x_c=0.1 * rng.standard_normal(g.features.shape),
     )
@@ -149,7 +150,7 @@ def test_c2_gradient_suite():
         g = _tiny_graph(rng, n=5)
         adj = normalize_adjacency(g).matrix
         params = ContrastiveParams.init(rng, g.f, 5)
-        view = ad.constant(augment_features(g.features, 0.3, seed=seed))
+        view = ad.constant(P._mask_features(np.random.default_rng(seed), g.features, 0.3))
         c1 = contrastive_encoder(adj, ad.constant(g.features), params).value
         c2 = contrastive_encoder(adj, view, params).value
         d2 = ((c1[:, None, :] - c2[None, :, :]) ** 2).sum(-1)
@@ -244,9 +245,11 @@ def test_c4_distribution_invariants():
     pre = P.pretrain(g, cfg)
     cons = P._build_constants(g, cfg, pre.x_c)
     state = P._init_state(g, cfg, pre, cons)
-    hs, _, z_gcn, _, z_t, _ = P._forward_channels(state, cons, cfg)
-    lam, theta, gamma = P._effective_fusion(cfg)
-    fused = P.fuse_final(z_gcn, hs[-1], z_t, cons.adj, lam, theta, gamma)
+    hs, _, outs = P._forward_channels(state, cons, cfg)
+    fused = P.fuse_final(
+        [(cfg.lam, outs["gcn"][0]), (cfg.theta, hs[-1]), (cfg.gamma, outs["graphormer"][0])],
+        cons.adj,
+    )
     q = P.soft_assign(fused, state.centroids, cfg.t)
     p0 = P.target_distribution(q.value)
     ad.zero_grad([state.centroids])

@@ -52,3 +52,31 @@ def test_byte_identical_for_same_input(tmp_path):
     save_checkpoint(tmp_path / "1.gclc", arrs)
     save_checkpoint(tmp_path / "2.gclc", arrs)
     assert (tmp_path / "1.gclc").read_bytes() == (tmp_path / "2.gclc").read_bytes()
+
+
+def _saved(tmp_path):
+    path = tmp_path / "m.gclc"
+    save_checkpoint(path, [("ae.enc.0.w", np.ones((2, 3))), ("x_c", np.zeros((4, 2)))])
+    return path, path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "cut, message",
+    [
+        (7, r"1 trailing byte\(s\) at byte 6"),  # inside the first name length
+        (12, r"truncated entry name at byte 8: needs 10 bytes, 4 left"),
+        (-3, r"truncated payload of 'x_c' at byte \d+: needs 64 bytes, 61 left"),
+    ],
+)
+def test_truncated_file_names_file_and_offset(tmp_path, cut, message):
+    path, data = _saved(tmp_path)
+    path.write_bytes(data[:cut])
+    with pytest.raises(ValueError, match="m.gclc: " + message):
+        load_checkpoint(path)
+
+
+def test_trailing_byte_rejected(tmp_path):
+    path, data = _saved(tmp_path)
+    path.write_bytes(data + b"\x00")
+    with pytest.raises(ValueError, match=rf"m.gclc: 1 trailing byte\(s\) at byte {len(data)}"):
+        load_checkpoint(path)

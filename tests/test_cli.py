@@ -109,6 +109,32 @@ class TestTrainCommand:
                     "--pretrained", str(pre)]) == 0
         assert (direct / "history.csv").read_bytes() == (reused / "history.csv").read_bytes()
 
+    def test_truncated_pretrained_exits_one(self, run_cfg, tmp_path, capsys):
+        pre = tmp_path / "pre"
+        assert run(["pretrain", "--config", str(run_cfg), "--out", str(pre)]) == 0
+        data = (pre / "pretrain.gclc").read_bytes()
+        (pre / "pretrain.gclc").write_bytes(data[:-3])
+        capsys.readouterr()
+        code = run(["train", "--config", str(run_cfg), "--out", str(tmp_path / "out"),
+                    "--pretrained", str(pre)])
+        assert code == 1
+        assert "pretrain.gclc" in capsys.readouterr().err
+
+    def test_pretrained_from_another_graph_exits_one(self, run_cfg, dataset, tmp_path, capsys):
+        small = tmp_path / "small"
+        assert run(["gen-sbm", "--blocks", "5,5", "--p-in", "0.7", "--p-out", "0.05",
+                    "--dim", "6", "--seed", "5", "--out", str(small)]) == 0
+        pre = tmp_path / "pre"
+        assert run(["pretrain", "--config", str(run_cfg), "--out", str(pre)]) == 0
+        small_cfg = tmp_path / "small.cfg"
+        small_cfg.write_text(run_cfg.read_text().replace(str(dataset), str(small)))
+        capsys.readouterr()
+        code = run(["train", "--config", str(small_cfg), "--out", str(tmp_path / "out"),
+                    "--pretrained", str(pre)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "x_c" in err and "(20, 6)" in err and "(10, 6)" in err
+
 
 class TestStudies:
     def test_ablate_four_variants(self, run_cfg, tmp_path):

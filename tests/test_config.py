@@ -80,9 +80,11 @@ class TestValidation:
         with pytest.raises(ConfigError, match="tau"):
             ContrastiveConfig(tau=0.0)
 
-    def test_contrastive_variant_hook_only(self):
-        with pytest.raises(ConfigError, match="hook only"):
-            ContrastiveConfig(variant="v2")
+    def test_contrastive_variant_key_unknown(self, tmp_path):
+        path = tmp_path / "variant.cfg"
+        path.write_text("contrastive.variant=v0\n")
+        with pytest.raises(ConfigError, match="unknown key 'contrastive.variant'"):
+            parse_config(path)
 
 
 class TestConfigFile:

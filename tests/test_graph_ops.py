@@ -124,8 +124,12 @@ def _fixed_state(f: int, heads: int) -> P.ModelState:
     dims = [f, 5, 3]
     return P.ModelState(
         ae=AEParams.init(rng, dims),
-        gcn=GcnParams.init(rng, dims),
-        graphormer=GraphormerParams.init(rng, dims, 3, heads, cent_scale=np.full(3, 2.0)),
+        channels=[
+            P.Channel.gcn(GcnParams.init(rng, dims)),
+            P.Channel.attention(
+                GraphormerParams.init(rng, dims, 3, heads, cent_scale=np.full(3, 2.0))
+            ),
+        ],
         centroids=ad.parameter(rng.standard_normal((2, 3))),
         x_c=np.zeros((0, 0)),
     )
@@ -158,8 +162,10 @@ def test_node_permutation_permutes_channels_and_centrality(case, heads):
 
     cfg = ExperimentConfig(k=2, n_z=3, seed=0)
     state = _fixed_state(4, heads)
-    outs = P._forward_channels(state, P._build_constants(g, cfg, x_c), cfg)
-    pouts = P._forward_channels(state, P._build_constants(pg, cfg, x_c[inverse]), cfg)
-    # (hs, xhat_ae, z_gcn, zhat_gcn, z_t, zhat_t): every graph channel output
-    for out, pout in zip(outs[2:], pouts[2:]):
-        assert np.allclose(pout.value[perm], out.value, rtol=1e-9, atol=1e-9)
+    _, _, outs = P._forward_channels(state, P._build_constants(g, cfg, x_c), cfg)
+    _, _, pouts = P._forward_channels(state, P._build_constants(pg, cfg, x_c[inverse]), cfg)
+    # (bottleneck, reconstruction) of every graph channel
+    assert list(outs) == list(pouts) == ["gcn", "graphormer"]
+    for name in outs:
+        for out, pout in zip(outs[name], pouts[name]):
+            assert np.allclose(pout.value[perm], out.value, rtol=1e-9, atol=1e-9)

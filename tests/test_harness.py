@@ -1,9 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from gclgcn.config import ConfigError, ContrastiveConfig, ExperimentConfig
+from gclgcn import harness, pipeline
+from gclgcn.cluster import metric_row
+from gclgcn.config import ABLATIONS, ConfigError, ContrastiveConfig, ExperimentConfig
 from gclgcn.graph import SbmSpec, generate_sbm
 from gclgcn.harness import (
+    ENCODING_VARIANTS,
+    METRIC_COLUMNS,
+    ablation_study,
     best_fusion_row,
     composite_index,
     encoding_study,
@@ -92,3 +99,62 @@ def test_layer_study_rows_and_depth_trend():
     assert [r["variant"] for r in rows] == ["GCL-GCN-3", "GCL-GCN-1"]
     by = {r["variant"]: r for r in rows}
     assert by["GCL-GCN-3"]["f1"] >= by["GCL-GCN-1"]["f1"]
+
+
+# Each study's grid points, as independent configs.
+STUDY_POINTS = {
+    "ablation": (ablation_study, lambda c: [replace(c, ablation=v) for v in ABLATIONS]),
+    "encoding": (encoding_study, lambda c: [
+        replace(c, centrality=measures, spatial_mode=mode)
+        for _, measures, mode in ENCODING_VARIANTS
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STUDY_POINTS))
+@pytest.mark.parametrize("ablation", ["norm", "-ContrastiveLearning"])
+def test_study_rows_equal_independent_training(name, ablation, monkeypatch):
+    """Reusing one pretraining gives every row exactly what a train() that
+    pretrains on its own gives: same history, labels and parameters."""
+    study, points = STUDY_POINTS[name]
+    g = sbm(sizes=(8, 8), f=4)
+    c = cfg(k=2, epochs=2, ablation=ablation)
+    runs = []
+
+    def recording_train(g, point, pretrained=None):
+        result = pipeline.train(g, point, pretrained=pretrained)
+        runs.append((point, result))
+        return result
+
+    monkeypatch.setattr(harness, "train", recording_train)
+    rows = study(g, c)
+    assert [point for point, _ in runs] == points(c)
+    for row, (point, shared) in zip(rows, runs):
+        alone = pipeline.train(g, point)
+        assert shared.history == alone.history
+        assert np.array_equal(shared.labels, alone.labels)
+        for (na, a), (nb, b) in zip(shared.state.named_arrays(), alone.state.named_arrays()):
+            assert na == nb and np.array_equal(a, b)
+        assert {m: row[m] for m in METRIC_COLUMNS} == metric_row(alone.labels, g.labels)
+
+
+@pytest.mark.parametrize("name", sorted(STUDY_POINTS))
+def test_study_pretrains_once(name, monkeypatch):
+    study, points = STUDY_POINTS[name]
+    g = sbm(sizes=(8, 8), f=4)
+    calls = {"harness.pretrain": 0, "pipeline.pretrain_ae": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(harness, "pretrain", counting("harness.pretrain", harness.pretrain))
+    monkeypatch.setattr(
+        pipeline, "pretrain_ae", counting("pipeline.pretrain_ae", pipeline.pretrain_ae)
+    )
+    rows = study(g, cfg(k=2, epochs=1))
+    assert len(rows) == len(points(cfg()))
+    assert calls == {"harness.pretrain": 1, "pipeline.pretrain_ae": 1}

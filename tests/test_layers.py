@@ -3,16 +3,15 @@ import pytest
 
 from gclgcn import autodiff as ad
 from gclgcn.centrality import composite_centrality, spatial_bias
-from gclgcn.config import ExperimentConfig
+from gclgcn.config import ConfigError, ContrastiveConfig, ExperimentConfig
 from gclgcn.graph import Graph, normalize_adjacency
-from gclgcn.pipeline import _build_constants  # noqa: internal, signed logit bias
+from gclgcn.pipeline import _build_constants, _mask_features  # noqa: internal
 from gclgcn.layers import (
     AEParams,
     ContrastiveParams,
     GraphormerParams,
     ae_forward,
     ae_loss,
-    augment_features,
     combined_similarity,
     contrastive_encoder,
     contrastive_loss,
@@ -210,28 +209,35 @@ class TestGraphormerLayer:
             assert ad.finite_difference_check(loss, tensors) <= 1e-4
 
 
+def masked_view(x, p, seed):
+    return _mask_features(np.random.default_rng(seed), x, p)
+
+
 class TestAugment:
+    """Feature masking that makes the contrastive view (pipeline._mask_features)."""
+
     def test_keep_all(self):
         x = np.random.default_rng(0).standard_normal((5, 5))
-        assert np.array_equal(augment_features(x, 0.0, seed=1), x)
+        assert np.array_equal(masked_view(x, 0.0, seed=1), x)
 
     def test_drop_all(self):
         x = np.random.default_rng(0).standard_normal((5, 5))
-        assert np.array_equal(augment_features(x, 1.0, seed=1), np.zeros((5, 5)))
+        assert np.array_equal(masked_view(x, 1.0, seed=1), np.zeros((5, 5)))
 
     def test_mask_fraction_concentrates(self):
         x = np.ones((100, 100))
-        out = augment_features(x, 0.3, seed=7)
+        out = masked_view(x, 0.3, seed=7)
         zeroed = float((out == 0).mean())
         assert 0.27 <= zeroed <= 0.33
 
     def test_deterministic(self):
         x = np.ones((20, 20))
-        assert np.array_equal(augment_features(x, 0.5, seed=3), augment_features(x, 0.5, seed=3))
+        assert np.array_equal(masked_view(x, 0.5, seed=3), masked_view(x, 0.5, seed=3))
 
     def test_bad_rate(self):
-        with pytest.raises(ValueError, match="mask rate"):
-            augment_features(np.ones((2, 2)), 1.5, seed=0)
+        # the mask rate is validated where it enters: contrastive.p
+        with pytest.raises(ConfigError, match="contrastive.p"):
+            ContrastiveConfig(p=1.5)
 
 
 class TestContrastive:
@@ -309,7 +315,7 @@ class TestContrastive:
             g = tiny_graph(seed)
             adj = normalize_adjacency(g).matrix
             params = ContrastiveParams.init(rng, g.f, 5)
-            view = ad.constant(augment_features(g.features, 0.3, seed=seed))
+            view = ad.constant(masked_view(g.features, 0.3, seed=seed))
 
             def loss(_):
                 c1 = contrastive_encoder(adj, ad.constant(g.features), params)

@@ -4,10 +4,11 @@ import pytest
 from gclgcn import autodiff as ad
 from gclgcn.config import ConfigError, ContrastiveConfig, ExperimentConfig
 from gclgcn.graph import Graph, SbmSpec, generate_sbm, normalize_adjacency
+from gclgcn.cluster import metric_row
+from gclgcn.config import ABLATIONS
+from gclgcn.harness import ablation_study
 from gclgcn.pipeline import (
-    ABLATION_VARIANTS,
     NumericError,
-    ablate,
     assign_labels,
     centroid_gradient,
     fuse_final,
@@ -21,7 +22,7 @@ from gclgcn.pipeline import (
     target_distribution,
     train,
 )
-from gclgcn.pipeline import _effective_fusion  # noqa: internal, ablation arithmetic
+from gclgcn.pipeline import _fusion_weights, _mask_features  # noqa: internal
 
 
 def small_sbm(seed=3, sizes=(8, 8), p_in=0.6, p_out=0.05, f=6, sep=2.0):
@@ -58,32 +59,33 @@ class TestFusion:
         g = Graph(features=np.zeros((3, 1)), edges=[])
         adj = normalize_adjacency(g).matrix
         z = ad.constant(np.random.default_rng(0).standard_normal((3, 2)))
-        out = fuse_final(z, ad.constant(np.zeros((3, 2))), ad.constant(np.zeros((3, 2))),
-                         adj, 1.0, 0.0, 0.0)
+        zeros = ad.constant(np.zeros((3, 2)))
+        out = fuse_final([(1.0, z), (0.0, zeros), (0.0, zeros)], adj)
         assert np.allclose(out.value, z.value, atol=0)
 
     def test_fuse_final_convexity(self):
         g = small_sbm()
         adj = normalize_adjacency(g).matrix
         m = ad.constant(np.random.default_rng(1).standard_normal((g.n, 3)))
-        out = fuse_final(m, m, m, adj, 0.25, 0.35, 0.4)
+        out = fuse_final([(0.25, m), (0.35, m), (0.4, m)], adj)
         assert np.allclose(out.value, adj @ m.value, atol=1e-12)
-
-    def test_fuse_final_missing_channel_needs_zero_weight(self):
-        adj = normalize_adjacency(Graph(features=np.zeros((2, 1)), edges=[])).matrix
-        z = ad.constant(np.zeros((2, 2)))
-        with pytest.raises(ValueError, match="nonzero weight"):
-            fuse_final(None, z, z, adj, 0.5, 0.25, 0.25)
 
     def test_ablation_renormalizes(self):
         cfg = tiny_cfg(lam=0.4, theta=0.1, gamma=0.5, ablation="-GCN")
-        lam, theta, gamma = _effective_fusion(cfg)
-        assert lam == 0.0
-        assert theta + gamma == pytest.approx(1.0)
-        assert theta == pytest.approx(0.1 / 0.6)
+        weights = _fusion_weights(cfg)
+        assert list(weights) == ["ae", "graphormer"]
+        assert weights["ae"] + weights["graphormer"] == pytest.approx(1.0)
+        assert weights["ae"] == pytest.approx(0.1 / 0.6)
         cfg = tiny_cfg(lam=0.4, theta=0.1, gamma=0.5, ablation="-Graphormer")
-        lam, theta, gamma = _effective_fusion(cfg)
-        assert gamma == 0.0 and lam + theta == pytest.approx(1.0)
+        weights = _fusion_weights(cfg)
+        assert list(weights) == ["gcn", "ae"]
+        assert weights["gcn"] + weights["ae"] == pytest.approx(1.0)
+        # all channels on: the configured weights, in summation order, untouched
+        for ablation in ("norm", "-ContrastiveLearning"):
+            cfg = tiny_cfg(lam=0.4, theta=0.1, gamma=0.5, ablation=ablation)
+            assert _fusion_weights(cfg) == {"gcn": 0.4, "ae": 0.1, "graphormer": 0.5}
+        with pytest.raises(ConfigError, match="sum above 0"):
+            _fusion_weights(tiny_cfg(lam=1.0, theta=0.0, gamma=0.0, ablation="-GCN"))
 
 
 class TestSoftAssign:
@@ -229,11 +231,13 @@ class TestPretraining:
 
     def test_degenerate_view_gives_unit_self_similarity(self):
         # p=0 keeps both views identical: cosine 1, distance 0 on the diagonal
-        from gclgcn.layers import (augment_features, combined_similarity,
+        from gclgcn.layers import (combined_similarity,
                                    contrastive_encoder, ContrastiveParams)
 
         g = small_sbm()
-        assert np.array_equal(augment_features(g.features, 0.0, seed=0), g.features)
+        assert np.array_equal(
+            _mask_features(np.random.default_rng(0), g.features, 0.0), g.features
+        )
         adj = normalize_adjacency(g).matrix
         params = ContrastiveParams.init(np.random.default_rng(0), g.f, 8)
         c = contrastive_encoder(adj, ad.constant(g.features), params)
@@ -256,12 +260,9 @@ class TestPretraining:
         adj = normalize_adjacency(g).matrix
 
         def eval_loss(params):
-            from gclgcn.layers import augment_features
-
+            view = _mask_features(np.random.default_rng(99), g.features, cfg.contrastive.p)
             c1 = contrastive_encoder(adj, ad.constant(g.features), params)
-            c2 = contrastive_encoder(
-                adj, ad.constant(augment_features(g.features, cfg.contrastive.p, 99)), params
-            )
+            c2 = contrastive_encoder(adj, ad.constant(view), params)
             s = combined_similarity(c1, c2, cfg.contrastive.beta_sim)
             return contrastive_loss(s, cfg.contrastive.tau).value[0, 0]
 
@@ -279,11 +280,10 @@ class TestPretraining:
         tensors = [trained.w0, trained.w1]
         opt = ad.AdamState.for_params(tensors, cfg.lr)
         mask_rng = P._stream(cfg.seed, P._STREAM_CONTRASTIVE_MASK)
-        from gclgcn.layers import augment_features
 
         for _ in range(cfg.contrastive.epochs):
             ad.zero_grad(tensors)
-            view = ad.constant(g.features * (mask_rng.random(g.features.shape) >= cfg.contrastive.p))
+            view = ad.constant(_mask_features(mask_rng, g.features, cfg.contrastive.p))
             c1 = contrastive_encoder(adj, ad.constant(g.features), trained)
             c2 = contrastive_encoder(adj, view, trained)
             loss = contrastive_loss(
@@ -399,37 +399,84 @@ class TestTrain:
 
 
 class TestAblate:
-    def test_unknown_variant(self):
-        g = small_sbm()
-        with pytest.raises(ConfigError, match="unknown ablation variant"):
-            ablate(g, tiny_cfg(), "-Everything")
+    """Ablation variants run through harness.ablation_study and train()."""
 
     def test_norm_equals_train(self):
         g = small_sbm()
         cfg = tiny_cfg(epochs=2)
         res = train(g, cfg)
-        from gclgcn.cluster import metric_row
-
-        assert ablate(g, cfg, "norm") == metric_row(res.labels, g.labels)
+        norm_row = ablation_study(g, cfg)[0]
+        assert norm_row["variant"] == "norm"
+        assert {m: norm_row[m] for m in ("acc", "nmi", "ari", "f1")} == metric_row(
+            res.labels, g.labels
+        )
 
     def test_contrastive_ablation_ignores_contrastive_settings(self):
         g = small_sbm()
-        a = ablate(g, tiny_cfg(epochs=2, ablation="-ContrastiveLearning",
-                               contrastive=ContrastiveConfig(p=0.1, hidden=8, epochs=3)),
-                   "-ContrastiveLearning")
-        b = ablate(g, tiny_cfg(epochs=2, ablation="-ContrastiveLearning",
-                               contrastive=ContrastiveConfig(p=0.9, hidden=16, epochs=7)),
-                   "-ContrastiveLearning")
-        assert a == b
+        a = train(g, tiny_cfg(epochs=2, ablation="-ContrastiveLearning",
+                              contrastive=ContrastiveConfig(p=0.1, hidden=8, epochs=3)))
+        b = train(g, tiny_cfg(epochs=2, ablation="-ContrastiveLearning",
+                              contrastive=ContrastiveConfig(p=0.9, hidden=16, epochs=7)))
+        assert a.history == b.history
+        assert np.array_equal(a.labels, b.labels)
+
+    def test_contrastive_ablation_zeroes_pretrained_features(self):
+        g = small_sbm()
+        cfg = tiny_cfg(epochs=3, ablation="-ContrastiveLearning")
+        pre = pretrain(g, tiny_cfg())
+        assert np.any(pre.x_c != 0.0)
+        reused = train(g, cfg, pretrained=pre)
+        fresh = train(g, cfg)
+        assert reused.history == fresh.history
+        assert np.array_equal(reused.labels, fresh.labels)
+        assert np.array_equal(reused.state.x_c, np.zeros_like(g.features))
+        assert np.any(pre.x_c != 0.0)  # the caller's artifacts are left alone
 
     def test_all_variants_produce_metrics(self):
         g = small_sbm()
-        cfg = tiny_cfg(epochs=1)
-        for variant in ABLATION_VARIANTS:
-            row = ablate(g, cfg, variant)
-            assert set(row) == {"acc", "nmi", "ari", "f1"}
+        rows = ablation_study(g, tiny_cfg(epochs=1))
+        assert [r["variant"] for r in rows] == list(ABLATIONS)
+        for row in rows:
+            assert set(row) == {"dataset", "variant", "acc", "nmi", "ari", "f1"}
 
     def test_labels_required(self):
         g = Graph(features=np.zeros((4, 2)), edges=[(0, 1)])
         with pytest.raises(ConfigError, match="labels"):
-            ablate(g, tiny_cfg(), "norm")
+            ablation_study(g, tiny_cfg())
+
+
+class TestChannels:
+    def test_checkpoint_names_and_order(self):
+        g = small_sbm()
+        for ablation, groups in (
+            ("norm", ["ae", "gcn", "graphormer", "centroids", "x_c"]),
+            ("-GCN", ["ae", "graphormer", "centroids", "x_c"]),
+            ("-Graphormer", ["ae", "gcn", "centroids", "x_c"]),
+            ("-ContrastiveLearning", ["ae", "gcn", "graphormer", "centroids", "x_c"]),
+        ):
+            names = [name for name, _ in train(g, tiny_cfg(epochs=0, ablation=ablation))
+                     .state.named_arrays()]
+            prefixes = [name.split(".")[0] for name in names]
+            assert prefixes == sorted(prefixes, key=groups.index)  # contiguous, in order
+            assert list(dict.fromkeys(prefixes)) == groups
+            if ablation == "-Graphormer":
+                assert [n for n in names if n.startswith("gcn.")] == [
+                    "gcn.enc.0.w", "gcn.enc.1.w", "gcn.dec.0.w", "gcn.dec.1.w",
+                ]
+            if ablation == "norm":
+                assert [n for n in names if n.startswith("graphormer.enc.0.")] == [
+                    f"graphormer.enc.0.{kind}_{role}"
+                    for role in ("key", "query", "value") for kind in ("w", "wc")
+                ]
+
+    def test_pretrained_x_c_must_match_graph(self):
+        g = small_sbm()
+        pre = pretrain(small_sbm(sizes=(6, 6)), tiny_cfg())
+        with pytest.raises(ConfigError, match=r"x_c has shape \(12, 6\).*\(16, 6\)"):
+            train(g, tiny_cfg(), pretrained=pre)
+
+    def test_pretrained_ladder_checked(self):
+        g = small_sbm()
+        pre = pretrain(g, tiny_cfg(layers=1))
+        with pytest.raises(ConfigError, match="configured ladder"):
+            train(g, tiny_cfg(layers=2), pretrained=pre)
