@@ -45,7 +45,7 @@ __all__ = [
     "signed_pow",
     "reduce_sum",
     "mse",
-    "gather_rows",
+    "columns",
 ]
 
 
@@ -244,12 +244,10 @@ def edge_attention(
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Element-wise sum; (1, c) or (r, 1) operands broadcast against (r, c)."""
+    """Element-wise sum; the operands broadcast as numpy broadcasts them."""
     a, b = _as_tensor(a), _as_tensor(b)
     sa, sb = a.shape, b.shape
-    ok = sa == sb or _broadcastable(sa, sb) or _broadcastable(sb, sa)
-    _check(ok, "add", f"incompatible shapes {sa} + {sb}")
-    out = a.value + b.value
+    _check(_broadcastable(sa, sb), "add", f"incompatible shapes {sa} + {sb}")
     na, nb = a._needs, b._needs
 
     def rule(g):
@@ -258,14 +256,16 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             _unbroadcast(g, sb) if nb else None,
         )
 
-    return Tensor(out, _parents=(a, b), _rule=rule)
+    return Tensor(a.value + b.value, _parents=(a, b), _rule=rule)
 
 
-def _broadcastable(big, small) -> bool:
-    return (small == (1, big[1]) and big[0] != 1) or (small == (big[0], 1) and big[1] != 1)
+def _broadcastable(sa, sb) -> bool:
+    """Each dimension is equal in both shapes or 1 in one of them."""
+    return all(x == y or 1 in (x, y) for x, y in zip(sa, sb))
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
+    """Sum g over the dimensions that were broadcast up from shape."""
     if g.shape == shape:
         return g
     out = g
@@ -287,13 +287,18 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 
 def hadamard(a: Tensor, b: Tensor) -> Tensor:
+    """Element-wise product; the operands broadcast as in add."""
     a, b = _as_tensor(a), _as_tensor(b)
-    _check(a.shape == b.shape, "hadamard", f"shapes differ: {a.shape} vs {b.shape}")
+    sa, sb = a.shape, b.shape
+    _check(_broadcastable(sa, sb), "hadamard", f"incompatible shapes {sa} * {sb}")
     av, bv = a.value, b.value
     na, nb = a._needs, b._needs
 
     def rule(g):
-        return (g * bv if na else None, g * av if nb else None)
+        return (
+            _unbroadcast(g * bv, sa) if na else None,
+            _unbroadcast(g * av, sb) if nb else None,
+        )
 
     return Tensor(av * bv, _parents=(a, b), _rule=rule)
 
@@ -407,14 +412,16 @@ def signed_pow(a: Tensor, p: float) -> Tensor:
     return Tensor(np.sign(x) * ax**p, _parents=(a,), _rule=rule)
 
 
-def reduce_sum(a: Tensor) -> Tensor:
+def reduce_sum(a: Tensor, axis: int | None = None) -> Tensor:
+    """Sum of every entry (1x1), or with axis=1 the row sums (r, 1)."""
     a = _as_tensor(a)
+    _check(axis in (None, 1), "reduce_sum", f"axis must be None or 1, got {axis}")
     shape = a.shape
 
     def rule(g):
-        return (np.full(shape, g[0, 0]),)
+        return (np.broadcast_to(g, shape),)
 
-    return Tensor(a.value.sum(), _parents=(a,), _rule=rule)
+    return Tensor(a.value.sum(axis=axis, keepdims=True), _parents=(a,), _rule=rule)
 
 
 def mse(a: Tensor, b: Tensor) -> Tensor:
@@ -432,22 +439,19 @@ def mse(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(np.mean(diff * diff), _parents=(a, b), _rule=rule)
 
 
-def gather_rows(a: Tensor, indices) -> Tensor:
+def columns(a: Tensor, lo: int, hi: int) -> Tensor:
+    """Columns lo..hi-1 of a, as a contiguous copy."""
     a = _as_tensor(a)
-    idx = np.asarray(indices, dtype=np.int64).ravel()
-    _check(
-        idx.size == 0 or (idx.min() >= 0 and idx.max() < a.shape[0]),
-        "gather_rows",
-        f"index out of range for {a.shape[0]} rows",
-    )
+    _check(0 <= lo <= hi <= a.shape[1], "columns",
+           f"[{lo}, {hi}) out of range for {a.shape[1]} columns")
     shape = a.shape
 
     def rule(g):
         out = np.zeros(shape)
-        np.add.at(out, idx, g)
+        out[:, lo:hi] = g
         return (out,)
 
-    return Tensor(a.value[idx], _parents=(a,), _rule=rule)
+    return Tensor(np.ascontiguousarray(a.value[:, lo:hi]), _parents=(a,), _rule=rule)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from .centrality import MEASURES, composite_centrality
 from .checkpoint import load_checkpoint, save_checkpoint
 from .cluster import metric_row
 from .config import ConfigError, parse_config, require_dataset
-from .graph import Graph, SbmSpec, generate_sbm, load_graph, save_graph
+from .graph import Graph, SbmSpec, generate_sbm, load_graph, read_labels, save_graph
 from .pipeline import NumericError, pretrain, pretrained_from_named, train
 
 HISTORY_COLUMNS = (
@@ -66,20 +66,6 @@ def _write_history(path: Path, history: list[dict]) -> None:
 
 def _write_labels(path: Path, labels) -> None:
     path.write_text("".join(f"{int(y)}\n" for y in labels))
-
-
-def _read_labels(path: str | Path) -> np.ndarray:
-    values = []
-    with Path(path).open() as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                values.append(int(line))
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: could not parse label") from None
-    return np.array(values, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +201,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    pred = _read_labels(args.pred)
-    truth = _read_labels(args.truth)
+    pred = read_labels(args.pred)
+    truth = read_labels(args.truth)
     row = metric_row(pred, truth)
     text = "acc,nmi,ari,f1,composite\n" + ",".join(
         "%.17g" % v

@@ -15,7 +15,6 @@ __all__ = [
     "ExperimentConfig",
     "PRESETS",
     "parse_config",
-    "write_config",
     "require_dataset",
 ]
 
@@ -221,42 +220,6 @@ def parse_config(source: str | Path) -> ExperimentConfig:
     if contrastive:
         fields["contrastive"] = replace(cfg.contrastive, **contrastive)
     return replace(cfg, **fields)
-
-
-def write_config(cfg: ExperimentConfig, path: str | Path) -> None:
-    """Emit every setting; parse_config on the result reproduces cfg exactly."""
-    lines = []
-    for key in ("features", "edges", "labels"):
-        value = getattr(cfg, key)
-        if value is not None:
-            lines.append(f"{key}={value}")
-    lines += [
-        f"epochs={cfg.epochs}",
-        f"alpha={cfg.alpha!r}",
-        f"beta={cfg.beta!r}",
-        f"n_z={cfg.n_z}",
-        f"lr={cfg.lr!r}",
-        f"lambda={cfg.lam!r}",
-        f"theta={cfg.theta!r}",
-        f"gamma={cfg.gamma!r}",
-        f"epsilon={cfg.epsilon!r}",
-        f"t={cfg.t!r}",
-        f"k={cfg.k}",
-        f"seed={cfg.seed}",
-        f"heads={cfg.heads}",
-        f"layers={cfg.layers}",
-        f"centrality={','.join(cfg.centrality)}",
-        f"spatial_mode={cfg.spatial_mode}",
-        f"spatial_sign={cfg.spatial_sign}",
-        f"contrastive.p={cfg.contrastive.p!r}",
-        f"contrastive.tau={cfg.contrastive.tau!r}",
-        f"contrastive.beta_sim={cfg.contrastive.beta_sim!r}",
-        f"contrastive.hidden={cfg.contrastive.hidden}",
-        f"contrastive.epochs={cfg.contrastive.epochs}",
-        f"ablation={cfg.ablation}",
-        f"raw_ax_target={str(cfg.raw_ax_target).lower()}",
-    ]
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def require_dataset(cfg: ExperimentConfig, need_labels: bool = False) -> None:

@@ -25,6 +25,7 @@ __all__ = [
     "shortest_path_hops",
     "generate_sbm",
     "load_graph",
+    "read_labels",
     "save_graph",
 ]
 
@@ -278,25 +279,28 @@ def load_graph(
     labels = None
     if labels_path is not None:
         labels_path = Path(labels_path)
-        vals: list[int] = []
-        with labels_path.open() as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    vals.append(int(line))
-                except ValueError:
-                    raise ValueError(
-                        f"{labels_path}:{lineno}: could not parse label"
-                    ) from None
-        if len(vals) != n:
+        labels = read_labels(labels_path)
+        if labels.size != n:
             raise ValueError(
-                f"{labels_path}: {len(vals)} labels for {n} feature rows"
+                f"{labels_path}: {labels.size} labels for {n} feature rows"
             )
-        labels = np.array(vals, dtype=np.int64)
 
     return Graph(features=features, edges=tuple(pairs), labels=labels)
+
+
+def read_labels(path: str | Path) -> np.ndarray:
+    """One integer label per non-blank line."""
+    values: list[int] = []
+    with Path(path).open() as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                values.append(int(line))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: could not parse label") from None
+    return np.array(values, dtype=np.int64)
 
 
 def save_graph(

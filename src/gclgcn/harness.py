@@ -3,8 +3,8 @@ counts, encoding variants, and the fusion / loss-weight sweeps.
 
 Pretraining does not read what the ablation and encoding studies and the
 sweeps vary, so each of them pretrains once for all its rows; the layer study
-pretrains per depth (the autoencoder ladder). Rows hold the four metrics plus
-the composite index (their mean).
+pretrains the autoencoder per depth (its ladder) and the contrastive features
+once. Rows hold the four metrics plus the composite index (their mean).
 """
 
 from __future__ import annotations
@@ -99,11 +99,16 @@ def ablation_study(g: Graph, cfg: ExperimentConfig, dataset: str = "dataset") ->
 def layer_study(
     g: Graph, cfg: ExperimentConfig, depths=(4, 3, 2, 1), dataset: str = "dataset"
 ) -> list[dict]:
-    """One row per encoder/decoder depth, labelled GCL-GCN-<depth>."""
+    """One row per encoder/decoder depth, labelled GCL-GCN-<depth>. The
+    contrastive features of the first depth serve every row."""
     _require_labels(g)
     rows = []
+    x_c = None
     for depth in depths:
-        metrics = _run(g, replace(cfg, layers=depth))
+        point = replace(cfg, layers=depth)
+        pre = pretrain(g, point, x_c=x_c)
+        x_c = pre.x_c
+        metrics = _run(g, point, pretrained=pre)
         rows.append({"dataset": dataset, "variant": f"GCL-GCN-{depth}", **metrics})
     return rows
 

@@ -54,11 +54,6 @@ def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
 
-def _recip(x: Tensor) -> Tensor:
-    """1/x for strictly positive x."""
-    return ad.exp(ad.scale(ad.log(x), -1.0))
-
-
 # ---------------------------------------------------------------------------
 # Autoencoder
 # ---------------------------------------------------------------------------
@@ -186,9 +181,9 @@ class GraphormerParams:
         the centrality projections start inversely scaled so unnormalized
         measures (betweenness can reach hundreds) do not blow up the layer
         outputs before training can adapt."""
-        if cent_scale is None:
-            cent_scale = np.ones(cent_dim)
-        inv = (1.0 / np.maximum(np.asarray(cent_scale, dtype=np.float64), 1.0))[:, None]
+        inv = 1.0
+        if cent_scale is not None:
+            inv = (1.0 / np.maximum(np.asarray(cent_scale, dtype=np.float64), 1.0))[:, None]
 
         def layer(d_in: int, d_out: int) -> GraphormerLayerParams:
             wide = heads * d_out
@@ -205,10 +200,6 @@ class GraphormerParams:
         rev = dims[::-1]
         dec = [layer(a, b) for a, b in zip(rev[:-1], rev[1:])]
         return cls(enc, dec, heads)
-
-
-def _cols(t: Tensor, lo: int, hi: int) -> Tensor:
-    return ad.transpose(ad.gather_rows(ad.transpose(t), np.arange(lo, hi)))
 
 
 def graphormer_layer(
@@ -239,9 +230,8 @@ def graphormer_layer(
         if heads == 1:
             kh, qh, vh = keys, queries, values
         else:
-            kh = _cols(keys, h * d_head, (h + 1) * d_head)
-            qh = _cols(queries, h * d_head, (h + 1) * d_head)
-            vh = _cols(values, h * d_head, (h + 1) * d_head)
+            lo, hi = h * d_head, (h + 1) * d_head
+            kh, qh, vh = (ad.columns(t, lo, hi) for t in (keys, queries, values))
         head_out = ad.edge_attention(qh, kh, vh, adj, logit_bias, 1.0 / math.sqrt(d_head))
         combined = head_out if combined is None else ad.add(combined, head_out)
     out = ad.scale(combined, 1.0 / heads)
@@ -278,21 +268,16 @@ def contrastive_encoder(adj: sp.csr_array, x: Tensor, params: ContrastiveParams)
 def combined_similarity(c1: Tensor, c2: Tensor, exponent: float = 1.0) -> Tensor:
     """Pairwise cosine similarity times inverse-distance similarity, passed
     through a sign-preserving power. Row norms are floored at 1e-12."""
-    n = c1.shape[0]
-    ones_col = ad.constant(np.ones((c1.shape[1], 1)))
-
-    sq1 = ad.matmul(ad.square(c1), ones_col)  # (n, 1) row norms squared
-    sq2 = ad.matmul(ad.square(c2), ones_col)
+    sq1 = ad.reduce_sum(ad.square(c1), axis=1)  # (n, 1) row norms squared
+    sq2 = ad.transpose(ad.reduce_sum(ad.square(c2), axis=1))  # (1, n)
     norm1 = ad.clamp_min(ad.sqrt(sq1), 1e-12)
     norm2 = ad.clamp_min(ad.sqrt(sq2), 1e-12)
 
     gram = ad.matmul(c1, ad.transpose(c2))
-    cos = ad.hadamard(gram, _recip(ad.matmul(norm1, ad.transpose(norm2))))
+    cos = ad.hadamard(gram, ad.signed_pow(ad.hadamard(norm1, norm2), -1.0))
 
-    row = ad.matmul(sq1, ad.constant(np.ones((1, n))))
-    col = ad.matmul(ad.constant(np.ones((n, 1))), ad.transpose(sq2))
-    d2 = ad.clamp_min(ad.add(ad.add(row, col), ad.scale(gram, -2.0)), 0.0)
-    euc = _recip(ad.add(ad.sqrt(d2), ad.constant(np.ones((n, n)))))
+    d2 = ad.clamp_min(ad.add(ad.add(sq1, sq2), ad.scale(gram, -2.0)), 0.0)
+    euc = ad.signed_pow(ad.add(ad.sqrt(d2), 1.0), -1.0)
 
     return ad.signed_pow(ad.hadamard(cos, euc), exponent)
 
@@ -306,7 +291,7 @@ def contrastive_loss(s: Tensor, tau: float) -> Tensor:
     logits = ad.scale(s, 1.0 / tau)
     shift = ad.constant(logits.value.max(axis=1, keepdims=True))
     e = ad.exp(ad.add(logits, ad.scale(shift, -1.0)))
-    lse = ad.add(ad.log(ad.matmul(e, ad.constant(np.ones((n, 1))))), shift)
+    lse = ad.add(ad.log(ad.reduce_sum(e, axis=1)), shift)
     diag = ad.reduce_sum(ad.hadamard(logits, ad.constant(np.eye(n))))
     return ad.scale(ad.add(ad.reduce_sum(lse), ad.scale(diag, -1.0)), 1.0 / n)
 

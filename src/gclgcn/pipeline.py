@@ -235,12 +235,14 @@ def pretrain_contrastive(g: Graph, cfg: ExperimentConfig) -> np.ndarray:
     return contrastive_encoder(adj, x, params).value.copy()
 
 
-def pretrain(g: Graph, cfg: ExperimentConfig) -> Pretrained:
+def pretrain(g: Graph, cfg: ExperimentConfig, x_c: np.ndarray | None = None) -> Pretrained:
     """Autoencoder pretraining, then the contrastive features (zeros when the
-    ablation removes contrastive learning)."""
+    ablation removes contrastive learning). A given x_c stands in for the
+    contrastive features, which do not depend on the encoder depth."""
     ae = pretrain_ae(g, cfg)
-    _, contrastive = _modules(cfg)
-    x_c = pretrain_contrastive(g, cfg) if contrastive else np.zeros_like(g.features)
+    if x_c is None:
+        _, contrastive = _modules(cfg)
+        x_c = pretrain_contrastive(g, cfg) if contrastive else np.zeros_like(g.features)
     return Pretrained(
         ae_named=[(name, t.value.copy()) for name, t in ae.named()], x_c=x_c
     )
@@ -272,30 +274,16 @@ def fuse_final(terms, adj: sp.csr_array) -> Tensor:
     return ad.spmm(adj, reduce(ad.add, [ad.scale(z, weight) for weight, z in terms]))
 
 
-def _as_node(x) -> Tensor:
-    return x if isinstance(x, Tensor) else ad.constant(x)
-
-
 def soft_assign(z, centroids, t: float = 1.0) -> Tensor:
     """Row-stochastic Student-t kernel around the centroids."""
     if t <= 0:
         raise ValueError(f"soft_assign: t must be positive, got {t}")
-    z, centroids = _as_node(z), _as_node(centroids)
-    n, d = z.shape
-    k = centroids.shape[0]
-    ones_d = ad.constant(np.ones((d, 1)))
-
-    z_sq = ad.matmul(ad.square(z), ones_d)  # (n, 1)
-    c_sq = ad.matmul(ad.square(centroids), ones_d)  # (k, 1)
-    row = ad.matmul(z_sq, ad.constant(np.ones((1, k))))
-    col = ad.matmul(ad.constant(np.ones((n, 1))), ad.transpose(c_sq))
+    z_sq = ad.reduce_sum(ad.square(z), axis=1)  # (n, 1)
+    c_sq = ad.transpose(ad.reduce_sum(ad.square(centroids), axis=1))  # (1, k)
     cross = ad.scale(ad.matmul(z, ad.transpose(centroids)), -2.0)
-    d2 = ad.clamp_min(ad.add(ad.add(row, col), cross), 0.0)
-
-    base = ad.add(ad.scale(d2, 1.0 / t), ad.constant(np.ones((n, k))))
-    u = ad.exp(ad.scale(ad.log(base), -(t + 1.0) / 2.0))
-    row_sums = ad.matmul(u, ad.constant(np.ones((k, k))))
-    return ad.hadamard(u, ad.exp(ad.scale(ad.log(row_sums), -1.0)))
+    d2 = ad.clamp_min(ad.add(ad.add(z_sq, c_sq), cross), 0.0)
+    u = ad.signed_pow(ad.add(ad.scale(d2, 1.0 / t), 1.0), -(t + 1.0) / 2.0)
+    return ad.hadamard(u, ad.signed_pow(ad.reduce_sum(u, axis=1), -1.0))
 
 
 def target_distribution(q: np.ndarray) -> np.ndarray:
@@ -307,7 +295,6 @@ def target_distribution(q: np.ndarray) -> np.ndarray:
 
 def kl_div(num, den) -> Tensor:
     """sum(num * log(num/den)) with entries floored at 1e-12 before the logs."""
-    num, den = _as_node(num), _as_node(den)
     ln = ad.log(ad.clamp_min(num, 1e-12))
     ld = ad.log(ad.clamp_min(den, 1e-12))
     return ad.reduce_sum(ad.hadamard(num, ad.add(ln, ad.scale(ld, -1.0))))

@@ -23,13 +23,21 @@ class TestForwardValues:
         ad.backward(loss)
         assert np.array_equal(x.grad, np.zeros((1, 2)))
 
-    def test_gather_rows(self):
-        a = ad.parameter([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-        picked = ad.gather_rows(a, [2, 0, 2])
-        assert np.array_equal(picked.value, [[5, 6], [1, 2], [5, 6]])
-        ad.backward(ad.reduce_sum(ad.add(picked, ad.scale(picked, 2.0))))
-        # row 2 gathered twice, each contributing 1 + 2 per column
-        assert np.array_equal(a.grad, [[3.0, 3.0], [0.0, 0.0], [6.0, 6.0]])
+    def test_columns(self):
+        a = ad.parameter([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        right = ad.columns(a, 1, 3)
+        assert np.array_equal(right.value, [[2, 3], [5, 6]])
+        ad.backward(ad.reduce_sum(ad.add(right, ad.scale(ad.columns(a, 0, 2), 2.0))))
+        # column 1 is in both slices, contributing 1 + 2
+        assert np.array_equal(a.grad, [[2.0, 3.0, 1.0], [2.0, 3.0, 1.0]])
+
+    def test_row_sums_and_outer_broadcast(self):
+        col = ad.reduce_sum(ad.constant([[1.0, 2.0], [3.0, 4.0]]), axis=1)
+        assert np.array_equal(col.value, [[3.0], [7.0]])
+        row = ad.constant([[10.0, 20.0, 30.0]])
+        assert np.array_equal(ad.add(col, row).value, [[13, 23, 33], [17, 27, 37]])
+        assert np.array_equal(ad.hadamard(col, row).value, [[30, 60, 90], [70, 140, 210]])
+        assert np.array_equal(ad.add(row, 1.0).value, [[11.0, 21.0, 31.0]])
 
     def test_scalar_coercion(self):
         t = ad.constant(3.5)
@@ -48,6 +56,10 @@ class TestShapeErrors:
             ad.mse(a, ad.constant(np.zeros((3, 3))))
         with pytest.raises(ValueError, match="add"):
             ad.add(a, ad.constant(np.zeros((4, 4))))
+        with pytest.raises(ValueError, match="columns"):
+            ad.columns(a, 2, 4)
+        with pytest.raises(ValueError, match="reduce_sum"):
+            ad.reduce_sum(a, axis=0)
 
     def test_backward_requires_scalar(self):
         x = ad.parameter(np.ones((2, 2)))
@@ -98,6 +110,44 @@ class TestBackwardContracts:
         assert np.array_equal(c.grad, np.full((5, 1), 3.0))
 
 
+def row_sums(x):
+    return ad.reduce_sum(x, axis=1)
+
+
+def middle_columns(x):
+    return ad.columns(x, 1, 3)
+
+
+def _first_row(x):
+    return ad.transpose(ad.columns(ad.transpose(x), 0, 1))
+
+
+def add_outer(x):
+    # (r, 1) + (1, c)
+    return ad.add(ad.columns(x, 2, 3), _first_row(x))
+
+
+def hadamard_outer(x):
+    # (1, c) * (r, 1)
+    return ad.hadamard(_first_row(x), row_sums(x))
+
+
+def add_scalar(x):
+    return ad.add(ad.scale(ad.reduce_sum(x), 0.1), x)
+
+
+def hadamard_scalar(x):
+    return ad.hadamard(x, ad.reduce_sum(x))
+
+
+def reciprocal(x):
+    return ad.signed_pow(x, -1.0)
+
+
+def inverse_pow(x):
+    return ad.signed_pow(x, -1.5)
+
+
 UNARY_OPS = [
     ("square", ad.square, None),
     ("exp", ad.exp, None),
@@ -107,6 +157,14 @@ UNARY_OPS = [
     ("relu", ad.relu, None),
     ("leaky_relu", ad.leaky_relu, None),
     ("transpose", ad.transpose, None),
+    ("row_sums", row_sums, None),
+    ("columns", middle_columns, None),
+    ("add_outer", add_outer, None),
+    ("hadamard_outer", hadamard_outer, None),
+    ("add_scalar", add_scalar, None),
+    ("hadamard_scalar", hadamard_scalar, None),
+    ("signed_pow_-1", reciprocal, "positive"),
+    ("signed_pow_-1.5", inverse_pow, "positive"),
 ]
 
 
@@ -141,13 +199,13 @@ class TestFiniteDifferenceSuite:
 
             assert fd_scalar(loss, [a, b, c]) <= 1e-4
 
-    def test_gather_clamp_signed_pow(self):
+    def test_columns_clamp_signed_pow(self):
         for seed in range(10):
             rng = np.random.default_rng(200 + seed)
-            a = ad.parameter(rng.standard_normal((5, 3)) * 2)
+            a = ad.parameter(rng.standard_normal((3, 5)) * 2)
 
             def loss(_):
-                picked = ad.gather_rows(a, [0, 2, 2, 4])
+                picked = ad.columns(a, 1, 5)
                 powed = ad.signed_pow(picked, 2.0)
                 clamped = ad.clamp_min(powed, -1.5)
                 return ad.scale(ad.reduce_sum(ad.square(clamped)), 0.25 / 3.0)

@@ -5,9 +5,9 @@ from gclgcn.config import (
     ContrastiveConfig,
     ExperimentConfig,
     PRESETS,
+    _KNOWN_KEYS,
     parse_config,
     require_dataset,
-    write_config,
 )
 
 
@@ -138,7 +138,22 @@ class TestConfigFile:
             parse_config("/nonexistent/x.cfg")
 
     def test_round_trip(self, tmp_path):
-        cfg = ExperimentConfig(
+        """A file that sets every key parses to exactly those settings."""
+        text = (
+            "preset=acm\n"
+            "features=f.csv\nedges=e.txt\nlabels=y.txt\n"
+            "epochs=17\nalpha=0.07\nbeta=0.21\nn_z=6\nlr=3.5e-4\n"
+            "lambda=0.25\ntheta=0.45\ngamma=0.3\nepsilon=0.4\nt=2.0\nk=4\n"
+            "seed=99\nheads=2\nlayers=3\ncentrality=degree, betweenness\n"
+            "spatial_mode=shortest-path\nspatial_sign=-\n"
+            "contrastive.p=0.4\ncontrastive.tau=0.33\ncontrastive.beta_sim=2.0\n"
+            "contrastive.hidden=64\ncontrastive.epochs=25\n"
+            "ablation=-GCN\nraw_ax_target=yes\n"
+        )
+        assert {line.split("=")[0] for line in text.splitlines()} == _KNOWN_KEYS
+        path = tmp_path / "every.cfg"
+        path.write_text(text)
+        assert parse_config(path) == ExperimentConfig(
             features="f.csv", edges="e.txt", labels="y.txt",
             epochs=17, alpha=0.07, beta=0.21, n_z=6, lr=3.5e-4,
             lam=0.25, theta=0.45, gamma=0.3, epsilon=0.4, t=2.0, k=4,
@@ -147,14 +162,12 @@ class TestConfigFile:
             contrastive=ContrastiveConfig(p=0.4, tau=0.33, beta_sim=2.0, hidden=64, epochs=25),
             ablation="-GCN", raw_ax_target=True,
         )
-        path = tmp_path / "out.cfg"
-        write_config(cfg, path)
-        assert parse_config(path) == cfg
 
     def test_round_trip_defaults(self, tmp_path):
-        cfg = ExperimentConfig()
-        write_config(cfg, tmp_path / "d.cfg")
-        assert parse_config(tmp_path / "d.cfg") == cfg
+        """A file with no settings parses to the defaults."""
+        path = tmp_path / "d.cfg"
+        path.write_text("# nothing set\n\n")
+        assert parse_config(path) == ExperimentConfig()
 
 
 def test_require_dataset():

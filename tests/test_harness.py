@@ -108,7 +108,11 @@ STUDY_POINTS = {
         replace(c, centrality=measures, spatial_mode=mode)
         for _, measures, mode in ENCODING_VARIANTS
     ]),
+    "layers": (layer_study, lambda c: [replace(c, layers=d) for d in (4, 3, 2, 1)]),
 }
+
+# Expected (contrastive, autoencoder) pretraining runs per study.
+PRETRAIN_CALLS = {"ablation": (1, 1), "encoding": (1, 1), "layers": (1, 4)}
 
 
 @pytest.mark.parametrize("name", sorted(STUDY_POINTS))
@@ -142,7 +146,7 @@ def test_study_rows_equal_independent_training(name, ablation, monkeypatch):
 def test_study_pretrains_once(name, monkeypatch):
     study, points = STUDY_POINTS[name]
     g = sbm(sizes=(8, 8), f=4)
-    calls = {"harness.pretrain": 0, "pipeline.pretrain_ae": 0}
+    calls = {"pipeline.pretrain_contrastive": 0, "pipeline.pretrain_ae": 0}
 
     def counting(key, fn):
         def wrapper(*args, **kwargs):
@@ -151,10 +155,10 @@ def test_study_pretrains_once(name, monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(harness, "pretrain", counting("harness.pretrain", harness.pretrain))
-    monkeypatch.setattr(
-        pipeline, "pretrain_ae", counting("pipeline.pretrain_ae", pipeline.pretrain_ae)
-    )
+    for key in calls:
+        attr = key.split(".")[1]
+        monkeypatch.setattr(pipeline, attr, counting(key, getattr(pipeline, attr)))
     rows = study(g, cfg(k=2, epochs=1))
     assert len(rows) == len(points(cfg()))
-    assert calls == {"harness.pretrain": 1, "pipeline.pretrain_ae": 1}
+    contrastive, ae = PRETRAIN_CALLS[name]
+    assert calls == {"pipeline.pretrain_contrastive": contrastive, "pipeline.pretrain_ae": ae}
