@@ -91,7 +91,8 @@ def constant(value, name: str | None = None) -> Tensor:
 
 
 def parameter(value, name: str | None = None) -> Tensor:
-    return Tensor(np.array(value, dtype=np.float64, copy=True), requires_grad=True, name=name)
+    """A trainable leaf holding a C-contiguous copy of value."""
+    return Tensor(np.array(value, dtype=np.float64, order="C"), requires_grad=True, name=name)
 
 
 def _as_tensor(x) -> Tensor:
@@ -338,13 +339,17 @@ def relu(a: Tensor) -> Tensor:
 
 
 def leaky_relu(a: Tensor, slope: float = 0.01) -> Tensor:
+    """max(x, slope * x), which is x where x > 0 and slope * x elsewhere for
+    0 < slope <= 1 (at slope 0, +inf * 0 would give NaN instead of +inf)."""
     a = _as_tensor(a)
-    pos = a.value > 0
+    slope = float(slope)
+    _check(0.0 < slope <= 1.0, "leaky_relu", f"slope must be in (0, 1], got {slope}")
+    x = a.value
 
     def rule(g):
-        return (np.where(pos, g, g * slope),)
+        return (g * np.where(x > 0, 1.0, slope),)
 
-    return Tensor(np.where(pos, a.value, a.value * slope), _parents=(a,), _rule=rule)
+    return Tensor(np.maximum(x, x * slope), _parents=(a,), _rule=rule)
 
 
 def exp(a: Tensor) -> Tensor:
@@ -469,15 +474,18 @@ class AdamState:
     step: int = 0
     m: list[np.ndarray] = field(default_factory=list)
     v: list[np.ndarray] = field(default_factory=list)
-    _scratch: list[np.ndarray] = field(default_factory=list)
 
     @classmethod
     def for_params(cls, params: Sequence[Tensor], lr: float) -> "AdamState":
         state = cls(lr=lr)
         state.m = [np.zeros_like(p.value) for p in params]
         state.v = [np.zeros_like(p.value) for p in params]
-        state._scratch = [np.zeros_like(p.value) for p in params]
         return state
+
+
+# Elements per block of the Adam update: the block's slices of the value,
+# gradient and moments plus the work buffer stay in cache.
+_ADAM_BLOCK = 1 << 14
 
 
 def adam_step(
@@ -485,27 +493,45 @@ def adam_step(
     grads: Sequence[np.ndarray],
     state: AdamState,
 ) -> AdamState:
-    """One bias-corrected Adam update, in place on params and state."""
+    """One bias-corrected Adam update, in place on params and state.
+
+    Each parameter is updated in contiguous blocks of _ADAM_BLOCK elements
+    through one block-sized work buffer; every element sees the same
+    operations in the same order as a whole-array update, so the result does
+    not depend on the block size. Every array must be C-contiguous.
+    """
     if len(params) != len(state.m):
         raise ValueError("adam_step: state was built for a different parameter list")
     state.step += 1
     t = state.step
     c1 = 1.0 - state.beta1**t
     c2 = 1.0 - state.beta2**t
-    for p, g, m, v, w in zip(params, grads, state.m, state.v, state._scratch):
-        m *= state.beta1
-        np.multiply(g, 1.0 - state.beta1, out=w)
-        m += w
-        v *= state.beta2
-        np.multiply(g, g, out=w)
-        w *= 1.0 - state.beta2
-        v += w
-        np.divide(v, c2, out=w)
-        np.sqrt(w, out=w)
-        w += state.eps
-        np.divide(m, w, out=w)
-        w *= state.lr / c1
-        p.value -= w
+    work = np.empty(_ADAM_BLOCK)
+    for i, (p, g, m, v) in enumerate(zip(params, grads, state.m, state.v)):
+        arrays = {"value": p.value, "gradient": g, "first moment": m, "second moment": v}
+        for role, arr in arrays.items():
+            # reshape(-1) of anything else would be a copy, and the update would be lost
+            if not arr.flags.c_contiguous:
+                raise ValueError(
+                    f"adam_step: the {role} of parameter {i} ({p!r}) is not C-contiguous"
+                )
+        pf, gf, mf, vf = (arr.reshape(-1) for arr in arrays.values())
+        for lo in range(0, pf.size, _ADAM_BLOCK):
+            hi = min(lo + _ADAM_BLOCK, pf.size)
+            pb, gb, mb, vb, w = pf[lo:hi], gf[lo:hi], mf[lo:hi], vf[lo:hi], work[: hi - lo]
+            mb *= state.beta1
+            np.multiply(gb, 1.0 - state.beta1, out=w)
+            mb += w
+            vb *= state.beta2
+            np.multiply(gb, gb, out=w)
+            w *= 1.0 - state.beta2
+            vb += w
+            np.divide(vb, c2, out=w)
+            np.sqrt(w, out=w)
+            w += state.eps
+            np.divide(mb, w, out=w)
+            w *= state.lr / c1
+            pb -= w
     return state
 
 

@@ -1,4 +1,5 @@
-"""Binary checkpoint format for named parameter matrices.
+"""Binary checkpoint format for named parameter matrices, and the atomic
+file writes that every output file goes through.
 
 Layout (little-endian): magic "GCLC", u16 format version, then for each
 entry: u16 name length, name bytes (utf-8), u8 rank, u32 per dimension,
@@ -7,20 +8,40 @@ float64 payload in row-major order. Entry order is preserved.
 
 from __future__ import annotations
 
+import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
-__all__ = ["MAGIC", "VERSION", "save_checkpoint", "load_checkpoint"]
+__all__ = ["MAGIC", "VERSION", "atomic_open", "save_checkpoint", "load_checkpoint"]
 
 MAGIC = b"GCLC"
 VERSION = 1
 
 
+@contextmanager
+def atomic_open(path: str | Path, mode: str = "w", **kwargs):
+    """Open a temporary file beside path for writing (open's mode and
+    keyword arguments). When the block exits cleanly the file replaces path
+    with os.replace, so path holds the old content or the new, never part of
+    either; when it raises, the temporary file is removed and path is left
+    as it was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open(mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_checkpoint(path: str | Path, named) -> None:
-    """Write an ordered iterable of (name, array) pairs."""
-    with Path(path).open("wb") as fh:
+    """Write an ordered iterable of (name, array) pairs, atomically."""
+    with atomic_open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<H", VERSION))
         for name, arr in named:

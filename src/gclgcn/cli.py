@@ -14,7 +14,7 @@ import numpy as np
 
 from . import harness
 from .centrality import MEASURES, composite_centrality
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import atomic_open, load_checkpoint, save_checkpoint
 from .cluster import metric_row
 from .config import ConfigError, parse_config, require_dataset
 from .graph import Graph, SbmSpec, generate_sbm, load_graph, read_labels, save_graph
@@ -61,11 +61,13 @@ def _write_history(path: Path, history: list[dict]) -> None:
             v = row[col]
             cells.append(str(v) if col == "epoch" else "%.17g" % v)
         lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n")
+    with atomic_open(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _write_labels(path: Path, labels) -> None:
-    path.write_text("".join(f"{int(y)}\n" for y in labels))
+    with atomic_open(path) as fh:
+        fh.write("".join(f"{int(y)}\n" for y in labels))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ counts, encoding variants, and the fusion / loss-weight sweeps.
 Pretraining does not read what the ablation and encoding studies and the
 sweeps vary, so each of them pretrains once for all its rows; the layer study
 pretrains the autoencoder per depth (its ladder) and the contrastive features
-once. Rows hold the four metrics plus the composite index (their mean).
+once. The rows of a study share one GraphTerms, so the normalized adjacency,
+the centrality and the spatial bias are computed once per (measures, mode).
+Rows hold the four metrics plus the composite index (their mean).
 """
 
 from __future__ import annotations
@@ -14,10 +16,11 @@ import logging
 from dataclasses import replace
 from pathlib import Path
 
+from .checkpoint import atomic_open
 from .cluster import metric_row
 from .config import ABLATIONS, ConfigError, ExperimentConfig
 from .graph import Graph
-from .pipeline import Pretrained, pretrain, train
+from .pipeline import GraphTerms, Pretrained, pretrain, train
 
 __all__ = [
     "METRIC_COLUMNS",
@@ -55,10 +58,11 @@ def composite_index(row: dict) -> float:
 
 
 def write_result_table(path: str | Path, rows: list[dict], key_columns: tuple[str, ...]) -> None:
-    """CSV with the key columns, the four metrics, and the composite index.
-    Cells containing commas (some variant labels do) are quoted."""
+    """CSV with the key columns, the four metrics, and the composite index,
+    written atomically. Cells containing commas (some variant labels do) are
+    quoted."""
     columns = (*key_columns, *METRIC_COLUMNS, "composite")
-    with Path(path).open("w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
@@ -78,8 +82,8 @@ def _require_labels(g: Graph) -> None:
         raise ConfigError("this study needs ground-truth labels")
 
 
-def _run(g: Graph, cfg: ExperimentConfig, pretrained: Pretrained | None = None) -> dict:
-    result = train(g, cfg, pretrained=pretrained)
+def _run(g: Graph, cfg: ExperimentConfig, pretrained: Pretrained, terms: GraphTerms) -> dict:
+    result = train(g, cfg, pretrained=pretrained, terms=terms)
     return metric_row(result.labels, g.labels)
 
 
@@ -89,9 +93,10 @@ def ablation_study(g: Graph, cfg: ExperimentConfig, dataset: str = "dataset") ->
     contrastive features for the -ContrastiveLearning row."""
     _require_labels(g)
     pre = pretrain(g, replace(cfg, ablation="norm"))
+    terms = GraphTerms(g)
     rows = []
     for variant in ABLATIONS:
-        metrics = _run(g, replace(cfg, ablation=variant), pretrained=pre)
+        metrics = _run(g, replace(cfg, ablation=variant), pre, terms)
         rows.append({"dataset": dataset, "variant": variant, **metrics})
     return rows
 
@@ -104,11 +109,12 @@ def layer_study(
     _require_labels(g)
     rows = []
     x_c = None
+    terms = GraphTerms(g)
     for depth in depths:
         point = replace(cfg, layers=depth)
         pre = pretrain(g, point, x_c=x_c)
         x_c = pre.x_c
-        metrics = _run(g, point, pretrained=pre)
+        metrics = _run(g, point, pre, terms)
         rows.append({"dataset": dataset, "variant": f"GCL-GCN-{depth}", **metrics})
     return rows
 
@@ -118,11 +124,10 @@ def encoding_study(g: Graph, cfg: ExperimentConfig, dataset: str = "dataset") ->
     distances, the composite with hop distances, and each single measure."""
     _require_labels(g)
     pre = pretrain(g, cfg)
+    terms = GraphTerms(g)
     rows = []
     for label, measures, mode in ENCODING_VARIANTS:
-        metrics = _run(
-            g, replace(cfg, centrality=measures, spatial_mode=mode), pretrained=pre
-        )
+        metrics = _run(g, replace(cfg, centrality=measures, spatial_mode=mode), pre, terms)
         rows.append({"dataset": dataset, "variant": label, **metrics})
     return rows
 
@@ -138,6 +143,7 @@ def sweep_fusion(
     Infeasible points (negative complement) are skipped."""
     _require_labels(g)
     pre = pretrain(g, cfg)
+    terms = GraphTerms(g)
     rows = []
     for lam in lambdas:
         for theta in thetas:
@@ -147,7 +153,7 @@ def sweep_fusion(
                 continue
             gamma = max(gamma, 0.0)
             point = replace(cfg, lam=lam, theta=theta, gamma=gamma)
-            metrics = _run(g, point, pretrained=pre)
+            metrics = _run(g, point, pre, terms)
             rows.append(
                 {
                     "dataset": dataset,
@@ -179,11 +185,12 @@ def sweep_loss_weights(
     if not alphas or not betas:
         raise ConfigError("loss-weight sweep needs nonempty value lists")
     pre = pretrain(g, cfg)
+    terms = GraphTerms(g)
     rows = []
     for alpha in alphas:
         for beta in betas:
             point = replace(cfg, alpha=alpha, beta=beta)
-            metrics = _run(g, point, pretrained=pre)
+            metrics = _run(g, point, pre, terms)
             rows.append(
                 {
                     "dataset": dataset,

@@ -26,6 +26,8 @@ __all__ = [
     "GraphormerLayerParams",
     "GraphormerParams",
     "ContrastiveParams",
+    "ae_encode",
+    "ae_decode",
     "ae_forward",
     "ae_loss",
     "gcn_layer",
@@ -86,21 +88,32 @@ class AEParams:
         return out
 
 
-def ae_forward(params: AEParams, x: Tensor) -> tuple[list[Tensor], Tensor]:
-    """Returns every encoder layer output (last one is the bottleneck) and the
-    reconstruction; the final decoder layer is linear."""
+def ae_encode(params: AEParams, x: Tensor) -> list[Tensor]:
+    """Every encoder layer output; the last one is the bottleneck."""
     hs: list[Tensor] = []
     h = x
     for w, b in zip(params.enc_w, params.enc_b):
         h = ad.leaky_relu(ad.add(ad.matmul(h, w), b))
         hs.append(h)
-    out = hs[-1]
+    return hs
+
+
+def ae_decode(params: AEParams, h: Tensor) -> Tensor:
+    """Reconstruction from the bottleneck; the final decoder layer is linear."""
+    out = h
     last = len(params.dec_w) - 1
     for i, (w, b) in enumerate(zip(params.dec_w, params.dec_b)):
         out = ad.add(ad.matmul(out, w), b)
         if i != last:
             out = ad.leaky_relu(out)
-    return hs, out
+    return out
+
+
+def ae_forward(params: AEParams, x: Tensor) -> tuple[list[Tensor], Tensor]:
+    """Returns every encoder layer output (last one is the bottleneck) and the
+    reconstruction."""
+    hs = ae_encode(params, x)
+    return hs, ae_decode(params, hs[-1])
 
 
 def ae_loss(x: Tensor, xhat: Tensor) -> Tensor:
@@ -234,7 +247,7 @@ def graphormer_layer(
             kh, qh, vh = (ad.columns(t, lo, hi) for t in (keys, queries, values))
         head_out = ad.edge_attention(qh, kh, vh, adj, logit_bias, 1.0 / math.sqrt(d_head))
         combined = head_out if combined is None else ad.add(combined, head_out)
-    out = ad.scale(combined, 1.0 / heads)
+    out = combined if heads == 1 else ad.scale(combined, 1.0 / heads)
     return ad.leaky_relu(out) if activate else out
 
 

@@ -27,6 +27,8 @@ from .layers import (
     ContrastiveParams,
     GcnParams,
     GraphormerParams,
+    ae_decode,
+    ae_encode,
     ae_forward,
     ae_loss,
     combined_similarity,
@@ -45,6 +47,7 @@ __all__ = [
     "Pretrained",
     "AssignmentPair",
     "TrainResult",
+    "GraphTerms",
     "AE_PRETRAIN_EPOCHS",
     "pretrain_ae",
     "pretrain_contrastive",
@@ -320,6 +323,33 @@ def assign_labels(q: np.ndarray) -> np.ndarray:
 # Joint training
 # ---------------------------------------------------------------------------
 
+class GraphTerms:
+    """What joint training derives from the graph alone: the normalized
+    adjacency, and the centrality and spatial bias for each (measures, mode)
+    asked for, each computed on first use. The train() calls of a study share
+    one, so rows that differ only in what they train compute these once."""
+
+    def __init__(self, g: Graph):
+        self.g = g
+        self._cache: dict = {}
+
+    def _get(self, key, compute):
+        if key not in self._cache:
+            self._cache[key] = compute()
+        return self._cache[key]
+
+    def adjacency(self) -> sp.csr_array:
+        return self._get("adjacency", lambda: normalize_adjacency(self.g).matrix)
+
+    def centrality(self, measures) -> np.ndarray:
+        return self._get(
+            ("centrality", tuple(measures)), lambda: composite_centrality(self.g, measures).values
+        )
+
+    def spatial(self, mode: str) -> np.ndarray:
+        return self._get(("spatial", mode), lambda: spatial_bias(self.g, mode).values)
+
+
 @dataclass
 class _Constants:
     """Per-run constants shared by every epoch."""
@@ -350,22 +380,27 @@ def _fusion_weights(cfg: ExperimentConfig) -> dict[str, float]:
     return {name: w / rest for name, w in kept.items()}
 
 
-def _build_constants(g: Graph, cfg: ExperimentConfig, x_c: np.ndarray) -> _Constants:
-    na = normalize_adjacency(g)
+def _build_constants(
+    g: Graph, cfg: ExperimentConfig, x_c: np.ndarray, terms: GraphTerms | None = None
+) -> _Constants:
+    if terms is None:
+        terms = GraphTerms(g)
+    elif terms.g is not g:
+        raise ValueError("graph terms were derived from a different graph")
+    adj = terms.adjacency()
     a = adjacency_matrix(g)
-    target_feat = na.matrix @ g.features
+    target_feat = adj @ g.features
     target_w = (a @ g.features) if cfg.raw_ax_target else target_feat
     centrality = None
     logit_bias = None
     if "graphormer" in _modules(cfg)[0]:
-        cent = composite_centrality(g, cfg.centrality)
         sign = 1.0 if cfg.spatial_sign == "+" else -1.0
-        centrality = ad.constant(cent.values)
-        logit_bias = sign * spatial_bias(g, cfg.spatial_mode).values
+        centrality = ad.constant(terms.centrality(cfg.centrality))
+        logit_bias = sign * terms.spatial(cfg.spatial_mode)
     return _Constants(
         x=ad.constant(g.features),
         x_enhanced=ad.constant(g.features + x_c),
-        adj=na.matrix,
+        adj=adj,
         a_binary=ad.constant(a.toarray()),
         target_feat=target_feat,
         target_w=target_w,
@@ -416,9 +451,9 @@ def _init_state(
     # the centroid coordinates are that partition's means in the fused space
     # the soft assignment actually measures, otherwise the first assignment
     # is degenerate and self-training cannot recover.
-    hs, _, outs = _forward_channels(state, cons, cfg)
+    hs, zs = _encode(state, cons, cfg)
     km = kmeans(hs[-1].value, cfg.k, restarts=20, seed=_stream_seed(cfg.seed, _STREAM_KMEANS))
-    fused = _fuse(cons, hs, outs).value
+    fused = _fuse(cons, hs, zs).value
     state.centroids.value[...] = _partition_means(fused, km.labels, cfg.k)
     return state
 
@@ -442,28 +477,38 @@ def _partition_means(z: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     return centroids
 
 
-def _forward_channels(state: ModelState, cons: _Constants, cfg: ExperimentConfig):
-    """Autoencoder layer outputs and reconstruction, plus (bottleneck,
-    reconstruction) of every graph channel keyed by its prefix. Encoder layer
-    i > 0 of a channel takes the epsilon-blend of autoencoder layer i - 1 and
-    its own previous output."""
-    hs, xhat_ae = ae_forward(state.ae, cons.x)
-    outs = {}
+def _encode(state: ModelState, cons: _Constants, cfg: ExperimentConfig):
+    """Autoencoder encoder layer outputs, and every graph channel's
+    bottleneck keyed by its prefix. Encoder layer i > 0 of a channel takes
+    the epsilon-blend of autoencoder layer i - 1 and its own previous output."""
+    hs = ae_encode(state.ae, cons.x)
+    zs = {}
     for channel in state.channels:
         z = cons.x_enhanced
         for i, lp in enumerate(channel.enc):
             z_in = z if i == 0 else fused_input(hs[i - 1], z, cfg.epsilon)
             z = channel.layer(cons, z_in, lp, True)
-        bottleneck = z
+        zs[channel.prefix] = z
+    return hs, zs
+
+
+def _forward_channels(state: ModelState, cons: _Constants, cfg: ExperimentConfig):
+    """The encoders, then the decoders: autoencoder layer outputs and
+    reconstruction, plus (bottleneck, reconstruction) of every graph channel
+    keyed by its prefix."""
+    hs, zs = _encode(state, cons, cfg)
+    outs = {}
+    for channel in state.channels:
+        z = zs[channel.prefix]
         last = len(channel.dec) - 1
         for i, lp in enumerate(channel.dec):
             z = channel.layer(cons, z, lp, i != last)
-        outs[channel.prefix] = (bottleneck, z)
-    return hs, xhat_ae, outs
+        outs[channel.prefix] = (zs[channel.prefix], z)
+    return hs, ae_decode(state.ae, hs[-1]), outs
 
 
-def _fuse(cons: _Constants, hs: list[Tensor], outs: dict) -> Tensor:
-    bottlenecks = {"ae": hs[-1], **{name: z for name, (z, _) in outs.items()}}
+def _fuse(cons: _Constants, hs: list[Tensor], zs: dict) -> Tensor:
+    bottlenecks = {"ae": hs[-1], **zs}
     return fuse_final([(w, bottlenecks[name]) for name, w in cons.fusion.items()], cons.adj)
 
 
@@ -475,7 +520,7 @@ def _epoch_losses(
 ):
     hs, xhat_ae, outs = _forward_channels(state, cons, cfg)
 
-    z_fused = _fuse(cons, hs, outs)
+    z_fused = _fuse(cons, hs, {name: z for name, (z, _) in outs.items()})
     q = soft_assign(z_fused, state.centroids, cfg.t)
     q_prime = soft_assign(hs[-1], state.centroids, cfg.t)
     p = target_distribution(q.value) if p_fixed is None else p_fixed
@@ -530,6 +575,7 @@ def train(
     pretrained: Pretrained | None = None,
     abort_path=None,
     inspect=None,
+    terms: GraphTerms | None = None,
 ) -> TrainResult:
     """Run the full procedure: pretrain unless given matching artifacts
     (whose x_c is zeroed if the ablation removes contrastive learning), seed
@@ -539,7 +585,8 @@ def train(
     inspect, when given, is called every epoch with (epoch, AssignmentPair)
     before the update step. On a non-finite loss the last finite-state
     checkpoint is written to abort_path (when given) and NumericError is
-    raised.
+    raised. terms, when given, supplies the graph-derived constants (see
+    GraphTerms).
     """
     if g.n < cfg.k:
         raise ConfigError(f"k={cfg.k} exceeds node count {g.n}")
@@ -552,7 +599,7 @@ def train(
         )
     if not _modules(cfg)[1]:
         pretrained = replace(pretrained, x_c=np.zeros_like(g.features))
-    cons = _build_constants(g, cfg, pretrained.x_c)
+    cons = _build_constants(g, cfg, pretrained.x_c, terms)
     state = _init_state(g, cfg, pretrained, cons)
     params = state.trainable()
     opt = AdamState.for_params(params, cfg.lr)
@@ -579,6 +626,9 @@ def train(
         history.append(row)
         backward(total)
         adam_step(params, [p.grad for p in params], opt)
+        # Free this epoch's tape before the next forward pass records another.
+        del total, assignments
 
-    _, _, assignments = _epoch_losses(state, cons, cfg)
-    return TrainResult(state=state, history=history, labels=assign_labels(assignments.q))
+    hs, zs = _encode(state, cons, cfg)
+    q = soft_assign(_fuse(cons, hs, zs), state.centroids, cfg.t)
+    return TrainResult(state=state, history=history, labels=assign_labels(q.value))

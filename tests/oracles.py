@@ -3,8 +3,9 @@
 These deliberately take different algorithmic routes: betweenness is counted
 via Floyd-Warshall all-pairs path counting (the implementation uses
 level-synchronous Brandes accumulation), the matching accuracy enumerates
-every bijection, and the graph operators are dense n x n matrices (the
-implementation keeps the adjacency and the attention weights in CSR).
+every bijection, the graph operators are dense n x n matrices (the
+implementation keeps the adjacency and the attention weights in CSR), and
+the Adam update runs on whole arrays (the implementation updates in blocks).
 """
 
 from __future__ import annotations
@@ -158,3 +159,28 @@ def dense_graphormer_layer(z, centrality, logit_bias, params, heads=1, activate=
 def support_values(rows, cols, values) -> dict:
     """{(i, j): value} for entries listed in support order."""
     return {(int(i), int(j)): float(x) for i, j, x in zip(rows, cols, values)}
+
+
+def adam_step_whole(params, grads, state) -> None:
+    """Bias-corrected Adam on whole arrays through one full-size scratch
+    array per parameter, in place on params and on state (an
+    autodiff.AdamState); the blocked autodiff.adam_step must match it bit
+    for bit."""
+    state.step += 1
+    c1 = 1.0 - state.beta1**state.step
+    c2 = 1.0 - state.beta2**state.step
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        w = np.empty_like(p.value)
+        m *= state.beta1
+        np.multiply(g, 1.0 - state.beta1, out=w)
+        m += w
+        v *= state.beta2
+        np.multiply(g, g, out=w)
+        w *= 1.0 - state.beta2
+        v += w
+        np.divide(v, c2, out=w)
+        np.sqrt(w, out=w)
+        w += state.eps
+        np.divide(m, w, out=w)
+        w *= state.lr / c1
+        p.value -= w

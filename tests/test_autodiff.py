@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gclgcn import autodiff as ad
+from oracles import adam_step_whole
 
 
 def fd_scalar(make_loss, params, h=1e-5):
@@ -180,6 +181,16 @@ class TestFiniteDifferenceSuite:
             target = ad.constant(np.full(op(p).shape, 0.3))
             err = fd_scalar(lambda _: ad.mse(op(p), target), [p])
             assert err <= 1e-4, f"{name} seed {seed}: {err}"
+            if name == "leaky_relu":
+                # At the kink finite differences say nothing; exact zeros
+                # and -0.0 are checked against the np.where form instead.
+                x[0, :2] = 0.0, -0.0
+                out = op(ad.parameter(x))
+                g = rng.standard_normal(x.shape)
+                g[0, 2:4] = 0.0, -0.0
+                assert out.value.tobytes() == np.where(x > 0, x, x * 0.01).tobytes()
+                # the rule itself: accumulating into a zeroed .grad turns -0.0 into 0.0
+                assert out._rule(g)[0].tobytes() == np.where(x > 0, g, g * 0.01).tobytes()
 
     def test_binary_and_reduction_ops(self):
         for seed in range(20):
@@ -213,6 +224,24 @@ class TestFiniteDifferenceSuite:
             assert fd_scalar(loss, [a]) <= 1e-4
 
 
+class TestLeakyRelu:
+    SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e308, -1e308])
+
+    @pytest.mark.parametrize("slope", [1e-300, 0.01, 0.2, 1.0])
+    def test_matches_where_form_on_special_values(self, slope):
+        rng = np.random.default_rng(0)
+        x = np.concatenate([self.SPECIAL, rng.standard_normal(71)]).reshape(8, 10)
+        g = np.concatenate([self.SPECIAL[::-1], rng.standard_normal(71)]).reshape(8, 10)
+        out = ad.leaky_relu(ad.parameter(x), slope)
+        assert out.value.tobytes() == np.where(x > 0, x, x * slope).tobytes()
+        assert out._rule(g)[0].tobytes() == np.where(x > 0, g, g * slope).tobytes()
+
+    @pytest.mark.parametrize("slope", [0.0, -0.1, 1.5, np.nan])
+    def test_slope_outside_unit_interval_rejected(self, slope):
+        with pytest.raises(ValueError, match="slope"):
+            ad.leaky_relu(ad.constant(np.ones((2, 2))), slope)
+
+
 class TestAdam:
     def test_zero_grad_leaves_params(self):
         p = ad.parameter([[1.0, 2.0]])
@@ -238,6 +267,43 @@ class TestAdam:
             return p.value.copy()
 
         assert np.array_equal(run(), run())
+
+    def test_blocked_update_equals_whole_array_update(self):
+        block = ad._ADAM_BLOCK
+        shapes = [(3, 5), (1, block), (2, block), (3, block // 2 + 7), (0, 4)]
+        rng = np.random.default_rng(0)
+        values = [rng.standard_normal(shape) for shape in shapes]
+        blocked = [ad.parameter(v) for v in values]
+        whole = [ad.parameter(v) for v in values]
+        st_blocked = ad.AdamState.for_params(blocked, lr=0.01)
+        st_whole = ad.AdamState.for_params(whole, lr=0.01)
+        for _ in range(4):
+            grads = [rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 3) for shape in shapes]
+            ad.adam_step(blocked, grads, st_blocked)
+            adam_step_whole(whole, grads, st_whole)
+            for a, b in zip(blocked, whole):
+                assert a.value.tobytes() == b.value.tobytes()
+            for a, b in zip(st_blocked.m + st_blocked.v, st_whole.m + st_whole.v):
+                assert a.tobytes() == b.tobytes()
+        assert st_blocked.step == st_whole.step == 4
+
+    def test_state_holds_only_the_moments(self):
+        params = [ad.parameter(np.ones((3, 4))), ad.parameter(np.ones((1, 5)))]
+        st = ad.AdamState.for_params(params, lr=0.1)
+        held = [a for value in vars(st).values() if isinstance(value, list) for a in value]
+        assert sum(a.nbytes for a in held) == 2 * sum(p.value.nbytes for p in params)
+
+    @pytest.mark.parametrize("role", ["value", "gradient"])
+    def test_non_contiguous_array_rejected(self, role):
+        params = [ad.parameter(np.ones((1, 2))), ad.parameter(np.ones((2, 3)), name="w")]
+        st = ad.AdamState.for_params(params, lr=0.1)
+        grads = [np.ones((1, 2)), np.ones((2, 3))]
+        if role == "value":
+            params[1].value = np.asfortranarray(params[1].value)
+        else:
+            grads[1] = np.ones((2, 6))[:, ::2]
+        with pytest.raises(ValueError, match=f"{role} of parameter 1 .*w.* is not C-contiguous"):
+            ad.adam_step(params, grads, st)
 
     def test_mismatched_state_rejected(self):
         p = ad.parameter([[0.0]])

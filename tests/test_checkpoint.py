@@ -1,7 +1,11 @@
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from gclgcn.checkpoint import MAGIC, load_checkpoint, save_checkpoint
+from gclgcn.checkpoint import MAGIC, atomic_open, load_checkpoint, save_checkpoint
+from gclgcn.harness import write_result_table
 
 
 def test_round_trip_preserves_order_shapes_values(tmp_path):
@@ -80,3 +84,67 @@ def test_trailing_byte_rejected(tmp_path):
     path.write_bytes(data + b"\x00")
     with pytest.raises(ValueError, match=rf"m.gclc: 1 trailing byte\(s\) at byte {len(data)}"):
         load_checkpoint(path)
+
+
+_names = st.text(st.characters(exclude_categories=("Cs",)), max_size=12)
+_matrices = hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=5),
+    elements=st.floats(width=64),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(named=st.lists(st.tuples(_names, _matrices), max_size=5, unique_by=lambda e: e[0]))
+@example(named=[("rows", np.zeros((0, 3))), ("cols", np.zeros((2, 0))), ("one", np.ones((1, 1)))])
+@example(named=[("größe", np.full((1, 1), -0.0)), ("重み", np.arange(6.0).reshape(2, 3))])
+def test_round_trip_property(tmp_path_factory, named):
+    path = tmp_path_factory.mktemp("roundtrip") / "m.gclc"
+    save_checkpoint(path, named)
+    loaded = load_checkpoint(path)
+    assert list(loaded) == [name for name, _ in named]
+    for name, arr in named:
+        assert loaded[name].shape == arr.shape
+        assert np.array_equal(loaded[name], arr, equal_nan=True)
+
+
+def _interrupted_checkpoint(path):
+    def entries():
+        yield "w", np.ones((3, 3))
+        raise RuntimeError("interrupted")
+
+    save_checkpoint(path, entries())
+
+
+def _interrupted_table(path):
+    metrics = {"acc": 1.0, "nmi": 1.0, "ari": 1.0, "f1": 1.0}
+    write_result_table(path, [{"variant": "a", **metrics}, {"variant": "b"}], ("variant",))
+
+
+def _interrupted_text(path):
+    with atomic_open(path) as fh:
+        fh.write("partial\n")
+        raise RuntimeError("interrupted")
+
+
+@pytest.mark.parametrize("write, error", [
+    (_interrupted_checkpoint, RuntimeError),
+    (_interrupted_table, KeyError),  # the second row lacks its metrics
+    (_interrupted_text, RuntimeError),
+])
+def test_failed_write_keeps_previous_file(tmp_path, write, error):
+    path = tmp_path / "out"
+    path.write_bytes(b"previous")
+    with pytest.raises(error):
+        write(path)
+    assert path.read_bytes() == b"previous"
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
+def test_atomic_write_replaces_file(tmp_path):
+    path = tmp_path / "labels.txt"
+    path.write_text("old\n")
+    with atomic_open(path) as fh:
+        fh.write("new\n")
+    assert path.read_text() == "new\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["labels.txt"]

@@ -125,8 +125,8 @@ def test_study_rows_equal_independent_training(name, ablation, monkeypatch):
     c = cfg(k=2, epochs=2, ablation=ablation)
     runs = []
 
-    def recording_train(g, point, pretrained=None):
-        result = pipeline.train(g, point, pretrained=pretrained)
+    def recording_train(g, point, pretrained=None, terms=None):
+        result = pipeline.train(g, point, pretrained=pretrained, terms=terms)
         runs.append((point, result))
         return result
 
@@ -162,3 +162,28 @@ def test_study_pretrains_once(name, monkeypatch):
     assert len(rows) == len(points(cfg()))
     contrastive, ae = PRETRAIN_CALLS[name]
     assert calls == {"pipeline.pretrain_contrastive": contrastive, "pipeline.pretrain_ae": ae}
+
+
+# Expected (centrality, normalized adjacency) computations per study: one per
+# distinct centrality measure set, and one adjacency for pretraining plus one
+# shared by every row.
+GRAPH_TERM_CALLS = {"ablation": (1, 2), "encoding": (4, 2), "layers": (1, 2)}
+
+
+@pytest.mark.parametrize("name", sorted(STUDY_POINTS))
+def test_study_computes_graph_terms_once(name, monkeypatch):
+    study, _ = STUDY_POINTS[name]
+    g = sbm(sizes=(8, 8), f=4)
+    calls = {"composite_centrality": 0, "normalize_adjacency": 0}
+
+    def counting(attr, fn):
+        def wrapper(*args, **kwargs):
+            calls[attr] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for attr in calls:
+        monkeypatch.setattr(pipeline, attr, counting(attr, getattr(pipeline, attr)))
+    study(g, cfg(k=2, epochs=1))
+    assert (calls["composite_centrality"], calls["normalize_adjacency"]) == GRAPH_TERM_CALLS[name]

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -372,6 +374,49 @@ class TestTrain:
         state = P._init_state(g, cfg, pre, cons)
         _, _, assignments = P._epoch_losses(state, cons, cfg)
         assert np.array_equal(res.labels, assign_labels(assignments.q))
+
+    def test_previous_epoch_tape_freed_before_next_forward(self, monkeypatch):
+        from gclgcn import pipeline as P
+
+        losses = []  # weak references to each epoch's loss value
+        alive_at_assign = []
+        real_backward, real_soft_assign = P.backward, P.soft_assign
+
+        def tracking_backward(loss):
+            losses.append(weakref.ref(loss.value))
+            return real_backward(loss)
+
+        def checking_soft_assign(*args, **kwargs):
+            alive_at_assign.append(sum(ref() is not None for ref in losses))
+            return real_soft_assign(*args, **kwargs)
+
+        g, cfg = small_sbm(), tiny_cfg(epochs=3)
+        pre = pretrain(g, cfg)
+        monkeypatch.setattr(P, "backward", tracking_backward)
+        monkeypatch.setattr(P, "soft_assign", checking_soft_assign)
+        train(g, cfg, pretrained=pre)
+        assert len(losses) == 3
+        # two assignments per epoch, one for the final labels
+        assert alive_at_assign == [0] * 7
+
+    def test_evaluation_passes_skip_the_decoders(self, monkeypatch):
+        """Centroid seeding and the final labels use the bottlenecks only:
+        the decoders run once per epoch."""
+        from gclgcn import pipeline as P
+
+        calls = {"ae_decode": 0, "inner_product_decode": 0}
+
+        def counting(attr, fn):
+            def wrapper(*args, **kwargs):
+                calls[attr] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for attr in calls:
+            monkeypatch.setattr(P, attr, counting(attr, getattr(P, attr)))
+        train(small_sbm(), tiny_cfg(epochs=2))
+        assert calls == {"ae_decode": 2, "inner_product_decode": 4}
 
     def test_numeric_abort_writes_checkpoint(self, tmp_path):
         g = small_sbm()
