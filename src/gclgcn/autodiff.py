@@ -26,7 +26,6 @@ __all__ = [
     "zero_grad",
     "AdamState",
     "adam_step",
-    "finite_difference_check",
     "matmul",
     "spmm",
     "edge_attention",
@@ -534,32 +533,3 @@ def adam_step(
             pb -= w
     return state
 
-
-def finite_difference_check(
-    f: Callable[[Sequence[Tensor]], Tensor],
-    params: Sequence[Tensor],
-    h: float = 1e-5,
-) -> float:
-    """Max over all coordinates of |numeric - analytic| / max(1, |analytic|).
-
-    f must be deterministic; it is re-evaluated with each coordinate nudged
-    by +/- h (central differences).
-    """
-    zero_grad(params)
-    backward(f(params))
-    analytic = [p.grad.copy() for p in params]
-
-    worst = 0.0
-    for p, ana in zip(params, analytic):
-        flat = p.value.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up = f(params).value[0, 0]
-            flat[i] = orig - h
-            down = f(params).value[0, 0]
-            flat[i] = orig
-            numeric = (up - down) / (2.0 * h)
-            a = ana.ravel()[i]
-            worst = max(worst, abs(numeric - a) / max(1.0, abs(a)))
-    return worst

@@ -10,16 +10,12 @@ Conventions (fixed so golden values are well defined):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .graph import Graph, adjacency_matrix, shortest_path_hops, support_pairs
 
 __all__ = [
     "MEASURES",
-    "CentralityMatrix",
-    "SpatialBias",
     "degree_centrality",
     "betweenness_centrality",
     "closeness_centrality",
@@ -33,28 +29,6 @@ MEASURES = ("degree", "betweenness", "closeness")
 # Betweenness runs its breadth-first searches for a block of sources at once,
 # on (n, block) matrices of about this many elements.
 _SOURCE_BLOCK_ELEMENTS = 1 << 20
-
-
-@dataclass(frozen=True)
-class CentralityMatrix:
-    """Per-node centrality columns in the fixed (degree, betweenness, closeness) order."""
-
-    values: np.ndarray  # (n, m)
-    measures: tuple[str, ...]
-
-    def __post_init__(self):
-        if self.values.shape[1] != len(self.measures):
-            raise ValueError("column count does not match measure list")
-        self.values.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class SpatialBias:
-    """Bias d(i, j) for every entry of the attention support, in the order of
-    graph.support_pairs: symmetric, zero on the self-loops."""
-
-    values: np.ndarray  # (2 * edges + n,)
-    mode: str  # "euclidean" | "shortest-path"
 
 
 def degree_centrality(g: Graph) -> np.ndarray:
@@ -122,20 +96,24 @@ _MEASURE_FN = {
 }
 
 
-def composite_centrality(g: Graph, measures=MEASURES) -> CentralityMatrix:
-    """Stack the enabled measures as columns, always in MEASURES order."""
+def composite_centrality(g: Graph, measures=MEASURES) -> np.ndarray:
+    """Read-only (n, m) matrix of the enabled measures as columns, always in
+    MEASURES order."""
     wanted = tuple(m for m in MEASURES if m in set(measures))
     unknown = set(measures) - set(MEASURES)
     if unknown:
         raise ValueError(f"unknown centrality measures: {sorted(unknown)}")
     if not wanted:
         raise ValueError("at least one centrality measure must be enabled")
-    cols = [_MEASURE_FN[m](g) for m in wanted]
-    return CentralityMatrix(values=np.column_stack(cols), measures=wanted)
+    values = np.column_stack([_MEASURE_FN[m](g) for m in wanted])
+    values.setflags(write=False)
+    return values
 
 
-def spatial_bias(g: Graph, mode: str = "euclidean") -> SpatialBias:
-    """Bias values for each entry of the attention support (graph.support_pairs).
+def spatial_bias(g: Graph, mode: str = "euclidean") -> np.ndarray:
+    """Read-only bias d(i, j) for each entry of the attention support, in the
+    order of graph.support_pairs: shape (2 * edges + n,), symmetric, zero on
+    the self-loops.
 
     euclidean: feature-space distance between the endpoints.
     shortest-path: hop distance, which is 1 on every edge because attention
@@ -149,4 +127,5 @@ def spatial_bias(g: Graph, mode: str = "euclidean") -> SpatialBias:
         values = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     else:
         values = (rows != cols).astype(np.float64)
-    return SpatialBias(values=values, mode=mode)
+    values.setflags(write=False)
+    return values

@@ -34,12 +34,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _float_list(raw: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in raw.split(",") if tok.strip())
+def _number_list(kind):
+    """argparse type: a comma list of kind values; a bad item is a usage
+    error naming the flag."""
 
+    def parse(raw: str) -> tuple:
+        try:
+            return tuple(kind(tok) for tok in raw.split(",") if tok.strip())
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected a comma list of {kind.__name__} values, got {raw!r}"
+            ) from None
 
-def _int_list(raw: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in raw.split(",") if tok.strip())
+    return parse
 
 
 def _out_dir(args) -> Path:
@@ -70,12 +77,21 @@ def _write_labels(path: Path, labels) -> None:
         fh.write("".join(f"{int(y)}\n" for y in labels))
 
 
+def _emit(text: str, out: str | None) -> None:
+    """Write text to the file out atomically, or to stdout when out is None."""
+    if out is None:
+        sys.stdout.write(text)
+        return
+    with atomic_open(out) as fh:
+        fh.write(text)
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 def _cmd_gen_sbm(args) -> int:
-    sizes = _int_list(args.blocks)
+    sizes = args.blocks
     k = len(sizes)
     means = np.zeros((k, args.dim))
     for b in range(k):
@@ -94,13 +110,8 @@ def _cmd_gen_sbm(args) -> int:
 def _cmd_centrality(args) -> int:
     g = load_graph(args.features, args.edges)
     measures = MEASURES if args.measures == "all" else tuple(args.measures.split(","))
-    matrix = composite_centrality(g, measures).values
-    lines = [",".join("%.17g" % x for x in row) for row in matrix]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    matrix = composite_centrality(g, measures)
+    _emit("".join(",".join("%.17g" % x for x in row) + "\n" for row in matrix), args.out)
     return 0
 
 
@@ -140,64 +151,37 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _study_command(args, runner, key_columns) -> int:
+# The study each study command runs (sweep: each --grid), called as
+# study(graph, config, args), and the key columns of its result tables.
+_STUDIES = {
+    "ablate": lambda g, cfg, a: harness.ablation_study(g, cfg, dataset=a.dataset),
+    "layers": lambda g, cfg, a: harness.layer_study(g, cfg, dataset=a.dataset),
+    "encodings": lambda g, cfg, a: harness.encoding_study(g, cfg, dataset=a.dataset),
+    "fusion": lambda g, cfg, a: harness.sweep_fusion(
+        g, cfg, a.lambdas, a.thetas, dataset=a.dataset
+    ),
+    "loss": lambda g, cfg, a: harness.sweep_loss_weights(
+        g, cfg, a.alphas, a.betas, dataset=a.dataset
+    ),
+}
+_STUDY_KEYS = {
+    "fusion": ("dataset", "lambda", "theta", "gamma"),
+    "loss": ("dataset", "alpha", "beta"),
+}
+
+
+def _cmd_study(args) -> int:
+    """results.csv with one row per study point; the fusion sweep also
+    writes its best row to best.csv."""
+    name = args.grid if args.command == "sweep" else args.command
+    keys = _STUDY_KEYS.get(name, ("dataset", "variant"))
     cfg = parse_config(args.config)
     g = _load_dataset(cfg, need_labels=True)
-    rows = runner(g, cfg, args)
+    rows = _STUDIES[name](g, cfg, args)
     out = _out_dir(args)
-    harness.write_result_table(out / "results.csv", rows, key_columns)
-    print(f"wrote {len(rows)} rows to {out / 'results.csv'}")
-    return 0
-
-
-def _cmd_ablate(args) -> int:
-    return _study_command(
-        args,
-        lambda g, cfg, a: harness.ablation_study(g, cfg, dataset=a.dataset),
-        ("dataset", "variant"),
-    )
-
-
-def _cmd_layers(args) -> int:
-    return _study_command(
-        args,
-        lambda g, cfg, a: harness.layer_study(g, cfg, dataset=a.dataset),
-        ("dataset", "variant"),
-    )
-
-
-def _cmd_encodings(args) -> int:
-    return _study_command(
-        args,
-        lambda g, cfg, a: harness.encoding_study(g, cfg, dataset=a.dataset),
-        ("dataset", "variant"),
-    )
-
-
-def _cmd_sweep(args) -> int:
-    cfg = parse_config(args.config)
-    g = _load_dataset(cfg, need_labels=True)
-    out = _out_dir(args)
-    if args.grid == "fusion":
-        rows = harness.sweep_fusion(
-            g, cfg, _float_list(args.lambdas), _float_list(args.thetas),
-            dataset=args.dataset,
-        )
-        harness.write_result_table(
-            out / "results.csv", rows, ("dataset", "lambda", "theta", "gamma")
-        )
-        harness.write_result_table(
-            out / "best.csv", [harness.best_fusion_row(rows)],
-            ("dataset", "lambda", "theta", "gamma"),
-        )
-    else:
-        rows = harness.sweep_loss_weights(
-            g, cfg, _float_list(args.alphas), _float_list(args.betas),
-            dataset=args.dataset,
-        )
-        harness.write_result_table(
-            out / "results.csv", rows, ("dataset", "alpha", "beta")
-        )
+    harness.write_result_table(out / "results.csv", rows, keys)
+    if name == "fusion":
+        harness.write_result_table(out / "best.csv", [harness.best_fusion_row(rows)], keys)
     print(f"wrote {len(rows)} rows to {out / 'results.csv'}")
     return 0
 
@@ -205,15 +189,13 @@ def _cmd_sweep(args) -> int:
 def _cmd_eval(args) -> int:
     pred = read_labels(args.pred)
     truth = read_labels(args.truth)
+    if pred.size != truth.size:
+        raise ConfigError(
+            f"{args.pred} has {pred.size} labels but {args.truth} has {truth.size}"
+        )
     row = metric_row(pred, truth)
-    text = "acc,nmi,ari,f1,composite\n" + ",".join(
-        "%.17g" % v
-        for v in (row["acc"], row["nmi"], row["ari"], row["f1"], harness.composite_index(row))
-    ) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    values = (row["acc"], row["nmi"], row["ari"], row["f1"], harness.composite_index(row))
+    _emit("acc,nmi,ari,f1,composite\n" + ",".join("%.17g" % v for v in values) + "\n", args.out)
     return 0
 
 
@@ -226,7 +208,8 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-sbm", help="generate a planted-partition dataset")
-    p.add_argument("--blocks", required=True, help="comma list of block sizes")
+    p.add_argument("--blocks", type=_number_list(int), required=True,
+                   help="comma list of block sizes")
     p.add_argument("--p-in", type=float, required=True, dest="p_in")
     p.add_argument("--p-out", type=float, required=True, dest="p_out")
     p.add_argument("--dim", type=int, default=16, help="feature dimension")
@@ -255,27 +238,25 @@ def build_parser() -> _Parser:
                    help="directory or file with saved pretraining artifacts")
     p.set_defaults(func=_cmd_train)
 
-    for name, fn, help_text in (
-        ("ablate", _cmd_ablate, "module-ablation study (4 variants)"),
-        ("layers", _cmd_layers, "layer-count study (depths 4..1)"),
-        ("encodings", _cmd_encodings, "centrality/spatial encoding study (5 variants)"),
-    ):
+    studies = (
+        ("ablate", "module-ablation study (4 variants)"),
+        ("layers", "layer-count study (depths 4..1)"),
+        ("encodings", "centrality/spatial encoding study (5 variants)"),
+        ("sweep", "hyperparameter sweeps"),
+    )
+    for name, help_text in studies:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True)
         p.add_argument("--out", required=True)
         p.add_argument("--dataset", default="dataset", help="dataset column value")
-        p.set_defaults(func=fn)
-
-    p = sub.add_parser("sweep", help="hyperparameter sweeps")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
+        p.set_defaults(func=_cmd_study)
+    floats = _number_list(float)
     p.add_argument("--grid", choices=("fusion", "loss"), required=True)
-    p.add_argument("--dataset", default="dataset")
-    p.add_argument("--lambdas", default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8")
-    p.add_argument("--thetas", default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8")
-    p.add_argument("--alphas", default=",".join(str(v) for v in harness.DEFAULT_LOSS_WEIGHTS))
-    p.add_argument("--betas", default=",".join(str(v) for v in harness.DEFAULT_LOSS_WEIGHTS))
-    p.set_defaults(func=_cmd_sweep)
+    p.add_argument("--lambdas", type=floats, default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8")
+    p.add_argument("--thetas", type=floats, default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8")
+    loss_weights = ",".join(str(v) for v in harness.DEFAULT_LOSS_WEIGHTS)
+    p.add_argument("--alphas", type=floats, default=loss_weights)
+    p.add_argument("--betas", type=floats, default=loss_weights)
 
     p = sub.add_parser("eval", help="score predicted labels against ground truth")
     p.add_argument("--pred", required=True)

@@ -2,7 +2,7 @@
 
 Metric conventions: ACC and F1 are computed after an optimal one-to-one
 label matching (Hungarian assignment on the confusion matrix); NMI uses
-natural logs with a configurable entropy normalizer; ARI is the standard
+natural logs and the geometric mean of the two entropies; ARI is the standard
 pair-counting adjusted index.
 """
 
@@ -170,10 +170,10 @@ def _canonical(labels: np.ndarray) -> np.ndarray:
     return out
 
 
-def nmi(pred, truth, average: str = "geometric") -> float:
-    """Mutual information normalized by the geometric (default) or arithmetic
-    mean of the partition entropies; natural logs throughout. Identical
-    partitions (up to relabeling) score exactly 1."""
+def nmi(pred, truth) -> float:
+    """Mutual information normalized by the geometric mean of the partition
+    entropies; natural logs throughout. Identical partitions (up to
+    relabeling) score exactly 1."""
     pred, truth = _as_labels(pred, truth)
     if np.array_equal(_canonical(pred), _canonical(truth)):
         return 1.0
@@ -191,13 +191,7 @@ def nmi(pred, truth, average: str = "geometric") -> float:
     mi = float(
         (w[nz] / n * (np.log(w[nz] * n) - np.log(np.outer(pi, pj)[nz]))).sum()
     )
-    if average == "geometric":
-        denom = np.sqrt(h_pred * h_truth)
-    elif average == "arithmetic":
-        denom = 0.5 * (h_pred + h_truth)
-    else:
-        raise ValueError(f"unknown NMI average {average!r}")
-    return float(np.clip(mi / denom, 0.0, 1.0))
+    return float(np.clip(mi / np.sqrt(h_pred * h_truth), 0.0, 1.0))
 
 
 def ari(pred, truth) -> float:

@@ -185,6 +185,13 @@ def parse_config(source: str | Path) -> ExperimentConfig:
                 raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
             entries[key] = raw
 
+    try:
+        return _config_from_entries(entries)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def _config_from_entries(entries: dict[str, str]) -> ExperimentConfig:
     preset = entries.pop("preset", None)
     if preset is not None:
         if preset.lower() not in PRESETS:

@@ -15,9 +15,10 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
+from .checkpoint import atomic_open
+
 __all__ = [
     "Graph",
-    "NormalizedAdjacency",
     "SbmSpec",
     "support_pairs",
     "adjacency_matrix",
@@ -95,18 +96,6 @@ class Graph:
 
 
 @dataclass(frozen=True)
-class NormalizedAdjacency:
-    """Symmetrically normalized adjacency with self-loops and its degree vector."""
-
-    matrix: sp.csr_array  # (n, n), D^{-1/2} (A+I) D^{-1/2}, pattern support_pairs(g)
-    degrees: np.ndarray  # (n,), 1 + degree
-
-    def __post_init__(self):
-        self.matrix.data.setflags(write=False)
-        self.degrees.setflags(write=False)
-
-
-@dataclass(frozen=True)
 class SbmSpec:
     """Planted-partition generator spec: block sizes, edge probabilities, feature model."""
 
@@ -164,8 +153,9 @@ def adjacency_matrix(g: Graph) -> sp.csr_array:
     return _csr(g.n, rows[off], cols[off], np.ones(int(off.sum())))
 
 
-def normalize_adjacency(g: Graph) -> NormalizedAdjacency:
-    """D^{-1/2} (A+I) D^{-1/2} with self-loop degrees d_i = 1 + deg(i), in CSR.
+def normalize_adjacency(g: Graph) -> sp.csr_array:
+    """D^{-1/2} (A+I) D^{-1/2} with self-loop degrees d_i = 1 + deg(i), in
+    CSR with read-only entries and the pattern support_pairs(g).
 
     Exactly symmetric by construction: entry (i, j) is 1 / sqrt(d_i * d_j),
     and the product commutes.
@@ -173,7 +163,8 @@ def normalize_adjacency(g: Graph) -> NormalizedAdjacency:
     rows, cols = support_pairs(g)
     dhat = np.bincount(rows, minlength=g.n).astype(np.float64)  # = 1 + degree
     data = 1.0 / np.sqrt(dhat[rows] * dhat[cols])
-    return NormalizedAdjacency(matrix=_csr(g.n, rows, cols, data), degrees=dhat)
+    data.setflags(write=False)
+    return _csr(g.n, rows, cols, data)
 
 
 def shortest_path_hops(g: Graph) -> np.ndarray:
@@ -309,16 +300,17 @@ def save_graph(
     edges_path: str | Path,
     labels_path: str | Path | None = None,
 ) -> None:
-    """Write the text formats read by load_graph; float text round-trips exactly."""
-    with Path(features_path).open("w", newline="\n") as fh:
+    """Write the text formats read by load_graph, each file atomically; float
+    text round-trips exactly."""
+    if labels_path is not None and g.labels is None:
+        raise ValueError("graph has no labels to save")
+    with atomic_open(features_path, newline="\n") as fh:
         for row in g.features:
             fh.write(",".join(FLOAT_FMT % x for x in row) + "\n")
-    with Path(edges_path).open("w", newline="\n") as fh:
+    with atomic_open(edges_path, newline="\n") as fh:
         for u, v in g.edges:
             fh.write(f"{u} {v}\n")
     if labels_path is not None:
-        if g.labels is None:
-            raise ValueError("graph has no labels to save")
-        with Path(labels_path).open("w", newline="\n") as fh:
+        with atomic_open(labels_path, newline="\n") as fh:
             for y in g.labels:
                 fh.write(f"{int(y)}\n")

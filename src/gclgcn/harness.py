@@ -1,12 +1,14 @@
 """Experiment studies and their CSV result tables: module ablations, layer
 counts, encoding variants, and the fusion / loss-weight sweeps.
 
-Pretraining does not read what the ablation and encoding studies and the
-sweeps vary, so each of them pretrains once for all its rows; the layer study
-pretrains the autoencoder per depth (its ladder) and the contrastive features
-once. The rows of a study share one GraphTerms, so the normalized adjacency,
-the centrality and the spatial bias are computed once per (measures, mode).
-Rows hold the four metrics plus the composite index (their mean).
+Each study lists its points, (row keys, config) pairs, and one row loop
+trains them all. Of what a study varies, pretraining reads only the encoder
+depth, so the loop pretrains the autoencoder again only when the depth
+changes from one point to the next, and computes the contrastive features
+once, when some point uses them. The points share one GraphTerms, so the
+normalized adjacency is computed once, and the centrality and the spatial
+bias once per (measures, mode). Rows hold the row keys, the four metrics and
+the composite index (their mean).
 """
 
 from __future__ import annotations
@@ -16,11 +18,13 @@ import logging
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .checkpoint import atomic_open
 from .cluster import metric_row
 from .config import ABLATIONS, ConfigError, ExperimentConfig
 from .graph import Graph
-from .pipeline import GraphTerms, Pretrained, pretrain, train
+from .pipeline import GraphTerms, pretrain, pretrain_contrastive, train, uses_contrastive
 
 __all__ = [
     "METRIC_COLUMNS",
@@ -77,59 +81,50 @@ def write_result_table(path: str | Path, rows: list[dict], key_columns: tuple[st
             writer.writerow(cells)
 
 
-def _require_labels(g: Graph) -> None:
+def _run_points(g: Graph, points: list[tuple[dict, ExperimentConfig]]) -> list[dict]:
+    """Train every (row keys, config) point in order; one row per point."""
     if g.labels is None:
         raise ConfigError("this study needs ground-truth labels")
-
-
-def _run(g: Graph, cfg: ExperimentConfig, pretrained: Pretrained, terms: GraphTerms) -> dict:
-    result = train(g, cfg, pretrained=pretrained, terms=terms)
-    return metric_row(result.labels, g.labels)
+    terms = GraphTerms(g)
+    users = [point for _, point in points if uses_contrastive(point)]
+    x_c = pretrain_contrastive(g, users[0], terms) if users else np.zeros_like(g.features)
+    rows, depth = [], None
+    for keys, point in points:
+        if point.layers != depth:
+            pre, depth = pretrain(g, point, x_c=x_c), point.layers
+        # Keep only the labels, so no trained model outlives its row.
+        labels = train(g, point, pretrained=pre, terms=terms).labels
+        rows.append({**keys, **metric_row(labels, g.labels)})
+    return rows
 
 
 def ablation_study(g: Graph, cfg: ExperimentConfig, dataset: str = "dataset") -> list[dict]:
     """One row per variant: the full model and each module removed in turn.
-    The full model's pretraining serves every row; train() zeroes the
-    contrastive features for the -ContrastiveLearning row."""
-    _require_labels(g)
-    pre = pretrain(g, replace(cfg, ablation="norm"))
-    terms = GraphTerms(g)
-    rows = []
-    for variant in ABLATIONS:
-        metrics = _run(g, replace(cfg, ablation=variant), pre, terms)
-        rows.append({"dataset": dataset, "variant": variant, **metrics})
-    return rows
+    train() zeroes the contrastive features for the -ContrastiveLearning row."""
+    return _run_points(g, [
+        ({"dataset": dataset, "variant": variant}, replace(cfg, ablation=variant))
+        for variant in ABLATIONS
+    ])
 
 
 def layer_study(
     g: Graph, cfg: ExperimentConfig, depths=(4, 3, 2, 1), dataset: str = "dataset"
 ) -> list[dict]:
-    """One row per encoder/decoder depth, labelled GCL-GCN-<depth>. The
-    contrastive features of the first depth serve every row."""
-    _require_labels(g)
-    rows = []
-    x_c = None
-    terms = GraphTerms(g)
-    for depth in depths:
-        point = replace(cfg, layers=depth)
-        pre = pretrain(g, point, x_c=x_c)
-        x_c = pre.x_c
-        metrics = _run(g, point, pre, terms)
-        rows.append({"dataset": dataset, "variant": f"GCL-GCN-{depth}", **metrics})
-    return rows
+    """One row per encoder/decoder depth, labelled GCL-GCN-<depth>."""
+    return _run_points(g, [
+        ({"dataset": dataset, "variant": f"GCL-GCN-{depth}"}, replace(cfg, layers=depth))
+        for depth in depths
+    ])
 
 
 def encoding_study(g: Graph, cfg: ExperimentConfig, dataset: str = "dataset") -> list[dict]:
     """The five standard encoding variants: the full composite with feature
     distances, the composite with hop distances, and each single measure."""
-    _require_labels(g)
-    pre = pretrain(g, cfg)
-    terms = GraphTerms(g)
-    rows = []
-    for label, measures, mode in ENCODING_VARIANTS:
-        metrics = _run(g, replace(cfg, centrality=measures, spatial_mode=mode), pre, terms)
-        rows.append({"dataset": dataset, "variant": label, **metrics})
-    return rows
+    return _run_points(g, [
+        ({"dataset": dataset, "variant": label},
+         replace(cfg, centrality=measures, spatial_mode=mode))
+        for label, measures, mode in ENCODING_VARIANTS
+    ])
 
 
 def sweep_fusion(
@@ -141,10 +136,7 @@ def sweep_fusion(
 ) -> list[dict]:
     """Grid over the first two fusion weights; the third is their complement.
     Infeasible points (negative complement) are skipped."""
-    _require_labels(g)
-    pre = pretrain(g, cfg)
-    terms = GraphTerms(g)
-    rows = []
+    points = []
     for lam in lambdas:
         for theta in thetas:
             gamma = 1.0 - lam - theta
@@ -152,18 +144,10 @@ def sweep_fusion(
                 log.info("skipping infeasible grid point lambda=%g theta=%g", lam, theta)
                 continue
             gamma = max(gamma, 0.0)
-            point = replace(cfg, lam=lam, theta=theta, gamma=gamma)
-            metrics = _run(g, point, pre, terms)
-            rows.append(
-                {
-                    "dataset": dataset,
-                    "lambda": repr(float(lam)),
-                    "theta": repr(float(theta)),
-                    "gamma": repr(float(gamma)),
-                    **metrics,
-                }
-            )
-    return rows
+            keys = {"dataset": dataset, "lambda": repr(float(lam)),
+                    "theta": repr(float(theta)), "gamma": repr(float(gamma))}
+            points.append((keys, replace(cfg, lam=lam, theta=theta, gamma=gamma)))
+    return _run_points(g, points)
 
 
 def best_fusion_row(rows: list[dict]) -> dict:
@@ -181,22 +165,11 @@ def sweep_loss_weights(
     dataset: str = "dataset",
 ) -> list[dict]:
     """Full cross-product over the two loss weights."""
-    _require_labels(g)
     if not alphas or not betas:
         raise ConfigError("loss-weight sweep needs nonempty value lists")
-    pre = pretrain(g, cfg)
-    terms = GraphTerms(g)
-    rows = []
-    for alpha in alphas:
-        for beta in betas:
-            point = replace(cfg, alpha=alpha, beta=beta)
-            metrics = _run(g, point, pre, terms)
-            rows.append(
-                {
-                    "dataset": dataset,
-                    "alpha": repr(float(alpha)),
-                    "beta": repr(float(beta)),
-                    **metrics,
-                }
-            )
-    return rows
+    return _run_points(g, [
+        ({"dataset": dataset, "alpha": repr(float(alpha)), "beta": repr(float(beta))},
+         replace(cfg, alpha=alpha, beta=beta))
+        for alpha in alphas
+        for beta in betas
+    ])

@@ -187,16 +187,14 @@ class GraphormerParams:
         rng: np.random.Generator,
         dims: list[int],
         cent_dim: int,
-        heads: int = 1,
-        cent_scale: np.ndarray | None = None,
+        heads: int,
+        cent_scale: np.ndarray,
     ) -> "GraphormerParams":
         """cent_scale holds the typical magnitude of each centrality column;
         the centrality projections start inversely scaled so unnormalized
         measures (betweenness can reach hundreds) do not blow up the layer
         outputs before training can adapt."""
-        inv = 1.0
-        if cent_scale is not None:
-            inv = (1.0 / np.maximum(np.asarray(cent_scale, dtype=np.float64), 1.0))[:, None]
+        inv = (1.0 / np.maximum(np.asarray(cent_scale, dtype=np.float64), 1.0))[:, None]
 
         def layer(d_in: int, d_out: int) -> GraphormerLayerParams:
             wide = heads * d_out

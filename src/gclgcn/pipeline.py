@@ -52,14 +52,13 @@ __all__ = [
     "pretrain_ae",
     "pretrain_contrastive",
     "pretrain",
+    "uses_contrastive",
     "fused_input",
     "fuse_final",
     "soft_assign",
     "target_distribution",
     "kl_div",
-    "centroid_gradient",
     "assign_labels",
-    "loss_total",
     "train",
 ]
 
@@ -92,11 +91,14 @@ def _stream(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(_stream_seed(seed, index))
 
 
-def _modules(cfg: ExperimentConfig) -> tuple[tuple[str, ...], bool]:
-    """The enabled graph channels (GCN before attention) and whether the
-    contrastive features are used, as selected by cfg.ablation."""
-    removed = _REMOVED.get(cfg.ablation)
-    return tuple(name for name in _CHANNELS if name != removed), removed != "contrastive"
+def _channels(cfg: ExperimentConfig) -> tuple[str, ...]:
+    """The graph channels cfg.ablation leaves on, GCN before attention."""
+    return tuple(name for name in _CHANNELS if name != _REMOVED.get(cfg.ablation))
+
+
+def uses_contrastive(cfg: ExperimentConfig) -> bool:
+    """Whether cfg.ablation leaves the contrastive features on."""
+    return _REMOVED.get(cfg.ablation) != "contrastive"
 
 
 @dataclass
@@ -186,6 +188,46 @@ class TrainResult:
 
 
 # ---------------------------------------------------------------------------
+# Graph-derived constants
+# ---------------------------------------------------------------------------
+
+class GraphTerms:
+    """What training derives from the graph alone: the normalized adjacency,
+    and the centrality and spatial bias for each (measures, mode) asked for,
+    each computed on first use. Pretraining and every train() call of a run
+    or study share one, so each is computed once per graph."""
+
+    def __init__(self, g: Graph):
+        self.g = g
+        self._cache: dict = {}
+
+    def _get(self, key, compute):
+        if key not in self._cache:
+            self._cache[key] = compute()
+        return self._cache[key]
+
+    def adjacency(self) -> sp.csr_array:
+        return self._get("adjacency", lambda: normalize_adjacency(self.g))
+
+    def centrality(self, measures) -> np.ndarray:
+        return self._get(
+            ("centrality", tuple(measures)), lambda: composite_centrality(self.g, measures)
+        )
+
+    def spatial(self, mode: str) -> np.ndarray:
+        return self._get(("spatial", mode), lambda: spatial_bias(self.g, mode))
+
+
+def _graph_terms(g: Graph, terms: GraphTerms | None) -> GraphTerms:
+    """terms, checked to be derived from g, or new ones for g."""
+    if terms is None:
+        return GraphTerms(g)
+    if terms.g is not g:
+        raise ValueError("graph terms were derived from a different graph")
+    return terms
+
+
+# ---------------------------------------------------------------------------
 # Pretraining
 # ---------------------------------------------------------------------------
 
@@ -212,9 +254,10 @@ def _mask_features(rng: np.random.Generator, x: np.ndarray, p: float) -> np.ndar
     return x * (rng.random(x.shape) >= p)
 
 
-def pretrain_contrastive(g: Graph, cfg: ExperimentConfig) -> np.ndarray:
+def pretrain_contrastive(g: Graph, cfg: ExperimentConfig, terms: GraphTerms) -> np.ndarray:
     """Train the two-layer contrastive encoder on original-vs-masked views,
-    then return the frozen encoder output on the original features."""
+    propagating over the normalized adjacency of terms, then return the
+    frozen encoder output on the original features."""
     cc = cfg.contrastive
     params = ContrastiveParams.init(
         _stream(cfg.seed, _STREAM_CONTRASTIVE_INIT), g.f, cc.hidden
@@ -222,7 +265,7 @@ def pretrain_contrastive(g: Graph, cfg: ExperimentConfig) -> np.ndarray:
     mask_rng = _stream(cfg.seed, _STREAM_CONTRASTIVE_MASK)
     tensors = [t for _, t in params.named()]
     opt = AdamState.for_params(tensors, cfg.lr)
-    adj = normalize_adjacency(g).matrix
+    adj = terms.adjacency()
     x = ad.constant(g.features)
     for epoch in range(cc.epochs):
         zero_grad(tensors)
@@ -238,14 +281,22 @@ def pretrain_contrastive(g: Graph, cfg: ExperimentConfig) -> np.ndarray:
     return contrastive_encoder(adj, x, params).value.copy()
 
 
-def pretrain(g: Graph, cfg: ExperimentConfig, x_c: np.ndarray | None = None) -> Pretrained:
-    """Autoencoder pretraining, then the contrastive features (zeros when the
-    ablation removes contrastive learning). A given x_c stands in for the
-    contrastive features, which do not depend on the encoder depth."""
+def pretrain(
+    g: Graph,
+    cfg: ExperimentConfig,
+    terms: GraphTerms | None = None,
+    x_c: np.ndarray | None = None,
+) -> Pretrained:
+    """Autoencoder pretraining, then the contrastive features over the
+    adjacency of terms (zeros when the ablation removes contrastive
+    learning). A given x_c stands in for the contrastive features, which do
+    not depend on the encoder depth."""
     ae = pretrain_ae(g, cfg)
     if x_c is None:
-        _, contrastive = _modules(cfg)
-        x_c = pretrain_contrastive(g, cfg) if contrastive else np.zeros_like(g.features)
+        if uses_contrastive(cfg):
+            x_c = pretrain_contrastive(g, cfg, _graph_terms(g, terms))
+        else:
+            x_c = np.zeros_like(g.features)
     return Pretrained(
         ae_named=[(name, t.value.copy()) for name, t in ae.named()], x_c=x_c
     )
@@ -303,17 +354,6 @@ def kl_div(num, den) -> Tensor:
     return ad.reduce_sum(ad.hadamard(num, ad.add(ln, ad.scale(ld, -1.0))))
 
 
-def centroid_gradient(
-    z: np.ndarray, centroids: np.ndarray, p: np.ndarray, q: np.ndarray, t: float = 1.0
-) -> np.ndarray:
-    """Closed-form gradient of the clustering KL term with respect to each
-    centroid; used as an analytic cross-check of the tape."""
-    diff = z[:, None, :] - centroids[None, :, :]  # (n, k, d)
-    w = 1.0 / (1.0 + (diff**2).sum(axis=2) / t)  # (n, k)
-    coef = -(t + 1.0) / t * w * (p - q)
-    return np.einsum("nk,nkd->kd", coef, diff)
-
-
 def assign_labels(q: np.ndarray) -> np.ndarray:
     """Hard labels by row argmax; ties go to the smallest cluster id."""
     return np.asarray(q).argmax(axis=1)
@@ -322,33 +362,6 @@ def assign_labels(q: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Joint training
 # ---------------------------------------------------------------------------
-
-class GraphTerms:
-    """What joint training derives from the graph alone: the normalized
-    adjacency, and the centrality and spatial bias for each (measures, mode)
-    asked for, each computed on first use. The train() calls of a study share
-    one, so rows that differ only in what they train compute these once."""
-
-    def __init__(self, g: Graph):
-        self.g = g
-        self._cache: dict = {}
-
-    def _get(self, key, compute):
-        if key not in self._cache:
-            self._cache[key] = compute()
-        return self._cache[key]
-
-    def adjacency(self) -> sp.csr_array:
-        return self._get("adjacency", lambda: normalize_adjacency(self.g).matrix)
-
-    def centrality(self, measures) -> np.ndarray:
-        return self._get(
-            ("centrality", tuple(measures)), lambda: composite_centrality(self.g, measures).values
-        )
-
-    def spatial(self, mode: str) -> np.ndarray:
-        return self._get(("spatial", mode), lambda: spatial_bias(self.g, mode).values)
-
 
 @dataclass
 class _Constants:
@@ -369,7 +382,7 @@ def _fusion_weights(cfg: ExperimentConfig) -> dict[str, float]:
     """Fusion weight of each enabled bottleneck in summation order (GCN,
     autoencoder, attention). With a channel removed, the remaining weights
     are renormalised to sum to 1; otherwise they are used as configured."""
-    channels, _ = _modules(cfg)
+    channels = _channels(cfg)
     weights = {"gcn": cfg.lam, "ae": cfg.theta, "graphormer": cfg.gamma}
     kept = {name: w for name, w in weights.items() if name == "ae" or name in channels}
     if len(kept) == len(weights):
@@ -381,19 +394,15 @@ def _fusion_weights(cfg: ExperimentConfig) -> dict[str, float]:
 
 
 def _build_constants(
-    g: Graph, cfg: ExperimentConfig, x_c: np.ndarray, terms: GraphTerms | None = None
+    g: Graph, cfg: ExperimentConfig, x_c: np.ndarray, terms: GraphTerms
 ) -> _Constants:
-    if terms is None:
-        terms = GraphTerms(g)
-    elif terms.g is not g:
-        raise ValueError("graph terms were derived from a different graph")
     adj = terms.adjacency()
     a = adjacency_matrix(g)
     target_feat = adj @ g.features
     target_w = (a @ g.features) if cfg.raw_ax_target else target_feat
     centrality = None
     logit_bias = None
-    if "graphormer" in _modules(cfg)[0]:
+    if "graphormer" in _channels(cfg):
         sign = 1.0 if cfg.spatial_sign == "+" else -1.0
         centrality = ad.constant(terms.centrality(cfg.centrality))
         logit_bias = sign * terms.spatial(cfg.spatial_mode)
@@ -443,7 +452,7 @@ def _init_state(
     dims = ladder_dims(g.f, cfg.n_z, cfg.layers)
     state = ModelState(
         ae=_pretrained_ae(pre, dims),
-        channels=[_init_channel(name, cfg, dims, cons) for name in _modules(cfg)[0]],
+        channels=[_init_channel(name, cfg, dims, cons) for name in _channels(cfg)],
         centroids=ad.parameter(np.zeros((cfg.k, cfg.n_z)), name="centroids"),
         x_c=pre.x_c,
     )
@@ -553,22 +562,6 @@ def _epoch_losses(
     return total, components, AssignmentPair(q=q.value, q_prime=q_prime.value, p=p)
 
 
-def loss_total(
-    state: ModelState,
-    g: Graph,
-    cfg: ExperimentConfig,
-    p_fixed: np.ndarray | None = None,
-):
-    """Composite objective and its component values for the current state.
-
-    p_fixed pins the detached target distribution; by default it is
-    recomputed from the current soft assignment, as during training.
-    """
-    cons = _build_constants(g, cfg, state.x_c)
-    total, components, _ = _epoch_losses(state, cons, cfg, p_fixed=p_fixed)
-    return total, components
-
-
 def train(
     g: Graph,
     cfg: ExperimentConfig,
@@ -586,18 +579,19 @@ def train(
     before the update step. On a non-finite loss the last finite-state
     checkpoint is written to abort_path (when given) and NumericError is
     raised. terms, when given, supplies the graph-derived constants (see
-    GraphTerms).
+    GraphTerms); otherwise pretraining and training share new ones.
     """
     if g.n < cfg.k:
         raise ConfigError(f"k={cfg.k} exceeds node count {g.n}")
+    terms = _graph_terms(g, terms)
     if pretrained is None:
-        pretrained = pretrain(g, cfg)
+        pretrained = pretrain(g, cfg, terms)
     elif pretrained.x_c.shape != g.features.shape:
         raise ConfigError(
             f"pretrained x_c has shape {pretrained.x_c.shape}, "
             f"but the graph's features have shape {g.features.shape}"
         )
-    if not _modules(cfg)[1]:
+    if not uses_contrastive(cfg):
         pretrained = replace(pretrained, x_c=np.zeros_like(g.features))
     cons = _build_constants(g, cfg, pretrained.x_c, terms)
     state = _init_state(g, cfg, pretrained, cons)

@@ -6,13 +6,23 @@ level-synchronous Brandes accumulation), the matching accuracy enumerates
 every bijection, the graph operators are dense n x n matrices (the
 implementation keeps the adjacency and the attention weights in CSR), and
 the Adam update runs on whole arrays (the implementation updates in blocks).
+The finite-difference checker, the closed-form centroid gradient and the
+composite loss of a model state judge the tape's gradients.
 """
 
 from __future__ import annotations
 
 import itertools
+from typing import Callable, Sequence
 
 import numpy as np
+
+from gclgcn import autodiff as ad
+from gclgcn import pipeline as P
+from gclgcn.autodiff import Tensor
+from gclgcn.config import ExperimentConfig
+from gclgcn.graph import Graph
+from gclgcn.pipeline import ModelState
 
 
 def floyd_warshall_counts(n: int, edges) -> tuple[np.ndarray, np.ndarray]:
@@ -184,3 +194,60 @@ def adam_step_whole(params, grads, state) -> None:
         np.divide(m, w, out=w)
         w *= state.lr / c1
         p.value -= w
+
+
+def finite_difference_check(
+    f: Callable[[Sequence[Tensor]], Tensor],
+    params: Sequence[Tensor],
+    h: float = 1e-5,
+) -> float:
+    """Max over all coordinates of |numeric - analytic| / max(1, |analytic|).
+
+    f must be deterministic; it is re-evaluated with each coordinate nudged
+    by +/- h (central differences).
+    """
+    ad.zero_grad(params)
+    ad.backward(f(params))
+    analytic = [p.grad.copy() for p in params]
+
+    worst = 0.0
+    for p, ana in zip(params, analytic):
+        flat = p.value.ravel()
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            up = f(params).value[0, 0]
+            flat[i] = orig - h
+            down = f(params).value[0, 0]
+            flat[i] = orig
+            numeric = (up - down) / (2.0 * h)
+            a = ana.ravel()[i]
+            worst = max(worst, abs(numeric - a) / max(1.0, abs(a)))
+    return worst
+
+
+def centroid_gradient(
+    z: np.ndarray, centroids: np.ndarray, p: np.ndarray, q: np.ndarray, t: float = 1.0
+) -> np.ndarray:
+    """Closed-form gradient of the clustering KL term with respect to each
+    centroid; used as an analytic cross-check of the tape."""
+    diff = z[:, None, :] - centroids[None, :, :]  # (n, k, d)
+    w = 1.0 / (1.0 + (diff**2).sum(axis=2) / t)  # (n, k)
+    coef = -(t + 1.0) / t * w * (p - q)
+    return np.einsum("nk,nkd->kd", coef, diff)
+
+
+def loss_total(
+    state: ModelState,
+    g: Graph,
+    cfg: ExperimentConfig,
+    p_fixed: np.ndarray | None = None,
+):
+    """Composite objective and its component values for the current state.
+
+    p_fixed pins the detached target distribution; by default it is
+    recomputed from the current soft assignment, as during training.
+    """
+    cons = P._build_constants(g, cfg, state.x_c, P.GraphTerms(g))
+    total, components, _ = P._epoch_losses(state, cons, cfg, p_fixed=p_fixed)
+    return total, components

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from gclgcn.centrality import (
-    MEASURES,
     betweenness_centrality,
     closeness_centrality,
     composite_centrality,
@@ -21,7 +20,7 @@ from oracles import (
 
 
 def bias_pairs(g, mode="euclidean"):
-    return support_values(*support_pairs(g), spatial_bias(g, mode).values)
+    return support_values(*support_pairs(g), spatial_bias(g, mode))
 
 
 def path3():
@@ -123,13 +122,13 @@ class TestComposite:
             [0.5, 0.0, 1 / 3],
         ])
         cm = composite_centrality(path3())
-        assert cm.measures == MEASURES
-        assert np.allclose(cm.values, want, atol=1e-12)
+        assert np.allclose(cm, want, atol=1e-12)
+        assert not cm.flags.writeable
 
     def test_single_measure(self):
         cm = composite_centrality(path3(), measures=("degree",))
-        assert cm.values.shape == (3, 1)
-        assert np.allclose(cm.values[:, 0], degree_centrality(path3()), atol=0)
+        assert cm.shape == (3, 1)
+        assert np.allclose(cm[:, 0], degree_centrality(path3()), atol=0)
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
@@ -141,7 +140,8 @@ class TestComposite:
 
     def test_order_fixed_regardless_of_request_order(self):
         cm = composite_centrality(path3(), measures=("closeness", "degree"))
-        assert cm.measures == ("degree", "closeness")
+        want = np.column_stack([degree_centrality(path3()), closeness_centrality(path3())])
+        assert np.array_equal(cm, want)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(23)
@@ -151,8 +151,8 @@ class TestComposite:
         perm = rng.permutation(n)
         pedges = [(int(perm[u]), int(perm[v])) for u, v in edges]
         pg = Graph(features=np.zeros((n, 1)), edges=pedges)
-        original = composite_centrality(g).values
-        permuted = composite_centrality(pg).values
+        original = composite_centrality(g)
+        permuted = composite_centrality(pg)
         assert np.allclose(permuted[perm], original, atol=1e-9)
 
 

@@ -4,7 +4,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from types import SimpleNamespace
+
 from gclgcn.checkpoint import MAGIC, atomic_open, load_checkpoint, save_checkpoint
+from gclgcn.graph import save_graph
 from gclgcn.harness import write_result_table
 
 
@@ -127,10 +130,20 @@ def _interrupted_text(path):
         raise RuntimeError("interrupted")
 
 
+def _interrupted_graph(path):
+    def rows():
+        yield np.zeros(2)
+        raise RuntimeError("interrupted")
+
+    g = SimpleNamespace(features=rows(), edges=(), labels=None)
+    save_graph(g, path, path.with_name("edges.txt"))
+
+
 @pytest.mark.parametrize("write, error", [
     (_interrupted_checkpoint, RuntimeError),
     (_interrupted_table, KeyError),  # the second row lacks its metrics
     (_interrupted_text, RuntimeError),
+    (_interrupted_graph, RuntimeError),  # after the first feature row
 ])
 def test_failed_write_keeps_previous_file(tmp_path, write, error):
     path = tmp_path / "out"

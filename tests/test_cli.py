@@ -63,7 +63,7 @@ class TestCentralityCommand:
             for line in out_file.read_text().strip().splitlines()
         ]
         g = load_graph(dataset / "features.csv", dataset / "edges.txt")
-        want = composite_centrality(g).values
+        want = composite_centrality(g)
         assert np.allclose(np.array(rows), want, atol=0)
 
     def test_stdout_when_no_out(self, dataset, capsys):
@@ -208,6 +208,18 @@ class TestEval:
         assert out[0] == "acc,nmi,ari,f1,composite"
         assert [float(x) for x in out[1].split(",")] == [1.0, 1.0, 1.0, 1.0, 1.0]
 
+    def test_out_file_holds_the_stdout_text(self, tmp_path, capsys):
+        pred = tmp_path / "pred.txt"
+        truth = tmp_path / "truth.txt"
+        pred.write_text("0\n1\n1\n0\n")
+        truth.write_text("1\n0\n0\n0\n")
+        args = ["eval", "--pred", str(pred), "--truth", str(truth)]
+        assert run(args) == 0
+        printed = capsys.readouterr().out
+        assert run(args + ["--out", str(tmp_path / "m.csv")]) == 0
+        assert (tmp_path / "m.csv").read_text() == printed
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.csv", "pred.txt", "truth.txt"]
+
 
 class TestExitCodes:
     def test_unknown_subcommand(self, capsys):
@@ -245,3 +257,116 @@ class TestExitCodes:
         assert code == 2
         # last finite state was checkpointed for post-mortem
         assert (tmp_path / "boom" / "model.gclc").exists()
+
+
+def _write_dataset(d, features, edges, labels, k):
+    """features.csv / edges.txt / labels.txt and a short training config."""
+    d.mkdir(parents=True, exist_ok=True)
+    (d / "f.csv").write_text("".join(",".join(repr(float(x)) for x in row) + "\n"
+                                     for row in features))
+    (d / "e.txt").write_text("".join(f"{u} {v}\n" for u, v in edges))
+    (d / "y.txt").write_text("".join(f"{y}\n" for y in labels))
+    cfg = d / "run.cfg"
+    cfg.write_text(
+        f"features={d / 'f.csv'}\nedges={d / 'e.txt'}\nlabels={d / 'y.txt'}\n"
+        f"epochs=2\nk={k}\nn_z=2\nlayers=2\nlr=1e-3\nseed=1\n"
+        "contrastive.hidden=4\ncontrastive.epochs=2\n"
+    )
+    return cfg
+
+
+def _two_blobs():
+    rng = np.random.default_rng(0)
+    features = np.vstack([rng.normal(0, 1, (4, 3)) + [3, 0, 0],
+                          rng.normal(0, 1, (4, 3)) + [0, 3, 0]])
+    return features, [0] * 4 + [1] * 4
+
+
+# Two 4-cycles joined by the edge (3, 4).
+_RINGS = [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (6, 7), (4, 7), (3, 4)]
+
+
+def _duplicate_rows(features):
+    out = features.copy()
+    out[1] = out[0]
+    out[5] = out[6] = out[4]
+    return out
+
+
+# name -> (edges, k, feature transform)
+EDGE_CASES = {
+    "no_edges": ([], 2, None),
+    "isolated_nodes": ([(0, 1), (1, 2), (4, 5), (5, 6)], 2, None),
+    "k_1": (_RINGS, 1, None),
+    "k_n": (_RINGS, 8, None),
+    "duplicate_feature_rows": (_RINGS, 2, _duplicate_rows),
+}
+
+
+class TestEdgeCases:
+    """Degenerate but valid inputs train to completion: exit 0, one label in
+    [0, k) per node and a finite loss history."""
+
+    @pytest.mark.parametrize("name", sorted(EDGE_CASES))
+    def test_train_exits_zero(self, name, tmp_path, capsys):
+        edges, k, transform = EDGE_CASES[name]
+        features, labels = _two_blobs()
+        if transform is not None:
+            features = transform(features)
+        cfg = _write_dataset(tmp_path / "data", features, edges, labels, k)
+        out = tmp_path / "out"
+        assert run(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        pred = [int(y) for y in (out / "labels.txt").read_text().split()]
+        assert len(pred) == 8 and all(0 <= y < k for y in pred)
+        with (out / "history.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2 and all(np.isfinite(float(r["L"])) for r in rows)
+
+    def test_k_above_n_exits_one(self, tmp_path, capsys):
+        features, labels = _two_blobs()
+        cfg = _write_dataset(tmp_path / "data", features, _RINGS, labels, 9)
+        assert run(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert "k=9 exceeds node count 8" in capsys.readouterr().err
+
+
+class TestBadInput:
+    """Bad input exits 1 with a message naming the file or flag and the field."""
+
+    @pytest.mark.parametrize("line, field", [("epochs=abc", "epochs"), ("epsilon=2", "epsilon")])
+    def test_config_error_names_file_and_field(self, line, field, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        assert run(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {cfg}: {field}" in err
+
+    @pytest.mark.parametrize("flag", ["--lambdas", "--thetas", "--alphas", "--betas"])
+    def test_bad_sweep_value_names_flag(self, flag, run_cfg, tmp_path, capsys):
+        out = tmp_path / "sw"
+        grid = "fusion" if flag in ("--lambdas", "--thetas") else "loss"
+        code = run(["sweep", "--config", str(run_cfg), "--out", str(out),
+                    "--grid", grid, flag, "0.2,x"])
+        assert code == 1
+        assert f"argument {flag}: expected a comma list of float values, got '0.2,x'" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
+    def test_bad_block_size_names_flag(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        code = run(["gen-sbm", "--blocks", "4,four", "--p-in", "0.5", "--p-out", "0.1",
+                    "--out", str(out)])
+        assert code == 1
+        assert "argument --blocks: expected a comma list of int values" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
+    def test_eval_unequal_label_counts_names_both_files(self, tmp_path, capsys):
+        pred = tmp_path / "pred.txt"
+        truth = tmp_path / "truth.txt"
+        pred.write_text("0\n1\n1\n")
+        truth.write_text("1\n0\n0\n1\n")
+        assert run(["eval", "--pred", str(pred), "--truth", str(truth)]) == 1
+        err = capsys.readouterr().err
+        assert f"{pred} has 3 labels but {truth} has 4" in err

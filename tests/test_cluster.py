@@ -113,14 +113,13 @@ class TestNmi:
     def test_both_constant_is_one(self):
         assert nmi([0, 0], [1, 1]) == 1.0
 
-    def test_arithmetic_normalizer_option(self):
+    def test_geometric_mean_normalizer(self):
+        # I = 2/3 ln 2 (pred splits each truth class 2:1); H(pred) = ln 3,
+        # H(truth) = ln 2.
         pred = [0, 0, 1, 1, 2, 2]
         truth = [0, 0, 0, 1, 1, 1]
-        g = nmi(pred, truth, average="geometric")
-        a = nmi(pred, truth, average="arithmetic")
-        assert a <= g  # arithmetic mean >= geometric mean of entropies
-        with pytest.raises(ValueError, match="average"):
-            nmi(pred, truth, average="max")
+        want = (2 / 3) * np.log(2) / np.sqrt(np.log(3) * np.log(2))
+        assert nmi(pred, truth) == pytest.approx(want, rel=1e-12)
 
 
 class TestAri:

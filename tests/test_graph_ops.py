@@ -20,6 +20,7 @@ from oracles import (
     dense_graphormer_layer,
     dense_logit_bias,
     dense_normalized_adjacency,
+    finite_difference_check,
     masked_attention,
     random_er_graph,
 )
@@ -45,7 +46,7 @@ def test_gcn_layer_matches_dense_oracle(g, d_out):
     # d_out 2 < d_in 4 runs A(ZW), d_out 7 runs (AZ)W
     rng = np.random.default_rng(d_out)
     w = rng.standard_normal((g.f, d_out))
-    out = gcn_layer(normalize_adjacency(g).matrix, ad.constant(g.features), ad.constant(w))
+    out = gcn_layer(normalize_adjacency(g), ad.constant(g.features), ad.constant(w))
     want = dense_gcn_layer(dense_normalized_adjacency(g.n, g.edges), g.features, w)
     assert np.max(np.abs(out.value - want)) <= 1e-10
 
@@ -54,16 +55,16 @@ def test_gcn_layer_matches_dense_oracle(g, d_out):
 @pytest.mark.parametrize("heads", [1, 2])
 def test_graphormer_layer_matches_dense_oracle(g, heads):
     cent = composite_centrality(g)
-    scale = np.sqrt((cent.values**2).mean(axis=0))
+    scale = np.sqrt((cent**2).mean(axis=0))
     params = GraphormerParams.init(np.random.default_rng(heads), [g.f, 3], 3, heads,
                                    cent_scale=scale)
     for sign in (1.0, -1.0):
         out = graphormer_layer(
-            ad.constant(g.features), ad.constant(cent.values), normalize_adjacency(g).matrix,
-            sign * spatial_bias(g).values, params.enc[0], heads,
+            ad.constant(g.features), ad.constant(cent), normalize_adjacency(g),
+            sign * spatial_bias(g), params.enc[0], heads,
         )
         want = dense_graphormer_layer(
-            g.features, cent.values, dense_logit_bias(g.features, g.edges, sign),
+            g.features, cent, dense_logit_bias(g.features, g.edges, sign),
             params.enc[0], heads,
         )
         assert np.max(np.abs(out.value - want)) <= 1e-10
@@ -72,7 +73,7 @@ def test_graphormer_layer_matches_dense_oracle(g, heads):
 def test_edge_attention_matches_masked_softmax():
     rng = np.random.default_rng(3)
     g = GRAPHS[2]
-    adj = normalize_adjacency(g).matrix
+    adj = normalize_adjacency(g)
     q, k, v = (rng.standard_normal((g.n, w)) for w in (5, 5, 3))
     bias = 10.0 * rng.standard_normal(adj.nnz)  # large logits exercise the max shift
     dense_bias = np.full((g.n, g.n), -np.inf)
@@ -87,14 +88,14 @@ def test_spmm_gradient_and_value():
     b = ad.parameter(rng.standard_normal((4, 3)))
     target = ad.constant(rng.standard_normal((6, 3)))
     assert np.allclose(ad.spmm(a, b).value, a.toarray() @ b.value, atol=1e-14)
-    assert ad.finite_difference_check(lambda _: ad.mse(ad.spmm(a, b), target), [b]) <= 1e-4
+    assert finite_difference_check(lambda _: ad.mse(ad.spmm(a, b), target), [b]) <= 1e-4
 
 
 @pytest.mark.parametrize("g", [GRAPHS[0], GRAPHS[4], GRAPHS[5]],
                          ids=lambda g: f"n{g.n}e{len(g.edges)}")
 def test_edge_attention_gradients(g):
     rng = np.random.default_rng(g.n)
-    adj = normalize_adjacency(g).matrix
+    adj = normalize_adjacency(g)
     q, k, v = (ad.parameter(rng.standard_normal((g.n, w))) for w in (3, 3, 2))
     bias = rng.standard_normal(adj.nnz)
     target = ad.constant(rng.standard_normal((g.n, 2)))
@@ -102,7 +103,7 @@ def test_edge_attention_gradients(g):
     def loss(_):
         return ad.mse(ad.edge_attention(q, k, v, adj, bias, 0.6), target)
 
-    assert ad.finite_difference_check(loss, [q, k, v]) <= 1e-4
+    assert finite_difference_check(loss, [q, k, v]) <= 1e-4
 
 
 def test_edge_attention_rejects_bad_pattern():
@@ -110,7 +111,7 @@ def test_edge_attention_rejects_bad_pattern():
     no_loops = sp.csr_array(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
     with pytest.raises(ValueError, match="every pattern row"):
         ad.edge_attention(x, x, x, no_loops, np.zeros(2), 1.0)
-    adj = normalize_adjacency(Graph(features=x, edges=[(0, 1)])).matrix
+    adj = normalize_adjacency(Graph(features=x, edges=[(0, 1)]))
     with pytest.raises(ValueError, match="bias has 3 entries for 5"):
         ad.edge_attention(x, x, x, adj, np.zeros(3), 1.0)
 
@@ -157,13 +158,13 @@ def test_node_permutation_permutes_channels_and_centrality(case, heads):
     g = Graph(features=feats, edges=edges)
     pg = Graph(features=feats[inverse], edges=[(int(perm[u]), int(perm[v])) for u, v in edges])
 
-    cent = composite_centrality(g).values
-    assert np.allclose(composite_centrality(pg).values[perm], cent, rtol=1e-12, atol=1e-12)
+    cent = composite_centrality(g)
+    assert np.allclose(composite_centrality(pg)[perm], cent, rtol=1e-12, atol=1e-12)
 
     cfg = ExperimentConfig(k=2, n_z=3, seed=0)
     state = _fixed_state(4, heads)
-    _, _, outs = P._forward_channels(state, P._build_constants(g, cfg, x_c), cfg)
-    _, _, pouts = P._forward_channels(state, P._build_constants(pg, cfg, x_c[inverse]), cfg)
+    _, _, outs = P._forward_channels(state, P._build_constants(g, cfg, x_c, P.GraphTerms(g)), cfg)
+    _, _, pouts = P._forward_channels(state, P._build_constants(pg, cfg, x_c[inverse], P.GraphTerms(pg)), cfg)
     # (bottleneck, reconstruction) of every graph channel
     assert list(outs) == list(pouts) == ["gcn", "graphormer"]
     for name in outs:

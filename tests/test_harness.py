@@ -101,7 +101,13 @@ def test_layer_study_rows_and_depth_trend():
     assert by["GCL-GCN-3"]["f1"] >= by["GCL-GCN-1"]["f1"]
 
 
-# Each study's grid points, as independent configs.
+def _fusion_points(c, lambdas=(0.2, 0.5), thetas=(0.3,)):
+    return [replace(c, lam=lam, theta=theta, gamma=max(1.0 - lam - theta, 0.0))
+            for lam in lambdas for theta in thetas]
+
+
+# Each study, called as study(graph, config), and its grid points as
+# independent configs.
 STUDY_POINTS = {
     "ablation": (ablation_study, lambda c: [replace(c, ablation=v) for v in ABLATIONS]),
     "encoding": (encoding_study, lambda c: [
@@ -109,10 +115,16 @@ STUDY_POINTS = {
         for _, measures, mode in ENCODING_VARIANTS
     ]),
     "layers": (layer_study, lambda c: [replace(c, layers=d) for d in (4, 3, 2, 1)]),
+    "fusion": (lambda g, c: sweep_fusion(g, c, (0.2, 0.5), (0.3,)), _fusion_points),
+    "loss": (lambda g, c: sweep_loss_weights(g, c, (0.05, 0.2), (0.1,)), lambda c: [
+        replace(c, alpha=alpha, beta=0.1) for alpha in (0.05, 0.2)
+    ]),
 }
 
 # Expected (contrastive, autoencoder) pretraining runs per study.
-PRETRAIN_CALLS = {"ablation": (1, 1), "encoding": (1, 1), "layers": (1, 4)}
+PRETRAIN_CALLS = {
+    "ablation": (1, 1), "encoding": (1, 1), "layers": (1, 4), "fusion": (1, 1), "loss": (1, 1),
+}
 
 
 @pytest.mark.parametrize("name", sorted(STUDY_POINTS))
@@ -157,22 +169,32 @@ def test_study_pretrains_once(name, monkeypatch):
 
     for key in calls:
         attr = key.split(".")[1]
-        monkeypatch.setattr(pipeline, attr, counting(key, getattr(pipeline, attr)))
+        wrapper = counting(key, getattr(pipeline, attr))
+        # The harness calls some of them through its own binding.
+        for module in (pipeline, harness):
+            if hasattr(module, attr):
+                monkeypatch.setattr(module, attr, wrapper)
     rows = study(g, cfg(k=2, epochs=1))
     assert len(rows) == len(points(cfg()))
     contrastive, ae = PRETRAIN_CALLS[name]
     assert calls == {"pipeline.pretrain_contrastive": contrastive, "pipeline.pretrain_ae": ae}
 
 
-# Expected (centrality, normalized adjacency) computations per study: one per
-# distinct centrality measure set, and one adjacency for pretraining plus one
-# shared by every row.
-GRAPH_TERM_CALLS = {"ablation": (1, 2), "encoding": (4, 2), "layers": (1, 2)}
+# Expected (centrality, normalized adjacency) computations per study, and for
+# a plain train() that pretrains: one per distinct centrality measure set, and
+# one adjacency shared by pretraining and every row.
+GRAPH_TERM_CALLS = {
+    "ablation": (1, 1), "encoding": (4, 1), "layers": (1, 1), "fusion": (1, 1), "loss": (1, 1),
+    "train": (1, 1),
+}
+GRAPH_TERM_RUNS = {
+    **{name: study for name, (study, _) in STUDY_POINTS.items()},
+    "train": lambda g, c: pipeline.train(g, c),
+}
 
 
-@pytest.mark.parametrize("name", sorted(STUDY_POINTS))
+@pytest.mark.parametrize("name", sorted(GRAPH_TERM_RUNS))
 def test_study_computes_graph_terms_once(name, monkeypatch):
-    study, _ = STUDY_POINTS[name]
     g = sbm(sizes=(8, 8), f=4)
     calls = {"composite_centrality": 0, "normalize_adjacency": 0}
 
@@ -185,5 +207,5 @@ def test_study_computes_graph_terms_once(name, monkeypatch):
 
     for attr in calls:
         monkeypatch.setattr(pipeline, attr, counting(attr, getattr(pipeline, attr)))
-    study(g, cfg(k=2, epochs=1))
+    GRAPH_TERM_RUNS[name](g, cfg(k=2, epochs=1))
     assert (calls["composite_centrality"], calls["normalize_adjacency"]) == GRAPH_TERM_CALLS[name]

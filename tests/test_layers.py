@@ -5,7 +5,7 @@ from gclgcn import autodiff as ad
 from gclgcn.centrality import composite_centrality, spatial_bias
 from gclgcn.config import ConfigError, ContrastiveConfig, ExperimentConfig
 from gclgcn.graph import Graph, normalize_adjacency
-from gclgcn.pipeline import _build_constants, _mask_features  # noqa: internal
+from gclgcn.pipeline import GraphTerms, _build_constants, _mask_features  # noqa: internal
 from gclgcn.layers import (
     AEParams,
     ContrastiveParams,
@@ -20,6 +20,8 @@ from gclgcn.layers import (
     inner_product_decode,
     ladder_dims,
 )
+
+from oracles import finite_difference_check
 
 
 def tiny_graph(seed=0, n=5, f=4, p=0.5):
@@ -70,7 +72,7 @@ class TestAutoencoder:
                 _, xhat = ae_forward(params, x)
                 return ae_loss(x, xhat)
 
-            assert ad.finite_difference_check(loss, tensors) <= 1e-4
+            assert finite_difference_check(loss, tensors) <= 1e-4
 
     def test_loss_values(self):
         x = ad.constant([[1.0, 1.0]])
@@ -85,14 +87,14 @@ class TestAutoencoder:
 class TestGcnLayer:
     def test_edgeless_identity(self):
         g = Graph(features=np.zeros((3, 2)), edges=[])
-        adj = normalize_adjacency(g).matrix
+        adj = normalize_adjacency(g)
         z = np.abs(np.random.default_rng(0).standard_normal((3, 2)))
         out = gcn_layer(adj, ad.constant(z), ad.constant(np.eye(2)))
         assert np.allclose(out.value, z, atol=0)
 
     def test_single_edge_preactivation(self):
         g = Graph(features=np.zeros((2, 1)), edges=[(0, 1)])
-        adj = normalize_adjacency(g).matrix
+        adj = normalize_adjacency(g)
         out = gcn_layer(adj, ad.constant(np.eye(2)), ad.constant(np.eye(2)), activate=False)
         assert np.allclose(out.value, 0.5 * np.ones((2, 2)), atol=0)
 
@@ -100,23 +102,23 @@ class TestGcnLayer:
         for seed in range(5):
             rng = np.random.default_rng(seed)
             g = tiny_graph(seed)
-            adj = normalize_adjacency(g).matrix
+            adj = normalize_adjacency(g)
             w = ad.parameter(rng.standard_normal((4, 3)))
             target = ad.constant(rng.standard_normal((5, 3)))
 
             def loss(_):
                 return ad.mse(gcn_layer(adj, ad.constant(g.features), w), target)
 
-            assert ad.finite_difference_check(loss, [w]) <= 1e-4
+            assert finite_difference_check(loss, [w]) <= 1e-4
 
 
 def build_attention(g, heads=1, measures=("degree", "betweenness", "closeness"), seed=0):
     cent = composite_centrality(g, measures)
     params = GraphormerParams.init(
         np.random.default_rng(seed), [g.f, 3], len(measures), heads,
-        cent_scale=np.sqrt((cent.values**2).mean(axis=0)),
+        cent_scale=np.sqrt((cent**2).mean(axis=0)),
     )
-    return ad.constant(cent.values), normalize_adjacency(g).matrix, spatial_bias(g).values, params
+    return ad.constant(cent), normalize_adjacency(g), spatial_bias(g), params
 
 
 class TestGraphormerLayer:
@@ -134,9 +136,9 @@ class TestGraphormerLayer:
         feats = np.tile(np.array([[1.0, 2.0]]), (2, 1))
         g = Graph(features=feats, edges=[(0, 1)])
         cent = ad.constant(np.ones((2, 1)))
-        adj = normalize_adjacency(g).matrix
+        adj = normalize_adjacency(g)
         bias = np.zeros(adj.nnz)
-        params = GraphormerParams.init(np.random.default_rng(3), [2, 3], 1, 1)
+        params = GraphormerParams.init(np.random.default_rng(3), [2, 3], 1, 1, np.ones(1))
         out = graphormer_layer(ad.constant(feats), cent, adj, bias, params.enc[0], 1)
         # both nodes identical: attention [0.5, 0.5], outputs equal v mean
         v = feats @ params.enc[0].w_value.value + np.ones((2, 1)) @ params.enc[0].wc_value.value
@@ -147,10 +149,10 @@ class TestGraphormerLayer:
 
     def test_attention_support_masked_rows_sum_to_one(self):
         g = tiny_graph(4)
-        adj = normalize_adjacency(g).matrix
+        adj = normalize_adjacency(g)
         qk = np.random.default_rng(0).standard_normal((g.n, 3))
         # values = identity reads the attention weights out as a dense matrix
-        s = ad.edge_attention(qk, qk, np.eye(g.n), adj, spatial_bias(g).values, 1.0).value
+        s = ad.edge_attention(qk, qk, np.eye(g.n), adj, spatial_bias(g), 1.0).value
         allowed = adj.toarray() > 0
         assert np.all(s[~allowed] == 0.0)
         assert np.all(np.abs(s.sum(axis=1) - 1.0) <= 1e-12)
@@ -158,8 +160,9 @@ class TestGraphormerLayer:
     def test_spatial_sign_flips_bias(self):
         g = tiny_graph(5)
         x_c = np.zeros_like(g.features)
-        plus = _build_constants(g, ExperimentConfig(spatial_sign="+"), x_c).logit_bias
-        minus = _build_constants(g, ExperimentConfig(spatial_sign="-"), x_c).logit_bias
+        terms = GraphTerms(g)
+        plus = _build_constants(g, ExperimentConfig(spatial_sign="+"), x_c, terms).logit_bias
+        minus = _build_constants(g, ExperimentConfig(spatial_sign="-"), x_c, terms).logit_bias
         assert plus.shape == (2 * len(g.edges) + g.n,)
         assert np.allclose(plus, -minus, atol=0)
 
@@ -180,8 +183,8 @@ class TestGraphormerLayer:
         pg = Graph(features=g.features[np.argsort(perm)], edges=pedges)
         pcent = composite_centrality(pg)
         pout = graphormer_layer(
-            ad.constant(pg.features), ad.constant(pcent.values), normalize_adjacency(pg).matrix,
-            spatial_bias(pg).values, params.enc[0], 1,
+            ad.constant(pg.features), ad.constant(pcent), normalize_adjacency(pg),
+            spatial_bias(pg), params.enc[0], 1,
         ).value
         # row for old node i sits at new position perm[i]
         assert np.allclose(out, pout[perm], atol=1e-9)
@@ -206,7 +209,7 @@ class TestGraphormerLayer:
                     graphormer_layer(ad.constant(g.features), cent, adj, bias, lp, 1), target
                 )
 
-            assert ad.finite_difference_check(loss, tensors) <= 1e-4
+            assert finite_difference_check(loss, tensors) <= 1e-4
 
 
 def masked_view(x, p, seed):
@@ -243,7 +246,7 @@ class TestAugment:
 class TestContrastive:
     def test_zero_weights_zero_output(self):
         g = tiny_graph(0)
-        adj = normalize_adjacency(g).matrix
+        adj = normalize_adjacency(g)
         params = ContrastiveParams.init(np.random.default_rng(0), g.f, 6)
         params.w0.value[...] = 0
         params.w1.value[...] = 0
@@ -252,7 +255,7 @@ class TestContrastive:
 
     def test_edgeless_identity_weights(self):
         g = Graph(features=np.abs(np.random.default_rng(1).standard_normal((4, 3))), edges=[])
-        adj = normalize_adjacency(g).matrix
+        adj = normalize_adjacency(g)
         params = ContrastiveParams.init(np.random.default_rng(0), 3, 3)
         params.w0.value[...] = np.eye(3)
         params.w1.value[...] = np.eye(3)
@@ -313,7 +316,7 @@ class TestContrastive:
         for seed in range(12):
             rng = np.random.default_rng(seed)
             g = tiny_graph(seed)
-            adj = normalize_adjacency(g).matrix
+            adj = normalize_adjacency(g)
             params = ContrastiveParams.init(rng, g.f, 5)
             view = ad.constant(masked_view(g.features, 0.3, seed=seed))
 
@@ -329,7 +332,7 @@ class TestContrastive:
             d2 = ((c1[:, None, :] - c2[None, :, :]) ** 2).sum(-1)
             if d2.min() < 1e-6:
                 continue
-            assert ad.finite_difference_check(loss, [params.w0, params.w1]) <= 1e-4
+            assert finite_difference_check(loss, [params.w0, params.w1]) <= 1e-4
             checked += 1
         assert checked >= 5
 
