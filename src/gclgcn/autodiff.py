@@ -2,9 +2,17 @@
 
 Every value is a 2-D float64 matrix (scalars are 1x1). Forward values are
 computed immediately; each op records a closure that maps the upstream
-gradient to per-parent gradients. The tape is rebuilt every iteration.
-Graph operators take a constant scipy CSR matrix: spmm multiplies by it, and
-edge_attention attends only over its sparsity pattern.
+gradient to per-parent gradients. The tape is rebuilt every iteration, and
+every node stays alive until backward ends, so an op keeps only the arrays
+its backward reads. Graph operators take a constant scipy CSR matrix: spmm
+multiplies by it, and edge_attention attends only over its sparsity pattern.
+
+The layer ops are one node each where a composed form would keep every
+intermediate: project (z @ w + c @ wc), blend (a * eps + b * (1 - eps)),
+dense (x @ w + b) and propagate (adj @ z @ w), the last two optionally
+followed by leaky_relu at LEAKY_SLOPE. Each computes its forward with the
+numpy calls of the composed form, in the same order, so its values match the
+composed form's bit for bit.
 
 Gradient buffers accumulate: calling backward twice without zero_grad
 doubles leaf gradients.
@@ -28,6 +36,10 @@ __all__ = [
     "adam_step",
     "matmul",
     "spmm",
+    "project",
+    "blend",
+    "dense",
+    "propagate",
     "edge_attention",
     "add",
     "scale",
@@ -46,6 +58,9 @@ __all__ = [
     "mse",
     "columns",
 ]
+
+# Negative-side slope of leaky_relu by default and of the activated layer ops.
+LEAKY_SLOPE = 0.01
 
 
 class Tensor:
@@ -179,6 +194,113 @@ def spmm(a: sp.csr_array, b: Tensor) -> Tensor:
         return (a.T @ g,)
 
     return Tensor(a @ b.value, _parents=(b,), _rule=rule)
+
+
+def project(z: Tensor, w: Tensor, c: Tensor, wc: Tensor) -> Tensor:
+    """z @ w + c @ wc as one node; the backward reads only the operands."""
+    z, w, c, wc = (_as_tensor(t) for t in (z, w, c, wc))
+    _check(z.shape[1] == w.shape[0] and c.shape[1] == wc.shape[0], "project",
+           f"inner dims differ: {z.shape} x {w.shape}, {c.shape} x {wc.shape}")
+    _check((z.shape[0], w.shape[1]) == (c.shape[0], wc.shape[1]), "project",
+           f"products differ in shape: {z.shape} x {w.shape} vs {c.shape} x {wc.shape}")
+    zv, wv, cv, wcv = z.value, w.value, c.value, wc.value
+    nz, nw, nc, nwc = z._needs, w._needs, c._needs, wc._needs
+    out = zv @ wv
+    out += cv @ wcv
+
+    def rule(g):
+        return (
+            g @ wv.T if nz else None,
+            zv.T @ g if nw else None,
+            g @ wcv.T if nc else None,
+            cv.T @ g if nwc else None,
+        )
+
+    return Tensor(out, _parents=(z, w, c, wc), _rule=rule)
+
+
+def blend(a: Tensor, b: Tensor, eps: float) -> Tensor:
+    """a * eps + b * (1 - eps) as one node; the backward reads only eps."""
+    a, b = _as_tensor(a), _as_tensor(b)
+    _check(a.shape == b.shape, "blend", f"shapes differ: {a.shape} vs {b.shape}")
+    sa = float(eps)
+    sb = 1.0 - sa
+    na, nb = a._needs, b._needs
+    out = a.value * sa
+    out += b.value * sb
+
+    def rule(g):
+        return (g * sa if na else None, g * sb if nb else None)
+
+    return Tensor(out, _parents=(a, b), _rule=rule)
+
+
+def _leaky_in_place(out: np.ndarray) -> np.ndarray:
+    """leaky_relu's forward at LEAKY_SLOPE written into out; returns the sign
+    mask of the input, which is all its backward reads."""
+    pos = out > 0
+    np.maximum(out, out * LEAKY_SLOPE, out=out)
+    return pos
+
+
+def dense(x: Tensor, w: Tensor, b: Tensor, activate: bool = False) -> Tensor:
+    """x @ w + b (b is one row, broadcast), then leaky_relu when activate,
+    as one node. It keeps its output and, when activated, a boolean sign
+    mask."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    _check(x.shape[1] == w.shape[0], "dense", f"inner dims differ: {x.shape} x {w.shape}")
+    _check(b.shape == (1, w.shape[1]), "dense", f"bias must be (1, {w.shape[1]}), got {b.shape}")
+    xv, wv = x.value, w.value
+    nx, nw, nb = x._needs, w._needs, b._needs
+    bshape = b.shape
+    out = xv @ wv
+    out += b.value
+    pos = _leaky_in_place(out) if activate else None
+
+    def rule(g):
+        if pos is not None:
+            g = g * np.where(pos, 1.0, LEAKY_SLOPE)
+        return (
+            g @ wv.T if nx else None,
+            xv.T @ g if nw else None,
+            _unbroadcast(g, bshape) if nb else None,
+        )
+
+    return Tensor(out, _parents=(x, w, b), _rule=rule)
+
+
+def propagate(adj: sp.csr_array, z: Tensor, w: Tensor, activate: bool = False) -> Tensor:
+    """adj @ z @ w over a constant sparse adj, associated so the sparse
+    product runs on the narrower side, then leaky_relu when activate, as one
+    node. It keeps its output, the sign mask when activated, and adj @ z
+    only when (adj @ z) @ w is the association and w needs its gradient."""
+    z, w = _as_tensor(z), _as_tensor(w)
+    _check(sp.issparse(adj), "propagate",
+           f"adjacency must be a scipy sparse matrix, got {type(adj)}")
+    _check(adj.shape[1] == z.shape[0] and z.shape[1] == w.shape[0], "propagate",
+           f"inner dims differ: {adj.shape} x {z.shape} x {w.shape}")
+    zv, wv = z.value, w.value
+    nz, nw = z._needs, w._needs
+    narrow_out = w.shape[1] < w.shape[0]
+    if narrow_out:
+        out = adj @ (zv @ wv)
+        az = None
+    else:
+        az = adj @ zv
+        out = az @ wv
+        if not nw:
+            az = None
+    pos = _leaky_in_place(out) if activate else None
+
+    def rule(g):
+        if pos is not None:
+            g = g * np.where(pos, 1.0, LEAKY_SLOPE)
+        if narrow_out:
+            gm = adj.T @ g
+            return (gm @ wv.T if nz else None, zv.T @ gm if nw else None)
+        return (adj.T @ (g @ wv.T) if nz else None, az.T @ g if nw else None)
+
+    return Tensor(out, _parents=(z, w), _rule=rule)
 
 
 # Rows gathered per block of a sampled product: about 64k elements keeps both
@@ -337,7 +459,7 @@ def relu(a: Tensor) -> Tensor:
     return Tensor(np.where(mask, a.value, 0.0), _parents=(a,), _rule=rule)
 
 
-def leaky_relu(a: Tensor, slope: float = 0.01) -> Tensor:
+def leaky_relu(a: Tensor, slope: float = LEAKY_SLOPE) -> Tensor:
     """max(x, slope * x), which is x where x > 0 and slope * x elsewhere for
     0 < slope <= 1 (at slope 0, +inf * 0 would give NaN instead of +inf)."""
     a = _as_tensor(a)

@@ -56,8 +56,9 @@ def save_checkpoint(path: str | Path, named) -> None:
 
 
 def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
-    """Read back the named arrays, insertion-ordered. A file cut short or
-    carrying trailing bytes raises ValueError naming the byte offset."""
+    """Read back the named arrays, insertion-ordered. A file cut short,
+    carrying trailing bytes or holding two entries of one name raises
+    ValueError naming the byte offset."""
     data = Path(path).read_bytes()
     if data[:4] != MAGIC:
         raise ValueError(f"{path}: not a checkpoint file (bad magic)")
@@ -84,8 +85,11 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
                 f"{path}: {len(data) - pos} trailing byte(s) at byte {pos}, "
                 "too few for an entry header"
             )
+        start = pos
         (name_len,) = struct.unpack("<H", read(2, "entry header"))
         name = bytes(read(name_len, "entry name")).decode("utf-8")
+        if name in out:
+            raise ValueError(f"{path}: duplicate entry {name!r} at byte {start}")
         (rank,) = read(1, f"rank of {name!r}")
         shape = struct.unpack(f"<{rank}I", read(4 * rank, f"shape of {name!r}"))
         count = int(np.prod(shape)) if rank else 1

@@ -93,7 +93,7 @@ def ae_encode(params: AEParams, x: Tensor) -> list[Tensor]:
     hs: list[Tensor] = []
     h = x
     for w, b in zip(params.enc_w, params.enc_b):
-        h = ad.leaky_relu(ad.add(ad.matmul(h, w), b))
+        h = ad.dense(h, w, b, activate=True)
         hs.append(h)
     return hs
 
@@ -103,9 +103,7 @@ def ae_decode(params: AEParams, h: Tensor) -> Tensor:
     out = h
     last = len(params.dec_w) - 1
     for i, (w, b) in enumerate(zip(params.dec_w, params.dec_b)):
-        out = ad.add(ad.matmul(out, w), b)
-        if i != last:
-            out = ad.leaky_relu(out)
+        out = ad.dense(out, w, b, activate=i != last)
     return out
 
 
@@ -140,17 +138,9 @@ class GcnParams:
         return cls(enc, dec)
 
 
-def _propagate(adj: sp.csr_array, z: Tensor, w: Tensor) -> Tensor:
-    """adj @ z @ w, associated so the sparse product runs on the narrower side."""
-    if w.shape[1] < w.shape[0]:
-        return ad.spmm(adj, ad.matmul(z, w))
-    return ad.matmul(ad.spmm(adj, z), w)
-
-
 def gcn_layer(adj: sp.csr_array, z: Tensor, w: Tensor, activate: bool = True) -> Tensor:
     """One propagation step over the normalized self-looped adjacency (CSR)."""
-    out = _propagate(adj, z, w)
-    return ad.leaky_relu(out) if activate else out
+    return ad.propagate(adj, z, w, activate)
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +221,9 @@ def graphormer_layer(
         raise ValueError(
             f"graphormer_layer: centrality rows {centrality.shape[0]} != nodes {z.shape[0]}"
         )
-    keys = ad.add(ad.matmul(z, params.w_key), ad.matmul(centrality, params.wc_key))
-    queries = ad.add(ad.matmul(z, params.w_query), ad.matmul(centrality, params.wc_query))
-    values = ad.add(ad.matmul(z, params.w_value), ad.matmul(centrality, params.wc_value))
+    keys = ad.project(z, params.w_key, centrality, params.wc_key)
+    queries = ad.project(z, params.w_query, centrality, params.wc_query)
+    values = ad.project(z, params.w_value, centrality, params.wc_value)
     d_head = keys.shape[1] // heads
 
     combined = None
@@ -272,8 +262,8 @@ class ContrastiveParams:
 def contrastive_encoder(adj: sp.csr_array, x: Tensor, params: ContrastiveParams) -> Tensor:
     """Two propagation layers over the normalized adjacency: ReLU after the
     first, linear second."""
-    c1 = ad.relu(_propagate(adj, x, params.w0))
-    return _propagate(adj, c1, params.w1)
+    c1 = ad.relu(ad.propagate(adj, x, params.w0))
+    return ad.propagate(adj, c1, params.w1)
 
 
 def combined_similarity(c1: Tensor, c2: Tensor, exponent: float = 1.0) -> Tensor:

@@ -80,7 +80,7 @@ _REMOVED = {"-GCN": "gcn", "-Graphormer": "graphormer", "-ContrastiveLearning": 
 
 
 class NumericError(RuntimeError):
-    """A loss or parameter went non-finite."""
+    """A loss or gradient went non-finite."""
 
 
 def _stream_seed(seed: int, index: int) -> np.random.SeedSequence:
@@ -231,11 +231,22 @@ def _graph_terms(g: Graph, terms: GraphTerms | None) -> GraphTerms:
 # Pretraining
 # ---------------------------------------------------------------------------
 
+def _nonfinite_gradient(named) -> str | None:
+    """The name of the first (name, tensor) pair whose gradient holds a
+    non-finite entry, or None. Checked before every Adam step, so the
+    parameters are still the finite pre-step values."""
+    for name, t in named:
+        if not np.isfinite(t.grad).all():
+            return name
+    return None
+
+
 def pretrain_ae(g: Graph, cfg: ExperimentConfig) -> AEParams:
     """Full-batch Adam on the reconstruction loss for 50 epochs."""
     dims = ladder_dims(g.f, cfg.n_z, cfg.layers)
     params = AEParams.init(_stream(cfg.seed, _STREAM_AE), dims)
-    tensors = [t for _, t in params.named()]
+    named = params.named()
+    tensors = [t for _, t in named]
     opt = AdamState.for_params(tensors, cfg.lr)
     x = ad.constant(g.features)
     for epoch in range(AE_PRETRAIN_EPOCHS):
@@ -245,6 +256,11 @@ def pretrain_ae(g: Graph, cfg: ExperimentConfig) -> AEParams:
         if not np.isfinite(loss.value[0, 0]):
             raise NumericError(f"autoencoder pretraining diverged at epoch {epoch}")
         backward(loss)
+        bad = _nonfinite_gradient(named)
+        if bad is not None:
+            raise NumericError(
+                f"autoencoder pretraining: non-finite gradient of {bad} at epoch {epoch}"
+            )
         adam_step(tensors, [t.grad for t in tensors], opt)
     return params
 
@@ -263,7 +279,8 @@ def pretrain_contrastive(g: Graph, cfg: ExperimentConfig, terms: GraphTerms) -> 
         _stream(cfg.seed, _STREAM_CONTRASTIVE_INIT), g.f, cc.hidden
     )
     mask_rng = _stream(cfg.seed, _STREAM_CONTRASTIVE_MASK)
-    tensors = [t for _, t in params.named()]
+    named = params.named()
+    tensors = [t for _, t in named]
     opt = AdamState.for_params(tensors, cfg.lr)
     adj = terms.adjacency()
     x = ad.constant(g.features)
@@ -277,6 +294,11 @@ def pretrain_contrastive(g: Graph, cfg: ExperimentConfig, terms: GraphTerms) -> 
         if not np.isfinite(loss.value[0, 0]):
             raise NumericError(f"contrastive pretraining diverged at epoch {epoch}")
         backward(loss)
+        bad = _nonfinite_gradient(named)
+        if bad is not None:
+            raise NumericError(
+                f"contrastive pretraining: non-finite gradient of {bad} at epoch {epoch}"
+            )
         adam_step(tensors, [t.grad for t in tensors], opt)
     return contrastive_encoder(adj, x, params).value.copy()
 
@@ -319,7 +341,7 @@ def fused_input(h_ae: Tensor, z_prev: Tensor, eps: float) -> Tensor:
         raise ValueError(
             f"fused_input: shapes differ: {h_ae.shape} vs {z_prev.shape}"
         )
-    return ad.add(ad.scale(h_ae, eps), ad.scale(z_prev, 1.0 - eps))
+    return ad.blend(h_ae, z_prev, eps)
 
 
 def fuse_final(terms, adj: sp.csr_array) -> Tensor:
@@ -576,10 +598,15 @@ def train(
     optimize every enabled channel plus the centroids.
 
     inspect, when given, is called every epoch with (epoch, AssignmentPair)
-    before the update step. On a non-finite loss the last finite-state
-    checkpoint is written to abort_path (when given) and NumericError is
-    raised. terms, when given, supplies the graph-derived constants (see
-    GraphTerms); otherwise pretraining and training share new ones.
+    before the update step. Pretraining and joint training raise
+    NumericError at the first non-finite loss, and at the first non-finite
+    gradient before the Adam step that would apply it; a gradient message
+    names the epoch and the parameter (for example graphormer.enc.2.w_key).
+    When joint training stops, the model state before that epoch's update,
+    whose parameters are finite after a gradient stop, is first written to
+    abort_path (when given); a pretraining stop writes nothing. terms, when
+    given, supplies the graph-derived constants (see GraphTerms); otherwise
+    pretraining and training share new ones.
     """
     if g.n < cfg.k:
         raise ConfigError(f"k={cfg.k} exceeds node count {g.n}")
@@ -595,21 +622,25 @@ def train(
         pretrained = replace(pretrained, x_c=np.zeros_like(g.features))
     cons = _build_constants(g, cfg, pretrained.x_c, terms)
     state = _init_state(g, cfg, pretrained, cons)
+    named = state._named()
     params = state.trainable()
     opt = AdamState.for_params(params, cfg.lr)
+
+    def abort(error: NumericError):
+        """Write the model state, which this epoch has not yet updated, to
+        abort_path (when given) and raise error."""
+        if abort_path is not None:
+            from .checkpoint import save_checkpoint
+
+            save_checkpoint(abort_path, state.named_arrays())
+        raise error
 
     history: list[dict] = []
     for epoch in range(cfg.epochs):
         zero_grad(params)
         total, components, assignments = _epoch_losses(state, cons, cfg)
         if not np.isfinite(total.value[0, 0]):
-            if abort_path is not None:
-                from .checkpoint import save_checkpoint
-
-                save_checkpoint(abort_path, state.named_arrays())
-            raise NumericError(
-                f"non-finite loss at epoch {epoch}: {components}"
-            )
+            abort(NumericError(f"non-finite loss at epoch {epoch}: {components}"))
         if inspect is not None:
             inspect(epoch, assignments)
         row = {"epoch": epoch, "L": float(total.value[0, 0]), **components}
@@ -619,6 +650,9 @@ def train(
             row.update({"acc": np.nan, "nmi": np.nan, "ari": np.nan, "f1": np.nan})
         history.append(row)
         backward(total)
+        bad = _nonfinite_gradient(named)
+        if bad is not None:
+            abort(NumericError(f"training: non-finite gradient of {bad} at epoch {epoch}"))
         adam_step(params, [p.grad for p in params], opt)
         # Free this epoch's tape before the next forward pass records another.
         del total, assignments

@@ -5,9 +5,11 @@ via Floyd-Warshall all-pairs path counting (the implementation uses
 level-synchronous Brandes accumulation), the matching accuracy enumerates
 every bijection, the graph operators are dense n x n matrices (the
 implementation keeps the adjacency and the attention weights in CSR), and
-the Adam update runs on whole arrays (the implementation updates in blocks).
-The finite-difference checker, the closed-form centroid gradient and the
-composite loss of a model state judge the tape's gradients.
+the Adam update runs on whole arrays (the implementation updates in blocks),
+and the layer ops are composed from the tape's elementary ops (the
+implementation records each as one node). The finite-difference checker, the
+closed-form centroid gradient and the composite loss of a model state judge
+the tape's gradients.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import itertools
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from gclgcn import autodiff as ad
 from gclgcn import pipeline as P
@@ -164,6 +167,33 @@ def dense_graphormer_layer(z, centrality, logit_bias, params, heads=1, activate=
         )
     out = out / heads
     return leaky_relu(out) if activate else out
+
+
+def composed_project(z, w, c, wc) -> Tensor:
+    """autodiff.project as matmuls and an add."""
+    return ad.add(ad.matmul(z, w), ad.matmul(c, wc))
+
+
+def composed_blend(a, b, eps: float) -> Tensor:
+    """autodiff.blend as two scales and an add."""
+    return ad.add(ad.scale(a, eps), ad.scale(b, 1.0 - eps))
+
+
+def composed_dense(x, w, b, activate=False) -> Tensor:
+    """autodiff.dense as a matmul, a broadcast add and leaky_relu."""
+    out = ad.add(ad.matmul(x, w), b)
+    return ad.leaky_relu(out) if activate else out
+
+
+def composed_propagate(adj: sp.csr_array, z, w, activate=False) -> Tensor:
+    """autodiff.propagate as spmm, matmul and leaky_relu, with the sparse
+    product on the narrower side: adj @ (z @ w) when w narrows, else
+    (adj @ z) @ w."""
+    if w.shape[1] < w.shape[0]:
+        out = ad.spmm(adj, ad.matmul(z, w))
+    else:
+        out = ad.matmul(ad.spmm(adj, z), w)
+    return ad.leaky_relu(out) if activate else out
 
 
 def support_values(rows, cols, values) -> dict:

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from gclgcn import autodiff as ad
-from oracles import adam_step_whole, finite_difference_check
+from oracles import (
+    adam_step_whole,
+    composed_blend,
+    composed_dense,
+    composed_project,
+    composed_propagate,
+    finite_difference_check,
+)
 
 
 def fd_scalar(make_loss, params, h=1e-5):
@@ -240,6 +248,119 @@ class TestLeakyRelu:
     def test_slope_outside_unit_interval_rejected(self, slope):
         with pytest.raises(ValueError, match="slope"):
             ad.leaky_relu(ad.constant(np.ones((2, 2))), slope)
+
+
+def _sparse(rng, n):
+    """A non-symmetric CSR matrix with every diagonal entry stored."""
+    m = sp.random(n, n, density=0.4, random_state=rng, format="csr") + sp.eye(n)
+    return sp.csr_array(m)
+
+
+def _layer_op_cases():
+    """(id, fused op, composed oracle, operand shapes, extra args): the
+    operands are random parameters, constants where marked with a 'c'
+    suffix on the shape."""
+    cases = [("project", ad.project, composed_project, [(6, 4), (4, 5), (6, 3), (3, 5)], ())]
+    cases += [("project-z-const", ad.project, composed_project,
+               [(6, 4, "c"), (4, 5), (6, 3, "c"), (3, 5)], ())]
+    cases += [("blend", ad.blend, composed_blend, [(6, 4), (6, 4)], (0.3,))]
+    for act, activate in (("linear", False), ("leaky", True)):
+        cases += [(f"dense-{act}", ad.dense, composed_dense, [(6, 4), (4, 5), (1, 5)], (activate,))]
+        cases += [(f"dense-x-const-{act}", ad.dense, composed_dense,
+                   [(6, 4, "c"), (4, 5), (1, 5)], (activate,))]
+        for assoc, shape in (("narrowing", (7, 3)), ("widening", (3, 7))):
+            for const in ("", "z", "w"):
+                z = (6, shape[0], "c") if const == "z" else (6, shape[0])
+                w = (*shape, "c") if const == "w" else shape
+                cases += [(f"propagate-{assoc}-{const or 'params'}-{act}", ad.propagate,
+                           composed_propagate, ["adj", z, w], (activate,))]
+    return cases
+
+
+LAYER_OP_CASES = _layer_op_cases()
+
+
+def _operands(rng, shapes):
+    out = []
+    for shape in shapes:
+        if shape == "adj":
+            out.append(_sparse(rng, 6))
+        elif shape[-1] == "c":
+            out.append(ad.constant(rng.standard_normal(shape[:2])))
+        else:
+            out.append(ad.parameter(rng.standard_normal(shape)))
+    return out
+
+
+def _weighted_sum(out, weights):
+    return ad.reduce_sum(ad.hadamard(out, ad.constant(weights)))
+
+
+class TestLayerOps:
+    """Each layer op against its composed form in tests/oracles.py."""
+
+    @pytest.mark.parametrize("name,op,composed,shapes,extra", LAYER_OP_CASES,
+                             ids=[c[0] for c in LAYER_OP_CASES])
+    def test_matches_composed_form(self, name, op, composed, shapes, extra):
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            operands = _operands(rng, shapes)
+            params = [t for t in operands if isinstance(t, ad.Tensor) and t.requires_grad]
+            fused = op(*operands, *extra)
+            reference = composed(*operands, *extra)
+            assert fused.value.tobytes() == reference.value.tobytes(), name
+            weights = rng.standard_normal(fused.shape)
+            grads = []
+            for out in (fused, reference):
+                ad.zero_grad(params)
+                ad.backward(_weighted_sum(out, weights))
+                grads.append([p.grad.copy() for p in params])
+            for got, want in zip(*grads):
+                assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max()), name
+
+    @pytest.mark.parametrize("name,op,composed,shapes,extra", LAYER_OP_CASES,
+                             ids=[c[0] for c in LAYER_OP_CASES])
+    def test_finite_differences(self, name, op, composed, shapes, extra):
+        for seed in range(3):
+            rng = np.random.default_rng(300 + seed)
+            operands = _operands(rng, shapes)
+            params = [t for t in operands if isinstance(t, ad.Tensor) and t.requires_grad]
+            weights = rng.standard_normal(op(*operands, *extra).shape)
+            err = fd_scalar(lambda _: _weighted_sum(op(*operands, *extra), weights), params)
+            assert err <= 1e-6, f"{name} seed {seed}: {err}"
+
+    def test_activation_matches_composed_form_on_special_values(self):
+        x = ad.constant(np.concatenate([TestLeakyRelu.SPECIAL, [-2.0, 0.5, 3.0]])[:, None])
+        one, zero = ad.constant([[1.0]]), ad.constant([[0.0]])
+        adj = sp.csr_array(sp.eye(12))
+        for activate in (False, True):
+            assert (ad.dense(x, one, zero, activate).value.tobytes()
+                    == composed_dense(x, one, zero, activate).value.tobytes())
+            assert (ad.propagate(adj, x, one, activate).value.tobytes()
+                    == composed_propagate(adj, x, one, activate).value.tobytes())
+
+    def test_keeps_adj_z_only_for_the_weight_gradient(self):
+        """(adj @ z) @ w keeps adj @ z in its rule only when w needs it."""
+        rng = np.random.default_rng(0)
+        adj, z = _sparse(rng, 6), ad.parameter(rng.standard_normal((6, 3)))
+        kept = []
+        w_value = rng.standard_normal((3, 7))
+        for w in (ad.parameter(w_value), ad.constant(w_value)):
+            cells = [c.cell_contents for c in ad.propagate(adj, z, w, True)._rule.__closure__]
+            kept.append(sum(isinstance(c, np.ndarray) and c.shape == (6, 3) and c is not z.value
+                            for c in cells))
+        assert kept == [1, 0]
+
+    def test_errors_name_the_operation(self):
+        a, b = ad.constant(np.zeros((2, 3))), ad.constant(np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="project"):
+            ad.project(a, b, a, a)
+        with pytest.raises(ValueError, match="blend"):
+            ad.blend(a, b, 0.5)
+        with pytest.raises(ValueError, match="dense"):
+            ad.dense(a, b, ad.constant(np.zeros((2, 2))))
+        with pytest.raises(ValueError, match="propagate"):
+            ad.propagate(sp.csr_array(sp.eye(3)), a, b)
 
 
 class TestAdam:

@@ -89,6 +89,17 @@ def test_trailing_byte_rejected(tmp_path):
         load_checkpoint(path)
 
 
+def test_duplicate_entry_names_entry_and_offset(tmp_path):
+    path = tmp_path / "m.gclc"
+    first = ("x_c", np.zeros((4, 2)))
+    save_checkpoint(path, [first, ("w", np.ones((1, 3))), first])
+    # magic, version, then "x_c": name length, 3 name bytes, rank, 2 dims, 8 floats;
+    # then "w": name length, 1 name byte, rank, 2 dims, 3 floats.
+    offset = 4 + 2 + (2 + 3 + 1 + 8 + 64) + (2 + 1 + 1 + 8 + 24)
+    with pytest.raises(ValueError, match=rf"m.gclc: duplicate entry 'x_c' at byte {offset}$"):
+        load_checkpoint(path)
+
+
 _names = st.text(st.characters(exclude_categories=("Cs",)), max_size=12)
 _matrices = hnp.arrays(
     np.float64,

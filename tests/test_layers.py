@@ -354,3 +354,57 @@ class TestInnerProductDecoder:
         z = rng.standard_normal((8, 3))
         out = inner_product_decode(ad.constant(z)).value
         assert np.array_equal(out, out.T)
+
+
+def recorded_nodes(out, layer_input):
+    """(op, shape) of every node recorded from layer_input (excluded) up to
+    out, sorted; leaves are skipped. An op is named by its backward rule."""
+    nodes, stack, seen = [], [out], {id(layer_input)}
+    while stack:
+        t = stack.pop()
+        if id(t) in seen or t._rule is None:
+            continue
+        seen.add(id(t))
+        nodes.append((t._rule.__qualname__.split(".")[0], t.shape))
+        stack.extend(t._parents)
+    return sorted(nodes)
+
+
+class TestTapeShape:
+    """Each layer records one node per array its backward needs: no matmul,
+    add or scale node between a layer's input and its projection or
+    activation."""
+
+    def test_attention_layer_records_projections_attention_activation(self):
+        g = tiny_graph(9, n=6)
+        cent, adj, bias, _ = build_attention(g)
+        params = GraphormerParams.init(np.random.default_rng(9), [g.f, 4, 3], cent.shape[1], 1,
+                                       np.ones(cent.shape[1]))
+        z = graphormer_layer(ad.constant(g.features), cent, adj, bias, params.enc[0], 1)
+        out = graphormer_layer(z, cent, adj, bias, params.enc[1], 1)
+        assert recorded_nodes(out, z) == sorted(
+            [("project", (g.n, 3))] * 3 + [("edge_attention", (g.n, 3)), ("leaky_relu", (g.n, 3))]
+        )
+
+    def test_autoencoder_layer_records_one_node(self):
+        g = tiny_graph(10, n=6)
+        x = ad.constant(g.features)
+        params = AEParams.init(np.random.default_rng(10), [g.f, 5, 7, 3])
+        hs, xhat = ae_forward(params, x)
+        assert recorded_nodes(hs[-1], x) == sorted(("dense", h.shape) for h in hs)
+        for h_in, h in zip([x, *hs], hs):
+            assert recorded_nodes(h, h_in) == [("dense", h.shape)]
+        assert recorded_nodes(xhat, hs[-1]) == sorted(
+            ("dense", (g.n, w)) for w in (7, 5, g.f)
+        )
+
+    def test_propagation_layers_record_one_node(self):
+        g = tiny_graph(11, n=6)
+        adj = normalize_adjacency(g)
+        x = ad.constant(g.features)
+        for w in (ad.parameter(np.ones((g.f, 2))), ad.parameter(np.ones((g.f, 9)))):
+            assert recorded_nodes(gcn_layer(adj, x, w), x) == [("propagate", (g.n, w.shape[1]))]
+        params = ContrastiveParams.init(np.random.default_rng(11), g.f, 6)
+        assert recorded_nodes(contrastive_encoder(adj, x, params), x) == sorted(
+            [("propagate", (g.n, 6)), ("relu", (g.n, 6)), ("propagate", (g.n, g.f))]
+        )

@@ -6,6 +6,7 @@ import pytest
 from gclgcn import autodiff as ad
 from gclgcn.config import ConfigError, ContrastiveConfig, ExperimentConfig
 from gclgcn.graph import Graph, SbmSpec, generate_sbm, normalize_adjacency
+from gclgcn.checkpoint import load_checkpoint
 from gclgcn.cluster import metric_row
 from gclgcn.config import ABLATIONS
 from gclgcn.harness import ablation_study
@@ -427,6 +428,75 @@ class TestTrain:
         with pytest.raises(NumericError, match="non-finite"):
             train(g, cfg, pretrained=pre, abort_path=path)
         assert path.exists()
+
+    def test_nonfinite_gradient_stops_before_the_step(self, tmp_path, monkeypatch):
+        """A NaN in one gradient at epoch 1 stops training before the Adam
+        step, and the abort checkpoint holds the finite pre-step state."""
+        from gclgcn import pipeline as P
+
+        g = small_sbm()
+        cfg = tiny_cfg(layers=3)
+        pre = pretrain(g, cfg)
+        states, pre_step = [], []
+        real_init, real_backward = P._init_state, P.backward
+
+        def init_state(*args):
+            states.append(real_init(*args))
+            return states[-1]
+
+        def poisoned_backward(loss):
+            real_backward(loss)
+            if len(pre_step) == 1:
+                dict(states[0]._named())["graphormer.enc.2.w_key"].grad[0, 1] = np.nan
+            pre_step.append([(name, arr.copy()) for name, arr in states[0].named_arrays()])
+
+        monkeypatch.setattr(P, "_init_state", init_state)
+        monkeypatch.setattr(P, "backward", poisoned_backward)
+        path = tmp_path / "abort.gclc"
+        message = r"^training: non-finite gradient of graphormer\.enc\.2\.w_key at epoch 1$"
+        with pytest.raises(NumericError, match=message):
+            train(g, cfg, pretrained=pre, abort_path=path)
+        saved = load_checkpoint(path)
+        assert list(saved) == [name for name, _ in pre_step[1]]
+        for name, arr in pre_step[1]:
+            assert np.isfinite(saved[name]).all(), name
+            assert np.array_equal(saved[name], arr), name
+        # Epoch 0's step did move the parameters the checkpoint holds.
+        before_epoch_0 = dict(pre_step[0])["graphormer.enc.2.w_key"]
+        assert not np.array_equal(saved["graphormer.enc.2.w_key"], before_epoch_0)
+
+    @pytest.mark.parametrize("phase, run, first", [
+        ("autoencoder pretraining", lambda g, cfg: pretrain_ae(g, cfg), "ae.enc.0.w"),
+        ("contrastive pretraining",
+         lambda g, cfg: pretrain_contrastive(g, cfg, GraphTerms(g)), "contrastive.w0"),
+    ], ids=["autoencoder", "contrastive"])
+    def test_pretraining_stops_at_nonfinite_gradient(self, monkeypatch, phase, run, first):
+        """With every gradient poisoned at epoch 1, the message names the
+        first parameter in checkpoint order."""
+        from gclgcn import pipeline as P
+
+        real_backward = P.backward
+        calls = []
+
+        def poisoned_backward(loss):
+            real_backward(loss)
+            if calls:
+                leaves, stack, seen = [], [loss], set()
+                while stack:
+                    t = stack.pop()
+                    if id(t) not in seen:
+                        seen.add(id(t))
+                        leaves += [t] if t.requires_grad else []
+                        stack.extend(t._parents)
+                for t in leaves:
+                    t.grad[-1, -1] = np.inf
+            calls.append(True)
+
+        monkeypatch.setattr(P, "backward", poisoned_backward)
+        message = rf"^{phase}: non-finite gradient of {first} at epoch 1$"
+        with pytest.raises(NumericError, match=message):
+            run(small_sbm(), tiny_cfg())
+        assert len(calls) == 2
 
     def test_k_larger_than_n_rejected(self):
         g = small_sbm(sizes=(3, 3))
