@@ -59,7 +59,7 @@ __all__ = [
     "columns",
 ]
 
-# Negative-side slope of leaky_relu by default and of the activated layer ops.
+# Negative-side slope of leaky_relu and of the activated layer ops.
 LEAKY_SLOPE = 0.01
 
 
@@ -459,18 +459,16 @@ def relu(a: Tensor) -> Tensor:
     return Tensor(np.where(mask, a.value, 0.0), _parents=(a,), _rule=rule)
 
 
-def leaky_relu(a: Tensor, slope: float = LEAKY_SLOPE) -> Tensor:
-    """max(x, slope * x), which is x where x > 0 and slope * x elsewhere for
-    0 < slope <= 1 (at slope 0, +inf * 0 would give NaN instead of +inf)."""
+def leaky_relu(a: Tensor) -> Tensor:
+    """max(x, LEAKY_SLOPE * x), which is x where x > 0 and LEAKY_SLOPE * x
+    elsewhere."""
     a = _as_tensor(a)
-    slope = float(slope)
-    _check(0.0 < slope <= 1.0, "leaky_relu", f"slope must be in (0, 1], got {slope}")
     x = a.value
 
     def rule(g):
-        return (g * np.where(x > 0, 1.0, slope),)
+        return (g * np.where(x > 0, 1.0, LEAKY_SLOPE),)
 
-    return Tensor(np.maximum(x, x * slope), _parents=(a,), _rule=rule)
+    return Tensor(np.maximum(x, x * LEAKY_SLOPE), _parents=(a,), _rule=rule)
 
 
 def exp(a: Tensor) -> Tensor:

@@ -16,7 +16,7 @@ from . import harness
 from .centrality import MEASURES, composite_centrality
 from .checkpoint import atomic_open, load_checkpoint, save_checkpoint
 from .cluster import metric_row
-from .config import ConfigError, parse_config, require_dataset
+from .config import ConfigError, measure_list, parse_config, require_dataset
 from .graph import Graph, SbmSpec, generate_sbm, load_graph, read_labels, save_graph
 from .pipeline import NumericError, pretrain, pretrained_from_named, train
 
@@ -47,6 +47,18 @@ def _number_list(kind):
             ) from None
 
     return parse
+
+
+def _measures(raw: str) -> tuple[str, ...]:
+    """argparse type for --measures: 'all', or a comma list of centrality
+    measures read as the config key centrality reads it; an unknown measure
+    is a usage error naming the flag."""
+    measures = MEASURES if raw == "all" else measure_list(raw)
+    if not measures or not set(measures) <= set(MEASURES):
+        raise argparse.ArgumentTypeError(
+            f"expected 'all' or a comma list of {', '.join(MEASURES)}, got {raw!r}"
+        )
+    return measures
 
 
 def _out_dir(args) -> Path:
@@ -109,8 +121,7 @@ def _cmd_gen_sbm(args) -> int:
 
 def _cmd_centrality(args) -> int:
     g = load_graph(args.features, args.edges)
-    measures = MEASURES if args.measures == "all" else tuple(args.measures.split(","))
-    matrix = composite_centrality(g, measures)
+    matrix = composite_centrality(g, args.measures)
     _emit("".join(",".join("%.17g" % x for x in row) + "\n" for row in matrix), args.out)
     return 0
 
@@ -222,7 +233,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("centrality", help="dump the composite centrality matrix as CSV")
     p.add_argument("--features", required=True)
     p.add_argument("--edges", required=True)
-    p.add_argument("--measures", default="all", help="comma list or 'all'")
+    p.add_argument("--measures", type=_measures, default="all", help="comma list or 'all'")
     p.add_argument("--out", default=None, help="output file (default: stdout)")
     p.set_defaults(func=_cmd_centrality)
 

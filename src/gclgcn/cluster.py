@@ -25,6 +25,11 @@ __all__ = [
 ]
 
 
+# Lloyd iterations per restart, and the largest centroid move that stops them.
+_MAX_ITER = 300
+_TOL = 1e-4
+
+
 @dataclass(frozen=True)
 class KMeansResult:
     centroids: np.ndarray  # (k, d)
@@ -56,13 +61,11 @@ def _plusplus_init(z: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
     return centers
 
 
-def _lloyd(
-    z: np.ndarray, centers: np.ndarray, max_iter: int, tol: float
-) -> tuple[np.ndarray, np.ndarray, float]:
+def _lloyd(z: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     k = centers.shape[0]
     prev_sse = np.inf
     labels = np.zeros(z.shape[0], dtype=np.int64)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         d2 = _squared_distances(z, centers)
         labels = d2.argmin(axis=1)
         sse = float(d2[np.arange(z.shape[0]), labels].sum())
@@ -85,7 +88,7 @@ def _lloyd(
                 new_centers[j] = z[far_order[rank]]
         shift = np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max()
         centers = new_centers
-        if shift < tol:
+        if shift < _TOL:
             break
     d2 = _squared_distances(z, centers)
     labels = d2.argmin(axis=1)
@@ -98,8 +101,6 @@ def kmeans(
     k: int,
     restarts: int = 20,
     seed: int = 0,
-    max_iter: int = 300,
-    tol: float = 1e-4,
 ) -> KMeansResult:
     """Lloyd iterations from distance-proportional seeds; the restart with the
     lowest SSE wins (ties broken by restart order). A cluster that empties is
@@ -113,7 +114,7 @@ def kmeans(
     best: KMeansResult | None = None
     for _ in range(restarts):
         centers = _plusplus_init(z, k, rng)
-        centers, labels, sse = _lloyd(z, centers, max_iter, tol)
+        centers, labels, sse = _lloyd(z, centers)
         if best is None or sse < best.sse:
             best = KMeansResult(centroids=centers, labels=labels, sse=sse)
     return best

@@ -14,6 +14,7 @@ __all__ = [
     "ContrastiveConfig",
     "ExperimentConfig",
     "PRESETS",
+    "measure_list",
     "parse_config",
     "require_dataset",
 ]
@@ -161,6 +162,12 @@ def _parse_bool(key: str, raw: str) -> bool:
     raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
 
 
+def measure_list(raw: str) -> tuple[str, ...]:
+    """The centrality measures of a comma list, each stripped, empty items
+    dropped."""
+    return tuple(m.strip() for m in raw.split(",") if m.strip())
+
+
 def parse_config(source: str | Path) -> ExperimentConfig:
     """Load a config from a key=value file, or resolve a bare preset name."""
     if isinstance(source, str) and source.lower() in PRESETS and not Path(source).exists():
@@ -211,7 +218,7 @@ def _config_from_entries(entries: dict[str, str]) -> ExperimentConfig:
             elif key in _PATH_KEYS:
                 fields[key] = raw
             elif key == "centrality":
-                fields[key] = tuple(m.strip() for m in raw.split(",") if m.strip())
+                fields[key] = measure_list(raw)
             elif key in ("spatial_mode", "spatial_sign", "ablation"):
                 fields[key] = raw
             elif key == "raw_ax_target":

@@ -1,10 +1,12 @@
-"""Forward architectures: autoencoder, graph-convolution stack, centrality-
-and distance-biased attention layer, and the contrastive encoder with its
-similarity and loss.
+"""Layer functions: the autoencoder loss, one graph-convolution layer, one
+centrality- and distance-biased attention layer, and the contrastive encoder
+with its similarity and loss.
 
-All layers share the width ladder in->500->500->2000->bottleneck (truncated
-for shallower depth settings) and Leaky ReLU hidden activations; final
-reconstruction layers are linear.
+The autoencoder, GCN and attention stacks share the width ladder
+in->500->500->2000->bottleneck (truncated for shallower depth settings) and
+Leaky ReLU hidden activations; final reconstruction layers are linear.
+pipeline.Channel walks the ladder and applies these layers; an autoencoder
+layer is one autodiff.dense op.
 """
 
 from __future__ import annotations
@@ -21,14 +23,7 @@ from .autodiff import Tensor
 __all__ = [
     "ladder_dims",
     "glorot",
-    "AEParams",
-    "GcnParams",
-    "GraphormerLayerParams",
-    "GraphormerParams",
     "ContrastiveParams",
-    "ae_encode",
-    "ae_decode",
-    "ae_forward",
     "ae_loss",
     "gcn_layer",
     "graphormer_layer",
@@ -56,64 +51,6 @@ def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
 
-# ---------------------------------------------------------------------------
-# Autoencoder
-# ---------------------------------------------------------------------------
-
-@dataclass
-class AEParams:
-    enc_w: list[Tensor]
-    enc_b: list[Tensor]
-    dec_w: list[Tensor]
-    dec_b: list[Tensor]
-
-    @classmethod
-    def init(cls, rng: np.random.Generator, dims: list[int]) -> "AEParams":
-        enc_w, enc_b, dec_w, dec_b = [], [], [], []
-        for a, b in zip(dims[:-1], dims[1:]):
-            enc_w.append(ad.parameter(glorot(rng, a, b)))
-            enc_b.append(ad.parameter(np.zeros((1, b))))
-        rev = dims[::-1]
-        for a, b in zip(rev[:-1], rev[1:]):
-            dec_w.append(ad.parameter(glorot(rng, a, b)))
-            dec_b.append(ad.parameter(np.zeros((1, b))))
-        return cls(enc_w, enc_b, dec_w, dec_b)
-
-    def named(self, prefix: str = "ae") -> list[tuple[str, Tensor]]:
-        out = []
-        for i, (w, b) in enumerate(zip(self.enc_w, self.enc_b)):
-            out += [(f"{prefix}.enc.{i}.w", w), (f"{prefix}.enc.{i}.b", b)]
-        for i, (w, b) in enumerate(zip(self.dec_w, self.dec_b)):
-            out += [(f"{prefix}.dec.{i}.w", w), (f"{prefix}.dec.{i}.b", b)]
-        return out
-
-
-def ae_encode(params: AEParams, x: Tensor) -> list[Tensor]:
-    """Every encoder layer output; the last one is the bottleneck."""
-    hs: list[Tensor] = []
-    h = x
-    for w, b in zip(params.enc_w, params.enc_b):
-        h = ad.dense(h, w, b, activate=True)
-        hs.append(h)
-    return hs
-
-
-def ae_decode(params: AEParams, h: Tensor) -> Tensor:
-    """Reconstruction from the bottleneck; the final decoder layer is linear."""
-    out = h
-    last = len(params.dec_w) - 1
-    for i, (w, b) in enumerate(zip(params.dec_w, params.dec_b)):
-        out = ad.dense(out, w, b, activate=i != last)
-    return out
-
-
-def ae_forward(params: AEParams, x: Tensor) -> tuple[list[Tensor], Tensor]:
-    """Returns every encoder layer output (last one is the bottleneck) and the
-    reconstruction."""
-    hs = ae_encode(params, x)
-    return hs, ae_decode(params, hs[-1])
-
-
 def ae_loss(x: Tensor, xhat: Tensor) -> Tensor:
     """Half the mean per-sample squared reconstruction norm."""
     n = x.shape[0]
@@ -125,19 +62,6 @@ def ae_loss(x: Tensor, xhat: Tensor) -> Tensor:
 # Graph convolution
 # ---------------------------------------------------------------------------
 
-@dataclass
-class GcnParams:
-    enc_w: list[Tensor]
-    dec_w: list[Tensor]
-
-    @classmethod
-    def init(cls, rng: np.random.Generator, dims: list[int]) -> "GcnParams":
-        enc = [ad.parameter(glorot(rng, a, b)) for a, b in zip(dims[:-1], dims[1:])]
-        rev = dims[::-1]
-        dec = [ad.parameter(glorot(rng, a, b)) for a, b in zip(rev[:-1], rev[1:])]
-        return cls(enc, dec)
-
-
 def gcn_layer(adj: sp.csr_array, z: Tensor, w: Tensor, activate: bool = True) -> Tensor:
     """One propagation step over the normalized self-looped adjacency (CSR)."""
     return ad.propagate(adj, z, w, activate)
@@ -147,83 +71,30 @@ def gcn_layer(adj: sp.csr_array, z: Tensor, w: Tensor, activate: bool = True) ->
 # Centrality- and distance-biased attention
 # ---------------------------------------------------------------------------
 
-@dataclass
-class GraphormerLayerParams:
-    w_key: Tensor
-    w_query: Tensor
-    w_value: Tensor
-    wc_key: Tensor
-    wc_query: Tensor
-    wc_value: Tensor
-
-    def named(self) -> list[tuple[str, Tensor]]:
-        """(role, tensor) pairs, each projection followed by its centrality term."""
-        return [
-            (f"{kind}_{role}", getattr(self, f"{kind}_{role}"))
-            for role in ("key", "query", "value")
-            for kind in ("w", "wc")
-        ]
-
-
-@dataclass
-class GraphormerParams:
-    enc: list[GraphormerLayerParams]
-    dec: list[GraphormerLayerParams]
-    heads: int
-
-    @classmethod
-    def init(
-        cls,
-        rng: np.random.Generator,
-        dims: list[int],
-        cent_dim: int,
-        heads: int,
-        cent_scale: np.ndarray,
-    ) -> "GraphormerParams":
-        """cent_scale holds the typical magnitude of each centrality column;
-        the centrality projections start inversely scaled so unnormalized
-        measures (betweenness can reach hundreds) do not blow up the layer
-        outputs before training can adapt."""
-        inv = (1.0 / np.maximum(np.asarray(cent_scale, dtype=np.float64), 1.0))[:, None]
-
-        def layer(d_in: int, d_out: int) -> GraphormerLayerParams:
-            wide = heads * d_out
-            return GraphormerLayerParams(
-                w_key=ad.parameter(glorot(rng, d_in, wide)),
-                w_query=ad.parameter(glorot(rng, d_in, wide)),
-                w_value=ad.parameter(glorot(rng, d_in, wide)),
-                wc_key=ad.parameter(glorot(rng, cent_dim, wide) * inv),
-                wc_query=ad.parameter(glorot(rng, cent_dim, wide) * inv),
-                wc_value=ad.parameter(glorot(rng, cent_dim, wide) * inv),
-            )
-
-        enc = [layer(a, b) for a, b in zip(dims[:-1], dims[1:])]
-        rev = dims[::-1]
-        dec = [layer(a, b) for a, b in zip(rev[:-1], rev[1:])]
-        return cls(enc, dec, heads)
-
-
 def graphormer_layer(
     z: Tensor,
     centrality: Tensor,
     adj: sp.csr_array,
     logit_bias: np.ndarray,
-    params: GraphormerLayerParams,
+    params: dict[str, Tensor],
     heads: int = 1,
     activate: bool = True,
 ) -> Tensor:
     """Attention over each node's neighborhood (self included): the entries
     of the self-looped adjacency adj. Centrality terms are added to every
     projection, and logit_bias (the signed spatial bias, aligned with adj's
-    entries) is added to the logits. Head outputs are averaged, then passed
-    through Leaky ReLU unless this is a final (linear) reconstruction layer."""
+    entries) is added to the logits. params maps each of w_key, w_query and
+    w_value and its centrality term wc_key, wc_query, wc_value to a
+    parameter. Head outputs are averaged, then passed through Leaky ReLU
+    unless this is a final (linear) reconstruction layer."""
     if centrality.shape[0] != z.shape[0]:
         raise ValueError(
             f"graphormer_layer: centrality rows {centrality.shape[0]} != nodes {z.shape[0]}"
         )
-    keys = ad.project(z, params.w_key, centrality, params.wc_key)
-    queries = ad.project(z, params.w_query, centrality, params.wc_query)
-    values = ad.project(z, params.w_value, centrality, params.wc_value)
+    keys, queries, values = (
+        ad.project(z, params[f"w_{role}"], centrality, params[f"wc_{role}"])
+        for role in ("key", "query", "value")
+    )
     d_head = keys.shape[1] // heads
 
     combined = None

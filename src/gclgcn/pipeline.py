@@ -1,6 +1,7 @@
-"""Training orchestration: pretraining phases, graph channels with
-representation injection, fused soft assignments, the composite objective,
-and the joint optimization loop over the modules the ablation leaves on.
+"""Training orchestration: the layer stacks (the autoencoder and the graph
+channels, each a Channel), pretraining phases, representation injection,
+fused soft assignments, the composite objective, and the joint optimization
+loop over the modules the ablation leaves on.
 
 All randomness flows from named child streams of the experiment seed, so
 every phase is bit-reproducible and composes identically whether run
@@ -23,18 +24,13 @@ from .cluster import kmeans, metric_row
 from .config import ConfigError, ExperimentConfig
 from .graph import Graph, adjacency_matrix, normalize_adjacency
 from .layers import (
-    AEParams,
     ContrastiveParams,
-    GcnParams,
-    GraphormerParams,
-    ae_decode,
-    ae_encode,
-    ae_forward,
     ae_loss,
     combined_similarity,
     contrastive_encoder,
     contrastive_loss,
     gcn_layer,
+    glorot,
     graphormer_layer,
     inner_product_decode,
     ladder_dims,
@@ -53,7 +49,6 @@ __all__ = [
     "pretrain_contrastive",
     "pretrain",
     "uses_contrastive",
-    "fused_input",
     "fuse_final",
     "soft_assign",
     "target_distribution",
@@ -66,8 +61,7 @@ AE_PRETRAIN_EPOCHS = 50
 
 # Fixed child-stream indices of the experiment seed.
 _STREAM_AE = 0
-_STREAM_GCN = 1
-_STREAM_ATT = 2
+_STREAM_CHANNEL = {"gcn": 1, "graphormer": 2}
 _STREAM_CONTRASTIVE_INIT = 3
 _STREAM_CONTRASTIVE_MASK = 4
 _STREAM_KMEANS = 5
@@ -103,57 +97,112 @@ def uses_contrastive(cfg: ExperimentConfig) -> bool:
 
 @dataclass
 class Channel:
-    """A graph channel: encoder and decoder layer parameters, saved under a
-    checkpoint prefix, and the layer function that applies one of them as
-    layer(constants, input, layer_params, activate)."""
+    """A layer stack over the width ladder: the autoencoder, the GCN or the
+    attention channel. Each encoder and decoder layer is a {role: parameter}
+    dict, saved as <prefix>.<enc|dec>.<i>.<role>, and layer(input, params,
+    activate) applies one of them."""
 
     prefix: str
-    enc: list
-    dec: list
+    enc: list[dict[str, Tensor]]
+    dec: list[dict[str, Tensor]]
     layer: Callable
 
     @classmethod
-    def gcn(cls, params: GcnParams) -> "Channel":
-        def layer(cons, z, w, activate):
-            return gcn_layer(cons.adj, z, w, activate=activate)
+    def build(cls, prefix: str, dims: list[int], make: Callable, layer: Callable) -> "Channel":
+        """make(d_in, d_out) gives one layer's {role: array}; it is called
+        for every encoder layer along dims, then for every decoder layer
+        back along it, which is the order of the random draws."""
 
-        return cls("gcn", params.enc_w, params.dec_w, layer)
+        def stack(ladder):
+            return [
+                {role: ad.parameter(arr) for role, arr in make(a, b).items()}
+                for a, b in zip(ladder[:-1], ladder[1:])
+            ]
 
-    @classmethod
-    def attention(cls, params: GraphormerParams) -> "Channel":
-        def layer(cons, z, lp, activate):
-            return graphormer_layer(
-                z, cons.centrality, cons.adj, cons.logit_bias, lp, params.heads, activate=activate
-            )
-
-        return cls("graphormer", params.enc, params.dec, layer)
+        return cls(prefix, stack(dims), stack(dims[::-1]), layer)
 
     def named(self) -> list[tuple[str, Tensor]]:
-        out = []
-        for part, layers in (("enc", self.enc), ("dec", self.dec)):
-            for i, lp in enumerate(layers):
-                roles = [("w", lp)] if isinstance(lp, Tensor) else lp.named()
-                out += [(f"{self.prefix}.{part}.{i}.{role}", t) for role, t in roles]
-        return out
+        return [
+            (f"{self.prefix}.{part}.{i}.{role}", t)
+            for part, layers in (("enc", self.enc), ("dec", self.dec))
+            for i, params in enumerate(layers)
+            for role, t in params.items()
+        ]
+
+    def encode(self, x: Tensor, inject=(), eps: float = 0.0) -> list[Tensor]:
+        """Every encoder layer output; the last one is the bottleneck. With
+        inject given, layer i > 0 takes the eps-blend of inject[i - 1] and
+        the previous layer's output."""
+        outs: list[Tensor] = []
+        z = x
+        for i, params in enumerate(self.enc):
+            if inject and i > 0:
+                z = ad.blend(inject[i - 1], z, eps)
+            z = self.layer(z, params, True)
+            outs.append(z)
+        return outs
+
+    def decode(self, z: Tensor) -> Tensor:
+        """The reconstruction from the bottleneck z; the last layer is linear."""
+        last = len(self.dec) - 1
+        for i, params in enumerate(self.dec):
+            z = self.layer(z, params, i != last)
+        return z
+
+
+def _autoencoder(dims: list[int], weight: Callable) -> Channel:
+    """The autoencoder over the ladder dims: weight(d_in, d_out) gives each
+    layer's weight matrix, and every bias starts at zero."""
+    return Channel.build(
+        "ae", dims, lambda a, b: {"w": weight(a, b), "b": np.zeros((1, b))},
+        lambda z, params, activate: ad.dense(z, params["w"], params["b"], activate),
+    )
+
+
+def _graph_channel(
+    name: str, rng: np.random.Generator, dims: list[int], heads: int, cons: _Constants
+) -> Channel:
+    """A new GCN or attention channel over the ladder dims, drawn from rng,
+    whose layers read the graph constants cons."""
+    if name == "gcn":
+        return Channel.build(
+            "gcn", dims, lambda a, b: {"w": glorot(rng, a, b)},
+            lambda z, params, activate: gcn_layer(cons.adj, z, params["w"], activate=activate),
+        )
+    # The centrality projections start divided by the typical magnitude of
+    # each centrality column, so unnormalized measures (betweenness can reach
+    # hundreds) do not blow up the layer outputs before training can adapt.
+    cent = cons.centrality.value
+    inv = (1.0 / np.maximum(np.sqrt((cent**2).mean(axis=0)), 1.0))[:, None]
+    roles = ("key", "query", "value")
+
+    def make(a, b):
+        # Every w_* is drawn before the wc_*; each w_* is named before its wc_*.
+        w = {role: glorot(rng, a, heads * b) for role in roles}
+        wc = {role: glorot(rng, cent.shape[1], heads * b) * inv for role in roles}
+        return {f"{kind}_{role}": arrs[role]
+                for role in roles for kind, arrs in (("w", w), ("wc", wc))}
+
+    return Channel.build(
+        "graphormer", dims, make,
+        lambda z, params, activate: graphormer_layer(
+            z, cons.centrality, cons.adj, cons.logit_bias, params, heads, activate=activate
+        ),
+    )
 
 
 @dataclass
 class ModelState:
     """Everything trainable plus the frozen contrastive features."""
 
-    ae: AEParams
+    ae: Channel
     channels: list[Channel]  # the enabled graph channels, GCN before attention
     centroids: Tensor
     x_c: np.ndarray
 
     def _named(self) -> list[tuple[str, Tensor]]:
-        out = self.ae.named()
-        for channel in self.channels:
-            out += channel.named()
-        return out + [("centroids", self.centroids)]
-
-    def trainable(self) -> list[Tensor]:
-        return [t for _, t in self._named()]
+        stacks = [pair for channel in (self.ae, *self.channels) for pair in channel.named()]
+        return stacks + [("centroids", self.centroids)]
 
     def named_arrays(self) -> list[tuple[str, np.ndarray]]:
         return [(name, t.value) for name, t in self._named()] + [("x_c", self.x_c)]
@@ -241,18 +290,17 @@ def _nonfinite_gradient(named) -> str | None:
     return None
 
 
-def pretrain_ae(g: Graph, cfg: ExperimentConfig) -> AEParams:
+def pretrain_ae(g: Graph, cfg: ExperimentConfig) -> Channel:
     """Full-batch Adam on the reconstruction loss for 50 epochs."""
-    dims = ladder_dims(g.f, cfg.n_z, cfg.layers)
-    params = AEParams.init(_stream(cfg.seed, _STREAM_AE), dims)
-    named = params.named()
+    rng = _stream(cfg.seed, _STREAM_AE)
+    ae = _autoencoder(ladder_dims(g.f, cfg.n_z, cfg.layers), lambda a, b: glorot(rng, a, b))
+    named = ae.named()
     tensors = [t for _, t in named]
     opt = AdamState.for_params(tensors, cfg.lr)
     x = ad.constant(g.features)
     for epoch in range(AE_PRETRAIN_EPOCHS):
         zero_grad(tensors)
-        _, xhat = ae_forward(params, x)
-        loss = ae_loss(x, xhat)
+        loss = ae_loss(x, ae.decode(ae.encode(x)[-1]))
         if not np.isfinite(loss.value[0, 0]):
             raise NumericError(f"autoencoder pretraining diverged at epoch {epoch}")
         backward(loss)
@@ -262,7 +310,7 @@ def pretrain_ae(g: Graph, cfg: ExperimentConfig) -> AEParams:
                 f"autoencoder pretraining: non-finite gradient of {bad} at epoch {epoch}"
             )
         adam_step(tensors, [t.grad for t in tensors], opt)
-    return params
+    return ae
 
 
 def _mask_features(rng: np.random.Generator, x: np.ndarray, p: float) -> np.ndarray:
@@ -334,15 +382,6 @@ def pretrained_from_named(named: dict[str, np.ndarray]) -> Pretrained:
 # ---------------------------------------------------------------------------
 # Assignment machinery
 # ---------------------------------------------------------------------------
-
-def fused_input(h_ae: Tensor, z_prev: Tensor, eps: float) -> Tensor:
-    """Blend the matching autoencoder layer output into a channel's input."""
-    if h_ae.shape != z_prev.shape:
-        raise ValueError(
-            f"fused_input: shapes differ: {h_ae.shape} vs {z_prev.shape}"
-        )
-    return ad.blend(h_ae, z_prev, eps)
-
 
 def fuse_final(terms, adj: sp.csr_array) -> Tensor:
     """Propagated combination adj @ sum(weight * z) of the (weight,
@@ -441,31 +480,20 @@ def _build_constants(
     )
 
 
-def _pretrained_ae(pre: Pretrained, dims: list[int]) -> AEParams:
-    """Trainable copies of the pretrained autoencoder weights, whose shapes
-    must follow the configured ladder."""
-    rev = dims[::-1]
-    layers = [*zip(dims[:-1], dims[1:]), *zip(rev[:-1], rev[1:])]
-    want = [shape for a, b in layers for shape in ((a, b), (1, b))]
-    got = [arr.shape for _, arr in pre.ae_named]
+def _pretrained_ae(pre: Pretrained, dims: list[int]) -> Channel:
+    """Trainable copies of the pretrained autoencoder weights, whose names
+    and shapes must be those of the configured ladder's autoencoder."""
+    ae = _autoencoder(dims, lambda a, b: np.zeros((a, b)))
+    want = [(name, t.shape) for name, t in ae.named()]
+    got = [(name, arr.shape) for name, arr in pre.ae_named]
     if got != want:
         raise ConfigError(
             f"pretrained autoencoder does not match the configured ladder {dims}: "
-            f"shapes {got}, expected {want}"
+            f"entries {got}, expected {want}"
         )
-    t = [ad.parameter(arr) for _, arr in pre.ae_named]
-    depth = 2 * (len(dims) - 1)
-    return AEParams(t[0:depth:2], t[1:depth:2], t[depth::2], t[depth + 1::2])
-
-
-def _init_channel(name: str, cfg: ExperimentConfig, dims: list[int], cons: _Constants) -> Channel:
-    if name == "gcn":
-        return Channel.gcn(GcnParams.init(_stream(cfg.seed, _STREAM_GCN), dims))
-    cent_scale = np.sqrt((cons.centrality.value**2).mean(axis=0))
-    return Channel.attention(GraphormerParams.init(
-        _stream(cfg.seed, _STREAM_ATT), dims, len(cfg.centrality), cfg.heads,
-        cent_scale=cent_scale,
-    ))
+    for (_, t), (_, arr) in zip(ae.named(), pre.ae_named):
+        t.value[...] = arr
+    return ae
 
 
 def _init_state(
@@ -474,7 +502,10 @@ def _init_state(
     dims = ladder_dims(g.f, cfg.n_z, cfg.layers)
     state = ModelState(
         ae=_pretrained_ae(pre, dims),
-        channels=[_init_channel(name, cfg, dims, cons) for name in _channels(cfg)],
+        channels=[
+            _graph_channel(name, _stream(cfg.seed, _STREAM_CHANNEL[name]), dims, cfg.heads, cons)
+            for name in _channels(cfg)
+        ],
         centroids=ad.parameter(np.zeros((cfg.k, cfg.n_z)), name="centroids"),
         x_c=pre.x_c,
     )
@@ -512,15 +543,8 @@ def _encode(state: ModelState, cons: _Constants, cfg: ExperimentConfig):
     """Autoencoder encoder layer outputs, and every graph channel's
     bottleneck keyed by its prefix. Encoder layer i > 0 of a channel takes
     the epsilon-blend of autoencoder layer i - 1 and its own previous output."""
-    hs = ae_encode(state.ae, cons.x)
-    zs = {}
-    for channel in state.channels:
-        z = cons.x_enhanced
-        for i, lp in enumerate(channel.enc):
-            z_in = z if i == 0 else fused_input(hs[i - 1], z, cfg.epsilon)
-            z = channel.layer(cons, z_in, lp, True)
-        zs[channel.prefix] = z
-    return hs, zs
+    hs = state.ae.encode(cons.x)
+    return hs, {c.prefix: c.encode(cons.x_enhanced, hs, cfg.epsilon)[-1] for c in state.channels}
 
 
 def _forward_channels(state: ModelState, cons: _Constants, cfg: ExperimentConfig):
@@ -528,14 +552,8 @@ def _forward_channels(state: ModelState, cons: _Constants, cfg: ExperimentConfig
     reconstruction, plus (bottleneck, reconstruction) of every graph channel
     keyed by its prefix."""
     hs, zs = _encode(state, cons, cfg)
-    outs = {}
-    for channel in state.channels:
-        z = zs[channel.prefix]
-        last = len(channel.dec) - 1
-        for i, lp in enumerate(channel.dec):
-            z = channel.layer(cons, z, lp, i != last)
-        outs[channel.prefix] = (zs[channel.prefix], z)
-    return hs, ae_decode(state.ae, hs[-1]), outs
+    outs = {c.prefix: (zs[c.prefix], c.decode(zs[c.prefix])) for c in state.channels}
+    return hs, state.ae.decode(hs[-1]), outs
 
 
 def _fuse(cons: _Constants, hs: list[Tensor], zs: dict) -> Tensor:
@@ -623,7 +641,7 @@ def train(
     cons = _build_constants(g, cfg, pretrained.x_c, terms)
     state = _init_state(g, cfg, pretrained, cons)
     named = state._named()
-    params = state.trainable()
+    params = [t for _, t in named]
     opt = AdamState.for_params(params, cfg.lr)
 
     def abort(error: NumericError):

@@ -6,10 +6,13 @@ level-synchronous Brandes accumulation), the matching accuracy enumerates
 every bijection, the graph operators are dense n x n matrices (the
 implementation keeps the adjacency and the attention weights in CSR), and
 the Adam update runs on whole arrays (the implementation updates in blocks),
-and the layer ops are composed from the tape's elementary ops (the
-implementation records each as one node). The finite-difference checker, the
-closed-form centroid gradient and the composite loss of a model state judge
-the tape's gradients.
+the layer ops are composed from the tape's elementary ops (the
+implementation records each as one node), and the initial parameters of the
+autoencoder, GCN and attention stacks are drawn into per-stack lists and
+named afterwards (the implementation builds every stack, names included,
+with pipeline.Channel.build). The finite-difference checker, the closed-form
+centroid gradient and the composite loss of a model state judge the tape's
+gradients.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from gclgcn import pipeline as P
 from gclgcn.autodiff import Tensor
 from gclgcn.config import ExperimentConfig
 from gclgcn.graph import Graph
+from gclgcn.layers import glorot
 from gclgcn.pipeline import ModelState
 
 
@@ -152,10 +156,10 @@ def masked_attention(q, k, v, logit_bias: np.ndarray, scale: float) -> np.ndarra
 
 def dense_graphormer_layer(z, centrality, logit_bias, params, heads=1, activate=True):
     """Multi-head masked attention with the centrality terms of every
-    projection; params is a layers.GraphormerLayerParams."""
+    projection; params maps w_<role> and wc_<role> to a tensor for each
+    role key, query, value."""
     def proj(role):
-        return (z @ getattr(params, f"w_{role}").value
-                + centrality @ getattr(params, f"wc_{role}").value)
+        return z @ params[f"w_{role}"].value + centrality @ params[f"wc_{role}"].value
 
     keys, queries, values = proj("key"), proj("query"), proj("value")
     d_head = keys.shape[1] // heads
@@ -167,6 +171,77 @@ def dense_graphormer_layer(z, centrality, logit_bias, params, heads=1, activate=
         )
     out = out / heads
     return leaky_relu(out) if activate else out
+
+
+def ae_init_reference(rng: np.random.Generator, dims) -> list[tuple[str, np.ndarray]]:
+    """Named initial autoencoder parameters: glorot weights for every encoder
+    layer along dims, then every decoder layer back along it, zero biases."""
+    enc_w, enc_b, dec_w, dec_b = [], [], [], []
+    for a, b in zip(dims[:-1], dims[1:]):
+        enc_w.append(glorot(rng, a, b))
+        enc_b.append(np.zeros((1, b)))
+    rev = dims[::-1]
+    for a, b in zip(rev[:-1], rev[1:]):
+        dec_w.append(glorot(rng, a, b))
+        dec_b.append(np.zeros((1, b)))
+    out = []
+    for i, (w, b) in enumerate(zip(enc_w, enc_b)):
+        out += [(f"ae.enc.{i}.w", w), (f"ae.enc.{i}.b", b)]
+    for i, (w, b) in enumerate(zip(dec_w, dec_b)):
+        out += [(f"ae.dec.{i}.w", w), (f"ae.dec.{i}.b", b)]
+    return out
+
+
+def gcn_init_reference(rng: np.random.Generator, dims) -> list[tuple[str, np.ndarray]]:
+    """Named initial GCN weights: encoder layers, then decoder layers."""
+    enc = [glorot(rng, a, b) for a, b in zip(dims[:-1], dims[1:])]
+    rev = dims[::-1]
+    dec = [glorot(rng, a, b) for a, b in zip(rev[:-1], rev[1:])]
+    return ([(f"gcn.enc.{i}.w", w) for i, w in enumerate(enc)]
+            + [(f"gcn.dec.{i}.w", w) for i, w in enumerate(dec)])
+
+
+def attention_init_reference(
+    rng: np.random.Generator, dims, cent_dim: int, heads: int, cent_scale: np.ndarray
+) -> list[tuple[str, np.ndarray]]:
+    """Named initial attention parameters. Each layer draws w_key, w_query,
+    w_value, then wc_key, wc_query, wc_value divided by the centrality
+    column magnitudes cent_scale (floored at 1), and names each projection
+    followed by its centrality term."""
+    inv = (1.0 / np.maximum(np.asarray(cent_scale, dtype=np.float64), 1.0))[:, None]
+
+    def layer(d_in, d_out):
+        wide = heads * d_out
+        drawn = {
+            "w_key": glorot(rng, d_in, wide),
+            "w_query": glorot(rng, d_in, wide),
+            "w_value": glorot(rng, d_in, wide),
+            "wc_key": glorot(rng, cent_dim, wide) * inv,
+            "wc_query": glorot(rng, cent_dim, wide) * inv,
+            "wc_value": glorot(rng, cent_dim, wide) * inv,
+        }
+        return [(f"{kind}_{role}", drawn[f"{kind}_{role}"])
+                for role in ("key", "query", "value") for kind in ("w", "wc")]
+
+    enc = [layer(a, b) for a, b in zip(dims[:-1], dims[1:])]
+    rev = dims[::-1]
+    dec = [layer(a, b) for a, b in zip(rev[:-1], rev[1:])]
+    out = []
+    for part, layers in (("enc", enc), ("dec", dec)):
+        for i, roles in enumerate(layers):
+            out += [(f"graphormer.{part}.{i}.{role}", arr) for role, arr in roles]
+    return out
+
+
+def layer_params(named, part: str = "enc") -> list[dict[str, Tensor]]:
+    """Trainable {role: parameter} dicts of the part ("enc" or "dec") layers
+    of a list of (<prefix>.<part>.<i>.<role>, array) pairs, in layer order."""
+    layers: dict[int, dict[str, Tensor]] = {}
+    for name, arr in named:
+        _, p, i, role = name.split(".")
+        if p == part:
+            layers.setdefault(int(i), {})[role] = ad.parameter(arr)
+    return [layers[i] for i in sorted(layers)]
 
 
 def composed_project(z, w, c, wc) -> Tensor:

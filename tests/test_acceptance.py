@@ -21,27 +21,26 @@ from gclgcn.cluster import accuracy, ari, f1_macro, kmeans, metric_row, nmi
 from gclgcn.config import ContrastiveConfig, ExperimentConfig
 from gclgcn.graph import Graph, SbmSpec, generate_sbm, normalize_adjacency
 from gclgcn.layers import (
-    AEParams,
     ContrastiveParams,
-    GcnParams,
-    GraphormerParams,
-    ae_forward,
     ae_loss,
     combined_similarity,
     contrastive_encoder,
     contrastive_loss,
     gcn_layer,
+    glorot,
     graphormer_layer,
 )
 from gclgcn import pipeline as P
 
 from oracles import (
+    attention_init_reference,
     betweenness_reference,
     brute_force_accuracy,
     centroid_gradient,
     closeness_reference,
     degree_reference,
     finite_difference_check,
+    layer_params,
     random_er_graph,
 )
 
@@ -85,16 +84,15 @@ def _tiny_graph(rng, n=5, f=4, p=0.6):
     return Graph(features=rng.standard_normal((n, f)), edges=edges)
 
 
-def _manual_state(rng, g, dims, k):
-    cent = composite_centrality(g)
-    scale = np.sqrt((cent**2).mean(axis=0))
+def _manual_state(rng, g, cfg, dims):
+    # The graph channels read only the adjacency, centrality and spatial
+    # bias of their constants, none of which depends on x_c, so they are
+    # built before x_c is drawn.
+    cons = P._build_constants(g, cfg, np.zeros_like(g.features), P.GraphTerms(g))
     state = P.ModelState(
-        ae=AEParams.init(rng, dims),
-        channels=[
-            P.Channel.gcn(GcnParams.init(rng, dims)),
-            P.Channel.attention(GraphormerParams.init(rng, dims, 3, 1, cent_scale=scale)),
-        ],
-        centroids=ad.parameter(rng.standard_normal((k, dims[-1]))),
+        ae=P._autoencoder(dims, lambda a, b: glorot(rng, a, b)),
+        channels=[P._graph_channel(name, rng, dims, 1, cons) for name in ("gcn", "graphormer")],
+        centroids=ad.parameter(rng.standard_normal((cfg.k, dims[-1]))),
         x_c=0.1 * rng.standard_normal(g.features.shape),
     )
     return state
@@ -106,11 +104,11 @@ def test_c2_gradient_suite():
 
     for seed in range(10):
         rng = np.random.default_rng(300 + seed)
-        params = AEParams.init(rng, [6, 7, 4])
+        ae = P._autoencoder([6, 7, 4], lambda a, b: glorot(rng, a, b))
         x = ad.constant(rng.standard_normal((7, 6)))
-        tensors = [t for _, t in params.named()]
+        tensors = [t for _, t in ae.named()]
         err = finite_difference_check(
-            lambda _: ae_loss(x, ae_forward(params, x)[1]), tensors
+            lambda _: ae_loss(x, ae.decode(ae.encode(x)[-1])), tensors
         )
         worst["ae"] = max(worst["ae"], err)
 
@@ -130,11 +128,11 @@ def test_c2_gradient_suite():
         g = _tiny_graph(rng, n=5)
         cent = composite_centrality(g)
         scale = np.sqrt((cent**2).mean(axis=0))
-        lp = GraphormerParams.init(rng, [g.f, 3], 3, 1, cent_scale=scale).enc[0]
+        lp = layer_params(attention_init_reference(rng, [g.f, 3], 3, 1, cent_scale=scale))[0]
         cent_c = ad.constant(cent)
         adj = normalize_adjacency(g)
         bias = spatial_bias(g)
-        tensors = [lp.w_key, lp.w_query, lp.w_value, lp.wc_key, lp.wc_query, lp.wc_value]
+        tensors = list(lp.values())
         target = ad.constant(rng.standard_normal((g.n, 3)))
         err = finite_difference_check(
             lambda _: ad.mse(
@@ -173,11 +171,11 @@ def test_c2_gradient_suite():
         rng = np.random.default_rng(700 + seed)
         g = _tiny_graph(rng, n=6, f=5)
         cfg = ExperimentConfig(k=2, n_z=3, alpha=0.3, beta=0.2, seed=0)
-        state = _manual_state(rng, g, [5, 6, 3], 2)
+        state = _manual_state(rng, g, cfg, [5, 6, 3])
         cons = P._build_constants(g, cfg, state.x_c, P.GraphTerms(g))
         _, _, assignments0 = P._epoch_losses(state, cons, cfg)
         p_fixed = P.target_distribution(assignments0.q)
-        params = state.trainable()
+        params = [t for _, t in state._named()]
         err = finite_difference_check(
             lambda _: P._epoch_losses(state, cons, cfg, p_fixed=p_fixed)[0], params
         )

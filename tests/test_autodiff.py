@@ -235,19 +235,14 @@ class TestFiniteDifferenceSuite:
 class TestLeakyRelu:
     SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e308, -1e308])
 
-    @pytest.mark.parametrize("slope", [1e-300, 0.01, 0.2, 1.0])
-    def test_matches_where_form_on_special_values(self, slope):
+    def test_matches_where_form_on_special_values(self):
+        slope = ad.LEAKY_SLOPE
         rng = np.random.default_rng(0)
         x = np.concatenate([self.SPECIAL, rng.standard_normal(71)]).reshape(8, 10)
         g = np.concatenate([self.SPECIAL[::-1], rng.standard_normal(71)]).reshape(8, 10)
-        out = ad.leaky_relu(ad.parameter(x), slope)
+        out = ad.leaky_relu(ad.parameter(x))
         assert out.value.tobytes() == np.where(x > 0, x, x * slope).tobytes()
         assert out._rule(g)[0].tobytes() == np.where(x > 0, g, g * slope).tobytes()
-
-    @pytest.mark.parametrize("slope", [0.0, -0.1, 1.5, np.nan])
-    def test_slope_outside_unit_interval_rejected(self, slope):
-        with pytest.raises(ValueError, match="slope"):
-            ad.leaky_relu(ad.constant(np.ones((2, 2))), slope)
 
 
 def _sparse(rng, n):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gclgcn.centrality import composite_centrality
-from gclgcn.checkpoint import load_checkpoint
+from gclgcn.checkpoint import load_checkpoint, save_checkpoint
 from gclgcn.cli import run
 from gclgcn.graph import load_graph
 
@@ -134,6 +134,27 @@ class TestTrainCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert "x_c" in err and "(20, 6)" in err and "(10, 6)" in err
+
+    @pytest.mark.parametrize("edit", ["renamed", "reordered"])
+    def test_pretrained_ae_entries_must_match_by_name(self, edit, run_cfg, tmp_path, capsys):
+        # Each edit keeps the sequence of shapes, which alone would pass.
+        pre = tmp_path / "pre"
+        assert run(["pretrain", "--config", str(run_cfg), "--out", str(pre)]) == 0
+        entries = list(load_checkpoint(pre / "pretrain.gclc").items())
+        names = [name for name, _ in entries]
+        if edit == "renamed":
+            entries[0] = ("ae.encoder.0.w", entries[0][1])
+        else:  # the first encoder and first decoder bias are both (1, 500)
+            i, j = names.index("ae.enc.0.b"), names.index("ae.dec.0.b")
+            entries[i], entries[j] = entries[j], entries[i]
+        save_checkpoint(pre / "pretrain.gclc", entries)
+        capsys.readouterr()
+        code = run(["train", "--config", str(run_cfg), "--out", str(tmp_path / "out"),
+                    "--pretrained", str(pre)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "does not match the configured ladder" in err
+        assert "ae.enc.0.w" in err and "ae.dec.0.b" in err
 
 
 class TestStudies:
@@ -358,6 +379,28 @@ class TestBadInput:
                     "--out", str(out)])
         assert code == 1
         assert "argument --blocks: expected a comma list of int values" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
+    def test_measures_read_like_the_config_key(self, dataset, tmp_path, capsys):
+        # items are stripped and empty ones dropped, as in centrality=degree, closeness
+        out = tmp_path / "c.csv"
+        code = run(["centrality", "--features", str(dataset / "features.csv"),
+                    "--edges", str(dataset / "edges.txt"),
+                    "--measures", "degree, ,closeness", "--out", str(out)])
+        assert code == 0
+        g = load_graph(dataset / "features.csv", dataset / "edges.txt")
+        want = composite_centrality(g, ("degree", "closeness"))
+        assert np.array_equal(np.loadtxt(out, delimiter=",", ndmin=2), want)
+
+    def test_unknown_measure_names_flag(self, dataset, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        code = run(["centrality", "--features", str(dataset / "features.csv"),
+                    "--edges", str(dataset / "edges.txt"),
+                    "--measures", "degree, pagerank", "--out", str(out)])
+        assert code == 1
+        assert "argument --measures: expected 'all' or a comma list of" in (
             capsys.readouterr().err
         )
         assert not out.exists()

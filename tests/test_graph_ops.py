@@ -13,14 +13,16 @@ from gclgcn import pipeline as P
 from gclgcn.centrality import composite_centrality, spatial_bias
 from gclgcn.config import ExperimentConfig
 from gclgcn.graph import Graph, normalize_adjacency
-from gclgcn.layers import AEParams, GcnParams, GraphormerParams, gcn_layer, graphormer_layer
+from gclgcn.layers import gcn_layer, glorot, graphormer_layer
 
 from oracles import (
+    attention_init_reference,
     dense_gcn_layer,
     dense_graphormer_layer,
     dense_logit_bias,
     dense_normalized_adjacency,
     finite_difference_check,
+    layer_params,
     masked_attention,
     random_er_graph,
 )
@@ -56,16 +58,15 @@ def test_gcn_layer_matches_dense_oracle(g, d_out):
 def test_graphormer_layer_matches_dense_oracle(g, heads):
     cent = composite_centrality(g)
     scale = np.sqrt((cent**2).mean(axis=0))
-    params = GraphormerParams.init(np.random.default_rng(heads), [g.f, 3], 3, heads,
-                                   cent_scale=scale)
+    lp = layer_params(attention_init_reference(np.random.default_rng(heads), [g.f, 3], 3, heads,
+                                               cent_scale=scale))[0]
     for sign in (1.0, -1.0):
         out = graphormer_layer(
             ad.constant(g.features), ad.constant(cent), normalize_adjacency(g),
-            sign * spatial_bias(g), params.enc[0], heads,
+            sign * spatial_bias(g), lp, heads,
         )
         want = dense_graphormer_layer(
-            g.features, cent, dense_logit_bias(g.features, g.edges, sign),
-            params.enc[0], heads,
+            g.features, cent, dense_logit_bias(g.features, g.edges, sign), lp, heads,
         )
         assert np.max(np.abs(out.value - want)) <= 1e-10
 
@@ -120,17 +121,13 @@ def test_edge_attention_rejects_bad_pattern():
 # Node permutations
 # ---------------------------------------------------------------------------
 
-def _fixed_state(f: int, heads: int) -> P.ModelState:
+def _fixed_state(f: int, heads: int, cons) -> P.ModelState:
+    """A model whose graph channels read the constants cons."""
     rng = np.random.default_rng(17)
     dims = [f, 5, 3]
     return P.ModelState(
-        ae=AEParams.init(rng, dims),
-        channels=[
-            P.Channel.gcn(GcnParams.init(rng, dims)),
-            P.Channel.attention(
-                GraphormerParams.init(rng, dims, 3, heads, cent_scale=np.full(3, 2.0))
-            ),
-        ],
+        ae=P._autoencoder(dims, lambda a, b: glorot(rng, a, b)),
+        channels=[P._graph_channel(name, rng, dims, heads, cons) for name in ("gcn", "graphormer")],
         centroids=ad.parameter(rng.standard_normal((2, 3))),
         x_c=np.zeros((0, 0)),
     )
@@ -162,9 +159,14 @@ def test_node_permutation_permutes_channels_and_centrality(case, heads):
     assert np.allclose(composite_centrality(pg)[perm], cent, rtol=1e-12, atol=1e-12)
 
     cfg = ExperimentConfig(k=2, n_z=3, seed=0)
-    state = _fixed_state(4, heads)
-    _, _, outs = P._forward_channels(state, P._build_constants(g, cfg, x_c, P.GraphTerms(g)), cfg)
-    _, _, pouts = P._forward_channels(state, P._build_constants(pg, cfg, x_c[inverse], P.GraphTerms(pg)), cfg)
+    cons = P._build_constants(g, cfg, x_c, P.GraphTerms(g))
+    pcons = P._build_constants(pg, cfg, x_c[inverse], P.GraphTerms(pg))
+    state, pstate = _fixed_state(4, heads, cons), _fixed_state(4, heads, pcons)
+    for (name, t), (pname, pt) in zip(state._named(), pstate._named()):
+        assert name == pname
+        pt.value[...] = t.value  # one set of parameters on both graphs
+    _, _, outs = P._forward_channels(state, cons, cfg)
+    _, _, pouts = P._forward_channels(pstate, pcons, cfg)
     # (bottleneck, reconstruction) of every graph channel
     assert list(outs) == list(pouts) == ["gcn", "graphormer"]
     for name in outs:

@@ -2,26 +2,25 @@ import numpy as np
 import pytest
 
 from gclgcn import autodiff as ad
+from gclgcn import pipeline as P
 from gclgcn.centrality import composite_centrality, spatial_bias
 from gclgcn.config import ConfigError, ContrastiveConfig, ExperimentConfig
 from gclgcn.graph import Graph, normalize_adjacency
 from gclgcn.pipeline import GraphTerms, _build_constants, _mask_features  # noqa: internal
 from gclgcn.layers import (
-    AEParams,
     ContrastiveParams,
-    GraphormerParams,
-    ae_forward,
     ae_loss,
     combined_similarity,
     contrastive_encoder,
     contrastive_loss,
     gcn_layer,
+    glorot,
     graphormer_layer,
     inner_product_decode,
     ladder_dims,
 )
 
-from oracles import finite_difference_check
+from oracles import attention_init_reference, finite_difference_check, layer_params
 
 
 def tiny_graph(seed=0, n=5, f=4, p=0.5):
@@ -31,10 +30,18 @@ def tiny_graph(seed=0, n=5, f=4, p=0.5):
 
 
 def zero_params(dims):
-    p = AEParams.init(np.random.default_rng(0), dims)
-    for _, t in p.named():
-        t.value[...] = 0.0
-    return p
+    return P._autoencoder(dims, lambda a, b: np.zeros((a, b)))
+
+
+def random_params(rng, dims):
+    return P._autoencoder(dims, lambda a, b: glorot(rng, a, b))
+
+
+def encode_decode(ae, x):
+    """Every encoder layer output of the autoencoder channel ae, and the
+    reconstruction."""
+    hs = ae.encode(x)
+    return hs, ae.decode(hs[-1])
 
 
 class TestLadder:
@@ -50,26 +57,26 @@ class TestLadder:
 class TestAutoencoder:
     def test_zero_params_give_zero_outputs(self):
         params = zero_params([4, 3, 2])
-        hs, xhat = ae_forward(params, ad.constant(np.random.default_rng(0).standard_normal((5, 4))))
+        hs, xhat = encode_decode(params, ad.constant(np.random.default_rng(0).standard_normal((5, 4))))
         assert all(np.array_equal(h.value, np.zeros((5, d))) for h, d in zip(hs, (3, 2)))
         assert np.array_equal(xhat.value, np.zeros((5, 4)))
 
     def test_identity_weights_pass_nonnegative_input(self):
         params = zero_params([3, 3])
-        params.enc_w[0].value[...] = np.eye(3)
+        params.enc[0]["w"].value[...] = np.eye(3)
         x = np.abs(np.random.default_rng(1).standard_normal((4, 3)))
-        hs, _ = ae_forward(params, ad.constant(x))
+        hs, _ = encode_decode(params, ad.constant(x))
         assert np.allclose(hs[0].value, x, atol=0)
 
     def test_gradients(self):
         for seed in range(5):
             rng = np.random.default_rng(seed)
-            params = AEParams.init(rng, [8, 6, 3])
+            params = random_params(rng, [8, 6, 3])
             x = ad.constant(rng.standard_normal((6, 8)))
             tensors = [t for _, t in params.named()]
 
             def loss(_):
-                _, xhat = ae_forward(params, x)
+                _, xhat = encode_decode(params, x)
                 return ae_loss(x, xhat)
 
             assert finite_difference_check(loss, tensors) <= 1e-4
@@ -114,21 +121,20 @@ class TestGcnLayer:
 
 def build_attention(g, heads=1, measures=("degree", "betweenness", "closeness"), seed=0):
     cent = composite_centrality(g, measures)
-    params = GraphormerParams.init(
+    named = attention_init_reference(
         np.random.default_rng(seed), [g.f, 3], len(measures), heads,
         cent_scale=np.sqrt((cent**2).mean(axis=0)),
     )
-    return ad.constant(cent), normalize_adjacency(g), spatial_bias(g), params
+    return ad.constant(cent), normalize_adjacency(g), spatial_bias(g), layer_params(named)
 
 
 class TestGraphormerLayer:
     def test_isolated_node_attends_to_itself(self):
         g = Graph(features=np.random.default_rng(0).standard_normal((3, 4)), edges=[(0, 1)])
         cent, adj, bias, params = build_attention(g)
-        out = graphormer_layer(ad.constant(g.features), cent, adj, bias, params.enc[0], 1)
+        out = graphormer_layer(ad.constant(g.features), cent, adj, bias, params[0], 1)
         # node 2 is isolated: output = LeakyReLU(v_2)
-        v = g.features @ params.enc[0].w_value.value + \
-            cent.value @ params.enc[0].wc_value.value
+        v = g.features @ params[0]["w_value"].value + cent.value @ params[0]["wc_value"].value
         want = np.where(v[2] > 0, v[2], 0.01 * v[2])
         assert np.allclose(out.value[2], want, atol=1e-12)
 
@@ -138,10 +144,11 @@ class TestGraphormerLayer:
         cent = ad.constant(np.ones((2, 1)))
         adj = normalize_adjacency(g)
         bias = np.zeros(adj.nnz)
-        params = GraphormerParams.init(np.random.default_rng(3), [2, 3], 1, 1, np.ones(1))
-        out = graphormer_layer(ad.constant(feats), cent, adj, bias, params.enc[0], 1)
+        lp = layer_params(attention_init_reference(np.random.default_rng(3), [2, 3], 1, 1,
+                                                   np.ones(1)))[0]
+        out = graphormer_layer(ad.constant(feats), cent, adj, bias, lp, 1)
         # both nodes identical: attention [0.5, 0.5], outputs equal v mean
-        v = feats @ params.enc[0].w_value.value + np.ones((2, 1)) @ params.enc[0].wc_value.value
+        v = feats @ lp["w_value"].value + np.ones((2, 1)) @ lp["wc_value"].value
         want = 0.5 * (v[0] + v[1])
         want = np.where(want > 0, want, 0.01 * want)
         assert np.allclose(out.value[0], want, atol=1e-12)
@@ -170,13 +177,13 @@ class TestGraphormerLayer:
         g = tiny_graph(6)
         cent, adj, bias, params = build_attention(g)
         with pytest.raises(ValueError, match="bias has"):
-            graphormer_layer(ad.constant(g.features), cent, adj, bias[:-1], params.enc[0], 1)
+            graphormer_layer(ad.constant(g.features), cent, adj, bias[:-1], params[0], 1)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(7)
         g = tiny_graph(7, n=6)
         cent, adj, bias, params = build_attention(g, seed=7)
-        out = graphormer_layer(ad.constant(g.features), cent, adj, bias, params.enc[0], 1).value
+        out = graphormer_layer(ad.constant(g.features), cent, adj, bias, params[0], 1).value
 
         perm = rng.permutation(g.n)  # old id -> new id
         pedges = [(int(perm[u]), int(perm[v])) for u, v in g.edges]
@@ -184,7 +191,7 @@ class TestGraphormerLayer:
         pcent = composite_centrality(pg)
         pout = graphormer_layer(
             ad.constant(pg.features), ad.constant(pcent), normalize_adjacency(pg),
-            spatial_bias(pg), params.enc[0], 1,
+            spatial_bias(pg), params[0], 1,
         ).value
         # row for old node i sits at new position perm[i]
         assert np.allclose(out, pout[perm], atol=1e-9)
@@ -192,7 +199,7 @@ class TestGraphormerLayer:
     def test_multi_head_output_width(self):
         g = tiny_graph(8)
         cent, adj, bias, params = build_attention(g, heads=3, seed=8)
-        out = graphormer_layer(ad.constant(g.features), cent, adj, bias, params.enc[0], 3)
+        out = graphormer_layer(ad.constant(g.features), cent, adj, bias, params[0], 3)
         assert out.shape == (g.n, 3)
 
     def test_gradients(self):
@@ -200,8 +207,8 @@ class TestGraphormerLayer:
             rng = np.random.default_rng(seed)
             g = tiny_graph(seed, n=4)
             cent, adj, bias, params = build_attention(g, seed=seed)
-            lp = params.enc[0]
-            tensors = [lp.w_key, lp.w_query, lp.w_value, lp.wc_key, lp.wc_query, lp.wc_value]
+            lp = params[0]
+            tensors = list(lp.values())
             target = ad.constant(rng.standard_normal((g.n, 3)))
 
             def loss(_):
@@ -378,10 +385,11 @@ class TestTapeShape:
     def test_attention_layer_records_projections_attention_activation(self):
         g = tiny_graph(9, n=6)
         cent, adj, bias, _ = build_attention(g)
-        params = GraphormerParams.init(np.random.default_rng(9), [g.f, 4, 3], cent.shape[1], 1,
-                                       np.ones(cent.shape[1]))
-        z = graphormer_layer(ad.constant(g.features), cent, adj, bias, params.enc[0], 1)
-        out = graphormer_layer(z, cent, adj, bias, params.enc[1], 1)
+        params = layer_params(attention_init_reference(
+            np.random.default_rng(9), [g.f, 4, 3], cent.shape[1], 1, np.ones(cent.shape[1])
+        ))
+        z = graphormer_layer(ad.constant(g.features), cent, adj, bias, params[0], 1)
+        out = graphormer_layer(z, cent, adj, bias, params[1], 1)
         assert recorded_nodes(out, z) == sorted(
             [("project", (g.n, 3))] * 3 + [("edge_attention", (g.n, 3)), ("leaky_relu", (g.n, 3))]
         )
@@ -389,8 +397,8 @@ class TestTapeShape:
     def test_autoencoder_layer_records_one_node(self):
         g = tiny_graph(10, n=6)
         x = ad.constant(g.features)
-        params = AEParams.init(np.random.default_rng(10), [g.f, 5, 7, 3])
-        hs, xhat = ae_forward(params, x)
+        params = random_params(np.random.default_rng(10), [g.f, 5, 7, 3])
+        hs, xhat = encode_decode(params, x)
         assert recorded_nodes(hs[-1], x) == sorted(("dense", h.shape) for h in hs)
         for h_in, h in zip([x, *hs], hs):
             assert recorded_nodes(h, h_in) == [("dense", h.shape)]

@@ -14,7 +14,6 @@ from gclgcn.pipeline import (
     NumericError,
     assign_labels,
     fuse_final,
-    fused_input,
     kl_div,
     pretrain,
     pretrain_ae,
@@ -25,7 +24,13 @@ from gclgcn.pipeline import (
 )
 from gclgcn.pipeline import GraphTerms, _fusion_weights, _mask_features  # noqa: internal
 
-from oracles import centroid_gradient, loss_total
+from oracles import (
+    ae_init_reference,
+    attention_init_reference,
+    centroid_gradient,
+    gcn_init_reference,
+    loss_total,
+)
 
 
 def small_sbm(seed=3, sizes=(8, 8), p_in=0.6, p_out=0.05, f=6, sep=2.0):
@@ -47,16 +52,17 @@ def tiny_cfg(**over):
 
 
 class TestFusion:
-    def test_fused_input_weights(self):
+    def test_blend_weights(self):
+        # the injection of an autoencoder layer output h into a channel input z
         h = ad.constant(np.full((2, 2), 2.0))
         z = ad.constant(np.zeros((2, 2)))
-        assert np.array_equal(fused_input(h, z, 0.0).value, np.zeros((2, 2)))
-        assert np.array_equal(fused_input(h, z, 1.0).value, h.value)
-        assert np.array_equal(fused_input(h, z, 0.5).value, np.ones((2, 2)))
+        assert np.array_equal(ad.blend(h, z, 0.0).value, np.zeros((2, 2)))
+        assert np.array_equal(ad.blend(h, z, 1.0).value, h.value)
+        assert np.array_equal(ad.blend(h, z, 0.5).value, np.ones((2, 2)))
 
-    def test_fused_input_shape_mismatch(self):
-        with pytest.raises(ValueError, match="fused_input"):
-            fused_input(ad.constant(np.zeros((2, 2))), ad.constant(np.zeros((3, 2))), 0.5)
+    def test_blend_shape_mismatch(self):
+        with pytest.raises(ValueError, match=r"blend: shapes differ: \(2, 2\) vs \(3, 2\)"):
+            ad.blend(ad.constant(np.zeros((2, 2))), ad.constant(np.zeros((3, 2))), 0.5)
 
     def test_fuse_final_single_channel_edgeless(self):
         g = Graph(features=np.zeros((3, 1)), edges=[])
@@ -204,25 +210,24 @@ class TestPretraining:
     def test_ae_loss_improves(self):
         g = small_sbm()
         cfg = tiny_cfg()
-        params = pretrain_ae(g, cfg)
-        from gclgcn.layers import ae_forward, ae_loss
+        ae = pretrain_ae(g, cfg)
+        from gclgcn import pipeline as P
+        from gclgcn.layers import ae_loss, glorot
 
         x = ad.constant(g.features)
-        _, xhat = ae_forward(params, x)
-        final = ae_loss(x, xhat).value[0, 0]
-        rng_params = type(params).init(np.random.default_rng(0), [g.f, 500, cfg.n_z])
-        _, xhat0 = ae_forward(rng_params, x)
-        initial = ae_loss(x, xhat0).value[0, 0]
+        final = ae_loss(x, ae.decode(ae.encode(x)[-1])).value[0, 0]
+        rng = np.random.default_rng(0)
+        fresh = P._autoencoder([g.f, 500, cfg.n_z], lambda a, b: glorot(rng, a, b))
+        initial = ae_loss(x, fresh.decode(fresh.encode(x)[-1])).value[0, 0]
         assert final < initial
 
     def test_zero_features_zero_loss(self):
         g = Graph(features=np.zeros((6, 3)), edges=[(0, 1), (2, 3)])
-        params = pretrain_ae(g, tiny_cfg())
-        from gclgcn.layers import ae_forward, ae_loss
+        ae = pretrain_ae(g, tiny_cfg())
+        from gclgcn.layers import ae_loss
 
         x = ad.constant(g.features)
-        _, xhat = ae_forward(params, x)
-        assert ae_loss(x, xhat).value[0, 0] == 0.0
+        assert ae_loss(x, ae.decode(ae.encode(x)[-1])).value[0, 0] == 0.0
 
     def test_ae_deterministic(self):
         g = small_sbm()
@@ -405,7 +410,13 @@ class TestTrain:
         the decoders run once per epoch."""
         from gclgcn import pipeline as P
 
-        calls = {"ae_decode": 0, "inner_product_decode": 0}
+        decoded: list[str] = []
+        calls = {"inner_product_decode": 0}
+        decode = P.Channel.decode
+
+        def counting_decode(channel, z):
+            decoded.append(channel.prefix)
+            return decode(channel, z)
 
         def counting(attr, fn):
             def wrapper(*args, **kwargs):
@@ -414,10 +425,14 @@ class TestTrain:
 
             return wrapper
 
+        g, cfg = small_sbm(), tiny_cfg(epochs=2)
+        pre = pretrain(g, cfg)  # autoencoder pretraining decodes every epoch
+        monkeypatch.setattr(P.Channel, "decode", counting_decode)
         for attr in calls:
             monkeypatch.setattr(P, attr, counting(attr, getattr(P, attr)))
-        train(small_sbm(), tiny_cfg(epochs=2))
-        assert calls == {"ae_decode": 2, "inner_product_decode": 4}
+        train(g, cfg, pretrained=pre)
+        assert decoded == ["gcn", "graphormer", "ae"] * 2
+        assert calls == {"inner_product_decode": 4}
 
     def test_numeric_abort_writes_checkpoint(self, tmp_path):
         g = small_sbm()
@@ -589,6 +604,41 @@ class TestChannels:
         pre = pretrain(small_sbm(sizes=(6, 6)), tiny_cfg())
         with pytest.raises(ConfigError, match=r"x_c has shape \(12, 6\).*\(16, 6\)"):
             train(g, tiny_cfg(), pretrained=pre)
+
+    @pytest.mark.parametrize("layers", [1, 2, 3, 4])
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_channels_draw_the_reference_parameters(self, layers, heads, monkeypatch):
+        """Before any update, every channel's named parameters are bitwise
+        the reference draws from its stream, under the same names and in
+        the same order."""
+        from gclgcn import pipeline as P
+        from gclgcn.layers import ladder_dims
+
+        monkeypatch.setattr(P, "AE_PRETRAIN_EPOCHS", 0)
+        g = small_sbm()
+        cfg = tiny_cfg(epochs=0, layers=layers, heads=heads)
+        got = train(g, cfg).state.named_arrays()
+        dims = ladder_dims(g.f, cfg.n_z, layers)
+        cent = GraphTerms(g).centrality(cfg.centrality)
+        want = [
+            *ae_init_reference(P._stream(cfg.seed, P._STREAM_AE), dims),
+            *gcn_init_reference(P._stream(cfg.seed, P._STREAM_CHANNEL["gcn"]), dims),
+            *attention_init_reference(
+                P._stream(cfg.seed, P._STREAM_CHANNEL["graphormer"]), dims, cent.shape[1],
+                heads, np.sqrt((cent**2).mean(axis=0)),
+            ),
+        ]
+        assert [name for name, _ in got[:len(want)]] == [name for name, _ in want]
+        for (name, arr), (_, ref) in zip(got, want):
+            assert arr.shape == ref.shape and arr.tobytes() == ref.tobytes(), name
+
+    def test_repeated_centrality_measure_counts_once(self):
+        # the attention's centrality width is that of the centrality matrix
+        g = small_sbm()
+        pre = pretrain(g, tiny_cfg())
+        once = train(g, tiny_cfg(epochs=1, centrality=("degree",)), pretrained=pre)
+        twice = train(g, tiny_cfg(epochs=1, centrality=("degree", "degree")), pretrained=pre)
+        assert twice.history == once.history
 
     def test_pretrained_ladder_checked(self):
         g = small_sbm()
