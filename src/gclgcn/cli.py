@@ -103,6 +103,8 @@ def _emit(text: str, out: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_gen_sbm(args) -> int:
+    if args.dim < 1:
+        raise ConfigError(f"--dim must be at least 1, got {args.dim}")
     sizes = args.blocks
     k = len(sizes)
     means = np.zeros((k, args.dim))

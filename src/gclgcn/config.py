@@ -76,7 +76,6 @@ class ExperimentConfig:
     spatial_sign: str = "+"
     contrastive: ContrastiveConfig = field(default_factory=ContrastiveConfig)
     ablation: str = "norm"
-    raw_ax_target: bool = False
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -142,7 +141,7 @@ _PATH_KEYS = {"features", "edges", "labels"}
 _CONTRASTIVE_INT = {"hidden", "epochs"}
 _CONTRASTIVE_FLOAT = {"p", "tau", "beta_sim"}
 _KNOWN_KEYS = (
-    {"preset", "centrality", "spatial_mode", "spatial_sign", "ablation", "raw_ax_target"}
+    {"preset", "centrality", "spatial_mode", "spatial_sign", "ablation"}
     | _INT_KEYS
     | _FLOAT_KEYS
     | _PATH_KEYS
@@ -152,14 +151,6 @@ _KNOWN_KEYS = (
 
 def _preset_config(name: str) -> ExperimentConfig:
     return ExperimentConfig(**PRESETS[name.lower()])
-
-
-def _parse_bool(key: str, raw: str) -> bool:
-    if raw.lower() in ("true", "1", "yes"):
-        return True
-    if raw.lower() in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
 
 
 def measure_list(raw: str) -> tuple[str, ...]:
@@ -221,8 +212,6 @@ def _config_from_entries(entries: dict[str, str]) -> ExperimentConfig:
                 fields[key] = measure_list(raw)
             elif key in ("spatial_mode", "spatial_sign", "ablation"):
                 fields[key] = raw
-            elif key == "raw_ax_target":
-                fields[key] = _parse_bool(key, raw)
             elif key.startswith("contrastive."):
                 sub = key.split(".", 1)[1]
                 contrastive[sub] = int(raw) if sub in _CONTRASTIVE_INT else float(raw)

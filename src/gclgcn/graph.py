@@ -211,12 +211,13 @@ def load_graph(
     """Read features.csv / edges.txt / labels.txt into a validated Graph.
 
     Duplicate and reversed edge lines collapse to one stored pair; self-loop
-    lines are rejected with the offending line number.
+    lines and non-finite feature values are rejected with their line number.
     """
     features_path = Path(features_path)
     edges_path = Path(edges_path)
 
     rows: list[list[float]] = []
+    linenos: list[int] = []
     with features_path.open() as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -228,6 +229,7 @@ def load_graph(
                 raise ValueError(
                     f"{features_path}:{lineno}: could not parse feature row"
                 ) from None
+            linenos.append(lineno)
             if len(rows[-1]) != len(rows[0]):
                 raise ValueError(
                     f"{features_path}:{lineno}: expected {len(rows[0])} columns,"
@@ -236,6 +238,10 @@ def load_graph(
     if not rows:
         raise ValueError(f"{features_path}: no feature rows")
     features = np.array(rows, dtype=np.float64)
+    finite = np.isfinite(features).all(axis=1)
+    if not finite.all():
+        lineno = linenos[int(np.argmin(finite))]
+        raise ValueError(f"{features_path}:{lineno}: non-finite feature value")
     n = features.shape[0]
 
     pairs: list[tuple[int, int]] = []

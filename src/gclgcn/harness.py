@@ -5,10 +5,11 @@ Each study lists its points, (row keys, config) pairs, and one row loop
 trains them all. Of what a study varies, pretraining reads only the encoder
 depth, so the loop pretrains the autoencoder again only when the depth
 changes from one point to the next, and computes the contrastive features
-once, when some point uses them. The points share one GraphTerms, so the
-normalized adjacency is computed once, and the centrality and the spatial
-bias once per (measures, mode). Rows hold the row keys, the four metrics and
-the composite index (their mean).
+once, when some point uses them. Each train() call derives the graph's
+normalized adjacency, centrality and spatial bias itself: they cost
+milliseconds to seconds, against seconds to an hour of training per point.
+Rows hold the row keys, the four metrics and the composite index (their
+mean).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .checkpoint import atomic_open
 from .cluster import metric_row
 from .config import ABLATIONS, ConfigError, ExperimentConfig
 from .graph import Graph
-from .pipeline import GraphTerms, pretrain, pretrain_contrastive, train, uses_contrastive
+from .pipeline import pretrain, pretrain_contrastive, train, uses_contrastive
 
 __all__ = [
     "METRIC_COLUMNS",
@@ -85,15 +86,14 @@ def _run_points(g: Graph, points: list[tuple[dict, ExperimentConfig]]) -> list[d
     """Train every (row keys, config) point in order; one row per point."""
     if g.labels is None:
         raise ConfigError("this study needs ground-truth labels")
-    terms = GraphTerms(g)
     users = [point for _, point in points if uses_contrastive(point)]
-    x_c = pretrain_contrastive(g, users[0], terms) if users else np.zeros_like(g.features)
+    x_c = pretrain_contrastive(g, users[0]) if users else np.zeros_like(g.features)
     rows, depth = [], None
     for keys, point in points:
         if point.layers != depth:
             pre, depth = pretrain(g, point, x_c=x_c), point.layers
         # Keep only the labels, so no trained model outlives its row.
-        labels = train(g, point, pretrained=pre, terms=terms).labels
+        labels = train(g, point, pretrained=pre).labels
         rows.append({**keys, **metric_row(labels, g.labels)})
     return rows
 

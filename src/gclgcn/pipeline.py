@@ -43,7 +43,6 @@ __all__ = [
     "Pretrained",
     "AssignmentPair",
     "TrainResult",
-    "GraphTerms",
     "AE_PRETRAIN_EPOCHS",
     "pretrain_ae",
     "pretrain_contrastive",
@@ -237,46 +236,6 @@ class TrainResult:
 
 
 # ---------------------------------------------------------------------------
-# Graph-derived constants
-# ---------------------------------------------------------------------------
-
-class GraphTerms:
-    """What training derives from the graph alone: the normalized adjacency,
-    and the centrality and spatial bias for each (measures, mode) asked for,
-    each computed on first use. Pretraining and every train() call of a run
-    or study share one, so each is computed once per graph."""
-
-    def __init__(self, g: Graph):
-        self.g = g
-        self._cache: dict = {}
-
-    def _get(self, key, compute):
-        if key not in self._cache:
-            self._cache[key] = compute()
-        return self._cache[key]
-
-    def adjacency(self) -> sp.csr_array:
-        return self._get("adjacency", lambda: normalize_adjacency(self.g))
-
-    def centrality(self, measures) -> np.ndarray:
-        return self._get(
-            ("centrality", tuple(measures)), lambda: composite_centrality(self.g, measures)
-        )
-
-    def spatial(self, mode: str) -> np.ndarray:
-        return self._get(("spatial", mode), lambda: spatial_bias(self.g, mode))
-
-
-def _graph_terms(g: Graph, terms: GraphTerms | None) -> GraphTerms:
-    """terms, checked to be derived from g, or new ones for g."""
-    if terms is None:
-        return GraphTerms(g)
-    if terms.g is not g:
-        raise ValueError("graph terms were derived from a different graph")
-    return terms
-
-
-# ---------------------------------------------------------------------------
 # Pretraining
 # ---------------------------------------------------------------------------
 
@@ -290,26 +249,33 @@ def _nonfinite_gradient(named) -> str | None:
     return None
 
 
+def _pretrain(phase: str, named, lr: float, epochs: int, loss_of: Callable) -> None:
+    """Full-batch Adam on the (name, tensor) parameters named, minimising
+    the loss that loss_of() records each epoch. Stops with NumericError,
+    naming phase and the epoch, at the first non-finite loss or gradient."""
+    tensors = [t for _, t in named]
+    opt = AdamState.for_params(tensors, lr)
+    for epoch in range(epochs):
+        zero_grad(tensors)
+        loss = loss_of()
+        if not np.isfinite(loss.value[0, 0]):
+            raise NumericError(f"{phase}: non-finite loss at epoch {epoch}")
+        backward(loss)
+        bad = _nonfinite_gradient(named)
+        if bad is not None:
+            raise NumericError(f"{phase}: non-finite gradient of {bad} at epoch {epoch}")
+        adam_step(tensors, [t.grad for t in tensors], opt)
+
+
 def pretrain_ae(g: Graph, cfg: ExperimentConfig) -> Channel:
     """Full-batch Adam on the reconstruction loss for 50 epochs."""
     rng = _stream(cfg.seed, _STREAM_AE)
     ae = _autoencoder(ladder_dims(g.f, cfg.n_z, cfg.layers), lambda a, b: glorot(rng, a, b))
-    named = ae.named()
-    tensors = [t for _, t in named]
-    opt = AdamState.for_params(tensors, cfg.lr)
     x = ad.constant(g.features)
-    for epoch in range(AE_PRETRAIN_EPOCHS):
-        zero_grad(tensors)
-        loss = ae_loss(x, ae.decode(ae.encode(x)[-1]))
-        if not np.isfinite(loss.value[0, 0]):
-            raise NumericError(f"autoencoder pretraining diverged at epoch {epoch}")
-        backward(loss)
-        bad = _nonfinite_gradient(named)
-        if bad is not None:
-            raise NumericError(
-                f"autoencoder pretraining: non-finite gradient of {bad} at epoch {epoch}"
-            )
-        adam_step(tensors, [t.grad for t in tensors], opt)
+    _pretrain(
+        "autoencoder pretraining", ae.named(), cfg.lr, AE_PRETRAIN_EPOCHS,
+        lambda: ae_loss(x, ae.decode(ae.encode(x)[-1])),
+    )
     return ae
 
 
@@ -318,53 +284,36 @@ def _mask_features(rng: np.random.Generator, x: np.ndarray, p: float) -> np.ndar
     return x * (rng.random(x.shape) >= p)
 
 
-def pretrain_contrastive(g: Graph, cfg: ExperimentConfig, terms: GraphTerms) -> np.ndarray:
+def pretrain_contrastive(g: Graph, cfg: ExperimentConfig) -> np.ndarray:
     """Train the two-layer contrastive encoder on original-vs-masked views,
-    propagating over the normalized adjacency of terms, then return the
-    frozen encoder output on the original features."""
+    propagating over the normalized adjacency, then return the frozen
+    encoder output on the original features."""
     cc = cfg.contrastive
     params = ContrastiveParams.init(
         _stream(cfg.seed, _STREAM_CONTRASTIVE_INIT), g.f, cc.hidden
     )
     mask_rng = _stream(cfg.seed, _STREAM_CONTRASTIVE_MASK)
-    named = params.named()
-    tensors = [t for _, t in named]
-    opt = AdamState.for_params(tensors, cfg.lr)
-    adj = terms.adjacency()
+    adj = normalize_adjacency(g)
     x = ad.constant(g.features)
-    for epoch in range(cc.epochs):
-        zero_grad(tensors)
+
+    def loss_of():
         view = ad.constant(_mask_features(mask_rng, g.features, cc.p))
         c1 = contrastive_encoder(adj, x, params)
         c2 = contrastive_encoder(adj, view, params)
-        s = combined_similarity(c1, c2, cc.beta_sim)
-        loss = contrastive_loss(s, cc.tau)
-        if not np.isfinite(loss.value[0, 0]):
-            raise NumericError(f"contrastive pretraining diverged at epoch {epoch}")
-        backward(loss)
-        bad = _nonfinite_gradient(named)
-        if bad is not None:
-            raise NumericError(
-                f"contrastive pretraining: non-finite gradient of {bad} at epoch {epoch}"
-            )
-        adam_step(tensors, [t.grad for t in tensors], opt)
+        return contrastive_loss(combined_similarity(c1, c2, cc.beta_sim), cc.tau)
+
+    _pretrain("contrastive pretraining", params.named(), cfg.lr, cc.epochs, loss_of)
     return contrastive_encoder(adj, x, params).value.copy()
 
 
-def pretrain(
-    g: Graph,
-    cfg: ExperimentConfig,
-    terms: GraphTerms | None = None,
-    x_c: np.ndarray | None = None,
-) -> Pretrained:
-    """Autoencoder pretraining, then the contrastive features over the
-    adjacency of terms (zeros when the ablation removes contrastive
-    learning). A given x_c stands in for the contrastive features, which do
-    not depend on the encoder depth."""
+def pretrain(g: Graph, cfg: ExperimentConfig, x_c: np.ndarray | None = None) -> Pretrained:
+    """Autoencoder pretraining, then the contrastive features (zeros when
+    the ablation removes contrastive learning). A given x_c stands in for
+    the contrastive features, which do not depend on the encoder depth."""
     ae = pretrain_ae(g, cfg)
     if x_c is None:
         if uses_contrastive(cfg):
-            x_c = pretrain_contrastive(g, cfg, _graph_terms(g, terms))
+            x_c = pretrain_contrastive(g, cfg)
         else:
             x_c = np.zeros_like(g.features)
     return Pretrained(
@@ -383,10 +332,10 @@ def pretrained_from_named(named: dict[str, np.ndarray]) -> Pretrained:
 # Assignment machinery
 # ---------------------------------------------------------------------------
 
-def fuse_final(terms, adj: sp.csr_array) -> Tensor:
+def fuse_final(weighted, adj: sp.csr_array) -> Tensor:
     """Propagated combination adj @ sum(weight * z) of the (weight,
-    bottleneck) terms, summed in the order given."""
-    return ad.spmm(adj, reduce(ad.add, [ad.scale(z, weight) for weight, z in terms]))
+    bottleneck) pairs weighted, summed in the order given."""
+    return ad.spmm(adj, reduce(ad.add, [ad.scale(z, weight) for weight, z in weighted]))
 
 
 def soft_assign(z, centroids, t: float = 1.0) -> Tensor:
@@ -432,8 +381,7 @@ class _Constants:
     x_enhanced: Tensor  # X + X_c, first-layer input of both graph channels
     adj: sp.csr_array  # normalized adjacency with self-loops
     a_binary: Tensor  # raw 0/1 adjacency, dense: the decoder losses compare against all of it
-    target_feat: np.ndarray  # adj @ X, the feature reconstruction target
-    target_w: np.ndarray  # target of the joint decoder-consistency term
+    target_feat: np.ndarray  # adj @ X, target of the autoencoder and joint reconstructions
     centrality: Tensor | None
     logit_bias: np.ndarray | None  # signed spatial bias on adj's entries
     fusion: dict[str, float]  # fusion weight per bottleneck, in summation order
@@ -454,26 +402,21 @@ def _fusion_weights(cfg: ExperimentConfig) -> dict[str, float]:
     return {name: w / rest for name, w in kept.items()}
 
 
-def _build_constants(
-    g: Graph, cfg: ExperimentConfig, x_c: np.ndarray, terms: GraphTerms
-) -> _Constants:
-    adj = terms.adjacency()
+def _build_constants(g: Graph, cfg: ExperimentConfig, x_c: np.ndarray) -> _Constants:
+    adj = normalize_adjacency(g)
     a = adjacency_matrix(g)
-    target_feat = adj @ g.features
-    target_w = (a @ g.features) if cfg.raw_ax_target else target_feat
     centrality = None
     logit_bias = None
     if "graphormer" in _channels(cfg):
         sign = 1.0 if cfg.spatial_sign == "+" else -1.0
-        centrality = ad.constant(terms.centrality(cfg.centrality))
-        logit_bias = sign * terms.spatial(cfg.spatial_mode)
+        centrality = ad.constant(composite_centrality(g, cfg.centrality))
+        logit_bias = sign * spatial_bias(g, cfg.spatial_mode)
     return _Constants(
         x=ad.constant(g.features),
         x_enhanced=ad.constant(g.features + x_c),
         adj=adj,
         a_binary=ad.constant(a.toarray()),
-        target_feat=target_feat,
-        target_w=target_w,
+        target_feat=adj @ g.features,
         centrality=centrality,
         logit_bias=logit_bias,
         fusion=_fusion_weights(cfg),
@@ -579,7 +522,7 @@ def _epoch_losses(
     joint = reduce(ad.add, zhats)
     if len(zhats) > 1:
         joint = ad.scale(joint, 1.0 / len(zhats))
-    l_w = ad.mse(joint, ad.constant(cons.target_w))
+    l_w = ad.mse(joint, ad.constant(cons.target_feat))
     l_a = {
         name: ad.mse(inner_product_decode(z), cons.a_binary) for name, (z, _) in outs.items()
     }
@@ -608,7 +551,6 @@ def train(
     pretrained: Pretrained | None = None,
     abort_path=None,
     inspect=None,
-    terms: GraphTerms | None = None,
 ) -> TrainResult:
     """Run the full procedure: pretrain unless given matching artifacts
     (whose x_c is zeroed if the ablation removes contrastive learning), seed
@@ -622,15 +564,14 @@ def train(
     names the epoch and the parameter (for example graphormer.enc.2.w_key).
     When joint training stops, the model state before that epoch's update,
     whose parameters are finite after a gradient stop, is first written to
-    abort_path (when given); a pretraining stop writes nothing. terms, when
-    given, supplies the graph-derived constants (see GraphTerms); otherwise
-    pretraining and training share new ones.
+    abort_path (when given); a pretraining stop writes nothing. Each stop
+    message starts with its phase: "autoencoder pretraining", "contrastive
+    pretraining" or "training".
     """
     if g.n < cfg.k:
         raise ConfigError(f"k={cfg.k} exceeds node count {g.n}")
-    terms = _graph_terms(g, terms)
     if pretrained is None:
-        pretrained = pretrain(g, cfg, terms)
+        pretrained = pretrain(g, cfg)
     elif pretrained.x_c.shape != g.features.shape:
         raise ConfigError(
             f"pretrained x_c has shape {pretrained.x_c.shape}, "
@@ -638,7 +579,7 @@ def train(
         )
     if not uses_contrastive(cfg):
         pretrained = replace(pretrained, x_c=np.zeros_like(g.features))
-    cons = _build_constants(g, cfg, pretrained.x_c, terms)
+    cons = _build_constants(g, cfg, pretrained.x_c)
     state = _init_state(g, cfg, pretrained, cons)
     named = state._named()
     params = [t for _, t in named]
@@ -658,7 +599,7 @@ def train(
         zero_grad(params)
         total, components, assignments = _epoch_losses(state, cons, cfg)
         if not np.isfinite(total.value[0, 0]):
-            abort(NumericError(f"non-finite loss at epoch {epoch}: {components}"))
+            abort(NumericError(f"training: non-finite loss at epoch {epoch}: {components}"))
         if inspect is not None:
             inspect(epoch, assignments)
         row = {"epoch": epoch, "L": float(total.value[0, 0]), **components}

@@ -353,6 +353,6 @@ def loss_total(
     p_fixed pins the detached target distribution; by default it is
     recomputed from the current soft assignment, as during training.
     """
-    cons = P._build_constants(g, cfg, state.x_c, P.GraphTerms(g))
+    cons = P._build_constants(g, cfg, state.x_c)
     total, components, _ = P._epoch_losses(state, cons, cfg, p_fixed=p_fixed)
     return total, components

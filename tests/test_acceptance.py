@@ -88,7 +88,7 @@ def _manual_state(rng, g, cfg, dims):
     # The graph channels read only the adjacency, centrality and spatial
     # bias of their constants, none of which depends on x_c, so they are
     # built before x_c is drawn.
-    cons = P._build_constants(g, cfg, np.zeros_like(g.features), P.GraphTerms(g))
+    cons = P._build_constants(g, cfg, np.zeros_like(g.features))
     state = P.ModelState(
         ae=P._autoencoder(dims, lambda a, b: glorot(rng, a, b)),
         channels=[P._graph_channel(name, rng, dims, 1, cons) for name in ("gcn", "graphormer")],
@@ -172,7 +172,7 @@ def test_c2_gradient_suite():
         g = _tiny_graph(rng, n=6, f=5)
         cfg = ExperimentConfig(k=2, n_z=3, alpha=0.3, beta=0.2, seed=0)
         state = _manual_state(rng, g, cfg, [5, 6, 3])
-        cons = P._build_constants(g, cfg, state.x_c, P.GraphTerms(g))
+        cons = P._build_constants(g, cfg, state.x_c)
         _, _, assignments0 = P._epoch_losses(state, cons, cfg)
         p_fixed = P.target_distribution(assignments0.q)
         params = [t for _, t in state._named()]
@@ -243,7 +243,7 @@ def test_c4_distribution_invariants():
 
     # analytic centroid gradient matches the tape at this run's first epoch
     pre = P.pretrain(g, cfg)
-    cons = P._build_constants(g, cfg, pre.x_c, P.GraphTerms(g))
+    cons = P._build_constants(g, cfg, pre.x_c)
     state = P._init_state(g, cfg, pre, cons)
     hs, _, outs = P._forward_channels(state, cons, cfg)
     fused = P.fuse_final(

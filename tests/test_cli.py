@@ -383,6 +383,28 @@ class TestBadInput:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("dim", ["0", "-1"])
+    def test_bad_dim_names_flag(self, dim, tmp_path, capsys):
+        out = tmp_path / "data"
+        code = run(["gen-sbm", "--blocks", "4,4", "--p-in", "0.5", "--p-out", "0.1",
+                    "--dim", dim, "--out", str(out)])
+        assert code == 1
+        assert f"error: --dim must be at least 1, got {dim}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_nonfinite_feature_names_file_and_line(self, cell, dataset, tmp_path, capsys):
+        rows = (dataset / "features.csv").read_text().splitlines()
+        rows[2] = ",".join([cell] + rows[2].split(",")[1:])
+        features = tmp_path / "features.csv"
+        features.write_text("\n".join(rows) + "\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"features={features}\nedges={dataset / 'edges.txt'}\nk=2\n")
+        out = tmp_path / "o"
+        assert run(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        assert f"error: {features}:3: non-finite feature value" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_measures_read_like_the_config_key(self, dataset, tmp_path, capsys):
         # items are stripped and empty ones dropped, as in centrality=degree, closeness
         out = tmp_path / "c.csv"

@@ -86,6 +86,12 @@ class TestValidation:
         with pytest.raises(ConfigError, match="unknown key 'contrastive.variant'"):
             parse_config(path)
 
+    def test_raw_ax_target_key_unknown(self, tmp_path):
+        path = tmp_path / "target.cfg"
+        path.write_text("raw_ax_target=true\n")
+        with pytest.raises(ConfigError, match="unknown key 'raw_ax_target'"):
+            parse_config(path)
+
 
 class TestConfigFile:
     def test_parse_file_with_overrides(self, tmp_path):
@@ -99,7 +105,6 @@ class TestConfigFile:
             "gamma=0.5\n"
             "centrality=degree,closeness\n"
             "contrastive.tau=0.25\n"
-            "raw_ax_target=true\n"
         )
         cfg = parse_config(path)
         assert cfg.epochs == 7
@@ -107,7 +112,6 @@ class TestConfigFile:
         assert (cfg.lam, cfg.theta, cfg.gamma) == (0.2, 0.3, 0.5)
         assert cfg.centrality == ("degree", "closeness")
         assert cfg.contrastive.tau == 0.25
-        assert cfg.raw_ax_target is True
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -148,7 +152,7 @@ class TestConfigFile:
             "spatial_mode=shortest-path\nspatial_sign=-\n"
             "contrastive.p=0.4\ncontrastive.tau=0.33\ncontrastive.beta_sim=2.0\n"
             "contrastive.hidden=64\ncontrastive.epochs=25\n"
-            "ablation=-GCN\nraw_ax_target=yes\n"
+            "ablation=-GCN\n"
         )
         assert {line.split("=")[0] for line in text.splitlines()} == _KNOWN_KEYS
         path = tmp_path / "every.cfg"
@@ -160,7 +164,7 @@ class TestConfigFile:
             seed=99, heads=2, layers=3, centrality=("degree", "betweenness"),
             spatial_mode="shortest-path", spatial_sign="-",
             contrastive=ContrastiveConfig(p=0.4, tau=0.33, beta_sim=2.0, hidden=64, epochs=25),
-            ablation="-GCN", raw_ax_target=True,
+            ablation="-GCN",
         )
 
     def test_round_trip_defaults(self, tmp_path):

@@ -159,8 +159,8 @@ def test_node_permutation_permutes_channels_and_centrality(case, heads):
     assert np.allclose(composite_centrality(pg)[perm], cent, rtol=1e-12, atol=1e-12)
 
     cfg = ExperimentConfig(k=2, n_z=3, seed=0)
-    cons = P._build_constants(g, cfg, x_c, P.GraphTerms(g))
-    pcons = P._build_constants(pg, cfg, x_c[inverse], P.GraphTerms(pg))
+    cons = P._build_constants(g, cfg, x_c)
+    pcons = P._build_constants(pg, cfg, x_c[inverse])
     state, pstate = _fixed_state(4, heads, cons), _fixed_state(4, heads, pcons)
     for (name, t), (pname, pt) in zip(state._named(), pstate._named()):
         assert name == pname

@@ -137,8 +137,8 @@ def test_study_rows_equal_independent_training(name, ablation, monkeypatch):
     c = cfg(k=2, epochs=2, ablation=ablation)
     runs = []
 
-    def recording_train(g, point, pretrained=None, terms=None):
-        result = pipeline.train(g, point, pretrained=pretrained, terms=terms)
+    def recording_train(g, point, pretrained=None):
+        result = pipeline.train(g, point, pretrained=pretrained)
         runs.append((point, result))
         return result
 
@@ -178,34 +178,3 @@ def test_study_pretrains_once(name, monkeypatch):
     assert len(rows) == len(points(cfg()))
     contrastive, ae = PRETRAIN_CALLS[name]
     assert calls == {"pipeline.pretrain_contrastive": contrastive, "pipeline.pretrain_ae": ae}
-
-
-# Expected (centrality, normalized adjacency) computations per study, and for
-# a plain train() that pretrains: one per distinct centrality measure set, and
-# one adjacency shared by pretraining and every row.
-GRAPH_TERM_CALLS = {
-    "ablation": (1, 1), "encoding": (4, 1), "layers": (1, 1), "fusion": (1, 1), "loss": (1, 1),
-    "train": (1, 1),
-}
-GRAPH_TERM_RUNS = {
-    **{name: study for name, (study, _) in STUDY_POINTS.items()},
-    "train": lambda g, c: pipeline.train(g, c),
-}
-
-
-@pytest.mark.parametrize("name", sorted(GRAPH_TERM_RUNS))
-def test_study_computes_graph_terms_once(name, monkeypatch):
-    g = sbm(sizes=(8, 8), f=4)
-    calls = {"composite_centrality": 0, "normalize_adjacency": 0}
-
-    def counting(attr, fn):
-        def wrapper(*args, **kwargs):
-            calls[attr] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    for attr in calls:
-        monkeypatch.setattr(pipeline, attr, counting(attr, getattr(pipeline, attr)))
-    GRAPH_TERM_RUNS[name](g, cfg(k=2, epochs=1))
-    assert (calls["composite_centrality"], calls["normalize_adjacency"]) == GRAPH_TERM_CALLS[name]

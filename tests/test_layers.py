@@ -6,7 +6,7 @@ from gclgcn import pipeline as P
 from gclgcn.centrality import composite_centrality, spatial_bias
 from gclgcn.config import ConfigError, ContrastiveConfig, ExperimentConfig
 from gclgcn.graph import Graph, normalize_adjacency
-from gclgcn.pipeline import GraphTerms, _build_constants, _mask_features  # noqa: internal
+from gclgcn.pipeline import _build_constants, _mask_features  # noqa: internal
 from gclgcn.layers import (
     ContrastiveParams,
     ae_loss,
@@ -167,9 +167,8 @@ class TestGraphormerLayer:
     def test_spatial_sign_flips_bias(self):
         g = tiny_graph(5)
         x_c = np.zeros_like(g.features)
-        terms = GraphTerms(g)
-        plus = _build_constants(g, ExperimentConfig(spatial_sign="+"), x_c, terms).logit_bias
-        minus = _build_constants(g, ExperimentConfig(spatial_sign="-"), x_c, terms).logit_bias
+        plus = _build_constants(g, ExperimentConfig(spatial_sign="+"), x_c).logit_bias
+        minus = _build_constants(g, ExperimentConfig(spatial_sign="-"), x_c).logit_bias
         assert plus.shape == (2 * len(g.edges) + g.n,)
         assert np.allclose(plus, -minus, atol=0)
 

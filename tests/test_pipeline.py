@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gclgcn import autodiff as ad
+from gclgcn.centrality import composite_centrality
 from gclgcn.config import ConfigError, ContrastiveConfig, ExperimentConfig
 from gclgcn.graph import Graph, SbmSpec, generate_sbm, normalize_adjacency
 from gclgcn.checkpoint import load_checkpoint
@@ -22,7 +23,7 @@ from gclgcn.pipeline import (
     target_distribution,
     train,
 )
-from gclgcn.pipeline import GraphTerms, _fusion_weights, _mask_features  # noqa: internal
+from gclgcn.pipeline import _fusion_weights, _mask_features  # noqa: internal
 
 from oracles import (
     ae_init_reference,
@@ -255,8 +256,8 @@ class TestPretraining:
     def test_contrastive_deterministic_and_improves(self):
         g = small_sbm()
         cfg = tiny_cfg(contrastive=ContrastiveConfig(hidden=8, epochs=8))
-        xc1 = pretrain_contrastive(g, cfg, GraphTerms(g))
-        xc2 = pretrain_contrastive(g, cfg, GraphTerms(g))
+        xc1 = pretrain_contrastive(g, cfg)
+        xc2 = pretrain_contrastive(g, cfg)
         assert np.array_equal(xc1, xc2)
         assert xc1.shape == g.features.shape
 
@@ -280,7 +281,7 @@ class TestPretraining:
             P._stream(cfg.seed, P._STREAM_CONTRASTIVE_INIT), g.f, cfg.contrastive.hidden
         )
         before = eval_loss(init_params)
-        pretrain_contrastive(g, cfg, GraphTerms(g))  # determinism covered above
+        pretrain_contrastive(g, cfg)  # determinism covered above
         # retrain manually to capture final params
         trained = ContrastiveParams.init(
             P._stream(cfg.seed, P._STREAM_CONTRASTIVE_INIT), g.f, cfg.contrastive.hidden
@@ -310,7 +311,7 @@ class TestLossTotal:
         pre = pretrain(g, cfg)
         from gclgcn import pipeline as P
 
-        cons = P._build_constants(g, cfg, pre.x_c, GraphTerms(g))
+        cons = P._build_constants(g, cfg, pre.x_c)
         state = P._init_state(g, cfg, pre, cons)
         total, comps = loss_total(state, g, cfg)
         want = (
@@ -325,7 +326,7 @@ class TestLossTotal:
         pre = pretrain(g, cfg)
         from gclgcn import pipeline as P
 
-        cons = P._build_constants(g, cfg, pre.x_c, GraphTerms(g))
+        cons = P._build_constants(g, cfg, pre.x_c)
         state = P._init_state(g, cfg, pre, cons)
         total, comps = loss_total(state, g, cfg)
         want = comps["L_w"] + 0.1 * (comps["L_a1"] + comps["L_a2"]) + comps["L_AE"]
@@ -338,7 +339,7 @@ class TestLossTotal:
             pre = pretrain(g, cfg)
             from gclgcn import pipeline as P
 
-            cons = P._build_constants(g, cfg, pre.x_c, GraphTerms(g))
+            cons = P._build_constants(g, cfg, pre.x_c)
             state = P._init_state(g, cfg, pre, cons)
             _, comps = loss_total(state, g, cfg)
             assert comps[dead] == 0.0
@@ -376,7 +377,7 @@ class TestTrain:
         from gclgcn import pipeline as P
 
         pre = pretrain(g, cfg)
-        cons = P._build_constants(g, cfg, pre.x_c, GraphTerms(g))
+        cons = P._build_constants(g, cfg, pre.x_c)
         state = P._init_state(g, cfg, pre, cons)
         _, _, assignments = P._epoch_losses(state, cons, cfg)
         assert np.array_equal(res.labels, assign_labels(assignments.q))
@@ -480,10 +481,59 @@ class TestTrain:
         before_epoch_0 = dict(pre_step[0])["graphormer.enc.2.w_key"]
         assert not np.array_equal(saved["graphormer.enc.2.w_key"], before_epoch_0)
 
+    def test_training_stops_at_nonfinite_loss(self, monkeypatch):
+        """A NaN centroid written by epoch 0's step makes epoch 1's
+        clustering terms non-finite; the message names the phase, the epoch
+        and every loss component."""
+        from gclgcn import pipeline as P
+
+        g, cfg = small_sbm(), tiny_cfg()
+        pre = pretrain(g, cfg)
+        real_step = P.adam_step
+
+        def poisoned_step(params, grads, opt):
+            real_step(params, grads, opt)
+            params[-1].value[0, 0] = np.nan  # the centroids come last
+
+        monkeypatch.setattr(P, "adam_step", poisoned_step)
+        num = r"[0-9.e+-]+"
+        message = (
+            rf"^training: non-finite loss at epoch 1: \{{'L_AE': {num}, 'L_w': {num}, "
+            rf"'L_a1': {num}, 'L_a2': {num}, 'L_clu': nan, 'L_con': nan\}}$"
+        )
+        with pytest.raises(NumericError, match=message):
+            train(g, cfg, pretrained=pre)
+
+    @pytest.mark.parametrize("phase, run", [
+        ("autoencoder pretraining", pretrain_ae),
+        ("contrastive pretraining", pretrain_contrastive),
+    ], ids=["autoencoder", "contrastive"])
+    def test_pretraining_stops_at_nonfinite_loss(self, monkeypatch, phase, run):
+        """A NaN parameter written by epoch 0's step stops the phase at epoch
+        1's loss, before that epoch's backward pass."""
+        from gclgcn import pipeline as P
+
+        real_step, real_backward = P.adam_step, P.backward
+        backward_calls = []
+
+        def poisoned_step(params, grads, opt):
+            real_step(params, grads, opt)
+            params[-1].value[0, 0] = np.nan  # the last layer's, past every ReLU
+
+        def counted_backward(loss):
+            backward_calls.append(True)
+            real_backward(loss)
+
+        monkeypatch.setattr(P, "adam_step", poisoned_step)
+        monkeypatch.setattr(P, "backward", counted_backward)
+        with pytest.raises(NumericError, match=rf"^{phase}: non-finite loss at epoch 1$"):
+            run(small_sbm(), tiny_cfg())
+        assert len(backward_calls) == 1
+
     @pytest.mark.parametrize("phase, run, first", [
         ("autoencoder pretraining", lambda g, cfg: pretrain_ae(g, cfg), "ae.enc.0.w"),
         ("contrastive pretraining",
-         lambda g, cfg: pretrain_contrastive(g, cfg, GraphTerms(g)), "contrastive.w0"),
+         lambda g, cfg: pretrain_contrastive(g, cfg), "contrastive.w0"),
     ], ids=["autoencoder", "contrastive"])
     def test_pretraining_stops_at_nonfinite_gradient(self, monkeypatch, phase, run, first):
         """With every gradient poisoned at epoch 1, the message names the
@@ -619,7 +669,7 @@ class TestChannels:
         cfg = tiny_cfg(epochs=0, layers=layers, heads=heads)
         got = train(g, cfg).state.named_arrays()
         dims = ladder_dims(g.f, cfg.n_z, layers)
-        cent = GraphTerms(g).centrality(cfg.centrality)
+        cent = composite_centrality(g, cfg.centrality)
         want = [
             *ae_init_reference(P._stream(cfg.seed, P._STREAM_AE), dims),
             *gcn_init_reference(P._stream(cfg.seed, P._STREAM_CHANNEL["gcn"]), dims),
