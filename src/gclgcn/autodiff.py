@@ -14,6 +14,14 @@ followed by leaky_relu at LEAKY_SLOPE. Each computes its forward with the
 numpy calls of the composed form, in the same order, so its values match the
 composed form's bit for bit.
 
+The two whole-graph losses, info_nce (the contrastive InfoNCE over every
+node pair) and decoder_mse (the inner-product adjacency decoder against a
+sparse target), are one node each too. Each sweeps blocks of _LOSS_ROWS
+whole rows once, forming the loss and its input gradients together, so no
+n x n array outlives a block and the node keeps only the O(n d) gradients.
+They sum in another order than their composed forms, so they match those to
+rounding (a few 1e-15 relative), not bit for bit.
+
 Gradient buffers accumulate: calling backward twice without zero_grad
 doubles leaf gradients.
 """
@@ -41,17 +49,16 @@ __all__ = [
     "dense",
     "propagate",
     "edge_attention",
+    "info_nce",
+    "decoder_mse",
     "add",
     "scale",
     "hadamard",
     "transpose",
-    "sigmoid",
     "relu",
     "leaky_relu",
-    "exp",
     "log",
     "square",
-    "sqrt",
     "clamp_min",
     "signed_pow",
     "reduce_sum",
@@ -243,6 +250,16 @@ def _leaky_in_place(out: np.ndarray) -> np.ndarray:
     return pos
 
 
+def _leaky_grad(g: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """g * np.where(pos, 1.0, LEAKY_SLOPE), bit for bit, through one
+    temporary: 1.0 * (1 - LEAKY_SLOPE) + LEAKY_SLOPE rounds to exactly 1.0."""
+    s = pos.astype(np.float64)
+    s *= 1.0 - LEAKY_SLOPE
+    s += LEAKY_SLOPE
+    s *= g
+    return s
+
+
 def dense(x: Tensor, w: Tensor, b: Tensor, activate: bool = False) -> Tensor:
     """x @ w + b (b is one row, broadcast), then leaky_relu when activate,
     as one node. It keeps its output and, when activated, a boolean sign
@@ -259,7 +276,7 @@ def dense(x: Tensor, w: Tensor, b: Tensor, activate: bool = False) -> Tensor:
 
     def rule(g):
         if pos is not None:
-            g = g * np.where(pos, 1.0, LEAKY_SLOPE)
+            g = _leaky_grad(g, pos)
         return (
             g @ wv.T if nx else None,
             xv.T @ g if nw else None,
@@ -294,7 +311,7 @@ def propagate(adj: sp.csr_array, z: Tensor, w: Tensor, activate: bool = False) -
 
     def rule(g):
         if pos is not None:
-            g = g * np.where(pos, 1.0, LEAKY_SLOPE)
+            g = _leaky_grad(g, pos)
         if narrow_out:
             gm = adj.T @ g
             return (gm @ wv.T if nz else None, zv.T @ gm if nw else None)
@@ -363,6 +380,174 @@ def edge_attention(
         )
 
     return Tensor(weights @ vv, _parents=(q, k, v), _rule=rule)
+
+
+# Rows per block of the row-blocked losses. Every block multiplies its rows
+# by the whole other operand, so narrow blocks re-read that operand too often
+# (info_nce at n=2709, width 1433, on 2 cores: 32-row blocks 0.85 s, 128-row
+# blocks 0.58 s); at 128 rows each of a block's temporaries is 1 KB per node.
+_LOSS_ROWS = 128
+
+
+def _row_blocks(n: int):
+    """(lo, hi) of each block of _LOSS_ROWS rows (the last may be shorter)."""
+    for lo in range(0, n, _LOSS_ROWS):
+        yield lo, min(n, lo + _LOSS_ROWS)
+
+
+def info_nce(c1: Tensor, c2: Tensor, beta: float, tau: float) -> Tensor:
+    """InfoNCE of each row of c1 against the same row of c2, as one node.
+
+    The similarity of rows i and j is s_ij = spow(cos_ij / (1 + dist_ij),
+    beta), with cos the cosine (row norms floored at 1e-12), dist the
+    euclidean distance (its square clamped at 0) and spow(x, beta) =
+    sign(x) |x|**beta. The loss is the mean over rows i of
+    logsumexp_j(s_ij / tau) - s_ii / tau. Floors and clamps shape the
+    gradient as the composed sqrt, clamp_min and signed_pow ops would.
+
+    One sweep over blocks of whole rows gives each row's log-sum-exp and,
+    from the softmax, both input gradients: nothing n x n outlives a block,
+    and the node keeps only the two gradients.
+    """
+    c1, c2 = _as_tensor(c1), _as_tensor(c2)
+    _check(c1.shape == c2.shape, "info_nce", f"views differ in shape: {c1.shape} vs {c2.shape}")
+    _check(tau > 0, "info_nce", f"temperature must be positive, got {tau}")
+    _check(beta > 0, "info_nce", f"similarity exponent must be positive, got {beta}")
+    v1, v2 = c1.value, c2.value
+    n = v1.shape[0]
+    inv_n, inv_tau = 1.0 / n, 1.0 / tau
+    sq1 = (v1 * v1).sum(axis=1, keepdims=True)  # (n, 1)
+    sq2 = (v2 * v2).sum(axis=1, keepdims=True).T  # (1, n)
+    r1, r2 = np.sqrt(sq1), np.sqrt(sq2)
+    norm1, norm2 = np.maximum(r1, 1e-12), np.maximum(r2, 1e-12)
+    lse, diag = np.empty(n), np.empty(n)
+    g1, g2 = np.empty_like(v1), np.zeros_like(v2)
+    # gradients of the squared norms and the floored norms
+    dsq1, dnorm1 = np.empty((n, 1)), np.empty((n, 1))
+    dsq2, dnorm2 = np.zeros((1, n)), np.zeros((1, n))
+
+    for lo, hi in _row_blocks(n):
+        rows, cols = np.arange(hi - lo), np.arange(lo, hi)  # the block's diagonal
+        gram = v1[lo:hi] @ v2.T
+        prod = norm1[lo:hi] * norm2
+        cos = gram / prod
+        dist = sq1[lo:hi] + sq2
+        dist -= 2.0 * gram
+        positive = dist > 0  # the squared distance's clamp mask
+        np.maximum(dist, 0.0, out=dist)
+        np.sqrt(dist, out=dist)
+        euc = dist + 1.0
+        np.reciprocal(euc, out=euc)
+        sim = cos * euc
+        logits = sim * inv_tau if beta == 1.0 else np.sign(sim) * np.abs(sim) ** beta * inv_tau
+        shift = logits.max(axis=1, keepdims=True)
+        diag[lo:hi] = logits[rows, cols]
+        e = logits
+        e -= shift
+        np.exp(e, out=e)
+        total = e.sum(axis=1, keepdims=True)
+        lse[lo:hi] = (np.log(total) + shift)[:, 0]
+
+        # d loss / d logit_ij = (softmax_ij - [i == j]) / n; then back
+        # through the power, the product cos * euc and each factor. Arrays
+        # are reused in place and dropped once read, to keep the block small.
+        d = e
+        d *= inv_n / total
+        d[rows, cols] -= inv_n
+        d *= inv_tau
+        if beta != 1.0:
+            np.abs(sim, out=sim)
+            if beta < 1.0:
+                np.maximum(sim, 1e-12, out=sim)
+            sim **= beta - 1.0
+            d *= beta
+            d *= sim
+        del sim
+        d_cos = d * euc
+        d_euc = d
+        d_euc *= cos
+        del cos
+        d_gram = d_cos / prod
+        # cos = gram * (1 / prod); the reciprocal's derivative floors prod
+        d_prod = d_cos
+        d_prod *= gram
+        del gram
+        np.maximum(prod, 1e-12, out=prod)
+        prod *= prod
+        d_prod /= prod
+        del prod
+        dnorm1[lo:hi] = -(d_prod * norm2).sum(axis=1, keepdims=True)
+        dnorm2 -= (d_prod * norm1[lo:hi]).sum(axis=0, keepdims=True)
+        del d_prod
+        # euc = 1 / (dist + 1), dist = sqrt(max(d2, 0)); sqrt's derivative
+        # floors dist
+        d_d2 = d_euc
+        np.add(dist, 1.0, out=euc)
+        euc *= euc
+        np.maximum(dist, 1e-12, out=dist)
+        euc *= dist
+        d_d2 /= euc
+        del euc, dist
+        d_d2 *= -0.5
+        d_d2 *= positive
+        dsq1[lo:hi] = d_d2.sum(axis=1, keepdims=True)
+        dsq2 += d_d2.sum(axis=0, keepdims=True)
+        d_d2 *= 2.0
+        d_gram -= d_d2
+        del d_d2
+        g1[lo:hi] = d_gram @ v2
+        g2 += d_gram.T @ v1[lo:hi]
+
+    # norm = max(sqrt(sq), 1e-12), sq = the row sums of squares
+    dsq1 += dnorm1 * (r1 > 1e-12) * 0.5 / norm1
+    dsq2 += dnorm2 * (r2 > 1e-12) * 0.5 / norm2
+    g1 += 2.0 * dsq1 * v1
+    g2 += 2.0 * dsq2.T * v2
+    n1, n2 = c1._needs, c2._needs
+
+    def rule(g):
+        return (g[0, 0] * g1 if n1 else None, g[0, 0] * g2 if n2 else None)
+
+    return Tensor((lse.sum() - diag.sum()) * inv_n, _parents=(c1, c2), _rule=rule)
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) elsewhere,
+    so no exp overflows."""
+    t = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, t) / (1.0 + t)
+
+
+def decoder_mse(z: Tensor, a: sp.csr_array) -> Tensor:
+    """mean((sigmoid(z z^T) - a)**2) over all n x n entries, for a constant
+    sparse a, as one node.
+
+    One sweep over blocks of whole rows densifies only the block's rows of a
+    and gives the gradient (4 / n**2) ((S - a) * S * (1 - S)) z, S =
+    sigmoid(z z^T), which is exact for symmetric a; the node keeps only that
+    gradient.
+    """
+    z = _as_tensor(z)
+    n = z.shape[0]
+    _check(sp.issparse(a), "decoder_mse", f"target must be a scipy sparse matrix, got {type(a)}")
+    _check(a.shape == (n, n), "decoder_mse", f"target is {a.shape}, expected {(n, n)}")
+    zv = z.value
+    row_sq = np.empty(n)
+    grad = np.empty_like(zv)
+    for lo, hi in _row_blocks(n):
+        s = _sigmoid(zv[lo:hi] @ zv.T)
+        diff = s - a[lo:hi].toarray()
+        row_sq[lo:hi] = np.einsum("ij,ij->i", diff, diff)
+        diff *= s
+        s -= 1.0
+        diff *= s  # (S - a) * S * (S - 1), the negated chain factor
+        grad[lo:hi] = diff @ zv
+    grad *= -4.0 / (n * n)
+
+    def rule(g):
+        return (g[0, 0] * grad,)
+
+    return Tensor(row_sq.sum() / (n * n), _parents=(z,), _rule=rule)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -434,29 +619,17 @@ def transpose(a: Tensor) -> Tensor:
     return Tensor(a.value.T.copy(), _parents=(a,), _rule=rule)
 
 
-def sigmoid(a: Tensor) -> Tensor:
+def relu(a: Tensor) -> Tensor:
+    """x where x > 0, 0.0 where x <= 0, and NaN where x is NaN, whose
+    gradient is NaN too, so a non-finite input is not silently cut off."""
     a = _as_tensor(a)
     x = a.value
-    y = np.empty_like(x)
-    pos = x >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    y[~pos] = ex / (1.0 + ex)
-
-    def rule(g):
-        return (g * y * (1.0 - y),)
-
-    return Tensor(y, _parents=(a,), _rule=rule)
-
-
-def relu(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    mask = a.value > 0
+    mask = np.heaviside(x, 0.0)  # 1.0, 0.0 or NaN
 
     def rule(g):
         return (g * mask,)
 
-    return Tensor(np.where(mask, a.value, 0.0), _parents=(a,), _rule=rule)
+    return Tensor(np.where(x <= 0, 0.0, x), _parents=(a,), _rule=rule)
 
 
 def leaky_relu(a: Tensor) -> Tensor:
@@ -466,19 +639,9 @@ def leaky_relu(a: Tensor) -> Tensor:
     x = a.value
 
     def rule(g):
-        return (g * np.where(x > 0, 1.0, LEAKY_SLOPE),)
+        return (_leaky_grad(g, x > 0),)
 
     return Tensor(np.maximum(x, x * LEAKY_SLOPE), _parents=(a,), _rule=rule)
-
-
-def exp(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    y = np.exp(a.value)
-
-    def rule(g):
-        return (g * y,)
-
-    return Tensor(y, _parents=(a,), _rule=rule)
 
 
 def log(a: Tensor) -> Tensor:
@@ -499,18 +662,6 @@ def square(a: Tensor) -> Tensor:
         return (g * 2.0 * x,)
 
     return Tensor(x * x, _parents=(a,), _rule=rule)
-
-
-def sqrt(a: Tensor) -> Tensor:
-    """Square root; the derivative denominator is floored at 1e-12 so exact
-    zeros do not poison the backward pass."""
-    a = _as_tensor(a)
-    y = np.sqrt(a.value)
-
-    def rule(g):
-        return (g * 0.5 / np.maximum(y, 1e-12),)
-
-    return Tensor(y, _parents=(a,), _rule=rule)
 
 
 def clamp_min(a: Tensor, floor: float) -> Tensor:

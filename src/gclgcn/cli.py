@@ -142,7 +142,7 @@ def _load_pretrained(path: str):
     p = Path(path)
     if p.is_dir():
         p = p / "pretrain.gclc"
-    return pretrained_from_named(load_checkpoint(p))
+    return pretrained_from_named(load_checkpoint(p), p)
 
 
 def _cmd_train(args) -> int:

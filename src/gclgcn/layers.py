@@ -1,6 +1,7 @@
 """Layer functions: the autoencoder loss, one graph-convolution layer, one
-centrality- and distance-biased attention layer, and the contrastive encoder
-with its similarity and loss.
+centrality- and distance-biased attention layer, and the contrastive
+encoder. The contrastive InfoNCE loss and the adjacency-decoder loss are
+whole-graph tape ops, autodiff.info_nce and autodiff.decoder_mse.
 
 The autoencoder, GCN and attention stacks share the width ladder
 in->500->500->2000->bottleneck (truncated for shallower depth settings) and
@@ -28,9 +29,6 @@ __all__ = [
     "gcn_layer",
     "graphormer_layer",
     "contrastive_encoder",
-    "combined_similarity",
-    "contrastive_loss",
-    "inner_product_decode",
 ]
 
 # Hidden widths of the full four-layer encoder; shallower depths keep the
@@ -135,39 +133,3 @@ def contrastive_encoder(adj: sp.csr_array, x: Tensor, params: ContrastiveParams)
     first, linear second."""
     c1 = ad.relu(ad.propagate(adj, x, params.w0))
     return ad.propagate(adj, c1, params.w1)
-
-
-def combined_similarity(c1: Tensor, c2: Tensor, exponent: float = 1.0) -> Tensor:
-    """Pairwise cosine similarity times inverse-distance similarity, passed
-    through a sign-preserving power. Row norms are floored at 1e-12."""
-    sq1 = ad.reduce_sum(ad.square(c1), axis=1)  # (n, 1) row norms squared
-    sq2 = ad.transpose(ad.reduce_sum(ad.square(c2), axis=1))  # (1, n)
-    norm1 = ad.clamp_min(ad.sqrt(sq1), 1e-12)
-    norm2 = ad.clamp_min(ad.sqrt(sq2), 1e-12)
-
-    gram = ad.matmul(c1, ad.transpose(c2))
-    cos = ad.hadamard(gram, ad.signed_pow(ad.hadamard(norm1, norm2), -1.0))
-
-    d2 = ad.clamp_min(ad.add(ad.add(sq1, sq2), ad.scale(gram, -2.0)), 0.0)
-    euc = ad.signed_pow(ad.add(ad.sqrt(d2), 1.0), -1.0)
-
-    return ad.signed_pow(ad.hadamard(cos, euc), exponent)
-
-
-def contrastive_loss(s: Tensor, tau: float) -> Tensor:
-    """Mean cross-entropy of each similarity row against its diagonal entry,
-    computed with a detached log-sum-exp shift for stability."""
-    if tau <= 0:
-        raise ValueError(f"temperature must be positive, got {tau}")
-    n = s.shape[0]
-    logits = ad.scale(s, 1.0 / tau)
-    shift = ad.constant(logits.value.max(axis=1, keepdims=True))
-    e = ad.exp(ad.add(logits, ad.scale(shift, -1.0)))
-    lse = ad.add(ad.log(ad.reduce_sum(e, axis=1)), shift)
-    diag = ad.reduce_sum(ad.hadamard(logits, ad.constant(np.eye(n))))
-    return ad.scale(ad.add(ad.reduce_sum(lse), ad.scale(diag, -1.0)), 1.0 / n)
-
-
-def inner_product_decode(z: Tensor) -> Tensor:
-    """Edge-probability matrix sigmoid(Z Z^T)."""
-    return ad.sigmoid(ad.matmul(z, ad.transpose(z)))

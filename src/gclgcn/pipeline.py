@@ -26,13 +26,10 @@ from .graph import Graph, adjacency_matrix, normalize_adjacency
 from .layers import (
     ContrastiveParams,
     ae_loss,
-    combined_similarity,
     contrastive_encoder,
-    contrastive_loss,
     gcn_layer,
     glorot,
     graphormer_layer,
-    inner_product_decode,
     ladder_dims,
 )
 
@@ -300,7 +297,7 @@ def pretrain_contrastive(g: Graph, cfg: ExperimentConfig) -> np.ndarray:
         view = ad.constant(_mask_features(mask_rng, g.features, cc.p))
         c1 = contrastive_encoder(adj, x, params)
         c2 = contrastive_encoder(adj, view, params)
-        return contrastive_loss(combined_similarity(c1, c2, cc.beta_sim), cc.tau)
+        return ad.info_nce(c1, c2, cc.beta_sim, cc.tau)
 
     _pretrain("contrastive pretraining", params.named(), cfg.lr, cc.epochs, loss_of)
     return contrastive_encoder(adj, x, params).value.copy()
@@ -321,10 +318,15 @@ def pretrain(g: Graph, cfg: ExperimentConfig, x_c: np.ndarray | None = None) -> 
     )
 
 
-def pretrained_from_named(named: dict[str, np.ndarray]) -> Pretrained:
+def pretrained_from_named(named: dict[str, np.ndarray], source) -> Pretrained:
+    """The pretraining artifacts among the entries named, read from source
+    (named in errors): every ae.* entry and x_c, all of them finite."""
     ae_named = [(name, arr) for name, arr in named.items() if name.startswith("ae.")]
     if "x_c" not in named or not ae_named:
-        raise ConfigError("pretraining checkpoint lacks ae.* entries or x_c")
+        raise ConfigError(f"{source}: pretraining checkpoint lacks ae.* entries or x_c")
+    for name, arr in [*ae_named, ("x_c", named["x_c"])]:
+        if not np.isfinite(arr).all():
+            raise ConfigError(f"{source}: non-finite value in entry {name!r}")
     return Pretrained(ae_named=ae_named, x_c=named["x_c"])
 
 
@@ -380,7 +382,7 @@ class _Constants:
     x: Tensor
     x_enhanced: Tensor  # X + X_c, first-layer input of both graph channels
     adj: sp.csr_array  # normalized adjacency with self-loops
-    a_binary: Tensor  # raw 0/1 adjacency, dense: the decoder losses compare against all of it
+    adj_raw: sp.csr_array  # 0/1 adjacency without self-loops, the decoder losses' target
     target_feat: np.ndarray  # adj @ X, target of the autoencoder and joint reconstructions
     centrality: Tensor | None
     logit_bias: np.ndarray | None  # signed spatial bias on adj's entries
@@ -404,7 +406,6 @@ def _fusion_weights(cfg: ExperimentConfig) -> dict[str, float]:
 
 def _build_constants(g: Graph, cfg: ExperimentConfig, x_c: np.ndarray) -> _Constants:
     adj = normalize_adjacency(g)
-    a = adjacency_matrix(g)
     centrality = None
     logit_bias = None
     if "graphormer" in _channels(cfg):
@@ -415,7 +416,7 @@ def _build_constants(g: Graph, cfg: ExperimentConfig, x_c: np.ndarray) -> _Const
         x=ad.constant(g.features),
         x_enhanced=ad.constant(g.features + x_c),
         adj=adj,
-        a_binary=ad.constant(a.toarray()),
+        adj_raw=adjacency_matrix(g),
         target_feat=adj @ g.features,
         centrality=centrality,
         logit_bias=logit_bias,
@@ -523,9 +524,7 @@ def _epoch_losses(
     if len(zhats) > 1:
         joint = ad.scale(joint, 1.0 / len(zhats))
     l_w = ad.mse(joint, ad.constant(cons.target_feat))
-    l_a = {
-        name: ad.mse(inner_product_decode(z), cons.a_binary) for name, (z, _) in outs.items()
-    }
+    l_a = {name: ad.decoder_mse(z, cons.adj_raw) for name, (z, _) in outs.items()}
     l_ae = ad.mse(xhat_ae, ad.constant(cons.target_feat))
     l_clu = kl_div(ad.constant(p), q)
     l_con = kl_div(q, q_prime)

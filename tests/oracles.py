@@ -6,8 +6,11 @@ level-synchronous Brandes accumulation), the matching accuracy enumerates
 every bijection, the graph operators are dense n x n matrices (the
 implementation keeps the adjacency and the attention weights in CSR), and
 the Adam update runs on whole arrays (the implementation updates in blocks),
-the layer ops are composed from the tape's elementary ops (the
-implementation records each as one node), and the initial parameters of the
+the layer ops and the two row-blocked losses are composed from the tape's
+elementary ops (the implementation records each as one node, and the losses
+never hold an n x n array beyond one block of rows; exp, sqrt and sigmoid,
+which only these composed losses read, are defined here), and the initial
+parameters of the
 autoencoder, GCN and attention stacks are drawn into per-stack lists and
 named afterwards (the implementation builds every stack, names included,
 with pipeline.Channel.build). The finite-difference checker, the closed-form
@@ -269,6 +272,81 @@ def composed_propagate(adj: sp.csr_array, z, w, activate=False) -> Tensor:
     else:
         out = ad.matmul(ad.spmm(adj, z), w)
     return ad.leaky_relu(out) if activate else out
+
+
+def _unary(a, value: np.ndarray, derivative: Callable[[np.ndarray], np.ndarray]) -> Tensor:
+    """A tape node of value whose rule multiplies g by derivative(g)."""
+    a = a if isinstance(a, Tensor) else ad.constant(a)
+    return Tensor(value, _parents=(a,), _rule=lambda g: (derivative(g),))
+
+
+def exp(a) -> Tensor:
+    y = np.exp(a.value)
+    return _unary(a, y, lambda g: g * y)
+
+
+def sqrt(a) -> Tensor:
+    """Square root; the derivative denominator is floored at 1e-12 so exact
+    zeros do not poison the backward pass."""
+    y = np.sqrt(a.value)
+    return _unary(a, y, lambda g: g * 0.5 / np.maximum(y, 1e-12))
+
+
+def sigmoid(a) -> Tensor:
+    x = a.value
+    y = np.empty_like(x)
+    pos = x >= 0
+    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    y[~pos] = ex / (1.0 + ex)
+    return _unary(a, y, lambda g: g * y * (1.0 - y))
+
+
+def combined_similarity(c1: Tensor, c2: Tensor, exponent: float = 1.0) -> Tensor:
+    """Pairwise cosine similarity times inverse-distance similarity, passed
+    through a sign-preserving power. Row norms are floored at 1e-12. The
+    composed form of the similarity inside autodiff.info_nce."""
+    sq1 = ad.reduce_sum(ad.square(c1), axis=1)  # (n, 1) row norms squared
+    sq2 = ad.transpose(ad.reduce_sum(ad.square(c2), axis=1))  # (1, n)
+    norm1 = ad.clamp_min(sqrt(sq1), 1e-12)
+    norm2 = ad.clamp_min(sqrt(sq2), 1e-12)
+
+    gram = ad.matmul(c1, ad.transpose(c2))
+    cos = ad.hadamard(gram, ad.signed_pow(ad.hadamard(norm1, norm2), -1.0))
+
+    d2 = ad.clamp_min(ad.add(ad.add(sq1, sq2), ad.scale(gram, -2.0)), 0.0)
+    euc = ad.signed_pow(ad.add(sqrt(d2), 1.0), -1.0)
+
+    return ad.signed_pow(ad.hadamard(cos, euc), exponent)
+
+
+def contrastive_loss(s: Tensor, tau: float) -> Tensor:
+    """Mean cross-entropy of each similarity row against its diagonal entry,
+    computed with a detached log-sum-exp shift for stability."""
+    if tau <= 0:
+        raise ValueError(f"temperature must be positive, got {tau}")
+    n = s.shape[0]
+    logits = ad.scale(s, 1.0 / tau)
+    shift = ad.constant(logits.value.max(axis=1, keepdims=True))
+    e = exp(ad.add(logits, ad.scale(shift, -1.0)))
+    lse = ad.add(ad.log(ad.reduce_sum(e, axis=1)), shift)
+    diag = ad.reduce_sum(ad.hadamard(logits, ad.constant(np.eye(n))))
+    return ad.scale(ad.add(ad.reduce_sum(lse), ad.scale(diag, -1.0)), 1.0 / n)
+
+
+def composed_info_nce(c1, c2, beta: float, tau: float) -> Tensor:
+    """autodiff.info_nce as the composed similarity and loss."""
+    return contrastive_loss(combined_similarity(c1, c2, beta), tau)
+
+
+def inner_product_decode(z: Tensor) -> Tensor:
+    """Edge-probability matrix sigmoid(Z Z^T)."""
+    return sigmoid(ad.matmul(z, ad.transpose(z)))
+
+
+def composed_decoder_mse(z, a: sp.csr_array) -> Tensor:
+    """autodiff.decoder_mse as the dense decoder and mse against a dense a."""
+    return ad.mse(inner_product_decode(z), ad.constant(a.toarray()))
 
 
 def support_values(rows, cols, values) -> dict:

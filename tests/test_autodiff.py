@@ -1,12 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from gclgcn import autodiff as ad
+import oracles
 from oracles import (
     adam_step_whole,
     composed_blend,
+    composed_decoder_mse,
     composed_dense,
+    composed_info_nce,
     composed_project,
     composed_propagate,
     finite_difference_check,
@@ -159,10 +164,10 @@ def inverse_pow(x):
 
 UNARY_OPS = [
     ("square", ad.square, None),
-    ("exp", ad.exp, None),
+    ("exp", oracles.exp, None),
     ("log", ad.log, "positive"),
-    ("sqrt", ad.sqrt, "positive"),
-    ("sigmoid", ad.sigmoid, None),
+    ("sqrt", oracles.sqrt, "positive"),
+    ("sigmoid", oracles.sigmoid, None),
     ("relu", ad.relu, None),
     ("leaky_relu", ad.leaky_relu, None),
     ("transpose", ad.transpose, None),
@@ -243,6 +248,30 @@ class TestLeakyRelu:
         out = ad.leaky_relu(ad.parameter(x))
         assert out.value.tobytes() == np.where(x > 0, x, x * slope).tobytes()
         assert out._rule(g)[0].tobytes() == np.where(x > 0, g, g * slope).tobytes()
+
+
+    def test_gradient_helper_matches_where_form(self):
+        rng = np.random.default_rng(1)
+        x = np.concatenate([self.SPECIAL, rng.standard_normal(71)]).reshape(8, 10)
+        g = np.concatenate([self.SPECIAL[::-1], rng.standard_normal(71)]).reshape(8, 10)
+        g[1, :2] = np.nan, -np.nan
+        pos = x > 0
+        want = g * np.where(pos, 1.0, ad.LEAKY_SLOPE)
+        assert ad._leaky_grad(g, pos).tobytes() == want.tobytes()
+
+
+class TestRelu:
+    def test_keeps_nan_and_every_finite_result(self):
+        x = np.concatenate([TestLeakyRelu.SPECIAL, [-2.0, 0.5]]).reshape(1, -1)
+        g = np.linspace(-3.0, 3.0, x.size).reshape(x.shape)
+        out = ad.relu(ad.parameter(x))
+        nan = np.isnan(x)
+        want = np.where(x > 0, x, 0.0)
+        assert out.value[~nan].tobytes() == want[~nan].tobytes()
+        assert np.isnan(out.value[nan]).all()
+        d = out._rule(g)[0]
+        assert d[~nan].tobytes() == (g * (x > 0))[~nan].tobytes()
+        assert np.isnan(d[nan]).all()
 
 
 def _sparse(rng, n):
@@ -356,6 +385,135 @@ class TestLayerOps:
             ad.dense(a, b, ad.constant(np.zeros((2, 2))))
         with pytest.raises(ValueError, match="propagate"):
             ad.propagate(sp.csr_array(sp.eye(3)), a, b)
+
+
+def _views(rng, n, d, case):
+    """Two (n, d) parameters for an info_nce case; "identical" gives one
+    integer-valued parameter twice, so every diagonal distance is exactly 0,
+    and the other special cases reach the norm floors."""
+    if case == "identical":
+        c = ad.parameter(rng.integers(-3, 4, size=(n, d)).astype(float))
+        return c, c
+    c1, c2 = (ad.parameter(rng.standard_normal((n, d))) for _ in range(2))
+    if case == "zero-row-c1":
+        c1.value[n // 2] = 0.0
+    elif case == "zero-row-c2":
+        c2.value[0] = 0.0
+    elif case == "tiny-rows":
+        # a row norm below its 1e-12 floor, and a pair of rows whose norm
+        # product is below the reciprocal's 1e-12 floor
+        c1.value[0] *= 1e-14
+        c1.value[n - 1] *= 1e-7
+        c2.value[1] *= 1e-7
+    return c1, c2
+
+
+def _adjacency(rng, n, isolated=()):
+    """A symmetric 0/1 CSR adjacency without self-loops; the nodes in
+    isolated have no edge."""
+    upper = np.triu(rng.random((n, n)) < 0.2, k=1)
+    a = (upper | upper.T).astype(float)
+    a[list(isolated), :] = 0.0
+    a[:, list(isolated)] = 0.0
+    return sp.csr_array(a)
+
+
+def _agree(op, composed, operands, params):
+    """op and composed agree in value and in every parameter gradient to
+    1e-12 relative."""
+    results = []
+    for f in (op, composed):
+        ad.zero_grad(params)
+        loss = f(*operands)
+        ad.backward(loss)
+        results.append((loss.value[0, 0], [p.grad.copy() for p in params]))
+    (got, got_grads), (want, want_grads) = results
+    assert abs(got - want) <= 1e-12 * abs(want)
+    for g, w in zip(got_grads, want_grads):
+        assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+
+
+# (n, rows per block): blocks that do not divide n, and n below one block.
+LOSS_BLOCKINGS = [(7, 3), (10, 4), (12, 12), (9, 128), (300, 128)]
+INFO_NCE_CASES = ["random", "zero-row-c1", "zero-row-c2", "tiny-rows", "identical"]
+
+
+class TestRowBlockedLosses:
+    """info_nce and decoder_mse against their composed forms in tests/oracles.py."""
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("case", INFO_NCE_CASES)
+    @pytest.mark.parametrize("n,rows", LOSS_BLOCKINGS)
+    def test_info_nce_matches_composed_form(self, monkeypatch, n, rows, case, beta):
+        monkeypatch.setattr(ad, "_LOSS_ROWS", rows)
+        for seed in range(3):
+            c1, c2 = _views(np.random.default_rng(seed), n, 4, case)
+            params = [c1] if c1 is c2 else [c1, c2]
+            _agree(ad.info_nce, composed_info_nce, (c1, c2, beta, 0.5), params)
+
+    @pytest.mark.parametrize("isolated", [(), (0, 5)])
+    @pytest.mark.parametrize("n,rows", LOSS_BLOCKINGS)
+    def test_decoder_mse_matches_composed_form(self, monkeypatch, n, rows, isolated):
+        monkeypatch.setattr(ad, "_LOSS_ROWS", rows)
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            z = ad.parameter(rng.standard_normal((n, 3)))
+            _agree(ad.decoder_mse, composed_decoder_mse, (z, _adjacency(rng, n, isolated)), [z])
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+    def test_info_nce_finite_differences(self, monkeypatch, beta):
+        monkeypatch.setattr(ad, "_LOSS_ROWS", 3)
+        for seed in range(3):
+            c1, c2 = _views(np.random.default_rng(400 + seed), 7, 3, "random")
+            err = fd_scalar(lambda _: ad.info_nce(c1, c2, beta, 0.7), [c1, c2])
+            assert err <= 1e-6, f"seed {seed}: {err}"
+
+    def test_decoder_mse_finite_differences(self, monkeypatch):
+        monkeypatch.setattr(ad, "_LOSS_ROWS", 3)
+        for seed in range(3):
+            rng = np.random.default_rng(500 + seed)
+            z = ad.parameter(rng.standard_normal((7, 3)))
+            a = _adjacency(rng, 7, isolated=(2,))
+            err = fd_scalar(lambda _: ad.decoder_mse(z, a), [z])
+            assert err <= 1e-6, f"seed {seed}: {err}"
+
+    def test_peak_allocation_below_one_square_array(self):
+        n = 2000
+        rng = np.random.default_rng(0)
+        c1, c2 = (ad.parameter(rng.standard_normal((n, 16))) for _ in range(2))
+        z = ad.parameter(rng.standard_normal((n, 10)))
+        a = _adjacency(rng, n)
+        for loss in (lambda: ad.info_nce(c1, c2, 1.0, 0.5), lambda: ad.decoder_mse(z, a)):
+            tracemalloc.start()
+            try:
+                ad.backward(loss())
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < n * n * 8
+
+    def test_two_backward_calls_accumulate(self):
+        rng = np.random.default_rng(1)
+        c1, c2 = _views(rng, 9, 3, "random")
+        z = ad.parameter(rng.standard_normal((9, 3)))
+        for loss, params in ((ad.info_nce(c1, c2, 1.0, 0.5), [c1, c2]),
+                             (ad.decoder_mse(z, _adjacency(rng, 9)), [z])):
+            ad.backward(loss)
+            once = [p.grad.copy() for p in params]
+            ad.backward(loss)
+            for p, g in zip(params, once):
+                assert np.array_equal(p.grad, 2.0 * g)
+
+    def test_errors_name_the_operation(self):
+        a, b = ad.constant(np.ones((3, 2))), ad.constant(np.ones((4, 2)))
+        with pytest.raises(ValueError, match="info_nce"):
+            ad.info_nce(a, b, 1.0, 0.5)
+        with pytest.raises(ValueError, match="info_nce: temperature"):
+            ad.info_nce(a, a, 1.0, 0.0)
+        with pytest.raises(ValueError, match="decoder_mse"):
+            ad.decoder_mse(a, sp.csr_array(np.ones((4, 4))))
+        with pytest.raises(ValueError, match="decoder_mse"):
+            ad.decoder_mse(a, np.ones((3, 3)))
 
 
 class TestAdam:

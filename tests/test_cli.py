@@ -135,6 +135,21 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert "x_c" in err and "(20, 6)" in err and "(10, 6)" in err
 
+    @pytest.mark.parametrize("entry, bad", [("x_c", np.nan), ("ae.dec.1.w", -np.inf)])
+    def test_nonfinite_pretrained_entry_exits_one(self, entry, bad, run_cfg, tmp_path, capsys):
+        pre = tmp_path / "pre"
+        assert run(["pretrain", "--config", str(run_cfg), "--out", str(pre)]) == 0
+        entries = load_checkpoint(pre / "pretrain.gclc")
+        entries[entry][-1, -1] = bad
+        save_checkpoint(pre / "pretrain.gclc", entries.items())
+        capsys.readouterr()
+        code = run(["train", "--config", str(run_cfg), "--out", str(tmp_path / "out"),
+                    "--pretrained", str(pre)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"pretrain.gclc: non-finite value in entry {entry!r}" in err
+        assert not (tmp_path / "out" / "model.gclc").exists()
+
     @pytest.mark.parametrize("edit", ["renamed", "reordered"])
     def test_pretrained_ae_entries_must_match_by_name(self, edit, run_cfg, tmp_path, capsys):
         # Each edit keeps the sequence of shapes, which alone would pass.

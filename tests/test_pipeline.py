@@ -240,8 +240,8 @@ class TestPretraining:
 
     def test_degenerate_view_gives_unit_self_similarity(self):
         # p=0 keeps both views identical: cosine 1, distance 0 on the diagonal
-        from gclgcn.layers import (combined_similarity,
-                                   contrastive_encoder, ContrastiveParams)
+        from gclgcn.layers import contrastive_encoder, ContrastiveParams
+        from oracles import combined_similarity
 
         g = small_sbm()
         assert np.array_equal(
@@ -262,8 +262,7 @@ class TestPretraining:
         assert xc1.shape == g.features.shape
 
     def test_contrastive_loss_improves(self):
-        from gclgcn.layers import (ContrastiveParams, combined_similarity,
-                                   contrastive_encoder, contrastive_loss)
+        from gclgcn.layers import ContrastiveParams, contrastive_encoder
         g = small_sbm()
         cfg = tiny_cfg(contrastive=ContrastiveConfig(hidden=8, epochs=20))
         adj = normalize_adjacency(g)
@@ -272,8 +271,7 @@ class TestPretraining:
             view = _mask_features(np.random.default_rng(99), g.features, cfg.contrastive.p)
             c1 = contrastive_encoder(adj, ad.constant(g.features), params)
             c2 = contrastive_encoder(adj, ad.constant(view), params)
-            s = combined_similarity(c1, c2, cfg.contrastive.beta_sim)
-            return contrastive_loss(s, cfg.contrastive.tau).value[0, 0]
+            return ad.info_nce(c1, c2, cfg.contrastive.beta_sim, cfg.contrastive.tau).value[0, 0]
 
         from gclgcn import pipeline as P
 
@@ -295,9 +293,7 @@ class TestPretraining:
             view = ad.constant(_mask_features(mask_rng, g.features, cfg.contrastive.p))
             c1 = contrastive_encoder(adj, ad.constant(g.features), trained)
             c2 = contrastive_encoder(adj, view, trained)
-            loss = contrastive_loss(
-                combined_similarity(c1, c2, cfg.contrastive.beta_sim), cfg.contrastive.tau
-            )
+            loss = ad.info_nce(c1, c2, cfg.contrastive.beta_sim, cfg.contrastive.tau)
             ad.backward(loss)
             ad.adam_step(tensors, [t.grad for t in tensors], opt)
         after = eval_loss(trained)
@@ -412,7 +408,7 @@ class TestTrain:
         from gclgcn import pipeline as P
 
         decoded: list[str] = []
-        calls = {"inner_product_decode": 0}
+        calls = {"decoder_mse": 0}
         decode = P.Channel.decode
 
         def counting_decode(channel, z):
@@ -430,10 +426,10 @@ class TestTrain:
         pre = pretrain(g, cfg)  # autoencoder pretraining decodes every epoch
         monkeypatch.setattr(P.Channel, "decode", counting_decode)
         for attr in calls:
-            monkeypatch.setattr(P, attr, counting(attr, getattr(P, attr)))
+            monkeypatch.setattr(P.ad, attr, counting(attr, getattr(P.ad, attr)))
         train(g, cfg, pretrained=pre)
         assert decoded == ["gcn", "graphormer", "ae"] * 2
-        assert calls == {"inner_product_decode": 4}
+        assert calls == {"decoder_mse": 4}
 
     def test_numeric_abort_writes_checkpoint(self, tmp_path):
         g = small_sbm()
@@ -562,6 +558,22 @@ class TestTrain:
         with pytest.raises(NumericError, match=message):
             run(small_sbm(), tiny_cfg())
         assert len(calls) == 2
+
+    def test_contrastive_pretraining_stops_at_nan_in_first_layer(self, monkeypatch):
+        """A NaN written into contrastive.w0 by epoch 0's step passes the
+        ReLU after the first layer, so epoch 1's loss is non-finite."""
+        from gclgcn import pipeline as P
+
+        real_step = P.adam_step
+
+        def poisoned_step(params, grads, opt):
+            real_step(params, grads, opt)
+            params[0].value[0, 0] = np.nan  # contrastive.w0 comes first
+
+        monkeypatch.setattr(P, "adam_step", poisoned_step)
+        message = r"^contrastive pretraining: non-finite loss at epoch 1$"
+        with pytest.raises(NumericError, match=message):
+            pretrain_contrastive(small_sbm(), tiny_cfg())
 
     def test_k_larger_than_n_rejected(self):
         g = small_sbm(sizes=(3, 3))
