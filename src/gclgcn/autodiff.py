@@ -5,14 +5,20 @@ computed immediately; each op records a closure that maps the upstream
 gradient to per-parent gradients. The tape is rebuilt every iteration, and
 every node stays alive until backward ends, so an op keeps only the arrays
 its backward reads. Graph operators take a constant scipy CSR matrix: spmm
-multiplies by it, and edge_attention attends only over its sparsity pattern.
+multiplies by it, and attention attends only over its sparsity pattern.
 
 The layer ops are one node each where a composed form would keep every
-intermediate: project (z @ w + c @ wc), blend (a * eps + b * (1 - eps)),
-dense (x @ w + b) and propagate (adj @ z @ w), the last two optionally
-followed by leaky_relu at LEAKY_SLOPE. Each computes its forward with the
-numpy calls of the composed form, in the same order, so its values match the
-composed form's bit for bit.
+intermediate: blend (a * eps + b * (1 - eps)), dense (x @ w + b),
+propagate (adj @ z @ w) and attention (multi-head attention over a sparse
+pattern with centrality terms in every projection), the last three
+optionally followed by leaky ReLU at LEAKY_SLOPE, keeping a sign mask.
+propagate and attention pick their association from the shapes: propagate
+runs the sparse product on the narrower side, and attention, when a layer
+widens (d_in + centrality columns < head width), scores q . k through the
+small W_q W_k^T and applies W_v after attending, so it never forms q, k or
+v. Otherwise each op computes its forward with the numpy calls of its
+composed form, in the same order, so its values match that form's bit for
+bit; the reassociated forms match to rounding.
 
 The two whole-graph losses, info_nce (the contrastive InfoNCE over every
 node pair) and decoder_mse (the inner-product adjacency decoder against a
@@ -28,6 +34,7 @@ doubles leaf gradients.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -44,11 +51,10 @@ __all__ = [
     "adam_step",
     "matmul",
     "spmm",
-    "project",
     "blend",
     "dense",
     "propagate",
-    "edge_attention",
+    "attention",
     "info_nce",
     "decoder_mse",
     "add",
@@ -56,17 +62,15 @@ __all__ = [
     "hadamard",
     "transpose",
     "relu",
-    "leaky_relu",
     "log",
     "square",
     "clamp_min",
     "signed_pow",
     "reduce_sum",
     "mse",
-    "columns",
 ]
 
-# Negative-side slope of leaky_relu and of the activated layer ops.
+# Negative-side slope of the leaky ReLU of the activated layer ops.
 LEAKY_SLOPE = 0.01
 
 
@@ -203,29 +207,6 @@ def spmm(a: sp.csr_array, b: Tensor) -> Tensor:
     return Tensor(a @ b.value, _parents=(b,), _rule=rule)
 
 
-def project(z: Tensor, w: Tensor, c: Tensor, wc: Tensor) -> Tensor:
-    """z @ w + c @ wc as one node; the backward reads only the operands."""
-    z, w, c, wc = (_as_tensor(t) for t in (z, w, c, wc))
-    _check(z.shape[1] == w.shape[0] and c.shape[1] == wc.shape[0], "project",
-           f"inner dims differ: {z.shape} x {w.shape}, {c.shape} x {wc.shape}")
-    _check((z.shape[0], w.shape[1]) == (c.shape[0], wc.shape[1]), "project",
-           f"products differ in shape: {z.shape} x {w.shape} vs {c.shape} x {wc.shape}")
-    zv, wv, cv, wcv = z.value, w.value, c.value, wc.value
-    nz, nw, nc, nwc = z._needs, w._needs, c._needs, wc._needs
-    out = zv @ wv
-    out += cv @ wcv
-
-    def rule(g):
-        return (
-            g @ wv.T if nz else None,
-            zv.T @ g if nw else None,
-            g @ wcv.T if nc else None,
-            cv.T @ g if nwc else None,
-        )
-
-    return Tensor(out, _parents=(z, w, c, wc), _rule=rule)
-
-
 def blend(a: Tensor, b: Tensor, eps: float) -> Tensor:
     """a * eps + b * (1 - eps) as one node; the backward reads only eps."""
     a, b = _as_tensor(a), _as_tensor(b)
@@ -242,11 +223,22 @@ def blend(a: Tensor, b: Tensor, eps: float) -> Tensor:
     return Tensor(out, _parents=(a, b), _rule=rule)
 
 
+# Elements per block of a sampled product's gathered rows and of the leaky
+# ReLU pass: about 64k elements keep a block in cache (at n=900, width 2000,
+# gathering every row at once ran 5x slower, and the leaky pass over the
+# whole array 2.5x slower).
+_GATHER_ELEMENTS = 1 << 16
+
+
 def _leaky_in_place(out: np.ndarray) -> np.ndarray:
-    """leaky_relu's forward at LEAKY_SLOPE written into out; returns the sign
-    mask of the input, which is all its backward reads."""
+    """The leaky ReLU forward, max(x, LEAKY_SLOPE * x), written into out a
+    cache-sized block of rows at a time, so its temporary is one block;
+    returns the sign mask of the input, which is all its backward reads."""
     pos = out > 0
-    np.maximum(out, out * LEAKY_SLOPE, out=out)
+    step = max(1, _GATHER_ELEMENTS // max(1, out.shape[1]))
+    for lo in range(0, out.shape[0], step):
+        block = out[lo:lo + step]
+        np.maximum(block, block * LEAKY_SLOPE, out=block)
     return pos
 
 
@@ -261,7 +253,7 @@ def _leaky_grad(g: np.ndarray, pos: np.ndarray) -> np.ndarray:
 
 
 def dense(x: Tensor, w: Tensor, b: Tensor, activate: bool = False) -> Tensor:
-    """x @ w + b (b is one row, broadcast), then leaky_relu when activate,
+    """x @ w + b (b is one row, broadcast), then leaky ReLU when activate,
     as one node. It keeps its output and, when activated, a boolean sign
     mask."""
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
@@ -288,7 +280,7 @@ def dense(x: Tensor, w: Tensor, b: Tensor, activate: bool = False) -> Tensor:
 
 def propagate(adj: sp.csr_array, z: Tensor, w: Tensor, activate: bool = False) -> Tensor:
     """adj @ z @ w over a constant sparse adj, associated so the sparse
-    product runs on the narrower side, then leaky_relu when activate, as one
+    product runs on the narrower side, then leaky ReLU when activate, as one
     node. It keeps its output, the sign mask when activated, and adj @ z
     only when (adj @ z) @ w is the association and w needs its gradient."""
     z, w = _as_tensor(z), _as_tensor(w)
@@ -320,12 +312,6 @@ def propagate(adj: sp.csr_array, z: Tensor, w: Tensor, activate: bool = False) -
     return Tensor(out, _parents=(z, w), _rule=rule)
 
 
-# Rows gathered per block of a sampled product: about 64k elements keeps both
-# gathered blocks in cache (at n=900, width 2000, gathering every row at once
-# ran 5x slower).
-_GATHER_ELEMENTS = 1 << 16
-
-
 def _sampled_dots(a: np.ndarray, b: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """a[rows[e]] . b[cols[e]] for every entry e, gathered in cache-sized blocks."""
     out = np.empty(rows.size)
@@ -336,50 +322,186 @@ def _sampled_dots(a: np.ndarray, b: np.ndarray, rows: np.ndarray, cols: np.ndarr
     return out
 
 
-def edge_attention(
-    q: Tensor, k: Tensor, v: Tensor, pattern: sp.csr_array, bias: np.ndarray, scale: float
-) -> Tensor:
-    """Attention restricted to the entries of a sparse pattern.
+def _stacked_product(out: np.ndarray, x: np.ndarray, top: np.ndarray, bottom: np.ndarray,
+                     add: bool = False) -> None:
+    """out = x @ [top; bottom], or out += it when add, with top and bottom
+    stacked by rows but never copied: the product runs a block of rows at a
+    time, so no temporary is larger than a block."""
+    k = top.shape[0]
+    for lo, hi in _row_blocks(out.shape[0]):
+        if add:
+            out[lo:hi] += x[lo:hi, :k] @ top
+        else:
+            np.matmul(x[lo:hi, :k], top, out=out[lo:hi])
+        out[lo:hi] += x[lo:hi, k:] @ bottom
 
-    Row i attends over the columns j stored in pattern row i with logits
-    scale * q_i . k_j + bias_e, where bias is aligned with the pattern's
-    entries; the softmax runs over each row's entries and the output is
-    att @ v. Every row needs at least one entry (use self-loops). Only the
-    pattern's structure is read, never its values.
+
+def _accumulate(total: np.ndarray | None, part: np.ndarray) -> np.ndarray:
+    """total + part, in place in total; part itself when total is None."""
+    if total is None:
+        return part
+    total += part
+    return total
+
+
+def attention(
+    z: Tensor,
+    c: Tensor,
+    w: Sequence[Tensor],
+    wc: Sequence[Tensor],
+    pattern: sp.csr_array,
+    bias: np.ndarray,
+    heads: int = 1,
+    activate: bool = False,
+) -> Tensor:
+    """Multi-head attention restricted to the entries of a sparse pattern,
+    with the constant columns c in every projection, as one node.
+
+    w = (w_query, w_key, w_value) are (d, heads * d_head) weights of z and
+    wc the matching (m, heads * d_head) weights of c; head h reads its
+    d_head columns of each. With z~ = [z c] and W~ = [W; Wc], row i of head
+    h attends over the columns j stored in pattern row i with logits
+    scale * (z~_i W~q) . (z~_j W~k) + bias_e, scale = 1 / sqrt(d_head) and
+    bias aligned with the pattern's entries; the softmax runs over each
+    row's entries and the head's output is att @ (z~ W~v). The heads are
+    averaged, then passed through leaky ReLU when activate. Every row needs
+    at least one entry (use self-loops). Only the pattern's structure is
+    read, never its values.
+
+    The association follows the shapes, as propagate's does. When
+    d + m < d_head (the layer widens), each head scores through the
+    (d + m) x (d + m) matrix M = W~q W~k^T, P = z~ M, and applies W~v after
+    attending, (att @ z~) W~v: no n x d_head array but the output is formed,
+    and the node keeps z~, P, att @ z~, M and att. Otherwise it forms
+    q, k and v at full width with the numpy calls of the composed chain
+    (z @ w, then += c @ wc, a column copy per head when heads > 1, the
+    sampled logits, the softmax and att @ v), so its values match that
+    chain's bit for bit; it keeps each head's q, k, v and att. Either form
+    keeps its output and, when activated, a boolean sign mask.
     """
-    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
-    n = pattern.shape[0]
+    z, c = _as_tensor(z), _as_tensor(c)
+    w, wc = tuple(map(_as_tensor, w)), tuple(map(_as_tensor, wc))
+    n, d = z.shape
+    m = c.shape[1]
+    _check(sp.issparse(pattern), "attention",
+           f"pattern must be a scipy sparse matrix, got {type(pattern)}")
+    _check(pattern.shape == (n, n), "attention",
+           f"pattern is {pattern.shape}, expected one row and column per row of z, {(n, n)}")
     indptr, cols = pattern.indptr, pattern.indices
     counts = np.diff(indptr)
-    _check(pattern.shape == (n, n), "edge_attention", f"pattern must be square, got {pattern.shape}")
-    _check(q.shape[0] == n and k.shape[0] == n and v.shape[0] == n, "edge_attention",
-           f"q, k, v rows {q.shape[0]}, {k.shape[0]}, {v.shape[0]} != pattern size {n}")
-    _check(q.shape[1] == k.shape[1], "edge_attention", f"q and k widths differ: {q.shape} vs {k.shape}")
-    _check(bool(np.all(counts > 0)), "edge_attention", "every pattern row needs an entry")
+    _check(c.shape[0] == n, "attention", f"c has {c.shape[0]} rows for the {n} rows of z")
+    _check(not c._needs, "attention", "c must be constant")
+    _check(len(w) == 3 and len(wc) == 3, "attention",
+           "w and wc need a query, key and value weight")
+    width = w[0].shape[1]
+    _check(all(t.shape == (d, width) for t in w) and all(t.shape == (m, width) for t in wc),
+           "attention", f"weights must be {(d, width)} for z and {(m, width)} for c, got "
+           f"{[t.shape for t in w]} and {[t.shape for t in wc]}")
+    _check(heads >= 1 and width % heads == 0, "attention",
+           f"{width} weight columns do not split into {heads} heads")
+    _check(bool(np.all(counts > 0)), "attention", "every pattern row needs an entry")
     bias = np.asarray(bias, dtype=np.float64)
-    _check(bias.shape == cols.shape, "edge_attention",
+    _check(bias.shape == cols.shape, "attention",
            f"bias has {bias.size} entries for {cols.size} pattern entries")
-    qv, kv, vv = q.value, k.value, v.value
-    nq, nk, nv = q._needs, k._needs, v._needs
+    zv, cv = z.value, c.value
+    wq, wk, wv = (t.value for t in w)
+    wcq, wck, wcv = (t.value for t in wc)
+    nz = z._needs
+    needs = [t._needs for t in (*w, *wc)]
+    d_head = width // heads
+    scale = 1.0 / math.sqrt(d_head)
+    head_cols = [slice(h * d_head, (h + 1) * d_head) for h in range(heads)]
     rows = np.repeat(np.arange(n), counts)
     starts = indptr[:-1]
 
-    logits = _sampled_dots(qv, kv, rows, cols) * scale + bias
-    e = np.exp(logits - np.maximum.reduceat(logits, starts)[rows])
-    att = e / np.add.reduceat(e, starts)[rows]
-    weights = sp.csr_array((att, cols, indptr), shape=(n, n))
+    def on_pattern(values):
+        return sp.csr_array((values, cols, indptr), shape=(n, n))
+
+    def softmax(logits):
+        e = np.exp(logits - np.maximum.reduceat(logits, starts)[rows])
+        return e / np.add.reduceat(e, starts)[rows]
+
+    def logit_grads(att, d_att):
+        return on_pattern(att * (d_att - np.add.reduceat(att * d_att, starts)[rows]) * scale)
+
+    narrow = d + m < d_head
+    kept = []
+    out = np.empty((n, d_head)) if narrow else None
+    if narrow:
+        zt = np.hstack([zv, cv])
+        for i, h in enumerate(head_cols):
+            mat = np.empty((d + m, d + m))
+            np.matmul(wq[:, h], wk[:, h].T, out=mat[:d, :d])
+            np.matmul(wq[:, h], wck[:, h].T, out=mat[:d, d:])
+            np.matmul(wcq[:, h], wk[:, h].T, out=mat[d:, :d])
+            np.matmul(wcq[:, h], wck[:, h].T, out=mat[d:, d:])
+            p = zt @ mat
+            att = softmax(_sampled_dots(p, zt, rows, cols) * scale + bias)
+            a = on_pattern(att) @ zt
+            _stacked_product(out, a, wv[:, h], wcv[:, h], add=i > 0)
+            kept.append((p, a, mat, att))
+    else:
+        proj = []
+        for wr, cr in zip(w, wc):
+            pr = zv @ wr.value
+            pr += cv @ cr.value
+            proj.append(pr)
+        for h in head_cols:
+            q, k, v = (pr if heads == 1 else np.ascontiguousarray(pr[:, h]) for pr in proj)
+            att = softmax(_sampled_dots(q, k, rows, cols) * scale + bias)
+            out = _accumulate(out, on_pattern(att) @ v)
+            kept.append((q, k, v, att))
+        del proj
+    if heads > 1:
+        out *= 1.0 / heads
+    pos = _leaky_in_place(out) if activate else None
 
     def rule(g):
-        d_att = _sampled_dots(g, vv, rows, cols)
-        d_logit = att * (d_att - np.add.reduceat(att * d_att, starts)[rows]) * scale
-        grads = sp.csr_array((d_logit, cols, indptr), shape=(n, n))
-        return (
-            grads @ kv if nq else None,
-            grads.T @ qv if nk else None,
-            weights.T @ g if nv else None,
-        )
+        if pos is not None:
+            g = _leaky_grad(g, pos)
+        if heads > 1:
+            g = g * (1.0 / heads)
+        gw = [np.empty_like(t.value) if need else None for t, need in zip((*w, *wc), needs)]
+        gq, gk, gv, gcq, gck, gcv = gw
+        dz = None
+        if narrow:
+            for h, (p, a, mat, att) in zip(head_cols, kept):
+                if gv is not None:
+                    np.matmul(a[:, :d].T, g, out=gv[:, h])
+                if gcv is not None:
+                    np.matmul(a[:, d:].T, g, out=gcv[:, h])
+                da = np.empty_like(zt)
+                np.matmul(g, wv[:, h].T, out=da[:, :d])
+                np.matmul(g, wcv[:, h].T, out=da[:, d:])
+                grads = logit_grads(att, _sampled_dots(da, zt, rows, cols))
+                dp = grads @ zt
+                if nz:
+                    dz = _accumulate(dz, on_pattern(att).T @ da)
+                    dz += grads.T @ p
+                    dz += dp @ mat.T
+                dm = zt.T @ dp
+                # dW~q = dM W~k and dW~k = dM^T W~q, split by rows into W and Wc
+                for gr, x, top, bottom in ((gq, dm[:d], wk, wck), (gcq, dm[d:], wk, wck),
+                                           (gk, dm[:, :d].T, wq, wcq), (gck, dm[:, d:].T, wq, wcq)):
+                    if gr is not None:
+                        _stacked_product(gr[:, h], x, top[:, h], bottom[:, h])
+            return (dz[:, :d] if nz else None, *gw)
+        for h, (q, k, v, att) in zip(head_cols, kept):
+            grads = logit_grads(att, _sampled_dots(g, v, rows, cols))
+            # One role at a time, so one n x d_head gradient is alive at once:
+            # freeing three together cost 7k page faults a step (n=900, 500->500).
+            products = (lambda: grads @ k, lambda: grads.T @ q, lambda: on_pattern(att).T @ g)
+            for product, wr, gr, gcr in zip(products, (wq, wk, wv), gw[:3], gw[3:]):
+                dr = product()
+                if nz:
+                    dz = _accumulate(dz, dr @ wr[:, h].T)
+                if gr is not None:
+                    np.matmul(zv.T, dr, out=gr[:, h])
+                if gcr is not None:
+                    np.matmul(cv.T, dr, out=gcr[:, h])
+        return (dz, *gw)
 
-    return Tensor(weights @ vv, _parents=(q, k, v), _rule=rule)
+    return Tensor(out, _parents=(z, *w, *wc), _rule=rule)
 
 
 # Rows per block of the row-blocked losses. Every block multiplies its rows
@@ -632,18 +754,6 @@ def relu(a: Tensor) -> Tensor:
     return Tensor(np.where(x <= 0, 0.0, x), _parents=(a,), _rule=rule)
 
 
-def leaky_relu(a: Tensor) -> Tensor:
-    """max(x, LEAKY_SLOPE * x), which is x where x > 0 and LEAKY_SLOPE * x
-    elsewhere."""
-    a = _as_tensor(a)
-    x = a.value
-
-    def rule(g):
-        return (_leaky_grad(g, x > 0),)
-
-    return Tensor(np.maximum(x, x * LEAKY_SLOPE), _parents=(a,), _rule=rule)
-
-
 def log(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     x = a.value
@@ -712,21 +822,6 @@ def mse(a: Tensor, b: Tensor) -> Tensor:
         return (d if na else None, -d if nb else None)
 
     return Tensor(np.mean(diff * diff), _parents=(a, b), _rule=rule)
-
-
-def columns(a: Tensor, lo: int, hi: int) -> Tensor:
-    """Columns lo..hi-1 of a, as a contiguous copy."""
-    a = _as_tensor(a)
-    _check(0 <= lo <= hi <= a.shape[1], "columns",
-           f"[{lo}, {hi}) out of range for {a.shape[1]} columns")
-    shape = a.shape
-
-    def rule(g):
-        out = np.zeros(shape)
-        out[:, lo:hi] = g
-        return (out,)
-
-    return Tensor(np.ascontiguousarray(a.value[:, lo:hi]), _parents=(a,), _rule=rule)
 
 
 # ---------------------------------------------------------------------------

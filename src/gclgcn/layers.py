@@ -7,7 +7,8 @@ The autoencoder, GCN and attention stacks share the width ladder
 in->500->500->2000->bottleneck (truncated for shallower depth settings) and
 Leaky ReLU hidden activations; final reconstruction layers are linear.
 pipeline.Channel walks the ladder and applies these layers; an autoencoder
-layer is one autodiff.dense op.
+layer is one autodiff.dense op, a GCN layer one autodiff.propagate op and
+an attention layer one autodiff.attention op.
 """
 
 from __future__ import annotations
@@ -84,28 +85,17 @@ def graphormer_layer(
     entries) is added to the logits. params maps each of w_key, w_query and
     w_value and its centrality term wc_key, wc_query, wc_value to a
     parameter. Head outputs are averaged, then passed through Leaky ReLU
-    unless this is a final (linear) reconstruction layer."""
+    unless this is a final (linear) reconstruction layer. The layer is one
+    autodiff.attention node, which picks its association from the widths."""
     if centrality.shape[0] != z.shape[0]:
         raise ValueError(
             f"graphormer_layer: centrality rows {centrality.shape[0]} != nodes {z.shape[0]}"
         )
-    keys, queries, values = (
-        ad.project(z, params[f"w_{role}"], centrality, params[f"wc_{role}"])
-        for role in ("key", "query", "value")
+    roles = ("query", "key", "value")
+    return ad.attention(
+        z, centrality, [params[f"w_{role}"] for role in roles],
+        [params[f"wc_{role}"] for role in roles], adj, logit_bias, heads, activate,
     )
-    d_head = keys.shape[1] // heads
-
-    combined = None
-    for h in range(heads):
-        if heads == 1:
-            kh, qh, vh = keys, queries, values
-        else:
-            lo, hi = h * d_head, (h + 1) * d_head
-            kh, qh, vh = (ad.columns(t, lo, hi) for t in (keys, queries, values))
-        head_out = ad.edge_attention(qh, kh, vh, adj, logit_bias, 1.0 / math.sqrt(d_head))
-        combined = head_out if combined is None else ad.add(combined, head_out)
-    out = combined if heads == 1 else ad.scale(combined, 1.0 / heads)
-    return ad.leaky_relu(out) if activate else out
 
 
 # ---------------------------------------------------------------------------

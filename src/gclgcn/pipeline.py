@@ -254,6 +254,7 @@ def _pretrain(phase: str, named, lr: float, epochs: int, loss_of: Callable) -> N
     opt = AdamState.for_params(tensors, lr)
     for epoch in range(epochs):
         zero_grad(tensors)
+        # The last tape lives until loss is rebound: an earlier free tripled page faults at n=900.
         loss = loss_of()
         if not np.isfinite(loss.value[0, 0]):
             raise NumericError(f"{phase}: non-finite loss at epoch {epoch}")

@@ -9,9 +9,11 @@ the Adam update runs on whole arrays (the implementation updates in blocks),
 the layer ops and the two row-blocked losses are composed from the tape's
 elementary ops (the implementation records each as one node, and the losses
 never hold an n x n array beyond one block of rows; exp, sqrt and sigmoid,
-which only these composed losses read, are defined here), and the initial
-parameters of the
-autoencoder, GCN and attention stacks are drawn into per-stack lists and
+which only these composed losses read, are defined here), the attention op
+is composed from project, columns, edge_attention and leaky_relu, the chain
+it replaced, defined here (the implementation scores through W_q W_k^T when
+a layer widens), and the initial parameters of the autoencoder, GCN and
+attention stacks are drawn into per-stack lists and
 named afterwards (the implementation builds every stack, names included,
 with pipeline.Channel.build). The finite-difference checker, the closed-form
 centroid gradient and the composite loss of a model state judge the tape's
@@ -21,6 +23,7 @@ gradients.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -140,13 +143,13 @@ def dense_logit_bias(features: np.ndarray, edges, sign: float = 1.0) -> np.ndarr
     return out
 
 
-def leaky_relu(x: np.ndarray, slope: float = 0.01) -> np.ndarray:
+def dense_leaky_relu(x: np.ndarray, slope: float = 0.01) -> np.ndarray:
     return np.where(x > 0, x, slope * x)
 
 
 def dense_gcn_layer(adj: np.ndarray, z: np.ndarray, w: np.ndarray, activate=True) -> np.ndarray:
     out = (adj @ z) @ w
-    return leaky_relu(out) if activate else out
+    return dense_leaky_relu(out) if activate else out
 
 
 def masked_attention(q, k, v, logit_bias: np.ndarray, scale: float) -> np.ndarray:
@@ -173,7 +176,7 @@ def dense_graphormer_layer(z, centrality, logit_bias, params, heads=1, activate=
             queries[:, cols], keys[:, cols], values[:, cols], logit_bias, 1.0 / np.sqrt(d_head)
         )
     out = out / heads
-    return leaky_relu(out) if activate else out
+    return dense_leaky_relu(out) if activate else out
 
 
 def ae_init_reference(rng: np.random.Generator, dims) -> list[tuple[str, np.ndarray]]:
@@ -247,9 +250,86 @@ def layer_params(named, part: str = "enc") -> list[dict[str, Tensor]]:
     return [layers[i] for i in sorted(layers)]
 
 
+def project(z, w, c, wc) -> Tensor:
+    """z @ w + c @ wc as one node; the backward reads only the operands."""
+    zv, wv, cv, wcv = z.value, w.value, c.value, wc.value
+    out = zv @ wv
+    out += cv @ wcv
+
+    def rule(g):
+        return (g @ wv.T, zv.T @ g, g @ wcv.T, cv.T @ g)
+
+    return Tensor(out, _parents=(z, w, c, wc), _rule=rule)
+
+
 def composed_project(z, w, c, wc) -> Tensor:
-    """autodiff.project as matmuls and an add."""
+    """project as matmuls and an add."""
     return ad.add(ad.matmul(z, w), ad.matmul(c, wc))
+
+
+def columns(a, lo: int, hi: int) -> Tensor:
+    """Columns lo..hi-1 of a, as a contiguous copy."""
+    shape = a.shape
+
+    def rule(g):
+        out = np.zeros(shape)
+        out[:, lo:hi] = g
+        return (out,)
+
+    return Tensor(np.ascontiguousarray(a.value[:, lo:hi]), _parents=(a,), _rule=rule)
+
+
+def leaky_relu(a) -> Tensor:
+    """max(x, 0.01 x), which is x where x > 0 and 0.01 x elsewhere."""
+    x = a.value
+    return _unary(a, np.maximum(x, x * ad.LEAKY_SLOPE),
+                  lambda g: ad._leaky_grad(g, x > 0))
+
+
+def edge_attention(q, k, v, pattern: sp.csr_array, bias: np.ndarray, scale: float) -> Tensor:
+    """Attention restricted to the entries of a sparse pattern: row i attends
+    over the columns j stored in pattern row i with logits
+    scale * q_i . k_j + bias_e (bias aligned with the pattern's entries), the
+    softmax runs over each row's entries and the output is att @ v."""
+    q, k, v = (t if isinstance(t, Tensor) else ad.constant(t) for t in (q, k, v))
+    n = pattern.shape[0]
+    indptr, cols = pattern.indptr, pattern.indices
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    starts = indptr[:-1]
+    qv, kv, vv = q.value, k.value, v.value
+
+    logits = np.einsum("ij,ij->i", qv[rows], kv[cols]) * scale + bias
+    e = np.exp(logits - np.maximum.reduceat(logits, starts)[rows])
+    att = e / np.add.reduceat(e, starts)[rows]
+    weights = sp.csr_array((att, cols, indptr), shape=(n, n))
+
+    def rule(g):
+        d_att = np.einsum("ij,ij->i", g[rows], vv[cols])
+        d_logit = att * (d_att - np.add.reduceat(att * d_att, starts)[rows]) * scale
+        grads = sp.csr_array((d_logit, cols, indptr), shape=(n, n))
+        return (grads @ kv, grads.T @ qv, weights.T @ g)
+
+    return Tensor(weights @ vv, _parents=(q, k, v), _rule=rule)
+
+
+def composed_attention(z, c, w, wc, pattern, bias, heads=1, activate=False) -> Tensor:
+    """autodiff.attention as the chain it replaced: project for the query,
+    key and value, columns per head, edge_attention, add and scale over the
+    heads, then leaky_relu."""
+    q, k, v = (project(z, wr, c, cr) for wr, cr in zip(w, wc))
+    d_head = q.shape[1] // heads
+    out = None
+    for h in range(heads):
+        if heads == 1:
+            qh, kh, vh = q, k, v
+        else:
+            lo, hi = h * d_head, (h + 1) * d_head
+            qh, kh, vh = (columns(t, lo, hi) for t in (q, k, v))
+        head_out = edge_attention(qh, kh, vh, pattern, bias, 1.0 / math.sqrt(d_head))
+        out = head_out if out is None else ad.add(out, head_out)
+    if heads > 1:
+        out = ad.scale(out, 1.0 / heads)
+    return leaky_relu(out) if activate else out
 
 
 def composed_blend(a, b, eps: float) -> Tensor:
@@ -260,7 +340,7 @@ def composed_blend(a, b, eps: float) -> Tensor:
 def composed_dense(x, w, b, activate=False) -> Tensor:
     """autodiff.dense as a matmul, a broadcast add and leaky_relu."""
     out = ad.add(ad.matmul(x, w), b)
-    return ad.leaky_relu(out) if activate else out
+    return leaky_relu(out) if activate else out
 
 
 def composed_propagate(adj: sp.csr_array, z, w, activate=False) -> Tensor:
@@ -271,7 +351,7 @@ def composed_propagate(adj: sp.csr_array, z, w, activate=False) -> Tensor:
         out = ad.spmm(adj, ad.matmul(z, w))
     else:
         out = ad.matmul(ad.spmm(adj, z), w)
-    return ad.leaky_relu(out) if activate else out
+    return leaky_relu(out) if activate else out
 
 
 def _unary(a, value: np.ndarray, derivative: Callable[[np.ndarray], np.ndarray]) -> Tensor:

@@ -2,6 +2,8 @@
 gradients by finite differences, and node-permutation equivariance of the
 graph channels and the centrality columns."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -17,10 +19,12 @@ from gclgcn.layers import gcn_layer, glorot, graphormer_layer
 
 from oracles import (
     attention_init_reference,
+    composed_attention,
     dense_gcn_layer,
     dense_graphormer_layer,
     dense_logit_bias,
     dense_normalized_adjacency,
+    edge_attention,
     finite_difference_check,
     layer_params,
     masked_attention,
@@ -79,7 +83,7 @@ def test_edge_attention_matches_masked_softmax():
     bias = 10.0 * rng.standard_normal(adj.nnz)  # large logits exercise the max shift
     dense_bias = np.full((g.n, g.n), -np.inf)
     dense_bias[adj.nonzero()] = bias
-    out = ad.edge_attention(q, k, v, adj, bias, 0.7).value
+    out = edge_attention(q, k, v, adj, bias, 0.7).value
     assert np.max(np.abs(out - masked_attention(q, k, v, dense_bias, 0.7))) <= 1e-10
 
 
@@ -102,19 +106,183 @@ def test_edge_attention_gradients(g):
     target = ad.constant(rng.standard_normal((g.n, 2)))
 
     def loss(_):
-        return ad.mse(ad.edge_attention(q, k, v, adj, bias, 0.6), target)
+        return ad.mse(edge_attention(q, k, v, adj, bias, 0.6), target)
 
     assert finite_difference_check(loss, [q, k, v]) <= 1e-4
 
 
 def test_edge_attention_rejects_bad_pattern():
-    x = np.ones((3, 2))
+    x, w, wc = np.ones((3, 2)), [np.ones((2, 4))] * 3, [np.ones((1, 4))] * 3
+    c = np.ones((3, 1))
     no_loops = sp.csr_array(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
-    with pytest.raises(ValueError, match="every pattern row"):
-        ad.edge_attention(x, x, x, no_loops, np.zeros(2), 1.0)
+    with pytest.raises(ValueError, match="attention: every pattern row"):
+        ad.attention(x, c, w, wc, no_loops, np.zeros(2))
     adj = normalize_adjacency(Graph(features=x, edges=[(0, 1)]))
-    with pytest.raises(ValueError, match="bias has 3 entries for 5"):
-        ad.edge_attention(x, x, x, adj, np.zeros(3), 1.0)
+    with pytest.raises(ValueError, match="attention: bias has 3 entries for 5"):
+        ad.attention(x, c, w, wc, adj, np.zeros(3))
+
+
+# ---------------------------------------------------------------------------
+# The fused attention op
+# ---------------------------------------------------------------------------
+
+ROLES = ("query", "key", "value")
+# Graphs with 4 feature columns and 3 centrality columns, so d + m = 7: a
+# head of 3 or 7 columns scores through q and k (7 is the rule's boundary),
+# one of 8 or 12 through W_q W_k^T.
+WIDE, NARROW = (3, 7), (8, 12)
+ATTENTION_GRAPHS = [GRAPHS[0], GRAPHS[2], GRAPHS[4]]
+
+
+def _attention_operands(g, d_head, heads, seed=0):
+    """z (g's features as a parameter), the centrality columns and the
+    attention channel's initial weights for one layer of heads * d_head
+    columns, each wc_* divided by its centrality column magnitudes as
+    pipeline._graph_channel draws them."""
+    cent = composite_centrality(g)
+    named = attention_init_reference(np.random.default_rng(seed), [g.f, d_head], cent.shape[1],
+                                     heads, cent_scale=np.sqrt((cent**2).mean(axis=0)))
+    lp = layer_params(named)[0]
+    return (ad.parameter(g.features), ad.constant(cent),
+            [lp[f"w_{r}"] for r in ROLES], [lp[f"wc_{r}"] for r in ROLES])
+
+
+def _relative(got, want):
+    return np.abs(got - want).max() / max(np.abs(want).max(), 1e-300)
+
+
+@pytest.mark.parametrize("g", ATTENTION_GRAPHS, ids=lambda g: f"n{g.n}e{len(g.edges)}")
+@pytest.mark.parametrize("d_head", WIDE + NARROW)
+@pytest.mark.parametrize("heads", [1, 2])
+@pytest.mark.parametrize("activate", [False, True])
+def test_attention_matches_chain_and_dense_oracle(g, d_head, heads, activate):
+    """Values and all seven gradients against the composed chain; values
+    against the dense oracle. The wide form repeats the chain's numpy
+    calls, so its values match bit for bit."""
+    z, c, w, wc = _attention_operands(g, d_head, heads)
+    adj, bias = normalize_adjacency(g), spatial_bias(g)
+    params = [z, *w, *wc]
+    out = ad.attention(z, c, w, wc, adj, bias, heads, activate)
+    chain = composed_attention(z, c, w, wc, adj, bias, heads, activate)
+    if d_head in WIDE:
+        assert out.value.tobytes() == chain.value.tobytes()
+    assert _relative(out.value, chain.value) <= 1e-12
+    lp = dict(zip([f"{kind}_{r}" for kind in ("w", "wc") for r in ROLES], [*w, *wc]))
+    dense = dense_graphormer_layer(g.features, c.value, dense_logit_bias(g.features, g.edges),
+                                   lp, heads, activate)
+    assert np.max(np.abs(out.value - dense)) <= 1e-10
+    weights = np.random.default_rng(d_head).standard_normal(out.shape)
+    grads = []
+    for result in (out, chain):
+        ad.zero_grad(params)
+        ad.backward(ad.reduce_sum(ad.hadamard(result, ad.constant(weights))))
+        grads.append([p.grad.copy() for p in params])
+    for got, want in zip(*grads):
+        assert _relative(got, want) <= 1e-12
+
+
+def test_attention_rule_boundary():
+    """At d + m == d_head the op takes the wide form (the chain's values bit
+    for bit); one column more and it scores through W_q W_k^T, keeping no
+    n x d_head array but its output."""
+    g = GRAPHS[2]
+    adj, bias = normalize_adjacency(g), spatial_bias(g)
+    kept = {}
+    for d_head in (7, 8):
+        z, c, w, wc = _attention_operands(g, d_head, 1)
+        out = ad.attention(z, c, w, wc, adj, bias)
+        chain = composed_attention(z, c, w, wc, adj, bias)
+        kept[d_head] = (out.value.tobytes() == chain.value.tobytes(),
+                        (g.n, d_head) in _kept_shapes(out._rule))
+        assert _relative(out.value, chain.value) <= 1e-12
+    assert kept == {7: (True, True), 8: (False, False)}
+
+
+def _kept_shapes(rule) -> set:
+    """Shapes of the arrays a backward rule's closure holds, through lists
+    and tuples."""
+    shapes, stack = set(), []
+    for cell in rule.__closure__ or ():
+        try:
+            stack.append(cell.cell_contents)
+        except ValueError:  # a name only the other form assigns
+            pass
+    while stack:
+        item = stack.pop()
+        if isinstance(item, np.ndarray):
+            shapes.add(item.shape)
+        elif isinstance(item, (list, tuple)):
+            stack.extend(item)
+    return shapes
+
+
+@pytest.mark.parametrize("d_head", [3, 8])
+@pytest.mark.parametrize("heads", [1, 2])
+def test_attention_finite_differences(d_head, heads):
+    g = GRAPHS[0]
+    z, c, w, wc = _attention_operands(g, d_head, heads, seed=heads)
+    adj = normalize_adjacency(g)
+    bias = np.random.default_rng(1).standard_normal(adj.nnz)
+    weights = np.random.default_rng(2).standard_normal((g.n, d_head))
+
+    def loss(_):
+        out = ad.attention(z, c, w, wc, adj, bias, heads, activate=True)
+        return ad.reduce_sum(ad.hadamard(out, ad.constant(weights)))
+
+    assert finite_difference_check(loss, [z, *w, *wc]) <= 1e-6
+
+
+@pytest.mark.parametrize("d_head", [3, 8])
+def test_attention_two_backward_calls_accumulate(d_head):
+    g = GRAPHS[2]
+    z, c, w, wc = _attention_operands(g, d_head, 2)
+    params = [z, *w, *wc]
+    adj, bias = normalize_adjacency(g), spatial_bias(g)
+    loss = ad.reduce_sum(ad.attention(z, c, w, wc, adj, bias, 2, activate=True))
+    ad.backward(loss)
+    once = [p.grad.copy() for p in params]
+    ad.backward(loss)
+    for p, first in zip(params, once):
+        assert np.array_equal(p.grad, 2.0 * first)
+
+
+def test_attention_errors_name_the_op():
+    x, c = np.ones((3, 2)), np.ones((3, 1))
+    w, wc = [np.ones((2, 4))] * 3, [np.ones((1, 4))] * 3
+    adj = sp.csr_array(sp.eye(3))
+    for match, args, kwargs in (
+        ("pattern is", (x, c, w, wc, sp.csr_array(sp.eye(4)), np.zeros(4)), {}),
+        ("pattern must be a scipy sparse", (x, c, w, wc, np.eye(3), np.zeros(3)), {}),
+        ("c has 2 rows", (x, c[:2], w, wc, adj, np.zeros(3)), {}),
+        ("c must be constant", (x, ad.parameter(c), w, wc, adj, np.zeros(3)), {}),
+        ("weights must be", (x, c, [np.ones((3, 4))] * 3, wc, adj, np.zeros(3)), {}),
+        ("weights must be", (x, c, w, [np.ones((1, 5))] * 3, adj, np.zeros(3)), {}),
+        ("4 weight columns do not split into 3 heads", (x, c, w, wc, adj, np.zeros(3)),
+         {"heads": 3}),
+        ("w and wc need a query, key and value", (x, c, w[:2], wc, adj, np.zeros(3)), {}),
+    ):
+        with pytest.raises(ValueError, match=f"attention: {match}"):
+            ad.attention(*args, **kwargs)
+
+
+def test_attention_narrow_form_allocates_less_than_one_head_array():
+    """A widening layer (8 + 3 input columns, 2000 head columns) at n=2000
+    allocates its output, its sign mask and less than one more n x d_head
+    float64 array on top."""
+    n, d_head = 2000, 2000
+    rng = np.random.default_rng(0)
+    pattern = sp.csr_array(sp.random(n, n, density=5.0 / n, random_state=1) + sp.eye(n))
+    bias = rng.standard_normal(pattern.nnz)
+    z, c = ad.constant(rng.standard_normal((n, 8))), ad.constant(rng.random((n, 3)))
+    w = [ad.parameter(rng.standard_normal((8, d_head)) / 8) for _ in ROLES]
+    wc = [ad.parameter(rng.standard_normal((3, d_head)) / 8) for _ in ROLES]
+    tracemalloc.start()
+    try:
+        out = ad.attention(z, c, w, wc, pattern, bias, activate=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - out.value.nbytes - n * d_head < n * d_head * 8
 
 
 # ---------------------------------------------------------------------------

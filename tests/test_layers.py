@@ -161,12 +161,19 @@ class TestGraphormerLayer:
     def test_attention_support_masked_rows_sum_to_one(self):
         g = tiny_graph(4)
         adj = normalize_adjacency(g)
-        qk = np.random.default_rng(0).standard_normal((g.n, 3))
-        # values = identity reads the attention weights out as a dense matrix
-        s = ad.edge_attention(qk, qk, np.eye(g.n), adj, spatial_bias(g), 1.0).value
+        rng = np.random.default_rng(0)
         allowed = adj.toarray() > 0
-        assert np.all(s[~allowed] == 0.0)
-        assert np.all(np.abs(s.sum(axis=1) - 1.0) <= 1e-12)
+        # z = identity and w_value = [identity 0] read the attention weights
+        # out as a dense matrix; d_head = n + 3 > n + 1 scores through
+        # W_q W_k^T, d_head = n through q and k
+        for d_head in (g.n, g.n + 3):
+            wq, wk = (rng.standard_normal((g.n, d_head)) for _ in range(2))
+            wv = np.eye(g.n, d_head)
+            wc = [np.zeros((1, d_head))] * 3
+            s = ad.attention(np.eye(g.n), np.zeros((g.n, 1)), [wq, wk, wv], wc,
+                             adj, spatial_bias(g)).value
+            assert np.all(s[:, :g.n][~allowed] == 0.0) and np.all(s[:, g.n:] == 0.0)
+            assert np.all(np.abs(s.sum(axis=1) - 1.0) <= 1e-12)
 
     def test_spatial_sign_flips_bias(self):
         g = tiny_graph(5)
@@ -381,9 +388,8 @@ def recorded_nodes(out, layer_input):
 
 
 class TestTapeShape:
-    """Each layer records one node per array its backward needs: no matmul,
-    add or scale node between a layer's input and its projection or
-    activation."""
+    """Each layer records its fused nodes only: no matmul, add or scale node
+    between a layer's input and its output."""
 
     def test_attention_layer_records_projections_attention_activation(self):
         g = tiny_graph(9, n=6)
@@ -393,9 +399,7 @@ class TestTapeShape:
         ))
         z = graphormer_layer(ad.constant(g.features), cent, adj, bias, params[0], 1)
         out = graphormer_layer(z, cent, adj, bias, params[1], 1)
-        assert recorded_nodes(out, z) == sorted(
-            [("project", (g.n, 3))] * 3 + [("edge_attention", (g.n, 3)), ("leaky_relu", (g.n, 3))]
-        )
+        assert recorded_nodes(out, z) == [("attention", (g.n, 3))]
 
     def test_autoencoder_layer_records_one_node(self):
         g = tiny_graph(10, n=6)
