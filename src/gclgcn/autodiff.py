@@ -28,8 +28,11 @@ n x n array outlives a block and the node keeps only the O(n d) gradients.
 They sum in another order than their composed forms, so they match those to
 rounding (a few 1e-15 relative), not bit for bit.
 
-Gradient buffers accumulate: calling backward twice without zero_grad
-doubles leaf gradients.
+backward sets gradients, it does not add to them: it writes the .grad of
+every leaf the loss reaches, so a second call gives the same gradients and
+nothing needs zeroing between steps. dense, propagate and attention write a
+weight's gradient straight into the weight's .grad when it is the weight's
+first contribution, so a step forms no parameter-sized temporary for it.
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ __all__ = [
     "constant",
     "parameter",
     "backward",
-    "zero_grad",
     "AdamState",
     "adam_step",
     "matmul",
@@ -75,9 +77,10 @@ LEAKY_SLOPE = 0.01
 
 
 class Tensor:
-    """Node in the differentiation graph: value, grad accumulator, backward rule."""
+    """Node in the differentiation graph: value, gradient buffer, backward rule."""
 
-    __slots__ = ("value", "grad", "requires_grad", "name", "_parents", "_rule", "_needs")
+    __slots__ = ("value", "grad", "requires_grad", "name", "_parents", "_rule", "_needs",
+                 "_unwritten")
 
     def __init__(
         self,
@@ -96,11 +99,14 @@ class Tensor:
             raise ValueError(f"tensor values must be at most 2-D, got {arr.shape}")
         self.value = arr
         self.requires_grad = requires_grad
-        self.grad = np.zeros_like(arr) if requires_grad else None
+        # backward writes .grad before anything reads it, so it needs no fill
+        self.grad = np.empty_like(arr) if requires_grad else None
         self.name = name
         self._parents = _parents
         self._rule = _rule
         self._needs = requires_grad or any(p._needs for p in _parents)
+        # True while a running backward has not yet written this leaf's .grad
+        self._unwritten = False
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -129,11 +135,15 @@ def _check(cond: bool, op: str, msg: str) -> None:
         raise ValueError(f"{op}: {msg}")
 
 
-def backward(loss: Tensor) -> None:
-    """Populate .grad on every requires-grad ancestor of a scalar loss.
+def backward(loss: Tensor, params: Sequence[Tensor] = ()) -> None:
+    """Set .grad on every requires-grad ancestor of a scalar loss to the
+    loss's gradient, and zero the .grad of each of params that it does not
+    reach, so no earlier gradient survives in a listed parameter.
 
-    Visits nodes in reverse topological order exactly once; gradients add
-    into existing buffers (zero_grad between steps).
+    Visits nodes in reverse topological order exactly once. A leaf's first
+    contribution is written into its .grad (an op that asks _grad_buffer for
+    it writes it there itself), and each later one is added in place at
+    once, in traversal order; only inner nodes collect theirs in pending.
     """
     if loss.shape != (1, 1):
         raise ValueError(f"backward: loss must be 1x1, got {loss.shape}")
@@ -152,31 +162,51 @@ def backward(loss: Tensor) -> None:
         for p in node._parents:
             stack.append((p, False))
 
-    pending: dict[int, np.ndarray] = {id(loss): np.ones((1, 1))}
-    for node in reversed(topo):
-        g = pending.pop(id(node), None)
-        if g is None:
-            continue
-        if node.requires_grad:
-            node.grad += g
-        if node._rule is None:
-            continue
-        for parent, pg in zip(node._parents, node._rule(g)):
-            if pg is None or not parent._needs:
-                continue
-            acc = pending.get(id(parent))
+    pending: dict[int, np.ndarray] = {}
+
+    def give(node: Tensor, g: np.ndarray, upstream: np.ndarray | None) -> None:
+        if not node.requires_grad:
+            acc = pending.get(id(node))
             if acc is None:
                 # Copy anything that aliases the upstream gradient: stored
                 # buffers are accumulated into in place.
-                pending[id(parent)] = pg.copy() if (pg is g or pg.base is not None) else pg
+                pending[id(node)] = g.copy() if (g is upstream or g.base is not None) else g
             else:
-                acc += pg
+                acc += g
+        elif node._unwritten:
+            node._unwritten = False
+            np.copyto(node.grad, g)
+        elif g is not node.grad:  # else the op wrote it there
+            node.grad += g
+
+    leaves = [t for t in topo if t.requires_grad] + list(params)
+    for t in leaves:
+        t._unwritten = True
+    try:
+        give(loss, np.ones((1, 1)), None)
+        for node in reversed(topo):
+            g = pending.pop(id(node), None)
+            if g is None:
+                continue
+            for parent, pg in zip(node._parents, node._rule(g)):
+                if pg is not None and parent._needs:
+                    give(parent, pg, g)
+        for p in params:
+            if p._unwritten:
+                p.grad.fill(0.0)
+    finally:
+        for t in leaves:
+            t._unwritten = False
 
 
-def zero_grad(params: Sequence[Tensor]) -> None:
-    for p in params:
-        if p.grad is not None:
-            p.grad[...] = 0.0
+def _grad_buffer(t: Tensor) -> np.ndarray:
+    """The array an op's backward rule writes t's gradient into: t's own
+    .grad when t is a leaf the running backward has not yet written (which
+    then counts as written), otherwise a new one."""
+    if t._unwritten:
+        t._unwritten = False
+        return t.grad
+    return np.empty(t.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +301,7 @@ def dense(x: Tensor, w: Tensor, b: Tensor, activate: bool = False) -> Tensor:
             g = _leaky_grad(g, pos)
         return (
             g @ wv.T if nx else None,
-            xv.T @ g if nw else None,
+            np.matmul(xv.T, g, out=_grad_buffer(w)) if nw else None,
             _unbroadcast(g, bshape) if nb else None,
         )
 
@@ -306,8 +336,10 @@ def propagate(adj: sp.csr_array, z: Tensor, w: Tensor, activate: bool = False) -
             g = _leaky_grad(g, pos)
         if narrow_out:
             gm = adj.T @ g
-            return (gm @ wv.T if nz else None, zv.T @ gm if nw else None)
-        return (adj.T @ (g @ wv.T) if nz else None, az.T @ g if nw else None)
+            return (gm @ wv.T if nz else None,
+                    np.matmul(zv.T, gm, out=_grad_buffer(w)) if nw else None)
+        return (adj.T @ (g @ wv.T) if nz else None,
+                np.matmul(az.T, g, out=_grad_buffer(w)) if nw else None)
 
     return Tensor(out, _parents=(z, w), _rule=rule)
 
@@ -461,7 +493,7 @@ def attention(
             g = _leaky_grad(g, pos)
         if heads > 1:
             g = g * (1.0 / heads)
-        gw = [np.empty_like(t.value) if need else None for t, need in zip((*w, *wc), needs)]
+        gw = [_grad_buffer(t) if need else None for t, need in zip((*w, *wc), needs)]
         gq, gk, gv, gcq, gck, gcv = gw
         dz = None
         if narrow:
@@ -843,8 +875,9 @@ class AdamState:
     @classmethod
     def for_params(cls, params: Sequence[Tensor], lr: float) -> "AdamState":
         state = cls(lr=lr)
-        state.m = [np.zeros_like(p.value) for p in params]
-        state.v = [np.zeros_like(p.value) for p in params]
+        # np.zeros maps zeroed pages instead of filling them
+        state.m = [np.zeros(p.shape) for p in params]
+        state.v = [np.zeros(p.shape) for p in params]
         return state
 
 

@@ -52,7 +52,7 @@ def save_checkpoint(path: str | Path, named) -> None:
             fh.write(struct.pack("<B", arr.ndim))
             for dim in arr.shape:
                 fh.write(struct.pack("<I", dim))
-            fh.write(arr.tobytes())
+            fh.write(memoryview(arr))  # the array's own buffer, not a copy
 
 
 def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import autodiff as ad
-from .autodiff import AdamState, Tensor, adam_step, backward, zero_grad
+from .autodiff import AdamState, Tensor, adam_step, backward
 from .centrality import composite_centrality, spatial_bias
 from .cluster import kmeans, metric_row
 from .config import ConfigError, ExperimentConfig
@@ -253,12 +253,11 @@ def _pretrain(phase: str, named, lr: float, epochs: int, loss_of: Callable) -> N
     tensors = [t for _, t in named]
     opt = AdamState.for_params(tensors, lr)
     for epoch in range(epochs):
-        zero_grad(tensors)
         # The last tape lives until loss is rebound: an earlier free tripled page faults at n=900.
         loss = loss_of()
         if not np.isfinite(loss.value[0, 0]):
             raise NumericError(f"{phase}: non-finite loss at epoch {epoch}")
-        backward(loss)
+        backward(loss, tensors)
         bad = _nonfinite_gradient(named)
         if bad is not None:
             raise NumericError(f"{phase}: non-finite gradient of {bad} at epoch {epoch}")
@@ -596,7 +595,6 @@ def train(
 
     history: list[dict] = []
     for epoch in range(cfg.epochs):
-        zero_grad(params)
         total, components, assignments = _epoch_losses(state, cons, cfg)
         if not np.isfinite(total.value[0, 0]):
             abort(NumericError(f"training: non-finite loss at epoch {epoch}: {components}"))
@@ -608,7 +606,7 @@ def train(
         else:
             row.update({"acc": np.nan, "nmi": np.nan, "ari": np.nan, "f1": np.nan})
         history.append(row)
-        backward(total)
+        backward(total, params)
         bad = _nonfinite_gradient(named)
         if bad is not None:
             abort(NumericError(f"training: non-finite gradient of {bad} at epoch {epoch}"))

@@ -15,9 +15,12 @@ it replaced, defined here (the implementation scores through W_q W_k^T when
 a layer widens), and the initial parameters of the autoencoder, GCN and
 attention stacks are drawn into per-stack lists and
 named afterwards (the implementation builds every stack, names included,
-with pipeline.Channel.build). The finite-difference checker, the closed-form
-centroid gradient and the composite loss of a model state judge the tape's
-gradients.
+with pipeline.Channel.build), and backward is the accumulating loop that
+zeroes the gradients and then adds every contribution, a leaf's too, through
+a pending sum (the implementation writes a leaf's first contribution into
+its .grad, often from inside the op). The finite-difference checker, the
+closed-form centroid gradient and the composite loss of a model state judge
+the tape's gradients.
 """
 
 from __future__ import annotations
@@ -459,6 +462,47 @@ def adam_step_whole(params, grads, state) -> None:
         p.value -= w
 
 
+def accumulating_backward(loss: Tensor, params: Sequence[Tensor]) -> None:
+    """autodiff.backward as an accumulating loop: zero every .grad in
+    params, collect each node's contributions in a pending sum, and add a
+    leaf's sum into its .grad. params must hold every leaf the loss
+    reaches."""
+    for p in params:
+        p.grad[...] = 0.0
+    topo: list[Tensor] = []
+    seen: set[int] = set()
+    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+            continue
+        if id(node) in seen or not node._needs:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            stack.append((p, False))
+
+    pending: dict[int, np.ndarray] = {id(loss): np.ones((1, 1))}
+    for node in reversed(topo):
+        g = pending.pop(id(node), None)
+        if g is None:
+            continue
+        if node.requires_grad:
+            node.grad += g
+        if node._rule is None:
+            continue
+        for parent, pg in zip(node._parents, node._rule(g)):
+            if pg is None or not parent._needs:
+                continue
+            acc = pending.get(id(parent))
+            if acc is None:
+                pending[id(parent)] = pg.copy() if (pg is g or pg.base is not None) else pg
+            else:
+                acc += pg
+
+
 def finite_difference_check(
     f: Callable[[Sequence[Tensor]], Tensor],
     params: Sequence[Tensor],
@@ -469,7 +513,6 @@ def finite_difference_check(
     f must be deterministic; it is re-evaluated with each coordinate nudged
     by +/- h (central differences).
     """
-    ad.zero_grad(params)
     ad.backward(f(params))
     analytic = [p.grad.copy() for p in params]
 

@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from gclgcn import autodiff as ad
 import oracles
 from oracles import (
+    accumulating_backward,
     adam_step_whole,
     composed_blend,
     composed_decoder_mse,
@@ -85,12 +86,12 @@ class TestBackwardContracts:
         ad.backward(ad.reduce_sum(ad.square(x)))
         assert x.grad[0, 0] == 6.0
 
-    def test_two_backward_calls_accumulate(self):
+    def test_two_backward_calls_set_the_same_gradients(self):
         x = ad.parameter([[3.0]])
         loss = ad.reduce_sum(ad.square(x))
         ad.backward(loss)
         ad.backward(loss)
-        assert x.grad[0, 0] == 12.0
+        assert x.grad[0, 0] == 6.0
 
     def test_shared_subexpression_sums_paths(self):
         x = ad.parameter([[5.0]])
@@ -334,7 +335,6 @@ class TestLayerOps:
             weights = rng.standard_normal(fused.shape)
             grads = []
             for out in (fused, reference):
-                ad.zero_grad(params)
                 ad.backward(_weighted_sum(out, weights))
                 grads.append([p.grad.copy() for p in params])
             for got, want in zip(*grads):
@@ -421,7 +421,6 @@ def _agree(op, composed, operands, params):
     1e-12 relative."""
     results = []
     for f in (op, composed):
-        ad.zero_grad(params)
         loss = f(*operands)
         ad.backward(loss)
         results.append((loss.value[0, 0], [p.grad.copy() for p in params]))
@@ -490,7 +489,7 @@ class TestRowBlockedLosses:
                 tracemalloc.stop()
             assert peak < n * n * 8
 
-    def test_two_backward_calls_accumulate(self):
+    def test_two_backward_calls_set_the_same_gradients(self):
         rng = np.random.default_rng(1)
         c1, c2 = _views(rng, 9, 3, "random")
         z = ad.parameter(rng.standard_normal((9, 3)))
@@ -500,7 +499,7 @@ class TestRowBlockedLosses:
             once = [p.grad.copy() for p in params]
             ad.backward(loss)
             for p, g in zip(params, once):
-                assert np.array_equal(p.grad, 2.0 * g)
+                assert p.grad.tobytes() == g.tobytes()
 
     def test_errors_name_the_operation(self):
         a, b = ad.constant(np.ones((3, 2))), ad.constant(np.ones((4, 2)))
@@ -512,6 +511,107 @@ class TestRowBlockedLosses:
             ad.decoder_mse(a, sp.csr_array(np.ones((4, 4))))
         with pytest.raises(ValueError, match="decoder_mse"):
             ad.decoder_mse(a, np.ones((3, 3)))
+
+
+def _backward_pair(loss, params):
+    """Each parameter's gradient from autodiff.backward, then from the
+    accumulating loop it replaced."""
+    ad.backward(loss, params)
+    got = [p.grad.copy() for p in params]
+    accumulating_backward(loss, params)
+    return got, [p.grad.copy() for p in params]
+
+
+class TestBackwardSetsGradients:
+    """backward against the accumulating loop in tests/oracles.py, with
+    array_equal rather than bytes: that loop stored +0.0 where it added -0.0
+    into a zeroed buffer."""
+
+    @pytest.mark.parametrize("name,op,composed,shapes,extra", LAYER_OP_CASES,
+                             ids=[c[0] for c in LAYER_OP_CASES])
+    def test_layer_ops_match_accumulating_backward(self, name, op, composed, shapes, extra):
+        rng = np.random.default_rng(7)
+        operands = _operands(rng, shapes)
+        params = [t for t in operands if isinstance(t, ad.Tensor) and t.requires_grad]
+        out = op(*operands, *extra)
+        got, want = _backward_pair(_weighted_sum(out, rng.standard_normal(out.shape)), params)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w), name
+
+    def test_weight_shared_by_three_ops(self):
+        """The first contribution to w is written, the next two are added in
+        traversal order, as the pending sum added them."""
+        rng = np.random.default_rng(8)
+        adj = _sparse(rng, 6)
+        x1, x2 = (ad.parameter(rng.standard_normal((6, 4))) for _ in range(2))
+        w, b = ad.parameter(rng.standard_normal((4, 5))), ad.parameter(rng.standard_normal((1, 5)))
+        out = ad.add(ad.add(ad.dense(x1, w, b, activate=True), ad.propagate(adj, x2, w)),
+                     ad.propagate(adj, x1, w, activate=True))
+        params = [x1, x2, w, b]
+        got, want = _backward_pair(_weighted_sum(out, rng.standard_normal(out.shape)), params)
+        for g, want_g in zip(got, want):
+            assert np.array_equal(g, want_g)
+
+    @pytest.mark.parametrize("case", INFO_NCE_CASES)
+    def test_info_nce_matches_accumulating_backward(self, monkeypatch, case):
+        monkeypatch.setattr(ad, "_LOSS_ROWS", 4)
+        c1, c2 = _views(np.random.default_rng(9), 10, 4, case)
+        params = [c1] if c1 is c2 else [c1, c2]
+        got, want = _backward_pair(ad.info_nce(c1, c2, 0.5, 0.5), params)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    def test_decoder_mse_matches_accumulating_backward(self, monkeypatch):
+        monkeypatch.setattr(ad, "_LOSS_ROWS", 4)
+        rng = np.random.default_rng(10)
+        z = ad.parameter(rng.standard_normal((10, 3)))
+        (got,), (want,) = _backward_pair(ad.decoder_mse(z, _adjacency(rng, 10, (2,))), [z])
+        assert np.array_equal(got, want)
+
+    def test_soft_assign_matches_accumulating_backward(self):
+        """Centroids read by two soft assignments, as in joint training."""
+        from gclgcn.pipeline import kl_div, soft_assign, target_distribution
+
+        rng = np.random.default_rng(11)
+        z1, z2 = (ad.parameter(rng.standard_normal((12, 3))) for _ in range(2))
+        c = ad.parameter(rng.standard_normal((4, 3)))
+        p = target_distribution(soft_assign(z1, c, 1.0).value)
+        loss = ad.add(kl_div(p, soft_assign(z1, c, 1.0)), kl_div(p, soft_assign(z2, c, 2.0)))
+        got, want = _backward_pair(loss, [z1, z2, c])
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    def test_unreached_parameter_gets_zero_gradient(self):
+        """A listed parameter the loss does not reach is zeroed, so it does
+        not keep the previous call's gradient."""
+        a, b = ad.parameter([[1.0, 2.0]]), ad.parameter([[3.0]])
+        ad.backward(ad.reduce_sum(ad.hadamard(a, b)), [a, b])
+        assert np.array_equal(b.grad, [[3.0]])
+        ad.backward(ad.reduce_sum(ad.square(a)), [a, b])
+        assert np.array_equal(a.grad, [[2.0, 4.0]])
+        assert b.grad.tobytes() == np.zeros((1, 1)).tobytes()
+
+    def test_weight_gradients_allocate_less_than_one_weight(self):
+        """Through dense and both propagate associations with 500 x 2000
+        weights at n=8, each weight gradient is written into the weight's
+        .grad, so backward allocates less than one weight's bytes."""
+        n = 8
+        rng = np.random.default_rng(12)
+        adj = _sparse(rng, n)
+        x = ad.constant(rng.standard_normal((n, 500)))
+        w1, w2, w3 = (ad.parameter(rng.standard_normal(shape) / 50)
+                      for shape in ((500, 2000), (2000, 500), (500, 2000)))
+        b1 = ad.parameter(np.zeros((1, 2000)))
+        h = ad.dense(x, w1, b1, activate=True)
+        h = ad.propagate(adj, h, w2, activate=True)  # narrows: adj @ (h @ w2)
+        loss = ad.reduce_sum(ad.square(ad.propagate(adj, h, w3)))  # widens: (adj @ h) @ w3
+        tracemalloc.start()
+        try:
+            ad.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < w1.value.nbytes
 
 
 class TestAdam:

@@ -18,6 +18,7 @@ from gclgcn.graph import Graph, normalize_adjacency
 from gclgcn.layers import gcn_layer, glorot, graphormer_layer
 
 from oracles import (
+    accumulating_backward,
     attention_init_reference,
     composed_attention,
     dense_gcn_layer,
@@ -174,7 +175,6 @@ def test_attention_matches_chain_and_dense_oracle(g, d_head, heads, activate):
     weights = np.random.default_rng(d_head).standard_normal(out.shape)
     grads = []
     for result in (out, chain):
-        ad.zero_grad(params)
         ad.backward(ad.reduce_sum(ad.hadamard(result, ad.constant(weights))))
         grads.append([p.grad.copy() for p in params])
     for got, want in zip(*grads):
@@ -233,7 +233,7 @@ def test_attention_finite_differences(d_head, heads):
 
 
 @pytest.mark.parametrize("d_head", [3, 8])
-def test_attention_two_backward_calls_accumulate(d_head):
+def test_attention_two_backward_calls_set_the_same_gradients(d_head):
     g = GRAPHS[2]
     z, c, w, wc = _attention_operands(g, d_head, 2)
     params = [z, *w, *wc]
@@ -243,7 +243,31 @@ def test_attention_two_backward_calls_accumulate(d_head):
     once = [p.grad.copy() for p in params]
     ad.backward(loss)
     for p, first in zip(params, once):
-        assert np.array_equal(p.grad, 2.0 * first)
+        assert p.grad.tobytes() == first.tobytes()
+
+
+@pytest.mark.parametrize("d_head", WIDE + NARROW)
+@pytest.mark.parametrize("heads", [1, 2])
+@pytest.mark.parametrize("activate", [False, True])
+@pytest.mark.parametrize("shared", [False, True], ids=["own-weights", "query-is-key"])
+def test_attention_backward_matches_accumulating_backward(d_head, heads, activate, shared):
+    """Gradients equal to those of the accumulating loop in tests/oracles.py
+    (array_equal: that loop stored +0.0 where it added -0.0 into a zeroed
+    buffer), also when the query and key weights are one tensor."""
+    g = GRAPHS[2]
+    z, c, w, wc = _attention_operands(g, d_head, heads)
+    if shared:
+        w[1] = w[0]
+    params = list({id(t): t for t in (z, *w, *wc)}.values())
+    adj, bias = normalize_adjacency(g), spatial_bias(g)
+    out = ad.attention(z, c, w, wc, adj, bias, heads, activate)
+    weights = np.random.default_rng(d_head).standard_normal(out.shape)
+    loss = ad.reduce_sum(ad.hadamard(out, ad.constant(weights)))
+    ad.backward(loss, params)
+    got = [p.grad.copy() for p in params]
+    accumulating_backward(loss, params)
+    for p, first in zip(params, got):
+        assert np.array_equal(p.grad, first)
 
 
 def test_attention_errors_name_the_op():

@@ -26,6 +26,7 @@ from gclgcn.pipeline import (
 from gclgcn.pipeline import _fusion_weights, _mask_features  # noqa: internal
 
 from oracles import (
+    accumulating_backward,
     ae_init_reference,
     attention_init_reference,
     centroid_gradient,
@@ -185,7 +186,6 @@ class TestCentroidGradient:
             q0 = soft_assign(z, c, t=1.0)
             p = target_distribution(q0.value)
             loss = kl_div(p, soft_assign(z, c, t=1.0))
-            ad.zero_grad([c])
             ad.backward(loss)
             want = centroid_gradient(z, c.value, p, q0.value, t=1.0)
             assert np.max(np.abs(c.grad - want)) <= 1e-6
@@ -289,7 +289,6 @@ class TestPretraining:
         mask_rng = P._stream(cfg.seed, P._STREAM_CONTRASTIVE_MASK)
 
         for _ in range(cfg.contrastive.epochs):
-            ad.zero_grad(tensors)
             view = ad.constant(_mask_features(mask_rng, g.features, cfg.contrastive.p))
             c1 = contrastive_encoder(adj, ad.constant(g.features), trained)
             c2 = contrastive_encoder(adj, view, trained)
@@ -298,6 +297,38 @@ class TestPretraining:
             ad.adam_step(tensors, [t.grad for t in tensors], opt)
         after = eval_loss(trained)
         assert after < before
+
+
+class TestBackwardInTraining:
+    def test_epoch_tape_matches_accumulating_backward(self):
+        """Every parameter's gradient through one full joint-training tape
+        equals that of the accumulating loop in tests/oracles.py."""
+        from gclgcn import pipeline as P
+
+        g, cfg = small_sbm(), tiny_cfg(layers=3, heads=2)
+        pre = pretrain(g, cfg)
+        cons = P._build_constants(g, cfg, pre.x_c)
+        state = P._init_state(g, cfg, pre, cons)
+        named = state._named()
+        params = [t for _, t in named]
+        total, _, _ = P._epoch_losses(state, cons, cfg)
+        ad.backward(total, params)
+        got = [p.grad.copy() for p in params]
+        accumulating_backward(total, params)
+        for (name, p), first in zip(named, got):
+            assert np.array_equal(p.grad, first), name
+
+    def test_unreached_parameter_steps_with_zero_gradient(self):
+        """A trained parameter the loss does not reach gets a zero gradient
+        each epoch, not what an earlier backward left, so Adam leaves it."""
+        from gclgcn import pipeline as P
+
+        a, b = ad.parameter([[1.0, -2.0]]), ad.parameter([[0.5, 0.25]])
+        b.grad[...] = 7.0
+        P._pretrain("test", [("a", a), ("b", b)], 0.1, 2, lambda: ad.reduce_sum(ad.square(a)))
+        assert np.array_equal(b.value, [[0.5, 0.25]])
+        assert not b.grad.any()
+        assert not np.array_equal(a.value, [[1.0, -2.0]])
 
 
 class TestLossTotal:
@@ -385,9 +416,9 @@ class TestTrain:
         alive_at_assign = []
         real_backward, real_soft_assign = P.backward, P.soft_assign
 
-        def tracking_backward(loss):
+        def tracking_backward(loss, params):
             losses.append(weakref.ref(loss.value))
-            return real_backward(loss)
+            return real_backward(loss, params)
 
         def checking_soft_assign(*args, **kwargs):
             alive_at_assign.append(sum(ref() is not None for ref in losses))
@@ -456,8 +487,8 @@ class TestTrain:
             states.append(real_init(*args))
             return states[-1]
 
-        def poisoned_backward(loss):
-            real_backward(loss)
+        def poisoned_backward(loss, params):
+            real_backward(loss, params)
             if len(pre_step) == 1:
                 dict(states[0]._named())["graphormer.enc.2.w_key"].grad[0, 1] = np.nan
             pre_step.append([(name, arr.copy()) for name, arr in states[0].named_arrays()])
@@ -516,9 +547,9 @@ class TestTrain:
             real_step(params, grads, opt)
             params[-1].value[0, 0] = np.nan  # the last layer's, past every ReLU
 
-        def counted_backward(loss):
+        def counted_backward(loss, params):
             backward_calls.append(True)
-            real_backward(loss)
+            real_backward(loss, params)
 
         monkeypatch.setattr(P, "adam_step", poisoned_step)
         monkeypatch.setattr(P, "backward", counted_backward)
@@ -539,8 +570,8 @@ class TestTrain:
         real_backward = P.backward
         calls = []
 
-        def poisoned_backward(loss):
-            real_backward(loss)
+        def poisoned_backward(loss, params):
+            real_backward(loss, params)
             if calls:
                 leaves, stack, seen = [], [loss], set()
                 while stack:
