@@ -11,7 +11,9 @@ The layer ops are one node each where a composed form would keep every
 intermediate: blend (a * eps + b * (1 - eps)), dense (x @ w + b),
 propagate (adj @ z @ w) and attention (multi-head attention over a sparse
 pattern with centrality terms in every projection), the last three
-optionally followed by leaky ReLU at LEAKY_SLOPE, keeping a sign mask.
+optionally followed by leaky ReLU at LEAKY_SLOPE. An activated op keeps no
+mask: its output is positive exactly where its input was, so the backward
+reads the sign from the output the node already holds.
 propagate and attention pick their association from the shapes: propagate
 runs the sparse product on the narrower side, and attention, when a layer
 widens (d_in + centrality columns < head width), scores q . k through the
@@ -260,32 +262,44 @@ def blend(a: Tensor, b: Tensor, eps: float) -> Tensor:
 _GATHER_ELEMENTS = 1 << 16
 
 
-def _leaky_in_place(out: np.ndarray) -> np.ndarray:
+def _cache_blocks(a: np.ndarray):
+    """(lo, hi) of each cache-sized block of a's rows (hi may pass the end)."""
+    step = max(1, _GATHER_ELEMENTS // max(1, a.shape[1]))
+    for lo in range(0, a.shape[0], step):
+        yield lo, lo + step
+
+
+def _leaky_in_place(out: np.ndarray) -> None:
     """The leaky ReLU forward, max(x, LEAKY_SLOPE * x), written into out a
-    cache-sized block of rows at a time, so its temporary is one block;
-    returns the sign mask of the input, which is all its backward reads."""
-    pos = out > 0
-    step = max(1, _GATHER_ELEMENTS // max(1, out.shape[1]))
-    for lo in range(0, out.shape[0], step):
-        block = out[lo:lo + step]
+    cache-sized block of rows at a time, so its temporary is one block.
+
+    Afterwards out > 0 exactly where x > 0: a positive x stays itself, and a
+    NaN, a signed zero, -inf or a negative x (whose scaled value may
+    underflow to -0.0) becomes a value that is not positive."""
+    for lo, hi in _cache_blocks(out):
+        block = out[lo:hi]
         np.maximum(block, block * LEAKY_SLOPE, out=block)
-    return pos
 
 
-def _leaky_grad(g: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """g * np.where(pos, 1.0, LEAKY_SLOPE), bit for bit, through one
-    temporary: 1.0 * (1 - LEAKY_SLOPE) + LEAKY_SLOPE rounds to exactly 1.0."""
-    s = pos.astype(np.float64)
-    s *= 1.0 - LEAKY_SLOPE
-    s += LEAKY_SLOPE
-    s *= g
+def _leaky_grad(g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """g * np.where(x > 0, 1.0, LEAKY_SLOPE), bit for bit, where out is x
+    after _leaky_in_place; it reads out's sign a cache-sized block of rows
+    at a time, so the result is the only array it forms:
+    1.0 * (1 - LEAKY_SLOPE) + LEAKY_SLOPE rounds to exactly 1.0."""
+    s = np.empty_like(g)
+    for lo, hi in _cache_blocks(out):
+        block = s[lo:hi]
+        np.greater(out[lo:hi], 0.0, out=block)
+        block *= 1.0 - LEAKY_SLOPE
+        block += LEAKY_SLOPE
+        block *= g[lo:hi]
     return s
 
 
 def dense(x: Tensor, w: Tensor, b: Tensor, activate: bool = False) -> Tensor:
     """x @ w + b (b is one row, broadcast), then leaky ReLU when activate,
-    as one node. It keeps its output and, when activated, a boolean sign
-    mask."""
+    as one node. It keeps its output, from which an activated node's
+    backward reads the sign."""
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     _check(x.shape[1] == w.shape[0], "dense", f"inner dims differ: {x.shape} x {w.shape}")
     _check(b.shape == (1, w.shape[1]), "dense", f"bias must be (1, {w.shape[1]}), got {b.shape}")
@@ -294,11 +308,12 @@ def dense(x: Tensor, w: Tensor, b: Tensor, activate: bool = False) -> Tensor:
     bshape = b.shape
     out = xv @ wv
     out += b.value
-    pos = _leaky_in_place(out) if activate else None
+    if activate:
+        _leaky_in_place(out)
 
     def rule(g):
-        if pos is not None:
-            g = _leaky_grad(g, pos)
+        if activate:
+            g = _leaky_grad(g, out)
         return (
             g @ wv.T if nx else None,
             np.matmul(xv.T, g, out=_grad_buffer(w)) if nw else None,
@@ -311,8 +326,9 @@ def dense(x: Tensor, w: Tensor, b: Tensor, activate: bool = False) -> Tensor:
 def propagate(adj: sp.csr_array, z: Tensor, w: Tensor, activate: bool = False) -> Tensor:
     """adj @ z @ w over a constant sparse adj, associated so the sparse
     product runs on the narrower side, then leaky ReLU when activate, as one
-    node. It keeps its output, the sign mask when activated, and adj @ z
-    only when (adj @ z) @ w is the association and w needs its gradient."""
+    node. It keeps its output, from which an activated node's backward
+    reads the sign, and adj @ z only when (adj @ z) @ w is the association
+    and w needs its gradient."""
     z, w = _as_tensor(z), _as_tensor(w)
     _check(sp.issparse(adj), "propagate",
            f"adjacency must be a scipy sparse matrix, got {type(adj)}")
@@ -329,11 +345,12 @@ def propagate(adj: sp.csr_array, z: Tensor, w: Tensor, activate: bool = False) -
         out = az @ wv
         if not nw:
             az = None
-    pos = _leaky_in_place(out) if activate else None
+    if activate:
+        _leaky_in_place(out)
 
     def rule(g):
-        if pos is not None:
-            g = _leaky_grad(g, pos)
+        if activate:
+            g = _leaky_grad(g, out)
         if narrow_out:
             gm = adj.T @ g
             return (gm @ wv.T if nz else None,
@@ -409,7 +426,8 @@ def attention(
     (z @ w, then += c @ wc, a column copy per head when heads > 1, the
     sampled logits, the softmax and att @ v), so its values match that
     chain's bit for bit; it keeps each head's q, k, v and att. Either form
-    keeps its output and, when activated, a boolean sign mask.
+    keeps its output, from which an activated node's backward reads the
+    sign.
     """
     z, c = _as_tensor(z), _as_tensor(c)
     w, wc = tuple(map(_as_tensor, w)), tuple(map(_as_tensor, wc))
@@ -486,11 +504,12 @@ def attention(
         del proj
     if heads > 1:
         out *= 1.0 / heads
-    pos = _leaky_in_place(out) if activate else None
+    if activate:
+        _leaky_in_place(out)
 
     def rule(g):
-        if pos is not None:
-            g = _leaky_grad(g, pos)
+        if activate:
+            g = _leaky_grad(g, out)
         if heads > 1:
             g = g * (1.0 / heads)
         gw = [_grad_buffer(t) if need else None for t, need in zip((*w, *wc), needs)]
@@ -775,15 +794,17 @@ def transpose(a: Tensor) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     """x where x > 0, 0.0 where x <= 0, and NaN where x is NaN, whose
-    gradient is NaN too, so a non-finite input is not silently cut off."""
+    gradient is NaN too, so a non-finite input is not silently cut off.
+    The node keeps no mask: the sign of the output is the derivative, 1.0,
+    0.0 or NaN, as np.heaviside(x, 0.0) gives it."""
     a = _as_tensor(a)
     x = a.value
-    mask = np.heaviside(x, 0.0)  # 1.0, 0.0 or NaN
+    out = np.where(x <= 0, 0.0, x)
 
     def rule(g):
-        return (g * mask,)
+        return (g * np.sign(out),)
 
-    return Tensor(np.where(x <= 0, 0.0, x), _parents=(a,), _rule=rule)
+    return Tensor(out, _parents=(a,), _rule=rule)
 
 
 def log(a: Tensor) -> Tensor:

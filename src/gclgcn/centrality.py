@@ -6,13 +6,18 @@ Conventions (fixed so golden values are well defined):
     halved for undirected graphs);
   * closeness sums distances over reachable nodes only; an isolated node
     scores 0.
+
+Betweenness and closeness read one breadth-first sweep from every node
+(_shortest_paths), which runs a block of sources at a time in O(n * block)
+memory and forms no all-pairs distance matrix. composite_centrality runs it
+once for both.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .graph import Graph, adjacency_matrix, shortest_path_hops, support_pairs
+from .graph import Graph, adjacency_matrix, support_pairs
 
 __all__ = [
     "MEASURES",
@@ -26,7 +31,7 @@ __all__ = [
 # Column order of the composite matrix.
 MEASURES = ("degree", "betweenness", "closeness")
 
-# Betweenness runs its breadth-first searches for a block of sources at once,
+# The sweep runs its breadth-first searches for a block of sources at once,
 # on (n, block) matrices of about this many elements.
 _SOURCE_BLOCK_ELEMENTS = 1 << 20
 
@@ -39,18 +44,22 @@ def degree_centrality(g: Graph) -> np.ndarray:
     return deg / top
 
 
-def betweenness_centrality(g: Graph) -> np.ndarray:
-    """Exact betweenness over unordered pairs on unit-weight shortest paths.
+def _shortest_paths(g: Graph, dependencies: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """One level-synchronous breadth-first search from every node: each
+    node's hop total, the integer sum of its distances to the nodes it
+    reaches, and, when dependencies, its Brandes dependency summed over every
+    source (each unordered pair counted from both endpoints), else None.
 
-    Level-synchronous Brandes: for a block of sources at once, each
-    breadth-first level is one sparse x dense product that sums the path
-    counts sigma of the previous level, and the dependency accumulation walks
-    the levels back with one product each. Blocks and levels run in a fixed
-    order, so the floating-point result is bit-deterministic.
+    For a block of sources at once, each level is one sparse x dense product
+    that sums the path counts sigma of the previous level; the dependency
+    accumulation walks the levels back with one product each. Blocks and
+    levels run in a fixed order, so the floating-point result is
+    bit-deterministic.
     """
     n = g.n
     adj = adjacency_matrix(g)
-    score = np.zeros(n)
+    hops = np.zeros(n, dtype=np.int64)
+    score = np.zeros(n) if dependencies else None
     block = max(1, min(n, _SOURCE_BLOCK_ELEMENTS // max(n, 1)))
     for lo in range(0, n, block):
         sources = np.arange(lo, min(lo + block, n))
@@ -68,29 +77,43 @@ def betweenness_centrality(g: Graph) -> np.ndarray:
                 break
             depth += 1
             level[new] = depth
+            hops[sources] += depth * new.sum(axis=0)
             frontier = np.where(new, reach, 0.0)
             sigma += frontier
+        if score is None:
+            continue
         delta = np.zeros_like(sigma)
         for d in range(depth, 0, -1):
             share = np.divide(1.0 + delta, sigma, out=np.zeros_like(sigma), where=level == d)
             delta += np.where(level == d - 1, sigma * (adj @ share), 0.0)
         delta[sources, cols] = 0.0
         score += delta.sum(axis=1)
+    return hops, score
+
+
+def betweenness_centrality(g: Graph, paths=None) -> np.ndarray:
+    """Exact betweenness over unordered pairs on unit-weight shortest paths,
+    by level-synchronous Brandes. paths is a _shortest_paths(g, True) result
+    the caller already has."""
+    _, score = paths if paths is not None else _shortest_paths(g, dependencies=True)
     # Each unordered pair was counted from both endpoints.
     return score / 2.0
 
 
-def closeness_centrality(g: Graph) -> np.ndarray:
-    """1 / (sum of hop distances to the reachable nodes); an isolated node scores 0."""
-    hops = shortest_path_hops(g)
-    total = np.where(hops < g.n, hops, 0).sum(axis=1)
+def closeness_centrality(g: Graph, paths=None) -> np.ndarray:
+    """1 / (sum of hop distances to the reachable nodes); an isolated node
+    scores 0. paths is a _shortest_paths(g, ...) result the caller already
+    has."""
+    total, _ = paths if paths is not None else _shortest_paths(g, dependencies=False)
     out = np.zeros(g.n)
     np.divide(1.0, total, out=out, where=total > 0)
     return out
 
 
+# Each measure as composite_centrality calls it, with the graph and the
+# shared sweep (None when no wanted measure reads it).
 _MEASURE_FN = {
-    "degree": degree_centrality,
+    "degree": lambda g, paths: degree_centrality(g),
     "betweenness": betweenness_centrality,
     "closeness": closeness_centrality,
 }
@@ -105,7 +128,10 @@ def composite_centrality(g: Graph, measures=MEASURES) -> np.ndarray:
         raise ValueError(f"unknown centrality measures: {sorted(unknown)}")
     if not wanted:
         raise ValueError("at least one centrality measure must be enabled")
-    values = np.column_stack([_MEASURE_FN[m](g) for m in wanted])
+    paths = None
+    if "betweenness" in wanted or "closeness" in wanted:
+        paths = _shortest_paths(g, dependencies="betweenness" in wanted)
+    values = np.column_stack([_MEASURE_FN[m](g, paths) for m in wanted])
     values.setflags(write=False)
     return values
 

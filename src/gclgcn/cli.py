@@ -149,8 +149,12 @@ def _cmd_train(args) -> int:
     cfg = parse_config(args.config)
     g = _load_dataset(cfg)
     out = _out_dir(args)
-    pre = _load_pretrained(args.pretrained) if args.pretrained else None
-    result = train(g, cfg, pretrained=pre, abort_path=out / "model.gclc")
+    # Loaded in the call, so train() holds the only reference and frees the
+    # pretrained arrays once the model has copied them.
+    result = train(
+        g, cfg, pretrained=_load_pretrained(args.pretrained) if args.pretrained else None,
+        abort_path=out / "model.gclc",
+    )
     _write_history(out / "history.csv", result.history)
     _write_labels(out / "labels.txt", result.labels)
     save_checkpoint(out / "model.gclc", result.state.named_arrays())

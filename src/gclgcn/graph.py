@@ -13,7 +13,6 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse import csgraph
 
 from .checkpoint import atomic_open
 
@@ -23,7 +22,6 @@ __all__ = [
     "support_pairs",
     "adjacency_matrix",
     "normalize_adjacency",
-    "shortest_path_hops",
     "generate_sbm",
     "load_graph",
     "read_labels",
@@ -167,36 +165,37 @@ def normalize_adjacency(g: Graph) -> sp.csr_array:
     return _csr(g.n, rows, cols, data)
 
 
-def shortest_path_hops(g: Graph) -> np.ndarray:
-    """All-pairs hop counts (scipy csgraph, unit edge weights); unreachable
-    pairs hold the sentinel n."""
-    dist = csgraph.shortest_path(
-        adjacency_matrix(g), method="D", directed=False, unweighted=True
-    )
-    dist[np.isinf(dist)] = g.n
-    return dist.astype(np.int64)
+# generate_sbm draws its edge coins in blocks of rows of about this many
+# elements, so no n x n array is formed (at n=10k the whole matrix took 2 GB).
+_SBM_BLOCK_ELEMENTS = 1 << 20
 
 
 def generate_sbm(spec: SbmSpec, seed: int) -> Graph:
     """Sample a planted-partition graph; identical (spec, seed) gives identical output.
 
     Edge coin flips are drawn first (upper triangle, row-major), then feature
-    noise, so the draw order is part of the determinism contract.
+    noise, so the draw order is part of the determinism contract. The coins
+    are one uniform per entry of the n x n matrix, row-major, drawn a block
+    of rows at a time: the blocks continue one stream, so they are the
+    doubles of a single n x n draw.
     """
     rng = np.random.default_rng(seed)
     n = spec.n
     labels = np.repeat(np.arange(len(spec.block_sizes)), spec.block_sizes)
 
-    u = rng.random((n, n))
-    same = labels[:, None] == labels[None, :]
-    prob = np.where(same, spec.p_in, spec.p_out)
-    hit = (u < prob) & np.triu(np.ones((n, n), dtype=bool), k=1)
-    edges = tuple((int(i), int(j)) for i, j in np.argwhere(hit))
+    edges = []
+    step = max(1, _SBM_BLOCK_ELEMENTS // n)
+    for lo in range(0, n, step):
+        rows = np.arange(lo, min(n, lo + step))
+        u = rng.random((rows.size, n))
+        prob = np.where(labels[rows, None] == labels[None, :], spec.p_in, spec.p_out)
+        hit = (u < prob) & (np.arange(n)[None, :] > rows[:, None])
+        edges.extend((int(i) + lo, int(j)) for i, j in np.argwhere(hit))
 
     feats = spec.means[labels]
     if spec.noise_std > 0:
         feats = feats + spec.noise_std * rng.standard_normal((n, spec.means.shape[1]))
-    return Graph(features=feats, edges=edges, labels=labels, k=len(spec.block_sizes))
+    return Graph(features=feats, edges=tuple(edges), labels=labels, k=len(spec.block_sizes))
 
 
 def _strip_comment(line: str) -> str:

@@ -440,9 +440,10 @@ def _pretrained_ae(pre: Pretrained, dims: list[int]) -> Channel:
     return ae
 
 
-def _init_state(
-    g: Graph, cfg: ExperimentConfig, pre: Pretrained, cons: _Constants
-) -> ModelState:
+def _init_state(g: Graph, cfg: ExperimentConfig, pre: Pretrained, cons: _Constants):
+    """The model state, with copies of the pretrained arrays and seeded
+    centroids, and the _encode outputs of the seeding pass, whose tape
+    serves as epoch 0's encoder pass."""
     dims = ladder_dims(g.f, cfg.n_z, cfg.layers)
     state = ModelState(
         ae=_pretrained_ae(pre, dims),
@@ -461,7 +462,7 @@ def _init_state(
     km = kmeans(hs[-1].value, cfg.k, restarts=20, seed=_stream_seed(cfg.seed, _STREAM_KMEANS))
     fused = _fuse(cons, hs, zs).value
     state.centroids.value[...] = _partition_means(fused, km.labels, cfg.k)
-    return state
+    return state, (hs, zs)
 
 
 def _partition_means(z: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
@@ -491,13 +492,12 @@ def _encode(state: ModelState, cons: _Constants, cfg: ExperimentConfig):
     return hs, {c.prefix: c.encode(cons.x_enhanced, hs, cfg.epsilon)[-1] for c in state.channels}
 
 
-def _forward_channels(state: ModelState, cons: _Constants, cfg: ExperimentConfig):
-    """The encoders, then the decoders: autoencoder layer outputs and
-    reconstruction, plus (bottleneck, reconstruction) of every graph channel
+def _decode(state: ModelState, hs: list[Tensor], zs: dict):
+    """The decoders on the outputs hs, zs of _encode: the autoencoder's
+    reconstruction, and (bottleneck, reconstruction) of every graph channel
     keyed by its prefix."""
-    hs, zs = _encode(state, cons, cfg)
     outs = {c.prefix: (zs[c.prefix], c.decode(zs[c.prefix])) for c in state.channels}
-    return hs, state.ae.decode(hs[-1]), outs
+    return state.ae.decode(hs[-1]), outs
 
 
 def _fuse(cons: _Constants, hs: list[Tensor], zs: dict) -> Tensor:
@@ -509,11 +509,15 @@ def _epoch_losses(
     state: ModelState,
     cons: _Constants,
     cfg: ExperimentConfig,
+    encoded,
     p_fixed: np.ndarray | None = None,
 ):
-    hs, xhat_ae, outs = _forward_channels(state, cons, cfg)
+    """The composite loss, its components and the assignments, from the
+    encoder outputs encoded = _encode(state, cons, cfg)."""
+    hs, zs = encoded
+    xhat_ae, outs = _decode(state, hs, zs)
 
-    z_fused = _fuse(cons, hs, {name: z for name, (z, _) in outs.items()})
+    z_fused = _fuse(cons, hs, zs)
     q = soft_assign(z_fused, state.centroids, cfg.t)
     q_prime = soft_assign(hs[-1], state.centroids, cfg.t)
     p = target_distribution(q.value) if p_fixed is None else p_fixed
@@ -579,7 +583,10 @@ def train(
     if not uses_contrastive(cfg):
         pretrained = replace(pretrained, x_c=np.zeros_like(g.features))
     cons = _build_constants(g, cfg, pretrained.x_c)
-    state = _init_state(g, cfg, pretrained, cons)
+    state, encoded = _init_state(g, cfg, pretrained, cons)
+    # The model holds copies of the pretrained arrays; a caller that shares
+    # them across runs keeps its own reference.
+    del pretrained
     named = state._named()
     params = [t for _, t in named]
     opt = AdamState.for_params(params, cfg.lr)
@@ -595,7 +602,7 @@ def train(
 
     history: list[dict] = []
     for epoch in range(cfg.epochs):
-        total, components, assignments = _epoch_losses(state, cons, cfg)
+        total, components, assignments = _epoch_losses(state, cons, cfg, encoded)
         if not np.isfinite(total.value[0, 0]):
             abort(NumericError(f"training: non-finite loss at epoch {epoch}: {components}"))
         if inspect is not None:
@@ -611,9 +618,11 @@ def train(
         if bad is not None:
             abort(NumericError(f"training: non-finite gradient of {bad} at epoch {epoch}"))
         adam_step(params, [p.grad for p in params], opt)
-        # Free this epoch's tape before the next forward pass records another.
-        del total, assignments
+        # Free this epoch's tape before the next encoder pass, which feeds the
+        # next epoch or, after the last step, the final labels.
+        del total, assignments, encoded
+        encoded = _encode(state, cons, cfg)
 
-    hs, zs = _encode(state, cons, cfg)
+    hs, zs = encoded
     q = soft_assign(_fuse(cons, hs, zs), state.centroids, cfg.t)
     return TrainResult(state=state, history=history, labels=assign_labels(q.value))

@@ -2,8 +2,11 @@
 
 These deliberately take different algorithmic routes: betweenness is counted
 via Floyd-Warshall all-pairs path counting (the implementation uses
-level-synchronous Brandes accumulation), the matching accuracy enumerates
-every bijection, the graph operators are dense n x n matrices (the
+level-synchronous Brandes accumulation), closeness is read from scipy
+csgraph's all-pairs hop matrix (the implementation sums the levels of the
+breadth-first sweep that betweenness runs), the planted-partition generator
+draws its n x n edge coins at once (the implementation draws a block of rows
+at a time), the matching accuracy enumerates every bijection, the graph operators are dense n x n matrices (the
 implementation keeps the adjacency and the attention weights in CSR), and
 the Adam update runs on whole arrays (the implementation updates in blocks),
 the layer ops and the two row-blocked losses are composed from the tape's
@@ -31,12 +34,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 from gclgcn import autodiff as ad
 from gclgcn import pipeline as P
 from gclgcn.autodiff import Tensor
 from gclgcn.config import ExperimentConfig
-from gclgcn.graph import Graph
+from gclgcn.graph import Graph, SbmSpec, adjacency_matrix
 from gclgcn.layers import glorot
 from gclgcn.pipeline import ModelState
 
@@ -92,6 +96,43 @@ def closeness_reference(n: int, edges) -> np.ndarray:
         total = d[finite].sum()
         out[v] = 1.0 / total if total > 0 else 0.0
     return out
+
+
+def shortest_path_hops(g: Graph) -> np.ndarray:
+    """All-pairs hop counts (scipy csgraph, unit edge weights); unreachable
+    pairs hold the sentinel n."""
+    dist = csgraph.shortest_path(
+        adjacency_matrix(g), method="D", directed=False, unweighted=True
+    )
+    dist[np.isinf(dist)] = g.n
+    return dist.astype(np.int64)
+
+
+def closeness_from_hops(g: Graph) -> np.ndarray:
+    """Closeness from the all-pairs hop matrix, the integer hop sums over
+    the reachable nodes inverted as the implementation inverts them."""
+    hops = shortest_path_hops(g)
+    total = np.where(hops < g.n, hops, 0).sum(axis=1)
+    out = np.zeros(g.n)
+    np.divide(1.0, total, out=out, where=total > 0)
+    return out
+
+
+def generate_sbm_whole(spec: SbmSpec, seed: int) -> Graph:
+    """The planted-partition generator drawing all n x n edge coins at once
+    (the implementation draws them a block of rows at a time)."""
+    rng = np.random.default_rng(seed)
+    n = spec.n
+    labels = np.repeat(np.arange(len(spec.block_sizes)), spec.block_sizes)
+    u = rng.random((n, n))
+    same = labels[:, None] == labels[None, :]
+    prob = np.where(same, spec.p_in, spec.p_out)
+    hit = (u < prob) & np.triu(np.ones((n, n), dtype=bool), k=1)
+    edges = tuple((int(i), int(j)) for i, j in np.argwhere(hit))
+    feats = spec.means[labels]
+    if spec.noise_std > 0:
+        feats = feats + spec.noise_std * rng.standard_normal((n, spec.means.shape[1]))
+    return Graph(features=feats, edges=edges, labels=labels, k=len(spec.block_sizes))
 
 
 def degree_reference(n: int, edges) -> np.ndarray:
@@ -555,5 +596,6 @@ def loss_total(
     recomputed from the current soft assignment, as during training.
     """
     cons = P._build_constants(g, cfg, state.x_c)
-    total, components, _ = P._epoch_losses(state, cons, cfg, p_fixed=p_fixed)
+    encoded = P._encode(state, cons, cfg)
+    total, components, _ = P._epoch_losses(state, cons, cfg, encoded, p_fixed=p_fixed)
     return total, components

@@ -171,11 +171,14 @@ def test_c2_gradient_suite():
         cfg = ExperimentConfig(k=2, n_z=3, alpha=0.3, beta=0.2, seed=0)
         state = _manual_state(rng, g, cfg, [5, 6, 3])
         cons = P._build_constants(g, cfg, state.x_c)
-        _, _, assignments0 = P._epoch_losses(state, cons, cfg)
+        _, _, assignments0 = P._epoch_losses(state, cons, cfg, P._encode(state, cons, cfg))
         p_fixed = P.target_distribution(assignments0.q)
         params = [t for _, t in state._named()]
         err = finite_difference_check(
-            lambda _: P._epoch_losses(state, cons, cfg, p_fixed=p_fixed)[0], params
+            lambda _: P._epoch_losses(
+                state, cons, cfg, P._encode(state, cons, cfg), p_fixed=p_fixed
+            )[0],
+            params,
         )
         worst["composite"] = max(worst["composite"], err)
 
@@ -241,10 +244,9 @@ def test_c4_distribution_invariants():
     # analytic centroid gradient matches the tape at this run's first epoch
     pre = P.pretrain(g, cfg)
     cons = P._build_constants(g, cfg, pre.x_c)
-    state = P._init_state(g, cfg, pre, cons)
-    hs, _, outs = P._forward_channels(state, cons, cfg)
+    state, (hs, zs) = P._init_state(g, cfg, pre, cons)
     fused = P.fuse_final(
-        [(cfg.lam, outs["gcn"][0]), (cfg.theta, hs[-1]), (cfg.gamma, outs["graphormer"][0])],
+        [(cfg.lam, zs["gcn"]), (cfg.theta, hs[-1]), (cfg.gamma, zs["graphormer"])],
         cons.adj,
     )
     q = P.soft_assign(fused, state.centroids, cfg.t)

@@ -249,14 +249,23 @@ class TestLeakyRelu:
         assert out._rule(g)[0].tobytes() == np.where(x > 0, g, g * slope).tobytes()
 
 
-    def test_gradient_helper_matches_where_form(self):
+    @pytest.mark.parametrize("block_elements", [1 << 16, 30, 1])
+    def test_gradient_helper_reads_the_input_sign_from_the_output(
+        self, block_elements, monkeypatch
+    ):
+        """The backward reads only the leaky ReLU output, whose sign is the
+        input's on every special value (-1e-322 * 0.01 underflows to -0.0),
+        in blocks of rows that need not divide the row count."""
+        monkeypatch.setattr(ad, "_GATHER_ELEMENTS", block_elements)
         rng = np.random.default_rng(1)
-        x = np.concatenate([self.SPECIAL, rng.standard_normal(71)]).reshape(8, 10)
+        x = np.concatenate([self.SPECIAL, [-1e-322], rng.standard_normal(70)]).reshape(8, 10)
         g = np.concatenate([self.SPECIAL[::-1], rng.standard_normal(71)]).reshape(8, 10)
         g[1, :2] = np.nan, -np.nan
-        pos = x > 0
-        want = g * np.where(pos, 1.0, ad.LEAKY_SLOPE)
-        assert ad._leaky_grad(g, pos).tobytes() == want.tobytes()
+        out = x.copy()
+        ad._leaky_in_place(out)
+        assert out.tobytes() == np.maximum(x, x * ad.LEAKY_SLOPE).tobytes()
+        want = g * np.where(x > 0, 1.0, ad.LEAKY_SLOPE)
+        assert ad._leaky_grad(g, out).tobytes() == want.tobytes()
 
 
 class TestRelu:
@@ -271,6 +280,22 @@ class TestRelu:
         d = out._rule(g)[0]
         assert d[~nan].tobytes() == (g * (x > 0))[~nan].tobytes()
         assert np.isnan(d[nan]).all()
+
+
+    def test_gradient_is_the_heaviside_step_of_the_input(self):
+        """The backward multiplies by the sign of the kept output, which is
+        np.heaviside(x, 0.0) on NaN, signed zeros, infinities and
+        subnormals; the node keeps no array but its output."""
+        rng = np.random.default_rng(3)
+        x = np.concatenate([TestLeakyRelu.SPECIAL, rng.standard_normal(11)]).reshape(4, 5)
+        g = np.concatenate([rng.standard_normal(15), [np.inf, -np.inf, np.nan, 0.0, -0.0]])
+        g = g.reshape(x.shape)
+        out = ad.relu(ad.parameter(x))
+        with np.errstate(invalid="ignore"):  # inf * 0.0
+            assert out._rule(g)[0].tobytes() == (g * np.heaviside(x, 0.0)).tobytes()
+        kept = [c.cell_contents for c in out._rule.__closure__
+                if isinstance(c.cell_contents, np.ndarray)]
+        assert len(kept) == 1 and kept[0] is out.value
 
 
 def _sparse(rng, n):
@@ -360,6 +385,35 @@ class TestLayerOps:
                     == composed_dense(x, one, zero, activate).value.tobytes())
             assert (ad.propagate(adj, x, one, activate).value.tobytes()
                     == composed_propagate(adj, x, one, activate).value.tobytes())
+
+    @pytest.mark.parametrize("op", ["dense", "propagate", "attention"])
+    def test_activated_node_keeps_no_array_beside_its_output(self, op):
+        """An activated node holds no more memory than the linear one: the
+        backward reads the sign from the output, so no mask is kept."""
+        n, d, width = 200, 8, 64
+        rng = np.random.default_rng(4)
+        z, c = ad.parameter(rng.standard_normal((n, d))), ad.constant(rng.standard_normal((n, 3)))
+        adj = _sparse(rng, n)
+        bias = rng.standard_normal(adj.nnz)
+        w = [ad.parameter(rng.standard_normal((d, width))) for _ in range(3)]
+        wc = [ad.parameter(rng.standard_normal((3, width))) for _ in range(3)]
+        b = ad.parameter(np.zeros((1, width)))
+        build = {
+            "dense": lambda activate: ad.dense(z, w[0], b, activate),
+            "propagate": lambda activate: ad.propagate(adj, z, w[0], activate),
+            "attention": lambda activate: ad.attention(z, c, w, wc, adj, bias, 2, activate),
+        }[op]
+        kept = []
+        for activate in (False, True):
+            tracemalloc.start()
+            try:
+                node = build(activate)
+                kept.append(tracemalloc.get_traced_memory()[0])
+            finally:
+                tracemalloc.stop()
+            assert node.shape == (n, width // 2 if op == "attention" else width)
+            del node
+        assert kept[1] - kept[0] < n * width // 8
 
     def test_keeps_adj_z_only_for_the_weight_gradient(self):
         """(adj @ z) @ w keeps adj @ z in its rule only when w needs it."""

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from scipy.sparse import csgraph
+
+from gclgcn import centrality
 from gclgcn.centrality import (
     betweenness_centrality,
     closeness_centrality,
@@ -12,6 +15,7 @@ from gclgcn.graph import Graph, support_pairs
 
 from oracles import (
     betweenness_reference,
+    closeness_from_hops,
     closeness_reference,
     degree_reference,
     random_er_graph,
@@ -114,6 +118,27 @@ class TestCloseness:
             )
 
 
+    def test_equals_the_all_pairs_hop_oracle_bit_for_bit(self, monkeypatch):
+        """Random, disconnected and isolated-node graphs; no all-pairs
+        search runs."""
+        rng = np.random.default_rng(29)
+        graphs = [Graph(features=np.zeros((5, 1)), edges=[]),
+                  Graph(features=np.zeros((7, 1)), edges=[(0, 1), (1, 2), (4, 5)])]
+        for _ in range(12):
+            n = int(rng.integers(2, 40))
+            edges = random_er_graph(n, rng.choice([0.03, 0.1, 0.3]), rng)
+            graphs.append(Graph(features=np.zeros((n, 1)), edges=edges))
+        want = [closeness_from_hops(g) for g in graphs]
+
+        def no_all_pairs(*args, **kwargs):
+            raise AssertionError("closeness ran an all-pairs search")
+
+        monkeypatch.setattr(csgraph, "shortest_path", no_all_pairs)
+        for g, w in zip(graphs, want):
+            assert np.array_equal(closeness_centrality(g), w)
+            assert np.array_equal(composite_centrality(g)[:, 2], w)
+
+
 class TestComposite:
     def test_path_all_measures(self):
         want = np.array([
@@ -142,6 +167,30 @@ class TestComposite:
         cm = composite_centrality(path3(), measures=("closeness", "degree"))
         want = np.column_stack([degree_centrality(path3()), closeness_centrality(path3())])
         assert np.array_equal(cm, want)
+
+    @pytest.mark.parametrize("measures,dependencies", [
+        (("degree", "betweenness", "closeness"), [True]),
+        (("betweenness",), [True]),
+        (("closeness", "degree"), [False]),
+        (("degree",), []),
+    ])
+    def test_one_sweep_serves_both_path_measures(self, measures, dependencies, monkeypatch):
+        """The breadth-first sweep runs once, and walks the dependencies
+        back only when betweenness is wanted."""
+        standalone = {"degree": degree_centrality, "betweenness": betweenness_centrality,
+                      "closeness": closeness_centrality}
+        want = np.column_stack([standalone[m](star4()) for m in centrality.MEASURES
+                                if m in measures])
+        calls = []
+        sweep = centrality._shortest_paths
+
+        def counting(g, dependencies):
+            calls.append(dependencies)
+            return sweep(g, dependencies)
+
+        monkeypatch.setattr(centrality, "_shortest_paths", counting)
+        assert np.array_equal(composite_centrality(star4(), measures), want)
+        assert calls == dependencies
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(23)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 
 import numpy as np
 import pytest
@@ -48,6 +49,30 @@ class TestGenSbm:
         assert run(args + ["--out", str(tmp_path / "b")]) == 0
         for name in ("features.csv", "edges.txt", "labels.txt"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+    # SHA-256 of features.csv, edges.txt and labels.txt. They depend only on
+    # numpy's portable PCG64 stream and the %.17g text format.
+    PINNED = [
+        (["--blocks", "12,12,12", "--p-in", "0.3", "--p-out", "0.05", "--dim", "4",
+          "--sep", "3.0", "--noise", "1.0", "--seed", "3"],
+         ("d997edfb95af9cbdd34d2c250020f5961b2068bc62cefa2e798eb38f2ad685f3",
+          "00f91b0da7de80260360dca349c2319eb2b74b44acba3d778247323bebb58b73",
+          "dde34a1c540efa52eec3d2480074311d424395e242fb93a2ecb8461c2178ca07")),
+        (["--blocks", "300,300,300", "--p-in", "0.03", "--p-out", "0.003", "--dim", "8",
+          "--sep", "3.0", "--noise", "1.0", "--seed", "1"],
+         ("4ce634f9e1d13293a210d3cf98f5a3854b75e7168cebeafe64278924c8b01f5c",
+          "8f9be0d6f9979a4e5f476b2305fe6bfddf84256d2c3daeb0970d6b368e4f1093",
+          "b0885a4691ef04d875ccfa1d340d8de127367af8d18c3e4d0f8c1780138fe4b4")),
+    ]
+
+    @pytest.mark.parametrize("args,digests", PINNED, ids=["n36", "n900"])
+    def test_output_bytes_pinned(self, args, digests, tmp_path, capsys):
+        assert run(["gen-sbm", *args, "--out", str(tmp_path)]) == 0
+        got = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                    for name in ("features.csv", "edges.txt", "labels.txt"))
+        assert got == digests
+        capsys.readouterr()
 
 
 class TestCentralityCommand:

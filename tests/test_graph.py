@@ -9,8 +9,10 @@ from gclgcn.graph import (
     load_graph,
     normalize_adjacency,
     save_graph,
-    shortest_path_hops,
 )
+from gclgcn import graph as graph_module
+
+from oracles import generate_sbm_whole, shortest_path_hops
 
 
 def path3():
@@ -149,6 +151,8 @@ class TestNormalizedAdjacency:
 
 
 class TestHops:
+    """The csgraph hop matrix that judges closeness (tests/oracles.py)."""
+
     def test_path(self):
         d = shortest_path_hops(path3())
         assert d[0, 2] == 2 and d[0, 1] == 1 and d[0, 0] == 0
@@ -190,6 +194,20 @@ class TestSbm:
         assert np.array_equal(g1.features, g2.features)
         g3 = generate_sbm(spec, seed=12)
         assert g1.edges != g3.edges
+
+    @pytest.mark.parametrize("rows_per_block", [1, 4, 7, 50])
+    def test_blocked_draws_equal_the_whole_matrix_draw(self, rows_per_block, monkeypatch):
+        """Row blocks that do not divide n continue one uniform stream, so
+        the edges and the noise drawn after them match the n x n draw."""
+        n = 23
+        monkeypatch.setattr(graph_module, "_SBM_BLOCK_ELEMENTS", rows_per_block * n)
+        spec = SbmSpec(block_sizes=(8, 9, 6), p_in=0.5, p_out=0.1,
+                       means=np.eye(3, 4), noise_std=0.7)
+        for seed in range(4):
+            got, want = generate_sbm(spec, seed), generate_sbm_whole(spec, seed)
+            assert got.edges == want.edges
+            assert got.features.tobytes() == want.features.tobytes()
+            assert np.array_equal(got.labels, want.labels)
 
     def test_block_probabilities_validated(self):
         with pytest.raises(ValueError, match="p_in"):

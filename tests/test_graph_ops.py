@@ -181,34 +181,37 @@ def test_attention_matches_chain_and_dense_oracle(g, d_head, heads, activate):
         assert _relative(got, want) <= 1e-12
 
 
-def test_attention_rule_boundary():
+@pytest.mark.parametrize("activate", [False, True])
+def test_attention_rule_boundary(activate):
     """At d + m == d_head the op takes the wide form (the chain's values bit
     for bit); one column more and it scores through W_q W_k^T, keeping no
-    n x d_head array but its output."""
+    n x d_head array but its output, activated or not."""
     g = GRAPHS[2]
     adj, bias = normalize_adjacency(g), spatial_bias(g)
     kept = {}
     for d_head in (7, 8):
         z, c, w, wc = _attention_operands(g, d_head, 1)
-        out = ad.attention(z, c, w, wc, adj, bias)
-        chain = composed_attention(z, c, w, wc, adj, bias)
+        out = ad.attention(z, c, w, wc, adj, bias, activate=activate)
+        chain = composed_attention(z, c, w, wc, adj, bias, activate=activate)
         kept[d_head] = (out.value.tobytes() == chain.value.tobytes(),
-                        (g.n, d_head) in _kept_shapes(out._rule))
+                        (g.n, d_head) in _kept_shapes(out))
         assert _relative(out.value, chain.value) <= 1e-12
     assert kept == {7: (True, True), 8: (False, False)}
 
 
-def _kept_shapes(rule) -> set:
-    """Shapes of the arrays a backward rule's closure holds, through lists
-    and tuples."""
+def _kept_shapes(node) -> set:
+    """Shapes of the arrays the closure of a node's backward rule holds,
+    through lists and tuples, besides the node's own output."""
     shapes, stack = set(), []
-    for cell in rule.__closure__ or ():
+    for cell in node._rule.__closure__ or ():
         try:
             stack.append(cell.cell_contents)
         except ValueError:  # a name only the other form assigns
             pass
     while stack:
         item = stack.pop()
+        if item is node.value:
+            continue
         if isinstance(item, np.ndarray):
             shapes.add(item.shape)
         elif isinstance(item, (list, tuple)):
@@ -357,8 +360,8 @@ def test_node_permutation_permutes_channels_and_centrality(case, heads):
     for (name, t), (pname, pt) in zip(state._named(), pstate._named()):
         assert name == pname
         pt.value[...] = t.value  # one set of parameters on both graphs
-    _, _, outs = P._forward_channels(state, cons, cfg)
-    _, _, pouts = P._forward_channels(pstate, pcons, cfg)
+    _, outs = P._decode(state, *P._encode(state, cons, cfg))
+    _, pouts = P._decode(pstate, *P._encode(pstate, pcons, cfg))
     # (bottleneck, reconstruction) of every graph channel
     assert list(outs) == list(pouts) == ["gcn", "graphormer"]
     for name in outs:

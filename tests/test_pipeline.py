@@ -308,10 +308,10 @@ class TestBackwardInTraining:
         g, cfg = small_sbm(), tiny_cfg(layers=3, heads=2)
         pre = pretrain(g, cfg)
         cons = P._build_constants(g, cfg, pre.x_c)
-        state = P._init_state(g, cfg, pre, cons)
+        state, encoded = P._init_state(g, cfg, pre, cons)
         named = state._named()
         params = [t for _, t in named]
-        total, _, _ = P._epoch_losses(state, cons, cfg)
+        total, _, _ = P._epoch_losses(state, cons, cfg, encoded)
         ad.backward(total, params)
         got = [p.grad.copy() for p in params]
         accumulating_backward(total, params)
@@ -339,7 +339,7 @@ class TestLossTotal:
         from gclgcn import pipeline as P
 
         cons = P._build_constants(g, cfg, pre.x_c)
-        state = P._init_state(g, cfg, pre, cons)
+        state, _ = P._init_state(g, cfg, pre, cons)
         total, comps = loss_total(state, g, cfg)
         want = (
             comps["L_w"] + 0.1 * (comps["L_a1"] + comps["L_a2"]) + comps["L_AE"]
@@ -354,7 +354,7 @@ class TestLossTotal:
         from gclgcn import pipeline as P
 
         cons = P._build_constants(g, cfg, pre.x_c)
-        state = P._init_state(g, cfg, pre, cons)
+        state, _ = P._init_state(g, cfg, pre, cons)
         total, comps = loss_total(state, g, cfg)
         want = comps["L_w"] + 0.1 * (comps["L_a1"] + comps["L_a2"]) + comps["L_AE"]
         assert total.value[0, 0] == pytest.approx(want, rel=1e-12)
@@ -367,7 +367,7 @@ class TestLossTotal:
             from gclgcn import pipeline as P
 
             cons = P._build_constants(g, cfg, pre.x_c)
-            state = P._init_state(g, cfg, pre, cons)
+            state, _ = P._init_state(g, cfg, pre, cons)
             _, comps = loss_total(state, g, cfg)
             assert comps[dead] == 0.0
 
@@ -405,8 +405,8 @@ class TestTrain:
 
         pre = pretrain(g, cfg)
         cons = P._build_constants(g, cfg, pre.x_c)
-        state = P._init_state(g, cfg, pre, cons)
-        _, _, assignments = P._epoch_losses(state, cons, cfg)
+        state, encoded = P._init_state(g, cfg, pre, cons)
+        _, _, assignments = P._epoch_losses(state, cons, cfg, encoded)
         assert np.array_equal(res.labels, assign_labels(assignments.q))
 
     def test_previous_epoch_tape_freed_before_next_forward(self, monkeypatch):
@@ -462,6 +462,47 @@ class TestTrain:
         assert decoded == ["gcn", "graphormer", "ae"] * 2
         assert calls == {"decoder_mse": 4}
 
+    @pytest.mark.parametrize("epochs", [0, 1, 3])
+    def test_seeding_pass_is_epoch_zeros_encoder_pass(self, epochs, monkeypatch):
+        """The centroid seeding's encoder pass feeds epoch 0, and each
+        step's pass feeds the next epoch or the final labels: epochs + 1
+        passes through each stack."""
+        from gclgcn import pipeline as P
+
+        g, cfg = small_sbm(), tiny_cfg(epochs=epochs)
+        pre = pretrain(g, cfg)
+        encoded: list[str] = []
+        encode = P.Channel.encode
+
+        def counting_encode(channel, *args, **kwargs):
+            encoded.append(channel.prefix)
+            return encode(channel, *args, **kwargs)
+
+        monkeypatch.setattr(P.Channel, "encode", counting_encode)
+        result = train(g, cfg, pretrained=pre)
+        assert encoded == ["ae", "gcn", "graphormer"] * (epochs + 1)
+        assert len(result.history) == epochs
+
+    def test_pretrained_arrays_freed_once_copied(self):
+        """train() keeps no reference to a Pretrained only it holds after
+        the model has copied the arrays; x_c lives on in the model."""
+        from gclgcn import pipeline as P
+
+        g, cfg = small_sbm(), tiny_cfg(epochs=2)
+        refs = []
+
+        def handed_over():
+            pre = pretrain(g, cfg)
+            refs.extend(weakref.ref(arr) for _, arr in pre.ae_named)
+            refs.append(weakref.ref(pre.x_c))
+            return pre
+
+        alive = []
+        result = P.train(g, cfg, pretrained=handed_over(),
+                         inspect=lambda epoch, _: alive.append([r() is not None for r in refs]))
+        assert alive == [[False] * (len(refs) - 1) + [True]] * 2
+        assert result.state.x_c is refs[-1]()
+
     def test_numeric_abort_writes_checkpoint(self, tmp_path):
         g = small_sbm()
         cfg = tiny_cfg(epochs=2)
@@ -484,8 +525,9 @@ class TestTrain:
         real_init, real_backward = P._init_state, P.backward
 
         def init_state(*args):
-            states.append(real_init(*args))
-            return states[-1]
+            state, encoded = real_init(*args)
+            states.append(state)
+            return state, encoded
 
         def poisoned_backward(loss, params):
             real_backward(loss, params)
