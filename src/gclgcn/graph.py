@@ -86,11 +86,8 @@ class Graph:
         return self.features.shape[1]
 
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=np.int64)
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        ends = np.asarray(self.edges, dtype=np.int64).ravel()
+        return np.bincount(ends, minlength=self.n).astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)

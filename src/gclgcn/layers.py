@@ -1,20 +1,21 @@
-"""Layer functions: the autoencoder loss, one graph-convolution layer, one
-centrality- and distance-biased attention layer, and the contrastive
-encoder. The contrastive InfoNCE loss and the adjacency-decoder loss are
-whole-graph tape ops, autodiff.info_nce and autodiff.decoder_mse.
+"""Layer functions: the autoencoder loss, one graph-convolution layer and
+one centrality- and distance-biased attention layer. The contrastive InfoNCE
+loss and the adjacency-decoder loss are whole-graph tape ops,
+autodiff.info_nce and autodiff.decoder_mse.
 
 The autoencoder, GCN and attention stacks share the width ladder
 in->500->500->2000->bottleneck (truncated for shallower depth settings) and
 Leaky ReLU hidden activations; final reconstruction layers are linear.
 pipeline.Channel walks the ladder and applies these layers; an autoencoder
 layer is one autodiff.dense op, a GCN layer one autodiff.propagate op and
-an attention layer one autodiff.attention op.
+an attention layer one autodiff.attention op. The contrastive encoder is a
+Channel too, over in->hidden: one autodiff.propagate op per layer, with ReLU
+on all but the last.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,11 +26,9 @@ from .autodiff import Tensor
 __all__ = [
     "ladder_dims",
     "glorot",
-    "ContrastiveParams",
     "ae_loss",
     "gcn_layer",
     "graphormer_layer",
-    "contrastive_encoder",
 ]
 
 # Hidden widths of the full four-layer encoder; shallower depths keep the
@@ -87,39 +86,9 @@ def graphormer_layer(
     parameter. Head outputs are averaged, then passed through Leaky ReLU
     unless this is a final (linear) reconstruction layer. The layer is one
     autodiff.attention node, which picks its association from the widths."""
-    if centrality.shape[0] != z.shape[0]:
-        raise ValueError(
-            f"graphormer_layer: centrality rows {centrality.shape[0]} != nodes {z.shape[0]}"
-        )
     roles = ("query", "key", "value")
     return ad.attention(
         z, centrality, [params[f"w_{role}"] for role in roles],
         [params[f"wc_{role}"] for role in roles], adj, logit_bias, heads, activate,
     )
 
-
-# ---------------------------------------------------------------------------
-# Contrastive module
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ContrastiveParams:
-    w0: Tensor  # in x hidden
-    w1: Tensor  # hidden x in
-
-    @classmethod
-    def init(cls, rng: np.random.Generator, in_dim: int, hidden: int) -> "ContrastiveParams":
-        return cls(
-            w0=ad.parameter(glorot(rng, in_dim, hidden)),
-            w1=ad.parameter(glorot(rng, hidden, in_dim)),
-        )
-
-    def named(self, prefix: str = "contrastive") -> list[tuple[str, Tensor]]:
-        return [(f"{prefix}.w0", self.w0), (f"{prefix}.w1", self.w1)]
-
-
-def contrastive_encoder(adj: sp.csr_array, x: Tensor, params: ContrastiveParams) -> Tensor:
-    """Two propagation layers over the normalized adjacency: ReLU after the
-    first, linear second."""
-    c1 = ad.relu(ad.propagate(adj, x, params.w0))
-    return ad.propagate(adj, c1, params.w1)

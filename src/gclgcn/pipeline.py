@@ -1,7 +1,7 @@
-"""Training orchestration: the layer stacks (the autoencoder and the graph
-channels, each a Channel), pretraining phases, representation injection,
-fused soft assignments, the composite objective, and the joint optimization
-loop over the modules the ablation leaves on.
+"""Training orchestration: the layer stacks (the autoencoder, the graph
+channels and the contrastive encoder, each a Channel), pretraining phases,
+representation injection, fused soft assignments, the composite objective,
+and the joint optimization loop over the modules the ablation leaves on.
 
 All randomness flows from named child streams of the experiment seed, so
 every phase is bit-reproducible and composes identically whether run
@@ -23,15 +23,7 @@ from .centrality import composite_centrality, spatial_bias
 from .cluster import kmeans, metric_row
 from .config import ConfigError, ExperimentConfig
 from .graph import Graph, adjacency_matrix, normalize_adjacency
-from .layers import (
-    ContrastiveParams,
-    ae_loss,
-    contrastive_encoder,
-    gcn_layer,
-    glorot,
-    graphormer_layer,
-    ladder_dims,
-)
+from .layers import ae_loss, gcn_layer, glorot, graphormer_layer, ladder_dims
 
 __all__ = [
     "NumericError",
@@ -93,10 +85,10 @@ def uses_contrastive(cfg: ExperimentConfig) -> bool:
 
 @dataclass
 class Channel:
-    """A layer stack over the width ladder: the autoencoder, the GCN or the
-    attention channel. Each encoder and decoder layer is a {role: parameter}
-    dict, saved as <prefix>.<enc|dec>.<i>.<role>, and layer(input, params,
-    activate) applies one of them."""
+    """A layer stack over a width ladder: the autoencoder, the GCN or the
+    attention channel, or the contrastive encoder. Each encoder and decoder
+    layer is a {role: parameter} dict, saved as <prefix>.<enc|dec>.<i>.<role>,
+    and layer(input, params, activate) applies one of them."""
 
     prefix: str
     enc: list[dict[str, Tensor]]
@@ -185,6 +177,19 @@ def _graph_channel(
             z, cons.centrality, cons.adj, cons.logit_bias, params, heads, activate=activate
         ),
     )
+
+
+def _contrastive_channel(
+    rng: np.random.Generator, adj: sp.csr_array, f: int, hidden: int
+) -> Channel:
+    """The contrastive encoder f->hidden, ReLU after each propagation over
+    adj, and its linear decoder hidden->f, drawn from rng."""
+
+    def layer(z, params, activate):
+        out = ad.propagate(adj, z, params["w"])
+        return ad.relu(out) if activate else out
+
+    return Channel.build("contrastive", [f, hidden], lambda a, b: {"w": glorot(rng, a, b)}, layer)
 
 
 @dataclass
@@ -286,21 +291,22 @@ def pretrain_contrastive(g: Graph, cfg: ExperimentConfig) -> np.ndarray:
     propagating over the normalized adjacency, then return the frozen
     encoder output on the original features."""
     cc = cfg.contrastive
-    params = ContrastiveParams.init(
-        _stream(cfg.seed, _STREAM_CONTRASTIVE_INIT), g.f, cc.hidden
+    adj = normalize_adjacency(g)
+    channel = _contrastive_channel(
+        _stream(cfg.seed, _STREAM_CONTRASTIVE_INIT), adj, g.f, cc.hidden
     )
     mask_rng = _stream(cfg.seed, _STREAM_CONTRASTIVE_MASK)
-    adj = normalize_adjacency(g)
     x = ad.constant(g.features)
+
+    def encoder(v: Tensor) -> Tensor:
+        return channel.decode(channel.encode(v)[-1])
 
     def loss_of():
         view = ad.constant(_mask_features(mask_rng, g.features, cc.p))
-        c1 = contrastive_encoder(adj, x, params)
-        c2 = contrastive_encoder(adj, view, params)
-        return ad.info_nce(c1, c2, cc.beta_sim, cc.tau)
+        return ad.info_nce(encoder(x), encoder(view), cc.beta_sim, cc.tau)
 
-    _pretrain("contrastive pretraining", params.named(), cfg.lr, cc.epochs, loss_of)
-    return contrastive_encoder(adj, x, params).value.copy()
+    _pretrain("contrastive pretraining", channel.named(), cfg.lr, cc.epochs, loss_of)
+    return encoder(x).value
 
 
 def pretrain(g: Graph, cfg: ExperimentConfig, x_c: np.ndarray | None = None) -> Pretrained:

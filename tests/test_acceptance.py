@@ -20,14 +20,7 @@ from gclgcn.centrality import (
 from gclgcn.cluster import accuracy, ari, f1_macro, kmeans, metric_row, nmi
 from gclgcn.config import ContrastiveConfig, ExperimentConfig
 from gclgcn.graph import Graph, SbmSpec, generate_sbm, normalize_adjacency
-from gclgcn.layers import (
-    ContrastiveParams,
-    ae_loss,
-    contrastive_encoder,
-    gcn_layer,
-    glorot,
-    graphormer_layer,
-)
+from gclgcn.layers import ae_loss, gcn_layer, glorot, graphormer_layer
 from gclgcn import pipeline as P
 
 from oracles import (
@@ -147,20 +140,22 @@ def test_c2_gradient_suite():
         seed += 1
         g = _tiny_graph(rng, n=5)
         adj = normalize_adjacency(g)
-        params = ContrastiveParams.init(rng, g.f, 5)
+        channel = P._contrastive_channel(rng, adj, g.f, 5)
+        x = ad.constant(g.features)
         view = ad.constant(P._mask_features(np.random.default_rng(seed), g.features, 0.3))
-        c1 = contrastive_encoder(adj, ad.constant(g.features), params).value
-        c2 = contrastive_encoder(adj, view, params).value
+
+        def encoder(v):
+            return channel.decode(channel.encode(v)[-1])
+
+        c1, c2 = encoder(x).value, encoder(view).value
         d2 = ((c1[:, None, :] - c2[None, :, :]) ** 2).sum(-1)
         if d2.min() < 1e-6:  # finite differences need a differentiable point
             continue
 
         def floss(_):
-            a = contrastive_encoder(adj, ad.constant(g.features), params)
-            b = contrastive_encoder(adj, view, params)
-            return ad.info_nce(a, b, 1.0, 0.5)
+            return ad.info_nce(encoder(x), encoder(view), 1.0, 0.5)
 
-        err = finite_difference_check(floss, [params.w0, params.w1])
+        err = finite_difference_check(floss, [t for _, t in channel.named()])
         worst["contrastive"] = max(worst["contrastive"], err)
         checked += 1
     assert checked >= 10

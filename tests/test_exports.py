@@ -1,5 +1,6 @@
 """src holds only what the package runs: every name a module of src/gclgcn
-lists in __all__ is read somewhere in src outside its own definition."""
+lists in __all__ is read somewhere in src outside its own definition, and
+every layer parameter is made by the one layer stack, pipeline.Channel."""
 
 import ast
 from pathlib import Path
@@ -45,3 +46,25 @@ def test_every_exported_name_is_used_in_src():
         if name not in used
     ]
     assert unused == []
+
+
+def _parameter_calls(node, scope=()):
+    """Where each call of autodiff.parameter below node is made: the name
+    it gives the tensor, or else the class and function it sits in."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            callee = getattr(child.func, "attr", getattr(child.func, "id", None))
+            if callee == "parameter":
+                named = [k.value.value for k in child.keywords if k.arg == "name"]
+                yield named[0] if named else ".".join(scope[:2])
+        inner = (*scope, child.name) if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else scope
+        yield from _parameter_calls(child, inner)
+
+
+def test_parameters_are_made_only_by_channel_build_and_for_the_centroids():
+    sites = {
+        f"{path.name}:{site}"
+        for path in sorted(SRC.glob("*.py"))
+        for site in _parameter_calls(ast.parse(path.read_text()))
+    }
+    assert sorted(sites) == ["pipeline.py:Channel.build", "pipeline.py:centroids"]

@@ -7,15 +7,7 @@ from gclgcn.centrality import composite_centrality, spatial_bias
 from gclgcn.config import ConfigError, ContrastiveConfig, ExperimentConfig
 from gclgcn.graph import Graph, normalize_adjacency
 from gclgcn.pipeline import _build_constants, _mask_features  # noqa: internal
-from gclgcn.layers import (
-    ContrastiveParams,
-    ae_loss,
-    contrastive_encoder,
-    gcn_layer,
-    glorot,
-    graphormer_layer,
-    ladder_dims,
-)
+from gclgcn.layers import ae_loss, gcn_layer, glorot, graphormer_layer, ladder_dims
 
 from oracles import (
     attention_init_reference,
@@ -189,6 +181,13 @@ class TestGraphormerLayer:
         with pytest.raises(ValueError, match="bias has"):
             graphormer_layer(ad.constant(g.features), cent, adj, bias[:-1], params[0], 1)
 
+    def test_centrality_row_mismatch_rejected_by_the_op(self):
+        g = tiny_graph(6)
+        cent, adj, bias, params = build_attention(g)
+        short = ad.constant(cent.value[:-1])
+        with pytest.raises(ValueError, match="attention: c has"):
+            graphormer_layer(ad.constant(g.features), short, adj, bias, params[0], 1)
+
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(7)
         g = tiny_graph(7, n=6)
@@ -233,6 +232,12 @@ def masked_view(x, p, seed):
     return _mask_features(np.random.default_rng(seed), x, p)
 
 
+def contrastive(rng, adj, f, hidden):
+    """A contrastive channel drawn from rng, and its encoder map."""
+    channel = P._contrastive_channel(rng, adj, f, hidden)
+    return channel, lambda v: channel.decode(channel.encode(v)[-1])
+
+
 class TestAugment:
     """Feature masking that makes the contrastive view (pipeline._mask_features)."""
 
@@ -264,19 +269,19 @@ class TestContrastive:
     def test_zero_weights_zero_output(self):
         g = tiny_graph(0)
         adj = normalize_adjacency(g)
-        params = ContrastiveParams.init(np.random.default_rng(0), g.f, 6)
-        params.w0.value[...] = 0
-        params.w1.value[...] = 0
-        out = contrastive_encoder(adj, ad.constant(g.features), params)
+        channel, encoder = contrastive(np.random.default_rng(0), adj, g.f, 6)
+        for _, t in channel.named():
+            t.value[...] = 0
+        out = encoder(ad.constant(g.features))
         assert np.array_equal(out.value, np.zeros((g.n, g.f)))
 
     def test_edgeless_identity_weights(self):
         g = Graph(features=np.abs(np.random.default_rng(1).standard_normal((4, 3))), edges=[])
         adj = normalize_adjacency(g)
-        params = ContrastiveParams.init(np.random.default_rng(0), 3, 3)
-        params.w0.value[...] = np.eye(3)
-        params.w1.value[...] = np.eye(3)
-        out = contrastive_encoder(adj, ad.constant(g.features), params)
+        channel, encoder = contrastive(np.random.default_rng(0), adj, 3, 3)
+        for _, t in channel.named():
+            t.value[...] = np.eye(3)
+        out = encoder(ad.constant(g.features))
         assert np.allclose(out.value, g.features, atol=0)
 
     def test_similarity_identical_unit_rows(self):
@@ -334,22 +339,20 @@ class TestContrastive:
             rng = np.random.default_rng(seed)
             g = tiny_graph(seed)
             adj = normalize_adjacency(g)
-            params = ContrastiveParams.init(rng, g.f, 5)
+            channel, encoder = contrastive(rng, adj, g.f, 5)
+            x = ad.constant(g.features)
             view = ad.constant(masked_view(g.features, 0.3, seed=seed))
 
             def loss(_):
-                c1 = contrastive_encoder(adj, ad.constant(g.features), params)
-                c2 = contrastive_encoder(adj, view, params)
-                return ad.info_nce(c1, c2, 1.0, 0.5)
+                return ad.info_nce(encoder(x), encoder(view), 1.0, 0.5)
 
             # Finite differences are only meaningful at differentiable points:
             # coinciding view rows put the pairwise distance at its |.| kink.
-            c1 = contrastive_encoder(adj, ad.constant(g.features), params).value
-            c2 = contrastive_encoder(adj, view, params).value
+            c1, c2 = encoder(x).value, encoder(view).value
             d2 = ((c1[:, None, :] - c2[None, :, :]) ** 2).sum(-1)
             if d2.min() < 1e-6:
                 continue
-            assert finite_difference_check(loss, [params.w0, params.w1]) <= 1e-4
+            assert finite_difference_check(loss, [t for _, t in channel.named()]) <= 1e-4
             checked += 1
         assert checked >= 5
 
@@ -419,7 +422,7 @@ class TestTapeShape:
         x = ad.constant(g.features)
         for w in (ad.parameter(np.ones((g.f, 2))), ad.parameter(np.ones((g.f, 9)))):
             assert recorded_nodes(gcn_layer(adj, x, w), x) == [("propagate", (g.n, w.shape[1]))]
-        params = ContrastiveParams.init(np.random.default_rng(11), g.f, 6)
-        assert recorded_nodes(contrastive_encoder(adj, x, params), x) == sorted(
+        _, encoder = contrastive(np.random.default_rng(11), adj, g.f, 6)
+        assert recorded_nodes(encoder(x), x) == sorted(
             [("propagate", (g.n, 6)), ("relu", (g.n, 6)), ("propagate", (g.n, g.f))]
         )

@@ -240,16 +240,15 @@ class TestPretraining:
 
     def test_degenerate_view_gives_unit_self_similarity(self):
         # p=0 keeps both views identical: cosine 1, distance 0 on the diagonal
-        from gclgcn.layers import contrastive_encoder, ContrastiveParams
+        from gclgcn.pipeline import _contrastive_channel
         from oracles import combined_similarity
 
         g = small_sbm()
         assert np.array_equal(
             _mask_features(np.random.default_rng(0), g.features, 0.0), g.features
         )
-        adj = normalize_adjacency(g)
-        params = ContrastiveParams.init(np.random.default_rng(0), g.f, 8)
-        c = contrastive_encoder(adj, ad.constant(g.features), params)
+        channel = _contrastive_channel(np.random.default_rng(0), normalize_adjacency(g), g.f, 8)
+        c = channel.decode(channel.encode(ad.constant(g.features))[-1])
         s = combined_similarity(c, c, 1.0).value
         assert np.allclose(np.diag(s), 1.0, atol=1e-9)
 
@@ -262,41 +261,39 @@ class TestPretraining:
         assert xc1.shape == g.features.shape
 
     def test_contrastive_loss_improves(self):
-        from gclgcn.layers import ContrastiveParams, contrastive_encoder
+        """A hand-written loop training the two-layer map
+        relu(adj x w0) w1 from the same streams ends at exactly the features
+        pretrain_contrastive returns, and its loss falls."""
+        from gclgcn import pipeline as P
+        from gclgcn.layers import glorot
+
         g = small_sbm()
         cfg = tiny_cfg(contrastive=ContrastiveConfig(hidden=8, epochs=20))
+        cc = cfg.contrastive
         adj = normalize_adjacency(g)
+        x = ad.constant(g.features)
+        init_rng = P._stream(cfg.seed, P._STREAM_CONTRASTIVE_INIT)
+        w0 = ad.parameter(glorot(init_rng, g.f, cc.hidden))
+        w1 = ad.parameter(glorot(init_rng, cc.hidden, g.f))
 
-        def eval_loss(params):
-            view = _mask_features(np.random.default_rng(99), g.features, cfg.contrastive.p)
-            c1 = contrastive_encoder(adj, ad.constant(g.features), params)
-            c2 = contrastive_encoder(adj, ad.constant(view), params)
-            return ad.info_nce(c1, c2, cfg.contrastive.beta_sim, cfg.contrastive.tau).value[0, 0]
+        def reference(v):
+            return ad.propagate(adj, ad.relu(ad.propagate(adj, v, w0)), w1)
 
-        from gclgcn import pipeline as P
+        def eval_loss():
+            view = _mask_features(np.random.default_rng(99), g.features, cc.p)
+            return ad.info_nce(reference(x), reference(ad.constant(view)),
+                               cc.beta_sim, cc.tau).value[0, 0]
 
-        init_params = ContrastiveParams.init(
-            P._stream(cfg.seed, P._STREAM_CONTRASTIVE_INIT), g.f, cfg.contrastive.hidden
-        )
-        before = eval_loss(init_params)
-        pretrain_contrastive(g, cfg)  # determinism covered above
-        # retrain manually to capture final params
-        trained = ContrastiveParams.init(
-            P._stream(cfg.seed, P._STREAM_CONTRASTIVE_INIT), g.f, cfg.contrastive.hidden
-        )
-        tensors = [trained.w0, trained.w1]
-        opt = ad.AdamState.for_params(tensors, cfg.lr)
+        before = eval_loss()
+        opt = ad.AdamState.for_params([w0, w1], cfg.lr)
         mask_rng = P._stream(cfg.seed, P._STREAM_CONTRASTIVE_MASK)
-
-        for _ in range(cfg.contrastive.epochs):
-            view = ad.constant(_mask_features(mask_rng, g.features, cfg.contrastive.p))
-            c1 = contrastive_encoder(adj, ad.constant(g.features), trained)
-            c2 = contrastive_encoder(adj, view, trained)
-            loss = ad.info_nce(c1, c2, cfg.contrastive.beta_sim, cfg.contrastive.tau)
-            ad.backward(loss)
-            ad.adam_step(tensors, [t.grad for t in tensors], opt)
-        after = eval_loss(trained)
-        assert after < before
+        for _ in range(cc.epochs):
+            view = ad.constant(_mask_features(mask_rng, g.features, cc.p))
+            loss = ad.info_nce(reference(x), reference(view), cc.beta_sim, cc.tau)
+            ad.backward(loss, [w0, w1])
+            ad.adam_step([w0, w1], [w0.grad, w1.grad], opt)
+        assert np.array_equal(reference(x).value, pretrain_contrastive(g, cfg))
+        assert eval_loss() < before
 
 
 class TestBackwardInTraining:
@@ -602,7 +599,7 @@ class TestTrain:
     @pytest.mark.parametrize("phase, run, first", [
         ("autoencoder pretraining", lambda g, cfg: pretrain_ae(g, cfg), "ae.enc.0.w"),
         ("contrastive pretraining",
-         lambda g, cfg: pretrain_contrastive(g, cfg), "contrastive.w0"),
+         lambda g, cfg: pretrain_contrastive(g, cfg), "contrastive.enc.0.w"),
     ], ids=["autoencoder", "contrastive"])
     def test_pretraining_stops_at_nonfinite_gradient(self, monkeypatch, phase, run, first):
         """With every gradient poisoned at epoch 1, the message names the
@@ -633,7 +630,7 @@ class TestTrain:
         assert len(calls) == 2
 
     def test_contrastive_pretraining_stops_at_nan_in_first_layer(self, monkeypatch):
-        """A NaN written into contrastive.w0 by epoch 0's step passes the
+        """A NaN written into contrastive.enc.0.w by epoch 0's step passes the
         ReLU after the first layer, so epoch 1's loss is non-finite."""
         from gclgcn import pipeline as P
 
@@ -641,7 +638,7 @@ class TestTrain:
 
         def poisoned_step(params, grads, opt):
             real_step(params, grads, opt)
-            params[0].value[0, 0] = np.nan  # contrastive.w0 comes first
+            params[0].value[0, 0] = np.nan  # contrastive.enc.0.w comes first
 
         monkeypatch.setattr(P, "adam_step", poisoned_step)
         message = r"^contrastive pretraining: non-finite loss at epoch 1$"
