@@ -3,9 +3,11 @@
 Every value is a 2-D float64 matrix (scalars are 1x1). Forward values are
 computed immediately; each op records a closure that maps the upstream
 gradient to per-parent gradients. The tape is rebuilt every iteration, and
-every node stays alive until backward ends, so an op keeps only the arrays
-its backward reads. Graph operators take a constant scipy CSR matrix: spmm
-multiplies by it, and attention attends only over its sparsity pattern.
+every node stays alive at least until backward reaches it (until backward
+ends, unless backward is asked to release the tape as it sweeps), so an op
+keeps only the arrays its backward reads. Graph operators take a constant
+scipy CSR matrix: spmm multiplies by it, and attention attends only over
+its sparsity pattern.
 
 The layer ops are one node each where a composed form would keep every
 intermediate: blend (a * eps + b * (1 - eps)), dense (x @ w + b),
@@ -31,10 +33,11 @@ They sum in another order than their composed forms, so they match those to
 rounding (a few 1e-15 relative), not bit for bit.
 
 backward sets gradients, it does not add to them: it writes the .grad of
-every leaf the loss reaches, so a second call gives the same gradients and
-nothing needs zeroing between steps. dense, propagate and attention write a
-weight's gradient straight into the weight's .grad when it is the weight's
-first contribution, so a step forms no parameter-sized temporary for it.
+every leaf the loss reaches, so a second call on a tape it did not release
+gives the same gradients and nothing needs zeroing between steps. dense,
+propagate and attention write a weight's gradient straight into the
+weight's .grad when it is the weight's first contribution, so a step forms
+no parameter-sized temporary for it.
 """
 
 from __future__ import annotations
@@ -137,7 +140,7 @@ def _check(cond: bool, op: str, msg: str) -> None:
         raise ValueError(f"{op}: {msg}")
 
 
-def backward(loss: Tensor, params: Sequence[Tensor] = ()) -> None:
+def backward(loss: Tensor, params: Sequence[Tensor] = (), release: bool = False) -> None:
     """Set .grad on every requires-grad ancestor of a scalar loss to the
     loss's gradient, and zero the .grad of each of params that it does not
     reach, so no earlier gradient survives in a listed parameter.
@@ -146,6 +149,13 @@ def backward(loss: Tensor, params: Sequence[Tensor] = ()) -> None:
     contribution is written into its .grad (an op that asks _grad_buffer for
     it writes it there itself), and each later one is added in place at
     once, in traversal order; only inner nodes collect theirs in pending.
+
+    Without release the tape is left intact, so a second call sets the same
+    gradients. With release, each inner node drops its rule and parents as
+    soon as the sweep passes it, so the arrays its rule keeps, and every
+    node the caller does not hold, are freed during the sweep rather than
+    after it; the gradients are the same bytes. A later backward through a
+    released node raises ValueError.
     """
     if loss.shape != (1, 1):
         raise ValueError(f"backward: loss must be 1x1, got {loss.shape}")
@@ -186,13 +196,22 @@ def backward(loss: Tensor, params: Sequence[Tensor] = ()) -> None:
         t._unwritten = True
     try:
         give(loss, np.ones((1, 1)), None)
-        for node in reversed(topo):
+        while topo:
+            # Popping drops the sweep's own reference, so a released node
+            # nothing else holds is freed here.
+            node = topo.pop()
             g = pending.pop(id(node), None)
-            if g is None:
-                continue
-            for parent, pg in zip(node._parents, node._rule(g)):
-                if pg is not None and parent._needs:
-                    give(parent, pg, g)
+            if g is not None:
+                # Only inner nodes get here: leaves take theirs in give.
+                if node._rule is None:
+                    raise ValueError("backward: the tape was released by an earlier "
+                                     "backward(..., release=True)")
+                for parent, pg in zip(node._parents, node._rule(g)):
+                    if pg is not None and parent._needs:
+                        give(parent, pg, g)
+            if release and not node.requires_grad:
+                node._rule = None
+                node._parents = ()
         for p in params:
             if p._unwritten:
                 p.grad.fill(0.0)

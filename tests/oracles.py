@@ -21,9 +21,10 @@ named afterwards (the implementation builds every stack, names included,
 with pipeline.Channel.build), and backward is the accumulating loop that
 zeroes the gradients and then adds every contribution, a leaf's too, through
 a pending sum (the implementation writes a leaf's first contribution into
-its .grad, often from inside the op). The finite-difference checker, the
-closed-form centroid gradient and the composite loss of a model state judge
-the tape's gradients.
+its .grad, often from inside the op), run on the tape before a releasing
+backward frees it. The finite-difference checker, the closed-form centroid
+gradient and the composite loss of a model state judge the tape's
+gradients.
 """
 
 from __future__ import annotations
@@ -542,6 +543,23 @@ def accumulating_backward(loss: Tensor, params: Sequence[Tensor]) -> None:
                 pending[id(parent)] = pg.copy() if (pg is g or pg.base is not None) else pg
             else:
                 acc += pg
+
+
+def backward_pair(loss: Tensor, params: Sequence[Tensor], release: bool = False):
+    """Each parameter's gradient from autodiff.backward, then from
+    accumulating_backward on the same tape. With release, autodiff.backward
+    runs once more, last, releasing the tape the first two left intact; its
+    gradients must be the first call's bytes, and they are the ones returned."""
+    ad.backward(loss, params)
+    got = [p.grad.copy() for p in params]
+    accumulating_backward(loss, params)
+    want = [p.grad.copy() for p in params]
+    if release:
+        ad.backward(loss, params, release=True)
+        released = [p.grad.copy() for p in params]
+        assert [g.tobytes() for g in released] == [g.tobytes() for g in got]
+        got = released
+    return got, want
 
 
 def finite_difference_check(

@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ import scipy.sparse as sp
 from gclgcn import autodiff as ad
 import oracles
 from oracles import (
-    accumulating_backward,
     adam_step_whole,
+    backward_pair,
     composed_blend,
     composed_decoder_mse,
     composed_dense,
@@ -121,6 +122,53 @@ class TestBackwardContracts:
         c = ad.parameter(np.zeros((5, 1)))
         ad.backward(ad.reduce_sum(ad.add(x, c)))
         assert np.array_equal(c.grad, np.full((5, 1), 3.0))
+
+
+class TestReleasedTape:
+    def test_backward_on_a_released_tape_raises(self):
+        x = ad.parameter([[3.0]])
+        squared = ad.square(x)
+        loss = ad.reduce_sum(squared)
+        ad.backward(loss, release=True)
+        assert x.grad[0, 0] == 6.0
+        with pytest.raises(ValueError, match=r"^backward: the tape was released"):
+            ad.backward(loss)
+        # A loss that shares a released node reaches the same error.
+        with pytest.raises(ValueError, match=r"^backward: the tape was released"):
+            ad.backward(ad.reduce_sum(ad.scale(squared, 2.0)))
+
+    def test_release_frees_node_values_and_kept_arrays_during_the_sweep(self):
+        """Once backward(release=True) has swept past them, an intermediate
+        node's output and the adj @ z each propagate rule keeps for its
+        weight gradient are freed, also that of a node the caller still
+        holds: a probe node the sweep reaches last sees them dead, and so
+        does the caller when backward returns. Without release the loss
+        keeps them all alive."""
+        rng = np.random.default_rng(13)
+        adj = _sparse(rng, 6)
+        z = ad.parameter(rng.standard_normal((6, 3)))
+        w1, w2 = ad.parameter(rng.standard_normal((3, 7))), ad.parameter(rng.standard_normal((7, 9)))
+
+        def kept_az(node):
+            cells = (c.cell_contents for c in node._rule.__closure__)
+            return dict(zip(node._rule.__code__.co_freevars, cells))["az"]
+
+        def probe_rule(g):
+            alive.append([ref() is not None for ref in refs])
+            return (g,)
+
+        runs = []
+        for release in (False, True):
+            alive = []
+            probe = ad.Tensor(z.value, _parents=(z,), _rule=probe_rule)
+            held = ad.propagate(adj, probe, w1, activate=True)  # both widen: each keeps adj @ z
+            mid = ad.propagate(adj, held, w2)
+            refs = [weakref.ref(mid.value), weakref.ref(kept_az(mid)), weakref.ref(kept_az(held))]
+            loss = ad.reduce_sum(ad.square(mid))
+            del probe, mid
+            ad.backward(loss, [z, w1, w2], release=release)
+            runs.append(alive + [[ref() is not None for ref in refs]])
+        assert runs == [[[True] * 3] * 2, [[False] * 3] * 2]
 
 
 def row_sums(x):
@@ -567,28 +615,22 @@ class TestRowBlockedLosses:
             ad.decoder_mse(a, np.ones((3, 3)))
 
 
-def _backward_pair(loss, params):
-    """Each parameter's gradient from autodiff.backward, then from the
-    accumulating loop it replaced."""
-    ad.backward(loss, params)
-    got = [p.grad.copy() for p in params]
-    accumulating_backward(loss, params)
-    return got, [p.grad.copy() for p in params]
-
-
 class TestBackwardSetsGradients:
     """backward against the accumulating loop in tests/oracles.py, with
     array_equal rather than bytes: that loop stored +0.0 where it added -0.0
     into a zeroed buffer."""
 
+    @pytest.mark.parametrize("release", [False, True], ids=["kept", "released"])
     @pytest.mark.parametrize("name,op,composed,shapes,extra", LAYER_OP_CASES,
                              ids=[c[0] for c in LAYER_OP_CASES])
-    def test_layer_ops_match_accumulating_backward(self, name, op, composed, shapes, extra):
+    def test_layer_ops_match_accumulating_backward(self, name, op, composed, shapes, extra,
+                                                   release):
         rng = np.random.default_rng(7)
         operands = _operands(rng, shapes)
         params = [t for t in operands if isinstance(t, ad.Tensor) and t.requires_grad]
         out = op(*operands, *extra)
-        got, want = _backward_pair(_weighted_sum(out, rng.standard_normal(out.shape)), params)
+        loss = _weighted_sum(out, rng.standard_normal(out.shape))
+        got, want = backward_pair(loss, params, release)
         for g, w in zip(got, want):
             assert np.array_equal(g, w), name
 
@@ -602,7 +644,7 @@ class TestBackwardSetsGradients:
         out = ad.add(ad.add(ad.dense(x1, w, b, activate=True), ad.propagate(adj, x2, w)),
                      ad.propagate(adj, x1, w, activate=True))
         params = [x1, x2, w, b]
-        got, want = _backward_pair(_weighted_sum(out, rng.standard_normal(out.shape)), params)
+        got, want = backward_pair(_weighted_sum(out, rng.standard_normal(out.shape)), params)
         for g, want_g in zip(got, want):
             assert np.array_equal(g, want_g)
 
@@ -611,7 +653,7 @@ class TestBackwardSetsGradients:
         monkeypatch.setattr(ad, "_LOSS_ROWS", 4)
         c1, c2 = _views(np.random.default_rng(9), 10, 4, case)
         params = [c1] if c1 is c2 else [c1, c2]
-        got, want = _backward_pair(ad.info_nce(c1, c2, 0.5, 0.5), params)
+        got, want = backward_pair(ad.info_nce(c1, c2, 0.5, 0.5), params)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
 
@@ -619,7 +661,7 @@ class TestBackwardSetsGradients:
         monkeypatch.setattr(ad, "_LOSS_ROWS", 4)
         rng = np.random.default_rng(10)
         z = ad.parameter(rng.standard_normal((10, 3)))
-        (got,), (want,) = _backward_pair(ad.decoder_mse(z, _adjacency(rng, 10, (2,))), [z])
+        (got,), (want,) = backward_pair(ad.decoder_mse(z, _adjacency(rng, 10, (2,))), [z])
         assert np.array_equal(got, want)
 
     def test_soft_assign_matches_accumulating_backward(self):
@@ -631,7 +673,7 @@ class TestBackwardSetsGradients:
         c = ad.parameter(rng.standard_normal((4, 3)))
         p = target_distribution(soft_assign(z1, c, 1.0).value)
         loss = ad.add(kl_div(p, soft_assign(z1, c, 1.0)), kl_div(p, soft_assign(z2, c, 2.0)))
-        got, want = _backward_pair(loss, [z1, z2, c])
+        got, want = backward_pair(loss, [z1, z2, c])
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
 

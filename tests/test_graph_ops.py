@@ -18,8 +18,8 @@ from gclgcn.graph import Graph, normalize_adjacency
 from gclgcn.layers import gcn_layer, glorot, graphormer_layer
 
 from oracles import (
-    accumulating_backward,
     attention_init_reference,
+    backward_pair,
     composed_attention,
     dense_gcn_layer,
     dense_graphormer_layer,
@@ -253,10 +253,13 @@ def test_attention_two_backward_calls_set_the_same_gradients(d_head):
 @pytest.mark.parametrize("heads", [1, 2])
 @pytest.mark.parametrize("activate", [False, True])
 @pytest.mark.parametrize("shared", [False, True], ids=["own-weights", "query-is-key"])
-def test_attention_backward_matches_accumulating_backward(d_head, heads, activate, shared):
+@pytest.mark.parametrize("release", [False, True], ids=["kept", "released"])
+def test_attention_backward_matches_accumulating_backward(d_head, heads, activate, shared,
+                                                          release):
     """Gradients equal to those of the accumulating loop in tests/oracles.py
     (array_equal: that loop stored +0.0 where it added -0.0 into a zeroed
-    buffer), also when the query and key weights are one tensor."""
+    buffer), also when the query and key weights are one tensor, and the
+    same bytes when backward releases the tape."""
     g = GRAPHS[2]
     z, c, w, wc = _attention_operands(g, d_head, heads)
     if shared:
@@ -266,11 +269,9 @@ def test_attention_backward_matches_accumulating_backward(d_head, heads, activat
     out = ad.attention(z, c, w, wc, adj, bias, heads, activate)
     weights = np.random.default_rng(d_head).standard_normal(out.shape)
     loss = ad.reduce_sum(ad.hadamard(out, ad.constant(weights)))
-    ad.backward(loss, params)
-    got = [p.grad.copy() for p in params]
-    accumulating_backward(loss, params)
-    for p, first in zip(params, got):
-        assert np.array_equal(p.grad, first)
+    got, want = backward_pair(loss, params, release)
+    for grad, oracle in zip(got, want):
+        assert np.array_equal(grad, oracle)
 
 
 def test_attention_errors_name_the_op():

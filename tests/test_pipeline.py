@@ -26,9 +26,9 @@ from gclgcn.pipeline import (
 from gclgcn.pipeline import _fusion_weights, _mask_features  # noqa: internal
 
 from oracles import (
-    accumulating_backward,
     ae_init_reference,
     attention_init_reference,
+    backward_pair,
     centroid_gradient,
     gcn_init_reference,
     loss_total,
@@ -297,9 +297,11 @@ class TestPretraining:
 
 
 class TestBackwardInTraining:
-    def test_epoch_tape_matches_accumulating_backward(self):
+    @pytest.mark.parametrize("release", [False, True], ids=["kept", "released"])
+    def test_epoch_tape_matches_accumulating_backward(self, release):
         """Every parameter's gradient through one full joint-training tape
-        equals that of the accumulating loop in tests/oracles.py."""
+        equals that of the accumulating loop in tests/oracles.py, and the
+        same bytes when backward releases the tape, as training does."""
         from gclgcn import pipeline as P
 
         g, cfg = small_sbm(), tiny_cfg(layers=3, heads=2)
@@ -309,11 +311,9 @@ class TestBackwardInTraining:
         named = state._named()
         params = [t for _, t in named]
         total, _, _ = P._epoch_losses(state, cons, cfg, encoded)
-        ad.backward(total, params)
-        got = [p.grad.copy() for p in params]
-        accumulating_backward(total, params)
-        for (name, p), first in zip(named, got):
-            assert np.array_equal(p.grad, first), name
+        got, want = backward_pair(total, params, release)
+        for (name, _), grad, oracle in zip(named, got, want):
+            assert np.array_equal(grad, oracle), name
 
     def test_unreached_parameter_steps_with_zero_gradient(self):
         """A trained parameter the loss does not reach gets a zero gradient
@@ -413,9 +413,9 @@ class TestTrain:
         alive_at_assign = []
         real_backward, real_soft_assign = P.backward, P.soft_assign
 
-        def tracking_backward(loss, params):
+        def tracking_backward(loss, params, release=False):
             losses.append(weakref.ref(loss.value))
-            return real_backward(loss, params)
+            return real_backward(loss, params, release=release)
 
         def checking_soft_assign(*args, **kwargs):
             alive_at_assign.append(sum(ref() is not None for ref in losses))
@@ -429,6 +429,24 @@ class TestTrain:
         assert len(losses) == 3
         # two assignments per epoch, one for the final labels
         assert alive_at_assign == [0] * 7
+
+    def test_joint_training_releases_its_tapes_and_pretraining_keeps_them(self, monkeypatch):
+        from gclgcn import pipeline as P
+
+        calls = []
+        real_backward = P.backward
+
+        def recording_backward(loss, params, release=False):
+            calls.append(release)
+            real_backward(loss, params, release=release)
+
+        g, cfg = small_sbm(), tiny_cfg(epochs=2)
+        monkeypatch.setattr(P, "backward", recording_backward)
+        pre = pretrain(g, cfg)
+        pretraining = len(calls)
+        train(g, cfg, pretrained=pre)
+        assert pretraining > 0 and not any(calls[:pretraining])
+        assert calls[pretraining:] == [True, True]
 
     def test_evaluation_passes_skip_the_decoders(self, monkeypatch):
         """Centroid seeding and the final labels use the bottlenecks only:
@@ -526,8 +544,8 @@ class TestTrain:
             states.append(state)
             return state, encoded
 
-        def poisoned_backward(loss, params):
-            real_backward(loss, params)
+        def poisoned_backward(loss, params, release=False):
+            real_backward(loss, params, release=release)
             if len(pre_step) == 1:
                 dict(states[0]._named())["graphormer.enc.2.w_key"].grad[0, 1] = np.nan
             pre_step.append([(name, arr.copy()) for name, arr in states[0].named_arrays()])
@@ -586,9 +604,9 @@ class TestTrain:
             real_step(params, grads, opt)
             params[-1].value[0, 0] = np.nan  # the last layer's, past every ReLU
 
-        def counted_backward(loss, params):
+        def counted_backward(loss, params, release=False):
             backward_calls.append(True)
-            real_backward(loss, params)
+            real_backward(loss, params, release=release)
 
         monkeypatch.setattr(P, "adam_step", poisoned_step)
         monkeypatch.setattr(P, "backward", counted_backward)
@@ -609,8 +627,8 @@ class TestTrain:
         real_backward = P.backward
         calls = []
 
-        def poisoned_backward(loss, params):
-            real_backward(loss, params)
+        def poisoned_backward(loss, params, release=False):
+            real_backward(loss, params, release=release)
             if calls:
                 leaves, stack, seen = [], [loss], set()
                 while stack:
