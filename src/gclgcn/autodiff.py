@@ -6,8 +6,8 @@ gradient to per-parent gradients. The tape is rebuilt every iteration, and
 every node stays alive at least until backward reaches it (until backward
 ends, unless backward is asked to release the tape as it sweeps), so an op
 keeps only the arrays its backward reads. Graph operators take a constant
-scipy CSR matrix: spmm multiplies by it, and attention attends only over
-its sparsity pattern.
+scipy CSR matrix: matmul multiplies by it as its left operand, and
+attention attends only over its sparsity pattern.
 
 The layer ops are one node each where a composed form would keep every
 intermediate: blend (a * eps + b * (1 - eps)), dense (x @ w + b),
@@ -32,6 +32,12 @@ n x n array outlives a block and the node keeps only the O(n d) gradients.
 They sum in another order than their composed forms, so they match those to
 rounding (a few 1e-15 relative), not bit for bit.
 
+The clustering head is one node: cluster_kl records alpha KL(P||Q) +
+beta KL(Q||Q') over both Student-t assignments with their closed-form
+gradients, where the composed form recorded 53 nodes. Q and Q' come from
+cluster.student_t, whose numpy calls are that form's, so they match it bit
+for bit; the node hands them back.
+
 backward sets gradients, it does not add to them: it writes the .grad of
 every leaf the loss reaches, so a second call on a tape it did not release
 gives the same gradients and nothing needs zeroing between steps. dense,
@@ -49,6 +55,8 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.sparse as sp
 
+from .cluster import student_t, target_distribution
+
 __all__ = [
     "Tensor",
     "constant",
@@ -57,23 +65,16 @@ __all__ = [
     "AdamState",
     "adam_step",
     "matmul",
-    "spmm",
     "blend",
     "dense",
     "propagate",
     "attention",
     "info_nce",
     "decoder_mse",
+    "cluster_kl",
     "add",
     "scale",
-    "hadamard",
-    "transpose",
     "relu",
-    "log",
-    "square",
-    "clamp_min",
-    "signed_pow",
-    "reduce_sum",
     "mse",
 ]
 
@@ -234,9 +235,14 @@ def _grad_buffer(t: Tensor) -> np.ndarray:
 # Op catalogue
 # ---------------------------------------------------------------------------
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+def matmul(a, b: Tensor) -> Tensor:
+    """a @ b. a may be a constant scipy sparse matrix, which gets no
+    gradient; the backward then gives b a^T g."""
+    a = a if sp.issparse(a) else _as_tensor(a)
+    b = _as_tensor(b)
     _check(a.shape[1] == b.shape[0], "matmul", f"inner dims differ: {a.shape} x {b.shape}")
+    if sp.issparse(a):
+        return Tensor(a @ b.value, _parents=(b,), _rule=lambda g: (a.T @ g,))
     av, bv = a.value, b.value
     na, nb = a._needs, b._needs
 
@@ -244,18 +250,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return (g @ bv.T if na else None, av.T @ g if nb else None)
 
     return Tensor(av @ bv, _parents=(a, b), _rule=rule)
-
-
-def spmm(a: sp.csr_array, b: Tensor) -> Tensor:
-    """Product of a constant sparse matrix with a tensor; backward is a^T g."""
-    b = _as_tensor(b)
-    _check(sp.issparse(a), "spmm", f"left operand must be a scipy sparse matrix, got {type(a)}")
-    _check(a.shape[1] == b.shape[0], "spmm", f"inner dims differ: {a.shape} x {b.shape}")
-
-    def rule(g):
-        return (a.T @ g,)
-
-    return Tensor(a @ b.value, _parents=(b,), _rule=rule)
 
 
 def blend(a: Tensor, b: Tensor, eps: float) -> Tensor:
@@ -742,6 +736,57 @@ def decoder_mse(z: Tensor, a: sp.csr_array) -> Tensor:
     return Tensor(row_sq.sum() / (n * n), _parents=(z,), _rule=rule)
 
 
+class _ClusterHead(Tensor):
+    """cluster_kl's node, which also holds the forward values cluster_kl
+    computed: q, q_prime, p and kl = (KL(P||Q), KL(Q||Q'))."""
+
+    __slots__ = ("q", "q_prime", "p", "kl")
+
+
+def cluster_kl(z: Tensor, z_ae: Tensor, centroids: Tensor, p: np.ndarray | None,
+               t: float, alpha: float, beta: float) -> Tensor:
+    """alpha KL(P||Q) + beta KL(Q||Q') as one node: SDCN's dual
+    self-supervision (Bo et al., WWW 2020) over DEC's Student-t assignments
+    (Xie et al., ICML 2016) Q = student_t(z, centroids, t) and Q' =
+    student_t(z_ae, centroids, t), with the detached target P = p, or
+    target_distribution(Q) when p is None. Each KL floors its entries at
+    1e-12 before the logs, and no gradient passes where a floor is active.
+
+    The gradients are the Student-t closed form, formed with the forward.
+    For an assignment Q of x with dL/dQ = G, the gradient with respect to its
+    squared distances is D = (G - rowsum(G Q)) Q (-(t + 1) / (2 t)) /
+    (1 + d2 / t), zero where d2 was clamped at 0; then dx = 2 (rowsum(D) x -
+    D C) and dC = 2 (colsum(D)^T C - D^T x), summed over both assignments.
+    """
+    z, z_ae, c = _as_tensor(z), _as_tensor(z_ae), _as_tensor(centroids)
+    _check(t > 0, "cluster_kl", f"t must be positive, got {t}")
+    _check(z.shape == z_ae.shape and z.shape[1] == c.shape[1], "cluster_kl",
+           f"widths differ: z {z.shape}, z_ae {z_ae.shape}, centroids {c.shape}")
+    q, d2 = student_t(z.value, c.value, t)
+    q_ae, d2_ae = student_t(z_ae.value, c.value, t)
+    p = target_distribution(q) if p is None else np.asarray(p, dtype=np.float64)
+    _check(p.shape == q.shape, "cluster_kl", f"p is {p.shape}, expected {q.shape}")
+    log_q, log_qa = np.log(np.maximum(q, 1e-12)), np.log(np.maximum(q_ae, 1e-12))
+    kl = (float((p * (np.log(np.maximum(p, 1e-12)) - log_q)).sum()),
+          float((q * (log_q - log_qa)).sum()))
+
+    kept, kept_ae = q > 1e-12, q_ae > 1e-12
+    g_q = beta * (log_q - log_qa + kept) - alpha * kept * p / np.maximum(q, 1e-12)
+    g_qa = -beta * kept_ae * q / np.maximum(q_ae, 1e-12)
+    grads, dc = [], np.zeros(c.shape)
+    for x, g, qx, d2x in ((z.value, g_q, q, d2), (z_ae.value, g_qa, q_ae, d2_ae)):
+        d = (g - (g * qx).sum(axis=1, keepdims=True)) * qx * (-(t + 1.0) / (2.0 * t))
+        d *= (d2x > 0) / (d2x * (1.0 / t) + 1.0)
+        grads.append(2.0 * (d.sum(axis=1, keepdims=True) * x - d @ c.value))
+        dc += 2.0 * (d.sum(axis=0)[:, None] * c.value - d.T @ x)
+    grads.append(dc)
+
+    node = _ClusterHead(kl[0] * alpha + kl[1] * beta, _parents=(z, z_ae, c),
+                        _rule=lambda g: tuple(g[0, 0] * x for x in grads))
+    node.q, node.q_prime, node.p, node.kl = q, q_ae, p, kl
+    return node
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Element-wise sum; the operands broadcast as numpy broadcasts them."""
     a, b = _as_tensor(a), _as_tensor(b)
@@ -785,32 +830,6 @@ def scale(a: Tensor, s: float) -> Tensor:
     return Tensor(a.value * s, _parents=(a,), _rule=rule)
 
 
-def hadamard(a: Tensor, b: Tensor) -> Tensor:
-    """Element-wise product; the operands broadcast as in add."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    sa, sb = a.shape, b.shape
-    _check(_broadcastable(sa, sb), "hadamard", f"incompatible shapes {sa} * {sb}")
-    av, bv = a.value, b.value
-    na, nb = a._needs, b._needs
-
-    def rule(g):
-        return (
-            _unbroadcast(g * bv, sa) if na else None,
-            _unbroadcast(g * av, sb) if nb else None,
-        )
-
-    return Tensor(av * bv, _parents=(a, b), _rule=rule)
-
-
-def transpose(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-
-    def rule(g):
-        return (g.T,)
-
-    return Tensor(a.value.T.copy(), _parents=(a,), _rule=rule)
-
-
 def relu(a: Tensor) -> Tensor:
     """x where x > 0, 0.0 where x <= 0, and NaN where x is NaN, whose
     gradient is NaN too, so a non-finite input is not silently cut off.
@@ -824,61 +843,6 @@ def relu(a: Tensor) -> Tensor:
         return (g * np.sign(out),)
 
     return Tensor(out, _parents=(a,), _rule=rule)
-
-
-def log(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    x = a.value
-
-    def rule(g):
-        return (g / x,)
-
-    return Tensor(np.log(x), _parents=(a,), _rule=rule)
-
-
-def square(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    x = a.value
-
-    def rule(g):
-        return (g * 2.0 * x,)
-
-    return Tensor(x * x, _parents=(a,), _rule=rule)
-
-
-def clamp_min(a: Tensor, floor: float) -> Tensor:
-    a = _as_tensor(a)
-    mask = a.value > floor
-
-    def rule(g):
-        return (g * mask,)
-
-    return Tensor(np.maximum(a.value, floor), _parents=(a,), _rule=rule)
-
-
-def signed_pow(a: Tensor, p: float) -> Tensor:
-    """sign(x) * |x|**p, the sign-preserving power; derivative p*|x|**(p-1)."""
-    a = _as_tensor(a)
-    x = a.value
-    ax = np.abs(x)
-
-    def rule(g):
-        base = np.maximum(ax, 1e-12) if p < 1.0 else ax
-        return (g * p * base ** (p - 1.0),)
-
-    return Tensor(np.sign(x) * ax**p, _parents=(a,), _rule=rule)
-
-
-def reduce_sum(a: Tensor, axis: int | None = None) -> Tensor:
-    """Sum of every entry (1x1), or with axis=1 the row sums (r, 1)."""
-    a = _as_tensor(a)
-    _check(axis in (None, 1), "reduce_sum", f"axis must be None or 1, got {axis}")
-    shape = a.shape
-
-    def rule(g):
-        return (np.broadcast_to(g, shape),)
-
-    return Tensor(a.value.sum(axis=axis, keepdims=True), _parents=(a,), _rule=rule)
 
 
 def mse(a: Tensor, b: Tensor) -> Tensor:

@@ -1,4 +1,5 @@
-"""KMeans with SSE-selected restarts and the four clustering metrics.
+"""KMeans with SSE-selected restarts, the Student-t soft assignment and its
+sharpened target distribution, and the four clustering metrics.
 
 Metric conventions: ACC and F1 are computed after an optimal one-to-one
 label matching (Hungarian assignment on the confusion matrix); NMI uses
@@ -16,6 +17,8 @@ from scipy.optimize import linear_sum_assignment
 __all__ = [
     "KMeansResult",
     "kmeans",
+    "student_t",
+    "target_distribution",
     "accuracy",
     "label_matching",
     "nmi",
@@ -118,6 +121,24 @@ def kmeans(
         if best is None or sse < best.sse:
             best = KMeansResult(centroids=centers, labels=labels, sse=sse)
     return best
+
+
+def student_t(z: np.ndarray, centroids: np.ndarray, t: float = 1.0):
+    """DEC's Student-t soft assignment (Xie et al., ICML 2016) with t degrees
+    of freedom: row i of q is proportional to (1 + d2_i / t) ** (-(t + 1) / 2),
+    d2 holding the squared distances of z's rows to the centroids, clamped at
+    0. Returns (q, d2); every row of q sums to 1."""
+    d2 = (z * z).sum(axis=1, keepdims=True) + (centroids * centroids).sum(axis=1, keepdims=True).T
+    d2 += (z @ centroids.T.copy()) * -2.0
+    np.maximum(d2, 0.0, out=d2)
+    u = (d2 * (1.0 / t) + 1.0) ** (-(t + 1.0) / 2.0)
+    return u * u.sum(axis=1, keepdims=True) ** -1.0, d2
+
+
+def target_distribution(q: np.ndarray) -> np.ndarray:
+    """Sharpened, frequency-normalized transform of Q (gradient-detached)."""
+    weight = q**2 / q.sum(axis=0)
+    return weight / weight.sum(axis=1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------

@@ -50,10 +50,9 @@ def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
 
 
 def ae_loss(x: Tensor, xhat: Tensor) -> Tensor:
-    """Half the mean per-sample squared reconstruction norm."""
-    n = x.shape[0]
-    diff = ad.add(x, ad.scale(xhat, -1.0))
-    return ad.scale(ad.reduce_sum(ad.square(diff)), 0.5 / n)
+    """Half the mean per-sample squared reconstruction norm: the mean over
+    all entries, scaled by half the feature count."""
+    return ad.scale(ad.mse(xhat, x), 0.5 * x.shape[1])
 
 
 # ---------------------------------------------------------------------------

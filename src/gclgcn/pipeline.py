@@ -1,7 +1,7 @@
 """Training orchestration: the layer stacks (the autoencoder, the graph
 channels and the contrastive encoder, each a Channel), pretraining phases,
-representation injection, fused soft assignments, the composite objective,
-and the joint optimization loop over the modules the ablation leaves on.
+representation injection, the fused bottleneck, the composite objective and
+the joint optimization loop over the modules the ablation leaves on.
 
 All randomness flows from named child streams of the experiment seed, so
 every phase is bit-reproducible and composes identically whether run
@@ -20,7 +20,7 @@ import scipy.sparse as sp
 from . import autodiff as ad
 from .autodiff import AdamState, Tensor, adam_step, backward
 from .centrality import composite_centrality, spatial_bias
-from .cluster import kmeans, metric_row
+from .cluster import kmeans, metric_row, student_t
 from .config import ConfigError, ExperimentConfig
 from .graph import Graph, adjacency_matrix, normalize_adjacency
 from .layers import ae_loss, gcn_layer, glorot, graphormer_layer, ladder_dims
@@ -38,9 +38,6 @@ __all__ = [
     "pretrain",
     "uses_contrastive",
     "fuse_final",
-    "soft_assign",
-    "target_distribution",
-    "kl_div",
     "assign_labels",
     "train",
 ]
@@ -348,33 +345,7 @@ def pretrained_from_named(named: dict[str, np.ndarray], source) -> Pretrained:
 def fuse_final(weighted, adj: sp.csr_array) -> Tensor:
     """Propagated combination adj @ sum(weight * z) of the (weight,
     bottleneck) pairs weighted, summed in the order given."""
-    return ad.spmm(adj, reduce(ad.add, [ad.scale(z, weight) for weight, z in weighted]))
-
-
-def soft_assign(z, centroids, t: float = 1.0) -> Tensor:
-    """Row-stochastic Student-t kernel around the centroids."""
-    if t <= 0:
-        raise ValueError(f"soft_assign: t must be positive, got {t}")
-    z_sq = ad.reduce_sum(ad.square(z), axis=1)  # (n, 1)
-    c_sq = ad.transpose(ad.reduce_sum(ad.square(centroids), axis=1))  # (1, k)
-    cross = ad.scale(ad.matmul(z, ad.transpose(centroids)), -2.0)
-    d2 = ad.clamp_min(ad.add(ad.add(z_sq, c_sq), cross), 0.0)
-    u = ad.signed_pow(ad.add(ad.scale(d2, 1.0 / t), 1.0), -(t + 1.0) / 2.0)
-    return ad.hadamard(u, ad.signed_pow(ad.reduce_sum(u, axis=1), -1.0))
-
-
-def target_distribution(q: np.ndarray) -> np.ndarray:
-    """Sharpened, frequency-normalized transform of Q (gradient-detached)."""
-    q = np.asarray(q, dtype=np.float64)
-    weight = q**2 / q.sum(axis=0)
-    return weight / weight.sum(axis=1, keepdims=True)
-
-
-def kl_div(num, den) -> Tensor:
-    """sum(num * log(num/den)) with entries floored at 1e-12 before the logs."""
-    ln = ad.log(ad.clamp_min(num, 1e-12))
-    ld = ad.log(ad.clamp_min(den, 1e-12))
-    return ad.reduce_sum(ad.hadamard(num, ad.add(ln, ad.scale(ld, -1.0))))
+    return ad.matmul(adj, reduce(ad.add, [ad.scale(z, weight) for weight, z in weighted]))
 
 
 def assign_labels(q: np.ndarray) -> np.ndarray:
@@ -528,10 +499,8 @@ def _epoch_losses(
     hs, zs = encoded
     xhat_ae, outs = _decode(state, hs, zs)
 
-    z_fused = _fuse(cons, hs, zs)
-    q = soft_assign(z_fused, state.centroids, cfg.t)
-    q_prime = soft_assign(hs[-1], state.centroids, cfg.t)
-    p = target_distribution(q.value) if p_fixed is None else p_fixed
+    head = ad.cluster_kl(_fuse(cons, hs, zs), hs[-1], state.centroids, p_fixed,
+                         cfg.t, cfg.alpha, cfg.beta)
 
     # Joint reconstruction: the mean of the channels' reconstructions.
     zhats = [zhat for _, zhat in outs.values()]
@@ -541,22 +510,17 @@ def _epoch_losses(
     l_w = ad.mse(joint, ad.constant(cons.target_feat))
     l_a = {name: ad.decoder_mse(z, cons.adj_raw) for name, (z, _) in outs.items()}
     l_ae = ad.mse(xhat_ae, ad.constant(cons.target_feat))
-    l_clu = kl_div(ad.constant(p), q)
-    l_con = kl_div(q, q_prime)
 
-    total = ad.add(
-        ad.add(ad.add(l_w, ad.scale(reduce(ad.add, l_a.values()), 0.1)), l_ae),
-        ad.add(ad.scale(l_clu, cfg.alpha), ad.scale(l_con, cfg.beta)),
-    )
+    total = ad.add(ad.add(ad.add(l_w, ad.scale(reduce(ad.add, l_a.values()), 0.1)), l_ae), head)
     components = {
         "L_AE": float(l_ae.value[0, 0]),
         "L_w": float(l_w.value[0, 0]),
         **{key: float(l_a[name].value[0, 0]) if name in l_a else 0.0
            for name, key in _CHANNELS.items()},
-        "L_clu": float(l_clu.value[0, 0]),
-        "L_con": float(l_con.value[0, 0]),
+        "L_clu": head.kl[0],
+        "L_con": head.kl[1],
     }
-    return total, components, AssignmentPair(q=q.value, q_prime=q_prime.value, p=p)
+    return total, components, AssignmentPair(q=head.q, q_prime=head.q_prime, p=head.p)
 
 
 def train(
@@ -636,5 +600,5 @@ def train(
         encoded = _encode(state, cons, cfg)
 
     hs, zs = encoded
-    q = soft_assign(_fuse(cons, hs, zs), state.centroids, cfg.t)
-    return TrainResult(state=state, history=history, labels=assign_labels(q.value))
+    q, _ = student_t(_fuse(cons, hs, zs).value, state.centroids.value, cfg.t)
+    return TrainResult(state=state, history=history, labels=assign_labels(q))

@@ -12,7 +12,12 @@ the Adam update runs on whole arrays (the implementation updates in blocks),
 the layer ops and the two row-blocked losses are composed from the tape's
 elementary ops (the implementation records each as one node, and the losses
 never hold an n x n array beyond one block of rows; exp, sqrt and sigmoid,
-which only these composed losses read, are defined here), the attention op
+which only these composed losses read, are defined here), the clustering
+head is composed from soft_assign and kl_div chains, the form it replaced
+(the implementation, autodiff.cluster_kl, records it as one node with
+closed-form Student-t gradients; transpose, square, clamp_min, signed_pow,
+hadamard, log and reduce_sum, which only the composed forms and the tests'
+scalar losses read, are defined here), the attention op
 is composed from project, columns, edge_attention and leaky_relu, the chain
 it replaced, defined here (the implementation scores through W_q W_k^T when
 a layer widens), and the initial parameters of the autoencoder, GCN and
@@ -40,6 +45,7 @@ from scipy.sparse import csgraph
 from gclgcn import autodiff as ad
 from gclgcn import pipeline as P
 from gclgcn.autodiff import Tensor
+from gclgcn.cluster import target_distribution
 from gclgcn.config import ExperimentConfig
 from gclgcn.graph import Graph, SbmSpec, adjacency_matrix
 from gclgcn.layers import glorot
@@ -389,13 +395,13 @@ def composed_dense(x, w, b, activate=False) -> Tensor:
 
 
 def composed_propagate(adj: sp.csr_array, z, w, activate=False) -> Tensor:
-    """autodiff.propagate as spmm, matmul and leaky_relu, with the sparse
+    """autodiff.propagate as two matmuls and leaky_relu, with the sparse
     product on the narrower side: adj @ (z @ w) when w narrows, else
     (adj @ z) @ w."""
     if w.shape[1] < w.shape[0]:
-        out = ad.spmm(adj, ad.matmul(z, w))
+        out = ad.matmul(adj, ad.matmul(z, w))
     else:
-        out = ad.matmul(ad.spmm(adj, z), w)
+        out = ad.matmul(ad.matmul(adj, z), w)
     return leaky_relu(out) if activate else out
 
 
@@ -403,6 +409,89 @@ def _unary(a, value: np.ndarray, derivative: Callable[[np.ndarray], np.ndarray])
     """A tape node of value whose rule multiplies g by derivative(g)."""
     a = a if isinstance(a, Tensor) else ad.constant(a)
     return Tensor(value, _parents=(a,), _rule=lambda g: (derivative(g),))
+
+
+def hadamard(a, b) -> Tensor:
+    """Element-wise product; the operands broadcast as in autodiff.add."""
+    a, b = ad._as_tensor(a), ad._as_tensor(b)
+    sa, sb = a.shape, b.shape
+    ad._check(ad._broadcastable(sa, sb), "hadamard", f"incompatible shapes {sa} * {sb}")
+    av, bv = a.value, b.value
+
+    def rule(g):
+        return (ad._unbroadcast(g * bv, sa), ad._unbroadcast(g * av, sb))
+
+    return Tensor(av * bv, _parents=(a, b), _rule=rule)
+
+
+def reduce_sum(a, axis: int | None = None) -> Tensor:
+    """Sum of every entry (1x1), or with axis=1 the row sums (r, 1)."""
+    a = ad._as_tensor(a)
+    ad._check(axis in (None, 1), "reduce_sum", f"axis must be None or 1, got {axis}")
+    shape = a.shape
+    return Tensor(a.value.sum(axis=axis, keepdims=True), _parents=(a,),
+                  _rule=lambda g: (np.broadcast_to(g, shape),))
+
+
+def transpose(a) -> Tensor:
+    a = ad._as_tensor(a)
+    return Tensor(a.value.T.copy(), _parents=(a,), _rule=lambda g: (g.T,))
+
+
+def square(a) -> Tensor:
+    a = ad._as_tensor(a)
+    x = a.value
+    return _unary(a, x * x, lambda g: g * 2.0 * x)
+
+
+def log(a) -> Tensor:
+    a = ad._as_tensor(a)
+    x = a.value
+    return _unary(a, np.log(x), lambda g: g / x)
+
+
+def clamp_min(a, floor: float) -> Tensor:
+    a = ad._as_tensor(a)
+    mask = a.value > floor
+    return _unary(a, np.maximum(a.value, floor), lambda g: g * mask)
+
+
+def signed_pow(a, p: float) -> Tensor:
+    """sign(x) * |x|**p, the sign-preserving power; derivative p*|x|**(p-1),
+    with |x| floored at 1e-12 when p < 1."""
+    a = ad._as_tensor(a)
+    ax = np.abs(a.value)
+    base = np.maximum(ax, 1e-12) if p < 1.0 else ax
+    return _unary(a, np.sign(a.value) * ax**p, lambda g: g * p * base ** (p - 1.0))
+
+
+def soft_assign(z, centroids, t: float = 1.0) -> Tensor:
+    """The row-stochastic Student-t kernel around the centroids, composed
+    from tape ops."""
+    z_sq = reduce_sum(square(z), axis=1)  # (n, 1)
+    c_sq = transpose(reduce_sum(square(centroids), axis=1))  # (1, k)
+    cross = ad.scale(ad.matmul(z, transpose(centroids)), -2.0)
+    d2 = clamp_min(ad.add(ad.add(z_sq, c_sq), cross), 0.0)
+    u = signed_pow(ad.add(ad.scale(d2, 1.0 / t), 1.0), -(t + 1.0) / 2.0)
+    return hadamard(u, signed_pow(reduce_sum(u, axis=1), -1.0))
+
+
+def kl_div(num, den) -> Tensor:
+    """sum(num * log(num/den)) with entries floored at 1e-12 before the logs."""
+    ln = log(clamp_min(num, 1e-12))
+    ld = log(clamp_min(den, 1e-12))
+    return reduce_sum(hadamard(num, ad.add(ln, ad.scale(ld, -1.0))))
+
+
+def composed_cluster_kl(z, z_ae, centroids, p, t, alpha, beta) -> Tensor:
+    """autodiff.cluster_kl as the composed head it replaced: two soft_assign
+    chains and two kl_div chains, weighted and added."""
+    q = soft_assign(z, centroids, t)
+    if p is None:
+        p = target_distribution(q.value)
+    l_clu = kl_div(ad.constant(p), q)
+    l_con = kl_div(q, soft_assign(z_ae, centroids, t))
+    return ad.add(ad.scale(l_clu, alpha), ad.scale(l_con, beta))
 
 
 def exp(a) -> Tensor:
@@ -431,18 +520,18 @@ def combined_similarity(c1: Tensor, c2: Tensor, exponent: float = 1.0) -> Tensor
     """Pairwise cosine similarity times inverse-distance similarity, passed
     through a sign-preserving power. Row norms are floored at 1e-12. The
     composed form of the similarity inside autodiff.info_nce."""
-    sq1 = ad.reduce_sum(ad.square(c1), axis=1)  # (n, 1) row norms squared
-    sq2 = ad.transpose(ad.reduce_sum(ad.square(c2), axis=1))  # (1, n)
-    norm1 = ad.clamp_min(sqrt(sq1), 1e-12)
-    norm2 = ad.clamp_min(sqrt(sq2), 1e-12)
+    sq1 = reduce_sum(square(c1), axis=1)  # (n, 1) row norms squared
+    sq2 = transpose(reduce_sum(square(c2), axis=1))  # (1, n)
+    norm1 = clamp_min(sqrt(sq1), 1e-12)
+    norm2 = clamp_min(sqrt(sq2), 1e-12)
 
-    gram = ad.matmul(c1, ad.transpose(c2))
-    cos = ad.hadamard(gram, ad.signed_pow(ad.hadamard(norm1, norm2), -1.0))
+    gram = ad.matmul(c1, transpose(c2))
+    cos = hadamard(gram, signed_pow(hadamard(norm1, norm2), -1.0))
 
-    d2 = ad.clamp_min(ad.add(ad.add(sq1, sq2), ad.scale(gram, -2.0)), 0.0)
-    euc = ad.signed_pow(ad.add(sqrt(d2), 1.0), -1.0)
+    d2 = clamp_min(ad.add(ad.add(sq1, sq2), ad.scale(gram, -2.0)), 0.0)
+    euc = signed_pow(ad.add(sqrt(d2), 1.0), -1.0)
 
-    return ad.signed_pow(ad.hadamard(cos, euc), exponent)
+    return signed_pow(hadamard(cos, euc), exponent)
 
 
 def contrastive_loss(s: Tensor, tau: float) -> Tensor:
@@ -454,9 +543,9 @@ def contrastive_loss(s: Tensor, tau: float) -> Tensor:
     logits = ad.scale(s, 1.0 / tau)
     shift = ad.constant(logits.value.max(axis=1, keepdims=True))
     e = exp(ad.add(logits, ad.scale(shift, -1.0)))
-    lse = ad.add(ad.log(ad.reduce_sum(e, axis=1)), shift)
-    diag = ad.reduce_sum(ad.hadamard(logits, ad.constant(np.eye(n))))
-    return ad.scale(ad.add(ad.reduce_sum(lse), ad.scale(diag, -1.0)), 1.0 / n)
+    lse = ad.add(log(reduce_sum(e, axis=1)), shift)
+    diag = reduce_sum(hadamard(logits, ad.constant(np.eye(n))))
+    return ad.scale(ad.add(reduce_sum(lse), ad.scale(diag, -1.0)), 1.0 / n)
 
 
 def composed_info_nce(c1, c2, beta: float, tau: float) -> Tensor:
@@ -466,7 +555,7 @@ def composed_info_nce(c1, c2, beta: float, tau: float) -> Tensor:
 
 def inner_product_decode(z: Tensor) -> Tensor:
     """Edge-probability matrix sigmoid(Z Z^T)."""
-    return sigmoid(ad.matmul(z, ad.transpose(z)))
+    return sigmoid(ad.matmul(z, transpose(z)))
 
 
 def composed_decoder_mse(z, a: sp.csr_array) -> Tensor:

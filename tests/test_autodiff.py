@@ -6,11 +6,13 @@ import pytest
 import scipy.sparse as sp
 
 from gclgcn import autodiff as ad
+from gclgcn.cluster import student_t, target_distribution
 import oracles
 from oracles import (
     adam_step_whole,
     backward_pair,
     composed_blend,
+    composed_cluster_kl,
     composed_decoder_mse,
     composed_dense,
     composed_info_nce,
@@ -29,7 +31,7 @@ class TestForwardValues:
         m = ad.parameter([[1.0, 2.0], [3.0, 4.0]])
         out = ad.matmul(ad.constant(np.eye(2)), m)
         assert np.array_equal(out.value, m.value)
-        ad.backward(ad.reduce_sum(out))
+        ad.backward(oracles.reduce_sum(out))
         assert np.array_equal(m.grad, np.ones((2, 2)))
 
     def test_mse_self_zero_with_zero_grad(self):
@@ -43,16 +45,16 @@ class TestForwardValues:
         a = ad.parameter([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
         right = oracles.columns(a, 1, 3)
         assert np.array_equal(right.value, [[2, 3], [5, 6]])
-        ad.backward(ad.reduce_sum(ad.add(right, ad.scale(oracles.columns(a, 0, 2), 2.0))))
+        ad.backward(oracles.reduce_sum(ad.add(right, ad.scale(oracles.columns(a, 0, 2), 2.0))))
         # column 1 is in both slices, contributing 1 + 2
         assert np.array_equal(a.grad, [[2.0, 3.0, 1.0], [2.0, 3.0, 1.0]])
 
     def test_row_sums_and_outer_broadcast(self):
-        col = ad.reduce_sum(ad.constant([[1.0, 2.0], [3.0, 4.0]]), axis=1)
+        col = oracles.reduce_sum(ad.constant([[1.0, 2.0], [3.0, 4.0]]), axis=1)
         assert np.array_equal(col.value, [[3.0], [7.0]])
         row = ad.constant([[10.0, 20.0, 30.0]])
         assert np.array_equal(ad.add(col, row).value, [[13, 23, 33], [17, 27, 37]])
-        assert np.array_equal(ad.hadamard(col, row).value, [[30, 60, 90], [70, 140, 210]])
+        assert np.array_equal(oracles.hadamard(col, row).value, [[30, 60, 90], [70, 140, 210]])
         assert np.array_equal(ad.add(row, 1.0).value, [[11.0, 21.0, 31.0]])
 
     def test_scalar_coercion(self):
@@ -67,36 +69,36 @@ class TestShapeErrors:
         with pytest.raises(ValueError, match="matmul"):
             ad.matmul(a, b)
         with pytest.raises(ValueError, match="hadamard"):
-            ad.hadamard(a, ad.constant(np.zeros((3, 2))))
+            oracles.hadamard(a, ad.constant(np.zeros((3, 2))))
         with pytest.raises(ValueError, match="mse"):
             ad.mse(a, ad.constant(np.zeros((3, 3))))
         with pytest.raises(ValueError, match="add"):
             ad.add(a, ad.constant(np.zeros((4, 4))))
         with pytest.raises(ValueError, match="reduce_sum"):
-            ad.reduce_sum(a, axis=0)
+            oracles.reduce_sum(a, axis=0)
 
     def test_backward_requires_scalar(self):
         x = ad.parameter(np.ones((2, 2)))
         with pytest.raises(ValueError, match="1x1"):
-            ad.backward(ad.square(x))
+            ad.backward(oracles.square(x))
 
 
 class TestBackwardContracts:
     def test_sum_of_squares(self):
         x = ad.parameter([[3.0]])
-        ad.backward(ad.reduce_sum(ad.square(x)))
+        ad.backward(oracles.reduce_sum(oracles.square(x)))
         assert x.grad[0, 0] == 6.0
 
     def test_two_backward_calls_set_the_same_gradients(self):
         x = ad.parameter([[3.0]])
-        loss = ad.reduce_sum(ad.square(x))
+        loss = oracles.reduce_sum(oracles.square(x))
         ad.backward(loss)
         ad.backward(loss)
         assert x.grad[0, 0] == 6.0
 
     def test_shared_subexpression_sums_paths(self):
         x = ad.parameter([[5.0]])
-        ad.backward(ad.reduce_sum(ad.add(x, x)))
+        ad.backward(oracles.reduce_sum(ad.add(x, x)))
         assert x.grad[0, 0] == 2.0
 
     def test_mse_linear_grad_at_zero_weights(self):
@@ -117,25 +119,25 @@ class TestBackwardContracts:
         rng = np.random.default_rng(8)
         b = ad.parameter(np.zeros((1, 3)))
         x = ad.constant(rng.standard_normal((5, 3)))
-        ad.backward(ad.reduce_sum(ad.add(x, b)))
+        ad.backward(oracles.reduce_sum(ad.add(x, b)))
         assert np.array_equal(b.grad, np.full((1, 3), 5.0))
         c = ad.parameter(np.zeros((5, 1)))
-        ad.backward(ad.reduce_sum(ad.add(x, c)))
+        ad.backward(oracles.reduce_sum(ad.add(x, c)))
         assert np.array_equal(c.grad, np.full((5, 1), 3.0))
 
 
 class TestReleasedTape:
     def test_backward_on_a_released_tape_raises(self):
         x = ad.parameter([[3.0]])
-        squared = ad.square(x)
-        loss = ad.reduce_sum(squared)
+        squared = oracles.square(x)
+        loss = oracles.reduce_sum(squared)
         ad.backward(loss, release=True)
         assert x.grad[0, 0] == 6.0
         with pytest.raises(ValueError, match=r"^backward: the tape was released"):
             ad.backward(loss)
         # A loss that shares a released node reaches the same error.
         with pytest.raises(ValueError, match=r"^backward: the tape was released"):
-            ad.backward(ad.reduce_sum(ad.scale(squared, 2.0)))
+            ad.backward(oracles.reduce_sum(ad.scale(squared, 2.0)))
 
     def test_release_frees_node_values_and_kept_arrays_during_the_sweep(self):
         """Once backward(release=True) has swept past them, an intermediate
@@ -164,7 +166,7 @@ class TestReleasedTape:
             held = ad.propagate(adj, probe, w1, activate=True)  # both widen: each keeps adj @ z
             mid = ad.propagate(adj, held, w2)
             refs = [weakref.ref(mid.value), weakref.ref(kept_az(mid)), weakref.ref(kept_az(held))]
-            loss = ad.reduce_sum(ad.square(mid))
+            loss = oracles.reduce_sum(oracles.square(mid))
             del probe, mid
             ad.backward(loss, [z, w1, w2], release=release)
             runs.append(alive + [[ref() is not None for ref in refs]])
@@ -172,7 +174,7 @@ class TestReleasedTape:
 
 
 def row_sums(x):
-    return ad.reduce_sum(x, axis=1)
+    return oracles.reduce_sum(x, axis=1)
 
 
 def middle_columns(x):
@@ -180,7 +182,7 @@ def middle_columns(x):
 
 
 def _first_row(x):
-    return ad.transpose(oracles.columns(ad.transpose(x), 0, 1))
+    return oracles.transpose(oracles.columns(oracles.transpose(x), 0, 1))
 
 
 def add_outer(x):
@@ -190,34 +192,34 @@ def add_outer(x):
 
 def hadamard_outer(x):
     # (1, c) * (r, 1)
-    return ad.hadamard(_first_row(x), row_sums(x))
+    return oracles.hadamard(_first_row(x), row_sums(x))
 
 
 def add_scalar(x):
-    return ad.add(ad.scale(ad.reduce_sum(x), 0.1), x)
+    return ad.add(ad.scale(oracles.reduce_sum(x), 0.1), x)
 
 
 def hadamard_scalar(x):
-    return ad.hadamard(x, ad.reduce_sum(x))
+    return oracles.hadamard(x, oracles.reduce_sum(x))
 
 
 def reciprocal(x):
-    return ad.signed_pow(x, -1.0)
+    return oracles.signed_pow(x, -1.0)
 
 
 def inverse_pow(x):
-    return ad.signed_pow(x, -1.5)
+    return oracles.signed_pow(x, -1.5)
 
 
 UNARY_OPS = [
-    ("square", ad.square, None),
+    ("square", oracles.square, None),
     ("exp", oracles.exp, None),
-    ("log", ad.log, "positive"),
+    ("log", oracles.log, "positive"),
     ("sqrt", oracles.sqrt, "positive"),
     ("sigmoid", oracles.sigmoid, None),
     ("relu", ad.relu, None),
     ("leaky_relu", oracles.leaky_relu, None),
-    ("transpose", ad.transpose, None),
+    ("transpose", oracles.transpose, None),
     ("row_sums", row_sums, None),
     ("columns", middle_columns, None),
     ("add_outer", add_outer, None),
@@ -261,11 +263,11 @@ class TestFiniteDifferenceSuite:
 
             def loss(_):
                 prod = ad.matmul(a, b)
-                mixed = ad.hadamard(prod, c)
+                mixed = oracles.hadamard(prod, c)
                 plus = ad.add(mixed, ad.scale(c, -0.7))
                 return ad.add(
-                    ad.scale(ad.reduce_sum(ad.square(plus)), 1.0 / 6.0),
-                    ad.scale(ad.add(ad.reduce_sum(prod), ad.reduce_sum(mixed)), 0.01),
+                    ad.scale(oracles.reduce_sum(oracles.square(plus)), 1.0 / 6.0),
+                    ad.scale(ad.add(oracles.reduce_sum(prod), oracles.reduce_sum(mixed)), 0.01),
                 )
 
             assert fd_scalar(loss, [a, b, c]) <= 1e-4
@@ -277,9 +279,9 @@ class TestFiniteDifferenceSuite:
 
             def loss(_):
                 picked = oracles.columns(a, 1, 5)
-                powed = ad.signed_pow(picked, 2.0)
-                clamped = ad.clamp_min(powed, -1.5)
-                return ad.scale(ad.reduce_sum(ad.square(clamped)), 0.25 / 3.0)
+                powed = oracles.signed_pow(picked, 2.0)
+                clamped = oracles.clamp_min(powed, -1.5)
+                return ad.scale(oracles.reduce_sum(oracles.square(clamped)), 0.25 / 3.0)
 
             assert fd_scalar(loss, [a]) <= 1e-4
 
@@ -389,7 +391,7 @@ def _operands(rng, shapes):
 
 
 def _weighted_sum(out, weights):
-    return ad.reduce_sum(ad.hadamard(out, ad.constant(weights)))
+    return oracles.reduce_sum(oracles.hadamard(out, ad.constant(weights)))
 
 
 class TestLayerOps:
@@ -615,6 +617,80 @@ class TestRowBlockedLosses:
             ad.decoder_mse(a, np.ones((3, 3)))
 
 
+def _head_operands(rng, case):
+    """z, z_ae (n x d parameters) and centroids for a cluster_kl case. In
+    "floored", the last centroid is so far away that every Q and Q' entry
+    in its column is below the KL floor of 1e-12, and the first row of z
+    sits on the first centroid, at a squared distance of exactly 0, where
+    the clamp at 0 is active."""
+    n, d, k = 9, 3, 4
+    z, z_ae = (ad.parameter(rng.standard_normal((n, d))) for _ in range(2))
+    c = ad.parameter(rng.standard_normal((k, d)))
+    if case == "floored":
+        c.value[-1] = [1e9, 0.0, 0.0]
+        c.value[0] = z.value[0] = [1.0, -2.0, 3.0]
+    return z, z_ae, c
+
+
+class TestClusterKl:
+    """cluster_kl against the composed soft_assign and kl_div head in
+    tests/oracles.py, and against finite differences."""
+
+    WEIGHTS = [(0.3, 0.7), (1.0, 0.0), (0.0, 1.0)]
+
+    @pytest.mark.parametrize("alpha,beta", WEIGHTS)
+    @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("case", ["random", "floored"])
+    @pytest.mark.parametrize("target", ["own", "given"])
+    def test_matches_composed_form(self, case, t, alpha, beta, target):
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            z, z_ae, c = _head_operands(rng, case)
+            p = None if target == "own" else rng.dirichlet(np.ones(4), size=9)
+            head = ad.cluster_kl(z, z_ae, c, p, t, alpha, beta)
+            if case == "floored":
+                assert head.q[:, -1].max() < 1e-12 and head.q_prime[:, -1].max() < 1e-12
+                assert student_t(z.value, c.value, t)[1][0, 0] == 0.0
+            q = oracles.soft_assign(z, c, t)
+            assert np.array_equal(head.q, q.value)
+            assert np.array_equal(head.q_prime, oracles.soft_assign(z_ae, c, t).value)
+            assert np.array_equal(head.p, target_distribution(q.value) if p is None else p)
+            _agree(ad.cluster_kl, composed_cluster_kl,
+                   (z, z_ae, c, p, t, alpha, beta), [z, z_ae, c])
+
+    def test_kl_values_are_the_composed_terms(self):
+        rng = np.random.default_rng(5)
+        z, z_ae, c = _head_operands(rng, "floored")
+        head = ad.cluster_kl(z, z_ae, c, None, 1.0, 0.3, 0.7)
+        q = oracles.soft_assign(z, c, 1.0)
+        want = (oracles.kl_div(ad.constant(head.p), q),
+                oracles.kl_div(q, oracles.soft_assign(z_ae, c, 1.0)))
+        assert head.kl == tuple(float(w.value[0, 0]) for w in want)
+        assert head.value[0, 0] == head.kl[0] * 0.3 + head.kl[1] * 0.7
+
+    @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+    def test_finite_differences(self, t):
+        for seed in range(3):
+            rng = np.random.default_rng(600 + seed)
+            z, z_ae, c = _head_operands(rng, "random")
+            p = rng.dirichlet(np.ones(4), size=9)
+            err = fd_scalar(lambda _: ad.cluster_kl(z, z_ae, c, p, t, 0.6, 0.4), [z, z_ae, c])
+            assert err <= 1e-6, f"seed {seed}: {err}"
+
+    def test_errors_name_the_operation(self):
+        z, c = np.zeros((4, 2)), np.zeros((3, 2))
+        with pytest.raises(ValueError, match=r"^cluster_kl: t must be positive"):
+            ad.cluster_kl(z, z, c, None, 0.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match=r"^cluster_kl: t must be positive"):
+            ad.cluster_kl(z, z, c, None, -1.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match=r"^cluster_kl: p is \(4, 2\), expected \(4, 3\)"):
+            ad.cluster_kl(z, z, c, np.zeros((4, 2)), 1.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match=r"^cluster_kl: widths differ"):
+            ad.cluster_kl(z, z, np.zeros((3, 5)), None, 1.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match=r"^cluster_kl: widths differ"):
+            ad.cluster_kl(z, np.zeros((4, 3)), c, None, 1.0, 1.0, 1.0)
+
+
 class TestBackwardSetsGradients:
     """backward against the accumulating loop in tests/oracles.py, with
     array_equal rather than bytes: that loop stored +0.0 where it added -0.0
@@ -664,16 +740,15 @@ class TestBackwardSetsGradients:
         (got,), (want,) = backward_pair(ad.decoder_mse(z, _adjacency(rng, 10, (2,))), [z])
         assert np.array_equal(got, want)
 
-    def test_soft_assign_matches_accumulating_backward(self):
-        """Centroids read by two soft assignments, as in joint training."""
-        from gclgcn.pipeline import kl_div, soft_assign, target_distribution
-
+    @pytest.mark.parametrize("release", [False, True], ids=["kept", "released"])
+    def test_cluster_kl_matches_accumulating_backward(self, release):
+        """Centroids read by both assignments of the head, as in joint training."""
         rng = np.random.default_rng(11)
         z1, z2 = (ad.parameter(rng.standard_normal((12, 3))) for _ in range(2))
         c = ad.parameter(rng.standard_normal((4, 3)))
-        p = target_distribution(soft_assign(z1, c, 1.0).value)
-        loss = ad.add(kl_div(p, soft_assign(z1, c, 1.0)), kl_div(p, soft_assign(z2, c, 2.0)))
-        got, want = backward_pair(loss, [z1, z2, c])
+        loss = ad.add(ad.cluster_kl(z1, z2, c, None, 1.0, 0.3, 0.7),
+                      ad.cluster_kl(z2, z1, c, None, 2.0, 0.5, 0.2))
+        got, want = backward_pair(loss, [z1, z2, c], release)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
 
@@ -681,9 +756,9 @@ class TestBackwardSetsGradients:
         """A listed parameter the loss does not reach is zeroed, so it does
         not keep the previous call's gradient."""
         a, b = ad.parameter([[1.0, 2.0]]), ad.parameter([[3.0]])
-        ad.backward(ad.reduce_sum(ad.hadamard(a, b)), [a, b])
+        ad.backward(oracles.reduce_sum(oracles.hadamard(a, b)), [a, b])
         assert np.array_equal(b.grad, [[3.0]])
-        ad.backward(ad.reduce_sum(ad.square(a)), [a, b])
+        ad.backward(oracles.reduce_sum(oracles.square(a)), [a, b])
         assert np.array_equal(a.grad, [[2.0, 4.0]])
         assert b.grad.tobytes() == np.zeros((1, 1)).tobytes()
 
@@ -700,7 +775,7 @@ class TestBackwardSetsGradients:
         b1 = ad.parameter(np.zeros((1, 2000)))
         h = ad.dense(x, w1, b1, activate=True)
         h = ad.propagate(adj, h, w2, activate=True)  # narrows: adj @ (h @ w2)
-        loss = ad.reduce_sum(ad.square(ad.propagate(adj, h, w3)))  # widens: (adj @ h) @ w3
+        loss = oracles.reduce_sum(oracles.square(ad.propagate(adj, h, w3)))  # widens: (adj @ h) @ w3
         tracemalloc.start()
         try:
             ad.backward(loss)
@@ -783,6 +858,6 @@ class TestAdam:
 def test_finite_difference_check_on_square():
     x = ad.parameter([[3.0]])
     err = finite_difference_check(
-        lambda _: ad.reduce_sum(ad.square(x)), [x]
+        lambda _: oracles.reduce_sum(oracles.square(x)), [x]
     )
     assert err <= 1e-6

@@ -17,6 +17,7 @@ from gclgcn.config import ExperimentConfig
 from gclgcn.graph import Graph, normalize_adjacency
 from gclgcn.layers import gcn_layer, glorot, graphormer_layer
 
+import oracles
 from oracles import (
     attention_init_reference,
     backward_pair,
@@ -88,13 +89,17 @@ def test_edge_attention_matches_masked_softmax():
     assert np.max(np.abs(out - masked_attention(q, k, v, dense_bias, 0.7))) <= 1e-10
 
 
-def test_spmm_gradient_and_value():
+def test_sparse_matmul_gradient_and_value():
     rng = np.random.default_rng(4)
     a = sp.random_array((6, 4), density=0.5, random_state=5, format="csr")
     b = ad.parameter(rng.standard_normal((4, 3)))
     target = ad.constant(rng.standard_normal((6, 3)))
-    assert np.allclose(ad.spmm(a, b).value, a.toarray() @ b.value, atol=1e-14)
-    assert finite_difference_check(lambda _: ad.mse(ad.spmm(a, b), target), [b]) <= 1e-4
+    assert np.allclose(ad.matmul(a, b).value, a.toarray() @ b.value, atol=1e-14)
+    assert finite_difference_check(lambda _: ad.mse(ad.matmul(a, b), target), [b]) <= 1e-4
+    # the sparse operand is not a parent: b is the node's only one
+    assert ad.matmul(a, b)._parents == (b,)
+    with pytest.raises(ValueError, match=r"^matmul: inner dims differ"):
+        ad.matmul(a, ad.constant(np.zeros((3, 3))))
 
 
 @pytest.mark.parametrize("g", [GRAPHS[0], GRAPHS[4], GRAPHS[5]],
@@ -175,7 +180,7 @@ def test_attention_matches_chain_and_dense_oracle(g, d_head, heads, activate):
     weights = np.random.default_rng(d_head).standard_normal(out.shape)
     grads = []
     for result in (out, chain):
-        ad.backward(ad.reduce_sum(ad.hadamard(result, ad.constant(weights))))
+        ad.backward(oracles.reduce_sum(oracles.hadamard(result, ad.constant(weights))))
         grads.append([p.grad.copy() for p in params])
     for got, want in zip(*grads):
         assert _relative(got, want) <= 1e-12
@@ -230,7 +235,7 @@ def test_attention_finite_differences(d_head, heads):
 
     def loss(_):
         out = ad.attention(z, c, w, wc, adj, bias, heads, activate=True)
-        return ad.reduce_sum(ad.hadamard(out, ad.constant(weights)))
+        return oracles.reduce_sum(oracles.hadamard(out, ad.constant(weights)))
 
     assert finite_difference_check(loss, [z, *w, *wc]) <= 1e-6
 
@@ -241,7 +246,7 @@ def test_attention_two_backward_calls_set_the_same_gradients(d_head):
     z, c, w, wc = _attention_operands(g, d_head, 2)
     params = [z, *w, *wc]
     adj, bias = normalize_adjacency(g), spatial_bias(g)
-    loss = ad.reduce_sum(ad.attention(z, c, w, wc, adj, bias, 2, activate=True))
+    loss = oracles.reduce_sum(ad.attention(z, c, w, wc, adj, bias, 2, activate=True))
     ad.backward(loss)
     once = [p.grad.copy() for p in params]
     ad.backward(loss)
@@ -268,7 +273,7 @@ def test_attention_backward_matches_accumulating_backward(d_head, heads, activat
     adj, bias = normalize_adjacency(g), spatial_bias(g)
     out = ad.attention(z, c, w, wc, adj, bias, heads, activate)
     weights = np.random.default_rng(d_head).standard_normal(out.shape)
-    loss = ad.reduce_sum(ad.hadamard(out, ad.constant(weights)))
+    loss = oracles.reduce_sum(oracles.hadamard(out, ad.constant(weights)))
     got, want = backward_pair(loss, params, release)
     for grad, oracle in zip(got, want):
         assert np.array_equal(grad, oracle)

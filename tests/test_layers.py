@@ -376,16 +376,18 @@ class TestInnerProductDecoder:
         assert np.array_equal(out, out.T)
 
 
-def recorded_nodes(out, layer_input):
+def recorded_nodes(out, layer_input, reading=None):
     """(op, shape) of every node recorded from layer_input (excluded) up to
-    out, sorted; leaves are skipped. An op is named by its backward rule."""
+    out, sorted; leaves are skipped. An op is named by its backward rule.
+    With reading given, only the nodes that take reading as a parent."""
     nodes, stack, seen = [], [out], {id(layer_input)}
     while stack:
         t = stack.pop()
         if id(t) in seen or t._rule is None:
             continue
         seen.add(id(t))
-        nodes.append((t._rule.__qualname__.split(".")[0], t.shape))
+        if reading is None or any(p is reading for p in t._parents):
+            nodes.append((t._rule.__qualname__.split(".")[0], t.shape))
         stack.extend(t._parents)
     return sorted(nodes)
 
@@ -426,3 +428,20 @@ class TestTapeShape:
         assert recorded_nodes(encoder(x), x) == sorted(
             [("propagate", (g.n, 6)), ("relu", (g.n, 6)), ("propagate", (g.n, g.f))]
         )
+
+    def test_clustering_head_is_the_centroids_only_consumer(self):
+        """One joint epoch at layers=2 records 32 nodes, and the centroids
+        are read by one of them, the cluster_kl head."""
+        g = tiny_graph(12, n=8)
+        cfg = ExperimentConfig(k=2, n_z=3, layers=2, seed=0)
+        rng = np.random.default_rng(12)
+        ae = random_params(rng, ladder_dims(g.f, cfg.n_z, cfg.layers))
+        pre = P.Pretrained([(name, t.value) for name, t in ae.named()],
+                           rng.standard_normal(g.features.shape))
+        cons = _build_constants(g, cfg, pre.x_c)
+        state, encoded = P._init_state(g, cfg, pre, cons)
+        total, _, _ = P._epoch_losses(state, cons, cfg, encoded)
+        assert recorded_nodes(total, state.centroids, reading=state.centroids) == [
+            ("cluster_kl", (1, 1))
+        ]
+        assert len(recorded_nodes(total, None)) == 32

@@ -8,23 +8,21 @@ from gclgcn.centrality import composite_centrality
 from gclgcn.config import ConfigError, ContrastiveConfig, ExperimentConfig
 from gclgcn.graph import Graph, SbmSpec, generate_sbm, normalize_adjacency
 from gclgcn.checkpoint import load_checkpoint
-from gclgcn.cluster import metric_row
+from gclgcn.cluster import metric_row, student_t, target_distribution
 from gclgcn.config import ABLATIONS
 from gclgcn.harness import ablation_study
 from gclgcn.pipeline import (
     NumericError,
     assign_labels,
     fuse_final,
-    kl_div,
     pretrain,
     pretrain_ae,
     pretrain_contrastive,
-    soft_assign,
-    target_distribution,
     train,
 )
 from gclgcn.pipeline import _fusion_weights, _mask_features  # noqa: internal
 
+import oracles
 from oracles import (
     ae_init_reference,
     attention_init_reference,
@@ -99,30 +97,32 @@ class TestFusion:
             _fusion_weights(tiny_cfg(lam=1.0, theta=0.0, gamma=0.0, ablation="-GCN"))
 
 
-class TestSoftAssign:
+class TestStudentT:
     def test_single_cluster(self):
-        q = soft_assign(np.random.default_rng(0).standard_normal((4, 2)), np.zeros((1, 2)))
-        assert np.allclose(q.value, 1.0, atol=0)
+        q, _ = student_t(np.random.default_rng(0).standard_normal((4, 2)), np.zeros((1, 2)))
+        assert np.allclose(q, 1.0, atol=0)
 
     def test_equidistant(self):
         z = np.array([[0.0, 0.0]])
         c = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        assert np.allclose(soft_assign(z, c).value, [[0.5, 0.5]], atol=1e-15)
+        assert np.allclose(student_t(z, c)[0], [[0.5, 0.5]], atol=1e-15)
 
     def test_worked_example(self):
         z = np.array([[1.0, 0.0]])
         c = np.array([[1.0, 0.0], [1.0, 1.0]])
-        assert np.allclose(soft_assign(z, c, t=1.0).value, [[2 / 3, 1 / 3]], atol=1e-12)
+        q, d2 = student_t(z, c, t=1.0)
+        assert np.allclose(q, [[2 / 3, 1 / 3]], atol=1e-12)
+        assert np.array_equal(d2, [[0.0, 1.0]])
 
     def test_rows_stochastic_positive(self):
         rng = np.random.default_rng(1)
-        q = soft_assign(rng.standard_normal((20, 4)), rng.standard_normal((5, 4)), t=2.0).value
+        q, _ = student_t(rng.standard_normal((20, 4)), rng.standard_normal((5, 4)), t=2.0)
         assert np.all(q > 0)
         assert np.all(np.abs(q.sum(axis=1) - 1.0) <= 1e-9)
 
-    def test_requires_positive_t(self):
-        with pytest.raises(ValueError, match="t must be positive"):
-            soft_assign(np.zeros((2, 2)), np.zeros((2, 2)), t=0.0)
+    def test_cluster_kl_requires_positive_t(self):
+        with pytest.raises(ValueError, match="cluster_kl: t must be positive"):
+            ad.cluster_kl(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)), None, 0.0, 1, 1)
 
 
 class TestTargetDistribution:
@@ -144,23 +144,35 @@ class TestTargetDistribution:
         assert np.array_equal(p.argmax(axis=1), q.argmax(axis=1))
 
 
-class TestKlDiv:
+class TestClusterKlValues:
+    """The two KL terms cluster_kl hands back, and the composed kl_div in
+    tests/oracles.py that judges it."""
+
     def test_identical_zero(self):
         q = np.full((3, 2), 0.5)
-        assert kl_div(q, q).value[0, 0] == pytest.approx(0.0, abs=1e-15)
+        assert oracles.kl_div(q, q).value[0, 0] == pytest.approx(0.0, abs=1e-15)
+        z = np.random.default_rng(0).standard_normal((5, 2))
+        head = ad.cluster_kl(z, z, np.eye(2), None, 1.0, 1.0, 1.0)
+        assert head.kl[1] == 0.0
 
     def test_near_degenerate_log2(self):
         d = 1e-12
         p = np.array([[1.0 - d, d]])
         q = np.array([[0.5, 0.5]])
-        assert kl_div(p, q).value[0, 0] == pytest.approx(np.log(2), abs=1e-9)
+        assert oracles.kl_div(p, q).value[0, 0] == pytest.approx(np.log(2), abs=1e-9)
+        # equidistant centroids give Q = [0.5, 0.5]
+        head = ad.cluster_kl(np.zeros((1, 2)), np.zeros((1, 2)), [[1.0, 0.0], [-1.0, 0.0]],
+                             p, 1.0, 1.0, 0.0)
+        assert head.kl[0] == pytest.approx(np.log(2), abs=1e-9)
 
     def test_nonnegative_on_random_pairs(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
             p = rng.dirichlet(np.ones(4), size=6)
             q = rng.dirichlet(np.ones(4), size=6)
-            assert kl_div(p, q).value[0, 0] >= -1e-12
+            assert oracles.kl_div(p, q).value[0, 0] >= -1e-12
+            z, z_ae, c = (rng.standard_normal(shape) for shape in ((6, 2), (6, 2), (4, 2)))
+            assert min(ad.cluster_kl(z, z_ae, c, p, 1.0, 1.0, 1.0).kl) >= -1e-12
 
 
 class TestCentroidGradient:
@@ -175,7 +187,7 @@ class TestCentroidGradient:
         rng = np.random.default_rng(4)
         z = rng.standard_normal((6, 3))
         c = rng.standard_normal((2, 3))
-        q = soft_assign(z, c).value
+        q, _ = student_t(z, c)
         assert np.allclose(centroid_gradient(z, c, q, q), 0.0, atol=0)
 
     def test_matches_tape_gradient(self):
@@ -183,11 +195,9 @@ class TestCentroidGradient:
             rng = np.random.default_rng(seed)
             z = rng.standard_normal((12, 4))
             c = ad.parameter(rng.standard_normal((3, 4)))
-            q0 = soft_assign(z, c, t=1.0)
-            p = target_distribution(q0.value)
-            loss = kl_div(p, soft_assign(z, c, t=1.0))
-            ad.backward(loss)
-            want = centroid_gradient(z, c.value, p, q0.value, t=1.0)
+            head = ad.cluster_kl(z, z, c, None, 1.0, 1.0, 0.0)
+            ad.backward(head)
+            want = centroid_gradient(z, c.value, head.p, head.q, t=1.0)
             assert np.max(np.abs(c.grad - want)) <= 1e-6
 
 
@@ -322,7 +332,7 @@ class TestBackwardInTraining:
 
         a, b = ad.parameter([[1.0, -2.0]]), ad.parameter([[0.5, 0.25]])
         b.grad[...] = 7.0
-        P._pretrain("test", [("a", a), ("b", b)], 0.1, 2, lambda: ad.reduce_sum(ad.square(a)))
+        P._pretrain("test", [("a", a), ("b", b)], 0.1, 2, lambda: oracles.reduce_sum(oracles.square(a)))
         assert np.array_equal(b.value, [[0.5, 0.25]])
         assert not b.grad.any()
         assert not np.array_equal(a.value, [[1.0, -2.0]])
@@ -411,20 +421,21 @@ class TestTrain:
 
         losses = []  # weak references to each epoch's loss value
         alive_at_assign = []
-        real_backward, real_soft_assign = P.backward, P.soft_assign
+        real_backward, real_student_t = P.backward, P.student_t
 
         def tracking_backward(loss, params, release=False):
             losses.append(weakref.ref(loss.value))
             return real_backward(loss, params, release=release)
 
-        def checking_soft_assign(*args, **kwargs):
+        def checking_student_t(*args, **kwargs):
             alive_at_assign.append(sum(ref() is not None for ref in losses))
-            return real_soft_assign(*args, **kwargs)
+            return real_student_t(*args, **kwargs)
 
         g, cfg = small_sbm(), tiny_cfg(epochs=3)
         pre = pretrain(g, cfg)
         monkeypatch.setattr(P, "backward", tracking_backward)
-        monkeypatch.setattr(P, "soft_assign", checking_soft_assign)
+        monkeypatch.setattr(ad, "student_t", checking_student_t)
+        monkeypatch.setattr(P, "student_t", checking_student_t)
         train(g, cfg, pretrained=pre)
         assert len(losses) == 3
         # two assignments per epoch, one for the final labels
