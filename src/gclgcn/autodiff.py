@@ -12,14 +12,14 @@ attention attends only over its sparsity pattern.
 The layer ops are one node each where a composed form would keep every
 intermediate: blend (a * eps + b * (1 - eps)), dense (x @ w + b),
 propagate (adj @ z @ w) and attention (multi-head attention over a sparse
-pattern with centrality terms in every projection), the last three
+pattern, reading z with the centrality columns appended), the last three
 optionally followed by leaky ReLU at LEAKY_SLOPE. An activated op keeps no
 mask: its output is positive exactly where its input was, so the backward
 reads the sign from the output the node already holds.
 propagate and attention pick their association from the shapes: propagate
 runs the sparse product on the narrower side, and attention, when a layer
 widens (d_in + centrality columns < head width), scores q . k through the
-small W_q W_k^T and applies W_v after attending, so it never forms q, k or
+small W~q W~k^T and applies W~v after attending, so it never forms q, k or
 v. Otherwise each op computes its forward with the numpy calls of its
 composed form, in the same order, so its values match that form's bit for
 bit; the reassociated forms match to rounding.
@@ -318,7 +318,6 @@ def dense(x: Tensor, w: Tensor, b: Tensor, activate: bool = False) -> Tensor:
     _check(b.shape == (1, w.shape[1]), "dense", f"bias must be (1, {w.shape[1]}), got {b.shape}")
     xv, wv = x.value, w.value
     nx, nw, nb = x._needs, w._needs, b._needs
-    bshape = b.shape
     out = xv @ wv
     out += b.value
     if activate:
@@ -330,7 +329,7 @@ def dense(x: Tensor, w: Tensor, b: Tensor, activate: bool = False) -> Tensor:
         return (
             g @ wv.T if nx else None,
             np.matmul(xv.T, g, out=_grad_buffer(w)) if nw else None,
-            _unbroadcast(g, bshape) if nb else None,
+            g.sum(axis=0, keepdims=True) if nb else None,
         )
 
     return Tensor(out, _parents=(x, w, b), _rule=rule)
@@ -384,20 +383,6 @@ def _sampled_dots(a: np.ndarray, b: np.ndarray, rows: np.ndarray, cols: np.ndarr
     return out
 
 
-def _stacked_product(out: np.ndarray, x: np.ndarray, top: np.ndarray, bottom: np.ndarray,
-                     add: bool = False) -> None:
-    """out = x @ [top; bottom], or out += it when add, with top and bottom
-    stacked by rows but never copied: the product runs a block of rows at a
-    time, so no temporary is larger than a block."""
-    k = top.shape[0]
-    for lo, hi in _row_blocks(out.shape[0]):
-        if add:
-            out[lo:hi] += x[lo:hi, :k] @ top
-        else:
-            np.matmul(x[lo:hi, :k], top, out=out[lo:hi])
-        out[lo:hi] += x[lo:hi, k:] @ bottom
-
-
 def _accumulate(total: np.ndarray | None, part: np.ndarray) -> np.ndarray:
     """total + part, in place in total; part itself when total is None."""
     if total is None:
@@ -410,19 +395,19 @@ def attention(
     z: Tensor,
     c: Tensor,
     w: Sequence[Tensor],
-    wc: Sequence[Tensor],
     pattern: sp.csr_array,
     bias: np.ndarray,
     heads: int = 1,
     activate: bool = False,
 ) -> Tensor:
     """Multi-head attention restricted to the entries of a sparse pattern,
-    with the constant columns c in every projection, as one node.
+    over the input z~ = [z c] that appends the constant columns c to z, as
+    one node.
 
-    w = (w_query, w_key, w_value) are (d, heads * d_head) weights of z and
-    wc the matching (m, heads * d_head) weights of c; head h reads its
-    d_head columns of each. With z~ = [z c] and W~ = [W; Wc], row i of head
-    h attends over the columns j stored in pattern row i with logits
+    w = (w_query, w_key, w_value) are (d + m, heads * d_head) weights W~ of
+    z~: the rows for the d columns of z first, then the rows for the m
+    columns of c; head h reads its d_head columns of each. Row i of head h
+    attends over the columns j stored in pattern row i with logits
     scale * (z~_i W~q) . (z~_j W~k) + bias_e, scale = 1 / sqrt(d_head) and
     bias aligned with the pattern's entries; the softmax runs over each
     row's entries and the head's output is att @ (z~ W~v). The heads are
@@ -433,17 +418,17 @@ def attention(
     The association follows the shapes, as propagate's does. When
     d + m < d_head (the layer widens), each head scores through the
     (d + m) x (d + m) matrix M = W~q W~k^T, P = z~ M, and applies W~v after
-    attending, (att @ z~) W~v: no n x d_head array but the output is formed,
-    and the node keeps z~, P, att @ z~, M and att. Otherwise it forms
-    q, k and v at full width with the numpy calls of the composed chain
-    (z @ w, then += c @ wc, a column copy per head when heads > 1, the
-    sampled logits, the softmax and att @ v), so its values match that
-    chain's bit for bit; it keeps each head's q, k, v and att. Either form
-    keeps its output, from which an activated node's backward reads the
-    sign.
+    attending, (att @ z~) W~v: no n x d_head array but each head's output
+    is formed, and the node keeps z~, P, att @ z~, M and att. Otherwise it
+    forms q, k and v at full width without forming z~, with the numpy calls
+    of the composed chain over W~'s row blocks (z @ W~[:d], then
+    += c @ W~[d:], a column copy per head when heads > 1, the sampled
+    logits, the softmax and att @ v), so its values match that chain's bit
+    for bit; it keeps each head's q, k, v and att. Either form keeps its
+    output, from which an activated node's backward reads the sign.
     """
     z, c = _as_tensor(z), _as_tensor(c)
-    w, wc = tuple(map(_as_tensor, w)), tuple(map(_as_tensor, wc))
+    w = tuple(map(_as_tensor, w))
     n, d = z.shape
     m = c.shape[1]
     _check(sp.issparse(pattern), "attention",
@@ -454,12 +439,11 @@ def attention(
     counts = np.diff(indptr)
     _check(c.shape[0] == n, "attention", f"c has {c.shape[0]} rows for the {n} rows of z")
     _check(not c._needs, "attention", "c must be constant")
-    _check(len(w) == 3 and len(wc) == 3, "attention",
-           "w and wc need a query, key and value weight")
+    _check(len(w) == 3, "attention", "w needs a query, key and value weight")
     width = w[0].shape[1]
-    _check(all(t.shape == (d, width) for t in w) and all(t.shape == (m, width) for t in wc),
-           "attention", f"weights must be {(d, width)} for z and {(m, width)} for c, got "
-           f"{[t.shape for t in w]} and {[t.shape for t in wc]}")
+    _check(all(t.shape == (d + m, width) for t in w), "attention",
+           f"weights must be {(d + m, width)}, one row per column of z and c, got "
+           f"{[t.shape for t in w]}")
     _check(heads >= 1 and width % heads == 0, "attention",
            f"{width} weight columns do not split into {heads} heads")
     _check(bool(np.all(counts > 0)), "attention", "every pattern row needs an entry")
@@ -468,9 +452,8 @@ def attention(
            f"bias has {bias.size} entries for {cols.size} pattern entries")
     zv, cv = z.value, c.value
     wq, wk, wv = (t.value for t in w)
-    wcq, wck, wcv = (t.value for t in wc)
     nz = z._needs
-    needs = [t._needs for t in (*w, *wc)]
+    needs = [t._needs for t in w]
     d_head = width // heads
     scale = 1.0 / math.sqrt(d_head)
     head_cols = [slice(h * d_head, (h + 1) * d_head) for h in range(heads)]
@@ -489,25 +472,21 @@ def attention(
 
     narrow = d + m < d_head
     kept = []
-    out = np.empty((n, d_head)) if narrow else None
+    out = None
     if narrow:
         zt = np.hstack([zv, cv])
-        for i, h in enumerate(head_cols):
-            mat = np.empty((d + m, d + m))
-            np.matmul(wq[:, h], wk[:, h].T, out=mat[:d, :d])
-            np.matmul(wq[:, h], wck[:, h].T, out=mat[:d, d:])
-            np.matmul(wcq[:, h], wk[:, h].T, out=mat[d:, :d])
-            np.matmul(wcq[:, h], wck[:, h].T, out=mat[d:, d:])
+        for h in head_cols:
+            mat = wq[:, h] @ wk[:, h].T
             p = zt @ mat
             att = softmax(_sampled_dots(p, zt, rows, cols) * scale + bias)
             a = on_pattern(att) @ zt
-            _stacked_product(out, a, wv[:, h], wcv[:, h], add=i > 0)
+            out = _accumulate(out, a @ wv[:, h])
             kept.append((p, a, mat, att))
     else:
         proj = []
-        for wr, cr in zip(w, wc):
-            pr = zv @ wr.value
-            pr += cv @ cr.value
+        for wr in (wq, wk, wv):
+            pr = zv @ wr[:d]
+            pr += cv @ wr[d:]
             proj.append(pr)
         for h in head_cols:
             q, k, v = (pr if heads == 1 else np.ascontiguousarray(pr[:, h]) for pr in proj)
@@ -525,18 +504,14 @@ def attention(
             g = _leaky_grad(g, out)
         if heads > 1:
             g = g * (1.0 / heads)
-        gw = [_grad_buffer(t) if need else None for t, need in zip((*w, *wc), needs)]
-        gq, gk, gv, gcq, gck, gcv = gw
+        gw = [_grad_buffer(t) if need else None for t, need in zip(w, needs)]
+        gq, gk, gv = gw
         dz = None
         if narrow:
             for h, (p, a, mat, att) in zip(head_cols, kept):
                 if gv is not None:
-                    np.matmul(a[:, :d].T, g, out=gv[:, h])
-                if gcv is not None:
-                    np.matmul(a[:, d:].T, g, out=gcv[:, h])
-                da = np.empty_like(zt)
-                np.matmul(g, wv[:, h].T, out=da[:, :d])
-                np.matmul(g, wcv[:, h].T, out=da[:, d:])
+                    np.matmul(a.T, g, out=gv[:, h])
+                da = g @ wv[:, h].T
                 grads = logit_grads(att, _sampled_dots(da, zt, rows, cols))
                 dp = grads @ zt
                 if nz:
@@ -544,28 +519,27 @@ def attention(
                     dz += grads.T @ p
                     dz += dp @ mat.T
                 dm = zt.T @ dp
-                # dW~q = dM W~k and dW~k = dM^T W~q, split by rows into W and Wc
-                for gr, x, top, bottom in ((gq, dm[:d], wk, wck), (gcq, dm[d:], wk, wck),
-                                           (gk, dm[:, :d].T, wq, wcq), (gck, dm[:, d:].T, wq, wcq)):
-                    if gr is not None:
-                        _stacked_product(gr[:, h], x, top[:, h], bottom[:, h])
+                # M = W~q W~k^T: dW~q = dM W~k and dW~k = dM^T W~q
+                if gq is not None:
+                    np.matmul(dm, wk[:, h], out=gq[:, h])
+                if gk is not None:
+                    np.matmul(dm.T, wq[:, h], out=gk[:, h])
             return (dz[:, :d] if nz else None, *gw)
         for h, (q, k, v, att) in zip(head_cols, kept):
             grads = logit_grads(att, _sampled_dots(g, v, rows, cols))
             # One role at a time, so one n x d_head gradient is alive at once:
             # freeing three together cost 7k page faults a step (n=900, 500->500).
             products = (lambda: grads @ k, lambda: grads.T @ q, lambda: on_pattern(att).T @ g)
-            for product, wr, gr, gcr in zip(products, (wq, wk, wv), gw[:3], gw[3:]):
+            for product, wr, gr in zip(products, (wq, wk, wv), gw):
                 dr = product()
                 if nz:
-                    dz = _accumulate(dz, dr @ wr[:, h].T)
+                    dz = _accumulate(dz, dr @ wr[:d, h].T)
                 if gr is not None:
-                    np.matmul(zv.T, dr, out=gr[:, h])
-                if gcr is not None:
-                    np.matmul(cv.T, dr, out=gcr[:, h])
+                    np.matmul(zv.T, dr, out=gr[:d, h])
+                    np.matmul(cv.T, dr, out=gr[d:, h])
         return (dz, *gw)
 
-    return Tensor(out, _parents=(z, *w, *wc), _rule=rule)
+    return Tensor(out, _parents=(z, *w), _rule=rule)
 
 
 # Rows per block of the row-blocked losses. Every block multiplies its rows
@@ -788,36 +762,15 @@ def cluster_kl(z: Tensor, z_ae: Tensor, centroids: Tensor, p: np.ndarray | None,
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Element-wise sum; the operands broadcast as numpy broadcasts them."""
+    """Element-wise sum of two tensors of one shape."""
     a, b = _as_tensor(a), _as_tensor(b)
-    sa, sb = a.shape, b.shape
-    _check(_broadcastable(sa, sb), "add", f"incompatible shapes {sa} + {sb}")
+    _check(a.shape == b.shape, "add", f"shapes differ: {a.shape} vs {b.shape}")
     na, nb = a._needs, b._needs
 
     def rule(g):
-        return (
-            _unbroadcast(g, sa) if na else None,
-            _unbroadcast(g, sb) if nb else None,
-        )
+        return (g if na else None, g if nb else None)
 
     return Tensor(a.value + b.value, _parents=(a, b), _rule=rule)
-
-
-def _broadcastable(sa, sb) -> bool:
-    """Each dimension is equal in both shapes or 1 in one of them."""
-    return all(x == y or 1 in (x, y) for x, y in zip(sa, sb))
-
-
-def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
-    """Sum g over the dimensions that were broadcast up from shape."""
-    if g.shape == shape:
-        return g
-    out = g
-    if shape[0] == 1 and g.shape[0] != 1:
-        out = out.sum(axis=0, keepdims=True)
-    if shape[1] == 1 and g.shape[1] != 1:
-        out = out.sum(axis=1, keepdims=True)
-    return out
 
 
 def scale(a: Tensor, s: float) -> Tensor:
@@ -869,9 +822,6 @@ class AdamState:
     """First/second moment buffers for one fixed parameter list."""
 
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: list[np.ndarray] = field(default_factory=list)
     v: list[np.ndarray] = field(default_factory=list)
@@ -884,6 +834,12 @@ class AdamState:
         state.v = [np.zeros(p.shape) for p in params]
         return state
 
+
+# Adam's moment decay rates and the floor added to the root of the second
+# moment.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 # Elements per block of the Adam update: the block's slices of the value,
 # gradient and moments plus the work buffer stay in cache.
@@ -906,8 +862,8 @@ def adam_step(
         raise ValueError("adam_step: state was built for a different parameter list")
     state.step += 1
     t = state.step
-    c1 = 1.0 - state.beta1**t
-    c2 = 1.0 - state.beta2**t
+    c1 = 1.0 - ADAM_BETA1**t
+    c2 = 1.0 - ADAM_BETA2**t
     work = np.empty(_ADAM_BLOCK)
     for i, (p, g, m, v) in enumerate(zip(params, grads, state.m, state.v)):
         arrays = {"value": p.value, "gradient": g, "first moment": m, "second moment": v}
@@ -921,16 +877,16 @@ def adam_step(
         for lo in range(0, pf.size, _ADAM_BLOCK):
             hi = min(lo + _ADAM_BLOCK, pf.size)
             pb, gb, mb, vb, w = pf[lo:hi], gf[lo:hi], mf[lo:hi], vf[lo:hi], work[: hi - lo]
-            mb *= state.beta1
-            np.multiply(gb, 1.0 - state.beta1, out=w)
+            mb *= ADAM_BETA1
+            np.multiply(gb, 1.0 - ADAM_BETA1, out=w)
             mb += w
-            vb *= state.beta2
+            vb *= ADAM_BETA2
             np.multiply(gb, gb, out=w)
-            w *= 1.0 - state.beta2
+            w *= 1.0 - ADAM_BETA2
             vb += w
             np.divide(vb, c2, out=w)
             np.sqrt(w, out=w)
-            w += state.eps
+            w += ADAM_EPS
             np.divide(mb, w, out=w)
             w *= state.lr / c1
             pb -= w

@@ -78,16 +78,16 @@ def graphormer_layer(
     activate: bool = True,
 ) -> Tensor:
     """Attention over each node's neighborhood (self included): the entries
-    of the self-looped adjacency adj. Centrality terms are added to every
-    projection, and logit_bias (the signed spatial bias, aligned with adj's
-    entries) is added to the logits. params maps each of w_key, w_query and
-    w_value and its centrality term wc_key, wc_query, wc_value to a
-    parameter. Head outputs are averaged, then passed through Leaky ReLU
-    unless this is a final (linear) reconstruction layer. The layer is one
-    autodiff.attention node, which picks its association from the widths."""
-    roles = ("query", "key", "value")
+    of the self-looped adjacency adj, over the input z~ = [z centrality], so
+    the centrality terms enter every projection, and logit_bias (the signed
+    spatial bias, aligned with adj's entries) is added to the logits. params
+    holds the layer's three parameters, w_key, w_query and w_value, each the
+    weight W~ of its role over z~: the rows for z, then the rows for the
+    centrality columns. Head outputs are
+    averaged, then passed through Leaky ReLU unless this is a final (linear)
+    reconstruction layer. The layer is one autodiff.attention node, which
+    picks its association from the widths."""
     return ad.attention(
-        z, centrality, [params[f"w_{role}"] for role in roles],
-        [params[f"wc_{role}"] for role in roles], adj, logit_bias, heads, activate,
+        z, centrality, [params[f"w_{role}"] for role in ("query", "key", "value")],
+        adj, logit_bias, heads, activate,
     )
-

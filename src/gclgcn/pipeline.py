@@ -162,11 +162,12 @@ def _graph_channel(
     roles = ("key", "query", "value")
 
     def make(a, b):
-        # Every w_* is drawn before the wc_*; each w_* is named before its wc_*.
-        w = {role: glorot(rng, a, heads * b) for role in roles}
-        wc = {role: glorot(rng, cent.shape[1], heads * b) * inv for role in roles}
-        return {f"{kind}_{role}": arrs[role]
-                for role in roles for kind, arrs in (("w", w), ("wc", wc))}
+        # Each role's weight stacks its rows for z over its rows for the
+        # centrality columns; every role's z rows are drawn before any
+        # centrality rows.
+        z_rows = [glorot(rng, a, heads * b) for _ in roles]
+        c_rows = [glorot(rng, cent.shape[1], heads * b) * inv for _ in roles]
+        return {f"w_{role}": np.vstack(pair) for role, *pair in zip(roles, z_rows, c_rows)}
 
     return Channel.build(
         "graphormer", dims, make,

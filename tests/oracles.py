@@ -16,20 +16,22 @@ which only these composed losses read, are defined here), the clustering
 head is composed from soft_assign and kl_div chains, the form it replaced
 (the implementation, autodiff.cluster_kl, records it as one node with
 closed-form Student-t gradients; transpose, square, clamp_min, signed_pow,
-hadamard, log and reduce_sum, which only the composed forms and the tests'
-scalar losses read, are defined here), the attention op
+hadamard, log, reduce_sum and the broadcasting add, which only the composed
+forms and the tests' scalar losses read, are defined here), the attention op
 is composed from project, columns, edge_attention and leaky_relu, the chain
-it replaced, defined here (the implementation scores through W_q W_k^T when
-a layer widens), and the initial parameters of the autoencoder, GCN and
-attention stacks are drawn into per-stack lists and
-named afterwards (the implementation builds every stack, names included,
-with pipeline.Channel.build), and backward is the accumulating loop that
-zeroes the gradients and then adds every contribution, a leaf's too, through
-a pending sum (the implementation writes a leaf's first contribution into
-its .grad, often from inside the op), run on the tape before a releasing
-backward frees it. The finite-difference checker, the closed-form centroid
-gradient and the composite loss of a model state judge the tape's
-gradients.
+it replaced, defined here, over split weights W of z and Wc of the
+centrality columns (the implementation reads one stacked W~ = [W; Wc] per
+role and scores through W~q W~k^T when a layer widens), and the initial
+parameters of the autoencoder, GCN and attention stacks are drawn into
+per-stack lists and named afterwards, the attention's W and Wc apart (the
+implementation builds every stack, names included, with
+pipeline.Channel.build, and stacks each role's W~), and backward is the
+accumulating loop that zeroes the gradients and then adds every
+contribution, a leaf's too, through a pending sum (the implementation
+writes a leaf's first contribution into its .grad, often from inside the
+op), run on the tape before a releasing backward frees it. The
+finite-difference checker, the closed-form centroid gradient and the
+composite loss of a model state judge the tape's gradients.
 """
 
 from __future__ import annotations
@@ -290,6 +292,17 @@ def attention_init_reference(
     return out
 
 
+def stacked_attention(named) -> list[tuple[str, np.ndarray]]:
+    """attention_init_reference's (name, array) pairs with each w_<role>
+    stacked by rows over its wc_<role>, under the name w_<role>: the one
+    weight W~ = [W; Wc] per role that autodiff.attention reads."""
+    split = dict(named)
+    return [
+        (name, np.vstack([arr, split[name.replace(".w_", ".wc_")]]))
+        for name, arr in named if ".w_" in name
+    ]
+
+
 def layer_params(named, part: str = "enc") -> list[dict[str, Tensor]]:
     """Trainable {role: parameter} dicts of the part ("enc" or "dec") layers
     of a list of (<prefix>.<part>.<i>.<role>, array) pairs, in layer order."""
@@ -390,7 +403,7 @@ def composed_blend(a, b, eps: float) -> Tensor:
 
 def composed_dense(x, w, b, activate=False) -> Tensor:
     """autodiff.dense as a matmul, a broadcast add and leaky_relu."""
-    out = ad.add(ad.matmul(x, w), b)
+    out = add(ad.matmul(x, w), b)
     return leaky_relu(out) if activate else out
 
 
@@ -411,15 +424,42 @@ def _unary(a, value: np.ndarray, derivative: Callable[[np.ndarray], np.ndarray])
     return Tensor(value, _parents=(a,), _rule=lambda g: (derivative(g),))
 
 
-def hadamard(a, b) -> Tensor:
-    """Element-wise product; the operands broadcast as in autodiff.add."""
+def _broadcastable(sa, sb) -> bool:
+    """Each dimension is equal in both shapes or 1 in one of them."""
+    return all(x == y or 1 in (x, y) for x, y in zip(sa, sb))
+
+
+def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
+    """Sum g over the dimensions that were broadcast up from shape."""
+    if g.shape == shape:
+        return g
+    out = g
+    if shape[0] == 1 and g.shape[0] != 1:
+        out = out.sum(axis=0, keepdims=True)
+    if shape[1] == 1 and g.shape[1] != 1:
+        out = out.sum(axis=1, keepdims=True)
+    return out
+
+
+def add(a, b) -> Tensor:
+    """Element-wise sum; the operands broadcast as numpy broadcasts them
+    (autodiff.add takes one shape only)."""
     a, b = ad._as_tensor(a), ad._as_tensor(b)
     sa, sb = a.shape, b.shape
-    ad._check(ad._broadcastable(sa, sb), "hadamard", f"incompatible shapes {sa} * {sb}")
+    ad._check(_broadcastable(sa, sb), "add", f"incompatible shapes {sa} + {sb}")
+    return Tensor(a.value + b.value, _parents=(a, b),
+                  _rule=lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
+
+
+def hadamard(a, b) -> Tensor:
+    """Element-wise product; the operands broadcast as in add."""
+    a, b = ad._as_tensor(a), ad._as_tensor(b)
+    sa, sb = a.shape, b.shape
+    ad._check(_broadcastable(sa, sb), "hadamard", f"incompatible shapes {sa} * {sb}")
     av, bv = a.value, b.value
 
     def rule(g):
-        return (ad._unbroadcast(g * bv, sa), ad._unbroadcast(g * av, sb))
+        return (_unbroadcast(g * bv, sa), _unbroadcast(g * av, sb))
 
     return Tensor(av * bv, _parents=(a, b), _rule=rule)
 
@@ -471,8 +511,8 @@ def soft_assign(z, centroids, t: float = 1.0) -> Tensor:
     z_sq = reduce_sum(square(z), axis=1)  # (n, 1)
     c_sq = transpose(reduce_sum(square(centroids), axis=1))  # (1, k)
     cross = ad.scale(ad.matmul(z, transpose(centroids)), -2.0)
-    d2 = clamp_min(ad.add(ad.add(z_sq, c_sq), cross), 0.0)
-    u = signed_pow(ad.add(ad.scale(d2, 1.0 / t), 1.0), -(t + 1.0) / 2.0)
+    d2 = clamp_min(ad.add(add(z_sq, c_sq), cross), 0.0)
+    u = signed_pow(add(ad.scale(d2, 1.0 / t), 1.0), -(t + 1.0) / 2.0)
     return hadamard(u, signed_pow(reduce_sum(u, axis=1), -1.0))
 
 
@@ -528,8 +568,8 @@ def combined_similarity(c1: Tensor, c2: Tensor, exponent: float = 1.0) -> Tensor
     gram = ad.matmul(c1, transpose(c2))
     cos = hadamard(gram, signed_pow(hadamard(norm1, norm2), -1.0))
 
-    d2 = clamp_min(ad.add(ad.add(sq1, sq2), ad.scale(gram, -2.0)), 0.0)
-    euc = signed_pow(ad.add(sqrt(d2), 1.0), -1.0)
+    d2 = clamp_min(ad.add(add(sq1, sq2), ad.scale(gram, -2.0)), 0.0)
+    euc = signed_pow(add(sqrt(d2), 1.0), -1.0)
 
     return signed_pow(hadamard(cos, euc), exponent)
 
@@ -542,7 +582,7 @@ def contrastive_loss(s: Tensor, tau: float) -> Tensor:
     n = s.shape[0]
     logits = ad.scale(s, 1.0 / tau)
     shift = ad.constant(logits.value.max(axis=1, keepdims=True))
-    e = exp(ad.add(logits, ad.scale(shift, -1.0)))
+    e = exp(add(logits, ad.scale(shift, -1.0)))
     lse = ad.add(log(reduce_sum(e, axis=1)), shift)
     diag = reduce_sum(hadamard(logits, ad.constant(np.eye(n))))
     return ad.scale(ad.add(reduce_sum(lse), ad.scale(diag, -1.0)), 1.0 / n)
@@ -574,20 +614,20 @@ def adam_step_whole(params, grads, state) -> None:
     autodiff.AdamState); the blocked autodiff.adam_step must match it bit
     for bit."""
     state.step += 1
-    c1 = 1.0 - state.beta1**state.step
-    c2 = 1.0 - state.beta2**state.step
+    c1 = 1.0 - ad.ADAM_BETA1**state.step
+    c2 = 1.0 - ad.ADAM_BETA2**state.step
     for p, g, m, v in zip(params, grads, state.m, state.v):
         w = np.empty_like(p.value)
-        m *= state.beta1
-        np.multiply(g, 1.0 - state.beta1, out=w)
+        m *= ad.ADAM_BETA1
+        np.multiply(g, 1.0 - ad.ADAM_BETA1, out=w)
         m += w
-        v *= state.beta2
+        v *= ad.ADAM_BETA2
         np.multiply(g, g, out=w)
-        w *= 1.0 - state.beta2
+        w *= 1.0 - ad.ADAM_BETA2
         v += w
         np.divide(v, c2, out=w)
         np.sqrt(w, out=w)
-        w += state.eps
+        w += ad.ADAM_EPS
         np.divide(m, w, out=w)
         w *= state.lr / c1
         p.value -= w

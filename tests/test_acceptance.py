@@ -33,6 +33,7 @@ from oracles import (
     finite_difference_check,
     layer_params,
     random_er_graph,
+    stacked_attention,
 )
 
 
@@ -119,7 +120,9 @@ def test_c2_gradient_suite():
         g = _tiny_graph(rng, n=5)
         cent = composite_centrality(g)
         scale = np.sqrt((cent**2).mean(axis=0))
-        lp = layer_params(attention_init_reference(rng, [g.f, 3], 3, 1, cent_scale=scale))[0]
+        lp = layer_params(stacked_attention(
+            attention_init_reference(rng, [g.f, 3], 3, 1, cent_scale=scale)
+        ))[0]
         cent_c = ad.constant(cent)
         adj = normalize_adjacency(g)
         bias = spatial_bias(g)

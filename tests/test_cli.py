@@ -115,6 +115,11 @@ class TestTrainCommand:
         assert len(labels) == 20
         named = load_checkpoint(out / "model.gclc")
         assert "centroids" in named and "x_c" in named
+        # one stacked weight per attention role, no separate centrality term
+        assert [n for n in named if n.startswith("graphormer.enc.0.")] == [
+            f"graphormer.enc.0.w_{role}" for role in ("key", "query", "value")
+        ]
+        assert not [n for n in named if ".wc_" in n]
 
     def test_byte_reproducible(self, run_cfg, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

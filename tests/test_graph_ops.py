@@ -31,6 +31,7 @@ from oracles import (
     layer_params,
     masked_attention,
     random_er_graph,
+    stacked_attention,
 )
 
 
@@ -64,15 +65,17 @@ def test_gcn_layer_matches_dense_oracle(g, d_out):
 def test_graphormer_layer_matches_dense_oracle(g, heads):
     cent = composite_centrality(g)
     scale = np.sqrt((cent**2).mean(axis=0))
-    lp = layer_params(attention_init_reference(np.random.default_rng(heads), [g.f, 3], 3, heads,
-                                               cent_scale=scale))[0]
+    named = attention_init_reference(np.random.default_rng(heads), [g.f, 3], 3, heads,
+                                     cent_scale=scale)
+    lp = layer_params(stacked_attention(named))[0]
     for sign in (1.0, -1.0):
         out = graphormer_layer(
             ad.constant(g.features), ad.constant(cent), normalize_adjacency(g),
             sign * spatial_bias(g), lp, heads,
         )
         want = dense_graphormer_layer(
-            g.features, cent, dense_logit_bias(g.features, g.edges, sign), lp, heads,
+            g.features, cent, dense_logit_bias(g.features, g.edges, sign),
+            layer_params(named)[0], heads,
         )
         assert np.max(np.abs(out.value - want)) <= 1e-10
 
@@ -118,14 +121,13 @@ def test_edge_attention_gradients(g):
 
 
 def test_edge_attention_rejects_bad_pattern():
-    x, w, wc = np.ones((3, 2)), [np.ones((2, 4))] * 3, [np.ones((1, 4))] * 3
-    c = np.ones((3, 1))
+    x, c, w = np.ones((3, 2)), np.ones((3, 1)), [np.ones((3, 4))] * 3
     no_loops = sp.csr_array(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
     with pytest.raises(ValueError, match="attention: every pattern row"):
-        ad.attention(x, c, w, wc, no_loops, np.zeros(2))
+        ad.attention(x, c, w, no_loops, np.zeros(2))
     adj = normalize_adjacency(Graph(features=x, edges=[(0, 1)]))
     with pytest.raises(ValueError, match="attention: bias has 3 entries for 5"):
-        ad.attention(x, c, w, wc, adj, np.zeros(3))
+        ad.attention(x, c, w, adj, np.zeros(3))
 
 
 # ---------------------------------------------------------------------------
@@ -142,15 +144,20 @@ ATTENTION_GRAPHS = [GRAPHS[0], GRAPHS[2], GRAPHS[4]]
 
 def _attention_operands(g, d_head, heads, seed=0):
     """z (g's features as a parameter), the centrality columns and the
-    attention channel's initial weights for one layer of heads * d_head
-    columns, each wc_* divided by its centrality column magnitudes as
-    pipeline._graph_channel draws them."""
+    attention channel's initial weights W~ (query, key, value) for one
+    layer of heads * d_head columns, each role's centrality rows divided by
+    the centrality column magnitudes as pipeline._graph_channel draws them."""
     cent = composite_centrality(g)
     named = attention_init_reference(np.random.default_rng(seed), [g.f, d_head], cent.shape[1],
                                      heads, cent_scale=np.sqrt((cent**2).mean(axis=0)))
-    lp = layer_params(named)[0]
-    return (ad.parameter(g.features), ad.constant(cent),
-            [lp[f"w_{r}"] for r in ROLES], [lp[f"wc_{r}"] for r in ROLES])
+    lp = layer_params(stacked_attention(named))[0]
+    return ad.parameter(g.features), ad.constant(cent), [lp[f"w_{r}"] for r in ROLES]
+
+
+def _split(w, d):
+    """Each W~ of w as two new parameters, its rows W~[:d] for z and W~[d:]
+    for the centrality columns: the split weights composed_attention reads."""
+    return [ad.parameter(t.value[:d]) for t in w], [ad.parameter(t.value[d:]) for t in w]
 
 
 def _relative(got, want):
@@ -162,28 +169,29 @@ def _relative(got, want):
 @pytest.mark.parametrize("heads", [1, 2])
 @pytest.mark.parametrize("activate", [False, True])
 def test_attention_matches_chain_and_dense_oracle(g, d_head, heads, activate):
-    """Values and all seven gradients against the composed chain; values
-    against the dense oracle. The wide form repeats the chain's numpy
-    calls, so its values match bit for bit."""
-    z, c, w, wc = _attention_operands(g, d_head, heads)
+    """Values and all four gradients against the composed chain over W~'s
+    row blocks, each dW~ against vstack(dW, dWc); values against the dense
+    oracle. The wide form repeats the chain's numpy calls, so its values
+    match bit for bit."""
+    z, c, w = _attention_operands(g, d_head, heads)
+    wz, wc = _split(w, g.f)
     adj, bias = normalize_adjacency(g), spatial_bias(g)
-    params = [z, *w, *wc]
-    out = ad.attention(z, c, w, wc, adj, bias, heads, activate)
-    chain = composed_attention(z, c, w, wc, adj, bias, heads, activate)
+    out = ad.attention(z, c, w, adj, bias, heads, activate)
+    chain = composed_attention(z, c, wz, wc, adj, bias, heads, activate)
     if d_head in WIDE:
         assert out.value.tobytes() == chain.value.tobytes()
     assert _relative(out.value, chain.value) <= 1e-12
-    lp = dict(zip([f"{kind}_{r}" for kind in ("w", "wc") for r in ROLES], [*w, *wc]))
+    lp = dict(zip([f"{kind}_{r}" for kind in ("w", "wc") for r in ROLES], [*wz, *wc]))
     dense = dense_graphormer_layer(g.features, c.value, dense_logit_bias(g.features, g.edges),
                                    lp, heads, activate)
     assert np.max(np.abs(out.value - dense)) <= 1e-10
     weights = np.random.default_rng(d_head).standard_normal(out.shape)
-    grads = []
-    for result in (out, chain):
-        ad.backward(oracles.reduce_sum(oracles.hadamard(result, ad.constant(weights))))
-        grads.append([p.grad.copy() for p in params])
-    for got, want in zip(*grads):
-        assert _relative(got, want) <= 1e-12
+    ad.backward(oracles.reduce_sum(oracles.hadamard(out, ad.constant(weights))))
+    got = [z.grad.copy(), *(t.grad.copy() for t in w)]
+    ad.backward(oracles.reduce_sum(oracles.hadamard(chain, ad.constant(weights))))
+    want = [z.grad, *(np.vstack([a.grad, b.grad]) for a, b in zip(wz, wc))]
+    for got_grad, want_grad in zip(got, want):
+        assert _relative(got_grad, want_grad) <= 1e-12
 
 
 @pytest.mark.parametrize("activate", [False, True])
@@ -195,9 +203,9 @@ def test_attention_rule_boundary(activate):
     adj, bias = normalize_adjacency(g), spatial_bias(g)
     kept = {}
     for d_head in (7, 8):
-        z, c, w, wc = _attention_operands(g, d_head, 1)
-        out = ad.attention(z, c, w, wc, adj, bias, activate=activate)
-        chain = composed_attention(z, c, w, wc, adj, bias, activate=activate)
+        z, c, w = _attention_operands(g, d_head, 1)
+        out = ad.attention(z, c, w, adj, bias, activate=activate)
+        chain = composed_attention(z, c, *_split(w, g.f), adj, bias, activate=activate)
         kept[d_head] = (out.value.tobytes() == chain.value.tobytes(),
                         (g.n, d_head) in _kept_shapes(out))
         assert _relative(out.value, chain.value) <= 1e-12
@@ -228,25 +236,25 @@ def _kept_shapes(node) -> set:
 @pytest.mark.parametrize("heads", [1, 2])
 def test_attention_finite_differences(d_head, heads):
     g = GRAPHS[0]
-    z, c, w, wc = _attention_operands(g, d_head, heads, seed=heads)
+    z, c, w = _attention_operands(g, d_head, heads, seed=heads)
     adj = normalize_adjacency(g)
     bias = np.random.default_rng(1).standard_normal(adj.nnz)
     weights = np.random.default_rng(2).standard_normal((g.n, d_head))
 
     def loss(_):
-        out = ad.attention(z, c, w, wc, adj, bias, heads, activate=True)
+        out = ad.attention(z, c, w, adj, bias, heads, activate=True)
         return oracles.reduce_sum(oracles.hadamard(out, ad.constant(weights)))
 
-    assert finite_difference_check(loss, [z, *w, *wc]) <= 1e-6
+    assert finite_difference_check(loss, [z, *w]) <= 1e-6
 
 
 @pytest.mark.parametrize("d_head", [3, 8])
 def test_attention_two_backward_calls_set_the_same_gradients(d_head):
     g = GRAPHS[2]
-    z, c, w, wc = _attention_operands(g, d_head, 2)
-    params = [z, *w, *wc]
+    z, c, w = _attention_operands(g, d_head, 2)
+    params = [z, *w]
     adj, bias = normalize_adjacency(g), spatial_bias(g)
-    loss = oracles.reduce_sum(ad.attention(z, c, w, wc, adj, bias, 2, activate=True))
+    loss = oracles.reduce_sum(ad.attention(z, c, w, adj, bias, 2, activate=True))
     ad.backward(loss)
     once = [p.grad.copy() for p in params]
     ad.backward(loss)
@@ -266,12 +274,12 @@ def test_attention_backward_matches_accumulating_backward(d_head, heads, activat
     buffer), also when the query and key weights are one tensor, and the
     same bytes when backward releases the tape."""
     g = GRAPHS[2]
-    z, c, w, wc = _attention_operands(g, d_head, heads)
+    z, c, w = _attention_operands(g, d_head, heads)
     if shared:
         w[1] = w[0]
-    params = list({id(t): t for t in (z, *w, *wc)}.values())
+    params = list({id(t): t for t in (z, *w)}.values())
     adj, bias = normalize_adjacency(g), spatial_bias(g)
-    out = ad.attention(z, c, w, wc, adj, bias, heads, activate)
+    out = ad.attention(z, c, w, adj, bias, heads, activate)
     weights = np.random.default_rng(d_head).standard_normal(out.shape)
     loss = oracles.reduce_sum(oracles.hadamard(out, ad.constant(weights)))
     got, want = backward_pair(loss, params, release)
@@ -281,18 +289,19 @@ def test_attention_backward_matches_accumulating_backward(d_head, heads, activat
 
 def test_attention_errors_name_the_op():
     x, c = np.ones((3, 2)), np.ones((3, 1))
-    w, wc = [np.ones((2, 4))] * 3, [np.ones((1, 4))] * 3
+    w = [np.ones((3, 4))] * 3
     adj = sp.csr_array(sp.eye(3))
     for match, args, kwargs in (
-        ("pattern is", (x, c, w, wc, sp.csr_array(sp.eye(4)), np.zeros(4)), {}),
-        ("pattern must be a scipy sparse", (x, c, w, wc, np.eye(3), np.zeros(3)), {}),
-        ("c has 2 rows", (x, c[:2], w, wc, adj, np.zeros(3)), {}),
-        ("c must be constant", (x, ad.parameter(c), w, wc, adj, np.zeros(3)), {}),
-        ("weights must be", (x, c, [np.ones((3, 4))] * 3, wc, adj, np.zeros(3)), {}),
-        ("weights must be", (x, c, w, [np.ones((1, 5))] * 3, adj, np.zeros(3)), {}),
-        ("4 weight columns do not split into 3 heads", (x, c, w, wc, adj, np.zeros(3)),
+        ("pattern is", (x, c, w, sp.csr_array(sp.eye(4)), np.zeros(4)), {}),
+        ("pattern must be a scipy sparse", (x, c, w, np.eye(3), np.zeros(3)), {}),
+        ("c has 2 rows", (x, c[:2], w, adj, np.zeros(3)), {}),
+        ("c must be constant", (x, ad.parameter(c), w, adj, np.zeros(3)), {}),
+        (r"weights must be \(3, 4\), one row per column of z and c",
+         (x, c, [np.ones((2, 4))] * 3, adj, np.zeros(3)), {}),
+        ("weights must be", (x, c, [*w[:2], np.ones((3, 5))], adj, np.zeros(3)), {}),
+        ("4 weight columns do not split into 3 heads", (x, c, w, adj, np.zeros(3)),
          {"heads": 3}),
-        ("w and wc need a query, key and value", (x, c, w[:2], wc, adj, np.zeros(3)), {}),
+        ("w needs a query, key and value", (x, c, w[:2], adj, np.zeros(3)), {}),
     ):
         with pytest.raises(ValueError, match=f"attention: {match}"):
             ad.attention(*args, **kwargs)
@@ -307,11 +316,10 @@ def test_attention_narrow_form_allocates_less_than_one_head_array():
     pattern = sp.csr_array(sp.random(n, n, density=5.0 / n, random_state=1) + sp.eye(n))
     bias = rng.standard_normal(pattern.nnz)
     z, c = ad.constant(rng.standard_normal((n, 8))), ad.constant(rng.random((n, 3)))
-    w = [ad.parameter(rng.standard_normal((8, d_head)) / 8) for _ in ROLES]
-    wc = [ad.parameter(rng.standard_normal((3, d_head)) / 8) for _ in ROLES]
+    w = [ad.parameter(rng.standard_normal((8 + 3, d_head)) / 8) for _ in ROLES]
     tracemalloc.start()
     try:
-        out = ad.attention(z, c, w, wc, pattern, bias, activate=True)
+        out = ad.attention(z, c, w, pattern, bias, activate=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -16,6 +16,7 @@ from oracles import (
     finite_difference_check,
     inner_product_decode,
     layer_params,
+    stacked_attention,
 )
 
 
@@ -121,7 +122,8 @@ def build_attention(g, heads=1, measures=("degree", "betweenness", "closeness"),
         np.random.default_rng(seed), [g.f, 3], len(measures), heads,
         cent_scale=np.sqrt((cent**2).mean(axis=0)),
     )
-    return ad.constant(cent), normalize_adjacency(g), spatial_bias(g), layer_params(named)
+    return (ad.constant(cent), normalize_adjacency(g), spatial_bias(g),
+            layer_params(stacked_attention(named)))
 
 
 class TestGraphormerLayer:
@@ -130,7 +132,7 @@ class TestGraphormerLayer:
         cent, adj, bias, params = build_attention(g)
         out = graphormer_layer(ad.constant(g.features), cent, adj, bias, params[0], 1)
         # node 2 is isolated: output = LeakyReLU(v_2)
-        v = g.features @ params[0]["w_value"].value + cent.value @ params[0]["wc_value"].value
+        v = np.hstack([g.features, cent.value]) @ params[0]["w_value"].value
         want = np.where(v[2] > 0, v[2], 0.01 * v[2])
         assert np.allclose(out.value[2], want, atol=1e-12)
 
@@ -140,11 +142,12 @@ class TestGraphormerLayer:
         cent = ad.constant(np.ones((2, 1)))
         adj = normalize_adjacency(g)
         bias = np.zeros(adj.nnz)
-        lp = layer_params(attention_init_reference(np.random.default_rng(3), [2, 3], 1, 1,
-                                                   np.ones(1)))[0]
+        lp = layer_params(stacked_attention(
+            attention_init_reference(np.random.default_rng(3), [2, 3], 1, 1, np.ones(1))
+        ))[0]
         out = graphormer_layer(ad.constant(feats), cent, adj, bias, lp, 1)
         # both nodes identical: attention [0.5, 0.5], outputs equal v mean
-        v = feats @ lp["w_value"].value + np.ones((2, 1)) @ lp["wc_value"].value
+        v = np.hstack([feats, np.ones((2, 1))]) @ lp["w_value"].value
         want = 0.5 * (v[0] + v[1])
         want = np.where(want > 0, want, 0.01 * want)
         assert np.allclose(out.value[0], want, atol=1e-12)
@@ -157,13 +160,12 @@ class TestGraphormerLayer:
         allowed = adj.toarray() > 0
         # z = identity and w_value = [identity 0] read the attention weights
         # out as a dense matrix; d_head = n + 3 > n + 1 scores through
-        # W_q W_k^T, d_head = n through q and k
+        # W~q W~k^T, d_head = n through q and k
         for d_head in (g.n, g.n + 3):
             wq, wk = (rng.standard_normal((g.n, d_head)) for _ in range(2))
             wv = np.eye(g.n, d_head)
-            wc = [np.zeros((1, d_head))] * 3
-            s = ad.attention(np.eye(g.n), np.zeros((g.n, 1)), [wq, wk, wv], wc,
-                             adj, spatial_bias(g)).value
+            w = [np.vstack([wr, np.zeros((1, d_head))]) for wr in (wq, wk, wv)]
+            s = ad.attention(np.eye(g.n), np.zeros((g.n, 1)), w, adj, spatial_bias(g)).value
             assert np.all(s[:, :g.n][~allowed] == 0.0) and np.all(s[:, g.n:] == 0.0)
             assert np.all(np.abs(s.sum(axis=1) - 1.0) <= 1e-12)
 
@@ -399,9 +401,9 @@ class TestTapeShape:
     def test_attention_layer_records_projections_attention_activation(self):
         g = tiny_graph(9, n=6)
         cent, adj, bias, _ = build_attention(g)
-        params = layer_params(attention_init_reference(
+        params = layer_params(stacked_attention(attention_init_reference(
             np.random.default_rng(9), [g.f, 4, 3], cent.shape[1], 1, np.ones(cent.shape[1])
-        ))
+        )))
         z = graphormer_layer(ad.constant(g.features), cent, adj, bias, params[0], 1)
         out = graphormer_layer(z, cent, adj, bias, params[1], 1)
         assert recorded_nodes(out, z) == [("attention", (g.n, 3))]

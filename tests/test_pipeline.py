@@ -30,6 +30,7 @@ from oracles import (
     centroid_gradient,
     gcn_init_reference,
     loss_total,
+    stacked_attention,
 )
 
 
@@ -539,9 +540,11 @@ class TestTrain:
             train(g, cfg, pretrained=pre, abort_path=path)
         assert path.exists()
 
-    def test_nonfinite_gradient_stops_before_the_step(self, tmp_path, monkeypatch):
-        """A NaN in one gradient at epoch 1 stops training before the Adam
-        step, and the abort checkpoint holds the finite pre-step state."""
+    @pytest.mark.parametrize("row", [0, -1], ids=["z-row", "centrality-row"])
+    def test_nonfinite_gradient_stops_before_the_step(self, tmp_path, monkeypatch, row):
+        """A NaN in one gradient at epoch 1, in a row for z or for a
+        centrality column of the stacked weight, stops training before the
+        Adam step, and the abort checkpoint holds the finite pre-step state."""
         from gclgcn import pipeline as P
 
         g = small_sbm()
@@ -558,7 +561,7 @@ class TestTrain:
         def poisoned_backward(loss, params, release=False):
             real_backward(loss, params, release=release)
             if len(pre_step) == 1:
-                dict(states[0]._named())["graphormer.enc.2.w_key"].grad[0, 1] = np.nan
+                dict(states[0]._named())["graphormer.enc.2.w_key"].grad[row, 1] = np.nan
             pre_step.append([(name, arr.copy()) for name, arr in states[0].named_arrays()])
 
         monkeypatch.setattr(P, "_init_state", init_state)
@@ -756,9 +759,9 @@ class TestChannels:
                 ]
             if ablation == "norm":
                 assert [n for n in names if n.startswith("graphormer.enc.0.")] == [
-                    f"graphormer.enc.0.{kind}_{role}"
-                    for role in ("key", "query", "value") for kind in ("w", "wc")
+                    f"graphormer.enc.0.w_{role}" for role in ("key", "query", "value")
                 ]
+                assert not [n for n in names if ".wc_" in n]
 
     def test_pretrained_x_c_must_match_graph(self):
         g = small_sbm()
@@ -771,7 +774,8 @@ class TestChannels:
     def test_channels_draw_the_reference_parameters(self, layers, heads, monkeypatch):
         """Before any update, every channel's named parameters are bitwise
         the reference draws from its stream, under the same names and in
-        the same order."""
+        the same order; each attention w_<role> is the reference's w_<role>
+        stacked over its wc_<role>."""
         from gclgcn import pipeline as P
         from gclgcn.layers import ladder_dims
 
@@ -784,10 +788,10 @@ class TestChannels:
         want = [
             *ae_init_reference(P._stream(cfg.seed, P._STREAM_AE), dims),
             *gcn_init_reference(P._stream(cfg.seed, P._STREAM_CHANNEL["gcn"]), dims),
-            *attention_init_reference(
+            *stacked_attention(attention_init_reference(
                 P._stream(cfg.seed, P._STREAM_CHANNEL["graphormer"]), dims, cent.shape[1],
                 heads, np.sqrt((cent**2).mean(axis=0)),
-            ),
+            )),
         ]
         assert [name for name, _ in got[:len(want)]] == [name for name, _ in want]
         for (name, arr), (_, ref) in zip(got, want):
