@@ -6,16 +6,16 @@ gradient to per-parent gradients. The tape is rebuilt every iteration, and
 every node stays alive at least until backward reaches it (until backward
 ends, unless backward is asked to release the tape as it sweeps), so an op
 keeps only the arrays its backward reads. Graph operators take a constant
-scipy CSR matrix: matmul multiplies by it as its left operand, and
-attention attends only over its sparsity pattern.
+scipy CSR matrix: matmul multiplies by it, always as its left operand,
+and attention attends only over its sparsity pattern.
 
 The layer ops are one node each where a composed form would keep every
-intermediate: blend (a * eps + b * (1 - eps)), dense (x @ w + b),
-propagate (adj @ z @ w) and attention (multi-head attention over a sparse
-pattern, reading z with the centrality columns appended), the last three
-optionally followed by leaky ReLU at LEAKY_SLOPE. An activated op keeps no
-mask: its output is positive exactly where its input was, so the backward
-reads the sign from the output the node already holds.
+intermediate: dense (x @ w + b), propagate (adj @ z @ w) and attention
+(multi-head attention over a sparse pattern, reading z with the centrality
+columns appended), each optionally followed by leaky ReLU at LEAKY_SLOPE.
+An activated op keeps no mask: its output is positive exactly where its
+input was, so the backward reads the sign from the output the node already
+holds.
 propagate and attention pick their association from the shapes: propagate
 runs the sparse product on the narrower side, and attention, when a layer
 widens (d_in + centrality columns < head width), scores q . k through the
@@ -23,6 +23,12 @@ small W~q W~k^T and applies W~v after attending, so it never forms q, k or
 v. Otherwise each op computes its forward with the numpy calls of its
 composed form, in the same order, so its values match that form's bit for
 bit; the reassociated forms match to rounding.
+
+The glue between the layers is weighted_sum, one node for any linear
+combination of same-shape tensors: the epsilon-injection, the fused
+bottleneck, the joint reconstruction and the loss total. It sums left to
+right, as the chain of scalings and additions it stands for, so it matches
+that chain bit for bit; a weight of 1.0 is exact.
 
 The two whole-graph losses, info_nce (the contrastive InfoNCE over every
 node pair) and decoder_mse (the inner-product adjacency decoder against a
@@ -65,15 +71,13 @@ __all__ = [
     "AdamState",
     "adam_step",
     "matmul",
-    "blend",
+    "weighted_sum",
     "dense",
     "propagate",
     "attention",
     "info_nce",
     "decoder_mse",
     "cluster_kl",
-    "add",
-    "scale",
     "relu",
     "mse",
 ]
@@ -235,37 +239,34 @@ def _grad_buffer(t: Tensor) -> np.ndarray:
 # Op catalogue
 # ---------------------------------------------------------------------------
 
-def matmul(a, b: Tensor) -> Tensor:
-    """a @ b. a may be a constant scipy sparse matrix, which gets no
-    gradient; the backward then gives b a^T g."""
-    a = a if sp.issparse(a) else _as_tensor(a)
+def matmul(a: sp.csr_array, b: Tensor) -> Tensor:
+    """a @ b for a constant scipy sparse matrix a, which gets no gradient;
+    the backward gives b a^T g."""
+    _check(sp.issparse(a), "matmul",
+           f"left operand must be a sparse matrix, got {type(a).__name__}")
     b = _as_tensor(b)
     _check(a.shape[1] == b.shape[0], "matmul", f"inner dims differ: {a.shape} x {b.shape}")
-    if sp.issparse(a):
-        return Tensor(a @ b.value, _parents=(b,), _rule=lambda g: (a.T @ g,))
-    av, bv = a.value, b.value
-    na, nb = a._needs, b._needs
+    return Tensor(a @ b.value, _parents=(b,), _rule=lambda g: (a.T @ g,))
+
+
+def weighted_sum(terms: Sequence[tuple[float, Tensor]]) -> Tensor:
+    """w0 * x0 + w1 * x1 + ... over the (weight, tensor) pairs terms, all of
+    one shape, as one node, summed left to right; the backward gives each
+    x g * w and reads only the weights."""
+    terms = [(float(w), _as_tensor(x)) for w, x in terms]
+    _check(bool(terms), "weighted_sum", "no terms")
+    shape = terms[0][1].shape
+    for _, x in terms:
+        _check(x.shape == shape, "weighted_sum", f"shapes differ: {shape} vs {x.shape}")
+    out = terms[0][1].value * terms[0][0]
+    for w, x in terms[1:]:
+        out += x.value * w
+    weights = [w if x._needs else None for w, x in terms]
 
     def rule(g):
-        return (g @ bv.T if na else None, av.T @ g if nb else None)
+        return tuple(None if w is None else g * w for w in weights)
 
-    return Tensor(av @ bv, _parents=(a, b), _rule=rule)
-
-
-def blend(a: Tensor, b: Tensor, eps: float) -> Tensor:
-    """a * eps + b * (1 - eps) as one node; the backward reads only eps."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check(a.shape == b.shape, "blend", f"shapes differ: {a.shape} vs {b.shape}")
-    sa = float(eps)
-    sb = 1.0 - sa
-    na, nb = a._needs, b._needs
-    out = a.value * sa
-    out += b.value * sb
-
-    def rule(g):
-        return (g * sa if na else None, g * sb if nb else None)
-
-    return Tensor(out, _parents=(a, b), _rule=rule)
+    return Tensor(out, _parents=tuple(x for _, x in terms), _rule=rule)
 
 
 # Elements per block of a sampled product's gathered rows and of the leaky
@@ -759,28 +760,6 @@ def cluster_kl(z: Tensor, z_ae: Tensor, centroids: Tensor, p: np.ndarray | None,
                         _rule=lambda g: tuple(g[0, 0] * x for x in grads))
     node.q, node.q_prime, node.p, node.kl = q, q_ae, p, kl
     return node
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Element-wise sum of two tensors of one shape."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check(a.shape == b.shape, "add", f"shapes differ: {a.shape} vs {b.shape}")
-    na, nb = a._needs, b._needs
-
-    def rule(g):
-        return (g if na else None, g if nb else None)
-
-    return Tensor(a.value + b.value, _parents=(a, b), _rule=rule)
-
-
-def scale(a: Tensor, s: float) -> Tensor:
-    a = _as_tensor(a)
-    s = float(s)
-
-    def rule(g):
-        return (g * s,)
-
-    return Tensor(a.value * s, _parents=(a,), _rule=rule)
 
 
 def relu(a: Tensor) -> Tensor:

@@ -282,7 +282,7 @@ def load_graph(
 
 
 def read_labels(path: str | Path) -> np.ndarray:
-    """One integer label per non-blank line."""
+    """One non-negative integer label per non-blank line."""
     values: list[int] = []
     with Path(path).open() as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -290,9 +290,12 @@ def read_labels(path: str | Path) -> np.ndarray:
             if not line:
                 continue
             try:
-                values.append(int(line))
+                label = int(line)
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: could not parse label") from None
+            if label < 0:
+                raise ValueError(f"{path}:{lineno}: negative label")
+            values.append(label)
     return np.array(values, dtype=np.int64)
 
 

@@ -52,7 +52,7 @@ def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
 def ae_loss(x: Tensor, xhat: Tensor) -> Tensor:
     """Half the mean per-sample squared reconstruction norm: the mean over
     all entries, scaled by half the feature count."""
-    return ad.scale(ad.mse(xhat, x), 0.5 * x.shape[1])
+    return ad.weighted_sum([(0.5 * x.shape[1], ad.mse(xhat, x))])
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ standalone or inside train().
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -122,7 +121,7 @@ class Channel:
         z = x
         for i, params in enumerate(self.enc):
             if inject and i > 0:
-                z = ad.blend(inject[i - 1], z, eps)
+                z = ad.weighted_sum([(eps, inject[i - 1]), (1.0 - eps, z)])
             z = self.layer(z, params, True)
             outs.append(z)
         return outs
@@ -346,7 +345,7 @@ def pretrained_from_named(named: dict[str, np.ndarray], source) -> Pretrained:
 def fuse_final(weighted, adj: sp.csr_array) -> Tensor:
     """Propagated combination adj @ sum(weight * z) of the (weight,
     bottleneck) pairs weighted, summed in the order given."""
-    return ad.matmul(adj, reduce(ad.add, [ad.scale(z, weight) for weight, z in weighted]))
+    return ad.matmul(adj, ad.weighted_sum(weighted))
 
 
 def assign_labels(q: np.ndarray) -> np.ndarray:
@@ -503,16 +502,18 @@ def _epoch_losses(
     head = ad.cluster_kl(_fuse(cons, hs, zs), hs[-1], state.centroids, p_fixed,
                          cfg.t, cfg.alpha, cfg.beta)
 
-    # Joint reconstruction: the mean of the channels' reconstructions.
+    # Joint reconstruction: the mean of the channels' reconstructions. There
+    # are at most two, and halving is exact, so it is (z0 + z1) / 2 bit for bit.
     zhats = [zhat for _, zhat in outs.values()]
-    joint = reduce(ad.add, zhats)
-    if len(zhats) > 1:
-        joint = ad.scale(joint, 1.0 / len(zhats))
+    share = 1.0 / len(zhats)
+    joint = zhats[0] if len(zhats) == 1 else ad.weighted_sum([(share, z) for z in zhats])
     l_w = ad.mse(joint, ad.constant(cons.target_feat))
     l_a = {name: ad.decoder_mse(z, cons.adj_raw) for name, (z, _) in outs.items()}
     l_ae = ad.mse(xhat_ae, ad.constant(cons.target_feat))
 
-    total = ad.add(ad.add(ad.add(l_w, ad.scale(reduce(ad.add, l_a.values()), 0.1)), l_ae), head)
+    # L_w + 0.1 sum(L_a) + L_AE + head, with 0.1 scaling the summed L_a.
+    l_a_sum = ad.weighted_sum([(1.0, l) for l in l_a.values()])
+    total = ad.weighted_sum([(1.0, l_w), (0.1, l_a_sum), (1.0, l_ae), (1.0, head)])
     components = {
         "L_AE": float(l_ae.value[0, 0]),
         "L_w": float(l_w.value[0, 0]),

@@ -16,8 +16,10 @@ which only these composed losses read, are defined here), the clustering
 head is composed from soft_assign and kl_div chains, the form it replaced
 (the implementation, autodiff.cluster_kl, records it as one node with
 closed-form Student-t gradients; transpose, square, clamp_min, signed_pow,
-hadamard, log, reduce_sum and the broadcasting add, which only the composed
-forms and the tests' scalar losses read, are defined here), the attention op
+hadamard, log, reduce_sum, the dense matmul, scale and the broadcasting add,
+which only the composed forms and the tests' scalar losses read, are
+defined here; the model's own linear combinations are autodiff.weighted_sum
+nodes, checked against scale and add chains), the attention op
 is composed from project, columns, edge_attention and leaky_relu, the chain
 it replaced, defined here, over split weights W of z and Wc of the
 centrality columns (the implementation reads one stacked W~ = [W; Wc] per
@@ -328,7 +330,7 @@ def project(z, w, c, wc) -> Tensor:
 
 def composed_project(z, w, c, wc) -> Tensor:
     """project as matmuls and an add."""
-    return ad.add(ad.matmul(z, w), ad.matmul(c, wc))
+    return add(matmul(z, w), matmul(c, wc))
 
 
 def columns(a, lo: int, hi: int) -> Tensor:
@@ -390,20 +392,21 @@ def composed_attention(z, c, w, wc, pattern, bias, heads=1, activate=False) -> T
             lo, hi = h * d_head, (h + 1) * d_head
             qh, kh, vh = (columns(t, lo, hi) for t in (q, k, v))
         head_out = edge_attention(qh, kh, vh, pattern, bias, 1.0 / math.sqrt(d_head))
-        out = head_out if out is None else ad.add(out, head_out)
+        out = head_out if out is None else add(out, head_out)
     if heads > 1:
-        out = ad.scale(out, 1.0 / heads)
+        out = scale(out, 1.0 / heads)
     return leaky_relu(out) if activate else out
 
 
 def composed_blend(a, b, eps: float) -> Tensor:
-    """autodiff.blend as two scales and an add."""
-    return ad.add(ad.scale(a, eps), ad.scale(b, 1.0 - eps))
+    """The epsilon-injection a * eps + b * (1 - eps) as two scales and an
+    add, the chain the model's autodiff.weighted_sum replaced."""
+    return add(scale(a, eps), scale(b, 1.0 - eps))
 
 
 def composed_dense(x, w, b, activate=False) -> Tensor:
     """autodiff.dense as a matmul, a broadcast add and leaky_relu."""
-    out = add(ad.matmul(x, w), b)
+    out = add(matmul(x, w), b)
     return leaky_relu(out) if activate else out
 
 
@@ -412,9 +415,9 @@ def composed_propagate(adj: sp.csr_array, z, w, activate=False) -> Tensor:
     product on the narrower side: adj @ (z @ w) when w narrows, else
     (adj @ z) @ w."""
     if w.shape[1] < w.shape[0]:
-        out = ad.matmul(adj, ad.matmul(z, w))
+        out = ad.matmul(adj, matmul(z, w))
     else:
-        out = ad.matmul(ad.matmul(adj, z), w)
+        out = matmul(ad.matmul(adj, z), w)
     return leaky_relu(out) if activate else out
 
 
@@ -441,9 +444,29 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     return out
 
 
+def matmul(a, b) -> Tensor:
+    """a @ b of two tensors (autodiff.matmul takes only a constant sparse
+    left operand)."""
+    a, b = ad._as_tensor(a), ad._as_tensor(b)
+    ad._check(a.shape[1] == b.shape[0], "matmul", f"inner dims differ: {a.shape} x {b.shape}")
+    av, bv = a.value, b.value
+    na, nb = a._needs, b._needs
+
+    def rule(g):
+        return (g @ bv.T if na else None, av.T @ g if nb else None)
+
+    return Tensor(av @ bv, _parents=(a, b), _rule=rule)
+
+
+def scale(a, s: float) -> Tensor:
+    """a * s, one term of the chains autodiff.weighted_sum stands for."""
+    a = ad._as_tensor(a)
+    s = float(s)
+    return Tensor(a.value * s, _parents=(a,), _rule=lambda g: (g * s,))
+
+
 def add(a, b) -> Tensor:
-    """Element-wise sum; the operands broadcast as numpy broadcasts them
-    (autodiff.add takes one shape only)."""
+    """Element-wise sum; the operands broadcast as numpy broadcasts them."""
     a, b = ad._as_tensor(a), ad._as_tensor(b)
     sa, sb = a.shape, b.shape
     ad._check(_broadcastable(sa, sb), "add", f"incompatible shapes {sa} + {sb}")
@@ -510,9 +533,9 @@ def soft_assign(z, centroids, t: float = 1.0) -> Tensor:
     from tape ops."""
     z_sq = reduce_sum(square(z), axis=1)  # (n, 1)
     c_sq = transpose(reduce_sum(square(centroids), axis=1))  # (1, k)
-    cross = ad.scale(ad.matmul(z, transpose(centroids)), -2.0)
-    d2 = clamp_min(ad.add(add(z_sq, c_sq), cross), 0.0)
-    u = signed_pow(add(ad.scale(d2, 1.0 / t), 1.0), -(t + 1.0) / 2.0)
+    cross = scale(matmul(z, transpose(centroids)), -2.0)
+    d2 = clamp_min(add(add(z_sq, c_sq), cross), 0.0)
+    u = signed_pow(add(scale(d2, 1.0 / t), 1.0), -(t + 1.0) / 2.0)
     return hadamard(u, signed_pow(reduce_sum(u, axis=1), -1.0))
 
 
@@ -520,7 +543,7 @@ def kl_div(num, den) -> Tensor:
     """sum(num * log(num/den)) with entries floored at 1e-12 before the logs."""
     ln = log(clamp_min(num, 1e-12))
     ld = log(clamp_min(den, 1e-12))
-    return reduce_sum(hadamard(num, ad.add(ln, ad.scale(ld, -1.0))))
+    return reduce_sum(hadamard(num, add(ln, scale(ld, -1.0))))
 
 
 def composed_cluster_kl(z, z_ae, centroids, p, t, alpha, beta) -> Tensor:
@@ -531,7 +554,7 @@ def composed_cluster_kl(z, z_ae, centroids, p, t, alpha, beta) -> Tensor:
         p = target_distribution(q.value)
     l_clu = kl_div(ad.constant(p), q)
     l_con = kl_div(q, soft_assign(z_ae, centroids, t))
-    return ad.add(ad.scale(l_clu, alpha), ad.scale(l_con, beta))
+    return add(scale(l_clu, alpha), scale(l_con, beta))
 
 
 def exp(a) -> Tensor:
@@ -565,10 +588,10 @@ def combined_similarity(c1: Tensor, c2: Tensor, exponent: float = 1.0) -> Tensor
     norm1 = clamp_min(sqrt(sq1), 1e-12)
     norm2 = clamp_min(sqrt(sq2), 1e-12)
 
-    gram = ad.matmul(c1, transpose(c2))
+    gram = matmul(c1, transpose(c2))
     cos = hadamard(gram, signed_pow(hadamard(norm1, norm2), -1.0))
 
-    d2 = clamp_min(ad.add(add(sq1, sq2), ad.scale(gram, -2.0)), 0.0)
+    d2 = clamp_min(add(add(sq1, sq2), scale(gram, -2.0)), 0.0)
     euc = signed_pow(add(sqrt(d2), 1.0), -1.0)
 
     return signed_pow(hadamard(cos, euc), exponent)
@@ -580,12 +603,12 @@ def contrastive_loss(s: Tensor, tau: float) -> Tensor:
     if tau <= 0:
         raise ValueError(f"temperature must be positive, got {tau}")
     n = s.shape[0]
-    logits = ad.scale(s, 1.0 / tau)
+    logits = scale(s, 1.0 / tau)
     shift = ad.constant(logits.value.max(axis=1, keepdims=True))
-    e = exp(add(logits, ad.scale(shift, -1.0)))
-    lse = ad.add(log(reduce_sum(e, axis=1)), shift)
+    e = exp(add(logits, scale(shift, -1.0)))
+    lse = add(log(reduce_sum(e, axis=1)), shift)
     diag = reduce_sum(hadamard(logits, ad.constant(np.eye(n))))
-    return ad.scale(ad.add(reduce_sum(lse), ad.scale(diag, -1.0)), 1.0 / n)
+    return scale(add(reduce_sum(lse), scale(diag, -1.0)), 1.0 / n)
 
 
 def composed_info_nce(c1, c2, beta: float, tau: float) -> Tensor:
@@ -595,7 +618,7 @@ def composed_info_nce(c1, c2, beta: float, tau: float) -> Tensor:
 
 def inner_product_decode(z: Tensor) -> Tensor:
     """Edge-probability matrix sigmoid(Z Z^T)."""
-    return sigmoid(ad.matmul(z, transpose(z)))
+    return sigmoid(matmul(z, transpose(z)))
 
 
 def composed_decoder_mse(z, a: sp.csr_array) -> Tensor:

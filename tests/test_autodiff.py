@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 import weakref
 
@@ -29,7 +30,7 @@ def fd_scalar(make_loss, params, h=1e-5):
 class TestForwardValues:
     def test_matmul_identity(self):
         m = ad.parameter([[1.0, 2.0], [3.0, 4.0]])
-        out = ad.matmul(ad.constant(np.eye(2)), m)
+        out = ad.matmul(sp.csr_array(np.eye(2)), m)
         assert np.array_equal(out.value, m.value)
         ad.backward(oracles.reduce_sum(out))
         assert np.array_equal(m.grad, np.ones((2, 2)))
@@ -45,7 +46,8 @@ class TestForwardValues:
         a = ad.parameter([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
         right = oracles.columns(a, 1, 3)
         assert np.array_equal(right.value, [[2, 3], [5, 6]])
-        ad.backward(oracles.reduce_sum(ad.add(right, ad.scale(oracles.columns(a, 0, 2), 2.0))))
+        ad.backward(oracles.reduce_sum(ad.weighted_sum([(1.0, right),
+                                                        (2.0, oracles.columns(a, 0, 2))])))
         # column 1 is in both slices, contributing 1 + 2
         assert np.array_equal(a.grad, [[2.0, 3.0, 1.0], [2.0, 3.0, 1.0]])
 
@@ -66,16 +68,20 @@ class TestShapeErrors:
     def test_errors_name_the_operation(self):
         a = ad.constant(np.zeros((2, 3)))
         b = ad.constant(np.zeros((2, 3)))
-        with pytest.raises(ValueError, match="matmul"):
+        with pytest.raises(ValueError, match=r"^matmul: left operand must be a sparse matrix"):
             ad.matmul(a, b)
+        with pytest.raises(ValueError, match=r"^matmul: inner dims differ"):
+            ad.matmul(sp.csr_array((3, 3)), b)
         with pytest.raises(ValueError, match="hadamard"):
             oracles.hadamard(a, ad.constant(np.zeros((3, 2))))
         with pytest.raises(ValueError, match="mse"):
             ad.mse(a, ad.constant(np.zeros((3, 3))))
-        with pytest.raises(ValueError, match="add"):
-            ad.add(a, ad.constant(np.zeros((4, 4))))
-        with pytest.raises(ValueError, match=r"^add: shapes differ: \(2, 3\) vs \(1, 3\)$"):
-            ad.add(a, ad.constant(np.zeros((1, 3))))
+        with pytest.raises(ValueError, match="weighted_sum"):
+            ad.weighted_sum([(1.0, a), (1.0, ad.constant(np.zeros((4, 4))))])
+        with pytest.raises(ValueError, match=r"^weighted_sum: shapes differ: \(2, 3\) vs \(1, 3\)$"):
+            ad.weighted_sum([(1.0, a), (0.5, b), (1.0, ad.constant(np.zeros((1, 3))))])
+        with pytest.raises(ValueError, match=r"^weighted_sum: no terms$"):
+            ad.weighted_sum([])
         with pytest.raises(ValueError, match="reduce_sum"):
             oracles.reduce_sum(a, axis=0)
 
@@ -100,7 +106,7 @@ class TestBackwardContracts:
 
     def test_shared_subexpression_sums_paths(self):
         x = ad.parameter([[5.0]])
-        ad.backward(oracles.reduce_sum(ad.add(x, x)))
+        ad.backward(oracles.reduce_sum(ad.weighted_sum([(1.0, x), (1.0, x)])))
         assert x.grad[0, 0] == 2.0
 
     def test_mse_linear_grad_at_zero_weights(self):
@@ -110,7 +116,7 @@ class TestBackwardContracts:
         y = ad.constant(rng.standard_normal((3, 1)))
 
         def loss(_):
-            return ad.mse(ad.matmul(w, x), y)
+            return ad.mse(oracles.matmul(w, x), y)
 
         ad.backward(loss(None))
         want = -(2.0 / 3.0) * y.value @ x.value.T
@@ -139,7 +145,7 @@ class TestReleasedTape:
             ad.backward(loss)
         # A loss that shares a released node reaches the same error.
         with pytest.raises(ValueError, match=r"^backward: the tape was released"):
-            ad.backward(oracles.reduce_sum(ad.scale(squared, 2.0)))
+            ad.backward(oracles.reduce_sum(ad.weighted_sum([(2.0, squared)])))
 
     def test_release_frees_node_values_and_kept_arrays_during_the_sweep(self):
         """Once backward(release=True) has swept past them, an intermediate
@@ -198,7 +204,7 @@ def hadamard_outer(x):
 
 
 def add_scalar(x):
-    return oracles.add(ad.scale(oracles.reduce_sum(x), 0.1), x)
+    return oracles.add(oracles.scale(oracles.reduce_sum(x), 0.1), x)
 
 
 def hadamard_scalar(x):
@@ -264,12 +270,13 @@ class TestFiniteDifferenceSuite:
             c = ad.parameter(rng.standard_normal((3, 2)))
 
             def loss(_):
-                prod = ad.matmul(a, b)
+                prod = oracles.matmul(a, b)
                 mixed = oracles.hadamard(prod, c)
-                plus = ad.add(mixed, ad.scale(c, -0.7))
-                return ad.add(
-                    ad.scale(oracles.reduce_sum(oracles.square(plus)), 1.0 / 6.0),
-                    ad.scale(ad.add(oracles.reduce_sum(prod), oracles.reduce_sum(mixed)), 0.01),
+                plus = oracles.add(mixed, oracles.scale(c, -0.7))
+                return oracles.add(
+                    oracles.scale(oracles.reduce_sum(oracles.square(plus)), 1.0 / 6.0),
+                    oracles.scale(oracles.add(oracles.reduce_sum(prod),
+                                              oracles.reduce_sum(mixed)), 0.01),
                 )
 
             assert fd_scalar(loss, [a, b, c]) <= 1e-4
@@ -283,7 +290,7 @@ class TestFiniteDifferenceSuite:
                 picked = oracles.columns(a, 1, 5)
                 powed = oracles.signed_pow(picked, 2.0)
                 clamped = oracles.clamp_min(powed, -1.5)
-                return ad.scale(oracles.reduce_sum(oracles.square(clamped)), 0.25 / 3.0)
+                return oracles.scale(oracles.reduce_sum(oracles.square(clamped)), 0.25 / 3.0)
 
             assert fd_scalar(loss, [a]) <= 1e-4
 
@@ -356,6 +363,29 @@ def _sparse(rng, n):
     return sp.csr_array(m)
 
 
+def _injection(a, b, eps):
+    """The epsilon-injection of a into b as the model records it."""
+    return ad.weighted_sum([(eps, a), (1.0 - eps, b)])
+
+
+def _weighted(*args):
+    """weighted_sum over the operands, with the tuple of weights last."""
+    *xs, weights = args
+    return ad.weighted_sum(list(zip(weights, xs)))
+
+
+def _weighted_chain(*args):
+    """The same sum as the chain of scales and adds weighted_sum replaced."""
+    *xs, weights = args
+    return functools.reduce(oracles.add, [oracles.scale(x, w) for w, x in zip(weights, xs)])
+
+
+# Weights of 1 to 4 terms, with the 1.0 and 0.1 of the loss total and an
+# inexact 1/3 among them.
+WEIGHTED_SUM_WEIGHTS = {1: (0.7,), 2: (1.0, -0.3), 3: (0.4, 1.0, 1.0 / 3.0),
+                        4: (1.0, 0.1, 1.0, 2.5)}
+
+
 def _layer_op_cases():
     """(id, fused op, composed oracle, operand shapes, extra args): the
     operands are random parameters, constants where marked with a 'c'
@@ -363,7 +393,14 @@ def _layer_op_cases():
     cases = [("project", oracles.project, composed_project, [(6, 4), (4, 5), (6, 3), (3, 5)], ())]
     cases += [("project-z-const", oracles.project, composed_project,
                [(6, 4, "c"), (4, 5), (6, 3, "c"), (3, 5)], ())]
-    cases += [("blend", ad.blend, composed_blend, [(6, 4), (6, 4)], (0.3,))]
+    cases += [("blend", _injection, composed_blend, [(6, 4), (6, 4)], (0.3,))]
+    for terms, weights in WEIGHTED_SUM_WEIGHTS.items():
+        cases += [(f"weighted_sum-{terms}", _weighted, _weighted_chain, [(6, 4)] * terms,
+                   (weights,))]
+    cases += [("weighted_sum-scalars", _weighted, _weighted_chain, [(1, 1)] * 4,
+               ((1.0, 0.1, 1.0, 1.0),))]
+    cases += [("weighted_sum-const", _weighted, _weighted_chain, [(6, 4), (6, 4, "c"), (6, 4)],
+               ((0.5, 0.25, 1.0),))]
     for act, activate in (("linear", False), ("leaky", True)):
         cases += [(f"dense-{act}", ad.dense, composed_dense, [(6, 4), (4, 5), (1, 5)], (activate,))]
         cases += [(f"dense-x-const-{act}", ad.dense, composed_dense,
@@ -378,6 +415,7 @@ def _layer_op_cases():
 
 
 LAYER_OP_CASES = _layer_op_cases()
+WEIGHTED_SUM_CASES = [c for c in LAYER_OP_CASES if c[1] in (_injection, _weighted)]
 
 
 def _operands(rng, shapes):
@@ -416,6 +454,24 @@ class TestLayerOps:
                 grads.append([p.grad.copy() for p in params])
             for got, want in zip(*grads):
                 assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max()), name
+
+    @pytest.mark.parametrize("name,op,composed,shapes,extra", WEIGHTED_SUM_CASES,
+                             ids=[c[0] for c in WEIGHTED_SUM_CASES])
+    def test_weighted_sum_matches_its_chain_bytes(self, name, op, composed, shapes, extra):
+        """weighted_sum sums left to right as the scale and add chain did,
+        so its value and every gradient are that chain's bytes."""
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            operands = _operands(rng, shapes)
+            params = [t for t in operands if t.requires_grad]
+            fused, reference = op(*operands, *extra), composed(*operands, *extra)
+            assert fused.value.tobytes() == reference.value.tobytes(), name
+            weights = rng.standard_normal(fused.shape)
+            grads = []
+            for out in (fused, reference):
+                ad.backward(_weighted_sum(out, weights), params)
+                grads.append([p.grad.tobytes() for p in params])
+            assert grads[0] == grads[1], name
 
     @pytest.mark.parametrize("name,op,composed,shapes,extra", LAYER_OP_CASES,
                              ids=[c[0] for c in LAYER_OP_CASES])
@@ -483,8 +539,8 @@ class TestLayerOps:
         a, b = ad.constant(np.zeros((2, 3))), ad.constant(np.zeros((3, 2)))
         with pytest.raises(ValueError, match="attention"):
             ad.attention(a, a, [b] * 3, sp.csr_array(sp.eye(2)), np.zeros(2))
-        with pytest.raises(ValueError, match="blend"):
-            ad.blend(a, b, 0.5)
+        with pytest.raises(ValueError, match=r"^weighted_sum: shapes differ"):
+            ad.weighted_sum([(0.5, a), (0.5, b)])
         with pytest.raises(ValueError, match="dense"):
             ad.dense(a, b, ad.constant(np.zeros((2, 2))))
         with pytest.raises(ValueError, match="propagate"):
@@ -719,8 +775,9 @@ class TestBackwardSetsGradients:
         adj = _sparse(rng, 6)
         x1, x2 = (ad.parameter(rng.standard_normal((6, 4))) for _ in range(2))
         w, b = ad.parameter(rng.standard_normal((4, 5))), ad.parameter(rng.standard_normal((1, 5)))
-        out = ad.add(ad.add(ad.dense(x1, w, b, activate=True), ad.propagate(adj, x2, w)),
-                     ad.propagate(adj, x1, w, activate=True))
+        out = ad.weighted_sum([(1.0, ad.dense(x1, w, b, activate=True)),
+                               (1.0, ad.propagate(adj, x2, w)),
+                               (1.0, ad.propagate(adj, x1, w, activate=True))])
         params = [x1, x2, w, b]
         got, want = backward_pair(_weighted_sum(out, rng.standard_normal(out.shape)), params)
         for g, want_g in zip(got, want):
@@ -748,8 +805,8 @@ class TestBackwardSetsGradients:
         rng = np.random.default_rng(11)
         z1, z2 = (ad.parameter(rng.standard_normal((12, 3))) for _ in range(2))
         c = ad.parameter(rng.standard_normal((4, 3)))
-        loss = ad.add(ad.cluster_kl(z1, z2, c, None, 1.0, 0.3, 0.7),
-                      ad.cluster_kl(z2, z1, c, None, 2.0, 0.5, 0.2))
+        loss = ad.weighted_sum([(1.0, ad.cluster_kl(z1, z2, c, None, 1.0, 0.3, 0.7)),
+                                (1.0, ad.cluster_kl(z2, z1, c, None, 2.0, 0.5, 0.2))])
         got, want = backward_pair(loss, [z1, z2, c], release)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)

@@ -4,6 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from gclgcn import autodiff as ad
 from gclgcn.centrality import composite_centrality
 from gclgcn.checkpoint import load_checkpoint, save_checkpoint
 from gclgcn.cli import run
@@ -263,6 +264,25 @@ class TestStudies:
             assert comp == pytest.approx((acc + nmi_ + ari_ + f1_) / 4, abs=1e-12)
 
 
+class TestOpCatalogue:
+    # The names autodiff exports beside its tape ops.
+    NOT_OPS = {"Tensor", "constant", "parameter", "backward", "AdamState", "adam_step"}
+
+    def test_one_train_run_records_every_op(self, run_cfg, tmp_path, monkeypatch):
+        """Every tape op autodiff exports is called by one small train run,
+        so none is kept only for the tests."""
+        ops = sorted(set(ad.__all__) - self.NOT_OPS)
+        called = set()
+        for name in ops:
+            def counted(*args, _op=getattr(ad, name), _name=name, **kwargs):
+                called.add(_name)
+                return _op(*args, **kwargs)
+
+            monkeypatch.setattr(ad, name, counted)
+        assert run(["train", "--config", str(run_cfg), "--out", str(tmp_path / "out")]) == 0
+        assert sorted(called) == ops
+
+
 class TestEval:
     def test_metrics_line(self, tmp_path, capsys):
         pred = tmp_path / "pred.txt"
@@ -285,6 +305,22 @@ class TestEval:
         assert run(args + ["--out", str(tmp_path / "m.csv")]) == 0
         assert (tmp_path / "m.csv").read_text() == printed
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.csv", "pred.txt", "truth.txt"]
+
+
+    @pytest.mark.parametrize("bad", ["pred", "truth"])
+    def test_negative_label_exits_one_naming_the_line(self, bad, tmp_path, capsys):
+        """-1 would index the last cluster id in the confusion matrix and
+        score wrong metrics, so it is refused."""
+        files = {"pred": "0\n0\n1\n1\n", "truth": "0\n0\n1\n1\n"}
+        files[bad] = "0\n0\n1\n-1\n"
+        for role, text in files.items():
+            (tmp_path / f"{role}.txt").write_text(text)
+        code = run(["eval", "--pred", str(tmp_path / "pred.txt"),
+                    "--truth", str(tmp_path / "truth.txt")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {tmp_path / f'{bad}.txt'}:4: negative label\n"
 
 
 class TestExitCodes:

@@ -92,6 +92,13 @@ class TestLoadGraph:
         with pytest.raises(ValueError, match="y.txt:3: could not parse label"):
             load_graph(tmp_path / "f.csv", tmp_path / "e.txt", tmp_path / "y.txt")
 
+    def test_negative_label_names_line(self, tmp_path):
+        (tmp_path / "f.csv").write_text("0\n0\n")
+        (tmp_path / "e.txt").write_text("0 1\n")
+        (tmp_path / "y.txt").write_text("0\n\n-1\n")
+        with pytest.raises(ValueError, match=r"y\.txt:3: negative label$"):
+            load_graph(tmp_path / "f.csv", tmp_path / "e.txt", tmp_path / "y.txt")
+
     def test_comments_and_blank_lines(self, tmp_path):
         (tmp_path / "f.csv").write_text("1.5\n2.5\n")
         (tmp_path / "e.txt").write_text("# header\n\n0 1  # inline\n")

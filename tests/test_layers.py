@@ -395,8 +395,8 @@ def recorded_nodes(out, layer_input, reading=None):
 
 
 class TestTapeShape:
-    """Each layer records its fused nodes only: no matmul, add or scale node
-    between a layer's input and its output."""
+    """Each layer records its fused nodes only: no matmul or weighted_sum
+    node between a layer's input and its output."""
 
     def test_attention_layer_records_projections_attention_activation(self):
         g = tiny_graph(9, n=6)
@@ -431,11 +431,12 @@ class TestTapeShape:
             [("propagate", (g.n, 6)), ("relu", (g.n, 6)), ("propagate", (g.n, g.f))]
         )
 
-    def test_clustering_head_is_the_centroids_only_consumer(self):
-        """One joint epoch at layers=2 records 32 nodes, and the centroids
-        are read by one of them, the cluster_kl head."""
+    @pytest.mark.parametrize("layers,count", [(2, 24), (4, 40)])
+    def test_clustering_head_is_the_centroids_only_consumer(self, layers, count):
+        """One joint epoch records 24 nodes at layers=2 and 40 at layers=4,
+        and the centroids are read by one of them, the cluster_kl head."""
         g = tiny_graph(12, n=8)
-        cfg = ExperimentConfig(k=2, n_z=3, layers=2, seed=0)
+        cfg = ExperimentConfig(k=2, n_z=3, layers=layers, seed=0)
         rng = np.random.default_rng(12)
         ae = random_params(rng, ladder_dims(g.f, cfg.n_z, cfg.layers))
         pre = P.Pretrained([(name, t.value) for name, t in ae.named()],
@@ -446,4 +447,4 @@ class TestTapeShape:
         assert recorded_nodes(total, state.centroids, reading=state.centroids) == [
             ("cluster_kl", (1, 1))
         ]
-        assert len(recorded_nodes(total, None)) == 32
+        assert len(recorded_nodes(total, None)) == count

@@ -57,13 +57,14 @@ class TestFusion:
         # the injection of an autoencoder layer output h into a channel input z
         h = ad.constant(np.full((2, 2), 2.0))
         z = ad.constant(np.zeros((2, 2)))
-        assert np.array_equal(ad.blend(h, z, 0.0).value, np.zeros((2, 2)))
-        assert np.array_equal(ad.blend(h, z, 1.0).value, h.value)
-        assert np.array_equal(ad.blend(h, z, 0.5).value, np.ones((2, 2)))
+        for eps, want in ((0.0, np.zeros((2, 2))), (1.0, h.value), (0.5, np.ones((2, 2)))):
+            assert np.array_equal(ad.weighted_sum([(eps, h), (1.0 - eps, z)]).value, want)
 
     def test_blend_shape_mismatch(self):
-        with pytest.raises(ValueError, match=r"blend: shapes differ: \(2, 2\) vs \(3, 2\)"):
-            ad.blend(ad.constant(np.zeros((2, 2))), ad.constant(np.zeros((3, 2))), 0.5)
+        with pytest.raises(ValueError,
+                           match=r"^weighted_sum: shapes differ: \(2, 2\) vs \(3, 2\)$"):
+            ad.weighted_sum([(0.5, ad.constant(np.zeros((2, 2)))),
+                             (0.5, ad.constant(np.zeros((3, 2))))])
 
     def test_fuse_final_single_channel_edgeless(self):
         g = Graph(features=np.zeros((3, 1)), edges=[])
