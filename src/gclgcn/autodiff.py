@@ -44,12 +44,16 @@ gradients, where the composed form recorded 53 nodes. Q and Q' come from
 cluster.student_t, whose numpy calls are that form's, so they match it bit
 for bit; the node hands them back.
 
-backward sets gradients, it does not add to them: it writes the .grad of
-every leaf the loss reaches, so a second call on a tape it did not release
-gives the same gradients and nothing needs zeroing between steps. dense,
-propagate and attention write a weight's gradient straight into the
-weight's .grad when it is the weight's first contribution, so a step forms
-no parameter-sized temporary for it.
+backward sets gradients, it does not add to them, so nothing needs zeroing
+between steps. It counts each leaf's consumers while it orders the tape, and
+a leaf's gradient is finished when its last contribution arrives (a leaf
+reached twice sums its contributions in sweep order). Without an optimizer
+state it lands in the leaf's .grad, so a second call on a tape it did not
+release gives the same gradients. Given an AdamState, backward hands each
+finished gradient to the state, which folds it into Adam's moments at once,
+so no parameter-sized gradient store outlives the sweep: dense, propagate
+and attention write a weight's gradient into a scratch buffer the state owns
+and lends, and adam_step applies the update from the moments afterwards.
 """
 
 from __future__ import annotations
@@ -90,7 +94,7 @@ class Tensor:
     """Node in the differentiation graph: value, gradient buffer, backward rule."""
 
     __slots__ = ("value", "grad", "requires_grad", "name", "_parents", "_rule", "_needs",
-                 "_unwritten")
+                 "_sweep")
 
     def __init__(
         self,
@@ -109,14 +113,14 @@ class Tensor:
             raise ValueError(f"tensor values must be at most 2-D, got {arr.shape}")
         self.value = arr
         self.requires_grad = requires_grad
-        # backward writes .grad before anything reads it, so it needs no fill
-        self.grad = np.empty_like(arr) if requires_grad else None
+        # set by a backward given no optimizer state; with one, none is kept
+        self.grad = None
         self.name = name
         self._parents = _parents
         self._rule = _rule
         self._needs = requires_grad or any(p._needs for p in _parents)
-        # True while a running backward has not yet written this leaf's .grad
-        self._unwritten = False
+        # the _Sweep of the running backward that collects this leaf's gradient
+        self._sweep = None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -145,19 +149,99 @@ def _check(cond: bool, op: str, msg: str) -> None:
         raise ValueError(f"{op}: {msg}")
 
 
-def backward(loss: Tensor, params: Sequence[Tensor] = (), release: bool = False) -> None:
-    """Set .grad on every requires-grad ancestor of a scalar loss to the
-    loss's gradient, and zero the .grad of each of params that it does not
-    reach, so no earlier gradient survives in a listed parameter.
+class _Sweep:
+    """Where one running backward collects each leaf's gradient. A leaf's
+    gradient is finished when its last contribution arrives: without an
+    optimizer state it is then in the leaf's .grad; with one, it is handed
+    to state.absorb under the leaf's index in the parameter list, and the
+    scratch buffer it was summed in goes back to the state."""
 
-    Visits nodes in reverse topological order exactly once. A leaf's first
-    contribution is written into its .grad (an op that asks _grad_buffer for
-    it writes it there itself), and each later one is added in place at
-    once, in traversal order; only inner nodes collect theirs in pending.
+    def __init__(self, uses: dict[int, int], state: "AdamState | None", index: dict[int, int]):
+        self.uses = uses  # id(leaf) -> contributions still to come
+        self.state, self.index = state, index
+        self.sums: dict[int, np.ndarray] = {}  # id(leaf) -> the sum so far
+        self.held: dict[int, np.ndarray] = {}  # id(leaf) -> the buffer store gave it
+        self.finished: set[int] = set()
 
-    Without release the tape is left intact, so a second call sets the same
-    gradients. With release, each inner node drops its rule and parents as
-    soon as the sweep passes it, so the arrays its rule keeps, and every
+    def store(self, t: Tensor) -> np.ndarray:
+        """A buffer for t's gradient that nothing else reads: t's .grad, or
+        a scratch buffer the state lends."""
+        if self.state is None:
+            if t.grad is None:
+                t.grad = np.empty(t.shape)
+            buf = t.grad
+        else:
+            buf = self.state._lend(t.shape)
+        self.held[id(t)] = buf
+        return buf
+
+    def give(self, t: Tensor, g: np.ndarray) -> None:
+        """Add one contribution g to leaf t's gradient: the first is written
+        into store(t) unless an op already wrote it there (or, with a state,
+        unless it is t's only one, which is absorbed where it is), later ones
+        are added in place."""
+        key = id(t)
+        self.uses[key] -= 1
+        acc = self.sums.pop(key, None)
+        if acc is not None:
+            acc += g
+        elif g is self.held.get(key) or (self.state is not None and not self.uses[key]
+                                         and g.flags.c_contiguous):
+            acc = g
+        else:
+            acc = self.store(t)
+            np.copyto(acc, g)
+        if self.uses[key]:
+            self.sums[key] = acc
+        else:
+            self.finish(t, acc)
+
+    def finish(self, t: Tensor, acc: np.ndarray) -> None:
+        key = id(t)
+        self.finished.add(key)
+        if self.state is not None:
+            self.state.absorb(self.index[key], acc)
+            buf = self.held.pop(key, None)
+            if buf is not None:
+                self.state._give_back(buf)
+
+    def finish_rest(self, leaves: Sequence[Tensor]) -> None:
+        """Finish every leaf whose contributions did not all arrive; one
+        that got none, as a listed parameter the loss does not reach, gets
+        zeros."""
+        for t in leaves:
+            if id(t) not in self.finished:
+                acc = self.sums.pop(id(t), None)
+                if acc is None:
+                    acc = self.store(t)
+                    acc.fill(0.0)
+                self.finish(t, acc)
+
+
+def backward(
+    loss: Tensor,
+    params: Sequence[Tensor] = (),
+    release: bool = False,
+    state: "AdamState | None" = None,
+) -> None:
+    """The gradient of a scalar loss with respect to every requires-grad
+    ancestor, and zeros for each of params that it does not reach, so no
+    earlier gradient survives in a listed parameter.
+
+    Without state, each gradient is set into the leaf's .grad. With state
+    (an AdamState built for params, which must hold every leaf the loss
+    reaches), no .grad is set: each gradient is handed to state.absorb as
+    soon as its last contribution arrives, and adam_step(params, state)
+    then applies the update.
+
+    Visits nodes in reverse topological order exactly once. A leaf's
+    contributions are summed in traversal order; an op that asks
+    _grad_buffer for a leaf's first one writes it straight into the buffer
+    the sum is kept in. Only inner nodes collect theirs in pending.
+
+    Without release the tape is left intact, so a second call gives the
+    same gradients. With release, each inner node drops its rule and parents
+    as soon as the sweep passes it, so the arrays its rule keeps, and every
     node the caller does not hold, are freed during the sweep rather than
     after it; the gradients are the same bytes. A later backward through a
     released node raises ValueError.
@@ -166,6 +250,7 @@ def backward(loss: Tensor, params: Sequence[Tensor] = (), release: bool = False)
         raise ValueError(f"backward: loss must be 1x1, got {loss.shape}")
     topo: list[Tensor] = []
     seen: set[int] = set()
+    uses = {id(loss): 1}  # the contributions each leaf will get
     stack: list[tuple[Tensor, bool]] = [(loss, False)]
     while stack:
         node, expanded = stack.pop()
@@ -177,28 +262,37 @@ def backward(loss: Tensor, params: Sequence[Tensor] = (), release: bool = False)
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
+            if p.requires_grad:
+                uses[id(p)] = uses.get(id(p), 0) + 1
             stack.append((p, False))
 
+    leaves = [t for t in topo if t.requires_grad]
+    leaves += [p for p in params if id(p) not in seen]
+    index = {id(p): i for i, p in enumerate(params)}
+    if state is not None:
+        if len(params) != len(state.m):
+            raise ValueError("backward: state was built for a different parameter list")
+        for t in leaves:
+            if id(t) not in index:
+                raise ValueError(f"backward: the loss reaches {t!r}, which params does not list")
+        state._free = list(state.scratch)
+    sweep = _Sweep(uses, state, index)
     pending: dict[int, np.ndarray] = {}
 
     def give(node: Tensor, g: np.ndarray, upstream: np.ndarray | None) -> None:
-        if not node.requires_grad:
-            acc = pending.get(id(node))
-            if acc is None:
-                # Copy anything that aliases the upstream gradient: stored
-                # buffers are accumulated into in place.
-                pending[id(node)] = g.copy() if (g is upstream or g.base is not None) else g
-            else:
-                acc += g
-        elif node._unwritten:
-            node._unwritten = False
-            np.copyto(node.grad, g)
-        elif g is not node.grad:  # else the op wrote it there
-            node.grad += g
+        if node.requires_grad:
+            sweep.give(node, g)
+            return
+        acc = pending.get(id(node))
+        if acc is None:
+            # Copy anything that aliases the upstream gradient: stored
+            # buffers are accumulated into in place.
+            pending[id(node)] = g.copy() if (g is upstream or g.base is not None) else g
+        else:
+            acc += g
 
-    leaves = [t for t in topo if t.requires_grad] + list(params)
     for t in leaves:
-        t._unwritten = True
+        t._sweep = sweep
     try:
         give(loss, np.ones((1, 1)), None)
         while topo:
@@ -217,22 +311,20 @@ def backward(loss: Tensor, params: Sequence[Tensor] = (), release: bool = False)
             if release and not node.requires_grad:
                 node._rule = None
                 node._parents = ()
-        for p in params:
-            if p._unwritten:
-                p.grad.fill(0.0)
+        sweep.finish_rest(leaves)
     finally:
         for t in leaves:
-            t._unwritten = False
+            t._sweep = None
 
 
 def _grad_buffer(t: Tensor) -> np.ndarray:
-    """The array an op's backward rule writes t's gradient into: t's own
-    .grad when t is a leaf the running backward has not yet written (which
-    then counts as written), otherwise a new one."""
-    if t._unwritten:
-        t._unwritten = False
-        return t.grad
-    return np.empty(t.shape)
+    """The array an op's backward rule writes t's gradient into: the
+    running backward's store for t when this is t's first contribution,
+    otherwise a new one."""
+    sweep = t._sweep
+    if sweep is None or id(t) in sweep.sums or id(t) in sweep.held:
+        return np.empty(t.shape)
+    return sweep.store(t)
 
 
 # ---------------------------------------------------------------------------
@@ -796,24 +888,6 @@ def mse(a: Tensor, b: Tensor) -> Tensor:
 # Optimizer and gradient checking
 # ---------------------------------------------------------------------------
 
-@dataclass
-class AdamState:
-    """First/second moment buffers for one fixed parameter list."""
-
-    lr: float
-    step: int = 0
-    m: list[np.ndarray] = field(default_factory=list)
-    v: list[np.ndarray] = field(default_factory=list)
-
-    @classmethod
-    def for_params(cls, params: Sequence[Tensor], lr: float) -> "AdamState":
-        state = cls(lr=lr)
-        # np.zeros maps zeroed pages instead of filling them
-        state.m = [np.zeros(p.shape) for p in params]
-        state.v = [np.zeros(p.shape) for p in params]
-        return state
-
-
 # Adam's moment decay rates and the floor added to the root of the second
 # moment.
 ADAM_BETA1 = 0.9
@@ -825,37 +899,67 @@ ADAM_EPS = 1e-8
 _ADAM_BLOCK = 1 << 14
 
 
-def adam_step(
-    params: Sequence[Tensor],
-    grads: Sequence[np.ndarray],
-    state: AdamState,
-) -> AdamState:
-    """One bias-corrected Adam update, in place on params and state.
+@dataclass
+class AdamState:
+    """Adam for one fixed parameter list: the first and second moments, and
+    the scratch that a backward given this state sums gradients in.
 
-    Each parameter is updated in contiguous blocks of _ADAM_BLOCK elements
-    through one block-sized work buffer; every element sees the same
-    operations in the same order as a whole-array update, so the result does
-    not depend on the block size. Every array must be C-contiguous.
-    """
-    if len(params) != len(state.m):
-        raise ValueError("adam_step: state was built for a different parameter list")
-    state.step += 1
-    t = state.step
-    c1 = 1.0 - ADAM_BETA1**t
-    c2 = 1.0 - ADAM_BETA2**t
-    work = np.empty(_ADAM_BLOCK)
-    for i, (p, g, m, v) in enumerate(zip(params, grads, state.m, state.v)):
-        arrays = {"value": p.value, "gradient": g, "first moment": m, "second moment": v}
-        for role, arr in arrays.items():
-            # reshape(-1) of anything else would be a copy, and the update would be lost
-            if not arr.flags.c_contiguous:
-                raise ValueError(
-                    f"adam_step: the {role} of parameter {i} ({p!r}) is not C-contiguous"
-                )
-        pf, gf, mf, vf = (arr.reshape(-1) for arr in arrays.values())
-        for lo in range(0, pf.size, _ADAM_BLOCK):
-            hi = min(lo + _ADAM_BLOCK, pf.size)
-            pb, gb, mb, vb, w = pf[lo:hi], gf[lo:hi], mf[lo:hi], vf[lo:hi], work[: hi - lo]
+    A step is absorb(i, g) for every parameter i, which folds its gradient
+    into the moments (backward does it as it finishes each gradient), then
+    adam_step, which applies the bias-corrected update. The scratch is
+    capacity-based: each buffer is the size of the largest parameter, made
+    when no free one is left (attention holds three at once) and kept
+    across steps."""
+
+    lr: float
+    step: int = 0
+    m: list[np.ndarray] = field(default_factory=list)
+    v: list[np.ndarray] = field(default_factory=list)
+    scratch: list[np.ndarray] = field(default_factory=list)
+    # the scratch buffers not lent out, the parameters absorbed since the
+    # last step and those of them whose gradient held a non-finite entry
+    _free: list[np.ndarray] = field(default_factory=list)
+    _absorbed: set[int] = field(default_factory=set)
+    _nonfinite: set[int] = field(default_factory=set)
+    _work: np.ndarray = field(default_factory=lambda: np.empty(_ADAM_BLOCK))
+
+    @classmethod
+    def for_params(cls, params: Sequence[Tensor], lr: float) -> "AdamState":
+        state = cls(lr=lr)
+        # np.zeros maps zeroed pages instead of filling them
+        state.m = [np.zeros(p.shape) for p in params]
+        state.v = [np.zeros(p.shape) for p in params]
+        return state
+
+    def _lend(self, shape: tuple[int, int]) -> np.ndarray:
+        """A free scratch buffer, viewed as an array of shape."""
+        if not self._free:
+            self.scratch.append(np.empty(max(m.size for m in self.m)))
+            self._free.append(self.scratch[-1])
+        return self._free.pop()[: shape[0] * shape[1]].reshape(shape)
+
+    def _give_back(self, buf: np.ndarray) -> None:
+        self._free.append(buf.base)
+
+    def absorb(self, i: int, g: np.ndarray) -> None:
+        """Fold parameter i's gradient g into its moments, m = beta1 m +
+        (1 - beta1) g and v = beta2 v + (1 - beta2) g^2, the first seven
+        operations of the update, in blocks of _ADAM_BLOCK elements through
+        one block-sized work buffer; g is only read. Notes whether g holds a
+        non-finite entry (see first_nonfinite)."""
+        m, v = self.m[i], self.v[i]
+        if g.shape != m.shape:
+            raise ValueError(f"absorb: the gradient of parameter {i} is {g.shape}, "
+                             f"expected {m.shape}")
+        # reshape(-1) of anything else would be a copy
+        if not g.flags.c_contiguous:
+            raise ValueError(f"absorb: the gradient of parameter {i} is not C-contiguous")
+        gf, mf, vf = g.reshape(-1), m.reshape(-1), v.reshape(-1)
+        finite = True
+        for lo in range(0, gf.size, _ADAM_BLOCK):
+            hi = min(lo + _ADAM_BLOCK, gf.size)
+            gb, mb, vb, w = gf[lo:hi], mf[lo:hi], vf[lo:hi], self._work[: hi - lo]
+            finite = finite and bool(np.isfinite(gb).all())
             mb *= ADAM_BETA1
             np.multiply(gb, 1.0 - ADAM_BETA1, out=w)
             mb += w
@@ -863,6 +967,47 @@ def adam_step(
             np.multiply(gb, gb, out=w)
             w *= 1.0 - ADAM_BETA2
             vb += w
+        self._absorbed.add(i)
+        if not finite:
+            self._nonfinite.add(i)
+
+    def first_nonfinite(self) -> int | None:
+        """The lowest index of a parameter whose gradient absorbed since the
+        last step held a non-finite entry, or None."""
+        return min(self._nonfinite, default=None)
+
+
+def adam_step(params: Sequence[Tensor], state: AdamState) -> AdamState:
+    """One bias-corrected Adam update, in place on params and state, from
+    the moments that absorb has brought up to date for every parameter.
+
+    Each parameter is updated in contiguous blocks of _ADAM_BLOCK elements
+    through one block-sized work buffer; every element sees the same
+    operations in the same order as a whole-array update, so the result does
+    not depend on the block size. Every value must be C-contiguous.
+    """
+    if len(params) != len(state.m):
+        raise ValueError("adam_step: state was built for a different parameter list")
+    missing = sorted(set(range(len(params))) - state._absorbed)
+    if missing:
+        raise ValueError(f"adam_step: no gradient absorbed for parameter {missing[0]} "
+                         f"({params[missing[0]]!r})")
+    for i, p in enumerate(params):
+        # reshape(-1) of anything else would be a copy, and the update would be lost
+        if not p.value.flags.c_contiguous:
+            raise ValueError(f"adam_step: the value of parameter {i} ({p!r}) is not C-contiguous")
+    state._absorbed.clear()
+    state._nonfinite.clear()
+    state.step += 1
+    t = state.step
+    c1 = 1.0 - ADAM_BETA1**t
+    c2 = 1.0 - ADAM_BETA2**t
+    work = state._work
+    for p, m, v in zip(params, state.m, state.v):
+        pf, mf, vf = (arr.reshape(-1) for arr in (p.value, m, v))
+        for lo in range(0, pf.size, _ADAM_BLOCK):
+            hi = min(lo + _ADAM_BLOCK, pf.size)
+            pb, mb, vb, w = pf[lo:hi], mf[lo:hi], vf[lo:hi], work[: hi - lo]
             np.divide(vb, c2, out=w)
             np.sqrt(w, out=w)
             w += ADAM_EPS
@@ -870,4 +1015,3 @@ def adam_step(
             w *= state.lr / c1
             pb -= w
     return state
-

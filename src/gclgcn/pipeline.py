@@ -238,13 +238,18 @@ class TrainResult:
 # Pretraining
 # ---------------------------------------------------------------------------
 
-def _nonfinite_gradient(named) -> str | None:
-    """The name of the first (name, tensor) pair whose gradient holds a
-    non-finite entry, or None. Checked before every Adam step, so the
-    parameters are still the finite pre-step values."""
-    for name, t in named:
-        if not np.isfinite(t.grad).all():
-            return name
+def _step(named, opt: AdamState, loss: Tensor, release: bool) -> str | None:
+    """One optimizer step on loss over the (name, tensor) parameters named,
+    in checkpoint order: backward hands each gradient to opt as it finishes
+    it, then, unless a gradient held a non-finite entry, adam_step updates
+    the parameters. Returns the name of the first parameter whose gradient
+    was not finite, in which case no parameter has moved."""
+    params = [t for _, t in named]
+    backward(loss, params, release=release, state=opt)
+    bad = opt.first_nonfinite()
+    if bad is not None:
+        return named[bad][0]
+    adam_step(params, opt)
     return None
 
 
@@ -254,8 +259,7 @@ def _pretrain(phase: str, named, lr: float, epochs: int, loss_of: Callable) -> N
     naming phase and the epoch, at the first non-finite loss or gradient.
     Unlike joint training, backward here keeps the tape: releasing it
     raised the page faults more than it lowered the peak (see the loop)."""
-    tensors = [t for _, t in named]
-    opt = AdamState.for_params(tensors, lr)
+    opt = AdamState.for_params([t for _, t in named], lr)
     for epoch in range(epochs):
         # The last tape lives until loss is rebound, and backward keeps it. At
         # n=900, releasing it in backward cut the pretraining peak from 258 to
@@ -264,11 +268,9 @@ def _pretrain(phase: str, named, lr: float, epochs: int, loss_of: Callable) -> N
         loss = loss_of()
         if not np.isfinite(loss.value[0, 0]):
             raise NumericError(f"{phase}: non-finite loss at epoch {epoch}")
-        backward(loss, tensors)
-        bad = _nonfinite_gradient(named)
+        bad = _step(named, opt, loss, release=False)
         if bad is not None:
             raise NumericError(f"{phase}: non-finite gradient of {bad} at epoch {epoch}")
-        adam_step(tensors, [t.grad for t in tensors], opt)
 
 
 def pretrain_ae(g: Graph, cfg: ExperimentConfig) -> Channel:
@@ -565,8 +567,7 @@ def train(
     # them across runs keeps its own reference.
     del pretrained
     named = state._named()
-    params = [t for _, t in named]
-    opt = AdamState.for_params(params, cfg.lr)
+    opt = AdamState.for_params([t for _, t in named], cfg.lr)
 
     def abort(error: NumericError):
         """Write the model state, which this epoch has not yet updated, to
@@ -590,11 +591,9 @@ def train(
         else:
             row.update({"acc": np.nan, "nmi": np.nan, "ari": np.nan, "f1": np.nan})
         history.append(row)
-        backward(total, params, release=True)
-        bad = _nonfinite_gradient(named)
+        bad = _step(named, opt, total, release=True)
         if bad is not None:
             abort(NumericError(f"training: non-finite gradient of {bad} at epoch {epoch}"))
-        adam_step(params, [p.grad for p in params], opt)
         # backward freed the tape's inner nodes; drop the loss and the encoder
         # outputs, whose values are the last of it, before the next encoder
         # pass, which feeds the next epoch or, after the last step, the labels.

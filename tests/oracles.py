@@ -8,7 +8,9 @@ breadth-first sweep that betweenness runs), the planted-partition generator
 draws its n x n edge coins at once (the implementation draws a block of rows
 at a time), the matching accuracy enumerates every bijection, the graph operators are dense n x n matrices (the
 implementation keeps the adjacency and the attention weights in CSR), and
-the Adam update runs on whole arrays (the implementation updates in blocks),
+the Adam update runs on whole arrays in one call (the implementation folds
+each gradient into the moments in blocks as backward finishes it, and
+applies the update in blocks afterwards),
 the layer ops and the two row-blocked losses are composed from the tape's
 elementary ops (the implementation records each as one node, and the losses
 never hold an n x n array beyond one block of rows; exp, sqrt and sigmoid,
@@ -30,8 +32,9 @@ implementation builds every stack, names included, with
 pipeline.Channel.build, and stacks each role's W~), and backward is the
 accumulating loop that zeroes the gradients and then adds every
 contribution, a leaf's too, through a pending sum (the implementation
-writes a leaf's first contribution into its .grad, often from inside the
-op), run on the tape before a releasing backward frees it. The
+counts each leaf's consumers and writes a leaf's first contribution into
+the buffer its sum is kept in, often from inside the op), run on the tape
+before a releasing backward frees it. The
 finite-difference checker, the closed-form centroid gradient and the
 composite loss of a model state judge the tape's gradients.
 """
@@ -662,7 +665,7 @@ def accumulating_backward(loss: Tensor, params: Sequence[Tensor]) -> None:
     leaf's sum into its .grad. params must hold every leaf the loss
     reaches."""
     for p in params:
-        p.grad[...] = 0.0
+        p.grad = np.zeros(p.shape)
     topo: list[Tensor] = []
     seen: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(loss, False)]

@@ -823,8 +823,10 @@ class TestBackwardSetsGradients:
 
     def test_weight_gradients_allocate_less_than_one_weight(self):
         """Through dense and both propagate associations with 500 x 2000
-        weights at n=8, each weight gradient is written into the weight's
-        .grad, so backward allocates less than one weight's bytes."""
+        weights at n=8, each weight gradient is written into a scratch
+        buffer the optimizer state keeps across steps and handed to the
+        state from there, so after the first step backward allocates less
+        than one weight's bytes, and no parameter keeps a .grad."""
         n = 8
         rng = np.random.default_rng(12)
         adj = _sparse(rng, n)
@@ -832,30 +834,43 @@ class TestBackwardSetsGradients:
         w1, w2, w3 = (ad.parameter(rng.standard_normal(shape) / 50)
                       for shape in ((500, 2000), (2000, 500), (500, 2000)))
         b1 = ad.parameter(np.zeros((1, 2000)))
+        params = [w1, b1, w2, w3]
         h = ad.dense(x, w1, b1, activate=True)
         h = ad.propagate(adj, h, w2, activate=True)  # narrows: adj @ (h @ w2)
         loss = oracles.reduce_sum(oracles.square(ad.propagate(adj, h, w3)))  # widens: (adj @ h) @ w3
+        st = ad.AdamState.for_params(params, lr=0.01)
+        ad.backward(loss, params, state=st)
+        ad.adam_step(params, st)
         tracemalloc.start()
         try:
-            ad.backward(loss)
+            ad.backward(loss, params, state=st)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < w1.value.nbytes
+        assert all(p.grad is None for p in params)
+        assert len(st.scratch) == 1
+
+
+def _adam(params, grads, state):
+    """absorb each of grads, then one adam_step."""
+    for i, g in enumerate(grads):
+        state.absorb(i, g)
+    return ad.adam_step(params, state)
 
 
 class TestAdam:
     def test_zero_grad_leaves_params(self):
         p = ad.parameter([[1.0, 2.0]])
         st = ad.AdamState.for_params([p], lr=0.1)
-        ad.adam_step([p], [np.zeros((1, 2))], st)
+        _adam([p], [np.zeros((1, 2))], st)
         assert np.array_equal(p.value, [[1.0, 2.0]])
         assert st.step == 1
 
     def test_first_step_moves_by_lr(self):
         p = ad.parameter([[0.0]])
         st = ad.AdamState.for_params([p], lr=0.1)
-        ad.adam_step([p], [np.ones((1, 1))], st)
+        _adam([p], [np.ones((1, 1))], st)
         assert p.value[0, 0] == pytest.approx(-0.1, abs=1e-8)
 
     def test_deterministic_trajectory(self):
@@ -865,7 +880,7 @@ class TestAdam:
             st = ad.AdamState.for_params([p], lr=0.01)
             for i in range(25):
                 g = np.sin(p.value + i)
-                ad.adam_step([p], [g], st)
+                _adam([p], [g], st)
             return p.value.copy()
 
         assert np.array_equal(run(), run())
@@ -881,13 +896,63 @@ class TestAdam:
         st_whole = ad.AdamState.for_params(whole, lr=0.01)
         for _ in range(4):
             grads = [rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 3) for shape in shapes]
-            ad.adam_step(blocked, grads, st_blocked)
+            _adam(blocked, grads, st_blocked)
             adam_step_whole(whole, grads, st_whole)
             for a, b in zip(blocked, whole):
                 assert a.value.tobytes() == b.value.tobytes()
             for a, b in zip(st_blocked.m + st_blocked.v, st_whole.m + st_whole.v):
                 assert a.tobytes() == b.tobytes()
         assert st_blocked.step == st_whole.step == 4
+
+    @pytest.mark.parametrize("block", [5, 64, 1 << 14])
+    def test_backward_into_the_state_matches_the_whole_array_update(self, monkeypatch, block):
+        """backward hands each gradient to the state as it finishes it, and
+        adam_step applies the update from the moments: over several steps p,
+        m and v are the bytes of the whole-array update on the gradients
+        backward sets without a state. w is read twice, by dense and by
+        propagate, so its two contributions are summed before it is handed
+        over; u is listed but not reached, so it gets zeros, although the
+        scratch buffer they are written into held other gradients first."""
+        monkeypatch.setattr(ad, "_ADAM_BLOCK", block)
+        rng = np.random.default_rng(3)
+        adj = _sparse(rng, 6)
+        x = ad.constant(rng.standard_normal((6, 7)))
+        shapes = [(7, 9), (1, 9), (9, 11), (3, 13)]
+        values = [rng.standard_normal(shape) for shape in shapes]
+
+        def loss(w, b, w2, u):
+            h = ad.weighted_sum([(0.5, ad.dense(x, w, b, activate=True)),
+                                 (1.5, ad.propagate(adj, x, w, activate=True))])
+            return oracles.reduce_sum(oracles.square(ad.propagate(adj, h, w2)))
+
+        fused = [ad.parameter(v) for v in values]
+        whole = [ad.parameter(v) for v in values]
+        st_fused = ad.AdamState.for_params(fused, lr=0.01)
+        st_whole = ad.AdamState.for_params(whole, lr=0.01)
+        for _ in range(4):
+            ad.backward(loss(*fused), fused, state=st_fused)
+            assert st_fused.first_nonfinite() is None
+            ad.adam_step(fused, st_fused)
+            ad.backward(loss(*whole), whole)
+            adam_step_whole(whole, [p.grad for p in whole], st_whole)
+            assert not whole[-1].grad.any()
+            for a, b in zip(fused, whole):
+                assert a.value.tobytes() == b.value.tobytes()
+            for a, b in zip(st_fused.m + st_fused.v, st_whole.m + st_whole.v):
+                assert a.tobytes() == b.tobytes()
+        assert np.array_equal(fused[-1].value, values[-1])
+        assert all(p.grad is None for p in fused)
+        assert 1 <= len(st_fused.scratch) <= 3
+        assert all(buf.size == 9 * 11 for buf in st_fused.scratch)  # the largest parameter's
+
+    def test_nonfinite_gradient_is_noted_in_parameter_order(self):
+        params = [ad.parameter(np.ones((2, 3))) for _ in range(3)]
+        st = ad.AdamState.for_params(params, lr=0.1)
+        bad = np.ones((2, 3))
+        bad[1, 2] = np.inf
+        for i in (2, 0, 1):
+            st.absorb(i, bad if i != 0 else np.ones((2, 3)))
+        assert st.first_nonfinite() == 1
 
     def test_state_holds_only_the_moments(self):
         params = [ad.parameter(np.ones((3, 4))), ad.parameter(np.ones((1, 5)))]
@@ -902,16 +967,30 @@ class TestAdam:
         grads = [np.ones((1, 2)), np.ones((2, 3))]
         if role == "value":
             params[1].value = np.asfortranarray(params[1].value)
+            message = r"^adam_step: the value of parameter 1 .*w.* is not C-contiguous"
         else:
             grads[1] = np.ones((2, 6))[:, ::2]
-        with pytest.raises(ValueError, match=f"{role} of parameter 1 .*w.* is not C-contiguous"):
-            ad.adam_step(params, grads, st)
+            message = r"^absorb: the gradient of parameter 1 is not C-contiguous"
+        with pytest.raises(ValueError, match=message):
+            _adam(params, grads, st)
 
     def test_mismatched_state_rejected(self):
         p = ad.parameter([[0.0]])
         st = ad.AdamState.for_params([p, ad.parameter([[0.0]])], lr=0.1)
-        with pytest.raises(ValueError, match="parameter list"):
-            ad.adam_step([p], [np.zeros((1, 1))], st)
+        with pytest.raises(ValueError, match="^adam_step: .*parameter list"):
+            ad.adam_step([p], st)
+        with pytest.raises(ValueError, match="^backward: .*parameter list"):
+            ad.backward(oracles.reduce_sum(oracles.square(p)), [p], state=st)
+
+    def test_step_needs_every_gradient(self):
+        params = [ad.parameter([[1.0]]), ad.parameter([[2.0]], name="b")]
+        st = ad.AdamState.for_params(params, lr=0.1)
+        st.absorb(0, np.ones((1, 1)))
+        with pytest.raises(ValueError, match=r"^adam_step: no gradient absorbed for parameter 1 .*b"):
+            ad.adam_step(params, st)
+        with pytest.raises(ValueError, match=r"^backward: the loss reaches .*b.*, which params"):
+            ad.backward(oracles.reduce_sum(oracles.square(params[1])), params[:1],
+                        state=ad.AdamState.for_params(params[:1], lr=0.1))
 
 
 def test_finite_difference_check_on_square():

@@ -303,7 +303,9 @@ class TestPretraining:
             view = ad.constant(_mask_features(mask_rng, g.features, cc.p))
             loss = ad.info_nce(reference(x), reference(view), cc.beta_sim, cc.tau)
             ad.backward(loss, [w0, w1])
-            ad.adam_step([w0, w1], [w0.grad, w1.grad], opt)
+            for i, w in enumerate([w0, w1]):
+                opt.absorb(i, w.grad)
+            ad.adam_step([w0, w1], opt)
         assert np.array_equal(reference(x).value, pretrain_contrastive(g, cfg))
         assert eval_loss() < before
 
@@ -328,16 +330,20 @@ class TestBackwardInTraining:
             assert np.array_equal(grad, oracle), name
 
     def test_unreached_parameter_steps_with_zero_gradient(self):
-        """A trained parameter the loss does not reach gets a zero gradient
-        each epoch, not what an earlier backward left, so Adam leaves it."""
+        """A trained parameter the loss does not reach is handed a zero
+        gradient each epoch, not what the scratch buffer it is written into
+        last held (a's gradient, which dense wrote there), so Adam leaves it;
+        no parameter keeps a .grad."""
         from gclgcn import pipeline as P
 
-        a, b = ad.parameter([[1.0, -2.0]]), ad.parameter([[0.5, 0.25]])
-        b.grad[...] = 7.0
-        P._pretrain("test", [("a", a), ("b", b)], 0.1, 2, lambda: oracles.reduce_sum(oracles.square(a)))
-        assert np.array_equal(b.value, [[0.5, 0.25]])
-        assert not b.grad.any()
-        assert not np.array_equal(a.value, [[1.0, -2.0]])
+        x = ad.constant([[1.0, 2.0]])
+        a, c = ad.parameter([[1.0, -2.0], [0.5, 3.0]]), ad.parameter([[0.0, 0.0]])
+        b = ad.parameter([[0.5, 0.25], [1.0, 2.0]])
+        P._pretrain("test", [("a", a), ("c", c), ("b", b)], 0.1, 2,
+                    lambda: oracles.reduce_sum(oracles.square(ad.dense(x, a, c))))
+        assert np.array_equal(b.value, [[0.5, 0.25], [1.0, 2.0]])
+        assert not np.array_equal(a.value, [[1.0, -2.0], [0.5, 3.0]])
+        assert a.grad is None and b.grad is None and c.grad is None
 
 
 class TestLossTotal:
@@ -425,9 +431,9 @@ class TestTrain:
         alive_at_assign = []
         real_backward, real_student_t = P.backward, P.student_t
 
-        def tracking_backward(loss, params, release=False):
+        def tracking_backward(loss, params, release=False, state=None):
             losses.append(weakref.ref(loss.value))
-            return real_backward(loss, params, release=release)
+            return real_backward(loss, params, release=release, state=state)
 
         def checking_student_t(*args, **kwargs):
             alive_at_assign.append(sum(ref() is not None for ref in losses))
@@ -449,9 +455,9 @@ class TestTrain:
         calls = []
         real_backward = P.backward
 
-        def recording_backward(loss, params, release=False):
+        def recording_backward(loss, params, release=False, state=None):
             calls.append(release)
-            real_backward(loss, params, release=release)
+            real_backward(loss, params, release=release, state=state)
 
         g, cfg = small_sbm(), tiny_cfg(epochs=2)
         monkeypatch.setattr(P, "backward", recording_backward)
@@ -531,6 +537,31 @@ class TestTrain:
         assert alive == [[False] * (len(refs) - 1) + [True]] * 2
         assert result.state.x_c is refs[-1]()
 
+    def test_training_keeps_no_gradient_store(self, monkeypatch):
+        """Backward hands every gradient to the optimizer as it finishes it:
+        after training no parameter holds a .grad, and the optimizer's
+        scratch is at most three buffers (attention writes its three role
+        gradients at once), none larger than the largest parameter."""
+        from gclgcn import pipeline as P
+
+        g, cfg = small_sbm(), tiny_cfg(layers=3, epochs=2)
+        pre = pretrain(g, cfg)
+        opts = []
+        real_step = P.adam_step
+
+        def recording_step(params, opt):
+            opts.append(opt)
+            real_step(params, opt)
+
+        monkeypatch.setattr(P, "adam_step", recording_step)
+        res = train(g, cfg, pretrained=pre)
+        params = [t for _, t in res.state._named()]
+        assert len(opts) == 2 and opts[0] is opts[1]
+        assert all(t.grad is None for t in params)
+        largest = max(t.value.size for t in params)
+        assert 1 <= len(opts[0].scratch) <= 3
+        assert all(buf.size <= largest for buf in opts[0].scratch)
+
     def test_numeric_abort_writes_checkpoint(self, tmp_path):
         g = small_sbm()
         cfg = tiny_cfg(epochs=2)
@@ -544,29 +575,35 @@ class TestTrain:
     @pytest.mark.parametrize("row", [0, -1], ids=["z-row", "centrality-row"])
     def test_nonfinite_gradient_stops_before_the_step(self, tmp_path, monkeypatch, row):
         """A NaN in one gradient at epoch 1, in a row for z or for a
-        centrality column of the stacked weight, stops training before the
-        Adam step, and the abort checkpoint holds the finite pre-step state."""
+        centrality column of the stacked weight, put in as backward hands
+        the gradient over, stops training before the Adam step, and the
+        abort checkpoint holds the finite pre-step state."""
         from gclgcn import pipeline as P
 
         g = small_sbm()
         cfg = tiny_cfg(layers=3)
         pre = pretrain(g, cfg)
         states, pre_step = [], []
-        real_init, real_backward = P._init_state, P.backward
+        real_init, real_backward, real_absorb = P._init_state, P.backward, ad.AdamState.absorb
 
         def init_state(*args):
             state, encoded = real_init(*args)
             states.append(state)
             return state, encoded
 
-        def poisoned_backward(loss, params, release=False):
-            real_backward(loss, params, release=release)
-            if len(pre_step) == 1:
-                dict(states[0]._named())["graphormer.enc.2.w_key"].grad[row, 1] = np.nan
+        def recording_backward(loss, params, release=False, state=None):
             pre_step.append([(name, arr.copy()) for name, arr in states[0].named_arrays()])
+            real_backward(loss, params, release=release, state=state)
+
+        def poisoned_absorb(opt, i, grad):
+            if len(pre_step) == 2 and states[0]._named()[i][0] == "graphormer.enc.2.w_key":
+                grad = grad.copy()
+                grad[row, 1] = np.nan
+            real_absorb(opt, i, grad)
 
         monkeypatch.setattr(P, "_init_state", init_state)
-        monkeypatch.setattr(P, "backward", poisoned_backward)
+        monkeypatch.setattr(P, "backward", recording_backward)
+        monkeypatch.setattr(ad.AdamState, "absorb", poisoned_absorb)
         path = tmp_path / "abort.gclc"
         message = r"^training: non-finite gradient of graphormer\.enc\.2\.w_key at epoch 1$"
         with pytest.raises(NumericError, match=message):
@@ -580,6 +617,52 @@ class TestTrain:
         before_epoch_0 = dict(pre_step[0])["graphormer.enc.2.w_key"]
         assert not np.array_equal(saved["graphormer.enc.2.w_key"], before_epoch_0)
 
+    def test_gradient_stop_names_the_first_bad_parameter_backward_finished_last(
+            self, tmp_path, monkeypatch):
+        """Backward finishes the gradients in sweep order, not checkpoint
+        order. With the gradients it finishes first and last poisoned at
+        epoch 1, the last one coming first in checkpoint order, the message
+        names that one, and the abort checkpoint holds the pre-step state."""
+        from gclgcn import pipeline as P
+
+        g, cfg = small_sbm(), tiny_cfg()
+        pre = pretrain(g, cfg)
+        states, order, pre_step = [], [], []
+        real_init, real_backward, real_absorb = P._init_state, P.backward, ad.AdamState.absorb
+
+        def init_state(*args):
+            state, encoded = real_init(*args)
+            states.append(state)
+            return state, encoded
+
+        def recording_backward(loss, params, release=False, state=None):
+            pre_step.append([(name, arr.copy()) for name, arr in states[0].named_arrays()])
+            real_backward(loss, params, release=release, state=state)
+
+        def poisoned_absorb(opt, i, grad):
+            order.append(i)
+            if len(pre_step) == 2 and i in (order[0], order[len(opt.m) - 1]):
+                grad = grad.copy()
+                grad[0, 0] = np.inf
+            real_absorb(opt, i, grad)
+
+        monkeypatch.setattr(P, "_init_state", init_state)
+        monkeypatch.setattr(P, "backward", recording_backward)
+        monkeypatch.setattr(ad.AdamState, "absorb", poisoned_absorb)
+        path = tmp_path / "abort.gclc"
+        with pytest.raises(NumericError) as stop:
+            train(g, cfg, pretrained=pre, abort_path=path)
+        names = [name for name, _ in states[0]._named()]
+        first, last = order[0], order[len(names) - 1]
+        assert last < first
+        assert str(stop.value) == f"training: non-finite gradient of {names[last]} at epoch 1"
+        assert order[len(names):] == order[:len(names)]  # every gradient was handed over
+        saved = load_checkpoint(path)
+        assert list(saved) == [name for name, _ in pre_step[1]]
+        for name, arr in pre_step[1]:
+            assert np.array_equal(saved[name], arr), name
+        assert not np.array_equal(saved[names[last]], dict(pre_step[0])[names[last]])
+
     def test_training_stops_at_nonfinite_loss(self, monkeypatch):
         """A NaN centroid written by epoch 0's step makes epoch 1's
         clustering terms non-finite; the message names the phase, the epoch
@@ -590,8 +673,8 @@ class TestTrain:
         pre = pretrain(g, cfg)
         real_step = P.adam_step
 
-        def poisoned_step(params, grads, opt):
-            real_step(params, grads, opt)
+        def poisoned_step(params, opt):
+            real_step(params, opt)
             params[-1].value[0, 0] = np.nan  # the centroids come last
 
         monkeypatch.setattr(P, "adam_step", poisoned_step)
@@ -615,13 +698,13 @@ class TestTrain:
         real_step, real_backward = P.adam_step, P.backward
         backward_calls = []
 
-        def poisoned_step(params, grads, opt):
-            real_step(params, grads, opt)
+        def poisoned_step(params, opt):
+            real_step(params, opt)
             params[-1].value[0, 0] = np.nan  # the last layer's, past every ReLU
 
-        def counted_backward(loss, params, release=False):
+        def counted_backward(loss, params, release=False, state=None):
             backward_calls.append(True)
-            real_backward(loss, params, release=release)
+            real_backward(loss, params, release=release, state=state)
 
         monkeypatch.setattr(P, "adam_step", poisoned_step)
         monkeypatch.setattr(P, "backward", counted_backward)
@@ -635,28 +718,25 @@ class TestTrain:
          lambda g, cfg: pretrain_contrastive(g, cfg), "contrastive.enc.0.w"),
     ], ids=["autoencoder", "contrastive"])
     def test_pretraining_stops_at_nonfinite_gradient(self, monkeypatch, phase, run, first):
-        """With every gradient poisoned at epoch 1, the message names the
-        first parameter in checkpoint order."""
+        """With every gradient poisoned at epoch 1 as backward hands it
+        over, the message names the first parameter in checkpoint order."""
         from gclgcn import pipeline as P
 
-        real_backward = P.backward
+        real_backward, real_absorb = P.backward, ad.AdamState.absorb
         calls = []
 
-        def poisoned_backward(loss, params, release=False):
-            real_backward(loss, params, release=release)
-            if calls:
-                leaves, stack, seen = [], [loss], set()
-                while stack:
-                    t = stack.pop()
-                    if id(t) not in seen:
-                        seen.add(id(t))
-                        leaves += [t] if t.requires_grad else []
-                        stack.extend(t._parents)
-                for t in leaves:
-                    t.grad[-1, -1] = np.inf
+        def counted_backward(loss, params, release=False, state=None):
             calls.append(True)
+            real_backward(loss, params, release=release, state=state)
 
-        monkeypatch.setattr(P, "backward", poisoned_backward)
+        def poisoned_absorb(opt, i, grad):
+            if len(calls) == 2:
+                grad = grad.copy()
+                grad[-1, -1] = np.inf
+            real_absorb(opt, i, grad)
+
+        monkeypatch.setattr(P, "backward", counted_backward)
+        monkeypatch.setattr(ad.AdamState, "absorb", poisoned_absorb)
         message = rf"^{phase}: non-finite gradient of {first} at epoch 1$"
         with pytest.raises(NumericError, match=message):
             run(small_sbm(), tiny_cfg())
@@ -669,8 +749,8 @@ class TestTrain:
 
         real_step = P.adam_step
 
-        def poisoned_step(params, grads, opt):
-            real_step(params, grads, opt)
+        def poisoned_step(params, opt):
+            real_step(params, opt)
             params[0].value[0, 0] = np.nan  # contrastive.enc.0.w comes first
 
         monkeypatch.setattr(P, "adam_step", poisoned_step)
