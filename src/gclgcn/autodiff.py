@@ -44,16 +44,14 @@ gradients, where the composed form recorded 53 nodes. Q and Q' come from
 cluster.student_t, whose numpy calls are that form's, so they match it bit
 for bit; the node hands them back.
 
-backward sets gradients, it does not add to them, so nothing needs zeroing
-between steps. It counts each leaf's consumers while it orders the tape, and
-a leaf's gradient is finished when its last contribution arrives (a leaf
-reached twice sums its contributions in sweep order). Without an optimizer
-state it lands in the leaf's .grad, so a second call on a tape it did not
-release gives the same gradients. Given an AdamState, backward hands each
-finished gradient to the state, which folds it into Adam's moments at once,
-so no parameter-sized gradient store outlives the sweep: dense, propagate
-and attention write a weight's gradient into a scratch buffer the state owns
-and lends, and adam_step applies the update from the moments afterwards.
+backward hands each finished gradient to an AdamState rather than storing
+it, so no parameter-sized gradient store outlives the sweep. It counts each
+leaf's consumers while it orders the tape, and a leaf's gradient is finished
+when its last contribution arrives (a leaf reached twice sums its
+contributions in sweep order); the state folds it into Adam's moments at
+once. dense, propagate and attention write a weight's gradient into a
+scratch buffer the state owns and lends, and adam_step applies the update
+from the moments afterwards.
 """
 
 from __future__ import annotations
@@ -91,10 +89,9 @@ LEAKY_SLOPE = 0.01
 
 
 class Tensor:
-    """Node in the differentiation graph: value, gradient buffer, backward rule."""
+    """Node in the differentiation graph: value and backward rule."""
 
-    __slots__ = ("value", "grad", "requires_grad", "name", "_parents", "_rule", "_needs",
-                 "_sweep")
+    __slots__ = ("value", "requires_grad", "name", "_parents", "_rule", "_needs", "_sweep")
 
     def __init__(
         self,
@@ -113,8 +110,6 @@ class Tensor:
             raise ValueError(f"tensor values must be at most 2-D, got {arr.shape}")
         self.value = arr
         self.requires_grad = requires_grad
-        # set by a backward given no optimizer state; with one, none is kept
-        self.grad = None
         self.name = name
         self._parents = _parents
         self._rule = _rule
@@ -151,42 +146,34 @@ def _check(cond: bool, op: str, msg: str) -> None:
 
 class _Sweep:
     """Where one running backward collects each leaf's gradient. A leaf's
-    gradient is finished when its last contribution arrives: without an
-    optimizer state it is then in the leaf's .grad; with one, it is handed
-    to state.absorb under the leaf's index in the parameter list, and the
-    scratch buffer it was summed in goes back to the state."""
+    gradient is finished when its last contribution arrives: it is then
+    handed to state.absorb under the leaf's index in the parameter list, and
+    the scratch buffer it was summed in goes back to the state."""
 
-    def __init__(self, uses: dict[int, int], state: "AdamState | None", index: dict[int, int]):
+    def __init__(self, uses: dict[int, int], state: "AdamState", index: dict[int, int]):
         self.uses = uses  # id(leaf) -> contributions still to come
         self.state, self.index = state, index
         self.sums: dict[int, np.ndarray] = {}  # id(leaf) -> the sum so far
-        self.held: dict[int, np.ndarray] = {}  # id(leaf) -> the buffer store gave it
+        self.held: dict[int, np.ndarray] = {}  # id(leaf) -> the buffer store lent it
         self.finished: set[int] = set()
 
     def store(self, t: Tensor) -> np.ndarray:
-        """A buffer for t's gradient that nothing else reads: t's .grad, or
-        a scratch buffer the state lends."""
-        if self.state is None:
-            if t.grad is None:
-                t.grad = np.empty(t.shape)
-            buf = t.grad
-        else:
-            buf = self.state._lend(t.shape)
+        """A scratch buffer the state lends for t's gradient, which nothing
+        else reads."""
+        buf = self.state._lend(t.shape)
         self.held[id(t)] = buf
         return buf
 
     def give(self, t: Tensor, g: np.ndarray) -> None:
         """Add one contribution g to leaf t's gradient: the first is written
-        into store(t) unless an op already wrote it there (or, with a state,
-        unless it is t's only one, which is absorbed where it is), later ones
-        are added in place."""
+        into store(t) unless an op already wrote it there or it is t's only
+        one, which is absorbed where it is; later ones are added in place."""
         key = id(t)
         self.uses[key] -= 1
         acc = self.sums.pop(key, None)
         if acc is not None:
             acc += g
-        elif g is self.held.get(key) or (self.state is not None and not self.uses[key]
-                                         and g.flags.c_contiguous):
+        elif g is self.held.get(key) or (not self.uses[key] and g.flags.c_contiguous):
             acc = g
         else:
             acc = self.store(t)
@@ -199,11 +186,10 @@ class _Sweep:
     def finish(self, t: Tensor, acc: np.ndarray) -> None:
         key = id(t)
         self.finished.add(key)
-        if self.state is not None:
-            self.state.absorb(self.index[key], acc)
-            buf = self.held.pop(key, None)
-            if buf is not None:
-                self.state._give_back(buf)
+        self.state.absorb(self.index[key], acc)
+        buf = self.held.pop(key, None)
+        if buf is not None:
+            self.state._give_back(buf)
 
     def finish_rest(self, leaves: Sequence[Tensor]) -> None:
         """Finish every leaf whose contributions did not all arrive; one
@@ -220,31 +206,27 @@ class _Sweep:
 
 def backward(
     loss: Tensor,
-    params: Sequence[Tensor] = (),
+    params: Sequence[Tensor],
+    state: "AdamState",
     release: bool = False,
-    state: "AdamState | None" = None,
 ) -> None:
-    """The gradient of a scalar loss with respect to every requires-grad
-    ancestor, and zeros for each of params that it does not reach, so no
-    earlier gradient survives in a listed parameter.
-
-    Without state, each gradient is set into the leaf's .grad. With state
-    (an AdamState built for params, which must hold every leaf the loss
-    reaches), no .grad is set: each gradient is handed to state.absorb as
-    soon as its last contribution arrives, and adam_step(params, state)
-    then applies the update.
+    """Hand state (an AdamState built for params, which must hold every leaf
+    the loss reaches) the gradient of a scalar loss with respect to each of
+    params, zeros for one the loss does not reach: each goes to
+    state.absorb as soon as its last contribution arrives, and
+    adam_step(params, state) then applies the update. No gradient is kept.
 
     Visits nodes in reverse topological order exactly once. A leaf's
     contributions are summed in traversal order; an op that asks
     _grad_buffer for a leaf's first one writes it straight into the buffer
     the sum is kept in. Only inner nodes collect theirs in pending.
 
-    Without release the tape is left intact, so a second call gives the
-    same gradients. With release, each inner node drops its rule and parents
-    as soon as the sweep passes it, so the arrays its rule keeps, and every
-    node the caller does not hold, are freed during the sweep rather than
-    after it; the gradients are the same bytes. A later backward through a
-    released node raises ValueError.
+    Without release the tape is left intact, so a second call hands over
+    the same gradients. With release, each inner node drops its rule and
+    parents as soon as the sweep passes it, so the arrays its rule keeps,
+    and every node the caller does not hold, are freed during the sweep
+    rather than after it; the gradients are the same bytes. A later backward
+    through a released node raises ValueError.
     """
     if loss.shape != (1, 1):
         raise ValueError(f"backward: loss must be 1x1, got {loss.shape}")
@@ -269,13 +251,12 @@ def backward(
     leaves = [t for t in topo if t.requires_grad]
     leaves += [p for p in params if id(p) not in seen]
     index = {id(p): i for i, p in enumerate(params)}
-    if state is not None:
-        if len(params) != len(state.m):
-            raise ValueError("backward: state was built for a different parameter list")
-        for t in leaves:
-            if id(t) not in index:
-                raise ValueError(f"backward: the loss reaches {t!r}, which params does not list")
-        state._free = list(state.scratch)
+    if len(params) != len(state.m):
+        raise ValueError("backward: state was built for a different parameter list")
+    for t in leaves:
+        if id(t) not in index:
+            raise ValueError(f"backward: the loss reaches {t!r}, which params does not list")
+    state._free = list(state.scratch)
     sweep = _Sweep(uses, state, index)
     pending: dict[int, np.ndarray] = {}
 
@@ -322,7 +303,7 @@ def _grad_buffer(t: Tensor) -> np.ndarray:
     running backward's store for t when this is t's first contribution,
     otherwise a new one."""
     sweep = t._sweep
-    if sweep is None or id(t) in sweep.sums or id(t) in sweep.held:
+    if sweep is None or id(t) in sweep.held:
         return np.empty(t.shape)
     return sweep.store(t)
 

@@ -245,7 +245,7 @@ def _step(named, opt: AdamState, loss: Tensor, release: bool) -> str | None:
     the parameters. Returns the name of the first parameter whose gradient
     was not finite, in which case no parameter has moved."""
     params = [t for _, t in named]
-    backward(loss, params, release=release, state=opt)
+    backward(loss, params, opt, release=release)
     bad = opt.first_nonfinite()
     if bad is not None:
         return named[bad][0]

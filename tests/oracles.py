@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -659,13 +660,41 @@ def adam_step_whole(params, grads, state) -> None:
         p.value -= w
 
 
-def accumulating_backward(loss: Tensor, params: Sequence[Tensor]) -> None:
-    """autodiff.backward as an accumulating loop: zero every .grad in
-    params, collect each node's contributions in a pending sum, and add a
-    leaf's sum into its .grad. params must hold every leaf the loss
+@dataclass
+class RecordingState(ad.AdamState):
+    """An autodiff.AdamState that also keeps a copy of every gradient
+    backward hands it, under the parameter's index, so a test can read the
+    gradients that training never stores."""
+
+    grads: dict[int, np.ndarray] = field(default_factory=dict)
+
+    def absorb(self, i: int, g: np.ndarray) -> None:
+        super().absorb(i, g)
+        self.grads[i] = g.copy()
+
+
+def grads(loss: Tensor, params: Sequence[Tensor], release: bool = False) -> list[np.ndarray]:
+    """The gradient of loss with respect to each of params (zeros for one
+    the loss does not reach) as autodiff.backward hands it to the
+    optimizer. params must hold every leaf the loss reaches."""
+    state = RecordingState.for_params(params, lr=0.0)
+    ad.backward(loss, params, state, release=release)
+    return [state.grads[i] for i in range(len(params))]
+
+
+def arrays_beside_value(t: Tensor) -> list[np.ndarray]:
+    """Every array t holds in an attribute other than its value, such as a
+    stored gradient."""
+    held = (getattr(t, name, None) for name in type(t).__slots__)
+    return [a for a in held if isinstance(a, np.ndarray) and a is not t.value]
+
+
+def accumulating_backward(loss: Tensor, params: Sequence[Tensor]) -> list[np.ndarray]:
+    """autodiff.backward as an accumulating loop: zero a gradient for each
+    of params, collect each node's contributions in a pending sum, and add a
+    leaf's sum into its gradient. params must hold every leaf the loss
     reaches."""
-    for p in params:
-        p.grad = np.zeros(p.shape)
+    sums = {id(p): np.zeros(p.shape) for p in params}
     topo: list[Tensor] = []
     seen: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(loss, False)]
@@ -687,7 +716,7 @@ def accumulating_backward(loss: Tensor, params: Sequence[Tensor]) -> None:
         if g is None:
             continue
         if node.requires_grad:
-            node.grad += g
+            sums[id(node)] += g
         if node._rule is None:
             continue
         for parent, pg in zip(node._parents, node._rule(g)):
@@ -698,6 +727,7 @@ def accumulating_backward(loss: Tensor, params: Sequence[Tensor]) -> None:
                 pending[id(parent)] = pg.copy() if (pg is g or pg.base is not None) else pg
             else:
                 acc += pg
+    return [sums[id(p)] for p in params]
 
 
 def backward_pair(loss: Tensor, params: Sequence[Tensor], release: bool = False):
@@ -705,13 +735,10 @@ def backward_pair(loss: Tensor, params: Sequence[Tensor], release: bool = False)
     accumulating_backward on the same tape. With release, autodiff.backward
     runs once more, last, releasing the tape the first two left intact; its
     gradients must be the first call's bytes, and they are the ones returned."""
-    ad.backward(loss, params)
-    got = [p.grad.copy() for p in params]
-    accumulating_backward(loss, params)
-    want = [p.grad.copy() for p in params]
+    got = grads(loss, params)
+    want = accumulating_backward(loss, params)
     if release:
-        ad.backward(loss, params, release=True)
-        released = [p.grad.copy() for p in params]
+        released = grads(loss, params, release=True)
         assert [g.tobytes() for g in released] == [g.tobytes() for g in got]
         got = released
     return got, want
@@ -724,11 +751,11 @@ def finite_difference_check(
 ) -> float:
     """Max over all coordinates of |numeric - analytic| / max(1, |analytic|).
 
-    f must be deterministic; it is re-evaluated with each coordinate nudged
-    by +/- h (central differences).
+    f must be deterministic, and params must hold every leaf its loss
+    reaches; it is re-evaluated with each coordinate nudged by +/- h
+    (central differences).
     """
-    ad.backward(f(params))
-    analytic = [p.grad.copy() for p in params]
+    analytic = grads(f(params), params)
 
     worst = 0.0
     for p, ana in zip(params, analytic):

@@ -32,24 +32,24 @@ class TestForwardValues:
         m = ad.parameter([[1.0, 2.0], [3.0, 4.0]])
         out = ad.matmul(sp.csr_array(np.eye(2)), m)
         assert np.array_equal(out.value, m.value)
-        ad.backward(oracles.reduce_sum(out))
-        assert np.array_equal(m.grad, np.ones((2, 2)))
+        (gm,) = oracles.grads(oracles.reduce_sum(out), [m])
+        assert np.array_equal(gm, np.ones((2, 2)))
 
     def test_mse_self_zero_with_zero_grad(self):
         x = ad.parameter([[1.0, -2.0]])
         loss = ad.mse(x, x)
         assert loss.value[0, 0] == 0.0
-        ad.backward(loss)
-        assert np.array_equal(x.grad, np.zeros((1, 2)))
+        (gx,) = oracles.grads(loss, [x])
+        assert np.array_equal(gx, np.zeros((1, 2)))
 
     def test_columns(self):
         a = ad.parameter([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
         right = oracles.columns(a, 1, 3)
         assert np.array_equal(right.value, [[2, 3], [5, 6]])
-        ad.backward(oracles.reduce_sum(ad.weighted_sum([(1.0, right),
-                                                        (2.0, oracles.columns(a, 0, 2))])))
+        (ga,) = oracles.grads(oracles.reduce_sum(
+            ad.weighted_sum([(1.0, right), (2.0, oracles.columns(a, 0, 2))])), [a])
         # column 1 is in both slices, contributing 1 + 2
-        assert np.array_equal(a.grad, [[2.0, 3.0, 1.0], [2.0, 3.0, 1.0]])
+        assert np.array_equal(ga, [[2.0, 3.0, 1.0], [2.0, 3.0, 1.0]])
 
     def test_row_sums_and_outer_broadcast(self):
         col = oracles.reduce_sum(ad.constant([[1.0, 2.0], [3.0, 4.0]]), axis=1)
@@ -88,26 +88,26 @@ class TestShapeErrors:
     def test_backward_requires_scalar(self):
         x = ad.parameter(np.ones((2, 2)))
         with pytest.raises(ValueError, match="1x1"):
-            ad.backward(oracles.square(x))
+            oracles.grads(oracles.square(x), [x])
 
 
 class TestBackwardContracts:
     def test_sum_of_squares(self):
         x = ad.parameter([[3.0]])
-        ad.backward(oracles.reduce_sum(oracles.square(x)))
-        assert x.grad[0, 0] == 6.0
+        (gx,) = oracles.grads(oracles.reduce_sum(oracles.square(x)), [x])
+        assert gx[0, 0] == 6.0
 
-    def test_two_backward_calls_set_the_same_gradients(self):
+    def test_two_backward_calls_hand_over_the_same_gradients(self):
         x = ad.parameter([[3.0]])
         loss = oracles.reduce_sum(oracles.square(x))
-        ad.backward(loss)
-        ad.backward(loss)
-        assert x.grad[0, 0] == 6.0
+        oracles.grads(loss, [x])
+        (gx,) = oracles.grads(loss, [x])
+        assert gx[0, 0] == 6.0
 
     def test_shared_subexpression_sums_paths(self):
         x = ad.parameter([[5.0]])
-        ad.backward(oracles.reduce_sum(ad.weighted_sum([(1.0, x), (1.0, x)])))
-        assert x.grad[0, 0] == 2.0
+        (gx,) = oracles.grads(oracles.reduce_sum(ad.weighted_sum([(1.0, x), (1.0, x)])), [x])
+        assert gx[0, 0] == 2.0
 
     def test_mse_linear_grad_at_zero_weights(self):
         rng = np.random.default_rng(4)
@@ -118,20 +118,20 @@ class TestBackwardContracts:
         def loss(_):
             return ad.mse(oracles.matmul(w, x), y)
 
-        ad.backward(loss(None))
+        (gw,) = oracles.grads(loss(None), [w])
         want = -(2.0 / 3.0) * y.value @ x.value.T
-        assert np.allclose(w.grad, want, atol=1e-12)
+        assert np.allclose(gw, want, atol=1e-12)
         assert fd_scalar(lambda p: loss(None), [w]) <= 1e-6
 
     def test_broadcast_add_bias_grad(self):
         rng = np.random.default_rng(8)
         b = ad.parameter(np.zeros((1, 3)))
         x = ad.constant(rng.standard_normal((5, 3)))
-        ad.backward(oracles.reduce_sum(oracles.add(x, b)))
-        assert np.array_equal(b.grad, np.full((1, 3), 5.0))
+        (gb,) = oracles.grads(oracles.reduce_sum(oracles.add(x, b)), [b])
+        assert np.array_equal(gb, np.full((1, 3), 5.0))
         c = ad.parameter(np.zeros((5, 1)))
-        ad.backward(oracles.reduce_sum(oracles.add(x, c)))
-        assert np.array_equal(c.grad, np.full((5, 1), 3.0))
+        (gc,) = oracles.grads(oracles.reduce_sum(oracles.add(x, c)), [c])
+        assert np.array_equal(gc, np.full((5, 1), 3.0))
 
 
 class TestReleasedTape:
@@ -139,13 +139,13 @@ class TestReleasedTape:
         x = ad.parameter([[3.0]])
         squared = oracles.square(x)
         loss = oracles.reduce_sum(squared)
-        ad.backward(loss, release=True)
-        assert x.grad[0, 0] == 6.0
+        (gx,) = oracles.grads(loss, [x], release=True)
+        assert gx[0, 0] == 6.0
         with pytest.raises(ValueError, match=r"^backward: the tape was released"):
-            ad.backward(loss)
+            oracles.grads(loss, [x])
         # A loss that shares a released node reaches the same error.
         with pytest.raises(ValueError, match=r"^backward: the tape was released"):
-            ad.backward(oracles.reduce_sum(ad.weighted_sum([(2.0, squared)])))
+            oracles.grads(oracles.reduce_sum(ad.weighted_sum([(2.0, squared)])), [x])
 
     def test_release_frees_node_values_and_kept_arrays_during_the_sweep(self):
         """Once backward(release=True) has swept past them, an intermediate
@@ -176,7 +176,7 @@ class TestReleasedTape:
             refs = [weakref.ref(mid.value), weakref.ref(kept_az(mid)), weakref.ref(kept_az(held))]
             loss = oracles.reduce_sum(oracles.square(mid))
             del probe, mid
-            ad.backward(loss, [z, w1, w2], release=release)
+            oracles.grads(loss, [z, w1, w2], release=release)
             runs.append(alive + [[ref() is not None for ref in refs]])
         assert runs == [[[True] * 3] * 2, [[False] * 3] * 2]
 
@@ -259,7 +259,7 @@ class TestFiniteDifferenceSuite:
                 g = rng.standard_normal(x.shape)
                 g[0, 2:4] = 0.0, -0.0
                 assert out.value.tobytes() == np.where(x > 0, x, x * 0.01).tobytes()
-                # the rule itself: accumulating into a zeroed .grad turns -0.0 into 0.0
+                # the rule itself: accumulating into a zeroed gradient turns -0.0 into 0.0
                 assert out._rule(g)[0].tobytes() == np.where(x > 0, g, g * 0.01).tobytes()
 
     def test_binary_and_reduction_ops(self):
@@ -450,8 +450,7 @@ class TestLayerOps:
             weights = rng.standard_normal(fused.shape)
             grads = []
             for out in (fused, reference):
-                ad.backward(_weighted_sum(out, weights))
-                grads.append([p.grad.copy() for p in params])
+                grads.append(oracles.grads(_weighted_sum(out, weights), params))
             for got, want in zip(*grads):
                 assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max()), name
 
@@ -469,8 +468,8 @@ class TestLayerOps:
             weights = rng.standard_normal(fused.shape)
             grads = []
             for out in (fused, reference):
-                ad.backward(_weighted_sum(out, weights), params)
-                grads.append([p.grad.tobytes() for p in params])
+                grads.append([g.tobytes() for g in oracles.grads(_weighted_sum(out, weights),
+                                                                  params)])
             assert grads[0] == grads[1], name
 
     @pytest.mark.parametrize("name,op,composed,shapes,extra", LAYER_OP_CASES,
@@ -584,8 +583,7 @@ def _agree(op, composed, operands, params):
     results = []
     for f in (op, composed):
         loss = f(*operands)
-        ad.backward(loss)
-        results.append((loss.value[0, 0], [p.grad.copy() for p in params]))
+        results.append((loss.value[0, 0], oracles.grads(loss, params)))
     (got, got_grads), (want, want_grads) = results
     assert abs(got - want) <= 1e-12 * abs(want)
     for g, w in zip(got_grads, want_grads):
@@ -642,26 +640,25 @@ class TestRowBlockedLosses:
         c1, c2 = (ad.parameter(rng.standard_normal((n, 16))) for _ in range(2))
         z = ad.parameter(rng.standard_normal((n, 10)))
         a = _adjacency(rng, n)
-        for loss in (lambda: ad.info_nce(c1, c2, 1.0, 0.5), lambda: ad.decoder_mse(z, a)):
+        for loss, params in ((lambda: ad.info_nce(c1, c2, 1.0, 0.5), [c1, c2]),
+                             (lambda: ad.decoder_mse(z, a), [z])):
             tracemalloc.start()
             try:
-                ad.backward(loss())
+                oracles.grads(loss(), params)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
             assert peak < n * n * 8
 
-    def test_two_backward_calls_set_the_same_gradients(self):
+    def test_two_backward_calls_hand_over_the_same_gradients(self):
         rng = np.random.default_rng(1)
         c1, c2 = _views(rng, 9, 3, "random")
         z = ad.parameter(rng.standard_normal((9, 3)))
         for loss, params in ((ad.info_nce(c1, c2, 1.0, 0.5), [c1, c2]),
                              (ad.decoder_mse(z, _adjacency(rng, 9)), [z])):
-            ad.backward(loss)
-            once = [p.grad.copy() for p in params]
-            ad.backward(loss)
-            for p, g in zip(params, once):
-                assert p.grad.tobytes() == g.tobytes()
+            once = oracles.grads(loss, params)
+            for again, g in zip(oracles.grads(loss, params), once):
+                assert again.tobytes() == g.tobytes()
 
     def test_errors_name_the_operation(self):
         a, b = ad.constant(np.ones((3, 2))), ad.constant(np.ones((4, 2)))
@@ -812,21 +809,23 @@ class TestBackwardSetsGradients:
             assert np.array_equal(g, w)
 
     def test_unreached_parameter_gets_zero_gradient(self):
-        """A listed parameter the loss does not reach is zeroed, so it does
-        not keep the previous call's gradient."""
+        """A listed parameter the loss does not reach is handed zeros, not
+        what the scratch buffer it is written into held from the previous
+        call."""
         a, b = ad.parameter([[1.0, 2.0]]), ad.parameter([[3.0]])
-        ad.backward(oracles.reduce_sum(oracles.hadamard(a, b)), [a, b])
-        assert np.array_equal(b.grad, [[3.0]])
-        ad.backward(oracles.reduce_sum(oracles.square(a)), [a, b])
-        assert np.array_equal(a.grad, [[2.0, 4.0]])
-        assert b.grad.tobytes() == np.zeros((1, 1)).tobytes()
+        st = oracles.RecordingState.for_params([a, b], lr=0.1)
+        ad.backward(oracles.reduce_sum(oracles.hadamard(a, b)), [a, b], st)
+        assert np.array_equal(st.grads[1], [[3.0]])
+        ad.backward(oracles.reduce_sum(oracles.square(a)), [a, b], st)
+        assert np.array_equal(st.grads[0], [[2.0, 4.0]])
+        assert st.grads[1].tobytes() == np.zeros((1, 1)).tobytes()
 
     def test_weight_gradients_allocate_less_than_one_weight(self):
         """Through dense and both propagate associations with 500 x 2000
         weights at n=8, each weight gradient is written into a scratch
         buffer the optimizer state keeps across steps and handed to the
         state from there, so after the first step backward allocates less
-        than one weight's bytes, and no parameter keeps a .grad."""
+        than one weight's bytes, and no parameter holds a gradient array."""
         n = 8
         rng = np.random.default_rng(12)
         adj = _sparse(rng, n)
@@ -839,16 +838,16 @@ class TestBackwardSetsGradients:
         h = ad.propagate(adj, h, w2, activate=True)  # narrows: adj @ (h @ w2)
         loss = oracles.reduce_sum(oracles.square(ad.propagate(adj, h, w3)))  # widens: (adj @ h) @ w3
         st = ad.AdamState.for_params(params, lr=0.01)
-        ad.backward(loss, params, state=st)
+        ad.backward(loss, params, st)
         ad.adam_step(params, st)
         tracemalloc.start()
         try:
-            ad.backward(loss, params, state=st)
+            ad.backward(loss, params, st)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < w1.value.nbytes
-        assert all(p.grad is None for p in params)
+        assert not any(oracles.arrays_beside_value(p) for p in params)
         assert len(st.scratch) == 1
 
 
@@ -909,7 +908,7 @@ class TestAdam:
         """backward hands each gradient to the state as it finishes it, and
         adam_step applies the update from the moments: over several steps p,
         m and v are the bytes of the whole-array update on the gradients
-        backward sets without a state. w is read twice, by dense and by
+        backward hands over. w is read twice, by dense and by
         propagate, so its two contributions are summed before it is handed
         over; u is listed but not reached, so it gets zeros, although the
         scratch buffer they are written into held other gradients first."""
@@ -930,18 +929,18 @@ class TestAdam:
         st_fused = ad.AdamState.for_params(fused, lr=0.01)
         st_whole = ad.AdamState.for_params(whole, lr=0.01)
         for _ in range(4):
-            ad.backward(loss(*fused), fused, state=st_fused)
+            ad.backward(loss(*fused), fused, st_fused)
             assert st_fused.first_nonfinite() is None
             ad.adam_step(fused, st_fused)
-            ad.backward(loss(*whole), whole)
-            adam_step_whole(whole, [p.grad for p in whole], st_whole)
-            assert not whole[-1].grad.any()
+            grads = oracles.grads(loss(*whole), whole)
+            adam_step_whole(whole, grads, st_whole)
+            assert not grads[-1].any()
             for a, b in zip(fused, whole):
                 assert a.value.tobytes() == b.value.tobytes()
             for a, b in zip(st_fused.m + st_fused.v, st_whole.m + st_whole.v):
                 assert a.tobytes() == b.tobytes()
         assert np.array_equal(fused[-1].value, values[-1])
-        assert all(p.grad is None for p in fused)
+        assert not any(oracles.arrays_beside_value(p) for p in fused)
         assert 1 <= len(st_fused.scratch) <= 3
         assert all(buf.size == 9 * 11 for buf in st_fused.scratch)  # the largest parameter's
 
@@ -954,11 +953,29 @@ class TestAdam:
             st.absorb(i, bad if i != 0 else np.ones((2, 3)))
         assert st.first_nonfinite() == 1
 
-    def test_state_holds_only_the_moments(self):
-        params = [ad.parameter(np.ones((3, 4))), ad.parameter(np.ones((1, 5)))]
+    def test_state_holds_the_moments_and_a_bounded_scratch(self):
+        """After a backward through an attention layer, which writes its
+        three role gradients at once, and a dense layer, the state holds the
+        two moments, three scratch buffers, each the size of the largest
+        parameter, and its block-sized work buffer: nothing more."""
+        n, d = 6, 4
+        rng = np.random.default_rng(5)
+        z, c = ad.parameter(rng.standard_normal((n, d))), ad.constant(rng.standard_normal((n, 2)))
+        adj = _sparse(rng, n)
+        w = [ad.parameter(rng.standard_normal((d + 2, 6))) for _ in range(3)]
+        w2, b2 = ad.parameter(rng.standard_normal((3, 5))), ad.parameter(np.zeros((1, 5)))
+        params = [z, *w, w2, b2]
         st = ad.AdamState.for_params(params, lr=0.1)
-        held = [a for value in vars(st).values() if isinstance(value, list) for a in value]
-        assert sum(a.nbytes for a in held) == 2 * sum(p.value.nbytes for p in params)
+        h = ad.attention(z, c, w, adj, rng.standard_normal(adj.nnz), 2, activate=True)
+        ad.backward(oracles.reduce_sum(oracles.square(ad.dense(h, w2, b2))), params, st)
+        held = {id(a): a for value in vars(st).values()
+                for a in (value if isinstance(value, list) else [value])
+                if isinstance(a, np.ndarray)}
+        assert held.keys() == {id(a) for a in st.m + st.v + st.scratch + [st._work]}
+        assert sum(a.nbytes for a in st.m + st.v) == 2 * sum(p.value.nbytes for p in params)
+        assert len(st.scratch) == 3
+        assert all(buf.size == max(p.value.size for p in params) for buf in st.scratch)
+        assert st._work.size == ad._ADAM_BLOCK
 
     @pytest.mark.parametrize("role", ["value", "gradient"])
     def test_non_contiguous_array_rejected(self, role):
@@ -980,7 +997,7 @@ class TestAdam:
         with pytest.raises(ValueError, match="^adam_step: .*parameter list"):
             ad.adam_step([p], st)
         with pytest.raises(ValueError, match="^backward: .*parameter list"):
-            ad.backward(oracles.reduce_sum(oracles.square(p)), [p], state=st)
+            ad.backward(oracles.reduce_sum(oracles.square(p)), [p], st)
 
     def test_step_needs_every_gradient(self):
         params = [ad.parameter([[1.0]]), ad.parameter([[2.0]], name="b")]
@@ -990,7 +1007,7 @@ class TestAdam:
             ad.adam_step(params, st)
         with pytest.raises(ValueError, match=r"^backward: the loss reaches .*b.*, which params"):
             ad.backward(oracles.reduce_sum(oracles.square(params[1])), params[:1],
-                        state=ad.AdamState.for_params(params[:1], lr=0.1))
+                        ad.AdamState.for_params(params[:1], lr=0.1))
 
 
 def test_finite_difference_check_on_square():
