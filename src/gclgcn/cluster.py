@@ -2,9 +2,12 @@
 sharpened target distribution, and the four clustering metrics.
 
 Metric conventions: ACC and F1 are computed after an optimal one-to-one
-label matching (Hungarian assignment on the confusion matrix); NMI uses
-natural logs and the geometric mean of the two entropies; ARI is the standard
-pair-counting adjusted index.
+label matching, a maximum-weight matching of the confusion matrix found by
+the shortest-augmenting-path method (Crouse, IEEE TAES 2016) that scipy's
+linear_sum_assignment uses, with its tie rule (among columns of equal path
+cost the last unassigned one wins, otherwise the first), so it picks the
+matching scipy picks; NMI uses natural logs and the geometric mean of the two
+entropies; ARI is the standard pair-counting adjusted index.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 __all__ = [
     "KMeansResult",
@@ -152,6 +154,10 @@ def _as_labels(pred, truth) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"label lengths differ: {pred.size} vs {truth.size}")
     if pred.size == 0:
         raise ValueError("empty label arrays")
+    for name, labels in (("pred", pred), ("truth", truth)):
+        negative = labels[labels < 0]
+        if negative.size:
+            raise ValueError(f"{name}: label ids must be non-negative, got {int(negative[0])}")
     return pred, truth
 
 
@@ -162,20 +168,78 @@ def _confusion(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
     return w
 
 
+def _match(w: np.ndarray) -> np.ndarray:
+    """Column matched to each row of the square matrix w in a one-to-one
+    matching of largest total weight: the cols that
+    scipy.optimize.linear_sum_assignment(w, maximize=True) returns.
+
+    The same shortest-augmenting-path method (Crouse, IEEE TAES 2016) on the
+    same cost -w, so ties resolve as scipy resolves them: rows are augmented
+    in order; each search scans the columns it has left in scipy's order (last
+    column first, a chosen column's slot taken by the last one left); among
+    columns of equal path cost it takes the last unassigned one, or else the
+    first."""
+    cost = -np.asarray(w, dtype=np.float64)
+    d = cost.shape[0]
+    u = np.zeros(d)
+    v = np.zeros(d)
+    path = np.full(d, -1)
+    col4row = np.full(d, -1)
+    row4col = np.full(d, -1)
+    for cur in range(d):
+        shortest = np.full(d, np.inf)
+        seen_rows = np.zeros(d, dtype=bool)
+        seen_cols = np.zeros(d, dtype=bool)
+        remaining = np.arange(d - 1, -1, -1)
+        min_val = 0.0
+        i = cur
+        sink = -1
+        while sink < 0:
+            seen_rows[i] = True
+            r = min_val + cost[i, remaining] - u[i] - v[remaining]
+            better = r < shortest[remaining]
+            path[remaining[better]] = i
+            shortest[remaining[better]] = r[better]
+            costs = shortest[remaining]
+            min_val = costs.min()
+            ties = np.flatnonzero(costs == min_val)
+            free = ties[row4col[remaining[ties]] < 0]
+            index = free[-1] if free.size else ties[0]
+            j = remaining[index]
+            if row4col[j] < 0:
+                sink = j
+            else:
+                i = row4col[j]
+            seen_cols[j] = True
+            remaining[index] = remaining[-1]
+            remaining = remaining[:-1]
+        # Dual update, then flip the path's assignments back to row cur.
+        u[cur] += min_val
+        seen_rows[cur] = False
+        u[seen_rows] += min_val - shortest[col4row[seen_rows]]
+        v[seen_cols] -= min_val - shortest[seen_cols]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
+
+
 def label_matching(pred, truth) -> dict[int, int]:
-    """Optimal one-to-one map predicted-id -> truth-id (Hungarian, maximize)."""
+    """Optimal one-to-one map predicted-id -> truth-id (maximum-weight
+    matching of the confusion matrix)."""
     pred, truth = _as_labels(pred, truth)
-    w = _confusion(pred, truth)
-    rows, cols = linear_sum_assignment(w, maximize=True)
-    return {int(r): int(c) for r, c in zip(rows, cols)}
+    return dict(enumerate(_match(_confusion(pred, truth)).tolist()))
 
 
 def accuracy(pred, truth) -> float:
     """Best-bijection agreement rate."""
     pred, truth = _as_labels(pred, truth)
     w = _confusion(pred, truth)
-    rows, cols = linear_sum_assignment(w, maximize=True)
-    return float(w[rows, cols].sum()) / pred.size
+    return float(w[np.arange(len(w)), _match(w)].sum()) / pred.size
 
 
 def _entropy(counts: np.ndarray) -> float:

@@ -1,5 +1,9 @@
 import csv
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -305,6 +309,27 @@ class TestEval:
         assert run(args + ["--out", str(tmp_path / "m.csv")]) == 0
         assert (tmp_path / "m.csv").read_text() == printed
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.csv", "pred.txt", "truth.txt"]
+
+    def test_scoring_loads_no_scipy_optimize(self, tmp_path):
+        """The label matching is solved in the package, so a process that
+        scores labels never loads scipy.optimize, nor the scipy.linalg and
+        scipy.special that importing it loads."""
+        (tmp_path / "pred.txt").write_text("0\n1\n1\n2\n")
+        (tmp_path / "truth.txt").write_text("1\n0\n0\n2\n")
+        script = (
+            "import sys\n"
+            "from gclgcn import cli\n"
+            f"assert cli.run(['eval', '--pred', {str(tmp_path / 'pred.txt')!r}, "
+            f"'--truth', {str(tmp_path / 'truth.txt')!r}]) == 0\n"
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.linalg', 'scipy.special') "
+            "if m in sys.modules))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.splitlines() == ["acc,nmi,ari,f1,composite", "1,1,1,1,1", "[]"]
 
 
     @pytest.mark.parametrize("bad", ["pred", "truth"])

@@ -1,7 +1,18 @@
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
-from gclgcn.cluster import accuracy, ari, f1_macro, kmeans, metric_row, nmi
+from gclgcn.cluster import (
+    _confusion,
+    _match,
+    accuracy,
+    ari,
+    f1_macro,
+    kmeans,
+    label_matching,
+    metric_row,
+    nmi,
+)
 
 from oracles import brute_force_accuracy
 
@@ -172,3 +183,60 @@ def test_all_metrics_invariant_under_predicted_permutation():
     b = metric_row(permuted, truth)
     for key in ("acc", "nmi", "ari", "f1"):
         assert a[key] == pytest.approx(b[key], abs=1e-12)
+
+
+class TestMatch:
+    """`_match` against scipy's solver, whose choice among tied optima it
+    must repeat so that F1 keeps its bytes, and against brute force."""
+
+    @staticmethod
+    def assert_as_scipy(w):
+        rows, cols = linear_sum_assignment(w, maximize=True)
+        assert np.array_equal(rows, np.arange(len(w)))
+        assert np.array_equal(_match(w), cols), w
+
+    def test_same_matching_as_scipy_on_tie_heavy_matrices(self):
+        rng = np.random.default_rng(21)
+        for trial in range(12_000):
+            d = int(rng.integers(1, 9))
+            self.assert_as_scipy(rng.integers(0, (2, 4, 50)[trial % 3], (d, d)))
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 8])
+    @pytest.mark.parametrize("value", [0, 3])
+    def test_constant_matrices_as_scipy(self, d, value):
+        self.assert_as_scipy(np.full((d, d), value, dtype=np.int64))
+
+    def test_one_by_one(self):
+        assert _match(np.array([[4]])).tolist() == [0]
+
+    def test_matched_sum_equals_brute_force(self):
+        rng = np.random.default_rng(22)
+        for _ in range(200):
+            n = int(rng.integers(1, 30))
+            pred = rng.integers(0, int(rng.integers(1, 7)), n)
+            truth = rng.integers(0, int(rng.integers(1, 7)), n)
+            w = _confusion(pred, truth)
+            matched = w[np.arange(len(w)), _match(w)].sum() / n
+            assert matched == brute_force_accuracy(pred, truth)
+
+    def test_larger_matrix_as_scipy(self):
+        self.assert_as_scipy(np.random.default_rng(23).integers(0, 3, (30, 30)))
+
+
+def test_label_matching_maps_each_predicted_id():
+    assert label_matching([0, 0, 1, 2], [2, 2, 0, 1]) == {0: 2, 1: 0, 2: 1}
+
+
+class TestNegativeIds:
+    """np.add.at would wrap -1 onto the last row of the confusion matrix:
+    accuracy([-1, 2], [0, 1]) would score 0.5 where the best bijection
+    scores 1.0."""
+
+    @pytest.mark.parametrize("metric", [accuracy, nmi, ari, f1_macro, label_matching, metric_row])
+    def test_negative_pred_names_the_argument_and_value(self, metric):
+        with pytest.raises(ValueError, match=r"^pred: .*non-negative, got -1$"):
+            metric([-1, 2, -4], [0, 1, 1])
+
+    def test_negative_truth_names_the_argument_and_first_value(self):
+        with pytest.raises(ValueError, match=r"^truth: .*non-negative, got -3$"):
+            accuracy([0, 1, 1], [0, -3, -1])
