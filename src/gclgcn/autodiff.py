@@ -24,11 +24,19 @@ v. Otherwise each op computes its forward with the numpy calls of its
 composed form, in the same order, so its values match that form's bit for
 bit; the reassociated forms match to rounding.
 
+Both also take the epsilon-injection: with inject = (eps, h) the op reads
+h * eps + z * (1 - eps), formed with weighted_sum's numpy calls, so it has
+the bits a weighted_sum node of it would have. The tape keeps only what
+backward cannot rebuild in a few milliseconds: neither op keeps its input
+or adj @ z, nor the narrow attention form its z~, P or att @ z~; a weight
+gradient rebuilds what it reads with the forward's calls (gradient
+checkpointing, Chen et al., arXiv:1604.06174, for what sets the peak).
+
 The glue between the layers is weighted_sum, one node for any linear
-combination of same-shape tensors: the epsilon-injection, the fused
-bottleneck, the joint reconstruction and the loss total. It sums left to
-right, as the chain of scalings and additions it stands for, so it matches
-that chain bit for bit; a weight of 1.0 is exact.
+combination of same-shape tensors: the fused bottleneck, the joint
+reconstruction and the loss total. It sums left to right, as the chain of
+scalings and additions it stands for, so it matches that chain bit for bit;
+a weight of 1.0 is exact.
 
 The two whole-graph losses, info_nce (the contrastive InfoNCE over every
 node pair) and decoder_mse (the inner-product adjacency decoder against a
@@ -409,42 +417,92 @@ def dense(x: Tensor, w: Tensor, b: Tensor, activate: bool = False) -> Tensor:
     return Tensor(out, _parents=(x, w, b), _rule=rule)
 
 
-def propagate(adj: sp.csr_array, z: Tensor, w: Tensor, activate: bool = False) -> Tensor:
-    """adj @ z @ w over a constant sparse adj, associated so the sparse
+class _Input:
+    """The input a graph layer op reads: z, or with inject = (eps, h) the
+    epsilon-blend h * eps + z * (1 - eps). The op forms the blend and does
+    not keep it; value() rebuilds it where a backward reads it, and grads
+    hands h and z their gradients as weighted_sum's rule would."""
+
+    def __init__(self, op: str, z: Tensor, inject):
+        self.z, self.h, self.eps = z, None, 0.0
+        if inject is not None:
+            eps, h = inject
+            self.eps, self.h = float(eps), _as_tensor(h)
+            _check(self.h.shape == z.shape, op,
+                   f"injected input is {self.h.shape}, z is {z.shape}")
+        self.parents = (z,) if self.h is None else (self.h, z)
+        self.needs = any(p._needs for p in self.parents)
+
+    def value(self, out: np.ndarray | None = None) -> np.ndarray:
+        """z's value, or the blend with weighted_sum's two numpy calls in
+        its order, h * eps then += z * (1 - eps), so its bits are
+        weighted_sum's. Written into out when given; the second product is
+        formed a cache-sized block of rows at a time."""
+        zv = self.z.value
+        if self.h is None:
+            if out is None:
+                return zv
+            out[...] = zv
+            return out
+        out = np.multiply(self.h.value, self.eps, out=out)
+        for lo, hi in _cache_blocks(out):
+            out[lo:hi] += zv[lo:hi] * (1.0 - self.eps)
+        return out
+
+    def grads(self, dx: np.ndarray | None) -> tuple:
+        """The gradients of parents from dx, the gradient of the input:
+        dx for z alone, or dx * eps for h and dx * (1 - eps) for z; None
+        for a parent that needs none. h's is scaled in place: dx is the op's
+        own array, which nothing else reads."""
+        if self.h is None or dx is None:
+            return (dx,) if self.h is None else (None, None)
+        dz = dx * (1.0 - self.eps) if self.z._needs else None
+        if not self.h._needs:
+            return (None, dz)
+        dx *= self.eps
+        return (dx, dz)
+
+
+def propagate(adj: sp.csr_array, z: Tensor, w: Tensor, activate: bool = False,
+              inject: tuple[float, Tensor] | None = None) -> Tensor:
+    """adj @ x @ w over a constant sparse adj, associated so the sparse
     product runs on the narrower side, then leaky ReLU when activate, as one
-    node. It keeps its output, from which an activated node's backward
-    reads the sign, and adj @ z only when (adj @ z) @ w is the association
-    and w needs its gradient."""
+    node. x is z, or with inject = (eps, h) the epsilon-blend
+    h * eps + z * (1 - eps), whose parents are then h and z.
+
+    It keeps its output, from which an activated node's backward reads the
+    sign, and neither x nor adj @ x: the weight gradient rebuilds x, and,
+    when (adj @ x) @ w is the association, adj @ x, with the forward's
+    calls, so they are its bits."""
     z, w = _as_tensor(z), _as_tensor(w)
     _check(sp.issparse(adj), "propagate",
            f"adjacency must be a scipy sparse matrix, got {type(adj)}")
     _check(adj.shape[1] == z.shape[0] and z.shape[1] == w.shape[0], "propagate",
            f"inner dims differ: {adj.shape} x {z.shape} x {w.shape}")
-    zv, wv = z.value, w.value
-    nz, nw = z._needs, w._needs
+    x = _Input("propagate", z, inject)
+    wv = w.value
+    nw = w._needs
     narrow_out = w.shape[1] < w.shape[0]
-    if narrow_out:
-        out = adj @ (zv @ wv)
-        az = None
-    else:
-        az = adj @ zv
-        out = az @ wv
-        if not nw:
-            az = None
+    out = adj @ (x.value() @ wv) if narrow_out else (adj @ x.value()) @ wv
     if activate:
         _leaky_in_place(out)
 
     def rule(g):
         if activate:
             g = _leaky_grad(g, out)
-        if narrow_out:
-            gm = adj.T @ g
-            return (gm @ wv.T if nz else None,
-                    np.matmul(zv.T, gm, out=_grad_buffer(w)) if nw else None)
-        return (adj.T @ (g @ wv.T) if nz else None,
-                np.matmul(az.T, g, out=_grad_buffer(w)) if nw else None)
+        gm = adj.T @ g if narrow_out else g
+        # The weight gradient first, so the rebuilt x is freed before dx is formed.
+        gw = None
+        if nw:
+            xw = x.value() if narrow_out else adj @ x.value()
+            gw = np.matmul(xw.T, gm, out=_grad_buffer(w))
+            del xw
+        dx = None
+        if x.needs:
+            dx = gm @ wv.T if narrow_out else adj.T @ (g @ wv.T)
+        return (*x.grads(dx), gw)
 
-    return Tensor(out, _parents=(z, w), _rule=rule)
+    return Tensor(out, _parents=(*x.parents, w), _rule=rule)
 
 
 def _sampled_dots(a: np.ndarray, b: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -473,13 +531,15 @@ def attention(
     bias: np.ndarray,
     heads: int = 1,
     activate: bool = False,
+    inject: tuple[float, Tensor] | None = None,
 ) -> Tensor:
     """Multi-head attention restricted to the entries of a sparse pattern,
-    over the input z~ = [z c] that appends the constant columns c to z, as
-    one node.
+    over the input z~ = [x c] that appends the constant columns c to x, as
+    one node. x is z, or with inject = (eps, h) the epsilon-blend
+    h * eps + z * (1 - eps), whose parents are then h and z.
 
     w = (w_query, w_key, w_value) are (d + m, heads * d_head) weights W~ of
-    z~: the rows for the d columns of z first, then the rows for the m
+    z~: the rows for the d columns of x first, then the rows for the m
     columns of c; head h reads its d_head columns of each. Row i of head h
     attends over the columns j stored in pattern row i with logits
     scale * (z~_i W~q) . (z~_j W~k) + bias_e, scale = 1 / sqrt(d_head) and
@@ -493,13 +553,15 @@ def attention(
     d + m < d_head (the layer widens), each head scores through the
     (d + m) x (d + m) matrix M = W~q W~k^T, P = z~ M, and applies W~v after
     attending, (att @ z~) W~v: no n x d_head array but each head's output
-    is formed, and the node keeps z~, P, att @ z~, M and att. Otherwise it
-    forms q, k and v at full width without forming z~, with the numpy calls
-    of the composed chain over W~'s row blocks (z @ W~[:d], then
-    += c @ W~[d:], a column copy per head when heads > 1, the sampled
+    is formed. The node keeps each head's M and att; its backward rebuilds
+    z~, P and att @ z~ with the forward's calls, so they are its bits.
+    Otherwise it forms q, k and v at full width without forming z~, with
+    the numpy calls of the composed chain over W~'s row blocks (x @ W~[:d],
+    then += c @ W~[d:], a column copy per head when heads > 1, the sampled
     logits, the softmax and att @ v), so its values match that chain's bit
-    for bit; it keeps each head's q, k, v and att. Either form keeps its
-    output, from which an activated node's backward reads the sign.
+    for bit; it keeps each head's q, k, v and att, and the weight gradients
+    rebuild x. Either form keeps its output, from which an activated node's
+    backward reads the sign, and neither keeps x.
     """
     z, c = _as_tensor(z), _as_tensor(c)
     w = tuple(map(_as_tensor, w))
@@ -524,9 +586,10 @@ def attention(
     bias = np.asarray(bias, dtype=np.float64)
     _check(bias.shape == cols.shape, "attention",
            f"bias has {bias.size} entries for {cols.size} pattern entries")
-    zv, cv = z.value, c.value
+    x = _Input("attention", z, inject)
+    cv = c.value
     wq, wk, wv = (t.value for t in w)
-    nz = z._needs
+    nz = x.needs
     needs = [t._needs for t in w]
     d_head = width // heads
     scale = 1.0 / math.sqrt(d_head)
@@ -544,24 +607,33 @@ def attention(
     def logit_grads(att, d_att):
         return on_pattern(att * (d_att - np.add.reduceat(att * d_att, starts)[rows]) * scale)
 
+    def stacked():
+        """z~ = [x c], the same bytes as np.hstack([x, c]), x written
+        straight into its columns."""
+        zt = np.empty((n, d + m))
+        x.value(out=zt[:, :d])
+        zt[:, d:] = cv
+        return zt
+
     narrow = d + m < d_head
     kept = []
     out = None
     if narrow:
-        zt = np.hstack([zv, cv])
+        zt = stacked()
         for h in head_cols:
             mat = wq[:, h] @ wk[:, h].T
-            p = zt @ mat
-            att = softmax(_sampled_dots(p, zt, rows, cols) * scale + bias)
-            a = on_pattern(att) @ zt
-            out = _accumulate(out, a @ wv[:, h])
-            kept.append((p, a, mat, att))
+            att = softmax(_sampled_dots(zt @ mat, zt, rows, cols) * scale + bias)
+            out = _accumulate(out, (on_pattern(att) @ zt) @ wv[:, h])
+            kept.append((mat, att))
+        del zt
     else:
+        xv = x.value()
         proj = []
         for wr in (wq, wk, wv):
-            pr = zv @ wr[:d]
+            pr = xv @ wr[:d]
             pr += cv @ wr[d:]
             proj.append(pr)
+        del xv
         for h in head_cols:
             q, k, v = (pr if heads == 1 else np.ascontiguousarray(pr[:, h]) for pr in proj)
             att = softmax(_sampled_dots(q, k, rows, cols) * scale + bias)
@@ -582,15 +654,17 @@ def attention(
         gq, gk, gv = gw
         dz = None
         if narrow:
-            for h, (p, a, mat, att) in zip(head_cols, kept):
+            zt = stacked()
+            for h, (mat, att) in zip(head_cols, kept):
+                weights = on_pattern(att)
                 if gv is not None:
-                    np.matmul(a.T, g, out=gv[:, h])
+                    np.matmul((weights @ zt).T, g, out=gv[:, h])
                 da = g @ wv[:, h].T
                 grads = logit_grads(att, _sampled_dots(da, zt, rows, cols))
                 dp = grads @ zt
                 if nz:
-                    dz = _accumulate(dz, on_pattern(att).T @ da)
-                    dz += grads.T @ p
+                    dz = _accumulate(dz, weights.T @ da)
+                    dz += grads.T @ (zt @ mat)
                     dz += dp @ mat.T
                 dm = zt.T @ dp
                 # M = W~q W~k^T: dW~q = dM W~k and dW~k = dM^T W~q
@@ -598,7 +672,8 @@ def attention(
                     np.matmul(dm, wk[:, h], out=gq[:, h])
                 if gk is not None:
                     np.matmul(dm.T, wq[:, h], out=gk[:, h])
-            return (dz[:, :d] if nz else None, *gw)
+            return (*x.grads(dz[:, :d] if nz else None), *gw)
+        xv = x.value() if any(gr is not None for gr in gw) else None
         for h, (q, k, v, att) in zip(head_cols, kept):
             grads = logit_grads(att, _sampled_dots(g, v, rows, cols))
             # One role at a time, so one n x d_head gradient is alive at once:
@@ -609,11 +684,11 @@ def attention(
                 if nz:
                     dz = _accumulate(dz, dr @ wr[:d, h].T)
                 if gr is not None:
-                    np.matmul(zv.T, dr, out=gr[:d, h])
+                    np.matmul(xv.T, dr, out=gr[:d, h])
                     np.matmul(cv.T, dr, out=gr[d:, h])
-        return (dz, *gw)
+        return (*x.grads(dz), *gw)
 
-    return Tensor(out, _parents=(z, *w), _rule=rule)
+    return Tensor(out, _parents=(*x.parents, *w), _rule=rule)
 
 
 # Rows per block of the row-blocked losses. Every block multiplies its rows

@@ -248,12 +248,11 @@ def _entropy(counts: np.ndarray) -> float:
 
 
 def _canonical(labels: np.ndarray) -> np.ndarray:
-    _, canon = np.unique(labels, return_inverse=True)
-    first = {}
-    out = np.empty_like(labels)
-    for i, c in enumerate(canon):
-        out[i] = first.setdefault(int(c), len(first))
-    return out
+    """labels renumbered 0, 1, ... in order of each id's first occurrence."""
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    rank = np.empty_like(labels, shape=first.size)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return rank[inverse]
 
 
 def nmi(pred, truth) -> float:
@@ -285,6 +284,9 @@ def ari(pred, truth) -> float:
     pred, truth = _as_labels(pred, truth)
     w = _confusion(pred, truth).astype(np.float64)
     n = pred.size
+    if n < 2:
+        # No pair to count; a single point is trivially labelled the same.
+        return 1.0
 
     def comb2(x):
         return (x * (x - 1.0) / 2.0).sum()
@@ -306,7 +308,10 @@ def f1_macro(pred, truth) -> float:
     """Macro F1 over truth classes after the optimal label matching."""
     pred, truth = _as_labels(pred, truth)
     mapping = label_matching(pred, truth)
-    mapped = np.array([mapping.get(int(x), -1) for x in pred])
+    # Every predicted id is a key: the matching covers ids up to the largest.
+    lookup = np.empty(len(mapping), dtype=np.int64)
+    lookup[list(mapping)] = list(mapping.values())
+    mapped = lookup[pred]
     scores = []
     for c in np.unique(truth):
         tp = float(((mapped == c) & (truth == c)).sum())

@@ -59,9 +59,17 @@ def ae_loss(x: Tensor, xhat: Tensor) -> Tensor:
 # Graph convolution
 # ---------------------------------------------------------------------------
 
-def gcn_layer(adj: sp.csr_array, z: Tensor, w: Tensor, activate: bool = True) -> Tensor:
-    """One propagation step over the normalized self-looped adjacency (CSR)."""
-    return ad.propagate(adj, z, w, activate)
+def gcn_layer(
+    adj: sp.csr_array,
+    z: Tensor,
+    w: Tensor,
+    activate: bool = True,
+    inject: tuple[float, Tensor] | None = None,
+) -> Tensor:
+    """One propagation step over the normalized self-looped adjacency (CSR),
+    of z or, with inject = (eps, h), of the epsilon-blend
+    h * eps + z * (1 - eps)."""
+    return ad.propagate(adj, z, w, activate, inject)
 
 
 # ---------------------------------------------------------------------------
@@ -76,18 +84,20 @@ def graphormer_layer(
     params: dict[str, Tensor],
     heads: int = 1,
     activate: bool = True,
+    inject: tuple[float, Tensor] | None = None,
 ) -> Tensor:
     """Attention over each node's neighborhood (self included): the entries
-    of the self-looped adjacency adj, over the input z~ = [z centrality], so
-    the centrality terms enter every projection, and logit_bias (the signed
-    spatial bias, aligned with adj's entries) is added to the logits. params
-    holds the layer's three parameters, w_key, w_query and w_value, each the
-    weight W~ of its role over z~: the rows for z, then the rows for the
-    centrality columns. Head outputs are
-    averaged, then passed through Leaky ReLU unless this is a final (linear)
-    reconstruction layer. The layer is one autodiff.attention node, which
+    of the self-looped adjacency adj, over the input z~ = [x centrality],
+    x being z or, with inject = (eps, h), the epsilon-blend
+    h * eps + z * (1 - eps), so the centrality terms enter every
+    projection, and logit_bias (the signed spatial bias, aligned with adj's
+    entries) is added to the logits. params holds the layer's three
+    parameters, w_key, w_query and w_value, each the weight W~ of its role
+    over z~: the rows for x, then the rows for the centrality columns. Head
+    outputs are averaged, then passed through Leaky ReLU unless this is a
+    final (linear) reconstruction layer. The layer is one autodiff.attention node, which
     picks its association from the widths."""
     return ad.attention(
         z, centrality, [params[f"w_{role}"] for role in ("query", "key", "value")],
-        adj, logit_bias, heads, activate,
+        adj, logit_bias, heads, activate, inject,
     )

@@ -84,7 +84,9 @@ class Channel:
     """A layer stack over a width ladder: the autoencoder, the GCN or the
     attention channel, or the contrastive encoder. Each encoder and decoder
     layer is a {role: parameter} dict, saved as <prefix>.<enc|dec>.<i>.<role>,
-    and layer(input, params, activate) applies one of them."""
+    and layer(input, params, activate) applies one of them; a graph
+    channel's layer also takes inject=(eps, h), an injection it blends into
+    its input."""
 
     prefix: str
     enc: list[dict[str, Tensor]]
@@ -115,14 +117,15 @@ class Channel:
 
     def encode(self, x: Tensor, inject=(), eps: float = 0.0) -> list[Tensor]:
         """Every encoder layer output; the last one is the bottleneck. With
-        inject given, layer i > 0 takes the eps-blend of inject[i - 1] and
-        the previous layer's output."""
+        inject given, layer i > 0 reads the eps-blend of inject[i - 1] and
+        the previous layer's output, which the layer forms itself."""
         outs: list[Tensor] = []
         z = x
         for i, params in enumerate(self.enc):
             if inject and i > 0:
-                z = ad.weighted_sum([(eps, inject[i - 1]), (1.0 - eps, z)])
-            z = self.layer(z, params, True)
+                z = self.layer(z, params, True, inject=(eps, inject[i - 1]))
+            else:
+                z = self.layer(z, params, True)
             outs.append(z)
         return outs
 
@@ -151,7 +154,9 @@ def _graph_channel(
     if name == "gcn":
         return Channel.build(
             "gcn", dims, lambda a, b: {"w": glorot(rng, a, b)},
-            lambda z, params, activate: gcn_layer(cons.adj, z, params["w"], activate=activate),
+            lambda z, params, activate, inject=None: gcn_layer(
+                cons.adj, z, params["w"], activate=activate, inject=inject
+            ),
         )
     # The centrality projections start divided by the typical magnitude of
     # each centrality column, so unnormalized measures (betweenness can reach
@@ -170,8 +175,9 @@ def _graph_channel(
 
     return Channel.build(
         "graphormer", dims, make,
-        lambda z, params, activate: graphormer_layer(
-            z, cons.centrality, cons.adj, cons.logit_bias, params, heads, activate=activate
+        lambda z, params, activate, inject=None: graphormer_layer(
+            z, cons.centrality, cons.adj, cons.logit_bias, params, heads, activate=activate,
+            inject=inject,
         ),
     )
 

@@ -34,9 +34,13 @@ accumulating loop that zeroes the gradients and then adds every
 contribution, a leaf's too, through a pending sum (the implementation
 counts each leaf's consumers and writes a leaf's first contribution into
 the buffer its sum is kept in, often from inside the op), run on the tape
-before a releasing backward frees it. The
-finite-difference checker, the closed-form centroid gradient and the
-composite loss of a model state judge the tape's gradients.
+before a releasing backward frees it, and the epsilon-injection is the
+weighted_sum node the model recorded before propagate and attention formed
+the blend themselves (injection_bytes runs both). The NMI renumbering and
+the F1 label lookup keep the loops the metrics replaced with index arrays.
+The finite-difference checker, the closed-form centroid gradient and the
+composite loss of a model state judge the tape's gradients, and
+tape_arrays lists what a tape holds.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from scipy.sparse import csgraph
 from gclgcn import autodiff as ad
 from gclgcn import pipeline as P
 from gclgcn.autodiff import Tensor
-from gclgcn.cluster import target_distribution
+from gclgcn.cluster import label_matching, target_distribution
 from gclgcn.config import ExperimentConfig
 from gclgcn.graph import Graph, SbmSpec, adjacency_matrix
 from gclgcn.layers import glorot
@@ -170,6 +174,33 @@ def brute_force_accuracy(pred, truth) -> float:
     for perm in itertools.permutations(range(k)):
         best = max(best, sum(w[i, perm[i]] for i in range(k)))
     return best / pred.size
+
+
+def canonical_loop(labels: np.ndarray) -> np.ndarray:
+    """labels renumbered in order of first occurrence by a loop over the
+    labels, the form cluster._canonical replaced."""
+    _, canon = np.unique(labels, return_inverse=True)
+    first = {}
+    out = np.empty_like(labels)
+    for i, c in enumerate(canon):
+        out[i] = first.setdefault(int(c), len(first))
+    return out
+
+
+def f1_macro_loop(pred, truth) -> float:
+    """cluster.f1_macro with its per-label dict lookup, the form it replaced."""
+    pred = np.asarray(pred, dtype=np.int64).ravel()
+    truth = np.asarray(truth, dtype=np.int64).ravel()
+    mapping = label_matching(pred, truth)
+    mapped = np.array([mapping.get(int(x), -1) for x in pred])
+    scores = []
+    for c in np.unique(truth):
+        tp = float(((mapped == c) & (truth == c)).sum())
+        fp = float(((mapped == c) & (truth != c)).sum())
+        fn = float(((mapped != c) & (truth == c)).sum())
+        denom = 2 * tp + fp + fn
+        scores.append(2 * tp / denom if denom > 0 else 0.0)
+    return float(np.mean(scores))
 
 
 def random_er_graph(n: int, p: float, rng: np.random.Generator):
@@ -404,8 +435,33 @@ def composed_attention(z, c, w, wc, pattern, bias, heads=1, activate=False) -> T
 
 def composed_blend(a, b, eps: float) -> Tensor:
     """The epsilon-injection a * eps + b * (1 - eps) as two scales and an
-    add, the chain the model's autodiff.weighted_sum replaced."""
+    add, the chain autodiff.weighted_sum replaced."""
     return add(scale(a, eps), scale(b, 1.0 - eps))
+
+
+def injection_bytes(channels, hs_of, x, eps: float, params, fused: bool,
+                    seed: int = 0) -> list[bytes]:
+    """The bytes of every channel's output and of every gradient of params,
+    for hs = hs_of() and the loss sum_c <W_c, channel c's output> +
+    <W, hs[-1]> (W seeded random), where channel c runs its layers as
+    pipeline.Channel.encode does: layer 0 on x, then layer i on the
+    epsilon-blend of hs[i - 1] into layer i - 1's output. With fused each
+    layer gets inject = (eps, h) and forms the blend itself; otherwise the
+    blend is the weighted_sum node [(eps, h), (1 - eps, z)] the model
+    recorded before the layer ops formed it. Each layer is called as
+    layer(z, inject)."""
+    hs = hs_of()
+    outs = []
+    for layers in channels:
+        z = layers[0](x, None)
+        for h, layer in zip(hs, layers[1:]):
+            z = (layer(z, (eps, h)) if fused
+                 else layer(ad.weighted_sum([(eps, h), (1.0 - eps, z)]), None))
+        outs.append(z)
+    rng = np.random.default_rng(seed)
+    loss = ad.weighted_sum([(1.0, reduce_sum(hadamard(o, ad.constant(rng.standard_normal(o.shape)))))
+                            for o in (*outs, hs[-1])])
+    return [o.value.tobytes() for o in outs] + [g.tobytes() for g in grads(loss, params)]
 
 
 def composed_dense(x, w, b, activate=False) -> Tensor:
@@ -687,6 +743,82 @@ def arrays_beside_value(t: Tensor) -> list[np.ndarray]:
     stored gradient."""
     held = (getattr(t, name, None) for name in type(t).__slots__)
     return [a for a in held if isinstance(a, np.ndarray) and a is not t.value]
+
+
+@dataclass(frozen=True)
+class Held:
+    """One array a tape holds: the op of the node that holds it (the
+    node's value is named "value"; a leaf's op is "constant"), the closure
+    name it is held under, and the array that owns its memory."""
+
+    op: str
+    name: str
+    array: np.ndarray
+
+
+def _owner(a: np.ndarray) -> np.ndarray:
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def tape_arrays(loss: Tensor, params: Sequence[Tensor]) -> list[Held]:
+    """Every array the tape of loss holds beside the values of params: each
+    node's value and every array its backward rule reaches, through its
+    closure's names and the lists, tuples, dicts, objects, functions and
+    sparse matrices they hold. A view counts as the array owning its
+    memory, and each owner is listed once: under the node whose value it
+    is, or else under the first op and closure name that reach it."""
+    skip = {id(_owner(p.value)) for p in params}
+    seen_nodes: set[int] = set()
+    held: list[Held] = []
+
+    def note(op, name, item, visited):
+        if id(item) in visited:
+            return
+        visited.add(id(item))
+        if isinstance(item, np.ndarray):
+            owner = _owner(item)
+            if id(owner) not in skip and owner.dtype != object:
+                skip.add(id(owner))
+                held.append(Held(op, name, owner))
+        elif isinstance(item, Tensor):
+            note(op, name, item.value, visited)
+        elif sp.issparse(item):
+            for part in ("data", "indices", "indptr"):
+                note(op, f"{name}.{part}", getattr(item, part), visited)
+        elif isinstance(item, (list, tuple)):
+            for x in item:
+                note(op, name, x, visited)
+        elif isinstance(item, dict):
+            for x in item.values():
+                note(op, name, x, visited)
+        elif callable(item) and hasattr(item, "__code__"):
+            for var, cell in zip(item.__code__.co_freevars, item.__closure__ or ()):
+                try:
+                    note(op, var, cell.cell_contents, visited)
+                except ValueError:  # a name only another branch assigns
+                    pass
+        elif hasattr(item, "__dict__"):
+            for var, x in vars(item).items():
+                note(op, f"{name}.{var}", x, visited)
+
+    nodes, stack = [], [loss]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen_nodes:
+            seen_nodes.add(id(t))
+            nodes.append(t)
+            stack.extend(t._parents)
+    ops = [t._rule.__qualname__.split(".")[0] if t._rule is not None else "constant"
+           for t in nodes]
+    # Values first, so a value a later closure also reaches counts as its node's.
+    for op, t in zip(ops, nodes):
+        note(op, "value", t.value, set())
+    for op, t in zip(ops, nodes):
+        if t._rule is not None:
+            note(op, "rule", t._rule, set())
+    return held
 
 
 def accumulating_backward(loss: Tensor, params: Sequence[Tensor]) -> list[np.ndarray]:

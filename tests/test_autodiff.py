@@ -149,19 +149,22 @@ class TestReleasedTape:
 
     def test_release_frees_node_values_and_kept_arrays_during_the_sweep(self):
         """Once backward(release=True) has swept past them, an intermediate
-        node's output and the adj @ z each propagate rule keeps for its
-        weight gradient are freed, also that of a node the caller still
-        holds: a probe node the sweep reaches last sees them dead, and so
-        does the caller when backward returns. Without release the loss
-        keeps them all alive."""
+        node's output and the q, k and v a wide attention rule keeps for its
+        gradients are freed, also those of a node the caller still holds: a
+        probe node the sweep reaches last sees them dead, and so does the
+        caller when backward returns. Without release the loss keeps them
+        all alive."""
         rng = np.random.default_rng(13)
         adj = _sparse(rng, 6)
         z = ad.parameter(rng.standard_normal((6, 3)))
-        w1, w2 = ad.parameter(rng.standard_normal((3, 7))), ad.parameter(rng.standard_normal((7, 9)))
+        cent, bias = ad.constant(rng.standard_normal((6, 1))), rng.standard_normal(adj.nnz)
+        w1 = [ad.parameter(rng.standard_normal((4, 3))) for _ in range(3)]
+        w2 = ad.parameter(rng.standard_normal((3, 9)))
 
-        def kept_az(node):
+        def kept_qkv(node):
             cells = (c.cell_contents for c in node._rule.__closure__)
-            return dict(zip(node._rule.__code__.co_freevars, cells))["az"]
+            (q, k, v, _), = dict(zip(node._rule.__code__.co_freevars, cells))["kept"]
+            return q, k, v
 
         def probe_rule(g):
             alive.append([ref() is not None for ref in refs])
@@ -171,14 +174,15 @@ class TestReleasedTape:
         for release in (False, True):
             alive = []
             probe = ad.Tensor(z.value, _parents=(z,), _rule=probe_rule)
-            held = ad.propagate(adj, probe, w1, activate=True)  # both widen: each keeps adj @ z
+            # 3 + 1 input columns against a head of 3: the wide form, which keeps q, k, v
+            held = ad.attention(probe, cent, w1, adj, bias, activate=True)
             mid = ad.propagate(adj, held, w2)
-            refs = [weakref.ref(mid.value), weakref.ref(kept_az(mid)), weakref.ref(kept_az(held))]
+            refs = [weakref.ref(a) for a in (mid.value, *kept_qkv(held))]
             loss = oracles.reduce_sum(oracles.square(mid))
             del probe, mid
-            oracles.grads(loss, [z, w1, w2], release=release)
+            oracles.grads(loss, [z, *w1, w2], release=release)
             runs.append(alive + [[ref() is not None for ref in refs]])
-        assert runs == [[[True] * 3] * 2, [[False] * 3] * 2]
+        assert runs == [[[True] * 4] * 2, [[False] * 4] * 2]
 
 
 def row_sums(x):
@@ -434,6 +438,53 @@ def _weighted_sum(out, weights):
     return oracles.reduce_sum(oracles.hadamard(out, ad.constant(weights)))
 
 
+class TestInjectedPropagate:
+    """propagate with inject = (eps, h) forms the epsilon-blend itself; its
+    value and every gradient are the bytes of the weighted_sum blend
+    followed by propagate without it."""
+
+    @pytest.mark.parametrize("shape", [(7, 3), (3, 7)], ids=["narrowing", "widening"])
+    @pytest.mark.parametrize("activate", [False, True], ids=["linear", "leaky"])
+    @pytest.mark.parametrize("shared", [False, True], ids=["h-leaf", "h-shared"])
+    def test_matches_weighted_sum_then_op_bytes(self, shape, activate, shared):
+        """h-leaf: one layer reads the blend of a parameter h. h-shared: two
+        channels of three layers each read the blends of two stacked dense
+        outputs, as the graph channels read the autoencoder's, so each dense
+        output has three consumers whose contributions are summed in the
+        order the sweep reaches them."""
+        d_in, d_out = shape
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            adj = _sparse(rng, 6)
+            width = 2 if shared else 1
+            # the blended layers take both associations
+            ladder = [d_in, d_out, d_in, d_out] if shared else [d_in, d_in, d_out]
+            ws = [[ad.parameter(rng.standard_normal((a, b)) / 2)
+                   for a, b in zip(ladder[:-1], ladder[1:])] for _ in range(width)]
+            channels = [[functools.partial(_injected_propagate, adj, w=w, activate=activate)
+                         for w in chain] for chain in ws]
+            x = ad.parameter(rng.standard_normal((6, d_in)))
+            if shared:
+                ae = _operands(rng, [(d_in, ladder[1]), (1, ladder[1]), (ladder[1], ladder[2]),
+                                     (1, ladder[2])])
+                params = [x, *ae, *(w for chain in ws for w in chain)]
+
+                def hs_of():
+                    h1 = ad.dense(x, *ae[:2], activate=True)
+                    return [h1, ad.dense(h1, *ae[2:], activate=True)]
+            else:
+                h = ad.parameter(rng.standard_normal((6, ladder[1])))
+                params = [x, h, *ws[0]]
+                hs_of = functools.partial(list, [h])
+            fused, reference = (oracles.injection_bytes(channels, hs_of, x, 0.3, params, f, seed)
+                                for f in (True, False))
+            assert fused == reference
+
+
+def _injected_propagate(adj, z, inject, w, activate):
+    return ad.propagate(adj, z, w, activate, inject)
+
+
 class TestLayerOps:
     """Each layer op against its composed form in tests/oracles.py."""
 
@@ -522,17 +573,18 @@ class TestLayerOps:
             del node
         assert kept[1] - kept[0] < n * width // 8
 
-    def test_keeps_adj_z_only_for_the_weight_gradient(self):
-        """(adj @ z) @ w keeps adj @ z in its rule only when w needs it."""
+    def test_keeps_no_adj_z_for_the_weight_gradient(self):
+        """(adj @ z) @ w keeps no adj @ z, whether or not w needs its
+        gradient: the weight gradient rebuilds it."""
         rng = np.random.default_rng(0)
         adj, z = _sparse(rng, 6), ad.parameter(rng.standard_normal((6, 3)))
+        az = (adj @ z.value).tobytes()
         kept = []
         w_value = rng.standard_normal((3, 7))
         for w in (ad.parameter(w_value), ad.constant(w_value)):
-            cells = [c.cell_contents for c in ad.propagate(adj, z, w, True)._rule.__closure__]
-            kept.append(sum(isinstance(c, np.ndarray) and c.shape == (6, 3) and c is not z.value
-                            for c in cells))
-        assert kept == [1, 0]
+            held = oracles.tape_arrays(ad.propagate(adj, z, w, True), [z, w])
+            kept.append(sum(h.array.tobytes() == az for h in held))
+        assert kept == [0, 0]
 
     def test_errors_name_the_operation(self):
         a, b = ad.constant(np.zeros((2, 3))), ad.constant(np.zeros((3, 2)))
@@ -544,6 +596,8 @@ class TestLayerOps:
             ad.dense(a, b, ad.constant(np.zeros((2, 2))))
         with pytest.raises(ValueError, match="propagate"):
             ad.propagate(sp.csr_array(sp.eye(3)), a, b)
+        with pytest.raises(ValueError, match=r"^propagate: injected input is \(3, 2\), z is \(2, 3\)$"):
+            ad.propagate(sp.csr_array(sp.eye(2)), a, b, inject=(0.5, b))
 
 
 def _views(rng, n, d, case):

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+from gclgcn import cluster
 from gclgcn.cluster import (
+    _canonical,
     _confusion,
     _match,
     accuracy,
@@ -14,7 +16,7 @@ from gclgcn.cluster import (
     nmi,
 )
 
-from oracles import brute_force_accuracy
+from oracles import brute_force_accuracy, canonical_loop, f1_macro_loop
 
 
 class TestKMeans:
@@ -156,6 +158,51 @@ class TestAri:
             assert ari(pred, truth) == pytest.approx(
                 sk.adjusted_rand_score(truth, pred), abs=1e-12
             )
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_one_point_labelling_scores_one_everywhere():
+    """With n = 1 there is no pair to count; ari reads 1.0, as sklearn's
+    adjusted_rand_score does, like the other three metrics, and nothing
+    divides 0 by 0."""
+    for ids in ([0], [3]):
+        assert metric_row(ids, [0]) == {"acc": 1.0, "nmi": 1.0, "ari": 1.0, "f1": 1.0}
+
+
+class TestVectorisedForms:
+    """nmi's first-occurrence renumbering and f1_macro's label lookup
+    against the loop forms they replaced, kept in tests/oracles.py."""
+
+    @staticmethod
+    def _pairs():
+        """2,400 seeded label pairs: random ids from a range that may leave
+        some absent, a single cluster, and one side a relabeling of the
+        other."""
+        rng = np.random.default_rng(21)
+        for i in range(2400):
+            n = int(rng.integers(1, 40))
+            pred = rng.integers(0, int(rng.integers(1, 9)), n)
+            truth = rng.integers(0, int(rng.integers(1, 9)), n)
+            if i % 6 == 1:
+                pred = np.zeros(n, dtype=np.int64)
+            elif i % 6 == 2:
+                pred = rng.permutation(12)[truth]
+            elif i % 6 == 3:
+                pred = pred * 3 + 2  # ids 0, 1, 3, 4, ... absent
+            yield pred, truth
+
+    def test_canonical_matches_the_loop(self):
+        for pred, truth in self._pairs():
+            for labels in (pred, truth):
+                got, want = _canonical(labels), canonical_loop(labels)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_f1_and_nmi_keep_their_bytes(self, monkeypatch):
+        pairs = list(self._pairs())
+        got = [(f1_macro(p, t).hex(), nmi(p, t).hex()) for p, t in pairs]
+        monkeypatch.setattr(cluster, "_canonical", canonical_loop)
+        want = [(f1_macro_loop(p, t).hex(), nmi(p, t).hex()) for p, t in pairs]
+        assert got == want
 
 
 class TestF1:

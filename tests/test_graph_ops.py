@@ -2,6 +2,7 @@
 gradients by finite differences, and node-permutation equivariance of the
 graph channels and the centrality columns."""
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -286,6 +287,55 @@ def test_attention_backward_matches_accumulating_backward(d_head, heads, activat
         assert np.array_equal(grad, oracle)
 
 
+@pytest.mark.parametrize("d_head", [3, 8], ids=["wide", "narrow"])
+@pytest.mark.parametrize("heads", [1, 2])
+@pytest.mark.parametrize("activate", [False, True])
+@pytest.mark.parametrize("shared", [False, True], ids=["h-leaf", "h-shared"])
+def test_injected_attention_matches_weighted_sum_then_op_bytes(d_head, heads, activate, shared):
+    """attention with inject = (eps, h) forms the epsilon-blend itself; its
+    value and every gradient (h, z and each weight) are the bytes of the
+    weighted_sum blend followed by attention without it. h-leaf: one layer
+    reads the blend of a parameter h. h-shared: two channels of three
+    layers each read the blends of two stacked dense outputs, as the
+    attention channel reads the autoencoder's, so each dense output has
+    three consumers whose contributions are summed in the order the sweep
+    reaches them."""
+    g = GRAPHS[2]
+    adj, bias = normalize_adjacency(g), spatial_bias(g)
+    c = ad.constant(composite_centrality(g))
+    m = c.shape[1]
+    rng = np.random.default_rng(d_head + heads)
+    # Each blended layer from 4 columns to a head of 8 is narrow (4 + 3
+    # centrality columns < 8), one to a head of 3 or to 4 columns wide.
+    ladder = [g.f, d_head, g.f, d_head] if shared else [g.f, g.f, d_head]
+    ws = [[[ad.parameter(rng.standard_normal((a + m, heads * b)) / 4) for _ in range(3)]
+           for a, b in zip(ladder[:-1], ladder[1:])] for _ in range(1 + shared)]
+    channels = [[functools.partial(_injected_attention, c=c, w=w, adj=adj, bias=bias,
+                                   heads=heads, activate=activate) for w in chain]
+                for chain in ws]
+    x = ad.parameter(g.features)
+    weights = [t for chain in ws for w in chain for t in w]
+    if shared:
+        ae = [ad.parameter(rng.standard_normal(s)) for s in ((g.f, d_head), (1, d_head),
+                                                              (d_head, g.f), (1, g.f))]
+        params = [x, *ae, *weights]
+
+        def hs_of():
+            h1 = ad.dense(x, *ae[:2], activate=True)
+            return [h1, ad.dense(h1, *ae[2:], activate=True)]
+    else:
+        h = ad.parameter(rng.standard_normal((g.n, g.f)))
+        params = [x, h, *weights]
+        hs_of = functools.partial(list, [h])
+    fused, reference = (oracles.injection_bytes(channels, hs_of, x, 0.3, params, f)
+                        for f in (True, False))
+    assert fused == reference
+
+
+def _injected_attention(z, inject, c, w, adj, bias, heads, activate):
+    return ad.attention(z, c, w, adj, bias, heads, activate, inject)
+
+
 def test_attention_errors_name_the_op():
     x, c = np.ones((3, 2)), np.ones((3, 1))
     w = [np.ones((3, 4))] * 3
@@ -301,6 +351,8 @@ def test_attention_errors_name_the_op():
         ("4 weight columns do not split into 3 heads", (x, c, w, adj, np.zeros(3)),
          {"heads": 3}),
         ("w needs a query, key and value", (x, c, w[:2], adj, np.zeros(3)), {}),
+        (r"injected input is \(3, 1\), z is \(3, 2\)", (x, c, w, adj, np.zeros(3)),
+         {"inject": (0.5, c)}),
     ):
         with pytest.raises(ValueError, match=f"attention: {match}"):
             ad.attention(*args, **kwargs)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from gclgcn import autodiff as ad
 from gclgcn import pipeline as P
@@ -9,6 +10,7 @@ from gclgcn.graph import Graph, normalize_adjacency
 from gclgcn.pipeline import _build_constants, _mask_features  # noqa: internal
 from gclgcn.layers import ae_loss, gcn_layer, glorot, graphormer_layer, ladder_dims
 
+import oracles
 from oracles import (
     attention_init_reference,
     combined_similarity,
@@ -431,20 +433,115 @@ class TestTapeShape:
             [("propagate", (g.n, 6)), ("relu", (g.n, 6)), ("propagate", (g.n, g.f))]
         )
 
-    @pytest.mark.parametrize("layers,count", [(2, 24), (4, 40)])
+    @pytest.mark.parametrize("layers,count", [(2, 22), (4, 34)])
     def test_clustering_head_is_the_centroids_only_consumer(self, layers, count):
-        """One joint epoch records 24 nodes at layers=2 and 40 at layers=4,
-        and the centroids are read by one of them, the cluster_kl head."""
-        g = tiny_graph(12, n=8)
-        cfg = ExperimentConfig(k=2, n_z=3, layers=layers, seed=0)
-        rng = np.random.default_rng(12)
-        ae = random_params(rng, ladder_dims(g.f, cfg.n_z, cfg.layers))
-        pre = P.Pretrained([(name, t.value) for name, t in ae.named()],
-                           rng.standard_normal(g.features.shape))
-        cons = _build_constants(g, cfg, pre.x_c)
-        state, encoded = P._init_state(g, cfg, pre, cons)
-        total, _, _ = P._epoch_losses(state, cons, cfg, encoded)
+        """One joint epoch records 22 nodes at layers=2 and 34 at layers=4
+        (each blended graph layer forms its epsilon-blend itself), and the
+        centroids are read by one of them, the cluster_kl head."""
+        state, _, _, total = _joint_epoch(tiny_graph(12, n=8), layers)
         assert recorded_nodes(total, state.centroids, reading=state.centroids) == [
             ("cluster_kl", (1, 1))
         ]
         assert len(recorded_nodes(total, None)) == count
+
+
+def _joint_epoch(g, layers):
+    """(state, constants, config, loss) of one joint epoch on g at the
+    given depth, from random pretrained weights."""
+    cfg = ExperimentConfig(k=2, n_z=3, layers=layers, seed=0)
+    rng = np.random.default_rng(12)
+    ae = random_params(rng, ladder_dims(g.f, cfg.n_z, cfg.layers))
+    pre = P.Pretrained([(name, t.value) for name, t in ae.named()],
+                       rng.standard_normal(g.features.shape))
+    cons = _build_constants(g, cfg, pre.x_c)
+    state, encoded = P._init_state(g, cfg, pre, cons)
+    total, _, _ = P._epoch_losses(state, cons, cfg, encoded)
+    return state, cons, cfg, total
+
+
+def _closure(node) -> dict:
+    cells = (c.cell_contents for c in node._rule.__closure__)
+    return dict(zip(node._rule.__code__.co_freevars, cells))
+
+
+class TestTapeHolds:
+    """What one joint epoch's tape holds beside the parameters, read with
+    oracles.tape_arrays at n=40, layers=3: ladder 4 -> 500 -> 2000 -> 3,
+    so attention encoder layers 0 and 1 and decoder layer 0 take the narrow
+    form, and encoder layers 1 and 2 of both channels read a blend."""
+
+    def test_keeps_no_blend_adj_z_or_narrow_intermediate(self):
+        """No array the tape holds has the bytes of an epsilon-blend, of
+        adj @ x for a propagate input x, or of a narrow attention's z~, P or
+        att @ z~: backward rebuilds them all."""
+        g = tiny_graph(12, n=40, p=0.3)
+        state, cons, cfg, total = _joint_epoch(g, 3)
+        held = {(h.array.shape, h.array.tobytes())
+                for h in oracles.tape_arrays(total, [t for _, t in state._named()])}
+        seen = {"blend": 0, "narrow attention": 0}
+        for node in _tape_nodes(total):
+            op = _op(node)
+            if op not in ("propagate", "attention"):
+                continue
+            first = node._parents[0]
+            if len(node._parents) == (3 if op == "propagate" else 5):
+                h, z = node._parents[:2]
+                x = h.value * cfg.epsilon
+                x += z.value * (1.0 - cfg.epsilon)
+            else:
+                x = first.value
+            # a blend formed in the op, or recorded as a weighted_sum node
+            blended = len(node._parents) in (3, 5) or _op(first) == "weighted_sum"
+            seen["blend"] += blended
+            forbidden = [x] if blended else []
+            if op == "propagate":
+                forbidden.append(cons.adj @ x)
+            elif node._parents[-1].shape[0] < node._parents[-1].shape[1] // cfg.heads:
+                seen["narrow attention"] += 1
+                zt = np.hstack([x, cons.centrality.value])
+                for *_, mat, att in _closure(node)["kept"]:
+                    pattern = sp.csr_array((att, cons.adj.indices, cons.adj.indptr),
+                                           shape=cons.adj.shape)
+                    forbidden += [zt, zt @ mat, pattern @ zt]
+            for arr in forbidden:
+                kept = (arr.shape, arr.tobytes()) in held
+                assert not kept, f"{op} keeps a {arr.shape} array backward can rebuild"
+        assert seen == {"blend": 4, "narrow attention": 3}
+
+    def test_holds_at_most_the_outputs_and_what_attention_keeps(self):
+        """The tape holds at most 1.25 times the layer outputs (the dense,
+        propagate and attention values), plus each narrow attention head's
+        (d + m) x (d + m) M, whose size does not depend on n. Beside the
+        outputs it keeps the wide attention's q, k and v, about a tenth of
+        the outputs here, and arrays of O(nnz) or of few columns; each
+        epsilon-blend it kept would add a third."""
+        g = tiny_graph(12, n=40, p=0.3)
+        state, _, cfg, total = _joint_epoch(g, 3)
+        held = oracles.tape_arrays(total, [t for _, t in state._named()])
+        nodes = _tape_nodes(total)
+        outputs = sum(t.value.nbytes for t in nodes if _op(t) in ("dense", "propagate", "attention"))
+        m_bytes = 0
+        for t in nodes:
+            if _op(t) == "attention":
+                d_tilde, width = t._parents[-1].shape
+                if d_tilde < width // cfg.heads:
+                    m_bytes += cfg.heads * d_tilde * d_tilde * 8
+        assert sum(h.array.nbytes for h in held) <= 1.25 * outputs + m_bytes
+
+
+def _op(node) -> str:
+    """The op that recorded node, named by its backward rule."""
+    return node._rule.__qualname__.split(".")[0] if node._rule is not None else "leaf"
+
+
+def _tape_nodes(loss):
+    """Every inner node of loss's tape."""
+    nodes, stack, seen = [], [loss], set()
+    while stack:
+        t = stack.pop()
+        if id(t) in seen or t._rule is None:
+            continue
+        seen.add(id(t))
+        nodes.append(t)
+        stack.extend(t._parents)
+    return nodes
