@@ -14,8 +14,7 @@ intermediate: dense (x @ w + b), propagate (adj @ z @ w) and attention
 (multi-head attention over a sparse pattern, reading z with the centrality
 columns appended), each optionally followed by leaky ReLU at LEAKY_SLOPE.
 An activated op keeps no mask: its output is positive exactly where its
-input was, so the backward reads the sign from the output the node already
-holds.
+input was, so the backward reads the sign from the node's output.
 propagate and attention pick their association from the shapes: propagate
 runs the sparse product on the narrower side, and attention, when a layer
 widens (d_in + centrality columns < head width), scores q . k through the
@@ -31,6 +30,18 @@ backward cannot rebuild in a few milliseconds: neither op keeps its input
 or adj @ z, nor the narrow attention form its z~, P or att @ z~; a weight
 gradient rebuilds what it reads with the forward's calls (gradient
 checkpointing, Chen et al., arXiv:1604.06174, for what sets the peak).
+
+A layer op whose output has more columns than its input (the shapes alone
+decide, as they pick the association) can also forget that output
+(Tensor.forget): it is the largest array the node holds, and its input,
+which the tape keeps, rebuilds it cheaply. The first read afterwards, a
+later layer's weight gradient or the op's own leaky sign, rebuilds it from
+the parents' values with the forward's numpy calls, so it has the same
+bits, and keeps it. Joint training forgets these outputs once their last
+forward reader has run (pipeline._encode and _decode). No closure holds a
+layer output: a rule reads its node's output through a weak reference to
+the node, and the rebuild holds the parents and what the rule keeps, so a
+forgotten array is freed and no node reaches itself again.
 
 The glue between the layers is weighted_sum, one node for any linear
 combination of same-shape tensors: the fused bottleneck, the joint
@@ -58,13 +69,15 @@ leaf's consumers while it orders the tape, and a leaf's gradient is finished
 when its last contribution arrives (a leaf reached twice sums its
 contributions in sweep order); the state folds it into Adam's moments at
 once. dense, propagate and attention write a weight's gradient into a
-scratch buffer the state owns and lends, and adam_step applies the update
-from the moments afterwards.
+scratch buffer the state owns and lends (attention hands each over as soon
+as it is written, so with one head its three roles share one buffer), and
+adam_step applies the update from the moments afterwards.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -97,9 +110,15 @@ LEAKY_SLOPE = 0.01
 
 
 class Tensor:
-    """Node in the differentiation graph: value and backward rule."""
+    """Node in the differentiation graph: value and backward rule.
 
-    __slots__ = ("value", "requires_grad", "name", "_parents", "_rule", "_needs", "_sweep")
+    A node whose op can rebuild its value (_rebuild, a function of the
+    parents' values that repeats the op's numpy calls) may forget it; the
+    first read of value afterwards rebuilds it, with the same bits, and keeps
+    it. The parents' values must not change in between."""
+
+    __slots__ = ("_value", "_shape", "requires_grad", "name", "_parents", "_rule", "_rebuild",
+                 "_needs", "_sweep", "__weakref__")
 
     def __init__(
         self,
@@ -108,6 +127,7 @@ class Tensor:
         name: str | None = None,
         _parents: tuple["Tensor", ...] = (),
         _rule: Callable[[np.ndarray], tuple[np.ndarray, ...]] | None = None,
+        _rebuild: Callable[[], np.ndarray] | None = None,
     ):
         arr = np.asarray(value, dtype=np.float64)
         if arr.ndim == 0:
@@ -121,13 +141,32 @@ class Tensor:
         self.name = name
         self._parents = _parents
         self._rule = _rule
+        self._rebuild = _rebuild
         self._needs = requires_grad or any(p._needs for p in _parents)
         # the _Sweep of the running backward that collects this leaf's gradient
         self._sweep = None
 
     @property
+    def value(self) -> np.ndarray:
+        if self._value is None:
+            if self._rebuild is None:
+                raise ValueError(f"{self!r}: the value was forgotten, and backward(..., "
+                                 "release=True) has released what rebuilds it")
+            self._value = self._rebuild()
+        return self._value
+
+    @value.setter
+    def value(self, arr: np.ndarray) -> None:
+        self._value, self._shape = arr, arr.shape
+
+    def forget(self) -> None:
+        """Drop the value if the op can rebuild it; otherwise keep it."""
+        if self._rebuild is not None:
+            self._value = None
+
+    @property
     def shape(self) -> tuple[int, int]:
-        return self.value.shape
+        return self._shape
 
     def __repr__(self):
         tag = self.name or ("param" if self.requires_grad else "tensor")
@@ -230,11 +269,12 @@ def backward(
     the sum is kept in. Only inner nodes collect theirs in pending.
 
     Without release the tape is left intact, so a second call hands over
-    the same gradients. With release, each inner node drops its rule and
-    parents as soon as the sweep passes it, so the arrays its rule keeps,
-    and every node the caller does not hold, are freed during the sweep
-    rather than after it; the gradients are the same bytes. A later backward
-    through a released node raises ValueError.
+    the same gradients. With release, each inner node drops its rule,
+    parents and rebuild as soon as the sweep passes it, so the arrays its
+    rule keeps, and every node the caller does not hold, are freed during
+    the sweep rather than after it; the gradients are the same bytes. A
+    later backward through a released node, or a read of a value it forgot
+    and did not rebuild, raises ValueError.
     """
     if loss.shape != (1, 1):
         raise ValueError(f"backward: loss must be 1x1, got {loss.shape}")
@@ -298,7 +338,7 @@ def backward(
                     if pg is not None and parent._needs:
                         give(parent, pg, g)
             if release and not node.requires_grad:
-                node._rule = None
+                node._rule = node._rebuild = None
                 node._parents = ()
         sweep.finish_rest(leaves)
     finally:
@@ -314,6 +354,17 @@ def _grad_buffer(t: Tensor) -> np.ndarray:
     if sweep is None or id(t) in sweep.held:
         return np.empty(t.shape)
     return sweep.store(t)
+
+
+def _hand_over(t: Tensor, g: np.ndarray) -> np.ndarray | None:
+    """Give the running backward g, a finished contribution to leaf t's
+    gradient, before the rule returns, so a buffer g was written into can
+    be lent again; None then, or g itself for the rule to return when t is
+    not a leaf of a running backward."""
+    if t._sweep is None:
+        return g
+    t._sweep.give(t, g)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -393,28 +444,37 @@ def _leaky_grad(g: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def dense(x: Tensor, w: Tensor, b: Tensor, activate: bool = False) -> Tensor:
     """x @ w + b (b is one row, broadcast), then leaky ReLU when activate,
-    as one node. It keeps its output, from which an activated node's
-    backward reads the sign."""
+    as one node. An activated node's backward reads the sign from its
+    output. When w widens (more columns than rows) the node can forget its
+    output, which it rebuilds with the forward's calls."""
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     _check(x.shape[1] == w.shape[0], "dense", f"inner dims differ: {x.shape} x {w.shape}")
     _check(b.shape == (1, w.shape[1]), "dense", f"bias must be (1, {w.shape[1]}), got {b.shape}")
-    xv, wv = x.value, w.value
+    wv = w.value
     nx, nw, nb = x._needs, w._needs, b._needs
-    out = xv @ wv
-    out += b.value
-    if activate:
-        _leaky_in_place(out)
+
+    def output():
+        out = x.value @ wv
+        out += b.value
+        if activate:
+            _leaky_in_place(out)
+        return out
+
+    node = Tensor(output(), _parents=(x, w, b),
+                  _rebuild=output if w.shape[1] > w.shape[0] else None)
+    ref = weakref.ref(node)
 
     def rule(g):
         if activate:
-            g = _leaky_grad(g, out)
+            g = _leaky_grad(g, ref().value)
         return (
             g @ wv.T if nx else None,
-            np.matmul(xv.T, g, out=_grad_buffer(w)) if nw else None,
+            np.matmul(x.value.T, g, out=_grad_buffer(w)) if nw else None,
             g.sum(axis=0, keepdims=True) if nb else None,
         )
 
-    return Tensor(out, _parents=(x, w, b), _rule=rule)
+    node._rule = rule
+    return node
 
 
 class _Input:
@@ -470,10 +530,11 @@ def propagate(adj: sp.csr_array, z: Tensor, w: Tensor, activate: bool = False,
     node. x is z, or with inject = (eps, h) the epsilon-blend
     h * eps + z * (1 - eps), whose parents are then h and z.
 
-    It keeps its output, from which an activated node's backward reads the
-    sign, and neither x nor adj @ x: the weight gradient rebuilds x, and,
-    when (adj @ x) @ w is the association, adj @ x, with the forward's
-    calls, so they are its bits."""
+    An activated node's backward reads the sign from its output. The node
+    keeps neither x nor adj @ x: the weight gradient rebuilds x, and, when
+    (adj @ x) @ w is the association, adj @ x, with the forward's calls, so
+    they are its bits. When w widens the node can forget its output too,
+    which it rebuilds the same way."""
     z, w = _as_tensor(z), _as_tensor(w)
     _check(sp.issparse(adj), "propagate",
            f"adjacency must be a scipy sparse matrix, got {type(adj)}")
@@ -483,13 +544,20 @@ def propagate(adj: sp.csr_array, z: Tensor, w: Tensor, activate: bool = False,
     wv = w.value
     nw = w._needs
     narrow_out = w.shape[1] < w.shape[0]
-    out = adj @ (x.value() @ wv) if narrow_out else (adj @ x.value()) @ wv
-    if activate:
-        _leaky_in_place(out)
+
+    def output():
+        out = adj @ (x.value() @ wv) if narrow_out else (adj @ x.value()) @ wv
+        if activate:
+            _leaky_in_place(out)
+        return out
+
+    node = Tensor(output(), _parents=(*x.parents, w),
+                  _rebuild=output if w.shape[1] > w.shape[0] else None)
+    ref = weakref.ref(node)
 
     def rule(g):
         if activate:
-            g = _leaky_grad(g, out)
+            g = _leaky_grad(g, ref().value)
         gm = adj.T @ g if narrow_out else g
         # The weight gradient first, so the rebuilt x is freed before dx is formed.
         gw = None
@@ -502,7 +570,8 @@ def propagate(adj: sp.csr_array, z: Tensor, w: Tensor, activate: bool = False,
             dx = gm @ wv.T if narrow_out else adj.T @ (g @ wv.T)
         return (*x.grads(dx), gw)
 
-    return Tensor(out, _parents=(*x.parents, w), _rule=rule)
+    node._rule = rule
+    return node
 
 
 def _sampled_dots(a: np.ndarray, b: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -560,8 +629,14 @@ def attention(
     then += c @ W~[d:], a column copy per head when heads > 1, the sampled
     logits, the softmax and att @ v), so its values match that chain's bit
     for bit; it keeps each head's q, k, v and att, and the weight gradients
-    rebuild x. Either form keeps its output, from which an activated node's
-    backward reads the sign, and neither keeps x.
+    rebuild x. Neither form keeps x. An activated node's backward reads the
+    sign from its output, which the node can forget when d_head > d, the
+    layer widening: it is rebuilt from the kept att (and the rebuilt z~, or
+    the kept v) with the forward's calls.
+
+    Backward hands each weight's gradient over once its last head is
+    written, so with one head the three roles take one scratch buffer in
+    turn.
     """
     z, c = _as_tensor(z), _as_tensor(c)
     w = tuple(map(_as_tensor, w))
@@ -617,16 +692,13 @@ def attention(
 
     narrow = d + m < d_head
     kept = []
-    out = None
     if narrow:
         zt = stacked()
         for h in head_cols:
             mat = wq[:, h] @ wk[:, h].T
-            att = softmax(_sampled_dots(zt @ mat, zt, rows, cols) * scale + bias)
-            out = _accumulate(out, (on_pattern(att) @ zt) @ wv[:, h])
-            kept.append((mat, att))
-        del zt
+            kept.append((mat, softmax(_sampled_dots(zt @ mat, zt, rows, cols) * scale + bias)))
     else:
+        zt = None
         xv = x.value()
         proj = []
         for wr in (wq, wk, wv):
@@ -636,29 +708,53 @@ def attention(
         del xv
         for h in head_cols:
             q, k, v = (pr if heads == 1 else np.ascontiguousarray(pr[:, h]) for pr in proj)
-            att = softmax(_sampled_dots(q, k, rows, cols) * scale + bias)
-            out = _accumulate(out, on_pattern(att) @ v)
-            kept.append((q, k, v, att))
+            kept.append((q, k, v, softmax(_sampled_dots(q, k, rows, cols) * scale + bias)))
         del proj
-    if heads > 1:
-        out *= 1.0 / heads
-    if activate:
-        _leaky_in_place(out)
+
+    def output(zt):
+        """The node's value from kept (and z~ in the narrow form)."""
+        out = None
+        for h, entry in zip(head_cols, kept):
+            weights = on_pattern(entry[-1])
+            # narrow: (att @ z~) @ W~v; wide: att @ v
+            out = _accumulate(out, (weights @ zt) @ wv[:, h] if narrow else weights @ entry[2])
+        if heads > 1:
+            out *= 1.0 / heads
+        if activate:
+            _leaky_in_place(out)
+        return out
+
+    def rebuild():
+        return output(stacked() if narrow else None)
+
+    node = Tensor(output(zt), _parents=(*x.parents, *w), _rebuild=rebuild if d_head > d else None)
+    del zt
+    ref = weakref.ref(node)
 
     def rule(g):
         if activate:
-            g = _leaky_grad(g, out)
+            g = _leaky_grad(g, ref().value)
         if heads > 1:
             g = g * (1.0 / heads)
-        gw = [_grad_buffer(t) if need else None for t, need in zip(w, needs)]
-        gq, gk, gv = gw
+        # Each role's gradient is lent a buffer when first written and handed
+        # to the running backward once its last head is written, so with one
+        # head a single scratch buffer serves all three in turn.
+        gw = [None, None, None]
+
+        def grad_cols(r, h):
+            if gw[r] is None:
+                gw[r] = _grad_buffer(w[r])
+            return gw[r][:, h]
+
+        def written(r, h):
+            if h is head_cols[-1]:
+                gw[r] = _hand_over(w[r], gw[r])
+
         dz = None
         if narrow:
             zt = stacked()
             for h, (mat, att) in zip(head_cols, kept):
                 weights = on_pattern(att)
-                if gv is not None:
-                    np.matmul((weights @ zt).T, g, out=gv[:, h])
                 da = g @ wv[:, h].T
                 grads = logit_grads(att, _sampled_dots(da, zt, rows, cols))
                 dp = grads @ zt
@@ -668,27 +764,35 @@ def attention(
                     dz += dp @ mat.T
                 dm = zt.T @ dp
                 # M = W~q W~k^T: dW~q = dM W~k and dW~k = dM^T W~q
-                if gq is not None:
-                    np.matmul(dm, wk[:, h], out=gq[:, h])
-                if gk is not None:
-                    np.matmul(dm.T, wq[:, h], out=gk[:, h])
+                if needs[0]:
+                    np.matmul(dm, wk[:, h], out=grad_cols(0, h))
+                    written(0, h)
+                if needs[1]:
+                    np.matmul(dm.T, wq[:, h], out=grad_cols(1, h))
+                    written(1, h)
+                if needs[2]:
+                    np.matmul((weights @ zt).T, g, out=grad_cols(2, h))
+                    written(2, h)
             return (*x.grads(dz[:, :d] if nz else None), *gw)
-        xv = x.value() if any(gr is not None for gr in gw) else None
+        xv = x.value() if any(needs) else None
         for h, (q, k, v, att) in zip(head_cols, kept):
             grads = logit_grads(att, _sampled_dots(g, v, rows, cols))
             # One role at a time, so one n x d_head gradient is alive at once:
             # freeing three together cost 7k page faults a step (n=900, 500->500).
             products = (lambda: grads @ k, lambda: grads.T @ q, lambda: on_pattern(att).T @ g)
-            for product, wr, gr in zip(products, (wq, wk, wv), gw):
+            for r, (product, wr) in enumerate(zip(products, (wq, wk, wv))):
                 dr = product()
                 if nz:
                     dz = _accumulate(dz, dr @ wr[:d, h].T)
-                if gr is not None:
-                    np.matmul(xv.T, dr, out=gr[:d, h])
-                    np.matmul(cv.T, dr, out=gr[d:, h])
+                if needs[r]:
+                    gr = grad_cols(r, h)
+                    np.matmul(xv.T, dr, out=gr[:d])
+                    np.matmul(cv.T, dr, out=gr[d:])
+                    written(r, h)
         return (*x.grads(dz), *gw)
 
-    return Tensor(out, _parents=(*x.parents, *w), _rule=rule)
+    node._rule = rule
+    return node
 
 
 # Rows per block of the row-blocked losses. Every block multiplies its rows
@@ -964,8 +1068,8 @@ class AdamState:
     into the moments (backward does it as it finishes each gradient), then
     adam_step, which applies the bias-corrected update. The scratch is
     capacity-based: each buffer is the size of the largest parameter, made
-    when no free one is left (attention holds three at once) and kept
-    across steps."""
+    when no free one is left (attention with more than one head holds
+    three at once, other ops one) and kept across steps."""
 
     lr: float
     step: int = 0

@@ -7,7 +7,11 @@ the shortest-augmenting-path method (Crouse, IEEE TAES 2016) that scipy's
 linear_sum_assignment uses, with its tie rule (among columns of equal path
 cost the last unassigned one wins, otherwise the first), so it picks the
 matching scipy picks; NMI uses natural logs and the geometric mean of the two
-entropies; ARI is the standard pair-counting adjusted index.
+entropies; ARI is the standard pair-counting adjusted index. The package
+scores through metric_row, which builds the matched confusion matrix once
+for ACC and F1; accuracy, f1_macro and label_matching score or match one
+pair of labellings on their own, and are left out of __all__, which lists
+what the package itself calls.
 """
 
 from __future__ import annotations
@@ -21,11 +25,8 @@ __all__ = [
     "kmeans",
     "student_t",
     "target_distribution",
-    "accuracy",
-    "label_matching",
     "nmi",
     "ari",
-    "f1_macro",
     "metric_row",
 ]
 
@@ -235,11 +236,28 @@ def label_matching(pred, truth) -> dict[int, int]:
     return dict(enumerate(_match(_confusion(pred, truth)).tolist()))
 
 
+def _matched_confusion(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """The confusion matrix of the label arrays pred and truth with its rows
+    reordered by the optimal label matching: row c counts the predicted id
+    matched to truth id c. So the diagonal counts the matched points, the
+    row sums the matched predicted clusters' sizes and the column sums the
+    truth classes' sizes."""
+    w = _confusion(pred, truth)
+    cols = _match(w)
+    order = np.empty_like(cols)
+    order[cols] = np.arange(len(w))
+    return w[order]
+
+
+def _accuracy(m: np.ndarray) -> float:
+    """ACC from the matched confusion matrix m: its trace over n."""
+    return float(np.trace(m)) / float(m.sum())
+
+
 def accuracy(pred, truth) -> float:
     """Best-bijection agreement rate."""
     pred, truth = _as_labels(pred, truth)
-    w = _confusion(pred, truth)
-    return float(w[np.arange(len(w)), _match(w)].sum()) / pred.size
+    return _accuracy(_matched_confusion(pred, truth))
 
 
 def _entropy(counts: np.ndarray) -> float:
@@ -304,28 +322,31 @@ def ari(pred, truth) -> float:
     return float((joint - expected) / denom)
 
 
+def _f1_macro(m: np.ndarray) -> float:
+    """Macro F1 from the matched confusion matrix m. Class c's tp is its
+    diagonal entry, tp + fp its row sum and tp + fn its column sum, which
+    is positive exactly for the classes truth holds."""
+    col = m.sum(axis=0)
+    classes = np.flatnonzero(col)
+    tp = m.diagonal()[classes].astype(np.float64)
+    fp = m.sum(axis=1)[classes] - tp
+    fn = col[classes] - tp
+    return float(np.mean(2 * tp / (2 * tp + fp + fn)))
+
+
 def f1_macro(pred, truth) -> float:
     """Macro F1 over truth classes after the optimal label matching."""
     pred, truth = _as_labels(pred, truth)
-    mapping = label_matching(pred, truth)
-    # Every predicted id is a key: the matching covers ids up to the largest.
-    lookup = np.empty(len(mapping), dtype=np.int64)
-    lookup[list(mapping)] = list(mapping.values())
-    mapped = lookup[pred]
-    scores = []
-    for c in np.unique(truth):
-        tp = float(((mapped == c) & (truth == c)).sum())
-        fp = float(((mapped == c) & (truth != c)).sum())
-        fn = float(((mapped != c) & (truth == c)).sum())
-        denom = 2 * tp + fp + fn
-        scores.append(2 * tp / denom if denom > 0 else 0.0)
-    return float(np.mean(scores))
+    return _f1_macro(_matched_confusion(pred, truth))
 
 
 def metric_row(pred, truth) -> dict[str, float]:
+    """ACC, NMI, ARI and F1; ACC and F1 read one matched confusion matrix."""
+    pred, truth = _as_labels(pred, truth)
+    m = _matched_confusion(pred, truth)
     return {
-        "acc": accuracy(pred, truth),
+        "acc": _accuracy(m),
         "nmi": nmi(pred, truth),
         "ari": ari(pred, truth),
-        "f1": f1_macro(pred, truth),
+        "f1": _f1_macro(m),
     }

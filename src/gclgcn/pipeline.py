@@ -131,10 +131,17 @@ class Channel:
 
     def decode(self, z: Tensor) -> Tensor:
         """The reconstruction from the bottleneck z; the last layer is linear."""
+        return self.decode_layers(z)[-1]
+
+    def decode_layers(self, z: Tensor) -> list[Tensor]:
+        """Every decoder layer output from the bottleneck z; the last one is
+        the reconstruction."""
+        outs: list[Tensor] = []
         last = len(self.dec) - 1
         for i, params in enumerate(self.dec):
             z = self.layer(z, params, i != last)
-        return z
+            outs.append(z)
+        return outs
 
 
 def _autoencoder(dims: list[int], weight: Callable) -> Channel:
@@ -474,20 +481,39 @@ def _partition_means(z: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     return centroids
 
 
+def _forget_inner(stack: list[Tensor]) -> None:
+    """Forget every layer output of stack but the last, once each has had
+    its last forward reader: autodiff.Tensor.forget drops those whose op can
+    rebuild them, and backward rebuilds each where it reads it."""
+    for t in stack[:-1]:
+        t.forget()
+
+
 def _encode(state: ModelState, cons: _Constants, cfg: ExperimentConfig):
     """Autoencoder encoder layer outputs, and every graph channel's
     bottleneck keyed by its prefix. Encoder layer i > 0 of a channel takes
-    the epsilon-blend of autoencoder layer i - 1 and its own previous output."""
+    the epsilon-blend of autoencoder layer i - 1 and its own previous output,
+    so the inner outputs are forgotten once every channel has encoded."""
     hs = state.ae.encode(cons.x)
-    return hs, {c.prefix: c.encode(cons.x_enhanced, hs, cfg.epsilon)[-1] for c in state.channels}
+    outs = {c.prefix: c.encode(cons.x_enhanced, hs, cfg.epsilon) for c in state.channels}
+    for stack in (hs, *outs.values()):
+        _forget_inner(stack)
+    return hs, {prefix: stack[-1] for prefix, stack in outs.items()}
 
 
 def _decode(state: ModelState, hs: list[Tensor], zs: dict):
     """The decoders on the outputs hs, zs of _encode: the autoencoder's
     reconstruction, and (bottleneck, reconstruction) of every graph channel
-    keyed by its prefix."""
-    outs = {c.prefix: (zs[c.prefix], c.decode(zs[c.prefix])) for c in state.channels}
-    return state.ae.decode(hs[-1]), outs
+    keyed by its prefix. Each decoder's inner outputs are forgotten once it
+    has run."""
+
+    def decode(channel: Channel, z: Tensor) -> Tensor:
+        stack = channel.decode_layers(z)
+        _forget_inner(stack)
+        return stack[-1]
+
+    outs = {c.prefix: (zs[c.prefix], decode(c, zs[c.prefix])) for c in state.channels}
+    return decode(state.ae, hs[-1]), outs
 
 
 def _fuse(cons: _Constants, hs: list[Tensor], zs: dict) -> Tensor:

@@ -36,11 +36,13 @@ counts each leaf's consumers and writes a leaf's first contribution into
 the buffer its sum is kept in, often from inside the op), run on the tape
 before a releasing backward frees it, and the epsilon-injection is the
 weighted_sum node the model recorded before propagate and attention formed
-the blend themselves (injection_bytes runs both). The NMI renumbering and
-the F1 label lookup keep the loops the metrics replaced with index arrays.
+the blend themselves (injection_bytes runs both). The NMI renumbering keeps
+the loop it replaced with index arrays, and F1 its per-class boolean passes
+over a dict lookup (f1_macro reads the matched confusion matrix).
 The finite-difference checker, the closed-form centroid gradient and the
-composite loss of a model state judge the tape's gradients, and
-tape_arrays lists what a tape holds.
+composite loss of a model state judge the tape's gradients,
+tape_arrays lists what a tape holds, and forgetting_pair runs a tape with
+its layer outputs forgotten beside one that keeps them.
 """
 
 from __future__ import annotations
@@ -764,11 +766,13 @@ def _owner(a: np.ndarray) -> np.ndarray:
 
 def tape_arrays(loss: Tensor, params: Sequence[Tensor]) -> list[Held]:
     """Every array the tape of loss holds beside the values of params: each
-    node's value and every array its backward rule reaches, through its
-    closure's names and the lists, tuples, dicts, objects, functions and
-    sparse matrices they hold. A view counts as the array owning its
-    memory, and each owner is listed once: under the node whose value it
-    is, or else under the first op and closure name that reach it."""
+    node's stored value and every array its backward rule or its rebuild
+    reaches, through its closure's names and the lists, tuples, dicts,
+    objects, functions and sparse matrices they hold. A forgotten value is
+    not held, and reading the tape rebuilds none. A view counts as the
+    array owning its memory, and each owner is listed once: under the node
+    whose value it is, or else under the first op and closure name that
+    reach it."""
     skip = {id(_owner(p.value)) for p in params}
     seen_nodes: set[int] = set()
     held: list[Held] = []
@@ -783,7 +787,7 @@ def tape_arrays(loss: Tensor, params: Sequence[Tensor]) -> list[Held]:
                 skip.add(id(owner))
                 held.append(Held(op, name, owner))
         elif isinstance(item, Tensor):
-            note(op, name, item.value, visited)
+            note(op, name, item._value, visited)
         elif sp.issparse(item):
             for part in ("data", "indices", "indptr"):
                 note(op, f"{name}.{part}", getattr(item, part), visited)
@@ -814,11 +818,35 @@ def tape_arrays(loss: Tensor, params: Sequence[Tensor]) -> list[Held]:
            for t in nodes]
     # Values first, so a value a later closure also reaches counts as its node's.
     for op, t in zip(ops, nodes):
-        note(op, "value", t.value, set())
+        note(op, "value", t._value, set())
     for op, t in zip(ops, nodes):
-        if t._rule is not None:
-            note(op, "rule", t._rule, set())
+        for name, fn in (("rule", t._rule), ("rebuild", t._rebuild)):
+            if fn is not None:
+                note(op, name, fn, set())
     return held
+
+
+def forgetting_pair(build: Callable[[], tuple[Tensor, list[Tensor]]], params: Sequence[Tensor],
+                    release: bool = False):
+    """Run two tapes that build() records, each (loss, outputs): the first
+    forgets every output once the loss is recorded, the second none.
+    Returns which outputs the first forgot, then, for each tape, the bytes
+    of every parameter's gradient followed by every output's value read
+    after backward, which rebuilds a forgotten one backward did not read.
+    With release the first tape's backward releases it, and no values are
+    read."""
+    runs, forgot = [], []
+    for forget in (True, False):
+        loss, outs = build()
+        if forget:
+            for t in outs:
+                t.forget()
+            forgot = [t._value is None for t in outs]
+        got = grads(loss, params, release=release and forget)
+        if not release:
+            got += [t.value for t in outs]
+        runs.append([a.tobytes() for a in got])
+    return forgot, runs[0], runs[1]
 
 
 def accumulating_backward(loss: Tensor, params: Sequence[Tensor]) -> list[np.ndarray]:

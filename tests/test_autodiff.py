@@ -649,6 +649,89 @@ LOSS_BLOCKINGS = [(7, 3), (10, 4), (12, 12), (9, 128), (300, 128)]
 INFO_NCE_CASES = ["random", "zero-row-c1", "zero-row-c2", "tiny-rows", "identical"]
 
 
+class TestForgetting:
+    """A dense, propagate or attention node whose output has more columns
+    than its input can forget it; the first read afterwards, in backward or
+    after it, rebuilds it with the forward's numpy calls. Each chain here
+    widens twice, the second layer reading the first's forgotten output,
+    then narrows, so backward rebuilds both wide outputs, one from the
+    other: the gradients and the values keep their bytes."""
+
+    @pytest.mark.parametrize("activate", [False, True], ids=["linear", "leaky"])
+    @pytest.mark.parametrize("release", [False, True], ids=["kept", "released"])
+    def test_dense_keeps_its_bytes(self, activate, release):
+        rng = np.random.default_rng(31)
+        x = ad.parameter(rng.standard_normal((6, 3)))
+        params = [x]
+        for shape in ((3, 7), (7, 9), (9, 2)):
+            params += [ad.parameter(rng.standard_normal(shape)),
+                       ad.parameter(rng.standard_normal((1, shape[1])))]
+        weights = rng.standard_normal((6, 2))
+
+        def build():
+            outs, h = [], x
+            for w, b in zip(params[1::2], params[2::2]):
+                h = ad.dense(h, w, b, activate)
+                outs.append(h)
+            return _weighted_sum(h, weights), outs
+
+        forgot, forgotten, kept = oracles.forgetting_pair(build, params, release)
+        assert forgot == [True, True, False]
+        assert forgotten == kept
+
+    @pytest.mark.parametrize("activate", [False, True], ids=["linear", "leaky"])
+    @pytest.mark.parametrize("inject", [False, True], ids=["z", "blend"])
+    @pytest.mark.parametrize("release", [False, True], ids=["kept", "released"])
+    def test_propagate_keeps_its_bytes_in_both_associations(self, activate, inject, release):
+        """(adj @ x) @ w where the layer widens, adj @ (x @ w) where it
+        narrows, whose output is never forgotten."""
+        rng = np.random.default_rng(32)
+        adj = _sparse(rng, 6)
+        z, h = (ad.parameter(rng.standard_normal((6, 3))) for _ in range(2))
+        ws = [ad.parameter(rng.standard_normal(shape)) for shape in ((3, 7), (7, 9), (9, 2))]
+        weights = rng.standard_normal((6, 2))
+
+        def build():
+            out = ad.propagate(adj, z, ws[0], activate, (0.3, h) if inject else None)
+            outs = [out]
+            for w in ws[1:]:
+                outs.append(ad.propagate(adj, outs[-1], w, activate))
+            return _weighted_sum(outs[-1], weights), outs
+
+        forgot, forgotten, kept = oracles.forgetting_pair(build, [z, h, *ws], release)
+        assert forgot == [True, True, False]
+        assert forgotten == kept
+
+    def test_a_value_forgotten_and_released_fails_loudly(self):
+        """A forgotten value that backward did not read is rebuilt by a
+        later read, unless backward released the tape, which drops what
+        rebuilds it: then the read raises ValueError, not a TypeError."""
+        rng = np.random.default_rng(33)
+        x = ad.constant(rng.standard_normal((4, 2)))
+        w, b = ad.parameter(rng.standard_normal((2, 5))), ad.parameter(np.zeros((1, 5)))
+        for release in (False, True):
+            out = ad.dense(x, w, b)  # linear, so backward reads no value of it
+            loss = oracles.reduce_sum(out)
+            want = out.value.copy()
+            out.forget()
+            oracles.grads(loss, [w, b], release=release)
+            if not release:
+                assert out.value.tobytes() == want.tobytes()
+                continue
+            with pytest.raises(ValueError, match="forgotten"):
+                out.value
+        assert out.shape == (4, 5)
+
+    def test_narrow_output_and_leaf_keep_their_values(self):
+        rng = np.random.default_rng(34)
+        x = ad.parameter(rng.standard_normal((4, 5)))
+        out = ad.dense(x, ad.constant(rng.standard_normal((5, 5))), ad.constant(np.zeros((1, 5))))
+        for t in (x, out):
+            value = t.value
+            t.forget()
+            assert t._value is value
+
+
 class TestRowBlockedLosses:
     """info_nce and decoder_mse against their composed forms in tests/oracles.py."""
 

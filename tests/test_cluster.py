@@ -204,6 +204,21 @@ class TestVectorisedForms:
         want = [(f1_macro_loop(p, t).hex(), nmi(p, t).hex()) for p, t in pairs]
         assert got == want
 
+    def test_metric_row_solves_one_matching(self, monkeypatch):
+        """metric_row solves the label matching once, for ACC and F1 both,
+        and each value keeps the bytes of the metric solving its own (F1 in
+        its loop form)."""
+        pairs = list(self._pairs())
+        want = [{"acc": accuracy(p, t), "nmi": nmi(p, t), "ari": ari(p, t),
+                 "f1": f1_macro_loop(p, t)} for p, t in pairs]
+        solves = []
+        match = cluster._match
+        monkeypatch.setattr(cluster, "_match", lambda w: solves.append(w) or match(w))
+        got = [metric_row(p, t) for p, t in pairs]
+        assert len(solves) == len(pairs)
+        assert [{k: v.hex() for k, v in row.items()} for row in got] == [
+            {k: v.hex() for k, v in row.items()} for row in want]
+
 
 class TestF1:
     def test_identical(self):

@@ -287,6 +287,55 @@ def test_attention_backward_matches_accumulating_backward(d_head, heads, activat
         assert np.array_equal(grad, oracle)
 
 
+@pytest.mark.parametrize("d_head", [7, 8], ids=["wide", "narrow"])
+@pytest.mark.parametrize("heads", [1, 2])
+@pytest.mark.parametrize("activate", [False, True], ids=["linear", "leaky"])
+@pytest.mark.parametrize("inject", [False, True], ids=["z", "blend"])
+@pytest.mark.parametrize("release", [False, True], ids=["kept", "released"])
+def test_forgotten_attention_output_keeps_its_bytes(d_head, heads, activate, inject, release):
+    """A layer widening from 4 to d_head columns forgets its output; backward
+    rebuilds it where the narrowing dense layer after it, or its own leaky
+    sign, reads it, in either form (the wide one at d + m = 7 = d_head), so
+    the value and every gradient are the bytes of the tape that kept it."""
+    g = GRAPHS[2]
+    z, c, w = _attention_operands(g, d_head, heads)
+    rng = np.random.default_rng(d_head + heads)
+    h = ad.parameter(rng.standard_normal(z.shape))
+    w2, b2 = ad.parameter(rng.standard_normal((d_head, 2))), ad.parameter(np.zeros((1, 2)))
+    adj, bias = normalize_adjacency(g), spatial_bias(g)
+    weights = rng.standard_normal((g.n, 2))
+
+    def build():
+        out = ad.attention(z, c, w, adj, bias, heads, activate, (0.4, h) if inject else None)
+        return oracles.reduce_sum(oracles.hadamard(ad.dense(out, w2, b2), weights)), [out]
+
+    forgot, forgotten, kept = oracles.forgetting_pair(build, [z, h, *w, w2, b2], release)
+    assert forgot == [True]
+    assert forgotten == kept
+
+
+@pytest.mark.parametrize("d_head", WIDE + NARROW)
+@pytest.mark.parametrize("heads", [1, 2])
+def test_attention_hands_each_weight_gradient_over_as_it_is_finished(d_head, heads):
+    """In backward, each role's weight gradient goes to the optimizer state
+    once its last head is written, so with one head a single scratch buffer
+    serves all three roles, and with two the three are lent at once. The
+    gradients are the bytes the rule returns when no backward runs, where
+    it hands nothing over."""
+    g = GRAPHS[2]
+    z, c, w = _attention_operands(g, d_head, heads)
+    params = [z, *w]
+    adj, bias = normalize_adjacency(g), spatial_bias(g)
+    out = ad.attention(z, c, w, adj, bias, heads, activate=True)
+    weights = np.random.default_rng(d_head).standard_normal(out.shape)
+    loss = oracles.reduce_sum(oracles.hadamard(out, ad.constant(weights)))
+    state = oracles.RecordingState.for_params(params, lr=0.0)
+    ad.backward(loss, params, state)
+    assert len(state.scratch) == (1 if heads == 1 else 3)
+    returned = out._rule(weights)
+    assert [state.grads[i].tobytes() for i in range(4)] == [r.tobytes() for r in returned]
+
+
 @pytest.mark.parametrize("d_head", [3, 8], ids=["wide", "narrow"])
 @pytest.mark.parametrize("heads", [1, 2])
 @pytest.mark.parametrize("activate", [False, True])

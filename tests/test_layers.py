@@ -445,10 +445,10 @@ class TestTapeShape:
         assert len(recorded_nodes(total, None)) == count
 
 
-def _joint_epoch(g, layers):
+def _joint_epoch(g, layers, heads=1):
     """(state, constants, config, loss) of one joint epoch on g at the
-    given depth, from random pretrained weights."""
-    cfg = ExperimentConfig(k=2, n_z=3, layers=layers, seed=0)
+    given depth and attention heads, from random pretrained weights."""
+    cfg = ExperimentConfig(k=2, n_z=3, layers=layers, heads=heads, seed=0)
     rng = np.random.default_rng(12)
     ae = random_params(rng, ladder_dims(g.f, cfg.n_z, cfg.layers))
     pre = P.Pretrained([(name, t.value) for name, t in ae.named()],
@@ -509,24 +509,67 @@ class TestTapeHolds:
         assert seen == {"blend": 4, "narrow attention": 3}
 
     def test_holds_at_most_the_outputs_and_what_attention_keeps(self):
-        """The tape holds at most 1.25 times the layer outputs (the dense,
-        propagate and attention values), plus each narrow attention head's
-        (d + m) x (d + m) M, whose size does not depend on n. Beside the
-        outputs it keeps the wide attention's q, k and v, about a tenth of
-        the outputs here, and arrays of O(nnz) or of few columns; each
-        epsilon-blend it kept would add a third."""
+        """The tape holds at most 1.25 times the layer outputs it still
+        stores (the dense, propagate and attention values not forgotten) and
+        each wide attention's q, k and v, plus each narrow attention head's
+        (d + m) x (d + m) M, whose size does not depend on n. Beside these it
+        keeps arrays of O(nnz) or of few columns. The four epsilon-blends,
+        were they kept, would add half as much again as it holds."""
         g = tiny_graph(12, n=40, p=0.3)
         state, _, cfg, total = _joint_epoch(g, 3)
         held = oracles.tape_arrays(total, [t for _, t in state._named()])
         nodes = _tape_nodes(total)
-        outputs = sum(t.value.nbytes for t in nodes if _op(t) in ("dense", "propagate", "attention"))
+        stored = sum(t._value.nbytes for t in nodes if t._value is not None
+                     and _op(t) in ("dense", "propagate", "attention"))
         m_bytes = 0
         for t in nodes:
             if _op(t) == "attention":
                 d_tilde, width = t._parents[-1].shape
                 if d_tilde < width // cfg.heads:
                     m_bytes += cfg.heads * d_tilde * d_tilde * 8
-        assert sum(h.array.nbytes for h in held) <= 1.25 * outputs + m_bytes
+                else:
+                    stored += 3 * t.shape[0] * width * 8
+        assert sum(h.array.nbytes for h in held) <= 1.25 * stored + m_bytes
+
+    def test_forgets_every_output_wider_than_its_input(self):
+        """After one joint forward the tape holds no output wider than its
+        input: encoder layers 0 and 1 and decoder layer 0 of each of the
+        three stacks. Read back, which rebuilds them, they add at least
+        their own bytes to what the tape holds."""
+        g = tiny_graph(12, n=40, p=0.3)
+        state, _, _, total = _joint_epoch(g, 3)
+        params = [t for _, t in state._named()]
+        before = oracles.tape_arrays(total, params)
+        held = {(h.array.shape, h.array.tobytes()) for h in before}
+        wide = [t for t in _tape_nodes(total) if _op(t) in _INPUT
+                and t.shape[1] > t._parents[_INPUT[_op(t)]].shape[1]]
+        assert sorted(t.shape[1] for t in wide) == [500] * 3 + [2000] * 6
+        for t in wide:
+            assert (t.value.shape, t.value.tobytes()) not in held, f"{_op(t)} holds {t.shape}"
+        after = oracles.tape_arrays(total, params)
+        grown = sum(h.array.nbytes for h in after) - sum(h.array.nbytes for h in before)
+        assert grown >= sum(t.value.nbytes for t in wide)
+
+
+@pytest.mark.parametrize("heads", [1, 2])
+def test_joint_step_lends_one_scratch_buffer_with_one_head(heads):
+    """A joint step's backward needs one scratch buffer with one attention
+    head, whose role gradients are handed over one at a time, and three
+    with two heads, whose gradients are the bytes of the rule returning all
+    three at once (the accumulating loop in tests/oracles.py, which adds
+    each into zeros, so -0.0 is compared as 0.0)."""
+    state, _, _, total = _joint_epoch(tiny_graph(12, n=40, p=0.3), 3, heads)
+    params = [t for _, t in state._named()]
+    opt = oracles.RecordingState.for_params(params, lr=0.0)
+    ad.backward(total, params, opt)
+    assert len(opt.scratch) == (1 if heads == 1 else 3)
+    want = oracles.accumulating_backward(total, params)
+    for i, (p, w) in enumerate(zip(params, want)):
+        assert (opt.grads[i] + 0.0).tobytes() == w.tobytes(), p
+
+
+# The parent each layer op reads its input from.
+_INPUT = {"dense": 0, "propagate": -2, "attention": -4}
 
 
 def _op(node) -> str:
