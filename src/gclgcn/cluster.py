@@ -7,11 +7,9 @@ the shortest-augmenting-path method (Crouse, IEEE TAES 2016) that scipy's
 linear_sum_assignment uses, with its tie rule (among columns of equal path
 cost the last unassigned one wins, otherwise the first), so it picks the
 matching scipy picks; NMI uses natural logs and the geometric mean of the two
-entropies; ARI is the standard pair-counting adjusted index. The package
-scores through metric_row, which builds the matched confusion matrix once
-for ACC and F1; accuracy, f1_macro and label_matching score or match one
-pair of labellings on their own, and are left out of __all__, which lists
-what the package itself calls.
+entropies; ARI is the standard pair-counting adjusted index. ACC and F1 are
+read from metric_row, which builds the matched confusion matrix once for
+both.
 """
 
 from __future__ import annotations
@@ -229,13 +227,6 @@ def _match(w: np.ndarray) -> np.ndarray:
     return col4row
 
 
-def label_matching(pred, truth) -> dict[int, int]:
-    """Optimal one-to-one map predicted-id -> truth-id (maximum-weight
-    matching of the confusion matrix)."""
-    pred, truth = _as_labels(pred, truth)
-    return dict(enumerate(_match(_confusion(pred, truth)).tolist()))
-
-
 def _matched_confusion(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
     """The confusion matrix of the label arrays pred and truth with its rows
     reordered by the optimal label matching: row c counts the predicted id
@@ -250,14 +241,9 @@ def _matched_confusion(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
 
 
 def _accuracy(m: np.ndarray) -> float:
-    """ACC from the matched confusion matrix m: its trace over n."""
+    """ACC, the best-bijection agreement rate, from the matched confusion
+    matrix m: its trace over n."""
     return float(np.trace(m)) / float(m.sum())
-
-
-def accuracy(pred, truth) -> float:
-    """Best-bijection agreement rate."""
-    pred, truth = _as_labels(pred, truth)
-    return _accuracy(_matched_confusion(pred, truth))
 
 
 def _entropy(counts: np.ndarray) -> float:
@@ -332,12 +318,6 @@ def _f1_macro(m: np.ndarray) -> float:
     fp = m.sum(axis=1)[classes] - tp
     fn = col[classes] - tp
     return float(np.mean(2 * tp / (2 * tp + fp + fn)))
-
-
-def f1_macro(pred, truth) -> float:
-    """Macro F1 over truth classes after the optimal label matching."""
-    pred, truth = _as_labels(pred, truth)
-    return _f1_macro(_matched_confusion(pred, truth))
 
 
 def metric_row(pred, truth) -> dict[str, float]:

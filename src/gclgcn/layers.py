@@ -8,9 +8,11 @@ in->500->500->2000->bottleneck (truncated for shallower depth settings) and
 Leaky ReLU hidden activations; final reconstruction layers are linear.
 pipeline.Channel walks the ladder and applies these layers; an autoencoder
 layer is one autodiff.dense op, a GCN layer one autodiff.propagate op and
-an attention layer one autodiff.attention op. The contrastive encoder is a
-Channel too, over in->hidden: one autodiff.propagate op per layer, with ReLU
-on all but the last.
+an attention layer one autodiff.attention op. A graph layer reads one input;
+the epsilon-injection of the autoencoder into it is a weighted_sum node that
+pipeline.Channel.encode records. The contrastive encoder is a Channel too,
+over in->hidden: one autodiff.propagate op per layer, with ReLU on all but
+the last.
 """
 
 from __future__ import annotations
@@ -59,17 +61,10 @@ def ae_loss(x: Tensor, xhat: Tensor) -> Tensor:
 # Graph convolution
 # ---------------------------------------------------------------------------
 
-def gcn_layer(
-    adj: sp.csr_array,
-    z: Tensor,
-    w: Tensor,
-    activate: bool = True,
-    inject: tuple[float, Tensor] | None = None,
-) -> Tensor:
-    """One propagation step over the normalized self-looped adjacency (CSR),
-    of z or, with inject = (eps, h), of the epsilon-blend
-    h * eps + z * (1 - eps)."""
-    return ad.propagate(adj, z, w, activate, inject)
+def gcn_layer(adj: sp.csr_array, z: Tensor, w: Tensor, activate: bool = True) -> Tensor:
+    """One propagation step of z over the normalized self-looped adjacency
+    (CSR)."""
+    return ad.propagate(adj, z, w, activate)
 
 
 # ---------------------------------------------------------------------------
@@ -84,20 +79,18 @@ def graphormer_layer(
     params: dict[str, Tensor],
     heads: int = 1,
     activate: bool = True,
-    inject: tuple[float, Tensor] | None = None,
 ) -> Tensor:
     """Attention over each node's neighborhood (self included): the entries
-    of the self-looped adjacency adj, over the input z~ = [x centrality],
-    x being z or, with inject = (eps, h), the epsilon-blend
-    h * eps + z * (1 - eps), so the centrality terms enter every
-    projection, and logit_bias (the signed spatial bias, aligned with adj's
-    entries) is added to the logits. params holds the layer's three
-    parameters, w_key, w_query and w_value, each the weight W~ of its role
-    over z~: the rows for x, then the rows for the centrality columns. Head
-    outputs are averaged, then passed through Leaky ReLU unless this is a
-    final (linear) reconstruction layer. The layer is one autodiff.attention node, which
-    picks its association from the widths."""
+    of the self-looped adjacency adj, over the input z~ = [z centrality], so
+    the centrality terms enter every projection, and logit_bias (the signed
+    spatial bias, aligned with adj's entries) is added to the logits. params
+    holds the layer's three parameters, w_key, w_query and w_value, each the
+    weight W~ of its role over z~: the rows for z, then the rows for the
+    centrality columns. Head outputs are averaged, then passed through Leaky
+    ReLU unless this is a final (linear) reconstruction layer. The layer is
+    one autodiff.attention node, which picks its association from the
+    widths."""
     return ad.attention(
         z, centrality, [params[f"w_{role}"] for role in ("query", "key", "value")],
-        adj, logit_bias, heads, activate, inject,
+        adj, logit_bias, heads, activate,
     )

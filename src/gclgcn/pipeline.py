@@ -84,9 +84,7 @@ class Channel:
     """A layer stack over a width ladder: the autoencoder, the GCN or the
     attention channel, or the contrastive encoder. Each encoder and decoder
     layer is a {role: parameter} dict, saved as <prefix>.<enc|dec>.<i>.<role>,
-    and layer(input, params, activate) applies one of them; a graph
-    channel's layer also takes inject=(eps, h), an injection it blends into
-    its input."""
+    and layer(input, params, activate) applies one of them."""
 
     prefix: str
     enc: list[dict[str, Tensor]]
@@ -115,15 +113,20 @@ class Channel:
             for role, t in params.items()
         ]
 
-    def encode(self, x: Tensor, inject=(), eps: float = 0.0) -> list[Tensor]:
+    def encode(self, x: Tensor, hs=(), eps: float = 0.0) -> list[Tensor]:
         """Every encoder layer output; the last one is the bottleneck. With
-        inject given, layer i > 0 reads the eps-blend of inject[i - 1] and
-        the previous layer's output, which the layer forms itself."""
+        hs given (the autoencoder's layer outputs), layer i > 0 reads the
+        epsilon-blend hs[i - 1] * eps + z * (1 - eps) of the previous layer's
+        output z: a weighted_sum node whose only forward reader is the layer,
+        so it is forgotten once the layer has run, and the layer's backward
+        rebuilds it."""
         outs: list[Tensor] = []
         z = x
         for i, params in enumerate(self.enc):
-            if inject and i > 0:
-                z = self.layer(z, params, True, inject=(eps, inject[i - 1]))
+            if hs and i > 0:
+                blend = ad.weighted_sum([(eps, hs[i - 1]), (1.0 - eps, z)])
+                z = self.layer(blend, params, True)
+                blend.forget()
             else:
                 z = self.layer(z, params, True)
             outs.append(z)
@@ -161,9 +164,7 @@ def _graph_channel(
     if name == "gcn":
         return Channel.build(
             "gcn", dims, lambda a, b: {"w": glorot(rng, a, b)},
-            lambda z, params, activate, inject=None: gcn_layer(
-                cons.adj, z, params["w"], activate=activate, inject=inject
-            ),
+            lambda z, params, activate: gcn_layer(cons.adj, z, params["w"], activate=activate),
         )
     # The centrality projections start divided by the typical magnitude of
     # each centrality column, so unnormalized measures (betweenness can reach
@@ -182,9 +183,8 @@ def _graph_channel(
 
     return Channel.build(
         "graphormer", dims, make,
-        lambda z, params, activate, inject=None: graphormer_layer(
-            z, cons.centrality, cons.adj, cons.logit_bias, params, heads, activate=activate,
-            inject=inject,
+        lambda z, params, activate: graphormer_layer(
+            z, cons.centrality, cons.adj, cons.logit_bias, params, heads, activate=activate
         ),
     )
 

@@ -34,11 +34,11 @@ accumulating loop that zeroes the gradients and then adds every
 contribution, a leaf's too, through a pending sum (the implementation
 counts each leaf's consumers and writes a leaf's first contribution into
 the buffer its sum is kept in, often from inside the op), run on the tape
-before a releasing backward frees it, and the epsilon-injection is the
-weighted_sum node the model recorded before propagate and attention formed
-the blend themselves (injection_bytes runs both). The NMI renumbering keeps
+before a releasing backward frees it, and the epsilon-blend that
+pipeline.Channel.encode forgets once its layer has read it is kept
+(injection_bytes runs both). The NMI renumbering keeps
 the loop it replaced with index arrays, and F1 its per-class boolean passes
-over a dict lookup (f1_macro reads the matched confusion matrix).
+over a dict lookup (metric_row reads the matched confusion matrix).
 The finite-difference checker, the closed-form centroid gradient and the
 composite loss of a model state judge the tape's gradients,
 tape_arrays lists what a tape holds, and forgetting_pair runs a tape with
@@ -59,7 +59,7 @@ from scipy.sparse import csgraph
 from gclgcn import autodiff as ad
 from gclgcn import pipeline as P
 from gclgcn.autodiff import Tensor
-from gclgcn.cluster import label_matching, target_distribution
+from gclgcn.cluster import _match, target_distribution
 from gclgcn.config import ExperimentConfig
 from gclgcn.graph import Graph, SbmSpec, adjacency_matrix
 from gclgcn.layers import glorot
@@ -190,10 +190,15 @@ def canonical_loop(labels: np.ndarray) -> np.ndarray:
 
 
 def f1_macro_loop(pred, truth) -> float:
-    """cluster.f1_macro with its per-label dict lookup, the form it replaced."""
+    """Macro F1 after cluster._match's label matching, with the per-label
+    dict lookup and per-class passes that the matched confusion matrix of
+    cluster.metric_row replaced."""
     pred = np.asarray(pred, dtype=np.int64).ravel()
     truth = np.asarray(truth, dtype=np.int64).ravel()
-    mapping = label_matching(pred, truth)
+    d = int(max(pred.max(), truth.max())) + 1
+    w = np.zeros((d, d), dtype=np.int64)
+    np.add.at(w, (pred, truth), 1)
+    mapping = dict(enumerate(_match(w).tolist()))
     mapped = np.array([mapping.get(int(x), -1) for x in pred])
     scores = []
     for c in np.unique(truth):
@@ -441,24 +446,26 @@ def composed_blend(a, b, eps: float) -> Tensor:
     return add(scale(a, eps), scale(b, 1.0 - eps))
 
 
-def injection_bytes(channels, hs_of, x, eps: float, params, fused: bool,
+def injection_bytes(channels, hs_of, x, eps: float, params, forget: bool,
                     seed: int = 0) -> list[bytes]:
     """The bytes of every channel's output and of every gradient of params,
     for hs = hs_of() and the loss sum_c <W_c, channel c's output> +
     <W, hs[-1]> (W seeded random), where channel c runs its layers as
     pipeline.Channel.encode does: layer 0 on x, then layer i on the
-    epsilon-blend of hs[i - 1] into layer i - 1's output. With fused each
-    layer gets inject = (eps, h) and forms the blend itself; otherwise the
-    blend is the weighted_sum node [(eps, h), (1 - eps, z)] the model
-    recorded before the layer ops formed it. Each layer is called as
-    layer(z, inject)."""
+    epsilon-blend, the weighted_sum node [(eps, hs[i - 1]), (1 - eps, z)] of
+    layer i - 1's output z. With forget each blend is forgotten once its
+    layer has read it, as Channel.encode does, so backward rebuilds it;
+    otherwise every blend keeps its value. Each layer is called as
+    layer(z)."""
     hs = hs_of()
     outs = []
     for layers in channels:
-        z = layers[0](x, None)
+        z = layers[0](x)
         for h, layer in zip(hs, layers[1:]):
-            z = (layer(z, (eps, h)) if fused
-                 else layer(ad.weighted_sum([(eps, h), (1.0 - eps, z)]), None))
+            blend = ad.weighted_sum([(eps, h), (1.0 - eps, z)])
+            z = layer(blend)
+            if forget:
+                blend.forget()
         outs.append(z)
     rng = np.random.default_rng(seed)
     loss = ad.weighted_sum([(1.0, reduce_sum(hadamard(o, ad.constant(rng.standard_normal(o.shape)))))

@@ -17,7 +17,7 @@ from gclgcn.centrality import (
     degree_centrality,
     spatial_bias,
 )
-from gclgcn.cluster import accuracy, ari, f1_macro, kmeans, metric_row, nmi, target_distribution
+from gclgcn.cluster import ari, kmeans, metric_row, nmi, target_distribution
 from gclgcn.config import ContrastiveConfig, ExperimentConfig
 from gclgcn.graph import Graph, SbmSpec, generate_sbm, normalize_adjacency
 from gclgcn.layers import ae_loss, gcn_layer, glorot, graphormer_layer
@@ -312,7 +312,7 @@ def test_c6_metrics_oracle():
         k = int(rng.integers(1, 7))
         pred = rng.integers(0, k, n)
         truth = rng.integers(0, k, n)
-        assert accuracy(pred, truth) == pytest.approx(
+        assert metric_row(pred, truth)["acc"] == pytest.approx(
             brute_force_accuracy(pred, truth), abs=1e-12
         )
 
@@ -322,10 +322,11 @@ def test_c6_metrics_oracle():
 
     ident = rng.integers(0, 4, 50)
     relabeled = (ident + 1) % 4
-    assert accuracy(relabeled, ident) == 1.0
+    row = metric_row(relabeled, ident)
+    assert row["acc"] == 1.0
     assert nmi(relabeled, ident) == 1.0
     assert ari(relabeled, ident) == 1.0
-    assert f1_macro(relabeled, ident) == 1.0
+    assert row["f1"] == 1.0
 
     elapsed = time.time() - start
     _report("C6 metrics oracle (1000+1000 cases)", True, elapsed, f"mean|ARI|={mean_abs:.3f}")

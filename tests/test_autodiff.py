@@ -439,14 +439,14 @@ def _weighted_sum(out, weights):
 
 
 class TestInjectedPropagate:
-    """propagate with inject = (eps, h) forms the epsilon-blend itself; its
-    value and every gradient are the bytes of the weighted_sum blend
-    followed by propagate without it."""
+    """propagate reading the epsilon-blend, a weighted_sum node forgotten
+    once propagate has read it: its value and every gradient are the bytes
+    of the tape that keeps the blend."""
 
     @pytest.mark.parametrize("shape", [(7, 3), (3, 7)], ids=["narrowing", "widening"])
     @pytest.mark.parametrize("activate", [False, True], ids=["linear", "leaky"])
     @pytest.mark.parametrize("shared", [False, True], ids=["h-leaf", "h-shared"])
-    def test_matches_weighted_sum_then_op_bytes(self, shape, activate, shared):
+    def test_forgotten_blends_keep_their_bytes(self, shape, activate, shared):
         """h-leaf: one layer reads the blend of a parameter h. h-shared: two
         channels of three layers each read the blends of two stacked dense
         outputs, as the graph channels read the autoencoder's, so each dense
@@ -461,7 +461,7 @@ class TestInjectedPropagate:
             ladder = [d_in, d_out, d_in, d_out] if shared else [d_in, d_in, d_out]
             ws = [[ad.parameter(rng.standard_normal((a, b)) / 2)
                    for a, b in zip(ladder[:-1], ladder[1:])] for _ in range(width)]
-            channels = [[functools.partial(_injected_propagate, adj, w=w, activate=activate)
+            channels = [[functools.partial(ad.propagate, adj, w=w, activate=activate)
                          for w in chain] for chain in ws]
             x = ad.parameter(rng.standard_normal((6, d_in)))
             if shared:
@@ -476,13 +476,9 @@ class TestInjectedPropagate:
                 h = ad.parameter(rng.standard_normal((6, ladder[1])))
                 params = [x, h, *ws[0]]
                 hs_of = functools.partial(list, [h])
-            fused, reference = (oracles.injection_bytes(channels, hs_of, x, 0.3, params, f, seed)
-                                for f in (True, False))
-            assert fused == reference
-
-
-def _injected_propagate(adj, z, inject, w, activate):
-    return ad.propagate(adj, z, w, activate, inject)
+            forgotten, kept = (oracles.injection_bytes(channels, hs_of, x, 0.3, params, f, seed)
+                               for f in (True, False))
+            assert forgotten == kept
 
 
 class TestLayerOps:
@@ -596,8 +592,8 @@ class TestLayerOps:
             ad.dense(a, b, ad.constant(np.zeros((2, 2))))
         with pytest.raises(ValueError, match="propagate"):
             ad.propagate(sp.csr_array(sp.eye(3)), a, b)
-        with pytest.raises(ValueError, match=r"^propagate: injected input is \(3, 2\), z is \(2, 3\)$"):
-            ad.propagate(sp.csr_array(sp.eye(2)), a, b, inject=(0.5, b))
+        with pytest.raises(ValueError, match=r"^weighted_sum: shapes differ: \(3, 2\) vs \(2, 3\)$"):
+            ad.propagate(sp.csr_array(sp.eye(2)), ad.weighted_sum([(0.5, b), (0.5, a)]), b)
 
 
 def _views(rng, n, d, case):
@@ -680,11 +676,13 @@ class TestForgetting:
         assert forgotten == kept
 
     @pytest.mark.parametrize("activate", [False, True], ids=["linear", "leaky"])
-    @pytest.mark.parametrize("inject", [False, True], ids=["z", "blend"])
+    @pytest.mark.parametrize("blend", [False, True], ids=["z", "blend"])
     @pytest.mark.parametrize("release", [False, True], ids=["kept", "released"])
-    def test_propagate_keeps_its_bytes_in_both_associations(self, activate, inject, release):
+    def test_propagate_keeps_its_bytes_in_both_associations(self, activate, blend, release):
         """(adj @ x) @ w where the layer widens, adj @ (x @ w) where it
-        narrows, whose output is never forgotten."""
+        narrows, whose output is never forgotten. x is z, or the
+        epsilon-blend of h into z, a weighted_sum node that is forgotten
+        too, which the first layer's weight gradient rebuilds."""
         rng = np.random.default_rng(32)
         adj = _sparse(rng, 6)
         z, h = (ad.parameter(rng.standard_normal((6, 3))) for _ in range(2))
@@ -692,35 +690,69 @@ class TestForgetting:
         weights = rng.standard_normal((6, 2))
 
         def build():
-            out = ad.propagate(adj, z, ws[0], activate, (0.3, h) if inject else None)
-            outs = [out]
+            outs = [_injection(h, z, 0.3)] if blend else []
+            x = outs[0] if blend else z
+            outs.append(ad.propagate(adj, x, ws[0], activate))
             for w in ws[1:]:
                 outs.append(ad.propagate(adj, outs[-1], w, activate))
             return _weighted_sum(outs[-1], weights), outs
 
         forgot, forgotten, kept = oracles.forgetting_pair(build, [z, h, *ws], release)
-        assert forgot == [True, True, False]
+        assert forgot == [True] * blend + [True, True, False]
         assert forgotten == kept
 
     def test_a_value_forgotten_and_released_fails_loudly(self):
         """A forgotten value that backward did not read is rebuilt by a
         later read, unless backward released the tape, which drops what
-        rebuilds it: then the read raises ValueError, not a TypeError."""
+        rebuilds it: then the read raises ValueError, not a TypeError. Here
+        a linear dense output and a weighted_sum blend of it, neither of
+        whose values backward reads."""
         rng = np.random.default_rng(33)
         x = ad.constant(rng.standard_normal((4, 2)))
+        y = ad.constant(rng.standard_normal((4, 5)))
         w, b = ad.parameter(rng.standard_normal((2, 5))), ad.parameter(np.zeros((1, 5)))
         for release in (False, True):
-            out = ad.dense(x, w, b)  # linear, so backward reads no value of it
-            loss = oracles.reduce_sum(out)
-            want = out.value.copy()
-            out.forget()
+            out = ad.dense(x, w, b)
+            blend = _injection(out, y, 0.3)
+            loss = oracles.reduce_sum(blend)
+            want = [t.value.copy() for t in (out, blend)]
+            for t in (out, blend):
+                t.forget()
             oracles.grads(loss, [w, b], release=release)
             if not release:
-                assert out.value.tobytes() == want.tobytes()
+                assert [t.value.tobytes() for t in (out, blend)] == [v.tobytes() for v in want]
                 continue
-            with pytest.raises(ValueError, match="forgotten"):
-                out.value
-        assert out.shape == (4, 5)
+            for t in (out, blend):
+                with pytest.raises(ValueError, match=r"forgotten, and backward\(\.\.\., release=True\)"):
+                    t.value
+        assert out.shape == blend.shape == (4, 5)
+
+    @pytest.mark.parametrize("op", ["propagate", "attention"])
+    def test_a_forgotten_blend_is_rebuilt_once_in_backward(self, op):
+        """A widening layer reads a forgotten blend and forgets its output.
+        A releasing backward rebuilds the blend once, at its first read (the
+        rebuild of the layer's output, which the next layer's weight gradient
+        reads), and keeps it for the layer's own weight gradient."""
+        rng = np.random.default_rng(35)
+        n, d = 12, 3
+        adj = _sparse(rng, n)
+        h, z = (ad.parameter(rng.standard_normal((n, d))) for _ in range(2))
+        blend = _injection(h, z, 0.3)
+        rebuild, rebuilds = blend._rebuild, []
+        blend._rebuild = lambda: rebuilds.append(1) or rebuild()
+        if op == "propagate":
+            ws = [ad.parameter(rng.standard_normal((d, 8)))]
+            out = ad.propagate(adj, blend, ws[0], True)
+        else:  # narrow: d + 2 centrality columns < 8
+            c = ad.constant(rng.standard_normal((n, 2)))
+            ws = [ad.parameter(rng.standard_normal((d + 2, 8))) for _ in range(3)]
+            out = ad.attention(blend, c, ws, adj, rng.standard_normal(adj.nnz), 1, True)
+        blend.forget()
+        w2 = ad.parameter(rng.standard_normal((8, 2)))
+        loss = _weighted_sum(ad.propagate(adj, out, w2, True), rng.standard_normal((n, 2)))
+        out.forget()
+        oracles.grads(loss, [h, z, *ws, w2], release=True)
+        assert len(rebuilds) == 1
 
     def test_narrow_output_and_leaf_keep_their_values(self):
         rng = np.random.default_rng(34)

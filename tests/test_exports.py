@@ -1,6 +1,7 @@
-"""src holds only what the package runs: every name a module of src/gclgcn
-lists in __all__ is read somewhere in src outside its own definition, and
-every layer parameter is made by the one layer stack, pipeline.Channel."""
+"""src holds only what the package runs: every public top-level name a
+module of src/gclgcn defines is read somewhere in src outside its own
+definition, and every layer parameter is made by the one layer stack,
+pipeline.Channel."""
 
 import ast
 from pathlib import Path
@@ -26,14 +27,14 @@ def _read(stmt) -> set[str]:
     return out
 
 
-def _exported(tree) -> list[str]:
-    for stmt in tree.body:
-        if isinstance(stmt, ast.Assign) and _defined(stmt) == {"__all__"}:
-            return [elt.value for elt in stmt.value.elts]
-    return []
+def _public(tree) -> list[str]:
+    """The names a module's top-level statements define that do not start
+    with an underscore."""
+    return [name for stmt in tree.body for name in sorted(_defined(stmt))
+            if not name.startswith("_")]
 
 
-def test_every_exported_name_is_used_in_src():
+def test_every_public_name_is_used_in_src():
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     used = set()
     for tree in trees.values():
@@ -42,7 +43,7 @@ def test_every_exported_name_is_used_in_src():
     unused = [
         f"{module}:{name}"
         for module, tree in trees.items()
-        for name in _exported(tree)
+        for name in _public(tree)
         if name not in used
     ]
     assert unused == []

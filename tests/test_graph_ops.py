@@ -290,13 +290,15 @@ def test_attention_backward_matches_accumulating_backward(d_head, heads, activat
 @pytest.mark.parametrize("d_head", [7, 8], ids=["wide", "narrow"])
 @pytest.mark.parametrize("heads", [1, 2])
 @pytest.mark.parametrize("activate", [False, True], ids=["linear", "leaky"])
-@pytest.mark.parametrize("inject", [False, True], ids=["z", "blend"])
+@pytest.mark.parametrize("blend", [False, True], ids=["z", "blend"])
 @pytest.mark.parametrize("release", [False, True], ids=["kept", "released"])
-def test_forgotten_attention_output_keeps_its_bytes(d_head, heads, activate, inject, release):
+def test_forgotten_attention_output_keeps_its_bytes(d_head, heads, activate, blend, release):
     """A layer widening from 4 to d_head columns forgets its output; backward
     rebuilds it where the narrowing dense layer after it, or its own leaky
     sign, reads it, in either form (the wide one at d + m = 7 = d_head), so
-    the value and every gradient are the bytes of the tape that kept it."""
+    the value and every gradient are the bytes of the tape that kept it. Its
+    input is z, or the epsilon-blend of h into z, a weighted_sum node that
+    is forgotten too and rebuilt where the layer's backward reads it."""
     g = GRAPHS[2]
     z, c, w = _attention_operands(g, d_head, heads)
     rng = np.random.default_rng(d_head + heads)
@@ -306,11 +308,12 @@ def test_forgotten_attention_output_keeps_its_bytes(d_head, heads, activate, inj
     weights = rng.standard_normal((g.n, 2))
 
     def build():
-        out = ad.attention(z, c, w, adj, bias, heads, activate, (0.4, h) if inject else None)
-        return oracles.reduce_sum(oracles.hadamard(ad.dense(out, w2, b2), weights)), [out]
+        outs = [ad.weighted_sum([(0.4, h), (0.6, z)])] if blend else []
+        outs.append(ad.attention(outs[0] if blend else z, c, w, adj, bias, heads, activate))
+        return oracles.reduce_sum(oracles.hadamard(ad.dense(outs[-1], w2, b2), weights)), outs
 
     forgot, forgotten, kept = oracles.forgetting_pair(build, [z, h, *w, w2, b2], release)
-    assert forgot == [True]
+    assert forgot == [True] * blend + [True]
     assert forgotten == kept
 
 
@@ -340,11 +343,11 @@ def test_attention_hands_each_weight_gradient_over_as_it_is_finished(d_head, hea
 @pytest.mark.parametrize("heads", [1, 2])
 @pytest.mark.parametrize("activate", [False, True])
 @pytest.mark.parametrize("shared", [False, True], ids=["h-leaf", "h-shared"])
-def test_injected_attention_matches_weighted_sum_then_op_bytes(d_head, heads, activate, shared):
-    """attention with inject = (eps, h) forms the epsilon-blend itself; its
-    value and every gradient (h, z and each weight) are the bytes of the
-    weighted_sum blend followed by attention without it. h-leaf: one layer
-    reads the blend of a parameter h. h-shared: two channels of three
+def test_injected_attention_forgotten_blends_keep_their_bytes(d_head, heads, activate, shared):
+    """attention reading the epsilon-blend, a weighted_sum node forgotten
+    once attention has read it: its value and every gradient (h, z and each
+    weight) are the bytes of the tape that keeps the blend. h-leaf: one
+    layer reads the blend of a parameter h. h-shared: two channels of three
     layers each read the blends of two stacked dense outputs, as the
     attention channel reads the autoencoder's, so each dense output has
     three consumers whose contributions are summed in the order the sweep
@@ -359,7 +362,7 @@ def test_injected_attention_matches_weighted_sum_then_op_bytes(d_head, heads, ac
     ladder = [g.f, d_head, g.f, d_head] if shared else [g.f, g.f, d_head]
     ws = [[[ad.parameter(rng.standard_normal((a + m, heads * b)) / 4) for _ in range(3)]
            for a, b in zip(ladder[:-1], ladder[1:])] for _ in range(1 + shared)]
-    channels = [[functools.partial(_injected_attention, c=c, w=w, adj=adj, bias=bias,
+    channels = [[functools.partial(ad.attention, c=c, w=w, pattern=adj, bias=bias,
                                    heads=heads, activate=activate) for w in chain]
                 for chain in ws]
     x = ad.parameter(g.features)
@@ -376,13 +379,9 @@ def test_injected_attention_matches_weighted_sum_then_op_bytes(d_head, heads, ac
         h = ad.parameter(rng.standard_normal((g.n, g.f)))
         params = [x, h, *weights]
         hs_of = functools.partial(list, [h])
-    fused, reference = (oracles.injection_bytes(channels, hs_of, x, 0.3, params, f)
-                        for f in (True, False))
-    assert fused == reference
-
-
-def _injected_attention(z, inject, c, w, adj, bias, heads, activate):
-    return ad.attention(z, c, w, adj, bias, heads, activate, inject)
+    forgotten, kept = (oracles.injection_bytes(channels, hs_of, x, 0.3, params, f)
+                       for f in (True, False))
+    assert forgotten == kept
 
 
 def test_attention_errors_name_the_op():
@@ -400,11 +399,12 @@ def test_attention_errors_name_the_op():
         ("4 weight columns do not split into 3 heads", (x, c, w, adj, np.zeros(3)),
          {"heads": 3}),
         ("w needs a query, key and value", (x, c, w[:2], adj, np.zeros(3)), {}),
-        (r"injected input is \(3, 1\), z is \(3, 2\)", (x, c, w, adj, np.zeros(3)),
-         {"inject": (0.5, c)}),
     ):
         with pytest.raises(ValueError, match=f"attention: {match}"):
             ad.attention(*args, **kwargs)
+    # a blend of mismatched shapes fails where it is formed
+    with pytest.raises(ValueError, match=r"^weighted_sum: shapes differ: \(3, 1\) vs \(3, 2\)$"):
+        ad.attention(ad.weighted_sum([(0.5, c), (0.5, x)]), c, w, adj, np.zeros(3))
 
 
 def test_attention_narrow_form_allocates_less_than_one_head_array():

@@ -433,10 +433,11 @@ class TestTapeShape:
             [("propagate", (g.n, 6)), ("relu", (g.n, 6)), ("propagate", (g.n, g.f))]
         )
 
-    @pytest.mark.parametrize("layers,count", [(2, 22), (4, 34)])
+    @pytest.mark.parametrize("layers,count", [(2, 24), (4, 40)])
     def test_clustering_head_is_the_centroids_only_consumer(self, layers, count):
-        """One joint epoch records 22 nodes at layers=2 and 34 at layers=4
-        (each blended graph layer forms its epsilon-blend itself), and the
+        """One joint epoch records 24 nodes at layers=2 and 40 at layers=4
+        (each blended graph layer reads its epsilon-blend from a weighted_sum
+        node), and the
         centroids are read by one of them, the cluster_kl head."""
         state, _, _, total = _joint_epoch(tiny_graph(12, n=8), layers)
         assert recorded_nodes(total, state.centroids, reading=state.centroids) == [
@@ -484,14 +485,8 @@ class TestTapeHolds:
             if op not in ("propagate", "attention"):
                 continue
             first = node._parents[0]
-            if len(node._parents) == (3 if op == "propagate" else 5):
-                h, z = node._parents[:2]
-                x = h.value * cfg.epsilon
-                x += z.value * (1.0 - cfg.epsilon)
-            else:
-                x = first.value
-            # a blend formed in the op, or recorded as a weighted_sum node
-            blended = len(node._parents) in (3, 5) or _op(first) == "weighted_sum"
+            x = first.value  # a forgotten blend is rebuilt here, after held was read
+            blended = _op(first) == "weighted_sum"
             seen["blend"] += blended
             forbidden = [x] if blended else []
             if op == "propagate":
@@ -507,6 +502,16 @@ class TestTapeHolds:
                 kept = (arr.shape, arr.tobytes()) in held
                 assert not kept, f"{op} keeps a {arr.shape} array backward can rebuild"
         assert seen == {"blend": 4, "narrow attention": 3}
+
+    def test_every_blend_is_forgotten_after_the_forward(self):
+        """Encoder layers 1 and 2 of both channels read their epsilon-blend
+        from a weighted_sum node, which Channel.encode forgot once the layer
+        had run."""
+        _, _, _, total = _joint_epoch(tiny_graph(12, n=40, p=0.3), 3)
+        blends = [t._parents[0] for t in _tape_nodes(total)
+                  if _op(t) in ("propagate", "attention") and _op(t._parents[0]) == "weighted_sum"]
+        assert len(blends) == 4
+        assert all(b._value is None for b in blends)
 
     def test_holds_at_most_the_outputs_and_what_attention_keeps(self):
         """The tape holds at most 1.25 times the layer outputs it still
