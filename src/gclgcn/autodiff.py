@@ -2,9 +2,9 @@
 
 Every value is a 2-D float64 matrix (scalars are 1x1). Forward values are
 computed immediately; each op records a closure that maps the upstream
-gradient to per-parent gradients. The tape is rebuilt every iteration, and
-every node stays alive at least until backward reaches it (until backward
-ends, unless backward is asked to release the tape as it sweeps), so an op
+gradient to per-parent gradients. The tape is rebuilt every iteration and
+is good for one backward, which releases each inner node as it sweeps past
+it; every node stays alive at least until backward reaches it, so an op
 keeps only the arrays its backward reads. Graph operators take a constant
 scipy CSR matrix: matmul multiplies by it, always as its left operand,
 and attention attends only over its sparsity pattern.
@@ -116,8 +116,9 @@ class Tensor:
 
     A node whose op can rebuild its value (_rebuild, a function of the
     parents' values that repeats the op's numpy calls) may forget it; the
-    first read of value afterwards rebuilds it, with the same bits, and keeps
-    it. The parents' values must not change in between."""
+    first read of value afterwards, until backward releases the node,
+    rebuilds it with the same bits and keeps it. The parents' values must
+    not change in between."""
 
     __slots__ = ("_value", "_shape", "requires_grad", "name", "_parents", "_rule", "_rebuild",
                  "_needs", "_sweep", "__weakref__")
@@ -152,8 +153,8 @@ class Tensor:
     def value(self) -> np.ndarray:
         if self._value is None:
             if self._rebuild is None:
-                raise ValueError(f"{self!r}: the value was forgotten, and backward(..., "
-                                 "release=True) has released what rebuilds it")
+                raise ValueError(f"{self!r}: the value was forgotten, and backward "
+                                 "has released what rebuilds it")
             self._value = self._rebuild()
         return self._value
 
@@ -258,7 +259,6 @@ def backward(
     loss: Tensor,
     params: Sequence[Tensor],
     state: "AdamState",
-    release: bool = False,
 ) -> None:
     """Hand state (an AdamState built for params, which must hold every leaf
     the loss reaches) the gradient of a scalar loss with respect to each of
@@ -271,13 +271,11 @@ def backward(
     _grad_buffer for a leaf's first one writes it straight into the buffer
     the sum is kept in. Only inner nodes collect theirs in pending.
 
-    Without release the tape is left intact, so a second call hands over
-    the same gradients. With release, each inner node drops its rule,
+    A tape is good for one backward: each inner node drops its rule,
     parents and rebuild as soon as the sweep passes it, so the arrays its
     rule keeps, and every node the caller does not hold, are freed during
-    the sweep rather than after it; the gradients are the same bytes. A
-    later backward through a released node, or a read of a value it forgot
-    and did not rebuild, raises ValueError.
+    the sweep rather than after it. A second backward through the tape, or
+    a read of a value it forgot and did not rebuild, raises ValueError.
     """
     if loss.shape != (1, 1):
         raise ValueError(f"backward: loss must be 1x1, got {loss.shape}")
@@ -335,14 +333,12 @@ def backward(
             if g is not None:
                 # Only inner nodes get here: leaves take theirs in give.
                 if node._rule is None:
-                    raise ValueError("backward: the tape was released by an earlier "
-                                     "backward(..., release=True)")
+                    raise ValueError("backward: the tape was released by an earlier backward")
                 for parent, pg in zip(node._parents, node._rule(g)):
                     if pg is not None and parent._needs:
                         give(parent, pg, g)
-            if release and not node.requires_grad:
-                node._rule = node._rebuild = None
-                node._parents = ()
+            node._rule = node._rebuild = None  # a leaf holds neither
+            node._parents = ()
         sweep.finish_rest(leaves)
     finally:
         for t in leaves:

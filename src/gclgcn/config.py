@@ -3,6 +3,7 @@ named presets carrying the standard per-dataset hyperparameters."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -40,10 +41,9 @@ class ContrastiveConfig:
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
             raise ConfigError(f"contrastive.p={self.p} outside [0, 1]")
-        if self.tau <= 0:
-            raise ConfigError("contrastive.tau must be positive")
-        if self.beta_sim <= 0:
-            raise ConfigError("contrastive.beta_sim must be positive")
+        for key, value in (("tau", self.tau), ("beta_sim", self.beta_sim)):
+            if not 0 < value < math.inf:
+                raise ConfigError(f"contrastive.{key} must be positive and finite, got {value!r}")
         if self.hidden < 1:
             raise ConfigError("contrastive.hidden must be >= 1")
         if self.epochs < 0:
@@ -80,23 +80,23 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
-        if self.alpha < 0 or self.beta < 0:
-            raise ConfigError("alpha and beta must be >= 0")
+        # Keys as a config file spells them; a nan fails every comparison.
+        for key, value in (("lr", self.lr), ("t", self.t)):
+            if not 0 < value < math.inf:
+                raise ConfigError(f"{key} must be positive and finite, got {value!r}")
+        for key, value in (("alpha", self.alpha), ("beta", self.beta), ("lambda", self.lam),
+                           ("theta", self.theta), ("gamma", self.gamma)):
+            if not 0 <= value < math.inf:
+                raise ConfigError(f"{key} must be finite and >= 0, got {value!r}")
         if self.n_z < 1:
             raise ConfigError("n_z must be >= 1")
-        if self.lr <= 0:
-            raise ConfigError("lr must be positive")
         if abs(self.lam + self.theta + self.gamma - 1.0) > 1e-9:
             raise ConfigError(
                 "fusion weights must sum to 1 "
                 f"(lambda+theta+gamma = {self.lam + self.theta + self.gamma!r})"
             )
-        if min(self.lam, self.theta, self.gamma) < 0:
-            raise ConfigError("fusion weights must be >= 0")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ConfigError(f"epsilon={self.epsilon} outside [0, 1]")
-        if self.t <= 0:
-            raise ConfigError("t must be positive")
         if self.k < 1:
             raise ConfigError("k must be >= 1")
         if self.heads < 1:

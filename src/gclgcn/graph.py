@@ -113,9 +113,11 @@ class SbmSpec:
             raise ValueError(
                 f"means must be (k, f) with k={len(sizes)}, got {means.shape}"
             )
+        if not np.isfinite(means).all():
+            raise ValueError("means must be finite")
         object.__setattr__(self, "means", means)
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be >= 0")
+        if not 0.0 <= self.noise_std < np.inf:
+            raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std!r}")
 
     @property
     def n(self) -> int:

@@ -251,14 +251,14 @@ class TrainResult:
 # Pretraining
 # ---------------------------------------------------------------------------
 
-def _step(named, opt: AdamState, loss: Tensor, release: bool) -> str | None:
+def _step(named, opt: AdamState, loss: Tensor) -> str | None:
     """One optimizer step on loss over the (name, tensor) parameters named,
     in checkpoint order: backward hands each gradient to opt as it finishes
     it, then, unless a gradient held a non-finite entry, adam_step updates
     the parameters. Returns the name of the first parameter whose gradient
     was not finite, in which case no parameter has moved."""
     params = [t for _, t in named]
-    backward(loss, params, opt, release=release)
+    backward(loss, params, opt)
     bad = opt.first_nonfinite()
     if bad is not None:
         return named[bad][0]
@@ -269,19 +269,13 @@ def _step(named, opt: AdamState, loss: Tensor, release: bool) -> str | None:
 def _pretrain(phase: str, named, lr: float, epochs: int, loss_of: Callable) -> None:
     """Full-batch Adam on the (name, tensor) parameters named, minimising
     the loss that loss_of() records each epoch. Stops with NumericError,
-    naming phase and the epoch, at the first non-finite loss or gradient.
-    Unlike joint training, backward here keeps the tape: releasing it
-    raised the page faults more than it lowered the peak (see the loop)."""
+    naming phase and the epoch, at the first non-finite loss or gradient."""
     opt = AdamState.for_params([t for _, t in named], lr)
     for epoch in range(epochs):
-        # The last tape lives until loss is rebound, and backward keeps it. At
-        # n=900, releasing it in backward cut the pretraining peak from 258 to
-        # 236 MB but raised minor faults from about 110k to 444k and the time
-        # by about 1.5 s; freeing it before loss_of tripled the faults.
         loss = loss_of()
         if not np.isfinite(loss.value[0, 0]):
             raise NumericError(f"{phase}: non-finite loss at epoch {epoch}")
-        bad = _step(named, opt, loss, release=False)
+        bad = _step(named, opt, loss)
         if bad is not None:
             raise NumericError(f"{phase}: non-finite gradient of {bad} at epoch {epoch}")
 
@@ -623,7 +617,7 @@ def train(
         else:
             row.update({"acc": np.nan, "nmi": np.nan, "ari": np.nan, "f1": np.nan})
         history.append(row)
-        bad = _step(named, opt, total, release=True)
+        bad = _step(named, opt, total)
         if bad is not None:
             abort(NumericError(f"training: non-finite gradient of {bad} at epoch {epoch}"))
         # backward freed the tape's inner nodes; drop the loss and the encoder

@@ -34,7 +34,7 @@ accumulating loop that zeroes the gradients and then adds every
 contribution, a leaf's too, through a pending sum (the implementation
 counts each leaf's consumers and writes a leaf's first contribution into
 the buffer its sum is kept in, often from inside the op), run on the tape
-before a releasing backward frees it, and the epsilon-blend that
+before autodiff.backward releases it, and the epsilon-blend that
 pipeline.Channel.encode forgets once its layer has read it is kept
 (injection_bytes runs both). The NMI renumbering keeps
 the loop it replaced with index arrays, and F1 its per-class boolean passes
@@ -738,12 +738,13 @@ class RecordingState(ad.AdamState):
         self.grads[i] = g.copy()
 
 
-def grads(loss: Tensor, params: Sequence[Tensor], release: bool = False) -> list[np.ndarray]:
+def grads(loss: Tensor, params: Sequence[Tensor]) -> list[np.ndarray]:
     """The gradient of loss with respect to each of params (zeros for one
     the loss does not reach) as autodiff.backward hands it to the
-    optimizer. params must hold every leaf the loss reaches."""
+    optimizer, which releases the tape. params must hold every leaf the
+    loss reaches."""
     state = RecordingState.for_params(params, lr=0.0)
-    ad.backward(loss, params, state, release=release)
+    ad.backward(loss, params, state)
     return [state.grads[i] for i in range(len(params))]
 
 
@@ -833,15 +834,13 @@ def tape_arrays(loss: Tensor, params: Sequence[Tensor]) -> list[Held]:
     return held
 
 
-def forgetting_pair(build: Callable[[], tuple[Tensor, list[Tensor]]], params: Sequence[Tensor],
-                    release: bool = False):
+def forgetting_pair(build: Callable[[], tuple[Tensor, list[Tensor]]], params: Sequence[Tensor]):
     """Run two tapes that build() records, each (loss, outputs): the first
     forgets every output once the loss is recorded, the second none.
     Returns which outputs the first forgot, then, for each tape, the bytes
     of every parameter's gradient followed by every output's value read
-    after backward, which rebuilds a forgotten one backward did not read.
-    With release the first tape's backward releases it, and no values are
-    read."""
+    after backward, which must have rebuilt each forgotten one: after it,
+    a read can rebuild nothing."""
     runs, forgot = [], []
     for forget in (True, False):
         loss, outs = build()
@@ -849,9 +848,7 @@ def forgetting_pair(build: Callable[[], tuple[Tensor, list[Tensor]]], params: Se
             for t in outs:
                 t.forget()
             forgot = [t._value is None for t in outs]
-        got = grads(loss, params, release=release and forget)
-        if not release:
-            got += [t.value for t in outs]
+        got = grads(loss, params) + [t.value for t in outs]
         runs.append([a.tobytes() for a in got])
     return forgot, runs[0], runs[1]
 
@@ -897,18 +894,12 @@ def accumulating_backward(loss: Tensor, params: Sequence[Tensor]) -> list[np.nda
     return [sums[id(p)] for p in params]
 
 
-def backward_pair(loss: Tensor, params: Sequence[Tensor], release: bool = False):
+def backward_pair(loss: Tensor, params: Sequence[Tensor]):
     """Each parameter's gradient from autodiff.backward, then from
-    accumulating_backward on the same tape. With release, autodiff.backward
-    runs once more, last, releasing the tape the first two left intact; its
-    gradients must be the first call's bytes, and they are the ones returned."""
-    got = grads(loss, params)
+    accumulating_backward on the same tape. accumulating_backward runs
+    first: it leaves the tape intact, and autodiff.backward releases it."""
     want = accumulating_backward(loss, params)
-    if release:
-        released = grads(loss, params, release=True)
-        assert [g.tobytes() for g in released] == [g.tobytes() for g in got]
-        got = released
-    return got, want
+    return grads(loss, params), want
 
 
 def finite_difference_check(

@@ -98,11 +98,12 @@ class TestBackwardContracts:
         assert gx[0, 0] == 6.0
 
     def test_two_backward_calls_hand_over_the_same_gradients(self):
+        """Each call on its own tape, recorded from the same inputs."""
         x = ad.parameter([[3.0]])
-        loss = oracles.reduce_sum(oracles.square(x))
-        oracles.grads(loss, [x])
-        (gx,) = oracles.grads(loss, [x])
+        (once,) = oracles.grads(oracles.reduce_sum(oracles.square(x)), [x])
+        (gx,) = oracles.grads(oracles.reduce_sum(oracles.square(x)), [x])
         assert gx[0, 0] == 6.0
+        assert gx.tobytes() == once.tobytes()
 
     def test_shared_subexpression_sums_paths(self):
         x = ad.parameter([[5.0]])
@@ -139,7 +140,7 @@ class TestReleasedTape:
         x = ad.parameter([[3.0]])
         squared = oracles.square(x)
         loss = oracles.reduce_sum(squared)
-        (gx,) = oracles.grads(loss, [x], release=True)
+        (gx,) = oracles.grads(loss, [x])
         assert gx[0, 0] == 6.0
         with pytest.raises(ValueError, match=r"^backward: the tape was released"):
             oracles.grads(loss, [x])
@@ -148,12 +149,11 @@ class TestReleasedTape:
             oracles.grads(oracles.reduce_sum(ad.weighted_sum([(2.0, squared)])), [x])
 
     def test_release_frees_node_values_and_kept_arrays_during_the_sweep(self):
-        """Once backward(release=True) has swept past them, an intermediate
-        node's output and the q, k and v a wide attention rule keeps for its
-        gradients are freed, also those of a node the caller still holds: a
-        probe node the sweep reaches last sees them dead, and so does the
-        caller when backward returns. Without release the loss keeps them
-        all alive."""
+        """Once backward has swept past them, an intermediate node's output
+        and the q, k and v a wide attention rule keeps for its gradients are
+        freed, also those of a node the caller still holds: a probe node the
+        sweep reaches last sees them dead, and so does the caller when
+        backward returns. Before backward the loss keeps them all alive."""
         rng = np.random.default_rng(13)
         adj = _sparse(rng, 6)
         z = ad.parameter(rng.standard_normal((6, 3)))
@@ -170,19 +170,17 @@ class TestReleasedTape:
             alive.append([ref() is not None for ref in refs])
             return (g,)
 
-        runs = []
-        for release in (False, True):
-            alive = []
-            probe = ad.Tensor(z.value, _parents=(z,), _rule=probe_rule)
-            # 3 + 1 input columns against a head of 3: the wide form, which keeps q, k, v
-            held = ad.attention(probe, cent, w1, adj, bias, activate=True)
-            mid = ad.propagate(adj, held, w2)
-            refs = [weakref.ref(a) for a in (mid.value, *kept_qkv(held))]
-            loss = oracles.reduce_sum(oracles.square(mid))
-            del probe, mid
-            oracles.grads(loss, [z, *w1, w2], release=release)
-            runs.append(alive + [[ref() is not None for ref in refs]])
-        assert runs == [[[True] * 4] * 2, [[False] * 4] * 2]
+        alive = []
+        probe = ad.Tensor(z.value, _parents=(z,), _rule=probe_rule)
+        # 3 + 1 input columns against a head of 3: the wide form, which keeps q, k, v
+        held = ad.attention(probe, cent, w1, adj, bias, activate=True)
+        mid = ad.propagate(adj, held, w2)
+        refs = [weakref.ref(a) for a in (mid.value, *kept_qkv(held))]
+        loss = oracles.reduce_sum(oracles.square(mid))
+        del probe, mid
+        assert [ref() is not None for ref in refs] == [True] * 4
+        oracles.grads(loss, [z, *w1, w2])
+        assert alive + [[ref() is not None for ref in refs]] == [[False] * 4] * 2
 
 
 def row_sums(x):
@@ -647,15 +645,14 @@ INFO_NCE_CASES = ["random", "zero-row-c1", "zero-row-c2", "tiny-rows", "identica
 
 class TestForgetting:
     """A dense, propagate or attention node whose output has more columns
-    than its input can forget it; the first read afterwards, in backward or
-    after it, rebuilds it with the forward's numpy calls. Each chain here
+    than its input can forget it; the first read afterwards, in backward,
+    rebuilds it with the forward's numpy calls. Each chain here
     widens twice, the second layer reading the first's forgotten output,
     then narrows, so backward rebuilds both wide outputs, one from the
     other: the gradients and the values keep their bytes."""
 
     @pytest.mark.parametrize("activate", [False, True], ids=["linear", "leaky"])
-    @pytest.mark.parametrize("release", [False, True], ids=["kept", "released"])
-    def test_dense_keeps_its_bytes(self, activate, release):
+    def test_dense_keeps_its_bytes(self, activate):
         rng = np.random.default_rng(31)
         x = ad.parameter(rng.standard_normal((6, 3)))
         params = [x]
@@ -671,14 +668,13 @@ class TestForgetting:
                 outs.append(h)
             return _weighted_sum(h, weights), outs
 
-        forgot, forgotten, kept = oracles.forgetting_pair(build, params, release)
+        forgot, forgotten, kept = oracles.forgetting_pair(build, params)
         assert forgot == [True, True, False]
         assert forgotten == kept
 
     @pytest.mark.parametrize("activate", [False, True], ids=["linear", "leaky"])
     @pytest.mark.parametrize("blend", [False, True], ids=["z", "blend"])
-    @pytest.mark.parametrize("release", [False, True], ids=["kept", "released"])
-    def test_propagate_keeps_its_bytes_in_both_associations(self, activate, blend, release):
+    def test_propagate_keeps_its_bytes_in_both_associations(self, activate, blend):
         """(adj @ x) @ w where the layer widens, adj @ (x @ w) where it
         narrows, whose output is never forgotten. x is z, or the
         epsilon-blend of h into z, a weighted_sum node that is forgotten
@@ -697,40 +693,39 @@ class TestForgetting:
                 outs.append(ad.propagate(adj, outs[-1], w, activate))
             return _weighted_sum(outs[-1], weights), outs
 
-        forgot, forgotten, kept = oracles.forgetting_pair(build, [z, h, *ws], release)
+        forgot, forgotten, kept = oracles.forgetting_pair(build, [z, h, *ws])
         assert forgot == [True] * blend + [True, True, False]
         assert forgotten == kept
 
     def test_a_value_forgotten_and_released_fails_loudly(self):
-        """A forgotten value that backward did not read is rebuilt by a
-        later read, unless backward released the tape, which drops what
-        rebuilds it: then the read raises ValueError, not a TypeError. Here
-        a linear dense output and a weighted_sum blend of it, neither of
-        whose values backward reads."""
+        """A forgotten value is rebuilt, with its bytes, by a read before
+        backward. Backward releases the tape, which drops what rebuilds it,
+        so a read afterwards of a value backward did not read raises
+        ValueError, not a TypeError. Here a linear dense output and a
+        weighted_sum blend of it, neither of whose values backward reads."""
         rng = np.random.default_rng(33)
         x = ad.constant(rng.standard_normal((4, 2)))
         y = ad.constant(rng.standard_normal((4, 5)))
         w, b = ad.parameter(rng.standard_normal((2, 5))), ad.parameter(np.zeros((1, 5)))
-        for release in (False, True):
-            out = ad.dense(x, w, b)
-            blend = _injection(out, y, 0.3)
-            loss = oracles.reduce_sum(blend)
-            want = [t.value.copy() for t in (out, blend)]
-            for t in (out, blend):
-                t.forget()
-            oracles.grads(loss, [w, b], release=release)
-            if not release:
-                assert [t.value.tobytes() for t in (out, blend)] == [v.tobytes() for v in want]
-                continue
-            for t in (out, blend):
-                with pytest.raises(ValueError, match=r"forgotten, and backward\(\.\.\., release=True\)"):
-                    t.value
+        out = ad.dense(x, w, b)
+        blend = _injection(out, y, 0.3)
+        loss = oracles.reduce_sum(blend)
+        want = [t.value.copy() for t in (out, blend)]
+        for t in (out, blend):
+            t.forget()
+        assert [t.value.tobytes() for t in (out, blend)] == [v.tobytes() for v in want]
+        for t in (out, blend):
+            t.forget()
+        oracles.grads(loss, [w, b])
+        for t in (out, blend):
+            with pytest.raises(ValueError, match=r"forgotten, and backward has released"):
+                t.value
         assert out.shape == blend.shape == (4, 5)
 
     @pytest.mark.parametrize("op", ["propagate", "attention"])
     def test_a_forgotten_blend_is_rebuilt_once_in_backward(self, op):
         """A widening layer reads a forgotten blend and forgets its output.
-        A releasing backward rebuilds the blend once, at its first read (the
+        Backward rebuilds the blend once, at its first read (the
         rebuild of the layer's output, which the next layer's weight gradient
         reads), and keeps it for the layer's own weight gradient."""
         rng = np.random.default_rng(35)
@@ -751,7 +746,7 @@ class TestForgetting:
         w2 = ad.parameter(rng.standard_normal((8, 2)))
         loss = _weighted_sum(ad.propagate(adj, out, w2, True), rng.standard_normal((n, 2)))
         out.forget()
-        oracles.grads(loss, [h, z, *ws, w2], release=True)
+        oracles.grads(loss, [h, z, *ws, w2])
         assert len(rebuilds) == 1
 
     def test_narrow_output_and_leaf_keep_their_values(self):
@@ -823,10 +818,11 @@ class TestRowBlockedLosses:
         rng = np.random.default_rng(1)
         c1, c2 = _views(rng, 9, 3, "random")
         z = ad.parameter(rng.standard_normal((9, 3)))
-        for loss, params in ((ad.info_nce(c1, c2, 1.0, 0.5), [c1, c2]),
-                             (ad.decoder_mse(z, _adjacency(rng, 9)), [z])):
-            once = oracles.grads(loss, params)
-            for again, g in zip(oracles.grads(loss, params), once):
+        a = _adjacency(rng, 9)
+        for loss, params in ((lambda: ad.info_nce(c1, c2, 1.0, 0.5), [c1, c2]),
+                             (lambda: ad.decoder_mse(z, a), [z])):
+            once = oracles.grads(loss(), params)
+            for again, g in zip(oracles.grads(loss(), params), once):
                 assert again.tobytes() == g.tobytes()
 
     def test_errors_name_the_operation(self):
@@ -920,17 +916,15 @@ class TestBackwardSetsGradients:
     array_equal rather than bytes: that loop stored +0.0 where it added -0.0
     into a zeroed buffer."""
 
-    @pytest.mark.parametrize("release", [False, True], ids=["kept", "released"])
     @pytest.mark.parametrize("name,op,composed,shapes,extra", LAYER_OP_CASES,
                              ids=[c[0] for c in LAYER_OP_CASES])
-    def test_layer_ops_match_accumulating_backward(self, name, op, composed, shapes, extra,
-                                                   release):
+    def test_layer_ops_match_accumulating_backward(self, name, op, composed, shapes, extra):
         rng = np.random.default_rng(7)
         operands = _operands(rng, shapes)
         params = [t for t in operands if isinstance(t, ad.Tensor) and t.requires_grad]
         out = op(*operands, *extra)
         loss = _weighted_sum(out, rng.standard_normal(out.shape))
-        got, want = backward_pair(loss, params, release)
+        got, want = backward_pair(loss, params)
         for g, w in zip(got, want):
             assert np.array_equal(g, w), name
 
@@ -965,15 +959,14 @@ class TestBackwardSetsGradients:
         (got,), (want,) = backward_pair(ad.decoder_mse(z, _adjacency(rng, 10, (2,))), [z])
         assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("release", [False, True], ids=["kept", "released"])
-    def test_cluster_kl_matches_accumulating_backward(self, release):
+    def test_cluster_kl_matches_accumulating_backward(self):
         """Centroids read by both assignments of the head, as in joint training."""
         rng = np.random.default_rng(11)
         z1, z2 = (ad.parameter(rng.standard_normal((12, 3))) for _ in range(2))
         c = ad.parameter(rng.standard_normal((4, 3)))
         loss = ad.weighted_sum([(1.0, ad.cluster_kl(z1, z2, c, None, 1.0, 0.3, 0.7)),
                                 (1.0, ad.cluster_kl(z2, z1, c, None, 2.0, 0.5, 0.2))])
-        got, want = backward_pair(loss, [z1, z2, c], release)
+        got, want = backward_pair(loss, [z1, z2, c])
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
 
@@ -994,7 +987,8 @@ class TestBackwardSetsGradients:
         weights at n=8, each weight gradient is written into a scratch
         buffer the optimizer state keeps across steps and handed to the
         state from there, so after the first step backward allocates less
-        than one weight's bytes, and no parameter holds a gradient array."""
+        than one weight's bytes, and no parameter holds a gradient array.
+        Each step records its own tape."""
         n = 8
         rng = np.random.default_rng(12)
         adj = _sparse(rng, n)
@@ -1003,12 +997,17 @@ class TestBackwardSetsGradients:
                       for shape in ((500, 2000), (2000, 500), (500, 2000)))
         b1 = ad.parameter(np.zeros((1, 2000)))
         params = [w1, b1, w2, w3]
-        h = ad.dense(x, w1, b1, activate=True)
-        h = ad.propagate(adj, h, w2, activate=True)  # narrows: adj @ (h @ w2)
-        loss = oracles.reduce_sum(oracles.square(ad.propagate(adj, h, w3)))  # widens: (adj @ h) @ w3
+
+        def record():
+            h = ad.dense(x, w1, b1, activate=True)
+            h = ad.propagate(adj, h, w2, activate=True)  # narrows: adj @ (h @ w2)
+            out = ad.propagate(adj, h, w3)  # widens: (adj @ h) @ w3
+            return oracles.reduce_sum(oracles.square(out))
+
         st = ad.AdamState.for_params(params, lr=0.01)
-        ad.backward(loss, params, st)
+        ad.backward(record(), params, st)
         ad.adam_step(params, st)
+        loss = record()
         tracemalloc.start()
         try:
             ad.backward(loss, params, st)

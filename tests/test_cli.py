@@ -479,6 +479,24 @@ class TestBadInput:
         )
         assert not out.exists()
 
+    def test_nonfinite_sweep_value_exits_one(self, run_cfg, tmp_path, capsys):
+        out = tmp_path / "sw"
+        code = run(["sweep", "--config", str(run_cfg), "--out", str(out),
+                    "--grid", "fusion", "--lambdas", "nan", "--thetas", "0.1"])
+        assert code == 1
+        assert "error: lambda must be finite and >= 0, got nan" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--sep", "inf"), ("--sep", "nan"),
+                                             ("--noise", "nan"), ("--noise", "inf")])
+    def test_nonfinite_generator_value_writes_nothing(self, flag, value, tmp_path, capsys):
+        out = tmp_path / "data"
+        code = run(["gen-sbm", "--blocks", "4,4", "--p-in", "0.5", "--p-out", "0.1",
+                    flag, value, "--out", str(out)])
+        assert code == 1
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_block_size_names_flag(self, tmp_path, capsys):
         out = tmp_path / "data"
         code = run(["gen-sbm", "--blocks", "4,four", "--p-in", "0.5", "--p-out", "0.1",

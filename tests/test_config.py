@@ -53,7 +53,7 @@ class TestValidation:
             ExperimentConfig(epsilon=1.5)
 
     def test_negative_loss_weights(self):
-        with pytest.raises(ConfigError, match="alpha and beta"):
+        with pytest.raises(ConfigError, match="alpha must be finite and >= 0"):
             ExperimentConfig(alpha=-0.1)
 
     def test_t_positive(self):
@@ -135,6 +135,15 @@ class TestConfigFile:
         path = tmp_path / "bad.cfg"
         path.write_text("lambda=0.5\ntheta=0.5\ngamma=0.5\n")
         with pytest.raises(ConfigError, match="fusion weights must sum to 1"):
+            parse_config(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key", ["lr", "alpha", "beta", "lambda", "theta", "gamma", "t",
+                                     "contrastive.tau", "contrastive.beta_sim"])
+    def test_nonfinite_value_names_key(self, key, value, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"{key}={value}\n")
+        with pytest.raises(ConfigError, match=rf": {key} must be [a-z >=0]*finite[a-z >=0]*, got {value}$"):
             parse_config(path)
 
     def test_missing_file(self):

@@ -220,6 +220,14 @@ class TestSbm:
         with pytest.raises(ValueError, match="p_in"):
             SbmSpec(block_sizes=(2,), p_in=1.5, p_out=0.0, means=np.zeros((1, 2)))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nonfinite_feature_model_rejected(self, value):
+        with pytest.raises(ValueError, match="noise_std must be finite"):
+            SbmSpec(block_sizes=(2,), p_in=0.5, p_out=0.0, means=np.zeros((1, 2)),
+                    noise_std=value)
+        with pytest.raises(ValueError, match="means must be finite"):
+            SbmSpec(block_sizes=(2,), p_in=0.5, p_out=0.0, means=[[0.0, value]])
+
 
 def test_adjacency_matrix_binary_symmetric():
     g = path3()

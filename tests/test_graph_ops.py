@@ -252,13 +252,17 @@ def test_attention_finite_differences(d_head, heads):
 
 @pytest.mark.parametrize("d_head", [3, 8])
 def test_attention_two_backward_calls_hand_over_the_same_gradients(d_head):
+    """Each call on its own tape, recorded from the same inputs."""
     g = GRAPHS[2]
     z, c, w = _attention_operands(g, d_head, 2)
     params = [z, *w]
     adj, bias = normalize_adjacency(g), spatial_bias(g)
-    loss = oracles.reduce_sum(ad.attention(z, c, w, adj, bias, 2, activate=True))
-    once = oracles.grads(loss, params)
-    for again, first in zip(oracles.grads(loss, params), once):
+
+    def loss():
+        return oracles.reduce_sum(ad.attention(z, c, w, adj, bias, 2, activate=True))
+
+    once = oracles.grads(loss(), params)
+    for again, first in zip(oracles.grads(loss(), params), once):
         assert again.tobytes() == first.tobytes()
 
 
@@ -266,13 +270,10 @@ def test_attention_two_backward_calls_hand_over_the_same_gradients(d_head):
 @pytest.mark.parametrize("heads", [1, 2])
 @pytest.mark.parametrize("activate", [False, True])
 @pytest.mark.parametrize("shared", [False, True], ids=["own-weights", "query-is-key"])
-@pytest.mark.parametrize("release", [False, True], ids=["kept", "released"])
-def test_attention_backward_matches_accumulating_backward(d_head, heads, activate, shared,
-                                                          release):
+def test_attention_backward_matches_accumulating_backward(d_head, heads, activate, shared):
     """Gradients equal to those of the accumulating loop in tests/oracles.py
     (array_equal: that loop stored +0.0 where it added -0.0 into a zeroed
-    buffer), also when the query and key weights are one tensor, and the
-    same bytes when backward releases the tape."""
+    buffer), also when the query and key weights are one tensor."""
     g = GRAPHS[2]
     z, c, w = _attention_operands(g, d_head, heads)
     if shared:
@@ -282,7 +283,7 @@ def test_attention_backward_matches_accumulating_backward(d_head, heads, activat
     out = ad.attention(z, c, w, adj, bias, heads, activate)
     weights = np.random.default_rng(d_head).standard_normal(out.shape)
     loss = oracles.reduce_sum(oracles.hadamard(out, ad.constant(weights)))
-    got, want = backward_pair(loss, params, release)
+    got, want = backward_pair(loss, params)
     for grad, oracle in zip(got, want):
         assert np.array_equal(grad, oracle)
 
@@ -291,8 +292,7 @@ def test_attention_backward_matches_accumulating_backward(d_head, heads, activat
 @pytest.mark.parametrize("heads", [1, 2])
 @pytest.mark.parametrize("activate", [False, True], ids=["linear", "leaky"])
 @pytest.mark.parametrize("blend", [False, True], ids=["z", "blend"])
-@pytest.mark.parametrize("release", [False, True], ids=["kept", "released"])
-def test_forgotten_attention_output_keeps_its_bytes(d_head, heads, activate, blend, release):
+def test_forgotten_attention_output_keeps_its_bytes(d_head, heads, activate, blend):
     """A layer widening from 4 to d_head columns forgets its output; backward
     rebuilds it where the narrowing dense layer after it, or its own leaky
     sign, reads it, in either form (the wide one at d + m = 7 = d_head), so
@@ -312,7 +312,7 @@ def test_forgotten_attention_output_keeps_its_bytes(d_head, heads, activate, ble
         outs.append(ad.attention(outs[0] if blend else z, c, w, adj, bias, heads, activate))
         return oracles.reduce_sum(oracles.hadamard(ad.dense(outs[-1], w2, b2), weights)), outs
 
-    forgot, forgotten, kept = oracles.forgetting_pair(build, [z, h, *w, w2, b2], release)
+    forgot, forgotten, kept = oracles.forgetting_pair(build, [z, h, *w, w2, b2])
     assert forgot == [True] * blend + [True]
     assert forgotten == kept
 
@@ -323,19 +323,25 @@ def test_attention_hands_each_weight_gradient_over_as_it_is_finished(d_head, hea
     """In backward, each role's weight gradient goes to the optimizer state
     once its last head is written, so with one head a single scratch buffer
     serves all three roles, and with two the three are lent at once. The
-    gradients are the bytes the rule returns when no backward runs, where
-    it hands nothing over."""
+    gradients are the bytes the rule of a second tape, recorded from the
+    same inputs, returns when no backward runs, where it hands nothing
+    over."""
     g = GRAPHS[2]
     z, c, w = _attention_operands(g, d_head, heads)
     params = [z, *w]
     adj, bias = normalize_adjacency(g), spatial_bias(g)
-    out = ad.attention(z, c, w, adj, bias, heads, activate=True)
+
+    def record():
+        return ad.attention(z, c, w, adj, bias, heads, activate=True)
+
+    out = record()
     weights = np.random.default_rng(d_head).standard_normal(out.shape)
     loss = oracles.reduce_sum(oracles.hadamard(out, ad.constant(weights)))
     state = oracles.RecordingState.for_params(params, lr=0.0)
     ad.backward(loss, params, state)
     assert len(state.scratch) == (1 if heads == 1 else 3)
-    returned = out._rule(weights)
+    again = record()  # the rule reads its node's output through a weak reference
+    returned = again._rule(weights)
     assert [state.grads[i].tobytes() for i in range(4)] == [r.tobytes() for r in returned]
 
 

@@ -562,13 +562,15 @@ def test_joint_step_lends_one_scratch_buffer_with_one_head(heads):
     head, whose role gradients are handed over one at a time, and three
     with two heads, whose gradients are the bytes of the rule returning all
     three at once (the accumulating loop in tests/oracles.py, which adds
-    each into zeros, so -0.0 is compared as 0.0)."""
-    state, _, _, total = _joint_epoch(tiny_graph(12, n=40, p=0.3), 3, heads)
+    each into zeros, so -0.0 is compared as 0.0), run on a second tape
+    recorded from the same state."""
+    state, cons, cfg, total = _joint_epoch(tiny_graph(12, n=40, p=0.3), 3, heads)
     params = [t for _, t in state._named()]
     opt = oracles.RecordingState.for_params(params, lr=0.0)
     ad.backward(total, params, opt)
     assert len(opt.scratch) == (1 if heads == 1 else 3)
-    want = oracles.accumulating_backward(total, params)
+    again, _, _ = P._epoch_losses(state, cons, cfg, P._encode(state, cons, cfg))
+    want = oracles.accumulating_backward(again, params)
     for i, (p, w) in enumerate(zip(params, want)):
         assert (opt.grads[i] + 0.0).tobytes() == w.tobytes(), p
 

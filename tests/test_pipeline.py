@@ -309,11 +309,9 @@ class TestPretraining:
 
 
 class TestBackwardInTraining:
-    @pytest.mark.parametrize("release", [False, True], ids=["kept", "released"])
-    def test_epoch_tape_matches_accumulating_backward(self, release):
+    def test_epoch_tape_matches_accumulating_backward(self):
         """Every parameter's gradient through one full joint-training tape
-        equals that of the accumulating loop in tests/oracles.py, and the
-        same bytes when backward releases the tape, as training does."""
+        equals that of the accumulating loop in tests/oracles.py."""
         from gclgcn import pipeline as P
 
         g, cfg = small_sbm(), tiny_cfg(layers=3, heads=2)
@@ -323,7 +321,7 @@ class TestBackwardInTraining:
         named = state._named()
         params = [t for _, t in named]
         total, _, _ = P._epoch_losses(state, cons, cfg, encoded)
-        got, want = backward_pair(total, params, release)
+        got, want = backward_pair(total, params)
         for (name, _), grad, oracle in zip(named, got, want):
             assert np.array_equal(grad, oracle), name
 
@@ -429,9 +427,9 @@ class TestTrain:
         alive_at_assign = []
         real_backward, real_student_t = P.backward, P.student_t
 
-        def tracking_backward(loss, params, state, release=False):
+        def tracking_backward(loss, params, state):
             losses.append(weakref.ref(loss.value))
-            return real_backward(loss, params, state, release=release)
+            return real_backward(loss, params, state)
 
         def checking_student_t(*args, **kwargs):
             alive_at_assign.append(sum(ref() is not None for ref in losses))
@@ -447,23 +445,31 @@ class TestTrain:
         # two assignments per epoch, one for the final labels
         assert alive_at_assign == [0] * 7
 
-    def test_joint_training_releases_its_tapes_and_pretraining_keeps_them(self, monkeypatch):
+    @pytest.mark.parametrize("run", [pretrain_ae, pretrain_contrastive],
+                             ids=["autoencoder", "contrastive"])
+    def test_pretraining_frees_each_epoch_tape_before_the_next_records(self, monkeypatch, run):
+        """An inner node of epoch e's tape is dead when loss_of starts
+        recording epoch e + 1, although the loop still holds epoch e's
+        loss: backward released the tape, so only one tape is alive."""
         from gclgcn import pipeline as P
 
-        calls = []
-        real_backward = P.backward
+        real_pretrain = P._pretrain
+        inner, alive = [], []
 
-        def recording_backward(loss, params, state, release=False):
-            calls.append(release)
-            real_backward(loss, params, state, release=release)
+        def watching_pretrain(phase, named, lr, epochs, loss_of):
+            def recording():
+                alive.extend(ref() is not None for ref in inner[-1:])
+                loss = loss_of()
+                assert loss._parents[0]._rule is not None  # an inner node
+                inner.append(weakref.ref(loss._parents[0]))
+                return loss
 
-        g, cfg = small_sbm(), tiny_cfg(epochs=2)
-        monkeypatch.setattr(P, "backward", recording_backward)
-        pre = pretrain(g, cfg)
-        pretraining = len(calls)
-        train(g, cfg, pretrained=pre)
-        assert pretraining > 0 and not any(calls[:pretraining])
-        assert calls[pretraining:] == [True, True]
+            real_pretrain(phase, named, lr, epochs, recording)
+
+        monkeypatch.setattr(P, "_pretrain", watching_pretrain)
+        run(small_sbm(), tiny_cfg())
+        assert len(inner) > 1
+        assert alive == [False] * (len(inner) - 1)
 
     def test_evaluation_passes_skip_the_decoders(self, monkeypatch):
         """Centroid seeding and the final labels use the bottlenecks only:
@@ -589,9 +595,9 @@ class TestTrain:
             states.append(state)
             return state, encoded
 
-        def recording_backward(loss, params, state, release=False):
+        def recording_backward(loss, params, state):
             pre_step.append([(name, arr.copy()) for name, arr in states[0].named_arrays()])
-            real_backward(loss, params, state, release=release)
+            real_backward(loss, params, state)
 
         def poisoned_absorb(opt, i, grad):
             if len(pre_step) == 2 and states[0]._named()[i][0] == "graphormer.enc.2.w_key":
@@ -633,9 +639,9 @@ class TestTrain:
             states.append(state)
             return state, encoded
 
-        def recording_backward(loss, params, state, release=False):
+        def recording_backward(loss, params, state):
             pre_step.append([(name, arr.copy()) for name, arr in states[0].named_arrays()])
-            real_backward(loss, params, state, release=release)
+            real_backward(loss, params, state)
 
         def poisoned_absorb(opt, i, grad):
             order.append(i)
@@ -700,9 +706,9 @@ class TestTrain:
             real_step(params, opt)
             params[-1].value[0, 0] = np.nan  # the last layer's, past every ReLU
 
-        def counted_backward(loss, params, state, release=False):
+        def counted_backward(loss, params, state):
             backward_calls.append(True)
-            real_backward(loss, params, state, release=release)
+            real_backward(loss, params, state)
 
         monkeypatch.setattr(P, "adam_step", poisoned_step)
         monkeypatch.setattr(P, "backward", counted_backward)
@@ -723,9 +729,9 @@ class TestTrain:
         real_backward, real_absorb = P.backward, ad.AdamState.absorb
         calls = []
 
-        def counted_backward(loss, params, state, release=False):
+        def counted_backward(loss, params, state):
             calls.append(True)
-            real_backward(loss, params, state, release=release)
+            real_backward(loss, params, state)
 
         def poisoned_absorb(opt, i, grad):
             if len(calls) == 2:
