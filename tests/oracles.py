@@ -738,12 +738,24 @@ class RecordingState(ad.AdamState):
         self.grads[i] = g.copy()
 
 
-def grads(loss: Tensor, params: Sequence[Tensor]) -> list[np.ndarray]:
+def stale_state(params: Sequence[Tensor]) -> RecordingState:
+    """A RecordingState whose scratch already holds one buffer per
+    parameter, every entry NaN. From its second step on, training hands
+    backward a state whose scratch holds the last step's gradients; a
+    gradient summed in a lent buffer that was read before it was written
+    would carry the NaN."""
+    state = RecordingState.for_params(params, lr=0.0)
+    size = max(p.value.size for p in params)
+    state.scratch = [np.full(size, np.nan) for _ in params]
+    return state
+
+
+def grads(loss: Tensor, params: Sequence[Tensor], stale: bool = False) -> list[np.ndarray]:
     """The gradient of loss with respect to each of params (zeros for one
     the loss does not reach) as autodiff.backward hands it to the
-    optimizer, which releases the tape. params must hold every leaf the
-    loss reaches."""
-    state = RecordingState.for_params(params, lr=0.0)
+    optimizer, which releases the tape; with stale, to a stale_state.
+    params must hold every leaf the loss reaches."""
+    state = stale_state(params) if stale else RecordingState.for_params(params, lr=0.0)
     ad.backward(loss, params, state)
     return [state.grads[i] for i in range(len(params))]
 
@@ -834,13 +846,14 @@ def tape_arrays(loss: Tensor, params: Sequence[Tensor]) -> list[Held]:
     return held
 
 
-def forgetting_pair(build: Callable[[], tuple[Tensor, list[Tensor]]], params: Sequence[Tensor]):
+def forgetting_pair(build: Callable[[], tuple[Tensor, list[Tensor]]], params: Sequence[Tensor],
+                    stale: bool = False):
     """Run two tapes that build() records, each (loss, outputs): the first
     forgets every output once the loss is recorded, the second none.
     Returns which outputs the first forgot, then, for each tape, the bytes
-    of every parameter's gradient followed by every output's value read
-    after backward, which must have rebuilt each forgotten one: after it,
-    a read can rebuild nothing."""
+    of every parameter's gradient, handed to a stale_state with stale,
+    followed by every output's value read after backward, which must have
+    rebuilt each forgotten one: after it, a read can rebuild nothing."""
     runs, forgot = [], []
     for forget in (True, False):
         loss, outs = build()
@@ -848,7 +861,7 @@ def forgetting_pair(build: Callable[[], tuple[Tensor, list[Tensor]]], params: Se
             for t in outs:
                 t.forget()
             forgot = [t._value is None for t in outs]
-        got = grads(loss, params) + [t.value for t in outs]
+        got = grads(loss, params, stale) + [t.value for t in outs]
         runs.append([a.tobytes() for a in got])
     return forgot, runs[0], runs[1]
 
@@ -894,12 +907,13 @@ def accumulating_backward(loss: Tensor, params: Sequence[Tensor]) -> list[np.nda
     return [sums[id(p)] for p in params]
 
 
-def backward_pair(loss: Tensor, params: Sequence[Tensor]):
-    """Each parameter's gradient from autodiff.backward, then from
-    accumulating_backward on the same tape. accumulating_backward runs
-    first: it leaves the tape intact, and autodiff.backward releases it."""
+def backward_pair(loss: Tensor, params: Sequence[Tensor], stale: bool = False):
+    """Each parameter's gradient from autodiff.backward, handed to a
+    stale_state with stale, then from accumulating_backward on the same
+    tape. accumulating_backward runs first: it leaves the tape intact, and
+    autodiff.backward releases it."""
     want = accumulating_backward(loss, params)
-    return grads(loss, params), want
+    return grads(loss, params, stale), want
 
 
 def finite_difference_check(

@@ -651,8 +651,9 @@ class TestForgetting:
     then narrows, so backward rebuilds both wide outputs, one from the
     other: the gradients and the values keep their bytes."""
 
+    @pytest.mark.parametrize("stale", [False, True], ids=["fresh-scratch", "stale-scratch"])
     @pytest.mark.parametrize("activate", [False, True], ids=["linear", "leaky"])
-    def test_dense_keeps_its_bytes(self, activate):
+    def test_dense_keeps_its_bytes(self, activate, stale):
         rng = np.random.default_rng(31)
         x = ad.parameter(rng.standard_normal((6, 3)))
         params = [x]
@@ -668,13 +669,14 @@ class TestForgetting:
                 outs.append(h)
             return _weighted_sum(h, weights), outs
 
-        forgot, forgotten, kept = oracles.forgetting_pair(build, params)
+        forgot, forgotten, kept = oracles.forgetting_pair(build, params, stale)
         assert forgot == [True, True, False]
         assert forgotten == kept
 
     @pytest.mark.parametrize("activate", [False, True], ids=["linear", "leaky"])
     @pytest.mark.parametrize("blend", [False, True], ids=["z", "blend"])
-    def test_propagate_keeps_its_bytes_in_both_associations(self, activate, blend):
+    @pytest.mark.parametrize("stale", [False, True], ids=["fresh-scratch", "stale-scratch"])
+    def test_propagate_keeps_its_bytes_in_both_associations(self, activate, blend, stale):
         """(adj @ x) @ w where the layer widens, adj @ (x @ w) where it
         narrows, whose output is never forgotten. x is z, or the
         epsilon-blend of h into z, a weighted_sum node that is forgotten
@@ -693,7 +695,7 @@ class TestForgetting:
                 outs.append(ad.propagate(adj, outs[-1], w, activate))
             return _weighted_sum(outs[-1], weights), outs
 
-        forgot, forgotten, kept = oracles.forgetting_pair(build, [z, h, *ws])
+        forgot, forgotten, kept = oracles.forgetting_pair(build, [z, h, *ws], stale)
         assert forgot == [True] * blend + [True, True, False]
         assert forgotten == kept
 
@@ -918,13 +920,15 @@ class TestBackwardSetsGradients:
 
     @pytest.mark.parametrize("name,op,composed,shapes,extra", LAYER_OP_CASES,
                              ids=[c[0] for c in LAYER_OP_CASES])
-    def test_layer_ops_match_accumulating_backward(self, name, op, composed, shapes, extra):
+    @pytest.mark.parametrize("stale", [False, True], ids=["fresh-scratch", "stale-scratch"])
+    def test_layer_ops_match_accumulating_backward(self, name, op, composed, shapes, extra,
+                                                   stale):
         rng = np.random.default_rng(7)
         operands = _operands(rng, shapes)
         params = [t for t in operands if isinstance(t, ad.Tensor) and t.requires_grad]
         out = op(*operands, *extra)
         loss = _weighted_sum(out, rng.standard_normal(out.shape))
-        got, want = backward_pair(loss, params)
+        got, want = backward_pair(loss, params, stale)
         for g, w in zip(got, want):
             assert np.array_equal(g, w), name
 
@@ -959,14 +963,15 @@ class TestBackwardSetsGradients:
         (got,), (want,) = backward_pair(ad.decoder_mse(z, _adjacency(rng, 10, (2,))), [z])
         assert np.array_equal(got, want)
 
-    def test_cluster_kl_matches_accumulating_backward(self):
+    @pytest.mark.parametrize("stale", [False, True], ids=["fresh-scratch", "stale-scratch"])
+    def test_cluster_kl_matches_accumulating_backward(self, stale):
         """Centroids read by both assignments of the head, as in joint training."""
         rng = np.random.default_rng(11)
         z1, z2 = (ad.parameter(rng.standard_normal((12, 3))) for _ in range(2))
         c = ad.parameter(rng.standard_normal((4, 3)))
         loss = ad.weighted_sum([(1.0, ad.cluster_kl(z1, z2, c, None, 1.0, 0.3, 0.7)),
                                 (1.0, ad.cluster_kl(z2, z1, c, None, 2.0, 0.5, 0.2))])
-        got, want = backward_pair(loss, [z1, z2, c])
+        got, want = backward_pair(loss, [z1, z2, c], stale)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
 

@@ -270,7 +270,9 @@ def test_attention_two_backward_calls_hand_over_the_same_gradients(d_head):
 @pytest.mark.parametrize("heads", [1, 2])
 @pytest.mark.parametrize("activate", [False, True])
 @pytest.mark.parametrize("shared", [False, True], ids=["own-weights", "query-is-key"])
-def test_attention_backward_matches_accumulating_backward(d_head, heads, activate, shared):
+@pytest.mark.parametrize("stale", [False, True], ids=["fresh-scratch", "stale-scratch"])
+def test_attention_backward_matches_accumulating_backward(d_head, heads, activate, shared,
+                                                          stale):
     """Gradients equal to those of the accumulating loop in tests/oracles.py
     (array_equal: that loop stored +0.0 where it added -0.0 into a zeroed
     buffer), also when the query and key weights are one tensor."""
@@ -283,7 +285,7 @@ def test_attention_backward_matches_accumulating_backward(d_head, heads, activat
     out = ad.attention(z, c, w, adj, bias, heads, activate)
     weights = np.random.default_rng(d_head).standard_normal(out.shape)
     loss = oracles.reduce_sum(oracles.hadamard(out, ad.constant(weights)))
-    got, want = backward_pair(loss, params)
+    got, want = backward_pair(loss, params, stale)
     for grad, oracle in zip(got, want):
         assert np.array_equal(grad, oracle)
 
@@ -292,7 +294,8 @@ def test_attention_backward_matches_accumulating_backward(d_head, heads, activat
 @pytest.mark.parametrize("heads", [1, 2])
 @pytest.mark.parametrize("activate", [False, True], ids=["linear", "leaky"])
 @pytest.mark.parametrize("blend", [False, True], ids=["z", "blend"])
-def test_forgotten_attention_output_keeps_its_bytes(d_head, heads, activate, blend):
+@pytest.mark.parametrize("stale", [False, True], ids=["fresh-scratch", "stale-scratch"])
+def test_forgotten_attention_output_keeps_its_bytes(d_head, heads, activate, blend, stale):
     """A layer widening from 4 to d_head columns forgets its output; backward
     rebuilds it where the narrowing dense layer after it, or its own leaky
     sign, reads it, in either form (the wide one at d + m = 7 = d_head), so
@@ -312,7 +315,7 @@ def test_forgotten_attention_output_keeps_its_bytes(d_head, heads, activate, ble
         outs.append(ad.attention(outs[0] if blend else z, c, w, adj, bias, heads, activate))
         return oracles.reduce_sum(oracles.hadamard(ad.dense(outs[-1], w2, b2), weights)), outs
 
-    forgot, forgotten, kept = oracles.forgetting_pair(build, [z, h, *w, w2, b2])
+    forgot, forgotten, kept = oracles.forgetting_pair(build, [z, h, *w, w2, b2], stale)
     assert forgot == [True] * blend + [True]
     assert forgotten == kept
 

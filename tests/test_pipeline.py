@@ -309,7 +309,8 @@ class TestPretraining:
 
 
 class TestBackwardInTraining:
-    def test_epoch_tape_matches_accumulating_backward(self):
+    @pytest.mark.parametrize("stale", [False, True], ids=["fresh-scratch", "stale-scratch"])
+    def test_epoch_tape_matches_accumulating_backward(self, stale):
         """Every parameter's gradient through one full joint-training tape
         equals that of the accumulating loop in tests/oracles.py."""
         from gclgcn import pipeline as P
@@ -321,7 +322,7 @@ class TestBackwardInTraining:
         named = state._named()
         params = [t for _, t in named]
         total, _, _ = P._epoch_losses(state, cons, cfg, encoded)
-        got, want = backward_pair(total, params)
+        got, want = backward_pair(total, params, stale)
         for (name, _), grad, oracle in zip(named, got, want):
             assert np.array_equal(grad, oracle), name
 
