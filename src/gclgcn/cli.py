@@ -158,6 +158,9 @@ def _cmd_train(args) -> int:
     _write_history(out / "history.csv", result.history)
     _write_labels(out / "labels.txt", result.labels)
     save_checkpoint(out / "model.gclc", result.state.named_arrays())
+    used = len(np.unique(result.labels))
+    if used < cfg.k:
+        print(f"warning: the final labels use {used} of the k={cfg.k} clusters", file=sys.stderr)
     if g.labels is not None:
         metrics = metric_row(result.labels, g.labels)
         print(
@@ -169,7 +172,7 @@ def _cmd_train(args) -> int:
 
 
 # The study each study command runs (sweep: each --grid), called as
-# study(graph, config, args), and the key columns of its result tables.
+# study(graph, config, args).
 _STUDIES = {
     "ablate": lambda g, cfg, a: harness.ablation_study(g, cfg, dataset=a.dataset),
     "layers": lambda g, cfg, a: harness.layer_study(g, cfg, dataset=a.dataset),
@@ -181,24 +184,19 @@ _STUDIES = {
         g, cfg, a.alphas, a.betas, dataset=a.dataset
     ),
 }
-_STUDY_KEYS = {
-    "fusion": ("dataset", "lambda", "theta", "gamma"),
-    "loss": ("dataset", "alpha", "beta"),
-}
 
 
 def _cmd_study(args) -> int:
     """results.csv with one row per study point; the fusion sweep also
     writes its best row to best.csv."""
     name = args.grid if args.command == "sweep" else args.command
-    keys = _STUDY_KEYS.get(name, ("dataset", "variant"))
     cfg = parse_config(args.config)
     g = _load_dataset(cfg, need_labels=True)
     rows = _STUDIES[name](g, cfg, args)
     out = _out_dir(args)
-    harness.write_result_table(out / "results.csv", rows, keys)
+    harness.write_result_table(out / "results.csv", rows)
     if name == "fusion":
-        harness.write_result_table(out / "best.csv", [harness.best_fusion_row(rows)], keys)
+        harness.write_result_table(out / "best.csv", [harness.best_fusion_row(rows)])
     print(f"wrote {len(rows)} rows to {out / 'results.csv'}")
     return 0
 

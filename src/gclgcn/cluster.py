@@ -114,6 +114,8 @@ def kmeans(
     n = z.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"kmeans: need 1 <= k <= n, got k={k}, n={n}")
+    if restarts < 1:
+        raise ValueError(f"kmeans: need at least one restart, got restarts={restarts}")
     rng = np.random.default_rng(seed)
     best: KMeansResult | None = None
     for _ in range(restarts):

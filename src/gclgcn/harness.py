@@ -62,11 +62,12 @@ def composite_index(row: dict) -> float:
     return (row["acc"] + row["nmi"] + row["ari"] + row["f1"]) / 4.0
 
 
-def write_result_table(path: str | Path, rows: list[dict], key_columns: tuple[str, ...]) -> None:
-    """CSV with the key columns, the four metrics, and the composite index,
-    written atomically. Cells containing commas (some variant labels do) are
-    quoted."""
-    columns = (*key_columns, *METRIC_COLUMNS, "composite")
+def write_result_table(path: str | Path, rows: list[dict]) -> None:
+    """CSV with the key columns (the first row's keys but the metrics), the
+    four metrics, and the composite index, written atomically. Cells
+    containing commas (some variant labels do) are quoted."""
+    keys = [col for col in rows[0] if col not in METRIC_COLUMNS]
+    columns = (*keys, *METRIC_COLUMNS, "composite")
     with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
@@ -135,7 +136,8 @@ def sweep_fusion(
     dataset: str = "dataset",
 ) -> list[dict]:
     """Grid over the first two fusion weights; the third is their complement.
-    Infeasible points (negative complement) are skipped."""
+    Infeasible points (negative complement) are skipped; a grid with no
+    feasible point is a ConfigError, raised before any training."""
     points = []
     for lam in lambdas:
         for theta in thetas:
@@ -147,6 +149,8 @@ def sweep_fusion(
             keys = {"dataset": dataset, "lambda": repr(float(lam)),
                     "theta": repr(float(theta)), "gamma": repr(float(gamma))}
             points.append((keys, replace(cfg, lam=lam, theta=theta, gamma=gamma)))
+    if not points:
+        raise ConfigError("fusion sweep produced no feasible grid points")
     return _run_points(g, points)
 
 

@@ -132,7 +132,7 @@ def _interrupted_checkpoint(path):
 
 def _interrupted_table(path):
     metrics = {"acc": 1.0, "nmi": 1.0, "ari": 1.0, "f1": 1.0}
-    write_result_table(path, [{"variant": "a", **metrics}, {"variant": "b"}], ("variant",))
+    write_result_table(path, [{"variant": "a", **metrics}, {"variant": "b"}])
 
 
 def _interrupted_text(path):

@@ -250,6 +250,14 @@ class TestStudies:
         best = (out / "best.csv").read_text().strip().splitlines()
         assert len(best) == 2
 
+    def test_sweep_fusion_without_feasible_point_writes_nothing(self, run_cfg, tmp_path, capsys):
+        out = tmp_path / "sw"
+        code = run(["sweep", "--config", str(run_cfg), "--out", str(out),
+                    "--grid", "fusion", "--lambdas", "0.9", "--thetas", "0.9"])
+        assert code == 1
+        assert "no feasible grid points" in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
+
     def test_sweep_loss_rows(self, run_cfg, tmp_path):
         out = tmp_path / "swl"
         assert run(["sweep", "--config", str(run_cfg), "--out", str(out),
@@ -386,7 +394,7 @@ class TestExitCodes:
         assert (tmp_path / "boom" / "model.gclc").exists()
 
 
-def _write_dataset(d, features, edges, labels, k):
+def _write_dataset(d, features, edges, labels, k, epochs=2, layers=2):
     """features.csv / edges.txt / labels.txt and a short training config."""
     d.mkdir(parents=True, exist_ok=True)
     (d / "f.csv").write_text("".join(",".join(repr(float(x)) for x in row) + "\n"
@@ -396,7 +404,7 @@ def _write_dataset(d, features, edges, labels, k):
     cfg = d / "run.cfg"
     cfg.write_text(
         f"features={d / 'f.csv'}\nedges={d / 'e.txt'}\nlabels={d / 'y.txt'}\n"
-        f"epochs=2\nk={k}\nn_z=2\nlayers=2\nlr=1e-3\nseed=1\n"
+        f"epochs={epochs}\nk={k}\nn_z=2\nlayers={layers}\nlr=1e-3\nseed=1\n"
         "contrastive.hidden=4\ncontrastive.epochs=2\n"
     )
     return cfg
@@ -448,6 +456,17 @@ class TestEdgeCases:
         with (out / "history.csv").open() as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 2 and all(np.isfinite(float(r["L"])) for r in rows)
+
+    def test_collapsed_run_says_so(self, tmp_path, capsys):
+        # Identical feature rows and no edges: every node lands in one cluster.
+        cfg = _write_dataset(tmp_path / "data", [[1.0, 2.0, 3.0]] * 6, [], [0] * 3 + [1] * 3,
+                             2, epochs=1, layers=1)
+        out = tmp_path / "out"
+        assert run(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "warning: the final labels use 1 of the k=2 clusters\n"
+        assert "acc=" in captured.out and "warning" not in captured.out
+        assert (out / "labels.txt").read_text() == "0\n" * 6
 
     def test_k_above_n_exits_one(self, tmp_path, capsys):
         features, labels = _two_blobs()

@@ -79,6 +79,11 @@ class TestKMeans:
         with pytest.raises(ValueError, match="1 <= k <= n"):
             kmeans(np.zeros((3, 2)), 4)
 
+    @pytest.mark.parametrize("restarts", [0, -1])
+    def test_needs_a_restart(self, restarts):
+        with pytest.raises(ValueError, match=f"restarts={restarts}"):
+            kmeans(np.zeros((3, 2)), 2, restarts=restarts)
+
 
 class TestAccuracy:
     def test_pure_relabeling(self):
