@@ -65,15 +65,18 @@ gradients, where the composed form recorded 53 nodes. Q and Q' come from
 cluster.student_t, whose numpy calls are that form's, so they match it bit
 for bit; the node hands them back.
 
-backward hands each finished gradient to an AdamState rather than storing
-it, so no parameter-sized gradient store outlives the sweep. It counts each
+backward(loss, state) hands each finished gradient to the AdamState, which
+holds the parameter list it was built for (AdamState.for_params), rather
+than storing it, so no parameter-sized gradient store outlives the sweep; a
+parameter the state holds that the loss does not reach is a ValueError, as
+is a leaf the loss reaches that the state does not hold. It counts each
 leaf's consumers while it orders the tape, and a leaf's gradient is finished
 when its last contribution arrives (a leaf reached twice sums its
 contributions in sweep order); the state folds it into Adam's moments at
 once. dense, propagate and attention write a weight's gradient into a
 scratch buffer the state owns and lends (attention hands each over as soon
 as it is written, so with one head its three roles share one buffer), and
-adam_step applies the update from the moments afterwards.
+adam_step(state) applies the update from the moments afterwards.
 """
 
 from __future__ import annotations
@@ -198,15 +201,14 @@ def _check(cond: bool, op: str, msg: str) -> None:
 class _Sweep:
     """Where one running backward collects each leaf's gradient. A leaf's
     gradient is finished when its last contribution arrives: it is then
-    handed to state.absorb under the leaf's index in the parameter list, and
-    the scratch buffer it was summed in goes back to the state."""
+    handed to state.absorb under the leaf's index in the state's parameter
+    list, and the scratch buffer it was summed in goes back to the state."""
 
-    def __init__(self, uses: dict[int, int], state: "AdamState", index: dict[int, int]):
+    def __init__(self, uses: dict[int, int], state: "AdamState"):
         self.uses = uses  # id(leaf) -> contributions still to come
-        self.state, self.index = state, index
+        self.state = state
         self.sums: dict[int, np.ndarray] = {}  # id(leaf) -> the sum so far
         self.held: dict[int, np.ndarray] = {}  # id(leaf) -> the buffer store lent it
-        self.finished: set[int] = set()
 
     def store(self, t: Tensor) -> np.ndarray:
         """A scratch buffer the state lends for t's gradient, which nothing
@@ -231,40 +233,21 @@ class _Sweep:
             np.copyto(acc, g)
         if self.uses[key]:
             self.sums[key] = acc
-        else:
-            self.finish(t, acc)
-
-    def finish(self, t: Tensor, acc: np.ndarray) -> None:
-        key = id(t)
-        self.finished.add(key)
-        self.state.absorb(self.index[key], acc)
+            return
+        self.state.absorb(self.state._index[key], acc)
         buf = self.held.pop(key, None)
         if buf is not None:
             self.state._give_back(buf)
 
-    def finish_rest(self, leaves: Sequence[Tensor]) -> None:
-        """Finish every leaf whose contributions did not all arrive; one
-        that got none, as a listed parameter the loss does not reach, gets
-        zeros."""
-        for t in leaves:
-            if id(t) not in self.finished:
-                acc = self.sums.pop(id(t), None)
-                if acc is None:
-                    acc = self.store(t)
-                    acc.fill(0.0)
-                self.finish(t, acc)
 
-
-def backward(
-    loss: Tensor,
-    params: Sequence[Tensor],
-    state: "AdamState",
-) -> None:
-    """Hand state (an AdamState built for params, which must hold every leaf
-    the loss reaches) the gradient of a scalar loss with respect to each of
-    params, zeros for one the loss does not reach: each goes to
-    state.absorb as soon as its last contribution arrives, and
-    adam_step(params, state) then applies the update. No gradient is kept.
+def backward(loss: Tensor, state: "AdamState") -> None:
+    """Hand state the gradient of a scalar loss with respect to each
+    parameter it holds: each goes to state.absorb as soon as its last
+    contribution arrives, and adam_step(state) then applies the update. No
+    gradient is kept. The loss must reach every parameter the state holds,
+    and reach no other leaf that requires a gradient: otherwise backward
+    raises ValueError naming the tensor once the tape is ordered, before any
+    gradient is absorbed or scratch buffer lent.
 
     Visits nodes in reverse topological order exactly once. A leaf's
     contributions are summed in traversal order; an op that asks
@@ -290,6 +273,8 @@ def backward(
             continue
         if id(node) in seen or not node._needs:
             continue
+        if node._rule is None and not node.requires_grad:
+            raise ValueError("backward: the tape was released by an earlier backward")
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
@@ -298,15 +283,14 @@ def backward(
             stack.append((p, False))
 
     leaves = [t for t in topo if t.requires_grad]
-    leaves += [p for p in params if id(p) not in seen]
-    index = {id(p): i for i, p in enumerate(params)}
-    if len(params) != len(state.m):
-        raise ValueError("backward: state was built for a different parameter list")
     for t in leaves:
-        if id(t) not in index:
-            raise ValueError(f"backward: the loss reaches {t!r}, which params does not list")
+        if id(t) not in state._index:
+            raise ValueError(f"backward: the loss reaches {t!r}, which the state does not hold")
+    for p in state.params:
+        if id(p) not in seen:
+            raise ValueError(f"backward: the loss does not reach {p!r}, which the state holds")
     state._free = list(state.scratch)
-    sweep = _Sweep(uses, state, index)
+    sweep = _Sweep(uses, state)
     pending: dict[int, np.ndarray] = {}
 
     def give(node: Tensor, g: np.ndarray, upstream: np.ndarray | None) -> None:
@@ -332,14 +316,11 @@ def backward(
             g = pending.pop(id(node), None)
             if g is not None:
                 # Only inner nodes get here: leaves take theirs in give.
-                if node._rule is None:
-                    raise ValueError("backward: the tape was released by an earlier backward")
                 for parent, pg in zip(node._parents, node._rule(g)):
                     if pg is not None and parent._needs:
                         give(parent, pg, g)
             node._rule = node._rebuild = None  # a leaf holds neither
             node._parents = ()
-        sweep.finish_rest(leaves)
     finally:
         for t in leaves:
             t._sweep = None
@@ -1009,23 +990,28 @@ _ADAM_BLOCK = 1 << 14
 
 @dataclass
 class AdamState:
-    """Adam for one fixed parameter list: the first and second moments, and
-    the scratch that a backward given this state sums gradients in.
+    """Adam for the fixed parameter list params, which for_params takes:
+    the parameters, the first and second moments, and the scratch that a
+    backward given this state sums gradients in.
 
-    A step is absorb(i, g) for every parameter i, which folds its gradient
-    into the moments (backward does it as it finishes each gradient), then
-    adam_step, which applies the bias-corrected update. The scratch is
-    capacity-based: each buffer is the size of the largest parameter, made
-    when no free one is left (attention with more than one head holds
-    three at once, other ops one) and kept across steps."""
+    A step is absorb(i, g) for every parameter params[i], which folds its
+    gradient into the moments (backward(loss, state) does it as it finishes
+    each gradient), then adam_step(state), which applies the bias-corrected
+    update. The scratch is capacity-based: each buffer is the size of the
+    largest parameter, made when no free one is left (attention with more
+    than one head holds three at once, other ops one) and kept across
+    steps."""
 
     lr: float
+    params: list[Tensor] = field(default_factory=list)
     step: int = 0
     m: list[np.ndarray] = field(default_factory=list)
     v: list[np.ndarray] = field(default_factory=list)
     scratch: list[np.ndarray] = field(default_factory=list)
-    # the scratch buffers not lent out, the parameters absorbed since the
-    # last step and those of them whose gradient held a non-finite entry
+    # id(parameter) -> its index, the scratch buffers not lent out, the
+    # parameters absorbed since the last step and those of them whose
+    # gradient held a non-finite entry
+    _index: dict[int, int] = field(default_factory=dict)
     _free: list[np.ndarray] = field(default_factory=list)
     _absorbed: set[int] = field(default_factory=set)
     _nonfinite: set[int] = field(default_factory=set)
@@ -1033,7 +1019,8 @@ class AdamState:
 
     @classmethod
     def for_params(cls, params: Sequence[Tensor], lr: float) -> "AdamState":
-        state = cls(lr=lr)
+        state = cls(lr=lr, params=list(params))
+        state._index = {id(p): i for i, p in enumerate(state.params)}
         # np.zeros maps zeroed pages instead of filling them
         state.m = [np.zeros(p.shape) for p in params]
         state.v = [np.zeros(p.shape) for p in params]
@@ -1079,23 +1066,22 @@ class AdamState:
         if not finite:
             self._nonfinite.add(i)
 
-    def first_nonfinite(self) -> int | None:
-        """The lowest index of a parameter whose gradient absorbed since the
-        last step held a non-finite entry, or None."""
-        return min(self._nonfinite, default=None)
+    def first_nonfinite(self) -> Tensor | None:
+        """The first parameter in list order whose gradient absorbed since
+        the last step held a non-finite entry, or None."""
+        return self.params[min(self._nonfinite)] if self._nonfinite else None
 
 
-def adam_step(params: Sequence[Tensor], state: AdamState) -> AdamState:
-    """One bias-corrected Adam update, in place on params and state, from
-    the moments that absorb has brought up to date for every parameter.
+def adam_step(state: AdamState) -> AdamState:
+    """One bias-corrected Adam update, in place on state and its parameters,
+    from the moments that absorb has brought up to date for every parameter.
 
     Each parameter is updated in contiguous blocks of _ADAM_BLOCK elements
     through one block-sized work buffer; every element sees the same
     operations in the same order as a whole-array update, so the result does
     not depend on the block size. Every value must be C-contiguous.
     """
-    if len(params) != len(state.m):
-        raise ValueError("adam_step: state was built for a different parameter list")
+    params = state.params
     missing = sorted(set(range(len(params))) - state._absorbed)
     if missing:
         raise ValueError(f"adam_step: no gradient absorbed for parameter {missing[0]} "

@@ -83,8 +83,9 @@ def uses_contrastive(cfg: ExperimentConfig) -> bool:
 class Channel:
     """A layer stack over a width ladder: the autoencoder, the GCN or the
     attention channel, or the contrastive encoder. Each encoder and decoder
-    layer is a {role: parameter} dict, saved as <prefix>.<enc|dec>.<i>.<role>,
-    and layer(input, params, activate) applies one of them."""
+    layer is a {role: parameter} dict, each parameter named (and saved as)
+    <prefix>.<enc|dec>.<i>.<role>, and layer(input, params, activate)
+    applies one of them."""
 
     prefix: str
     enc: list[dict[str, Tensor]]
@@ -97,21 +98,17 @@ class Channel:
         for every encoder layer along dims, then for every decoder layer
         back along it, which is the order of the random draws."""
 
-        def stack(ladder):
+        def stack(part, ladder):
             return [
-                {role: ad.parameter(arr) for role, arr in make(a, b).items()}
-                for a, b in zip(ladder[:-1], ladder[1:])
+                {role: ad.parameter(arr, name=f"{prefix}.{part}.{i}.{role}")
+                 for role, arr in make(a, b).items()}
+                for i, (a, b) in enumerate(zip(ladder[:-1], ladder[1:]))
             ]
 
-        return cls(prefix, stack(dims), stack(dims[::-1]), layer)
+        return cls(prefix, stack("enc", dims), stack("dec", dims[::-1]), layer)
 
-    def named(self) -> list[tuple[str, Tensor]]:
-        return [
-            (f"{self.prefix}.{part}.{i}.{role}", t)
-            for part, layers in (("enc", self.enc), ("dec", self.dec))
-            for i, params in enumerate(layers)
-            for role, t in params.items()
-        ]
+    def params(self) -> list[Tensor]:
+        return [t for layers in (self.enc, self.dec) for params in layers for t in params.values()]
 
     def encode(self, x: Tensor, hs=(), eps: float = 0.0) -> list[Tensor]:
         """Every encoder layer output; the last one is the bottleneck. With
@@ -211,12 +208,12 @@ class ModelState:
     centroids: Tensor
     x_c: np.ndarray
 
-    def _named(self) -> list[tuple[str, Tensor]]:
-        stacks = [pair for channel in (self.ae, *self.channels) for pair in channel.named()]
-        return stacks + [("centroids", self.centroids)]
+    def params(self) -> list[Tensor]:
+        """Every trained tensor, in checkpoint order."""
+        return [t for c in (self.ae, *self.channels) for t in c.params()] + [self.centroids]
 
     def named_arrays(self) -> list[tuple[str, np.ndarray]]:
-        return [(name, t.value) for name, t in self._named()] + [("x_c", self.x_c)]
+        return [(t.name, t.value) for t in self.params()] + [("x_c", self.x_c)]
 
 
 @dataclass
@@ -251,31 +248,31 @@ class TrainResult:
 # Pretraining
 # ---------------------------------------------------------------------------
 
-def _step(named, opt: AdamState, loss: Tensor) -> str | None:
-    """One optimizer step on loss over the (name, tensor) parameters named,
-    in checkpoint order: backward hands each gradient to opt as it finishes
-    it, then, unless a gradient held a non-finite entry, adam_step updates
-    the parameters. Returns the name of the first parameter whose gradient
-    was not finite, in which case no parameter has moved."""
-    params = [t for _, t in named]
-    backward(loss, params, opt)
+def _step(opt: AdamState, loss: Tensor) -> str | None:
+    """One optimizer step on loss over opt's parameters: backward hands each
+    gradient to opt as it finishes it, then, unless a gradient held a
+    non-finite entry, adam_step updates the parameters. Returns the name of
+    the first parameter, in checkpoint order, whose gradient was not finite,
+    in which case no parameter has moved."""
+    backward(loss, opt)
     bad = opt.first_nonfinite()
     if bad is not None:
-        return named[bad][0]
-    adam_step(params, opt)
+        return bad.name
+    adam_step(opt)
     return None
 
 
-def _pretrain(phase: str, named, lr: float, epochs: int, loss_of: Callable) -> None:
-    """Full-batch Adam on the (name, tensor) parameters named, minimising
-    the loss that loss_of() records each epoch. Stops with NumericError,
-    naming phase and the epoch, at the first non-finite loss or gradient."""
-    opt = AdamState.for_params([t for _, t in named], lr)
+def _pretrain(phase: str, params: list[Tensor], lr: float, epochs: int,
+              loss_of: Callable) -> None:
+    """Full-batch Adam on params, minimising the loss that loss_of()
+    records each epoch. Stops with NumericError, naming phase and the
+    epoch, at the first non-finite loss or gradient."""
+    opt = AdamState.for_params(params, lr)
     for epoch in range(epochs):
         loss = loss_of()
         if not np.isfinite(loss.value[0, 0]):
             raise NumericError(f"{phase}: non-finite loss at epoch {epoch}")
-        bad = _step(named, opt, loss)
+        bad = _step(opt, loss)
         if bad is not None:
             raise NumericError(f"{phase}: non-finite gradient of {bad} at epoch {epoch}")
 
@@ -286,7 +283,7 @@ def pretrain_ae(g: Graph, cfg: ExperimentConfig) -> Channel:
     ae = _autoencoder(ladder_dims(g.f, cfg.n_z, cfg.layers), lambda a, b: glorot(rng, a, b))
     x = ad.constant(g.features)
     _pretrain(
-        "autoencoder pretraining", ae.named(), cfg.lr, AE_PRETRAIN_EPOCHS,
+        "autoencoder pretraining", ae.params(), cfg.lr, AE_PRETRAIN_EPOCHS,
         lambda: ae_loss(x, ae.decode(ae.encode(x)[-1])),
     )
     return ae
@@ -316,7 +313,7 @@ def pretrain_contrastive(g: Graph, cfg: ExperimentConfig) -> np.ndarray:
         view = ad.constant(_mask_features(mask_rng, g.features, cc.p))
         return ad.info_nce(encoder(x), encoder(view), cc.beta_sim, cc.tau)
 
-    _pretrain("contrastive pretraining", channel.named(), cfg.lr, cc.epochs, loss_of)
+    _pretrain("contrastive pretraining", channel.params(), cfg.lr, cc.epochs, loss_of)
     return encoder(x).value
 
 
@@ -331,7 +328,7 @@ def pretrain(g: Graph, cfg: ExperimentConfig, x_c: np.ndarray | None = None) -> 
         else:
             x_c = np.zeros_like(g.features)
     return Pretrained(
-        ae_named=[(name, t.value.copy()) for name, t in ae.named()], x_c=x_c
+        ae_named=[(t.name, t.value.copy()) for t in ae.params()], x_c=x_c
     )
 
 
@@ -419,14 +416,14 @@ def _pretrained_ae(pre: Pretrained, dims: list[int]) -> Channel:
     """Trainable copies of the pretrained autoencoder weights, whose names
     and shapes must be those of the configured ladder's autoencoder."""
     ae = _autoencoder(dims, lambda a, b: np.zeros((a, b)))
-    want = [(name, t.shape) for name, t in ae.named()]
+    want = [(t.name, t.shape) for t in ae.params()]
     got = [(name, arr.shape) for name, arr in pre.ae_named]
     if got != want:
         raise ConfigError(
             f"pretrained autoencoder does not match the configured ladder {dims}: "
             f"entries {got}, expected {want}"
         )
-    for (_, t), (_, arr) in zip(ae.named(), pre.ae_named):
+    for t, (_, arr) in zip(ae.params(), pre.ae_named):
         t.value[...] = arr
     return ae
 
@@ -592,8 +589,7 @@ def train(
     # The model holds copies of the pretrained arrays; a caller that shares
     # them across runs keeps its own reference.
     del pretrained
-    named = state._named()
-    opt = AdamState.for_params([t for _, t in named], cfg.lr)
+    opt = AdamState.for_params(state.params(), cfg.lr)
 
     def abort(error: NumericError):
         """Write the model state, which this epoch has not yet updated, to
@@ -617,7 +613,7 @@ def train(
         else:
             row.update({"acc": np.nan, "nmi": np.nan, "ari": np.nan, "f1": np.nan})
         history.append(row)
-        bad = _step(named, opt, total)
+        bad = _step(opt, total)
         if bad is not None:
             abort(NumericError(f"training: non-finite gradient of {bad} at epoch {epoch}"))
         # backward freed the tape's inner nodes; drop the loss and the encoder

@@ -751,12 +751,12 @@ def stale_state(params: Sequence[Tensor]) -> RecordingState:
 
 
 def grads(loss: Tensor, params: Sequence[Tensor], stale: bool = False) -> list[np.ndarray]:
-    """The gradient of loss with respect to each of params (zeros for one
-    the loss does not reach) as autodiff.backward hands it to the
-    optimizer, which releases the tape; with stale, to a stale_state.
-    params must hold every leaf the loss reaches."""
+    """The gradient of loss with respect to each of params as
+    autodiff.backward hands it to the optimizer, which releases the tape;
+    with stale, to a stale_state. params must be exactly the leaves the
+    loss reaches, in any order."""
     state = stale_state(params) if stale else RecordingState.for_params(params, lr=0.0)
-    ad.backward(loss, params, state)
+    ad.backward(loss, state)
     return [state.grads[i] for i in range(len(params))]
 
 

@@ -50,13 +50,15 @@ def test_every_public_name_is_used_in_src():
 
 
 def _parameter_calls(node, scope=()):
-    """Where each call of autodiff.parameter below node is made: the name
-    it gives the tensor, or else the class and function it sits in."""
+    """Where each call of autodiff.parameter below node is made: the
+    constant name it gives the tensor, or else the class and function it
+    sits in."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, ast.Call):
             callee = getattr(child.func, "attr", getattr(child.func, "id", None))
             if callee == "parameter":
-                named = [k.value.value for k in child.keywords if k.arg == "name"]
+                named = [k.value.value for k in child.keywords
+                         if k.arg == "name" and isinstance(k.value, ast.Constant)]
                 yield named[0] if named else ".".join(scope[:2])
         inner = (*scope, child.name) if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else scope
         yield from _parameter_calls(child, inner)

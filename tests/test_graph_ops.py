@@ -315,7 +315,8 @@ def test_forgotten_attention_output_keeps_its_bytes(d_head, heads, activate, ble
         outs.append(ad.attention(outs[0] if blend else z, c, w, adj, bias, heads, activate))
         return oracles.reduce_sum(oracles.hadamard(ad.dense(outs[-1], w2, b2), weights)), outs
 
-    forgot, forgotten, kept = oracles.forgetting_pair(build, [z, h, *w, w2, b2], stale)
+    params = [z, h, *w, w2, b2] if blend else [z, *w, w2, b2]  # h feeds only the blend
+    forgot, forgotten, kept = oracles.forgetting_pair(build, params, stale)
     assert forgot == [True] * blend + [True]
     assert forgotten == kept
 
@@ -341,7 +342,7 @@ def test_attention_hands_each_weight_gradient_over_as_it_is_finished(d_head, hea
     weights = np.random.default_rng(d_head).standard_normal(out.shape)
     loss = oracles.reduce_sum(oracles.hadamard(out, ad.constant(weights)))
     state = oracles.RecordingState.for_params(params, lr=0.0)
-    ad.backward(loss, params, state)
+    ad.backward(loss, state)
     assert len(state.scratch) == (1 if heads == 1 else 3)
     again = record()  # the rule reads its node's output through a weak reference
     returned = again._rule(weights)
@@ -480,8 +481,8 @@ def test_node_permutation_permutes_channels_and_centrality(case, heads):
     cons = P._build_constants(g, cfg, x_c)
     pcons = P._build_constants(pg, cfg, x_c[inverse])
     state, pstate = _fixed_state(4, heads, cons), _fixed_state(4, heads, pcons)
-    for (name, t), (pname, pt) in zip(state._named(), pstate._named()):
-        assert name == pname
+    for t, pt in zip(state.params(), pstate.params()):
+        assert t.name == pt.name
         pt.value[...] = t.value  # one set of parameters on both graphs
     _, outs = P._decode(state, *P._encode(state, cons, cfg))
     _, pouts = P._decode(pstate, *P._encode(pstate, pcons, cfg))

@@ -72,7 +72,7 @@ class TestAutoencoder:
             rng = np.random.default_rng(seed)
             params = random_params(rng, [8, 6, 3])
             x = ad.constant(rng.standard_normal((6, 8)))
-            tensors = [t for _, t in params.named()]
+            tensors = params.params()
 
             def loss(_):
                 _, xhat = encode_decode(params, x)
@@ -274,7 +274,7 @@ class TestContrastive:
         g = tiny_graph(0)
         adj = normalize_adjacency(g)
         channel, encoder = contrastive(np.random.default_rng(0), adj, g.f, 6)
-        for _, t in channel.named():
+        for t in channel.params():
             t.value[...] = 0
         out = encoder(ad.constant(g.features))
         assert np.array_equal(out.value, np.zeros((g.n, g.f)))
@@ -283,7 +283,7 @@ class TestContrastive:
         g = Graph(features=np.abs(np.random.default_rng(1).standard_normal((4, 3))), edges=[])
         adj = normalize_adjacency(g)
         channel, encoder = contrastive(np.random.default_rng(0), adj, 3, 3)
-        for _, t in channel.named():
+        for t in channel.params():
             t.value[...] = np.eye(3)
         out = encoder(ad.constant(g.features))
         assert np.allclose(out.value, g.features, atol=0)
@@ -356,7 +356,7 @@ class TestContrastive:
             d2 = ((c1[:, None, :] - c2[None, :, :]) ** 2).sum(-1)
             if d2.min() < 1e-6:
                 continue
-            assert finite_difference_check(loss, [t for _, t in channel.named()]) <= 1e-4
+            assert finite_difference_check(loss, channel.params()) <= 1e-4
             checked += 1
         assert checked >= 5
 
@@ -452,7 +452,7 @@ def _joint_epoch(g, layers, heads=1):
     cfg = ExperimentConfig(k=2, n_z=3, layers=layers, heads=heads, seed=0)
     rng = np.random.default_rng(12)
     ae = random_params(rng, ladder_dims(g.f, cfg.n_z, cfg.layers))
-    pre = P.Pretrained([(name, t.value) for name, t in ae.named()],
+    pre = P.Pretrained([(t.name, t.value) for t in ae.params()],
                        rng.standard_normal(g.features.shape))
     cons = _build_constants(g, cfg, pre.x_c)
     state, encoded = P._init_state(g, cfg, pre, cons)
@@ -478,7 +478,7 @@ class TestTapeHolds:
         g = tiny_graph(12, n=40, p=0.3)
         state, cons, cfg, total = _joint_epoch(g, 3)
         held = {(h.array.shape, h.array.tobytes())
-                for h in oracles.tape_arrays(total, [t for _, t in state._named()])}
+                for h in oracles.tape_arrays(total, state.params())}
         seen = {"blend": 0, "narrow attention": 0}
         for node in _tape_nodes(total):
             op = _op(node)
@@ -522,7 +522,7 @@ class TestTapeHolds:
         were they kept, would add half as much again as it holds."""
         g = tiny_graph(12, n=40, p=0.3)
         state, _, cfg, total = _joint_epoch(g, 3)
-        held = oracles.tape_arrays(total, [t for _, t in state._named()])
+        held = oracles.tape_arrays(total, state.params())
         nodes = _tape_nodes(total)
         stored = sum(t._value.nbytes for t in nodes if t._value is not None
                      and _op(t) in ("dense", "propagate", "attention"))
@@ -543,7 +543,7 @@ class TestTapeHolds:
         their own bytes to what the tape holds."""
         g = tiny_graph(12, n=40, p=0.3)
         state, _, _, total = _joint_epoch(g, 3)
-        params = [t for _, t in state._named()]
+        params = state.params()
         before = oracles.tape_arrays(total, params)
         held = {(h.array.shape, h.array.tobytes()) for h in before}
         wide = [t for t in _tape_nodes(total) if _op(t) in _INPUT
@@ -565,9 +565,9 @@ def test_joint_step_lends_one_scratch_buffer_with_one_head(heads):
     each into zeros, so -0.0 is compared as 0.0), run on a second tape
     recorded from the same state."""
     state, cons, cfg, total = _joint_epoch(tiny_graph(12, n=40, p=0.3), 3, heads)
-    params = [t for _, t in state._named()]
+    params = state.params()
     opt = oracles.RecordingState.for_params(params, lr=0.0)
-    ad.backward(total, params, opt)
+    ad.backward(total, opt)
     assert len(opt.scratch) == (1 if heads == 1 else 3)
     again, _, _ = P._epoch_losses(state, cons, cfg, P._encode(state, cons, cfg))
     want = oracles.accumulating_backward(again, params)

@@ -247,7 +247,7 @@ class TestPretraining:
         cfg = tiny_cfg()
         a = pretrain_ae(g, cfg)
         b = pretrain_ae(g, cfg)
-        for (_, ta), (_, tb) in zip(a.named(), b.named()):
+        for ta, tb in zip(a.params(), b.params()):
             assert np.array_equal(ta.value, tb.value)
 
     def test_degenerate_view_gives_unit_self_similarity(self):
@@ -302,8 +302,8 @@ class TestPretraining:
         for _ in range(cc.epochs):
             view = ad.constant(_mask_features(mask_rng, g.features, cc.p))
             loss = ad.info_nce(reference(x), reference(view), cc.beta_sim, cc.tau)
-            ad.backward(loss, [w0, w1], opt)
-            ad.adam_step([w0, w1], opt)
+            ad.backward(loss, opt)
+            ad.adam_step(opt)
         assert np.array_equal(reference(x).value, pretrain_contrastive(g, cfg))
         assert eval_loss() < before
 
@@ -319,27 +319,26 @@ class TestBackwardInTraining:
         pre = pretrain(g, cfg)
         cons = P._build_constants(g, cfg, pre.x_c)
         state, encoded = P._init_state(g, cfg, pre, cons)
-        named = state._named()
-        params = [t for _, t in named]
+        params = state.params()
         total, _, _ = P._epoch_losses(state, cons, cfg, encoded)
         got, want = backward_pair(total, params, stale)
-        for (name, _), grad, oracle in zip(named, got, want):
-            assert np.array_equal(grad, oracle), name
+        for p, grad, oracle in zip(params, got, want):
+            assert np.array_equal(grad, oracle), p.name
 
-    def test_unreached_parameter_steps_with_zero_gradient(self):
-        """A trained parameter the loss does not reach is handed a zero
-        gradient each epoch, not what the scratch buffer it is written into
-        last held (a's gradient, which dense wrote there), so Adam leaves it;
-        no parameter holds a gradient array."""
+    def test_unreached_parameter_is_an_error(self):
+        """A trained parameter the loss does not reach stops the first
+        epoch's backward with a ValueError naming it, before any parameter
+        has moved; no parameter holds a gradient array."""
         from gclgcn import pipeline as P
 
         x = ad.constant([[1.0, 2.0]])
         a, c = ad.parameter([[1.0, -2.0], [0.5, 3.0]]), ad.parameter([[0.0, 0.0]])
-        b = ad.parameter([[0.5, 0.25], [1.0, 2.0]])
-        P._pretrain("test", [("a", a), ("c", c), ("b", b)], 0.1, 2,
-                    lambda: oracles.reduce_sum(oracles.square(ad.dense(x, a, c))))
+        b = ad.parameter([[0.5, 0.25], [1.0, 2.0]], name="b")
+        with pytest.raises(ValueError, match=r"^backward: the loss does not reach Tensor\(b,"):
+            P._pretrain("test", [a, c, b], 0.1, 2,
+                        lambda: oracles.reduce_sum(oracles.square(ad.dense(x, a, c))))
+        assert np.array_equal(a.value, [[1.0, -2.0], [0.5, 3.0]])
         assert np.array_equal(b.value, [[0.5, 0.25], [1.0, 2.0]])
-        assert not np.array_equal(a.value, [[1.0, -2.0], [0.5, 3.0]])
         assert not any(oracles.arrays_beside_value(t) for t in (a, b, c))
 
 
@@ -428,9 +427,9 @@ class TestTrain:
         alive_at_assign = []
         real_backward, real_student_t = P.backward, P.student_t
 
-        def tracking_backward(loss, params, state):
+        def tracking_backward(loss, state):
             losses.append(weakref.ref(loss.value))
-            return real_backward(loss, params, state)
+            return real_backward(loss, state)
 
         def checking_student_t(*args, **kwargs):
             alive_at_assign.append(sum(ref() is not None for ref in losses))
@@ -554,13 +553,13 @@ class TestTrain:
         opts = []
         real_step = P.adam_step
 
-        def recording_step(params, opt):
+        def recording_step(opt):
             opts.append(opt)
-            real_step(params, opt)
+            real_step(opt)
 
         monkeypatch.setattr(P, "adam_step", recording_step)
         res = train(g, cfg, pretrained=pre)
-        params = [t for _, t in res.state._named()]
+        params = res.state.params()
         assert len(opts) == 2 and opts[0] is opts[1]
         assert not any(oracles.arrays_beside_value(t) for t in params)
         largest = max(t.value.size for t in params)
@@ -596,12 +595,12 @@ class TestTrain:
             states.append(state)
             return state, encoded
 
-        def recording_backward(loss, params, state):
+        def recording_backward(loss, state):
             pre_step.append([(name, arr.copy()) for name, arr in states[0].named_arrays()])
-            real_backward(loss, params, state)
+            real_backward(loss, state)
 
         def poisoned_absorb(opt, i, grad):
-            if len(pre_step) == 2 and states[0]._named()[i][0] == "graphormer.enc.2.w_key":
+            if len(pre_step) == 2 and opt.params[i].name == "graphormer.enc.2.w_key":
                 grad = grad.copy()
                 grad[row, 1] = np.nan
             real_absorb(opt, i, grad)
@@ -640,9 +639,9 @@ class TestTrain:
             states.append(state)
             return state, encoded
 
-        def recording_backward(loss, params, state):
+        def recording_backward(loss, state):
             pre_step.append([(name, arr.copy()) for name, arr in states[0].named_arrays()])
-            real_backward(loss, params, state)
+            real_backward(loss, state)
 
         def poisoned_absorb(opt, i, grad):
             order.append(i)
@@ -657,7 +656,7 @@ class TestTrain:
         path = tmp_path / "abort.gclc"
         with pytest.raises(NumericError) as stop:
             train(g, cfg, pretrained=pre, abort_path=path)
-        names = [name for name, _ in states[0]._named()]
+        names = [t.name for t in states[0].params()]
         first, last = order[0], order[len(names) - 1]
         assert last < first
         assert str(stop.value) == f"training: non-finite gradient of {names[last]} at epoch 1"
@@ -678,9 +677,9 @@ class TestTrain:
         pre = pretrain(g, cfg)
         real_step = P.adam_step
 
-        def poisoned_step(params, opt):
-            real_step(params, opt)
-            params[-1].value[0, 0] = np.nan  # the centroids come last
+        def poisoned_step(opt):
+            real_step(opt)
+            opt.params[-1].value[0, 0] = np.nan  # the centroids come last
 
         monkeypatch.setattr(P, "adam_step", poisoned_step)
         num = r"[0-9.e+-]+"
@@ -703,13 +702,13 @@ class TestTrain:
         real_step, real_backward = P.adam_step, P.backward
         backward_calls = []
 
-        def poisoned_step(params, opt):
-            real_step(params, opt)
-            params[-1].value[0, 0] = np.nan  # the last layer's, past every ReLU
+        def poisoned_step(opt):
+            real_step(opt)
+            opt.params[-1].value[0, 0] = np.nan  # the last layer's, past every ReLU
 
-        def counted_backward(loss, params, state):
+        def counted_backward(loss, state):
             backward_calls.append(True)
-            real_backward(loss, params, state)
+            real_backward(loss, state)
 
         monkeypatch.setattr(P, "adam_step", poisoned_step)
         monkeypatch.setattr(P, "backward", counted_backward)
@@ -730,9 +729,9 @@ class TestTrain:
         real_backward, real_absorb = P.backward, ad.AdamState.absorb
         calls = []
 
-        def counted_backward(loss, params, state):
+        def counted_backward(loss, state):
             calls.append(True)
-            real_backward(loss, params, state)
+            real_backward(loss, state)
 
         def poisoned_absorb(opt, i, grad):
             if len(calls) == 2:
@@ -754,9 +753,9 @@ class TestTrain:
 
         real_step = P.adam_step
 
-        def poisoned_step(params, opt):
-            real_step(params, opt)
-            params[0].value[0, 0] = np.nan  # contrastive.enc.0.w comes first
+        def poisoned_step(opt):
+            real_step(opt)
+            opt.params[0].value[0, 0] = np.nan  # contrastive.enc.0.w comes first
 
         monkeypatch.setattr(P, "adam_step", poisoned_step)
         message = r"^contrastive pretraining: non-finite loss at epoch 1$"
