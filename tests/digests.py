@@ -94,7 +94,7 @@ def compute(work: Path) -> dict[str, dict[str, str]]:
             if source is not None:
                 argv += ["--pretrained", str(work / source)]
             if run(argv) != 0:
-                raise RuntimeError(f"{name}: {' '.join(argv[:1])} exited non-zero")
+                raise RuntimeError(f"{name}: {command} exited non-zero")
             digests[name] = {
                 f: hashlib.sha256((out / f).read_bytes()).hexdigest()
                 for f in OUTPUTS if (out / f).exists()
@@ -116,4 +116,5 @@ def write() -> None:
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python tests/digests.py --write")
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     write()
