@@ -2,10 +2,12 @@
 
 Every run goes through the command line in one process, on one planted
 partition of 3x20 nodes with 8 features: pretrain and then train
---pretrained at layers 1 to 4, train --pretrained with two attention heads
-at layers 2, one plain train, and one ablation study. Each run's output
-files (history.csv, labels.txt, model.gclc, pretrain.gclc, results.csv,
-whichever it writes) are digested.
+--pretrained at layers 1 to 4; at layers 2, train --pretrained with two
+attention heads, with each module ablated in turn, and with the
+shortest-path spatial bias, a negative sign and two centrality measures;
+one plain train, and one ablation study. Each run's output files
+(history.csv, labels.txt, model.gclc, pretrain.gclc, results.csv, whichever
+it writes) are digested.
 
 Training bytes depend on the BLAS kernels, so digests.json records numpy's
 version, the BLAS name and version and the CPU model beside the digests;
@@ -42,6 +44,11 @@ RUNS = [
     *((f"train-pretrained-L{d}", "train", f"layers={d}\n", f"pretrain-L{d}")
       for d in (1, 2, 3, 4)),
     ("train-pretrained-L2-heads2", "train", "layers=2\nheads=2\n", "pretrain-L2"),
+    *((f"train-pretrained-L2{variant}", "train", f"layers=2\nablation={variant}\n", "pretrain-L2")
+      for variant in ("-GCN", "-Graphormer", "-ContrastiveLearning")),
+    ("train-pretrained-L2-shortest-path", "train",
+     "layers=2\nspatial_mode=shortest-path\nspatial_sign=-\ncentrality=degree,closeness\n",
+     "pretrain-L2"),
     ("train-L3", "train", "layers=3\n", None),
     ("ablate-L2", "ablate", "layers=2\n", None),
 ]
