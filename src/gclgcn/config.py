@@ -4,7 +4,7 @@ named presets carrying the standard per-dataset hyperparameters."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .centrality import MEASURES
@@ -135,28 +135,34 @@ PRESETS: dict[str, dict] = {
                     lam=0.4, theta=0.1, gamma=0.5, epsilon=0.5, k=4),
 }
 
-_INT_KEYS = {"epochs", "n_z", "k", "seed", "heads", "layers"}
-_FLOAT_KEYS = {"alpha", "beta", "lr", "lambda", "theta", "gamma", "epsilon", "t"}
-_PATH_KEYS = {"features", "edges", "labels"}
-_CONTRASTIVE_INT = {"hidden", "epochs"}
-_CONTRASTIVE_FLOAT = {"p", "tau", "beta_sim"}
-_KNOWN_KEYS = (
-    {"preset", "centrality", "spatial_mode", "spatial_sign", "ablation"}
-    | _INT_KEYS
-    | _FLOAT_KEYS
-    | _PATH_KEYS
-    | {f"contrastive.{k}" for k in _CONTRASTIVE_INT | _CONTRASTIVE_FLOAT}
-)
-
-
-def _preset_config(name: str) -> ExperimentConfig:
-    return ExperimentConfig(**PRESETS[name.lower()])
-
 
 def measure_list(raw: str) -> tuple[str, ...]:
     """The centrality measures of a comma list, each stripped, empty items
     dropped."""
     return tuple(m.strip() for m in raw.split(",") if m.strip())
+
+
+def _parser(default):
+    """A file value's parser, by the type of its field's default: int and
+    float parse, the centrality tuple is a measure_list, and a str or None
+    default takes the text as it is."""
+    if isinstance(default, tuple):
+        return measure_list
+    return type(default) if isinstance(default, (int, float)) else str
+
+
+# Every file key but preset, with its field's name and parser: each field of
+# ExperimentConfig but contrastive is keyed by its name ("lambda" for lam),
+# and each field of ContrastiveConfig by contrastive.<name>.
+_KNOWN_KEYS = {
+    **{("lambda" if f.name == "lam" else f.name): (f.name, _parser(f.default))
+       for f in fields(ExperimentConfig) if f.name != "contrastive"},
+    **{f"contrastive.{f.name}": (f.name, _parser(f.default)) for f in fields(ContrastiveConfig)},
+}
+
+
+def _preset_config(name: str) -> ExperimentConfig:
+    return ExperimentConfig(**PRESETS[name.lower()])
 
 
 def parse_config(source: str | Path) -> ExperimentConfig:
@@ -177,7 +183,7 @@ def parse_config(source: str | Path) -> ExperimentConfig:
                 raise ConfigError(f"{path}:{lineno}: expected key=value")
             key, _, raw = line.partition("=")
             key, raw = key.strip(), raw.strip()
-            if key not in _KNOWN_KEYS:
+            if key != "preset" and key not in _KNOWN_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             if key in entries:
                 raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
@@ -198,31 +204,19 @@ def _config_from_entries(entries: dict[str, str]) -> ExperimentConfig:
     else:
         cfg = ExperimentConfig()
 
-    fields: dict = {}
+    values: dict = {}
     contrastive: dict = {}
     for key, raw in entries.items():
+        name, parse = _KNOWN_KEYS[key]
         try:
-            if key in _INT_KEYS:
-                fields[key] = int(raw)
-            elif key in _FLOAT_KEYS:
-                fields["lam" if key == "lambda" else key] = float(raw)
-            elif key in _PATH_KEYS:
-                fields[key] = raw
-            elif key == "centrality":
-                fields[key] = measure_list(raw)
-            elif key in ("spatial_mode", "spatial_sign", "ablation"):
-                fields[key] = raw
-            elif key.startswith("contrastive."):
-                sub = key.split(".", 1)[1]
-                contrastive[sub] = int(raw) if sub in _CONTRASTIVE_INT else float(raw)
-        except ValueError as exc:
-            if isinstance(exc, ConfigError):
-                raise
+            value = parse(raw)
+        except ValueError:
             raise ConfigError(f"{key}: could not parse {raw!r}") from None
+        (contrastive if key.startswith("contrastive.") else values)[name] = value
 
     if contrastive:
-        fields["contrastive"] = replace(cfg.contrastive, **contrastive)
-    return replace(cfg, **fields)
+        values["contrastive"] = replace(cfg.contrastive, **contrastive)
+    return replace(cfg, **values)
 
 
 def require_dataset(cfg: ExperimentConfig, need_labels: bool = False) -> None:

@@ -39,7 +39,6 @@ class Graph:
     features: np.ndarray
     edges: tuple[tuple[int, int], ...]
     labels: np.ndarray | None = None
-    k: int | None = None
 
     def __post_init__(self):
         feats = np.ascontiguousarray(np.asarray(self.features, dtype=np.float64))
@@ -70,12 +69,10 @@ class Graph:
                 raise ValueError(
                     f"labels length {labels.shape} does not match n={n}"
                 )
-            k = self.k if self.k is not None else int(labels.max()) + 1 if n else 0
-            if labels.size and (labels.min() < 0 or labels.max() >= k):
-                raise ValueError(f"labels must lie in [0, {k})")
+            if labels.size and labels.min() < 0:
+                raise ValueError(f"labels must be >= 0, got {labels.min()}")
             labels.setflags(write=False)
             object.__setattr__(self, "labels", labels)
-            object.__setattr__(self, "k", k)
 
     @property
     def n(self) -> int:
@@ -194,7 +191,7 @@ def generate_sbm(spec: SbmSpec, seed: int) -> Graph:
     feats = spec.means[labels]
     if spec.noise_std > 0:
         feats = feats + spec.noise_std * rng.standard_normal((n, spec.means.shape[1]))
-    return Graph(features=feats, edges=tuple(edges), labels=labels, k=len(spec.block_sizes))
+    return Graph(features=feats, edges=tuple(edges), labels=labels)
 
 
 def _strip_comment(line: str) -> str:

@@ -156,8 +156,6 @@ def sweep_fusion(
 
 def best_fusion_row(rows: list[dict]) -> dict:
     """The grid point with the highest F1 (first wins ties)."""
-    if not rows:
-        raise ConfigError("fusion sweep produced no feasible grid points")
     return max(rows, key=lambda r: r["f1"])
 
 

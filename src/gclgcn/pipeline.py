@@ -43,16 +43,13 @@ __all__ = [
 
 AE_PRETRAIN_EPOCHS = 50
 
-# Fixed child-stream indices of the experiment seed.
+# Fixed child-stream indices of the experiment seed; the graph channels
+# draw from 1 (GCN) and 2 (attention), as _GRAPH_CHANNELS records.
 _STREAM_AE = 0
-_STREAM_CHANNEL = {"gcn": 1, "graphormer": 2}
 _STREAM_CONTRASTIVE_INIT = 3
 _STREAM_CONTRASTIVE_MASK = 4
 _STREAM_KMEANS = 5
 
-# Graph channels in forward and checkpoint order, each with the history key
-# of its adjacency-decoder loss.
-_CHANNELS = {"gcn": "L_a1", "graphormer": "L_a2"}
 # The module each ablation variant removes ("norm" removes none).
 _REMOVED = {"-GCN": "gcn", "-Graphormer": "graphormer", "-ContrastiveLearning": "contrastive"}
 
@@ -71,7 +68,7 @@ def _stream(seed: int, index: int) -> np.random.Generator:
 
 def _channels(cfg: ExperimentConfig) -> tuple[str, ...]:
     """The graph channels cfg.ablation leaves on, GCN before attention."""
-    return tuple(name for name in _CHANNELS if name != _REMOVED.get(cfg.ablation))
+    return tuple(name for name in _GRAPH_CHANNELS if name != _REMOVED.get(cfg.ablation))
 
 
 def uses_contrastive(cfg: ExperimentConfig) -> bool:
@@ -153,20 +150,29 @@ def _autoencoder(dims: list[int], weight: Callable) -> Channel:
     )
 
 
-def _graph_channel(
-    name: str, rng: np.random.Generator, dims: list[int], heads: int, cons: _Constants
+def _gcn_channel(
+    g: Graph, cfg: ExperimentConfig, adj: sp.csr_array, dims: list[int], rng: np.random.Generator
 ) -> Channel:
-    """A new GCN or attention channel over the ladder dims, drawn from rng,
-    whose layers read the graph constants cons."""
-    if name == "gcn":
-        return Channel.build(
-            "gcn", dims, lambda a, b: {"w": glorot(rng, a, b)},
-            lambda z, params, activate: gcn_layer(cons.adj, z, params["w"], activate=activate),
-        )
+    """A new GCN channel over the ladder dims, drawn from rng, whose layers
+    propagate over the normalized adjacency adj."""
+    return Channel.build(
+        "gcn", dims, lambda a, b: {"w": glorot(rng, a, b)},
+        lambda z, params, activate: gcn_layer(adj, z, params["w"], activate=activate),
+    )
+
+
+def _attention_channel(
+    g: Graph, cfg: ExperimentConfig, adj: sp.csr_array, dims: list[int], rng: np.random.Generator
+) -> Channel:
+    """A new attention channel over the ladder dims, drawn from rng, whose
+    layers attend over adj's entries and read g's centrality columns and
+    signed spatial bias, as cfg selects them."""
+    cent = composite_centrality(g, cfg.centrality)
+    logit_bias = (1.0 if cfg.spatial_sign == "+" else -1.0) * spatial_bias(g, cfg.spatial_mode)
+    centrality, heads = ad.constant(cent), cfg.heads
     # The centrality projections start divided by the typical magnitude of
     # each centrality column, so unnormalized measures (betweenness can reach
     # hundreds) do not blow up the layer outputs before training can adapt.
-    cent = cons.centrality.value
     inv = (1.0 / np.maximum(np.sqrt((cent**2).mean(axis=0)), 1.0))[:, None]
     roles = ("key", "query", "value")
 
@@ -181,9 +187,14 @@ def _graph_channel(
     return Channel.build(
         "graphormer", dims, make,
         lambda z, params, activate: graphormer_layer(
-            z, cons.centrality, cons.adj, cons.logit_bias, params, heads, activate=activate
+            z, centrality, adj, logit_bias, params, heads, activate=activate
         ),
     )
+
+
+# The graph channels in forward and checkpoint order: each prefix's builder,
+# child-stream index and history key of its adjacency-decoder loss.
+_GRAPH_CHANNELS = {"gcn": (_gcn_channel, 1, "L_a1"), "graphormer": (_attention_channel, 2, "L_a2")}
 
 
 def _contrastive_channel(
@@ -372,8 +383,6 @@ class _Constants:
     adj: sp.csr_array  # normalized adjacency with self-loops
     adj_raw: sp.csr_array  # 0/1 adjacency without self-loops, the decoder losses' target
     target_feat: np.ndarray  # adj @ X, target of the autoencoder and joint reconstructions
-    centrality: Tensor | None
-    logit_bias: np.ndarray | None  # signed spatial bias on adj's entries
     fusion: dict[str, float]  # fusion weight per bottleneck, in summation order
 
 
@@ -394,20 +403,12 @@ def _fusion_weights(cfg: ExperimentConfig) -> dict[str, float]:
 
 def _build_constants(g: Graph, cfg: ExperimentConfig, x_c: np.ndarray) -> _Constants:
     adj = normalize_adjacency(g)
-    centrality = None
-    logit_bias = None
-    if "graphormer" in _channels(cfg):
-        sign = 1.0 if cfg.spatial_sign == "+" else -1.0
-        centrality = ad.constant(composite_centrality(g, cfg.centrality))
-        logit_bias = sign * spatial_bias(g, cfg.spatial_mode)
     return _Constants(
         x=ad.constant(g.features),
         x_enhanced=ad.constant(g.features + x_c),
         adj=adj,
         adj_raw=adjacency_matrix(g),
         target_feat=adj @ g.features,
-        centrality=centrality,
-        logit_bias=logit_bias,
         fusion=_fusion_weights(cfg),
     )
 
@@ -436,8 +437,8 @@ def _init_state(g: Graph, cfg: ExperimentConfig, pre: Pretrained, cons: _Constan
     state = ModelState(
         ae=_pretrained_ae(pre, dims),
         channels=[
-            _graph_channel(name, _stream(cfg.seed, _STREAM_CHANNEL[name]), dims, cfg.heads, cons)
-            for name in _channels(cfg)
+            build(g, cfg, cons.adj, dims, _stream(cfg.seed, stream))
+            for build, stream, _ in map(_GRAPH_CHANNELS.get, _channels(cfg))
         ],
         centroids=ad.parameter(np.zeros((cfg.k, cfg.n_z)), name="centroids"),
         x_c=pre.x_c,
@@ -543,7 +544,7 @@ def _epoch_losses(
         "L_AE": float(l_ae.value[0, 0]),
         "L_w": float(l_w.value[0, 0]),
         **{key: float(l_a[name].value[0, 0]) if name in l_a else 0.0
-           for name, key in _CHANNELS.items()},
+           for name, (*_, key) in _GRAPH_CHANNELS.items()},
         "L_clu": head.kl[0],
         "L_con": head.kl[1],
     }

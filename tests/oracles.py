@@ -153,7 +153,7 @@ def generate_sbm_whole(spec: SbmSpec, seed: int) -> Graph:
     feats = spec.means[labels]
     if spec.noise_std > 0:
         feats = feats + spec.noise_std * rng.standard_normal((n, spec.means.shape[1]))
-    return Graph(features=feats, edges=edges, labels=labels, k=len(spec.block_sizes))
+    return Graph(features=feats, edges=edges, labels=labels)
 
 
 def degree_reference(n: int, edges) -> np.ndarray:

@@ -78,13 +78,12 @@ def _tiny_graph(rng, n=5, f=4, p=0.6):
 
 
 def _manual_state(rng, g, cfg, dims):
-    # The graph channels read only the adjacency, centrality and spatial
-    # bias of their constants, none of which depends on x_c, so they are
-    # built before x_c is drawn.
+    # The graph channels read only the adjacency of their constants, which
+    # does not depend on x_c, so they are built before x_c is drawn.
     cons = P._build_constants(g, cfg, np.zeros_like(g.features))
     state = P.ModelState(
         ae=P._autoencoder(dims, lambda a, b: glorot(rng, a, b)),
-        channels=[P._graph_channel(name, rng, dims, 1, cons) for name in ("gcn", "graphormer")],
+        channels=[build(g, cfg, cons.adj, dims, rng) for build, *_ in P._GRAPH_CHANNELS.values()],
         centroids=ad.parameter(rng.standard_normal((cfg.k, dims[-1]))),
         x_c=0.1 * rng.standard_normal(g.features.shape),
     )

@@ -45,7 +45,7 @@ class TestGenSbm:
     def test_writes_dataset_files(self, dataset):
         g = load_graph(dataset / "features.csv", dataset / "edges.txt", dataset / "labels.txt")
         assert g.n == 20 and g.f == 6
-        assert g.k == 2
+        assert set(g.labels.tolist()) == {0, 1}
 
     def test_idempotent_bytes(self, tmp_path):
         args = ["gen-sbm", "--blocks", "4,4", "--p-in", "1.0", "--p-out", "0.0",

@@ -163,7 +163,7 @@ class TestConfigFile:
             "contrastive.hidden=64\ncontrastive.epochs=25\n"
             "ablation=-GCN\n"
         )
-        assert {line.split("=")[0] for line in text.splitlines()} == _KNOWN_KEYS
+        assert {line.split("=")[0] for line in text.splitlines()} == {"preset", *_KNOWN_KEYS}
         path = tmp_path / "every.cfg"
         path.write_text(text)
         assert parse_config(path) == ExperimentConfig(

@@ -34,7 +34,7 @@ class TestGraphInvariants:
 
     def test_rejects_bad_labels(self):
         with pytest.raises(ValueError, match="labels"):
-            Graph(features=np.zeros((2, 1)), edges=[], labels=[0, 3], k=2)
+            Graph(features=np.zeros((2, 1)), edges=[], labels=[0, -1])
 
     def test_edges_canonicalized(self):
         g = Graph(features=np.zeros((4, 1)), edges=[(3, 1), (0, 2)])
@@ -111,7 +111,6 @@ class TestLoadGraph:
             features=rng.standard_normal((6, 4)) * 1e3,
             edges=[(0, 1), (2, 5), (1, 4)],
             labels=[0, 1, 1, 0, 2, 2],
-            k=3,
         )
         save_graph(g, tmp_path / "f.csv", tmp_path / "e.txt", tmp_path / "y.txt")
         g2 = load_graph(tmp_path / "f.csv", tmp_path / "e.txt", tmp_path / "y.txt")

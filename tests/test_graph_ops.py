@@ -147,7 +147,8 @@ def _attention_operands(g, d_head, heads, seed=0):
     """z (g's features as a parameter), the centrality columns and the
     attention channel's initial weights W~ (query, key, value) for one
     layer of heads * d_head columns, each role's centrality rows divided by
-    the centrality column magnitudes as pipeline._graph_channel draws them."""
+    the centrality column magnitudes as pipeline._attention_channel draws
+    them."""
     cent = composite_centrality(g)
     named = attention_init_reference(np.random.default_rng(seed), [g.f, d_head], cent.shape[1],
                                      heads, cent_scale=np.sqrt((cent**2).mean(axis=0)))
@@ -440,13 +441,14 @@ def test_attention_narrow_form_allocates_less_than_one_head_array():
 # Node permutations
 # ---------------------------------------------------------------------------
 
-def _fixed_state(f: int, heads: int, cons) -> P.ModelState:
-    """A model whose graph channels read the constants cons."""
+def _fixed_state(g: Graph, cfg: ExperimentConfig, cons) -> P.ModelState:
+    """A model whose graph channels are built on g as cfg selects and read
+    the adjacency of the constants cons."""
     rng = np.random.default_rng(17)
-    dims = [f, 5, 3]
+    dims = [g.f, 5, 3]
     return P.ModelState(
         ae=P._autoencoder(dims, lambda a, b: glorot(rng, a, b)),
-        channels=[P._graph_channel(name, rng, dims, heads, cons) for name in ("gcn", "graphormer")],
+        channels=[build(g, cfg, cons.adj, dims, rng) for build, *_ in P._GRAPH_CHANNELS.values()],
         centroids=ad.parameter(rng.standard_normal((2, 3))),
         x_c=np.zeros((0, 0)),
     )
@@ -477,10 +479,10 @@ def test_node_permutation_permutes_channels_and_centrality(case, heads):
     cent = composite_centrality(g)
     assert np.allclose(composite_centrality(pg)[perm], cent, rtol=1e-12, atol=1e-12)
 
-    cfg = ExperimentConfig(k=2, n_z=3, seed=0)
+    cfg = ExperimentConfig(k=2, n_z=3, seed=0, heads=heads)
     cons = P._build_constants(g, cfg, x_c)
     pcons = P._build_constants(pg, cfg, x_c[inverse])
-    state, pstate = _fixed_state(4, heads, cons), _fixed_state(4, heads, pcons)
+    state, pstate = _fixed_state(g, cfg, cons), _fixed_state(pg, cfg, pcons)
     for t, pt in zip(state.params(), pstate.params()):
         assert t.name == pt.name
         pt.value[...] = t.value  # one set of parameters on both graphs

@@ -56,7 +56,7 @@ def test_fusion_sweep_skips_infeasible_and_best_is_max():
 def test_fusion_sweep_rejects_empty_grid():
     g = sbm()
     with pytest.raises(ConfigError, match="no feasible"):
-        best_fusion_row([])
+        sweep_fusion(g, cfg(), lambdas=(0.9,), thetas=(0.9,))
     with pytest.raises(ConfigError, match="nonempty"):
         sweep_loss_weights(g, cfg(), alphas=(), betas=(0.1,))
 

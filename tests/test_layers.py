@@ -171,11 +171,18 @@ class TestGraphormerLayer:
             assert np.all(s[:, :g.n][~allowed] == 0.0) and np.all(s[:, g.n:] == 0.0)
             assert np.all(np.abs(s.sum(axis=1) - 1.0) <= 1e-12)
 
-    def test_spatial_sign_flips_bias(self):
+    def test_spatial_sign_flips_bias(self, monkeypatch):
         g = tiny_graph(5)
-        x_c = np.zeros_like(g.features)
-        plus = _build_constants(g, ExperimentConfig(spatial_sign="+"), x_c).logit_bias
-        minus = _build_constants(g, ExperimentConfig(spatial_sign="-"), x_c).logit_bias
+        adj = normalize_adjacency(g)
+        # an attention layer returns the logit bias its channel hands it
+        monkeypatch.setattr(P, "graphormer_layer", lambda z, c, adj, bias, *_, **__: bias)
+
+        def logit_bias(sign):
+            cfg = ExperimentConfig(spatial_sign=sign)
+            channel = P._attention_channel(g, cfg, adj, [g.f, 2], np.random.default_rng(0))
+            return channel.layer(None, None, True)
+
+        plus, minus = logit_bias("+"), logit_bias("-")
         assert plus.shape == (2 * len(g.edges) + g.n,)
         assert np.allclose(plus, -minus, atol=0)
 
@@ -493,7 +500,7 @@ class TestTapeHolds:
                 forbidden.append(cons.adj @ x)
             elif node._parents[-1].shape[0] < node._parents[-1].shape[1] // cfg.heads:
                 seen["narrow attention"] += 1
-                zt = np.hstack([x, cons.centrality.value])
+                zt = np.hstack([x, composite_centrality(g, cfg.centrality)])
                 for *_, mat, att in _closure(node)["kept"]:
                     pattern = sp.csr_array((att, cons.adj.indices, cons.adj.indptr),
                                            shape=cons.adj.shape)

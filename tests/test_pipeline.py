@@ -823,6 +823,30 @@ class TestAblate:
         with pytest.raises(ConfigError, match="labels"):
             ablation_study(g, tiny_cfg())
 
+    @pytest.mark.parametrize("ablation", ABLATIONS)
+    def test_attention_constants_only_when_attention_runs(self, ablation, monkeypatch):
+        """A train makes one centrality and one spatial-bias call through
+        pipeline's bindings when the attention channel runs, and none
+        without it."""
+        from gclgcn import pipeline as P
+
+        calls = []
+
+        def counted(name):
+            original = getattr(P, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("composite_centrality", "spatial_bias"):
+            monkeypatch.setattr(P, name, counted(name))
+        train(small_sbm(), tiny_cfg(epochs=1, ablation=ablation))
+        want = [] if ablation == "-Graphormer" else ["composite_centrality", "spatial_bias"]
+        assert sorted(calls) == want
+
 
 class TestChannels:
     def test_checkpoint_names_and_order(self):
@@ -872,9 +896,9 @@ class TestChannels:
         cent = composite_centrality(g, cfg.centrality)
         want = [
             *ae_init_reference(P._stream(cfg.seed, P._STREAM_AE), dims),
-            *gcn_init_reference(P._stream(cfg.seed, P._STREAM_CHANNEL["gcn"]), dims),
+            *gcn_init_reference(P._stream(cfg.seed, P._GRAPH_CHANNELS["gcn"][1]), dims),
             *stacked_attention(attention_init_reference(
-                P._stream(cfg.seed, P._STREAM_CHANNEL["graphormer"]), dims, cent.shape[1],
+                P._stream(cfg.seed, P._GRAPH_CHANNELS["graphormer"][1]), dims, cent.shape[1],
                 heads, np.sqrt((cent**2).mean(axis=0)),
             )),
         ]
