@@ -7,7 +7,8 @@ attention heads, with each module ablated in turn, and with the
 shortest-path spatial bias, a negative sign and two centrality measures;
 one plain train, and one ablation study. Each run's output files
 (history.csv, labels.txt, model.gclc, pretrain.gclc, results.csv, whichever
-it writes) are digested.
+it writes) are digested, and the text of its history.csv and labels.txt is
+kept too, so that a mismatch can name the row and column that differ.
 
 Training bytes depend on the BLAS kernels, so digests.json records numpy's
 version, the BLAS name and version and the CPU model beside the digests;
@@ -33,6 +34,7 @@ import numpy as np
 
 RECORD_PATH = Path(__file__).with_name("digests.json")
 OUTPUTS = ("history.csv", "labels.txt", "model.gclc", "pretrain.gclc", "results.csv")
+TEXTS = ("history.csv", "labels.txt")  # the outputs whose text is recorded too
 
 GRAPH = ["gen-sbm", "--blocks", "20,20,20", "--p-in", "0.3", "--p-out", "0.05",
          "--dim", "8", "--sep", "3.0", "--noise", "1.0", "--seed", "2"]
@@ -83,12 +85,14 @@ def record_difference(recorded: dict) -> str | None:
     return "; ".join(diffs) or None
 
 
-def compute(work: Path) -> dict[str, dict[str, str]]:
-    """Run every run under the directory work; {run: {output file: SHA-256}}."""
+def compute(work: Path) -> tuple[dict[str, dict[str, str]], dict[str, dict[str, str]]]:
+    """Run every run under the directory work; {run: {output file: SHA-256}}
+    and {run: {text output file: its text}}."""
     from gclgcn.cli import run
 
     data = work / "data"
     digests: dict[str, dict[str, str]] = {}
+    texts: dict[str, dict[str, str]] = {}
     with contextlib.redirect_stdout(io.StringIO()):
         if run([*GRAPH, "--out", str(data)]) != 0:
             raise RuntimeError("gen-sbm failed")
@@ -106,7 +110,9 @@ def compute(work: Path) -> dict[str, dict[str, str]]:
                 f: hashlib.sha256((out / f).read_bytes()).hexdigest()
                 for f in OUTPUTS if (out / f).exists()
             }
-    return digests
+            if any((out / f).exists() for f in TEXTS):
+                texts[name] = {f: (out / f).read_text() for f in TEXTS if (out / f).exists()}
+    return digests, texts
 
 
 def load() -> dict:
@@ -115,8 +121,8 @@ def load() -> dict:
 
 def write() -> None:
     with tempfile.TemporaryDirectory() as tmp:
-        runs = compute(Path(tmp))
-    record = {"machine": machine_record(), "runs": runs}
+        runs, texts = compute(Path(tmp))
+    record = {"machine": machine_record(), "runs": runs, "texts": texts}
     RECORD_PATH.write_text(json.dumps(record, indent=2) + "\n")
 
 
