@@ -105,6 +105,8 @@ def _emit(text: str, out: str | None) -> None:
 def _cmd_gen_sbm(args) -> int:
     if args.dim < 1:
         raise ConfigError(f"--dim must be at least 1, got {args.dim}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be at least 0, got {args.seed}")
     sizes = args.blocks
     k = len(sizes)
     means = np.zeros((k, args.dim))
@@ -133,16 +135,16 @@ def _cmd_pretrain(args) -> int:
     g = _load_dataset(cfg)
     pre = pretrain(g, cfg)
     out = _out_dir(args)
-    save_checkpoint(out / "pretrain.gclc", pre.named_arrays())
+    save_checkpoint(out / "pretrain.gclc", pre.items())
     print(f"wrote {out / 'pretrain.gclc'}")
     return 0
 
 
-def _load_pretrained(path: str):
+def _load_pretrained(path: str, g: Graph, cfg):
     p = Path(path)
     if p.is_dir():
         p = p / "pretrain.gclc"
-    return pretrained_from_named(load_checkpoint(p), p)
+    return pretrained_from_named(load_checkpoint(p), p, g, cfg)
 
 
 def _cmd_train(args) -> int:
@@ -152,7 +154,7 @@ def _cmd_train(args) -> int:
     # Loaded in the call, so train() holds the only reference and frees the
     # pretrained arrays once the model has copied them.
     result = train(
-        g, cfg, pretrained=_load_pretrained(args.pretrained) if args.pretrained else None,
+        g, cfg, pretrained=_load_pretrained(args.pretrained, g, cfg) if args.pretrained else None,
         abort_path=out / "model.gclc",
     )
     _write_history(out / "history.csv", result.history)
@@ -250,7 +252,9 @@ def build_parser() -> _Parser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--pretrained", default=None,
-                   help="directory or file with saved pretraining artifacts")
+                   help="a pretrain.gclc, or a directory holding one, from pretraining "
+                        "this graph at this config's layers and n_z; a model.gclc also "
+                        "serves, as only its ae.* entries and x_c are read")
     p.set_defaults(func=_cmd_train)
 
     studies = (

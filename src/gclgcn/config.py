@@ -99,6 +99,8 @@ class ExperimentConfig:
             raise ConfigError(f"epsilon={self.epsilon} outside [0, 1]")
         if self.k < 1:
             raise ConfigError("k must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.heads < 1:
             raise ConfigError("heads must be >= 1")
         if self.layers not in (1, 2, 3, 4):

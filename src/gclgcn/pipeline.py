@@ -10,7 +10,8 @@ standalone or inside train().
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Callable
 
 import numpy as np
@@ -28,7 +29,6 @@ __all__ = [
     "NumericError",
     "Channel",
     "ModelState",
-    "Pretrained",
     "AssignmentPair",
     "TrainResult",
     "AE_PRETRAIN_EPOCHS",
@@ -228,17 +228,6 @@ class ModelState:
 
 
 @dataclass
-class Pretrained:
-    """Snapshot of the pretraining artifacts, reusable across grid points."""
-
-    ae_named: list[tuple[str, np.ndarray]]
-    x_c: np.ndarray
-
-    def named_arrays(self) -> list[tuple[str, np.ndarray]]:
-        return [*self.ae_named, ("x_c", self.x_c)]
-
-
-@dataclass
 class AssignmentPair:
     """Per-epoch distributions: fused-channel Q, autoencoder-channel Q', and
     the detached target P. Every row sums to 1."""
@@ -328,31 +317,44 @@ def pretrain_contrastive(g: Graph, cfg: ExperimentConfig) -> np.ndarray:
     return encoder(x).value
 
 
-def pretrain(g: Graph, cfg: ExperimentConfig, x_c: np.ndarray | None = None) -> Pretrained:
-    """Autoencoder pretraining, then the contrastive features (zeros when
-    the ablation removes contrastive learning). A given x_c stands in for
-    the contrastive features, which do not depend on the encoder depth."""
+def pretrain(g: Graph, cfg: ExperimentConfig,
+             x_c: np.ndarray | None = None) -> dict[str, np.ndarray]:
+    """Autoencoder pretraining, then the contrastive features x_c (zeros
+    when the ablation removes contrastive learning): every ae.* tensor by
+    name in checkpoint order, then x_c. A given x_c stands in for the
+    contrastive features, which do not depend on the encoder depth."""
     ae = pretrain_ae(g, cfg)
     if x_c is None:
         if uses_contrastive(cfg):
             x_c = pretrain_contrastive(g, cfg)
         else:
             x_c = np.zeros_like(g.features)
-    return Pretrained(
-        ae_named=[(t.name, t.value.copy()) for t in ae.params()], x_c=x_c
-    )
+    return {**{t.name: t.value.copy() for t in ae.params()}, "x_c": x_c}
 
 
-def pretrained_from_named(named: dict[str, np.ndarray], source) -> Pretrained:
-    """The pretraining artifacts among the entries named, read from source
-    (named in errors): every ae.* entry and x_c, all of them finite."""
-    ae_named = [(name, arr) for name, arr in named.items() if name.startswith("ae.")]
-    if "x_c" not in named or not ae_named:
-        raise ConfigError(f"{source}: pretraining checkpoint lacks ae.* entries or x_c")
-    for name, arr in [*ae_named, ("x_c", named["x_c"])]:
+def pretrained_from_named(named: dict[str, np.ndarray], source, g: Graph,
+                          cfg: ExperimentConfig) -> dict[str, np.ndarray]:
+    """The pretraining entries among named, read from source (named in
+    errors), for training cfg on g: the ae.* entries must be the configured
+    ladder's autoencoder tensors, by name, in checkpoint order and with their
+    shapes, then x_c of the features' shape, and every one of them finite.
+    Other entries are ignored, so a trained model's checkpoint serves too."""
+    dims = ladder_dims(g.f, cfg.n_z, cfg.layers)
+    ae = _autoencoder(dims, lambda a, b: np.empty((a, b)))
+    want = [(t.name, t.shape) for t in ae.params()] + [("x_c", g.features.shape)]
+    got = [(name, arr.shape) for name, arr in named.items() if name.startswith("ae.")]
+    got += [("x_c", named["x_c"].shape)] if "x_c" in named else []
+    for i, (found, need) in enumerate(zip_longest(got, want)):
+        if found != need:
+            raise ConfigError(
+                f"{source}: pretraining entry {i} is {found or 'missing'}, but the configured "
+                f"ladder {dims} and the graph need {need or 'no entry there'}"
+            )
+    kept = {name: named[name] for name, _ in want}
+    for name, arr in kept.items():
         if not np.isfinite(arr).all():
             raise ConfigError(f"{source}: non-finite value in entry {name!r}")
-    return Pretrained(ae_named=ae_named, x_c=named["x_c"])
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -413,23 +415,15 @@ def _build_constants(g: Graph, cfg: ExperimentConfig, x_c: np.ndarray) -> _Const
     )
 
 
-def _pretrained_ae(pre: Pretrained, dims: list[int]) -> Channel:
-    """Trainable copies of the pretrained autoencoder weights, whose names
-    and shapes must be those of the configured ladder's autoencoder."""
-    ae = _autoencoder(dims, lambda a, b: np.zeros((a, b)))
-    want = [(t.name, t.shape) for t in ae.params()]
-    got = [(name, arr.shape) for name, arr in pre.ae_named]
-    if got != want:
-        raise ConfigError(
-            f"pretrained autoencoder does not match the configured ladder {dims}: "
-            f"entries {got}, expected {want}"
-        )
-    for t, (_, arr) in zip(ae.params(), pre.ae_named):
-        t.value[...] = arr
+def _pretrained_ae(pre: dict[str, np.ndarray], dims: list[int]) -> Channel:
+    """Trainable copies of the pretrained autoencoder tensors, by name."""
+    ae = _autoencoder(dims, lambda a, b: np.empty((a, b)))
+    for t in ae.params():
+        t.value[...] = pre[t.name]
     return ae
 
 
-def _init_state(g: Graph, cfg: ExperimentConfig, pre: Pretrained, cons: _Constants):
+def _init_state(g: Graph, cfg: ExperimentConfig, pre: dict[str, np.ndarray], cons: _Constants):
     """The model state, with copies of the pretrained arrays and seeded
     centroids, and the _encode outputs of the seeding pass, whose tape
     serves as epoch 0's encoder pass."""
@@ -441,7 +435,7 @@ def _init_state(g: Graph, cfg: ExperimentConfig, pre: Pretrained, cons: _Constan
             for build, stream, _ in map(_GRAPH_CHANNELS.get, _channels(cfg))
         ],
         centroids=ad.parameter(np.zeros((cfg.k, cfg.n_z)), name="centroids"),
-        x_c=pre.x_c,
+        x_c=pre["x_c"],
     )
     # The initial partition comes from kmeans on the pretrained bottleneck;
     # the centroid coordinates are that partition's means in the fused space
@@ -554,12 +548,13 @@ def _epoch_losses(
 def train(
     g: Graph,
     cfg: ExperimentConfig,
-    pretrained: Pretrained | None = None,
+    pretrained: dict[str, np.ndarray] | None = None,
     abort_path=None,
     inspect=None,
 ) -> TrainResult:
-    """Run the full procedure: pretrain unless given matching artifacts
-    (whose x_c is zeroed if the ablation removes contrastive learning), seed
+    """Run the full procedure: pretrain unless given the entries pretrain
+    returns (whose x_c is zeroed if the ablation removes contrastive
+    learning; pretrained_from_named checks entries read from a file), seed
     centroids from the partition of the autoencoder bottleneck, then jointly
     optimize every enabled channel plus the centroids.
 
@@ -578,14 +573,9 @@ def train(
         raise ConfigError(f"k={cfg.k} exceeds node count {g.n}")
     if pretrained is None:
         pretrained = pretrain(g, cfg)
-    elif pretrained.x_c.shape != g.features.shape:
-        raise ConfigError(
-            f"pretrained x_c has shape {pretrained.x_c.shape}, "
-            f"but the graph's features have shape {g.features.shape}"
-        )
     if not uses_contrastive(cfg):
-        pretrained = replace(pretrained, x_c=np.zeros_like(g.features))
-    cons = _build_constants(g, cfg, pretrained.x_c)
+        pretrained = {**pretrained, "x_c": np.zeros_like(g.features)}
+    cons = _build_constants(g, cfg, pretrained["x_c"])
     state, encoded = _init_state(g, cfg, pretrained, cons)
     # The model holds copies of the pretrained arrays; a caller that shares
     # them across runs keeps its own reference.

@@ -240,7 +240,7 @@ def test_c4_distribution_invariants():
 
     # analytic centroid gradient matches the tape at this run's first epoch
     pre = P.pretrain(g, cfg)
-    cons = P._build_constants(g, cfg, pre.x_c)
+    cons = P._build_constants(g, cfg, pre["x_c"])
     state, (hs, zs) = P._init_state(g, cfg, pre, cons)
     fused = P.fuse_final(
         [(cfg.lam, zs["gcn"]), (cfg.theta, hs[-1]), (cfg.gamma, zs["graphormer"])],

@@ -167,8 +167,44 @@ class TestTrainCommand:
         code = run(["train", "--config", str(small_cfg), "--out", str(tmp_path / "out"),
                     "--pretrained", str(pre)])
         assert code == 1
-        err = capsys.readouterr().err
-        assert "x_c" in err and "(20, 6)" in err and "(10, 6)" in err
+        assert capsys.readouterr().err == (
+            f"error: {pre / 'pretrain.gclc'}: pretraining entry 8 is ('x_c', (20, 6)), but the "
+            "configured ladder [6, 500, 3] and the graph need ('x_c', (10, 6))\n"
+        )
+
+    def test_pretrained_from_another_ladder_exits_one(self, run_cfg, tmp_path, capsys):
+        pre = tmp_path / "pre"
+        assert run(["pretrain", "--config", str(run_cfg), "--out", str(pre)]) == 0
+        shallow_cfg = tmp_path / "shallow.cfg"
+        shallow_cfg.write_text(run_cfg.read_text().replace("layers=2", "layers=1"))
+        capsys.readouterr()
+        code = run(["train", "--config", str(shallow_cfg), "--out", str(tmp_path / "out"),
+                    "--pretrained", str(pre)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {pre / 'pretrain.gclc'}: pretraining entry 0 is ('ae.enc.0.w', (6, 500)), "
+            "but the configured ladder [6, 3] and the graph need ('ae.enc.0.w', (6, 3))\n"
+        )
+
+    def test_model_checkpoint_serves_as_pretrained(self, run_cfg, tmp_path):
+        """Only a model.gclc's ae.* entries and x_c are read: training from
+        it matches training from a pretrain.gclc of just those entries."""
+        first = tmp_path / "first"
+        assert run(["train", "--config", str(run_cfg), "--out", str(first)]) == 0
+        entries = load_checkpoint(first / "model.gclc")
+        pre = tmp_path / "pre"
+        pre.mkdir()
+        save_checkpoint(pre / "pretrain.gclc", [
+            (name, arr) for name, arr in entries.items() if name.startswith("ae.") or name == "x_c"
+        ])
+        from_model, from_pre = tmp_path / "from-model", tmp_path / "from-pre"
+        assert run(["train", "--config", str(run_cfg), "--out", str(from_model),
+                    "--pretrained", str(first / "model.gclc")]) == 0
+        assert run(["train", "--config", str(run_cfg), "--out", str(from_pre),
+                    "--pretrained", str(pre)]) == 0
+        history = (from_model / "history.csv").read_bytes()
+        assert history == (from_pre / "history.csv").read_bytes()
+        assert history != (first / "history.csv").read_bytes()
 
     @pytest.mark.parametrize("entry, bad", [("x_c", np.nan), ("ae.dec.1.w", -np.inf)])
     def test_nonfinite_pretrained_entry_exits_one(self, entry, bad, run_cfg, tmp_path, capsys):
@@ -185,26 +221,36 @@ class TestTrainCommand:
         assert f"pretrain.gclc: non-finite value in entry {entry!r}" in err
         assert not (tmp_path / "out" / "model.gclc").exists()
 
-    @pytest.mark.parametrize("edit", ["renamed", "reordered"])
-    def test_pretrained_ae_entries_must_match_by_name(self, edit, run_cfg, tmp_path, capsys):
-        # Each edit keeps the sequence of shapes, which alone would pass.
+    @pytest.mark.parametrize("edit, found, need", [
+        ("renamed", "0 is ('ae.encoder.0.w', (6, 500))", "('ae.enc.0.w', (6, 500))"),
+        ("reordered", "1 is ('ae.dec.0.b', (1, 500))", "('ae.enc.0.b', (1, 500))"),
+        ("without-x_c", "8 is missing", "('x_c', (20, 6))"),
+    ])
+    def test_pretrained_ae_entries_must_match_by_name(self, edit, found, need, run_cfg,
+                                                      tmp_path, capsys):
+        # Renaming and reordering keep the sequence of shapes, which alone
+        # would pass; the message names the first entry that differs, found
+        # and expected.
         pre = tmp_path / "pre"
         assert run(["pretrain", "--config", str(run_cfg), "--out", str(pre)]) == 0
         entries = list(load_checkpoint(pre / "pretrain.gclc").items())
         names = [name for name, _ in entries]
         if edit == "renamed":
             entries[0] = ("ae.encoder.0.w", entries[0][1])
-        else:  # the first encoder and first decoder bias are both (1, 500)
+        elif edit == "reordered":  # the first encoder and decoder bias are both (1, 500)
             i, j = names.index("ae.enc.0.b"), names.index("ae.dec.0.b")
             entries[i], entries[j] = entries[j], entries[i]
+        else:
+            entries.pop(names.index("x_c"))
         save_checkpoint(pre / "pretrain.gclc", entries)
         capsys.readouterr()
         code = run(["train", "--config", str(run_cfg), "--out", str(tmp_path / "out"),
                     "--pretrained", str(pre)])
         assert code == 1
-        err = capsys.readouterr().err
-        assert "does not match the configured ladder" in err
-        assert "ae.enc.0.w" in err and "ae.dec.0.b" in err
+        assert capsys.readouterr().err == (
+            f"error: {pre / 'pretrain.gclc'}: pretraining entry {found}, but the configured "
+            f"ladder [6, 500, 3] and the graph need {need}\n"
+        )
 
 
 class TestStudies:
@@ -478,7 +524,8 @@ class TestEdgeCases:
 class TestBadInput:
     """Bad input exits 1 with a message naming the file or flag and the field."""
 
-    @pytest.mark.parametrize("line, field", [("epochs=abc", "epochs"), ("epsilon=2", "epsilon")])
+    @pytest.mark.parametrize("line, field", [("epochs=abc", "epochs"), ("epsilon=2", "epsilon"),
+                                             ("seed=-1", "seed")])
     def test_config_error_names_file_and_field(self, line, field, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(line + "\n")
@@ -533,6 +580,14 @@ class TestBadInput:
                     "--dim", dim, "--out", str(out)])
         assert code == 1
         assert f"error: --dim must be at least 1, got {dim}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_names_flag(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        code = run(["gen-sbm", "--blocks", "4,4", "--p-in", "0.5", "--p-out", "0.1",
+                    "--seed", "-2", "--out", str(out)])
+        assert code == 1
+        assert "error: --seed must be at least 0, got -2" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])

@@ -146,6 +146,12 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match=rf": {key} must be [a-z >=0]*finite[a-z >=0]*, got {value}$"):
             parse_config(path)
 
+    def test_negative_seed_names_file_and_key(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("seed=-1\n")
+        with pytest.raises(ConfigError, match=r"bad\.cfg: seed must be >= 0, got -1$"):
+            parse_config(path)
+
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
             parse_config("/nonexistent/x.cfg")

@@ -459,9 +459,8 @@ def _joint_epoch(g, layers, heads=1):
     cfg = ExperimentConfig(k=2, n_z=3, layers=layers, heads=heads, seed=0)
     rng = np.random.default_rng(12)
     ae = random_params(rng, ladder_dims(g.f, cfg.n_z, cfg.layers))
-    pre = P.Pretrained([(t.name, t.value) for t in ae.params()],
-                       rng.standard_normal(g.features.shape))
-    cons = _build_constants(g, cfg, pre.x_c)
+    pre = {**{t.name: t.value for t in ae.params()}, "x_c": rng.standard_normal(g.features.shape)}
+    cons = _build_constants(g, cfg, pre["x_c"])
     state, encoded = P._init_state(g, cfg, pre, cons)
     total, _, _ = P._epoch_losses(state, cons, cfg, encoded)
     return state, cons, cfg, total

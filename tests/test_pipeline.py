@@ -18,6 +18,7 @@ from gclgcn.pipeline import (
     pretrain,
     pretrain_ae,
     pretrain_contrastive,
+    pretrained_from_named,
     train,
 )
 from gclgcn.pipeline import _fusion_weights, _mask_features  # noqa: internal
@@ -317,7 +318,7 @@ class TestBackwardInTraining:
 
         g, cfg = small_sbm(), tiny_cfg(layers=3, heads=2)
         pre = pretrain(g, cfg)
-        cons = P._build_constants(g, cfg, pre.x_c)
+        cons = P._build_constants(g, cfg, pre["x_c"])
         state, encoded = P._init_state(g, cfg, pre, cons)
         params = state.params()
         total, _, _ = P._epoch_losses(state, cons, cfg, encoded)
@@ -349,7 +350,7 @@ class TestLossTotal:
         pre = pretrain(g, cfg)
         from gclgcn import pipeline as P
 
-        cons = P._build_constants(g, cfg, pre.x_c)
+        cons = P._build_constants(g, cfg, pre["x_c"])
         state, _ = P._init_state(g, cfg, pre, cons)
         total, comps = loss_total(state, g, cfg)
         want = (
@@ -364,7 +365,7 @@ class TestLossTotal:
         pre = pretrain(g, cfg)
         from gclgcn import pipeline as P
 
-        cons = P._build_constants(g, cfg, pre.x_c)
+        cons = P._build_constants(g, cfg, pre["x_c"])
         state, _ = P._init_state(g, cfg, pre, cons)
         total, comps = loss_total(state, g, cfg)
         want = comps["L_w"] + 0.1 * (comps["L_a1"] + comps["L_a2"]) + comps["L_AE"]
@@ -377,7 +378,7 @@ class TestLossTotal:
             pre = pretrain(g, cfg)
             from gclgcn import pipeline as P
 
-            cons = P._build_constants(g, cfg, pre.x_c)
+            cons = P._build_constants(g, cfg, pre["x_c"])
             state, _ = P._init_state(g, cfg, pre, cons)
             _, comps = loss_total(state, g, cfg)
             assert comps[dead] == 0.0
@@ -415,7 +416,7 @@ class TestTrain:
         from gclgcn import pipeline as P
 
         pre = pretrain(g, cfg)
-        cons = P._build_constants(g, cfg, pre.x_c)
+        cons = P._build_constants(g, cfg, pre["x_c"])
         state, encoded = P._init_state(g, cfg, pre, cons)
         _, _, assignments = P._epoch_losses(state, cons, cfg, encoded)
         assert np.array_equal(res.labels, assign_labels(assignments.q))
@@ -522,8 +523,8 @@ class TestTrain:
         assert len(result.history) == epochs
 
     def test_pretrained_arrays_freed_once_copied(self):
-        """train() keeps no reference to a Pretrained only it holds after
-        the model has copied the arrays; x_c lives on in the model."""
+        """train() keeps no reference to pretrained entries only it holds
+        after the model has copied the arrays; x_c lives on in the model."""
         from gclgcn import pipeline as P
 
         g, cfg = small_sbm(), tiny_cfg(epochs=2)
@@ -531,8 +532,7 @@ class TestTrain:
 
         def handed_over():
             pre = pretrain(g, cfg)
-            refs.extend(weakref.ref(arr) for _, arr in pre.ae_named)
-            refs.append(weakref.ref(pre.x_c))
+            refs.extend(weakref.ref(arr) for arr in pre.values())  # x_c last
             return pre
 
         alive = []
@@ -570,7 +570,7 @@ class TestTrain:
         g = small_sbm()
         cfg = tiny_cfg(epochs=2)
         pre = pretrain(g, cfg)
-        pre.x_c[0, 0] = np.nan
+        pre["x_c"][0, 0] = np.nan
         path = tmp_path / "last.gclc"
         with pytest.raises(NumericError, match="non-finite"):
             train(g, cfg, pretrained=pre, abort_path=path)
@@ -803,13 +803,13 @@ class TestAblate:
         g = small_sbm()
         cfg = tiny_cfg(epochs=3, ablation="-ContrastiveLearning")
         pre = pretrain(g, tiny_cfg())
-        assert np.any(pre.x_c != 0.0)
+        assert np.any(pre["x_c"] != 0.0)
         reused = train(g, cfg, pretrained=pre)
         fresh = train(g, cfg)
         assert reused.history == fresh.history
         assert np.array_equal(reused.labels, fresh.labels)
         assert np.array_equal(reused.state.x_c, np.zeros_like(g.features))
-        assert np.any(pre.x_c != 0.0)  # the caller's artifacts are left alone
+        assert np.any(pre["x_c"] != 0.0)  # the caller's artifacts are left alone
 
     def test_all_variants_produce_metrics(self):
         g = small_sbm()
@@ -875,8 +875,9 @@ class TestChannels:
     def test_pretrained_x_c_must_match_graph(self):
         g = small_sbm()
         pre = pretrain(small_sbm(sizes=(6, 6)), tiny_cfg())
-        with pytest.raises(ConfigError, match=r"x_c has shape \(12, 6\).*\(16, 6\)"):
-            train(g, tiny_cfg(), pretrained=pre)
+        with pytest.raises(ConfigError, match=r"^pre.gclc: pretraining entry 8 is "
+                           r"\('x_c', \(12, 6\)\), .* need \('x_c', \(16, 6\)\)$"):
+            pretrained_from_named(pre, "pre.gclc", g, tiny_cfg())
 
     @pytest.mark.parametrize("layers", [1, 2, 3, 4])
     @pytest.mark.parametrize("heads", [1, 2])
@@ -917,5 +918,17 @@ class TestChannels:
     def test_pretrained_ladder_checked(self):
         g = small_sbm()
         pre = pretrain(g, tiny_cfg(layers=1))
-        with pytest.raises(ConfigError, match="configured ladder"):
-            train(g, tiny_cfg(layers=2), pretrained=pre)
+        with pytest.raises(ConfigError, match=r"^pre.gclc: pretraining entry 0 is "
+                           r"\('ae.enc.0.w', \(6, 3\)\), but the configured ladder "
+                           r"\[6, 500, 3\] and the graph need \('ae.enc.0.w', \(6, 500\)\)$"):
+            pretrained_from_named(pre, "pre.gclc", g, tiny_cfg(layers=2))
+
+    def test_pretrained_entries_kept(self):
+        """The check keeps the ae.* entries and x_c, in checkpoint order and
+        without copying them, and ignores every other entry."""
+        g, cfg = small_sbm(), tiny_cfg(epochs=0)
+        pre = pretrain(g, cfg)
+        model = dict(train(g, cfg, pretrained=pre).state.named_arrays())
+        kept = pretrained_from_named(model, "model.gclc", g, cfg)
+        assert list(kept) == list(pre)
+        assert all(kept[name] is model[name] for name in kept)
