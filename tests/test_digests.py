@@ -42,8 +42,8 @@ def text_difference(file: str, want: str, got: str) -> str:
         if w != g:
             col = next((i for i, (a, b) in enumerate(zip(w, g)) if a != b), min(len(w), len(g)))
             name = header[col] if header and col < len(header) else str(col + 1)
-            cell = lambda row: row[col] if col < len(row) else "nothing"
-            where = f"line {line}, column {name}: recorded {cell(w)}, produced {cell(g)}"
+            recorded, produced = (row[col] if col < len(row) else "nothing" for row in (w, g))
+            where = f"line {line}, column {name}: recorded {recorded}, produced {produced}"
             break
     text = f"{file} first differs at {where}"
     if header is not None:
@@ -64,8 +64,8 @@ def test_every_run_is_recorded():
 
 @pytest.mark.parametrize("run", list(RECORD["runs"]))
 def test_outputs_match_digests(run, produced):
-    (digests_got, texts_got), want = produced, RECORD["runs"][run]
-    got = digests_got[run]
+    digests_got, texts_got = produced
+    want, got = RECORD["runs"][run], digests_got[run]
     assert sorted(got) == sorted(want), f"{run}: wrote {sorted(got)}, recorded {sorted(want)}"
     differ = [name for name in want if got[name] != want[name]]
     texts = RECORD["texts"].get(run, {})
