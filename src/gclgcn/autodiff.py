@@ -138,10 +138,8 @@ class Tensor:
         arr = np.asarray(value, dtype=np.float64)
         if arr.ndim == 0:
             arr = arr.reshape(1, 1)
-        elif arr.ndim == 1:
-            arr = arr.reshape(1, -1)
         elif arr.ndim != 2:
-            raise ValueError(f"tensor values must be at most 2-D, got {arr.shape}")
+            raise ValueError(f"tensor values must be 2-D or a scalar, got shape {arr.shape}")
         self.value = arr
         self.requires_grad = requires_grad
         self.name = name

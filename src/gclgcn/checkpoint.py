@@ -34,8 +34,12 @@ def atomic_open(path: str | Path, mode: str = "w", **kwargs):
         with tmp.open(mode, **kwargs) as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename == str(tmp):
+            # Opening or replacing failed: name the path given, not the
+            # temporary file.
+            raise type(exc)(f"{path}: {exc.strerror}") from None
         raise
 
 

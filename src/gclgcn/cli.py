@@ -15,15 +15,12 @@ import numpy as np
 from . import harness
 from .centrality import MEASURES, composite_centrality
 from .checkpoint import atomic_open, load_checkpoint, save_checkpoint
-from .cluster import metric_row
+from .cluster import METRICS, metric_row
 from .config import ConfigError, measure_list, parse_config, require_dataset
 from .graph import Graph, SbmSpec, generate_sbm, load_graph, read_labels, save_graph
 from .pipeline import NumericError, pretrain, pretrained_from_named, train
 
-HISTORY_COLUMNS = (
-    "epoch", "L", "L_AE", "L_w", "L_a1", "L_a2", "L_clu", "L_con",
-    "acc", "nmi", "ari", "f1",
-)
+HISTORY_COLUMNS = ("epoch", "L", "L_AE", "L_w", "L_a1", "L_a2", "L_clu", "L_con", *METRICS)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -70,6 +67,16 @@ def _out_dir(args) -> Path:
 def _load_dataset(cfg, need_labels: bool = False) -> Graph:
     require_dataset(cfg, need_labels=need_labels)
     return load_graph(cfg.features, cfg.edges, cfg.labels)
+
+
+def _load_clustering(args, need_labels: bool = False):
+    """The config and graph of a command that splits the graph into k
+    clusters; a k above the node count is an error naming the config."""
+    cfg = parse_config(args.config)
+    g = _load_dataset(cfg, need_labels)
+    if g.n < cfg.k:
+        raise ConfigError(f"{args.config}: k={cfg.k} exceeds node count {g.n}")
+    return cfg, g
 
 
 def _write_history(path: Path, history: list[dict]) -> None:
@@ -148,8 +155,7 @@ def _load_pretrained(path: str, g: Graph, cfg):
 
 
 def _cmd_train(args) -> int:
-    cfg = parse_config(args.config)
-    g = _load_dataset(cfg)
+    cfg, g = _load_clustering(args)
     out = _out_dir(args)
     # Loaded in the call, so train() holds the only reference and frees the
     # pretrained arrays once the model has copied them.
@@ -165,10 +171,7 @@ def _cmd_train(args) -> int:
         print(f"warning: the final labels use {used} of the k={cfg.k} clusters", file=sys.stderr)
     if g.labels is not None:
         metrics = metric_row(result.labels, g.labels)
-        print(
-            "acc=%.4f nmi=%.4f ari=%.4f f1=%.4f"
-            % (metrics["acc"], metrics["nmi"], metrics["ari"], metrics["f1"])
-        )
+        print(" ".join("%s=%.4f" % item for item in metrics.items()))
     print(f"wrote history.csv, labels.txt, model.gclc to {out}")
     return 0
 
@@ -192,8 +195,7 @@ def _cmd_study(args) -> int:
     """results.csv with one row per study point; the fusion sweep also
     writes its best row to best.csv."""
     name = args.grid if args.command == "sweep" else args.command
-    cfg = parse_config(args.config)
-    g = _load_dataset(cfg, need_labels=True)
+    cfg, g = _load_clustering(args, need_labels=True)
     rows = _STUDIES[name](g, cfg, args)
     out = _out_dir(args)
     harness.write_result_table(out / "results.csv", rows)
@@ -211,8 +213,9 @@ def _cmd_eval(args) -> int:
             f"{args.pred} has {pred.size} labels but {args.truth} has {truth.size}"
         )
     row = metric_row(pred, truth)
-    values = (row["acc"], row["nmi"], row["ari"], row["f1"], harness.composite_index(row))
-    _emit("acc,nmi,ari,f1,composite\n" + ",".join("%.17g" % v for v in values) + "\n", args.out)
+    values = (*row.values(), harness.composite_index(row))
+    _emit(",".join((*METRICS, "composite")) + "\n" + ",".join("%.17g" % v for v in values) + "\n",
+          args.out)
     return 0
 
 

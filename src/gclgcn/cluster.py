@@ -7,9 +7,9 @@ the shortest-augmenting-path method (Crouse, IEEE TAES 2016) that scipy's
 linear_sum_assignment uses, with its tie rule (among columns of equal path
 cost the last unassigned one wins, otherwise the first), so it picks the
 matching scipy picks; NMI uses natural logs and the geometric mean of the two
-entropies; ARI is the standard pair-counting adjusted index. ACC and F1 are
-read from metric_row, which builds the matched confusion matrix once for
-both.
+entropies; ARI is the standard pair-counting adjusted index. metric_row
+scores a labelling: it checks the labels once and reads all four metrics
+from one confusion matrix, sized by the ids that occur.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ __all__ = [
     "kmeans",
     "student_t",
     "target_distribution",
-    "nmi",
-    "ari",
+    "METRICS",
     "metric_row",
 ]
 
@@ -148,6 +147,10 @@ def target_distribution(q: np.ndarray) -> np.ndarray:
 # Metrics
 # ---------------------------------------------------------------------------
 
+# The scores of a labelling, in the order every table and line prints them.
+METRICS = ("acc", "nmi", "ari", "f1")
+
+
 def _as_labels(pred, truth) -> tuple[np.ndarray, np.ndarray]:
     pred = np.asarray(pred, dtype=np.int64).ravel()
     truth = np.asarray(truth, dtype=np.int64).ravel()
@@ -163,6 +166,14 @@ def _as_labels(pred, truth) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _confusion(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """The square confusion matrix of the label arrays pred and truth: entry
+    (i, j) counts the points pred labels i and truth labels j. When an id is
+    n or more, each array's ids are first ranked densely, so the matrix is
+    sized by the ids that occur, never by the largest id; labellings whose
+    ids are all below n index it as they are."""
+    if max(pred.max(), truth.max()) >= pred.size:
+        pred = np.unique(pred, return_inverse=True)[1]
+        truth = np.unique(truth, return_inverse=True)[1]
     d = int(max(pred.max(), truth.max())) + 1
     w = np.zeros((d, d), dtype=np.int64)
     np.add.at(w, (pred, truth), 1)
@@ -229,19 +240,6 @@ def _match(w: np.ndarray) -> np.ndarray:
     return col4row
 
 
-def _matched_confusion(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
-    """The confusion matrix of the label arrays pred and truth with its rows
-    reordered by the optimal label matching: row c counts the predicted id
-    matched to truth id c. So the diagonal counts the matched points, the
-    row sums the matched predicted clusters' sizes and the column sums the
-    truth classes' sizes."""
-    w = _confusion(pred, truth)
-    cols = _match(w)
-    order = np.empty_like(cols)
-    order[cols] = np.arange(len(w))
-    return w[order]
-
-
 def _accuracy(m: np.ndarray) -> float:
     """ACC, the best-bijection agreement rate, from the matched confusion
     matrix m: its trace over n."""
@@ -253,43 +251,29 @@ def _entropy(counts: np.ndarray) -> float:
     return float(-(p * np.log(p)).sum())
 
 
-def _canonical(labels: np.ndarray) -> np.ndarray:
-    """labels renumbered 0, 1, ... in order of each id's first occurrence."""
-    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
-    rank = np.empty_like(labels, shape=first.size)
-    rank[np.argsort(first)] = np.arange(first.size)
-    return rank[inverse]
-
-
-def nmi(pred, truth) -> float:
-    """Mutual information normalized by the geometric mean of the partition
-    entropies; natural logs throughout. Identical partitions (up to
-    relabeling) score exactly 1."""
-    pred, truth = _as_labels(pred, truth)
-    if np.array_equal(_canonical(pred), _canonical(truth)):
+def _nmi(w: np.ndarray, n: int) -> float:
+    """NMI from the confusion matrix w (float) of n points: the mutual
+    information over the geometric mean of the partition entropies, natural
+    logs throughout. Identical partitions (up to relabeling), where every
+    nonzero row and column of w holds one nonzero entry, score exactly 1."""
+    nz = w > 0
+    if nz.sum() == nz.any(axis=1).sum() == nz.any(axis=0).sum():
         return 1.0
-    w = _confusion(pred, truth).astype(np.float64)
-    n = pred.size
     pi = w.sum(axis=1)
     pj = w.sum(axis=0)
     h_pred = _entropy(pi)
     h_truth = _entropy(pj)
-    if h_pred == 0.0 and h_truth == 0.0:
-        return 1.0
     if h_pred == 0.0 or h_truth == 0.0:
         return 0.0
-    nz = w > 0
     mi = float(
         (w[nz] / n * (np.log(w[nz] * n) - np.log(np.outer(pi, pj)[nz]))).sum()
     )
     return float(np.clip(mi / np.sqrt(h_pred * h_truth), 0.0, 1.0))
 
 
-def ari(pred, truth) -> float:
-    """Pair-counting Rand index adjusted for chance."""
-    pred, truth = _as_labels(pred, truth)
-    w = _confusion(pred, truth).astype(np.float64)
-    n = pred.size
+def _ari(w: np.ndarray, n: int) -> float:
+    """The pair-counting Rand index adjusted for chance, from the confusion
+    matrix w (float) of n points."""
     if n < 2:
         # No pair to count; a single point is trivially labelled the same.
         return 1.0
@@ -323,12 +307,16 @@ def _f1_macro(m: np.ndarray) -> float:
 
 
 def metric_row(pred, truth) -> dict[str, float]:
-    """ACC, NMI, ARI and F1; ACC and F1 read one matched confusion matrix."""
+    """The labelling pred scored against truth, keyed by METRICS, all four
+    read from one confusion matrix: ACC and F1 with its rows reordered by
+    the optimal label matching (row c counts the predicted id matched to
+    truth id c), NMI and ARI as it is."""
     pred, truth = _as_labels(pred, truth)
-    m = _matched_confusion(pred, truth)
-    return {
-        "acc": _accuracy(m),
-        "nmi": nmi(pred, truth),
-        "ari": ari(pred, truth),
-        "f1": _f1_macro(m),
-    }
+    w = _confusion(pred, truth)
+    cols = _match(w)
+    order = np.empty_like(cols)
+    order[cols] = np.arange(len(w))
+    m = w[order]
+    wf = w.astype(np.float64)
+    return dict(zip(METRICS, (_accuracy(m), _nmi(wf, pred.size), _ari(wf, pred.size),
+                              _f1_macro(m))))

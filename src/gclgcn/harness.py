@@ -22,13 +22,12 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import atomic_open
-from .cluster import metric_row
+from .cluster import METRICS, metric_row
 from .config import ABLATIONS, ConfigError, ExperimentConfig
 from .graph import Graph
 from .pipeline import pretrain, pretrain_contrastive, train, uses_contrastive
 
 __all__ = [
-    "METRIC_COLUMNS",
     "DEFAULT_LOSS_WEIGHTS",
     "ENCODING_VARIANTS",
     "composite_index",
@@ -42,8 +41,6 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
-
-METRIC_COLUMNS = ("acc", "nmi", "ari", "f1")
 
 # Stock sweep values for both loss weights.
 DEFAULT_LOSS_WEIGHTS = (0.01, 0.05, 0.08, 0.1, 0.12, 0.15, 0.3)
@@ -59,15 +56,15 @@ ENCODING_VARIANTS = (
 
 
 def composite_index(row: dict) -> float:
-    return (row["acc"] + row["nmi"] + row["ari"] + row["f1"]) / 4.0
+    return sum(row[m] for m in METRICS) / len(METRICS)
 
 
 def write_result_table(path: str | Path, rows: list[dict]) -> None:
     """CSV with the key columns (the first row's keys but the metrics), the
     four metrics, and the composite index, written atomically. Cells
     containing commas (some variant labels do) are quoted."""
-    keys = [col for col in rows[0] if col not in METRIC_COLUMNS]
-    columns = (*keys, *METRIC_COLUMNS, "composite")
+    keys = [col for col in rows[0] if col not in METRICS]
+    columns = (*keys, *METRICS, "composite")
     with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
@@ -76,7 +73,7 @@ def write_result_table(path: str | Path, rows: list[dict]) -> None:
             for col in columns:
                 if col == "composite":
                     cells.append("%.17g" % composite_index(row))
-                elif col in METRIC_COLUMNS:
+                elif col in METRICS:
                     cells.append("%.17g" % row[col])
                 else:
                     cells.append(str(row[col]))

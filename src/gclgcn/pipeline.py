@@ -20,7 +20,7 @@ import scipy.sparse as sp
 from . import autodiff as ad
 from .autodiff import AdamState, Tensor, adam_step, backward
 from .centrality import composite_centrality, spatial_bias
-from .cluster import kmeans, metric_row, student_t
+from .cluster import METRICS, kmeans, metric_row, student_t
 from .config import ConfigError, ExperimentConfig
 from .graph import Graph, adjacency_matrix, normalize_adjacency
 from .layers import ae_loss, gcn_layer, glorot, graphormer_layer, ladder_dims
@@ -602,7 +602,7 @@ def train(
         if g.labels is not None:
             row.update(metric_row(assign_labels(assignments.q), g.labels))
         else:
-            row.update({"acc": np.nan, "nmi": np.nan, "ari": np.nan, "f1": np.nan})
+            row.update(dict.fromkeys(METRICS, np.nan))
         history.append(row)
         bad = _step(opt, total)
         if bad is not None:

@@ -36,9 +36,11 @@ counts each leaf's consumers and writes a leaf's first contribution into
 the buffer its sum is kept in, often from inside the op), run on the tape
 before autodiff.backward releases it, and the epsilon-blend that
 pipeline.Channel.encode forgets once its layer has read it is kept
-(injection_bytes runs both). The NMI renumbering keeps
-the loop it replaced with index arrays, and F1 its per-class boolean passes
-over a dict lookup (metric_row reads the matched confusion matrix).
+(injection_bytes runs both). The four clustering metrics are scored as
+each once built its own confusion matrix, sized by the largest id, with
+NMI's identical partitions found by renumbering both labellings and F1 by
+per-class boolean passes over a dict lookup (metric_row reads all four
+from one confusion matrix).
 The finite-difference checker, the closed-form centroid gradient and the
 composite loss of a model state judge the tape's gradients,
 tape_arrays lists what a tape holds, and forgetting_pair runs a tape with
@@ -180,7 +182,7 @@ def brute_force_accuracy(pred, truth) -> float:
 
 def canonical_loop(labels: np.ndarray) -> np.ndarray:
     """labels renumbered in order of first occurrence by a loop over the
-    labels, the form cluster._canonical replaced."""
+    labels."""
     _, canon = np.unique(labels, return_inverse=True)
     first = {}
     out = np.empty_like(labels)
@@ -189,15 +191,70 @@ def canonical_loop(labels: np.ndarray) -> np.ndarray:
     return out
 
 
-def f1_macro_loop(pred, truth) -> float:
-    """Macro F1 after cluster._match's label matching, with the per-label
-    dict lookup and per-class passes that the matched confusion matrix of
-    cluster.metric_row replaced."""
-    pred = np.asarray(pred, dtype=np.int64).ravel()
-    truth = np.asarray(truth, dtype=np.int64).ravel()
+def _confusion_by_largest_id(pred, truth) -> np.ndarray:
+    """The (largest id + 1)-square confusion matrix of two label arrays."""
     d = int(max(pred.max(), truth.max())) + 1
     w = np.zeros((d, d), dtype=np.int64)
     np.add.at(w, (pred, truth), 1)
+    return w
+
+
+def nmi_oracle(pred, truth) -> float:
+    """NMI as the package computed it on its own confusion matrix sized by
+    the largest id, with identical partitions found by renumbering both
+    labellings in order of first occurrence."""
+    if np.array_equal(canonical_loop(pred), canonical_loop(truth)):
+        return 1.0
+    w = _confusion_by_largest_id(pred, truth).astype(np.float64)
+    n = pred.size
+    pi = w.sum(axis=1)
+    pj = w.sum(axis=0)
+
+    def entropy(counts):
+        p = counts[counts > 0] / counts.sum()
+        return float(-(p * np.log(p)).sum())
+
+    h_pred = entropy(pi)
+    h_truth = entropy(pj)
+    if h_pred == 0.0 and h_truth == 0.0:
+        return 1.0
+    if h_pred == 0.0 or h_truth == 0.0:
+        return 0.0
+    nz = w > 0
+    mi = float(
+        (w[nz] / n * (np.log(w[nz] * n) - np.log(np.outer(pi, pj)[nz]))).sum()
+    )
+    return float(np.clip(mi / np.sqrt(h_pred * h_truth), 0.0, 1.0))
+
+
+def ari_oracle(pred, truth) -> float:
+    """ARI as the package computed it on its own confusion matrix sized by
+    the largest id."""
+    w = _confusion_by_largest_id(pred, truth).astype(np.float64)
+    n = pred.size
+    if n < 2:
+        return 1.0
+
+    def comb2(x):
+        return (x * (x - 1.0) / 2.0).sum()
+
+    joint = comb2(w)
+    a = comb2(w.sum(axis=1))
+    b = comb2(w.sum(axis=0))
+    total = n * (n - 1.0) / 2.0
+    expected = a * b / total
+    denom = 0.5 * (a + b) - expected
+    if denom == 0.0:
+        return 1.0
+    return float((joint - expected) / denom)
+
+
+def f1_macro_loop(pred, truth) -> float:
+    """Macro F1 after cluster._match's label matching of the confusion
+    matrix sized by the largest id, with the per-label dict lookup and
+    per-class passes that the matched confusion matrix of
+    cluster.metric_row replaced."""
+    w = _confusion_by_largest_id(pred, truth)
     mapping = dict(enumerate(_match(w).tolist()))
     mapped = np.array([mapping.get(int(x), -1) for x in pred])
     scores = []
@@ -208,6 +265,18 @@ def f1_macro_loop(pred, truth) -> float:
         denom = 2 * tp + fp + fn
         scores.append(2 * tp / denom if denom > 0 else 0.0)
     return float(np.mean(scores))
+
+
+def metric_row_oracle(pred, truth) -> dict[str, float]:
+    """ACC, NMI, ARI and F1 as the package scored them when each metric
+    built its own confusion matrix, sized by the largest id: ACC is the
+    share of points cluster._match matches."""
+    pred = np.asarray(pred, dtype=np.int64).ravel()
+    truth = np.asarray(truth, dtype=np.int64).ravel()
+    w = _confusion_by_largest_id(pred, truth)
+    acc = float(w[np.arange(len(w)), _match(w)].sum()) / float(pred.size)
+    return {"acc": acc, "nmi": nmi_oracle(pred, truth), "ari": ari_oracle(pred, truth),
+            "f1": f1_macro_loop(pred, truth)}
 
 
 def random_er_graph(n: int, p: float, rng: np.random.Generator):

@@ -1,4 +1,5 @@
 import functools
+import re
 import tracemalloc
 import weakref
 
@@ -84,6 +85,12 @@ class TestShapeErrors:
             ad.weighted_sum([])
         with pytest.raises(ValueError, match="reduce_sum"):
             oracles.reduce_sum(a, axis=0)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 2)])
+    def test_a_value_must_be_2d_or_a_scalar(self, shape):
+        with pytest.raises(ValueError, match=rf"^tensor values must be 2-D or a scalar, "
+                                             rf"got shape {re.escape(str(shape))}$"):
+            ad.constant(np.zeros(shape))
 
     def test_backward_requires_scalar(self):
         x = ad.parameter(np.ones((2, 2)))

@@ -105,6 +105,17 @@ class TestCentralityCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 20
 
+    def test_out_naming_a_directory_names_it(self, dataset, tmp_path, capsys):
+        """The message leads with the path given, not the temporary file
+        the output is written to first, and that file is gone."""
+        out = tmp_path / "cent"
+        out.mkdir()
+        code = run(["centrality", "--features", str(dataset / "features.csv"),
+                    "--edges", str(dataset / "edges.txt"), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {out}: Is a directory\n"
+        assert list(tmp_path.iterdir()) == [out]
+
 
 class TestTrainCommand:
     def test_writes_artifacts(self, run_cfg, tmp_path):
@@ -514,15 +525,87 @@ class TestEdgeCases:
         assert "acc=" in captured.out and "warning" not in captured.out
         assert (out / "labels.txt").read_text() == "0\n" * 6
 
-    def test_k_above_n_exits_one(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["train", "ablate", "layers", "encodings",
+                                         "sweep --grid fusion", "sweep --grid loss"])
+    def test_k_above_n_names_the_config(self, command, tmp_path, capsys):
         features, labels = _two_blobs()
         cfg = _write_dataset(tmp_path / "data", features, _RINGS, labels, 9)
-        assert run(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
-        assert "k=9 exceeds node count 8" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert run([*command.split(), "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}: k=9 exceeds node count 8\n"
+        assert not out.exists()
+
+    def test_a_huge_label_id_scores_as_its_dense_ranking(self, tmp_path):
+        """A truth id of 10**9 is scored as the densely ranked labels are,
+        by eval and by train, in a process whose address space is capped at
+        2 GB, so a matrix sized by the id fails at once."""
+        features, labels = _two_blobs()
+        huge = [0] * 4 + [10**9] * 4
+        for name, truth in (("dense", labels), ("huge", huge)):
+            cfg = _write_dataset(tmp_path / name, features, _RINGS, truth, 2, layers=1)
+            (tmp_path / name / "pred.txt").write_text("0\n1\n0\n0\n1\n1\n1\n0\n")
+        script = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+            "from gclgcn.cli import run\n"
+            "for name in ('dense', 'huge'):\n"
+            f"    d = {str(tmp_path)!r} + '/' + name\n"
+            "    assert run(['eval', '--pred', d + '/pred.txt', '--truth', d + '/y.txt',\n"
+            "                '--out', d + '/eval.csv']) == 0\n"
+            "    assert run(['train', '--config', d + '/run.cfg', '--out', d + '/out']) == 0\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        printed = done.stdout.splitlines()
+        assert printed[0] == printed[2] and printed[0].startswith("acc=")
+        for name in ("eval.csv", "out/history.csv", "out/labels.txt"):
+            assert (tmp_path / "huge" / name).read_text() == (tmp_path / "dense" / name).read_text()
+        assert (tmp_path / "huge" / "eval.csv").read_text().splitlines()[1] != "1,1,1,1,1"
 
 
 class TestBadInput:
     """Bad input exits 1 with a message naming the file or flag and the field."""
+
+    # (config line, or None, {dataset file: text}, stderr after "error: <file>")
+    INPUT_CHECKS = {
+        "k": ("k=0", {}, ": k must be >= 1"),
+        "n_z": ("n_z=0", {}, ": n_z must be >= 1"),
+        "heads": ("heads=0", {}, ": heads must be >= 1"),
+        "epochs": ("epochs=-1", {}, ": epochs must be >= 0"),
+        "contrastive.hidden": ("contrastive.hidden=0", {}, ": contrastive.hidden must be >= 1"),
+        "contrastive.epochs": ("contrastive.epochs=-1", {}, ": contrastive.epochs must be >= 0"),
+        "spatial_mode": ("spatial_mode=hops", {},
+                         ": spatial_mode must be one of ('euclidean', 'shortest-path')"),
+        "spatial_sign": ("spatial_sign=*", {}, ": spatial_sign must be '+' or '-'"),
+        "line without =": ("k 2", {}, ":4: expected key=value"),
+        "preset": ("preset=imagenet", {}, ": unknown preset 'imagenet'"),
+        "ragged features": (None, {"f.csv": "1.0,2.0\n3.0\n"}, ":2: expected 2 columns, got 1"),
+        "empty features": (None, {"f.csv": "\n"}, ": no feature rows"),
+        "edge with three tokens": (None, {"e.txt": "0 1\n1 2 3\n"},
+                                   ":2: expected two endpoints, got 3"),
+        "edge endpoint": (None, {"e.txt": "0 x\n"}, ":1: could not parse edge endpoints"),
+    }
+
+    @pytest.mark.parametrize("check", sorted(INPUT_CHECKS))
+    def test_input_check_names_the_file_and_field(self, check, tmp_path, capsys):
+        line, files, message = self.INPUT_CHECKS[check]
+        features, labels = _two_blobs()
+        cfg = _write_dataset(tmp_path / "data", features, _RINGS, labels, 2)
+        for name, text in files.items():
+            (tmp_path / "data" / name).write_text(text)
+        if line is not None:
+            key = line.partition("=")[0]
+            kept = [row for row in cfg.read_text().splitlines() if not row.startswith(key + "=")]
+            cfg.write_text("\n".join([*kept[:3], line, *kept[3:]]) + "\n")
+        out = tmp_path / "out"
+        assert run(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        bad = tmp_path / "data" / next(iter(files), "run.cfg")
+        assert capsys.readouterr().err == f"error: {bad}{message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("line, field", [("epochs=abc", "epochs"), ("epsilon=2", "epsilon"),
                                              ("seed=-1", "seed")])

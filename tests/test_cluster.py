@@ -3,9 +3,9 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from gclgcn import cluster
-from gclgcn.cluster import _canonical, _confusion, _match, ari, kmeans, metric_row, nmi
+from gclgcn.cluster import METRICS, _confusion, _match, kmeans, metric_row
 
-from oracles import brute_force_accuracy, canonical_loop, f1_macro_loop
+from oracles import brute_force_accuracy, metric_row_oracle
 
 
 def accuracy(pred, truth) -> float:
@@ -16,6 +16,16 @@ def accuracy(pred, truth) -> float:
 def f1_macro(pred, truth) -> float:
     """Macro F1 as the package scores it."""
     return metric_row(pred, truth)["f1"]
+
+
+def nmi(pred, truth) -> float:
+    """NMI as the package scores it."""
+    return metric_row(pred, truth)["nmi"]
+
+
+def ari(pred, truth) -> float:
+    """ARI as the package scores it."""
+    return metric_row(pred, truth)["ari"]
 
 
 class TestKMeans:
@@ -173,9 +183,15 @@ def test_one_point_labelling_scores_one_everywhere():
         assert metric_row(ids, [0]) == {"acc": 1.0, "nmi": 1.0, "ari": 1.0, "f1": 1.0}
 
 
-class TestVectorisedForms:
-    """nmi's first-occurrence renumbering and f1_macro's label lookup
-    against the loop forms they replaced, kept in tests/oracles.py."""
+def _dense(labels: np.ndarray) -> np.ndarray:
+    """labels with their ids ranked densely: 0 for the smallest, and so on."""
+    return np.unique(labels, return_inverse=True)[1]
+
+
+class TestOneConfusionMatrix:
+    """metric_row reads all four metrics from one confusion matrix; each
+    keeps the bytes of the oracle in tests/oracles.py, where every metric
+    built its own matrix sized by the largest id."""
 
     @staticmethod
     def _pairs():
@@ -195,33 +211,55 @@ class TestVectorisedForms:
                 pred = pred * 3 + 2  # ids 0, 1, 3, 4, ... absent
             yield pred, truth
 
-    def test_canonical_matches_the_loop(self):
-        for pred, truth in self._pairs():
-            for labels in (pred, truth):
-                got, want = _canonical(labels), canonical_loop(labels)
-                assert got.dtype == want.dtype and np.array_equal(got, want)
+    @staticmethod
+    def _spread_pairs():
+        """600 seeded label pairs whose truth ids (and in a third of them
+        the predicted ids too) are spread up to 10**9, far above n."""
+        rng = np.random.default_rng(31)
+        for i in range(600):
+            n = int(rng.integers(1, 40))
+            pred = rng.integers(0, int(rng.integers(1, 9)), n)
+            truth = rng.integers(0, int(rng.integers(1, 9)), n)
+            truth = rng.choice(10**9, 8, replace=False)[truth]
+            if i % 3 == 0:
+                pred = rng.choice(10**9, 8, replace=False)[pred]
+            elif i % 3 == 1:
+                pred = _dense(truth)  # the same partition
+            yield pred, truth
 
-    def test_f1_and_nmi_keep_their_bytes(self, monkeypatch):
-        pairs = list(self._pairs())
-        got = [(f1_macro(p, t).hex(), nmi(p, t).hex()) for p, t in pairs]
-        monkeypatch.setattr(cluster, "_canonical", canonical_loop)
-        want = [(f1_macro_loop(p, t).hex(), nmi(p, t).hex()) for p, t in pairs]
-        assert got == want
+    def test_metric_row_keeps_the_oracle_bytes(self):
+        """Ids all below n score the oracle's bytes; a labelling with an id
+        of n or more scores the bytes of its dense ranking."""
+        below = above = 0
+        for pred, truth in [*self._pairs(), *self._spread_pairs()]:
+            if max(pred.max(), truth.max()) < pred.size:
+                want, below = metric_row_oracle(pred, truth), below + 1
+            else:
+                want, above = metric_row_oracle(_dense(pred), _dense(truth)), above + 1
+            got = metric_row(pred, truth)
+            assert list(got) == list(METRICS)
+            assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}
+        assert below > 2000 and above > 900
 
-    def test_metric_row_solves_one_matching(self, monkeypatch):
-        """metric_row solves the label matching once, for ACC and F1 both,
-        and each value keeps the bytes of the metric solving its own (ACC as
-        the matched count over n, F1 in its loop form)."""
-        pairs = list(self._pairs())
-        want = [{"acc": _matched_share(p, t), "nmi": nmi(p, t), "ari": ari(p, t),
-                 "f1": f1_macro_loop(p, t)} for p, t in pairs]
-        solves = []
-        match = cluster._match
-        monkeypatch.setattr(cluster, "_match", lambda w: solves.append(w) or match(w))
-        got = [metric_row(p, t) for p, t in pairs]
-        assert len(solves) == len(pairs)
-        assert [{k: v.hex() for k, v in row.items()} for row in got] == [
-            {k: v.hex() for k, v in row.items()} for row in want]
+    def test_metric_row_checks_builds_and_matches_once(self, monkeypatch):
+        calls = {"_as_labels": 0, "_confusion": 0, "_match": 0}
+        for name in calls:
+            fn = getattr(cluster, name)
+
+            def counted(*args, fn=fn, name=name):
+                calls[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(cluster, name, counted)
+        pairs = list(self._pairs())[:300]
+        for pred, truth in pairs:
+            metric_row(pred, truth)
+        assert calls == dict.fromkeys(calls, len(pairs))
+
+    def test_a_huge_id_is_not_a_huge_matrix(self):
+        pred, truth = np.array([0, 0, 1, 1, 2]), np.array([7, 7, 10**9, 10**9, 3])
+        assert _confusion(pred, truth).shape == (3, 3)
+        assert metric_row(pred, truth) == metric_row(pred, _dense(truth))
 
 
 class TestF1:
@@ -247,7 +285,7 @@ def test_all_metrics_invariant_under_predicted_permutation():
     permuted = perm[pred]
     a = metric_row(pred, truth)
     b = metric_row(permuted, truth)
-    for key in ("acc", "nmi", "ari", "f1"):
+    for key in METRICS:
         assert a[key] == pytest.approx(b[key], abs=1e-12)
 
 
@@ -289,13 +327,6 @@ class TestMatch:
         self.assert_as_scipy(np.random.default_rng(23).integers(0, 3, (30, 30)))
 
 
-def _matched_share(pred, truth) -> float:
-    """The share of points _match matches: the matched confusion counts
-    over n."""
-    w = _confusion(np.asarray(pred), np.asarray(truth))
-    return float(w[np.arange(len(w)), _match(w)].sum()) / float(len(pred))
-
-
 def test_match_maps_each_predicted_id():
     pred, truth = np.array([0, 0, 1, 2]), np.array([2, 2, 0, 1])
     assert _match(_confusion(pred, truth)).tolist() == [2, 0, 1]
@@ -306,10 +337,9 @@ class TestNegativeIds:
     metric_row([-1, 2], [0, 1])["acc"] would score 0.5 where the best
     bijection scores 1.0."""
 
-    @pytest.mark.parametrize("metric", [nmi, ari, metric_row])
-    def test_negative_pred_names_the_argument_and_value(self, metric):
+    def test_negative_pred_names_the_argument_and_value(self):
         with pytest.raises(ValueError, match=r"^pred: .*non-negative, got -1$"):
-            metric([-1, 2, -4], [0, 1, 1])
+            metric_row([-1, 2, -4], [0, 1, 1])
 
     def test_negative_truth_names_the_argument_and_first_value(self):
         with pytest.raises(ValueError, match=r"^truth: .*non-negative, got -3$"):

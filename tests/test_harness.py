@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from gclgcn import harness, pipeline
-from gclgcn.cluster import metric_row
+from gclgcn.cluster import METRICS, metric_row
 from gclgcn.config import ABLATIONS, ConfigError, ContrastiveConfig, ExperimentConfig
 from gclgcn.graph import SbmSpec, generate_sbm
 from gclgcn.harness import (
     ENCODING_VARIANTS,
-    METRIC_COLUMNS,
     ablation_study,
     best_fusion_row,
     composite_index,
@@ -151,7 +150,7 @@ def test_study_rows_equal_independent_training(name, ablation, monkeypatch):
         assert np.array_equal(shared.labels, alone.labels)
         for (na, a), (nb, b) in zip(shared.state.named_arrays(), alone.state.named_arrays()):
             assert na == nb and np.array_equal(a, b)
-        assert {m: row[m] for m in METRIC_COLUMNS} == metric_row(alone.labels, g.labels)
+        assert {m: row[m] for m in METRICS} == metric_row(alone.labels, g.labels)
 
 
 @pytest.mark.parametrize("name", sorted(STUDY_POINTS))
