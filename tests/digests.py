@@ -5,10 +5,11 @@ partition of 3x20 nodes with 8 features: pretrain and then train
 --pretrained at layers 1 to 4; at layers 2, train --pretrained with two
 attention heads, with each module ablated in turn, and with the
 shortest-path spatial bias, a negative sign and two centrality measures;
-one plain train, and one ablation study. Each run's output files
-(history.csv, labels.txt, model.gclc, pretrain.gclc, results.csv, whichever
-it writes) are digested, and the text of its history.csv and labels.txt is
-kept too, so that a mismatch can name the row and column that differ.
+one plain train, and one ablation study; then centrality and eval, each to
+a file, a fusion sweep over two grid points, and one train without labels.
+Each run's output files (whichever of OUTPUTS it writes) are digested, and
+the text of its history.csv and labels.txt is kept too, so that a mismatch
+can name the row and column that differ.
 
 Training bytes depend on the BLAS kernels, so digests.json records numpy's
 version, the BLAS name and version and the CPU model beside the digests;
@@ -33,14 +34,18 @@ from pathlib import Path
 import numpy as np
 
 RECORD_PATH = Path(__file__).with_name("digests.json")
-OUTPUTS = ("history.csv", "labels.txt", "model.gclc", "pretrain.gclc", "results.csv")
+OUTPUTS = ("history.csv", "labels.txt", "model.gclc", "pretrain.gclc", "results.csv",
+           "best.csv", "centrality.csv", "eval.csv")
 TEXTS = ("history.csv", "labels.txt")  # the outputs whose text is recorded too
 
 GRAPH = ["gen-sbm", "--blocks", "20,20,20", "--p-in", "0.3", "--p-out", "0.05",
          "--dim", "8", "--sep", "3.0", "--noise", "1.0", "--seed", "2"]
 CONFIG = "epochs=3\nk=3\nn_z=4\nlr=1e-4\nseed=1\ncontrastive.hidden=16\ncontrastive.epochs=3\n"
 
-# (run name, command, config lines beyond CONFIG, run whose pretrain.gclc it reads)
+# (run name, command, config lines beyond CONFIG, run whose pretrain.gclc it
+# reads). A config line sets its key anew, and a key set to nothing is left
+# out. A command given as a list is the run's whole argv, with {data} (the
+# graph's directory), {work}, {out} (the run's directory) and {config} filled in.
 RUNS = [
     *((f"pretrain-L{d}", "pretrain", f"layers={d}\n", None) for d in (1, 2, 3, 4)),
     *((f"train-pretrained-L{d}", "train", f"layers={d}\n", f"pretrain-L{d}")
@@ -53,6 +58,13 @@ RUNS = [
      "pretrain-L2"),
     ("train-L3", "train", "layers=3\n", None),
     ("ablate-L2", "ablate", "layers=2\n", None),
+    ("centrality", ["centrality", "--features", "{data}/features.csv",
+                    "--edges", "{data}/edges.txt", "--out", "{out}/centrality.csv"], "", None),
+    ("eval", ["eval", "--pred", "{work}/train-L3/labels.txt", "--truth", "{data}/labels.txt",
+              "--out", "{out}/eval.csv"], "", None),
+    ("sweep-fusion-L2", ["sweep", "--config", "{config}", "--out", "{out}", "--grid", "fusion",
+                         "--lambdas", "0.2", "--thetas", "0.3,0.4"], "layers=2\n", None),
+    ("train-L2-unlabeled", "train", "layers=2\nlabels=\n", None),
 ]
 
 
@@ -98,14 +110,21 @@ def compute(work: Path) -> tuple[dict[str, dict[str, str]], dict[str, dict[str, 
             raise RuntimeError("gen-sbm failed")
         for name, command, extra, source in RUNS:
             out = work / name
+            out.mkdir()
             cfg = work / f"{name}.cfg"
-            cfg.write_text(f"features={data / 'features.csv'}\nedges={data / 'edges.txt'}\n"
-                           f"labels={data / 'labels.txt'}\n{CONFIG}{extra}")
-            argv = [command, "--config", str(cfg), "--out", str(out)]
+            lines = (f"features={data / 'features.csv'}\nedges={data / 'edges.txt'}\n"
+                     f"labels={data / 'labels.txt'}\n{CONFIG}{extra}")
+            entries = dict(line.split("=", 1) for line in lines.splitlines())
+            cfg.write_text("".join(f"{key}={value}\n" for key, value in entries.items() if value))
+            if isinstance(command, list):
+                fill = {"data": data, "work": work, "out": out, "config": cfg}
+                argv = [arg.format(**fill) for arg in command]
+            else:
+                argv = [command, "--config", str(cfg), "--out", str(out)]
             if source is not None:
                 argv += ["--pretrained", str(work / source)]
             if run(argv) != 0:
-                raise RuntimeError(f"{name}: {command} exited non-zero")
+                raise RuntimeError(f"{name}: {argv[0]} exited non-zero")
             digests[name] = {
                 f: hashlib.sha256((out / f).read_bytes()).hexdigest()
                 for f in OUTPUTS if (out / f).exists()
