@@ -1,5 +1,6 @@
-"""Binary checkpoint format for named parameter matrices, and the atomic
-file writes that every output file goes through.
+"""Binary checkpoint format for named parameter matrices, the atomic file
+writes that every output file goes through, and the one writer of every
+text table.
 
 Layout (little-endian): magic "GCLC", u16 format version, then for each
 entry: u16 name length, name bytes (utf-8), u8 rank, u32 per dimension,
@@ -8,14 +9,16 @@ float64 payload in row-major order. Entry order is preserved.
 
 from __future__ import annotations
 
+import csv
 import os
 import struct
-from contextlib import contextmanager
+import sys
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 import numpy as np
 
-__all__ = ["MAGIC", "VERSION", "atomic_open", "save_checkpoint", "load_checkpoint"]
+__all__ = ["MAGIC", "VERSION", "atomic_open", "write_table", "save_checkpoint", "load_checkpoint"]
 
 MAGIC = b"GCLC"
 VERSION = 1
@@ -41,6 +44,23 @@ def atomic_open(path: str | Path, mode: str = "w", **kwargs):
             # temporary file.
             raise type(exc)(f"{path}: {exc.strerror}") from None
         raise
+
+
+def write_table(path: str | Path | None, rows, delimiter: str = ",") -> None:
+    """Write rows, an iterable of cell sequences (a header is just the first
+    row), one line each ending in "\\n", to the file path atomically, or to
+    stdout when path is None. A str cell is written as it is, an integer in
+    decimal, and any other number to 17 significant digits, which round-trips
+    a double exactly; a cell holding the delimiter is quoted."""
+
+    def cell(x) -> str:
+        if isinstance(x, str):
+            return x
+        return "%d" % x if isinstance(x, (int, np.integer)) else "%.17g" % x
+
+    with nullcontext(sys.stdout) if path is None else atomic_open(path, newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n", delimiter=delimiter)
+        writer.writerows(map(cell, row) for row in rows)
 
 
 def save_checkpoint(path: str | Path, named) -> None:

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import harness
 from .centrality import MEASURES, composite_centrality
-from .checkpoint import atomic_open, load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint, write_table
 from .cluster import METRICS, metric_row
 from .config import ConfigError, measure_list, parse_config, require_dataset
 from .graph import Graph, SbmSpec, generate_sbm, load_graph, read_labels, save_graph
@@ -79,32 +79,6 @@ def _load_clustering(args, need_labels: bool = False):
     return cfg, g
 
 
-def _write_history(path: Path, history: list[dict]) -> None:
-    lines = [",".join(HISTORY_COLUMNS)]
-    for row in history:
-        cells = []
-        for col in HISTORY_COLUMNS:
-            v = row[col]
-            cells.append(str(v) if col == "epoch" else "%.17g" % v)
-        lines.append(",".join(cells))
-    with atomic_open(path) as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _write_labels(path: Path, labels) -> None:
-    with atomic_open(path) as fh:
-        fh.write("".join(f"{int(y)}\n" for y in labels))
-
-
-def _emit(text: str, out: str | None) -> None:
-    """Write text to the file out atomically, or to stdout when out is None."""
-    if out is None:
-        sys.stdout.write(text)
-        return
-    with atomic_open(out) as fh:
-        fh.write(text)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -132,8 +106,7 @@ def _cmd_gen_sbm(args) -> int:
 
 def _cmd_centrality(args) -> int:
     g = load_graph(args.features, args.edges)
-    matrix = composite_centrality(g, args.measures)
-    _emit("".join(",".join("%.17g" % x for x in row) + "\n" for row in matrix), args.out)
+    write_table(args.out, composite_centrality(g, args.measures))
     return 0
 
 
@@ -159,12 +132,19 @@ def _cmd_train(args) -> int:
     out = _out_dir(args)
     # Loaded in the call, so train() holds the only reference and frees the
     # pretrained arrays once the model has copied them.
-    result = train(
-        g, cfg, pretrained=_load_pretrained(args.pretrained, g, cfg) if args.pretrained else None,
-        abort_path=out / "model.gclc",
-    )
-    _write_history(out / "history.csv", result.history)
-    _write_labels(out / "labels.txt", result.labels)
+    try:
+        result = train(
+            g, cfg,
+            pretrained=_load_pretrained(args.pretrained, g, cfg) if args.pretrained else None,
+        )
+    except NumericError as exc:
+        if exc.state is not None:
+            save_checkpoint(out / "model.gclc", exc.state.named_arrays())
+        raise
+    write_table(out / "history.csv", [
+        HISTORY_COLUMNS, *([row[col] for col in HISTORY_COLUMNS] for row in result.history)
+    ])
+    write_table(out / "labels.txt", ([y] for y in result.labels))
     save_checkpoint(out / "model.gclc", result.state.named_arrays())
     used = len(np.unique(result.labels))
     if used < cfg.k:
@@ -213,9 +193,7 @@ def _cmd_eval(args) -> int:
             f"{args.pred} has {pred.size} labels but {args.truth} has {truth.size}"
         )
     row = metric_row(pred, truth)
-    values = (*row.values(), harness.composite_index(row))
-    _emit(",".join((*METRICS, "composite")) + "\n" + ",".join("%.17g" % v for v in values) + "\n",
-          args.out)
+    write_table(args.out, [(*METRICS, "composite"), (*row.values(), harness.composite_index(row))])
     return 0
 
 

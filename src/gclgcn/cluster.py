@@ -28,7 +28,9 @@ __all__ = [
 ]
 
 
-# Lloyd iterations per restart, and the largest centroid move that stops them.
+# Seedings tried, Lloyd iterations per seeding, and the largest centroid
+# move that stops them.
+_RESTARTS = 20
 _MAX_ITER = 300
 _TOL = 1e-4
 
@@ -99,25 +101,18 @@ def _lloyd(z: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     return centers, labels, sse
 
 
-def kmeans(
-    z: np.ndarray,
-    k: int,
-    restarts: int = 20,
-    seed: int = 0,
-) -> KMeansResult:
-    """Lloyd iterations from distance-proportional seeds; the restart with the
-    lowest SSE wins (ties broken by restart order). A cluster that empties is
-    re-seeded at the point farthest from its assigned centroid. Deterministic
-    for a seed."""
+def kmeans(z: np.ndarray, k: int, seed: int = 0) -> KMeansResult:
+    """Lloyd iterations from each of _RESTARTS distance-proportional seedings;
+    the restart with the lowest SSE wins (ties broken by restart order). A
+    cluster that empties is re-seeded at the point farthest from its assigned
+    centroid. Deterministic for a seed."""
     z = np.asarray(z, dtype=np.float64)
     n = z.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"kmeans: need 1 <= k <= n, got k={k}, n={n}")
-    if restarts < 1:
-        raise ValueError(f"kmeans: need at least one restart, got restarts={restarts}")
     rng = np.random.default_rng(seed)
     best: KMeansResult | None = None
-    for _ in range(restarts):
+    for _ in range(_RESTARTS):
         centers = _plusplus_init(z, k, rng)
         centers, labels, sse = _lloyd(z, centers)
         if best is None or sse < best.sse:

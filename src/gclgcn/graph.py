@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .checkpoint import atomic_open
+from .checkpoint import write_table
 
 __all__ = [
     "Graph",
@@ -27,10 +27,6 @@ __all__ = [
     "read_labels",
     "save_graph",
 ]
-
-# Round-trips IEEE doubles exactly through decimal text.
-FLOAT_FMT = "%.17g"
-
 
 @dataclass(frozen=True)
 class Graph:
@@ -308,13 +304,7 @@ def save_graph(
     text round-trips exactly."""
     if labels_path is not None and g.labels is None:
         raise ValueError("graph has no labels to save")
-    with atomic_open(features_path, newline="\n") as fh:
-        for row in g.features:
-            fh.write(",".join(FLOAT_FMT % x for x in row) + "\n")
-    with atomic_open(edges_path, newline="\n") as fh:
-        for u, v in g.edges:
-            fh.write(f"{u} {v}\n")
+    write_table(features_path, g.features)
+    write_table(edges_path, g.edges, delimiter=" ")
     if labels_path is not None:
-        with atomic_open(labels_path, newline="\n") as fh:
-            for y in g.labels:
-                fh.write(f"{int(y)}\n")
+        write_table(labels_path, ([y] for y in g.labels))

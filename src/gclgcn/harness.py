@@ -14,14 +14,13 @@ mean).
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import atomic_open
+from .checkpoint import write_table
 from .cluster import METRICS, metric_row
 from .config import ABLATIONS, ConfigError, ExperimentConfig
 from .graph import Graph
@@ -61,23 +60,12 @@ def composite_index(row: dict) -> float:
 
 def write_result_table(path: str | Path, rows: list[dict]) -> None:
     """CSV with the key columns (the first row's keys but the metrics), the
-    four metrics, and the composite index, written atomically. Cells
-    containing commas (some variant labels do) are quoted."""
-    keys = [col for col in rows[0] if col not in METRICS]
-    columns = (*keys, *METRICS, "composite")
-    with atomic_open(path, newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            cells = []
-            for col in columns:
-                if col == "composite":
-                    cells.append("%.17g" % composite_index(row))
-                elif col in METRICS:
-                    cells.append("%.17g" % row[col])
-                else:
-                    cells.append(str(row[col]))
-            writer.writerow(cells)
+    four metrics, and the composite index, written by write_table."""
+    columns = (*(col for col in rows[0] if col not in METRICS), *METRICS)
+    write_table(path, [
+        (*columns, "composite"),
+        *((*(row[col] for col in columns), composite_index(row)) for row in rows),
+    ])
 
 
 def _run_points(g: Graph, points: list[tuple[dict, ExperimentConfig]]) -> list[dict]:

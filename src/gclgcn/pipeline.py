@@ -55,7 +55,13 @@ _REMOVED = {"-GCN": "gcn", "-Graphormer": "graphormer", "-ContrastiveLearning": 
 
 
 class NumericError(RuntimeError):
-    """A loss or gradient went non-finite."""
+    """A loss or gradient went non-finite. state is the model state before
+    the update of the epoch that stopped joint training, and None when
+    pretraining stopped."""
+
+    def __init__(self, message: str, state: ModelState | None = None):
+        super().__init__(message)
+        self.state = state
 
 
 def _stream_seed(seed: int, index: int) -> np.random.SeedSequence:
@@ -442,7 +448,7 @@ def _init_state(g: Graph, cfg: ExperimentConfig, pre: dict[str, np.ndarray], con
     # the soft assignment actually measures, otherwise the first assignment
     # is degenerate and self-training cannot recover.
     hs, zs = _encode(state, cons, cfg)
-    km = kmeans(hs[-1].value, cfg.k, restarts=20, seed=_stream_seed(cfg.seed, _STREAM_KMEANS))
+    km = kmeans(hs[-1].value, cfg.k, seed=_stream_seed(cfg.seed, _STREAM_KMEANS))
     fused = _fuse(cons, hs, zs).value
     state.centroids.value[...] = _partition_means(fused, km.labels, cfg.k)
     return state, (hs, zs)
@@ -549,7 +555,6 @@ def train(
     g: Graph,
     cfg: ExperimentConfig,
     pretrained: dict[str, np.ndarray] | None = None,
-    abort_path=None,
     inspect=None,
 ) -> TrainResult:
     """Run the full procedure: pretrain unless given the entries pretrain
@@ -563,11 +568,10 @@ def train(
     NumericError at the first non-finite loss, and at the first non-finite
     gradient before the Adam step that would apply it; a gradient message
     names the epoch and the parameter (for example graphormer.enc.2.w_key).
-    When joint training stops, the model state before that epoch's update,
-    whose parameters are finite after a gradient stop, is first written to
-    abort_path (when given); a pretraining stop writes nothing. Each stop
-    message starts with its phase: "autoencoder pretraining", "contrastive
-    pretraining" or "training".
+    A joint-training stop carries the model state before that epoch's
+    update, whose parameters are finite after a gradient stop, as the
+    error's state. Each stop message starts with its phase: "autoencoder
+    pretraining", "contrastive pretraining" or "training".
     """
     if g.n < cfg.k:
         raise ConfigError(f"k={cfg.k} exceeds node count {g.n}")
@@ -582,20 +586,11 @@ def train(
     del pretrained
     opt = AdamState.for_params(state.params(), cfg.lr)
 
-    def abort(error: NumericError):
-        """Write the model state, which this epoch has not yet updated, to
-        abort_path (when given) and raise error."""
-        if abort_path is not None:
-            from .checkpoint import save_checkpoint
-
-            save_checkpoint(abort_path, state.named_arrays())
-        raise error
-
     history: list[dict] = []
     for epoch in range(cfg.epochs):
         total, components, assignments = _epoch_losses(state, cons, cfg, encoded)
         if not np.isfinite(total.value[0, 0]):
-            abort(NumericError(f"training: non-finite loss at epoch {epoch}: {components}"))
+            raise NumericError(f"training: non-finite loss at epoch {epoch}: {components}", state)
         if inspect is not None:
             inspect(epoch, assignments)
         row = {"epoch": epoch, "L": float(total.value[0, 0]), **components}
@@ -606,7 +601,7 @@ def train(
         history.append(row)
         bad = _step(opt, total)
         if bad is not None:
-            abort(NumericError(f"training: non-finite gradient of {bad} at epoch {epoch}"))
+            raise NumericError(f"training: non-finite gradient of {bad} at epoch {epoch}", state)
         # backward freed the tape's inner nodes; drop the loss and the encoder
         # outputs, whose values are the last of it, before the next encoder
         # pass, which feeds the next epoch or, after the last step, the labels.

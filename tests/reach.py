@@ -3,9 +3,13 @@
 Records, with a stdlib sys.settrace line tracer started before gclgcn is
 imported, every line of src/gclgcn that these runs execute: the runs of
 tests/digests.py, then on the digest graph the layers and encodings
-studies, both sweeps (on small grids), centrality to stdout, eval to a
-file and a train run without labels. Then prints each executable line
-that none of them reached, with its text, and a count.
+studies, both sweeps (on small grids), centrality to stdout (also with no
+edges), eval to stdout on degenerate and awkward labellings, pretrain with
+a contrastive beta_sim above and below 1 and without contrastive learning,
+and train from a preset config with a comment line and on a graph whose
+feature rows are all one row, read from files with blank lines. Then
+prints each executable line that none of them reached, with its text, and
+a count.
 
     python tests/reach.py
 """
@@ -51,10 +55,37 @@ def _runs(work: Path) -> None:
     from gclgcn.cli import run
 
     digests.compute(work)
-    data, cfg = work / "data", str(work / "train-L3.cfg")
-    unlabeled = work / "unlabeled.cfg"
-    unlabeled.write_text(f"features={data / 'features.csv'}\nedges={data / 'edges.txt'}\n"
-                         f"{digests.CONFIG}layers=1\n")
+    data, base = work / "data", (work / "train-L3.cfg").read_text()
+    truth = (data / "labels.txt").read_text()
+
+    def write(name: str, text: str) -> str:
+        path = work / name
+        path.write_text(text)
+        return str(path)
+
+    # The digest graph with every feature row that of node 0, so that the
+    # autoencoder's bottleneck rows coincide and kmeans and the centroid
+    # seeding must fill empty clusters, and a blank line before and after
+    # each file's rows.
+    (work / "odd").mkdir()
+    first = (data / "features.csv").read_text().splitlines()[0]
+    for name, text in (("features.csv", f"{first}\n" * len(truth.split())),
+                       ("edges.txt", (data / "edges.txt").read_text()), ("labels.txt", truth)):
+        write(f"odd/{name}", f"\n{text}\n")
+    # Labellings scored against the 20 nodes of each class in turn: ids of n
+    # and above; one whose best matching moves a cluster off its first choice
+    # (its confusion rows are [0, 10, 20], [8, 0, 0] and [12, 10, 0]); and one
+    # cluster. Then one cluster against itself, and one point against itself.
+    one_cluster = write("one-cluster.txt", "0\n" * len(truth.split()))
+    scored = [(write("large-ids.txt", "".join(f"{100 + int(y)}\n" for y in truth.split())),
+               str(data / "labels.txt")),
+              (write("shared.txt", "1\n" * 8 + "2\n" * 12 + "0\n" * 10 + "2\n" * 10 + "0\n" * 20),
+               str(data / "labels.txt")),
+              (one_cluster, str(data / "labels.txt")),
+              (one_cluster, one_cluster),
+              (write("one-point.txt", "0\n"),) * 2]
+    cfg = str(work / "train-L3.cfg")
+    pretrained = ["--pretrained", str(work / "pretrain-L3")]
     for argv in (["layers", "--config", cfg], ["encodings", "--config", cfg],
                  ["sweep", "--grid", "fusion", "--lambdas", "0.2,0.9", "--thetas", "0.2",
                   "--config", cfg],
@@ -62,10 +93,19 @@ def _runs(work: Path) -> None:
                   "--config", cfg],
                  ["centrality", "--features", str(data / "features.csv"),
                   "--edges", str(data / "edges.txt")],
-                 ["eval", "--pred", str(work / "train-L3" / "labels.txt"),
-                  "--truth", str(data / "labels.txt")],
-                 ["train", "--config", str(unlabeled)]):
-        out = [] if argv[0] == "centrality" else ["--out", str(work / argv[0])]
+                 ["centrality", "--features", str(data / "features.csv"),
+                  "--edges", write("no-edges.txt", "")],
+                 *(["eval", "--pred", pred, "--truth", labels] for pred, labels in scored),
+                 *(["pretrain", "--config", write(f"{name}.cfg", base + line)]
+                   for name, line in (("beta-2", "contrastive.beta_sim=2\n"),
+                                      ("beta-0.5", "contrastive.beta_sim=0.5\n"),
+                                      ("no-contrastive", "ablation=-ContrastiveLearning\n"))),
+                 ["train", "--config",
+                  write("preset.cfg", f"# the cora preset, resized\npreset=cora\n{base}"),
+                  *pretrained],
+                 ["train", "--config",
+                  write("odd.cfg", base.replace(str(data), str(work / "odd"))), *pretrained]):
+        out = [] if argv[0] in ("centrality", "eval") else ["--out", str(work / f"reach-{argv[0]}")]
         with contextlib.redirect_stdout(io.StringIO()):
             if run([*argv, *out]) != 0:
                 raise RuntimeError(f"{' '.join(argv)} exited non-zero")

@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 
 from types import SimpleNamespace
 
-from gclgcn.checkpoint import MAGIC, atomic_open, load_checkpoint, save_checkpoint
+from gclgcn.checkpoint import MAGIC, atomic_open, load_checkpoint, save_checkpoint, write_table
 from gclgcn.graph import save_graph
-from gclgcn.harness import write_result_table
 
 
 def test_round_trip_preserves_order_shapes_values(tmp_path):
@@ -131,8 +130,12 @@ def _interrupted_checkpoint(path):
 
 
 def _interrupted_table(path):
-    metrics = {"acc": 1.0, "nmi": 1.0, "ari": 1.0, "f1": 1.0}
-    write_result_table(path, [{"variant": "a", **metrics}, {"variant": "b"}])
+    def rows():
+        yield "variant", "acc"
+        yield "a", 1.0
+        raise RuntimeError("interrupted")
+
+    write_table(path, rows())
 
 
 def _interrupted_text(path):
@@ -152,7 +155,7 @@ def _interrupted_graph(path):
 
 @pytest.mark.parametrize("write, error", [
     (_interrupted_checkpoint, RuntimeError),
-    (_interrupted_table, KeyError),  # the second row lacks its metrics
+    (_interrupted_table, RuntimeError),  # after the header and the first row
     (_interrupted_text, RuntimeError),
     (_interrupted_graph, RuntimeError),  # after the first feature row
 ])
@@ -172,3 +175,32 @@ def test_atomic_write_replaces_file(tmp_path):
         fh.write("new\n")
     assert path.read_text() == "new\n"
     assert [p.name for p in tmp_path.iterdir()] == ["labels.txt"]
+
+
+def test_table_cells_by_type(tmp_path):
+    path = tmp_path / "t.csv"
+    write_table(path, [
+        ("name", "int", "int64", "float", "nan", "inf"),
+        ("a", 7, np.int64(-3), np.float64(0.1), float("nan"), -np.inf),
+        ("b", True, np.arange(3)[2], 1.0, 2.5, 1e300),
+    ])
+    assert path.read_bytes() == (
+        b"name,int,int64,float,nan,inf\n"
+        b"a,7,-3,0.10000000000000001,nan,-inf\n"
+        b"b,1,2,1,2.5,1.0000000000000001e+300\n"
+    )
+
+
+def test_table_quotes_a_cell_holding_the_delimiter(tmp_path):
+    path = tmp_path / "t.csv"
+    write_table(path, [("variant", "f1"), ("DC, BC and CC + SPD", 0.5), ("DC + ED", 0.25)])
+    assert path.read_text() == 'variant,f1\n"DC, BC and CC + SPD",0.5\nDC + ED,0.25\n'
+    write_table(path, [(0, 1), (2, 3)], delimiter=" ")
+    assert path.read_text() == "0 1\n2 3\n"
+
+
+def test_table_without_a_path_goes_to_stdout(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    write_table(None, [("acc", "f1"), (1.0, 0.5)])
+    assert capsys.readouterr().out == "acc,f1\n1,0.5\n"
+    assert list(tmp_path.iterdir()) == []  # no file was written either

@@ -31,7 +31,7 @@ def ari(pred, truth) -> float:
 class TestKMeans:
     def test_two_coincident_groups(self):
         z = np.array([[0.0, 0.0]] * 4 + [[10.0, 10.0]] * 4)
-        res = kmeans(z, 2, restarts=5, seed=0)
+        res = kmeans(z, 2, seed=0)
         assert res.sse == 0.0
         assert len(set(res.labels[:4])) == 1
         assert len(set(res.labels[4:])) == 1
@@ -40,7 +40,7 @@ class TestKMeans:
     def test_k_one_gives_mean_and_total_scatter(self):
         rng = np.random.default_rng(2)
         z = rng.standard_normal((20, 3))
-        res = kmeans(z, 1, restarts=3, seed=0)
+        res = kmeans(z, 1, seed=0)
         assert np.allclose(res.centroids[0], z.mean(axis=0), atol=1e-12)
         want = ((z - z.mean(axis=0)) ** 2).sum()
         assert res.sse == pytest.approx(want, rel=1e-12)
@@ -48,14 +48,14 @@ class TestKMeans:
     def test_k_equals_n_zero_sse(self):
         rng = np.random.default_rng(3)
         z = rng.standard_normal((6, 2))
-        res = kmeans(z, 6, restarts=10, seed=1)
+        res = kmeans(z, 6, seed=1)
         assert res.sse == pytest.approx(0.0, abs=1e-18)
 
     def test_deterministic(self):
         rng = np.random.default_rng(4)
         z = rng.standard_normal((40, 4))
-        a = kmeans(z, 3, restarts=20, seed=9)
-        b = kmeans(z, 3, restarts=20, seed=9)
+        a = kmeans(z, 3, seed=9)
+        b = kmeans(z, 3, seed=9)
         assert np.array_equal(a.labels, b.labels)
         assert np.array_equal(a.centroids, b.centroids)
         assert a.sse == b.sse
@@ -75,12 +75,12 @@ class TestKMeans:
         monkeypatch.setattr(cluster, "_squared_distances", growing)
         z = np.random.default_rng(6).standard_normal((20, 2))
         with pytest.raises(RuntimeError, match="SSE increased"):
-            kmeans(z, 2, restarts=1, seed=0)
+            kmeans(z, 2, seed=0)
 
     def test_sse_matches_recomputation(self):
         rng = np.random.default_rng(5)
         z = rng.standard_normal((30, 2))
-        res = kmeans(z, 4, restarts=5, seed=0)
+        res = kmeans(z, 4, seed=0)
         recomputed = ((z - res.centroids[res.labels]) ** 2).sum()
         assert res.sse == pytest.approx(recomputed, abs=1e-9)
         assert set(res.labels) <= set(range(4))
@@ -88,11 +88,6 @@ class TestKMeans:
     def test_k_bounds(self):
         with pytest.raises(ValueError, match="1 <= k <= n"):
             kmeans(np.zeros((3, 2)), 4)
-
-    @pytest.mark.parametrize("restarts", [0, -1])
-    def test_needs_a_restart(self, restarts):
-        with pytest.raises(ValueError, match=f"restarts={restarts}"):
-            kmeans(np.zeros((3, 2)), 2, restarts=restarts)
 
 
 class TestAccuracy:

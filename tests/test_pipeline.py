@@ -7,7 +7,6 @@ from gclgcn import autodiff as ad
 from gclgcn.centrality import composite_centrality
 from gclgcn.config import ConfigError, ContrastiveConfig, ExperimentConfig
 from gclgcn.graph import Graph, SbmSpec, generate_sbm, normalize_adjacency
-from gclgcn.checkpoint import load_checkpoint
 from gclgcn.cluster import metric_row, student_t, target_distribution
 from gclgcn.config import ABLATIONS
 from gclgcn.harness import ablation_study
@@ -566,22 +565,21 @@ class TestTrain:
         assert 1 <= len(opts[0].scratch) <= 3
         assert all(buf.size <= largest for buf in opts[0].scratch)
 
-    def test_numeric_abort_writes_checkpoint(self, tmp_path):
+    def test_numeric_abort_carries_the_model_state(self):
         g = small_sbm()
         cfg = tiny_cfg(epochs=2)
         pre = pretrain(g, cfg)
         pre["x_c"][0, 0] = np.nan
-        path = tmp_path / "last.gclc"
-        with pytest.raises(NumericError, match="non-finite"):
-            train(g, cfg, pretrained=pre, abort_path=path)
-        assert path.exists()
+        with pytest.raises(NumericError, match="non-finite") as stop:
+            train(g, cfg, pretrained=pre)
+        assert stop.value.state is not None
 
     @pytest.mark.parametrize("row", [0, -1], ids=["z-row", "centrality-row"])
-    def test_nonfinite_gradient_stops_before_the_step(self, tmp_path, monkeypatch, row):
+    def test_nonfinite_gradient_stops_before_the_step(self, monkeypatch, row):
         """A NaN in one gradient at epoch 1, in a row for z or for a
         centrality column of the stacked weight, put in as backward hands
         the gradient over, stops training before the Adam step, and the
-        abort checkpoint holds the finite pre-step state."""
+        error carries the finite pre-step state."""
         from gclgcn import pipeline as P
 
         g = small_sbm()
@@ -608,25 +606,24 @@ class TestTrain:
         monkeypatch.setattr(P, "_init_state", init_state)
         monkeypatch.setattr(P, "backward", recording_backward)
         monkeypatch.setattr(ad.AdamState, "absorb", poisoned_absorb)
-        path = tmp_path / "abort.gclc"
         message = r"^training: non-finite gradient of graphormer\.enc\.2\.w_key at epoch 1$"
-        with pytest.raises(NumericError, match=message):
-            train(g, cfg, pretrained=pre, abort_path=path)
-        saved = load_checkpoint(path)
+        with pytest.raises(NumericError, match=message) as stop:
+            train(g, cfg, pretrained=pre)
+        saved = dict(stop.value.state.named_arrays())
         assert list(saved) == [name for name, _ in pre_step[1]]
         for name, arr in pre_step[1]:
             assert np.isfinite(saved[name]).all(), name
             assert np.array_equal(saved[name], arr), name
-        # Epoch 0's step did move the parameters the checkpoint holds.
+        # Epoch 0's step did move the parameters the state holds.
         before_epoch_0 = dict(pre_step[0])["graphormer.enc.2.w_key"]
         assert not np.array_equal(saved["graphormer.enc.2.w_key"], before_epoch_0)
 
     def test_gradient_stop_names_the_first_bad_parameter_backward_finished_last(
-            self, tmp_path, monkeypatch):
+            self, monkeypatch):
         """Backward finishes the gradients in sweep order, not checkpoint
         order. With the gradients it finishes first and last poisoned at
         epoch 1, the last one coming first in checkpoint order, the message
-        names that one, and the abort checkpoint holds the pre-step state."""
+        names that one, and the error carries the pre-step state."""
         from gclgcn import pipeline as P
 
         g, cfg = small_sbm(), tiny_cfg()
@@ -653,15 +650,14 @@ class TestTrain:
         monkeypatch.setattr(P, "_init_state", init_state)
         monkeypatch.setattr(P, "backward", recording_backward)
         monkeypatch.setattr(ad.AdamState, "absorb", poisoned_absorb)
-        path = tmp_path / "abort.gclc"
         with pytest.raises(NumericError) as stop:
-            train(g, cfg, pretrained=pre, abort_path=path)
+            train(g, cfg, pretrained=pre)
         names = [t.name for t in states[0].params()]
         first, last = order[0], order[len(names) - 1]
         assert last < first
         assert str(stop.value) == f"training: non-finite gradient of {names[last]} at epoch 1"
         assert order[len(names):] == order[:len(names)]  # every gradient was handed over
-        saved = load_checkpoint(path)
+        saved = dict(stop.value.state.named_arrays())
         assert list(saved) == [name for name, _ in pre_step[1]]
         for name, arr in pre_step[1]:
             assert np.array_equal(saved[name], arr), name
@@ -696,7 +692,7 @@ class TestTrain:
     ], ids=["autoencoder", "contrastive"])
     def test_pretraining_stops_at_nonfinite_loss(self, monkeypatch, phase, run):
         """A NaN parameter written by epoch 0's step stops the phase at epoch
-        1's loss, before that epoch's backward pass."""
+        1's loss, before that epoch's backward pass, with no model state."""
         from gclgcn import pipeline as P
 
         real_step, real_backward = P.adam_step, P.backward
@@ -712,9 +708,10 @@ class TestTrain:
 
         monkeypatch.setattr(P, "adam_step", poisoned_step)
         monkeypatch.setattr(P, "backward", counted_backward)
-        with pytest.raises(NumericError, match=rf"^{phase}: non-finite loss at epoch 1$"):
+        with pytest.raises(NumericError, match=rf"^{phase}: non-finite loss at epoch 1$") as stop:
             run(small_sbm(), tiny_cfg())
         assert len(backward_calls) == 1
+        assert stop.value.state is None
 
     @pytest.mark.parametrize("phase, run, first", [
         ("autoencoder pretraining", lambda g, cfg: pretrain_ae(g, cfg), "ae.enc.0.w"),
