@@ -1,6 +1,6 @@
 """Binary checkpoint format for named parameter matrices, the atomic file
-writes that every output file goes through, and the one writer of every
-text table.
+writes that every output file goes through, the one writer of every text
+table, and the one reader of every text input.
 
 Layout (little-endian): magic "GCLC", u16 format version, then for each
 entry: u16 name length, name bytes (utf-8), u8 rank, u32 per dimension,
@@ -18,7 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["MAGIC", "VERSION", "atomic_open", "write_table", "save_checkpoint", "load_checkpoint"]
+__all__ = [
+    "MAGIC", "VERSION", "atomic_open", "write_table", "read_lines", "save_checkpoint",
+    "load_checkpoint",
+]
 
 MAGIC = b"GCLC"
 VERSION = 1
@@ -61,6 +64,24 @@ def write_table(path: str | Path | None, rows, delimiter: str = ",") -> None:
     with nullcontext(sys.stdout) if path is None else atomic_open(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n", delimiter=delimiter)
         writer.writerows(map(cell, row) for row in rows)
+
+
+def read_lines(path: str | Path, what: str, parse):
+    """Yield (line number, parse(text)) for each line of the text file path
+    that holds more than a comment: text from a "#" to the end of the line
+    is dropped, the rest is stripped, and blank lines are skipped. A
+    ValueError from parse is raised again as "<path>:<line>: could not parse
+    <what>". A generator, so a caller's own checks run line by line."""
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            text = line.partition("#")[0].strip()
+            if not text:
+                continue
+            try:
+                value = parse(text)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: could not parse {what}") from None
+            yield lineno, value
 
 
 def save_checkpoint(path: str | Path, named) -> None:

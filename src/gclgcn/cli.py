@@ -281,6 +281,10 @@ def run(argv) -> int:
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        where = f"{args.config}: " if getattr(args, "config", None) else ""
+        print(f"error: {where}out of memory: {exc}", file=sys.stderr)
+        return 1
 
 
 def main() -> None:

@@ -8,6 +8,7 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .centrality import MEASURES
+from .checkpoint import read_lines
 
 __all__ = [
     "ConfigError",
@@ -163,33 +164,23 @@ _KNOWN_KEYS = {
 }
 
 
-def _preset_config(name: str) -> ExperimentConfig:
-    return ExperimentConfig(**PRESETS[name.lower()])
-
-
-def parse_config(source: str | Path) -> ExperimentConfig:
-    """Load a config from a key=value file, or resolve a bare preset name."""
-    if isinstance(source, str) and source.lower() in PRESETS and not Path(source).exists():
-        return _preset_config(source)
-    path = Path(source)
+def parse_config(path: str | Path) -> ExperimentConfig:
+    """Load a config from a key=value file."""
+    path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
 
     entries: dict[str, str] = {}
-    with path.open() as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value")
-            key, _, raw = line.partition("=")
-            key, raw = key.strip(), raw.strip()
-            if key != "preset" and key not in _KNOWN_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in entries:
-                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            entries[key] = raw
+    for lineno, (key, eq, raw) in read_lines(path, "config line",
+                                             lambda text: text.partition("=")):
+        if not eq:
+            raise ConfigError(f"{path}:{lineno}: expected key=value")
+        key, raw = key.strip(), raw.strip()
+        if key != "preset" and key not in _KNOWN_KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in entries:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+        entries[key] = raw
 
     try:
         return _config_from_entries(entries)
@@ -202,7 +193,7 @@ def _config_from_entries(entries: dict[str, str]) -> ExperimentConfig:
     if preset is not None:
         if preset.lower() not in PRESETS:
             raise ConfigError(f"unknown preset {preset!r}")
-        cfg = _preset_config(preset)
+        cfg = ExperimentConfig(**PRESETS[preset.lower()])
     else:
         cfg = ExperimentConfig()
 

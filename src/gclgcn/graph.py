@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .checkpoint import write_table
+from .checkpoint import read_lines, write_table
 
 __all__ = [
     "Graph",
@@ -190,10 +190,6 @@ def generate_sbm(spec: SbmSpec, seed: int) -> Graph:
     return Graph(features=feats, edges=tuple(edges), labels=labels)
 
 
-def _strip_comment(line: str) -> str:
-    return line.split("#", 1)[0].strip()
-
-
 def load_graph(
     features_path: str | Path,
     edges_path: str | Path,
@@ -201,31 +197,21 @@ def load_graph(
 ) -> Graph:
     """Read features.csv / edges.txt / labels.txt into a validated Graph.
 
-    Duplicate and reversed edge lines collapse to one stored pair; self-loop
-    lines and non-finite feature values are rejected with their line number.
+    Each file is read by checkpoint.read_lines, so "#" comments and blank
+    lines may appear anywhere. Duplicate and reversed edge lines collapse to
+    one stored pair; self-loop lines and non-finite feature values are
+    rejected with their line number.
     """
-    features_path = Path(features_path)
-    edges_path = Path(edges_path)
-
     rows: list[list[float]] = []
     linenos: list[int] = []
-    with features_path.open() as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rows.append([float(tok) for tok in line.split(",")])
-            except ValueError:
-                raise ValueError(
-                    f"{features_path}:{lineno}: could not parse feature row"
-                ) from None
-            linenos.append(lineno)
-            if len(rows[-1]) != len(rows[0]):
-                raise ValueError(
-                    f"{features_path}:{lineno}: expected {len(rows[0])} columns,"
-                    f" got {len(rows[-1])}"
-                )
+    for lineno, row in read_lines(features_path, "feature row",
+                                  lambda text: [float(tok) for tok in text.split(",")]):
+        if rows and len(row) != len(rows[0]):
+            raise ValueError(
+                f"{features_path}:{lineno}: expected {len(rows[0])} columns, got {len(row)}"
+            )
+        rows.append(row)
+        linenos.append(lineno)
     if not rows:
         raise ValueError(f"{features_path}: no feature rows")
     features = np.array(rows, dtype=np.float64)
@@ -237,36 +223,22 @@ def load_graph(
 
     pairs: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
-    with edges_path.open() as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = _strip_comment(line)
-            if not line:
-                continue
-            toks = line.split()
-            if len(toks) != 2:
-                raise ValueError(
-                    f"{edges_path}:{lineno}: expected two endpoints, got {len(toks)}"
-                )
-            try:
-                u, v = int(toks[0]), int(toks[1])
-            except ValueError:
-                raise ValueError(
-                    f"{edges_path}:{lineno}: could not parse edge endpoints"
-                ) from None
-            if u == v:
-                raise ValueError(f"self-loop rejected at line {lineno} of {edges_path}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(
-                    f"{edges_path}:{lineno}: endpoint out of range (n={n})"
-                )
-            pair = (u, v) if u < v else (v, u)
-            if pair not in seen:
-                seen.add(pair)
-                pairs.append(pair)
+    for lineno, ends in read_lines(edges_path, "edge endpoints",
+                                   lambda text: [int(tok) for tok in text.split()]):
+        if len(ends) != 2:
+            raise ValueError(f"{edges_path}:{lineno}: expected two endpoints, got {len(ends)}")
+        u, v = ends
+        if u == v:
+            raise ValueError(f"{edges_path}:{lineno}: self-loop rejected")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"{edges_path}:{lineno}: endpoint out of range (n={n})")
+        pair = (u, v) if u < v else (v, u)
+        if pair not in seen:
+            seen.add(pair)
+            pairs.append(pair)
 
     labels = None
     if labels_path is not None:
-        labels_path = Path(labels_path)
         labels = read_labels(labels_path)
         if labels.size != n:
             raise ValueError(
@@ -277,20 +249,17 @@ def load_graph(
 
 
 def read_labels(path: str | Path) -> np.ndarray:
-    """One non-negative integer label per non-blank line."""
+    """One non-negative int64 label per line that holds more than a
+    comment."""
     values: list[int] = []
-    with Path(path).open() as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                label = int(line)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: could not parse label") from None
-            if label < 0:
-                raise ValueError(f"{path}:{lineno}: negative label")
-            values.append(label)
+    for lineno, label in read_lines(path, "label", int):
+        if label < 0:
+            raise ValueError(f"{path}:{lineno}: negative label")
+        if label >= 1 << 63:
+            raise ValueError(f"{path}:{lineno}: label does not fit in 64 bits")
+        values.append(label)
+    if not values:
+        raise ValueError(f"{path}: no labels")
     return np.array(values, dtype=np.int64)
 
 

@@ -12,6 +12,10 @@ prints each executable line that none of them reached, with its text, and
 a count.
 
     python tests/reach.py
+    python tests/reach.py --pytest tests/test_graph.py tests/test_config.py
+
+With --pytest, runs pytest in-process on the given arguments under the same
+tracer in place of the command-line runs, and exits with pytest's status.
 """
 
 from __future__ import annotations
@@ -111,12 +115,18 @@ def _runs(work: Path) -> None:
                 raise RuntimeError(f"{' '.join(argv)} exited non-zero")
 
 
-def main() -> None:
+def main(argv: list[str]) -> int:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+    status = 0
     sys.settrace(_call)
     try:
-        with tempfile.TemporaryDirectory() as tmp:
-            _runs(Path(tmp))
+        if argv[:1] == ["--pytest"]:
+            import pytest
+
+            status = pytest.main(["-q", "-p", "no:cacheprovider", *argv[1:]])
+        else:
+            with tempfile.TemporaryDirectory() as tmp:
+                _runs(Path(tmp))
     finally:
         sys.settrace(None)
     total = missed = 0
@@ -129,7 +139,8 @@ def main() -> None:
                 missed += 1
                 print(f"{path.relative_to(ROOT)}:{lineno}: {text[lineno - 1].strip()}")
     print(f"{missed} of {total} executable lines in src/gclgcn reached by no run")
+    return int(status)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main(sys.argv[1:]))

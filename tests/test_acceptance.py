@@ -404,7 +404,7 @@ def test_c8_cora_sanity_stretch():
         _report("C8 cora sanity (stretch)", True, 0.0,
                 "SKIP: set GCLGCN_CORA_DIR to features.csv/edges.txt/labels.txt dir")
         pytest.skip("optional stretch run; dataset not shipped")
-    from gclgcn.config import parse_config
+    from gclgcn.config import PRESETS, ExperimentConfig
     from gclgcn.graph import load_graph
     from dataclasses import replace
     import pathlib
@@ -412,7 +412,7 @@ def test_c8_cora_sanity_stretch():
     start = time.time()
     d = pathlib.Path(data_dir)
     g = load_graph(d / "features.csv", d / "edges.txt", d / "labels.txt")
-    cfg = parse_config("cora")
+    cfg = ExperimentConfig(**PRESETS["cora"])
     res = P.train(g, cfg)
     m = metric_row(res.labels, g.labels)
     elapsed = time.time() - start

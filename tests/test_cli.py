@@ -467,6 +467,19 @@ def _write_dataset(d, features, edges, labels, k, epochs=2, layers=2):
     return cfg
 
 
+def _run_capped(script: str) -> subprocess.CompletedProcess:
+    """Run script in a child Python whose address space is capped at 2 GB,
+    with run imported from gclgcn.cli."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    script = ("import resource\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+              "from gclgcn.cli import run\n" + script)
+    return subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+
+
 def _two_blobs():
     rng = np.random.default_rng(0)
     features = np.vstack([rng.normal(0, 1, (4, 3)) + [3, 0, 0],
@@ -544,21 +557,13 @@ class TestEdgeCases:
         for name, truth in (("dense", labels), ("huge", huge)):
             cfg = _write_dataset(tmp_path / name, features, _RINGS, truth, 2, layers=1)
             (tmp_path / name / "pred.txt").write_text("0\n1\n0\n0\n1\n1\n1\n0\n")
-        script = (
-            "import resource, sys\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
-            "from gclgcn.cli import run\n"
+        done = _run_capped(
             "for name in ('dense', 'huge'):\n"
             f"    d = {str(tmp_path)!r} + '/' + name\n"
             "    assert run(['eval', '--pred', d + '/pred.txt', '--truth', d + '/y.txt',\n"
             "                '--out', d + '/eval.csv']) == 0\n"
             "    assert run(['train', '--config', d + '/run.cfg', '--out', d + '/out']) == 0\n"
         )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-        done = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
         printed = done.stdout.splitlines()
         assert printed[0] == printed[2] and printed[0].startswith("acc=")
@@ -588,6 +593,18 @@ class TestBadInput:
         "edge with three tokens": (None, {"e.txt": "0 1\n1 2 3\n"},
                                    ":2: expected two endpoints, got 3"),
         "edge endpoint": (None, {"e.txt": "0 x\n"}, ":1: could not parse edge endpoints"),
+        "self-loop": (None, {"e.txt": "0 1\n2 2\n"}, ":2: self-loop rejected"),
+        "endpoint out of range": (None, {"e.txt": "0 1\n1 8\n"},
+                                  ":2: endpoint out of range (n=8)"),
+        "non-finite feature": (None, {"f.csv": "1.0,2.0\n3.0,nan\n"},
+                               ":2: non-finite feature value"),
+        "unparseable feature row": (None, {"f.csv": "1.0,2.0\n3.0,x\n"},
+                                    ":2: could not parse feature row"),
+        "unparseable label": (None, {"y.txt": "0\n1.5\n"}, ":2: could not parse label"),
+        "negative label": (None, {"y.txt": "0\n-1\n"}, ":2: negative label"),
+        "label past 64 bits": (None, {"y.txt": "0\n9223372036854775808\n"},
+                               ":2: label does not fit in 64 bits"),
+        "no labels": (None, {"y.txt": "# none\n"}, ": no labels"),
     }
 
     @pytest.mark.parametrize("check", sorted(INPUT_CHECKS))
@@ -606,6 +623,39 @@ class TestBadInput:
         bad = tmp_path / "data" / next(iter(files), "run.cfg")
         assert capsys.readouterr().err == f"error: {bad}{message}\n"
         assert not out.exists()
+
+    def test_a_model_past_memory_exits_one(self, tmp_path):
+        """A config that sizes the model past memory exits 1 naming the
+        config, in a process whose address space is capped at 2 GB."""
+        features, labels = _two_blobs()
+        base = _write_dataset(tmp_path, features, _RINGS, labels, 2).read_text().splitlines()
+        configs = []
+        for line in ("n_z=1000000000", "contrastive.hidden=1000000000", "heads=100000000"):
+            key = line.partition("=")[0]
+            cfg = tmp_path / f"{key}.cfg"
+            cfg.write_text("".join(f"{row}\n" for row in base if not row.startswith(key + "="))
+                           + line + "\n")
+            configs.append(str(cfg))
+        done = _run_capped(
+            f"for cfg in {configs!r}:\n"
+            "    assert run(['train', '--config', cfg, '--out', cfg + '.out']) == 1\n"
+        )
+        assert done.returncode == 0, done.stderr
+        errors = done.stderr.splitlines()
+        assert len(errors) == len(configs)
+        for cfg, error in zip(configs, errors):
+            assert error.startswith(f"error: {cfg}: out of memory: Unable to allocate ")
+
+    def test_out_of_memory_without_a_config(self, monkeypatch, tmp_path, capsys):
+        def allocate(*args):
+            raise MemoryError("Unable to allocate 8.00 GiB")
+
+        (tmp_path / "f.csv").write_text("0\n0\n")
+        (tmp_path / "e.txt").write_text("0 1\n")
+        monkeypatch.setattr("gclgcn.cli.composite_centrality", allocate)
+        assert run(["centrality", "--features", str(tmp_path / "f.csv"),
+                    "--edges", str(tmp_path / "e.txt")]) == 1
+        assert capsys.readouterr().err == "error: out of memory: Unable to allocate 8.00 GiB\n"
 
     @pytest.mark.parametrize("line, field", [("epochs=abc", "epochs"), ("epsilon=2", "epsilon"),
                                              ("seed=-1", "seed")])

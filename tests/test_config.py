@@ -13,7 +13,7 @@ from gclgcn.config import (
 
 class TestPresets:
     def test_cora_preset_values(self):
-        cfg = parse_config("cora")
+        cfg = ExperimentConfig(**PRESETS["cora"])
         assert cfg.epochs == 400
         assert cfg.alpha == 0.1 and cfg.beta == 0.1
         assert cfg.n_z == 10
@@ -23,7 +23,7 @@ class TestPresets:
         assert cfg.k == 7
 
     def test_acm_preset_values(self):
-        cfg = parse_config("acm")
+        cfg = ExperimentConfig(**PRESETS["acm"])
         assert cfg.epochs == 200
         assert cfg.alpha == 0.3 and cfg.beta == 0.3
         assert cfg.n_z == 10
@@ -33,14 +33,14 @@ class TestPresets:
 
     def test_all_presets_valid(self):
         for name in PRESETS:
-            cfg = parse_config(name)
+            cfg = ExperimentConfig(**PRESETS[name])
             assert abs(cfg.lam + cfg.theta + cfg.gamma - 1.0) <= 1e-9
 
     def test_dblp_and_others(self):
-        assert parse_config("dblp").lr == 2e-3
-        assert parse_config("citeseer").beta == 0.12
-        assert parse_config("hhar").epochs == 600
-        assert parse_config("reuters").n_z == 20
+        assert ExperimentConfig(**PRESETS["dblp"]).lr == 2e-3
+        assert ExperimentConfig(**PRESETS["citeseer"]).beta == 0.12
+        assert ExperimentConfig(**PRESETS["hhar"]).epochs == 600
+        assert ExperimentConfig(**PRESETS["reuters"]).n_z == 20
 
 
 class TestValidation:

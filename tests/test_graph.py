@@ -63,7 +63,7 @@ class TestLoadGraph:
     def test_self_loop_names_line(self, tmp_path):
         (tmp_path / "f.csv").write_text("0\n0\n0\n")
         (tmp_path / "e.txt").write_text("0 1\n2 2\n")
-        with pytest.raises(ValueError, match="self-loop rejected at line 2"):
+        with pytest.raises(ValueError, match=r"e\.txt:2: self-loop rejected$"):
             load_graph(tmp_path / "f.csv", tmp_path / "e.txt")
 
     def test_malformed_number_names_line(self, tmp_path):
@@ -100,10 +100,13 @@ class TestLoadGraph:
             load_graph(tmp_path / "f.csv", tmp_path / "e.txt", tmp_path / "y.txt")
 
     def test_comments_and_blank_lines(self, tmp_path):
-        (tmp_path / "f.csv").write_text("1.5\n2.5\n")
+        (tmp_path / "f.csv").write_text("# x, y\n1.5,3\n\n2.5,4  # inline\n")
         (tmp_path / "e.txt").write_text("# header\n\n0 1  # inline\n")
-        g = load_graph(tmp_path / "f.csv", tmp_path / "e.txt")
+        (tmp_path / "y.txt").write_text("# class\n0\n\n1# inline\n")
+        g = load_graph(tmp_path / "f.csv", tmp_path / "e.txt", tmp_path / "y.txt")
+        assert g.features.tolist() == [[1.5, 3.0], [2.5, 4.0]]
         assert g.edges == ((0, 1),)
+        assert g.labels.tolist() == [0, 1]
 
     def test_round_trip_bit_identical(self, tmp_path):
         rng = np.random.default_rng(3)
