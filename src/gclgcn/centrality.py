@@ -21,6 +21,7 @@ from .graph import Graph, adjacency_matrix, support_pairs
 
 __all__ = [
     "MEASURES",
+    "SPATIAL_MODES",
     "degree_centrality",
     "betweenness_centrality",
     "closeness_centrality",
@@ -30,6 +31,9 @@ __all__ = [
 
 # Column order of the composite matrix.
 MEASURES = ("degree", "betweenness", "closeness")
+
+# The distances spatial_bias can put on an attention edge.
+SPATIAL_MODES = ("euclidean", "shortest-path")
 
 # The sweep runs its breadth-first searches for a block of sources at once,
 # on (n, block) matrices of about this many elements.
@@ -145,7 +149,7 @@ def spatial_bias(g: Graph, mode: str = "euclidean") -> np.ndarray:
     shortest-path: hop distance, which is 1 on every edge because attention
     only reaches neighbours; the mode is a constant neighbour bias of 1.
     """
-    if mode not in ("euclidean", "shortest-path"):
+    if mode not in SPATIAL_MODES:
         raise ValueError(f"unknown spatial mode {mode!r}")
     rows, cols = support_pairs(g)
     if mode == "euclidean":

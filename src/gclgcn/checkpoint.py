@@ -10,6 +10,7 @@ float64 payload in row-major order. Entry order is preserved.
 from __future__ import annotations
 
 import csv
+import math
 import os
 import struct
 import sys
@@ -71,9 +72,18 @@ def read_lines(path: str | Path, what: str, parse):
     that holds more than a comment: text from a "#" to the end of the line
     is dropped, the rest is stripped, and blank lines are skipped. A
     ValueError from parse is raised again as "<path>:<line>: could not parse
-    <what>". A generator, so a caller's own checks run line by line."""
-    with open(path) as fh:
+    <what>", and a line that is not UTF-8 as "<path>:<line>: not UTF-8
+    text", whatever the locale. A generator, so a caller's own checks run
+    line by line."""
+    # Undecodable bytes arrive as lone surrogates, so the error can name its
+    # line; a decode error would fire at the 8 KB chunk that holds it.
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ValueError(f"{path}:{lineno}: not UTF-8 text") from None
             text = line.partition("#")[0].strip()
             if not text:
                 continue
@@ -101,9 +111,10 @@ def save_checkpoint(path: str | Path, named) -> None:
 
 
 def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
-    """Read back the named arrays, insertion-ordered. A file cut short,
-    carrying trailing bytes or holding two entries of one name raises
-    ValueError naming the byte offset."""
+    """Read back the named arrays, insertion-ordered. A file cut short (a
+    shape too large for the bytes left is one), carrying trailing bytes,
+    holding a name that is not UTF-8 or two entries of one name raises
+    ValueError naming the file and the byte offset."""
     data = Path(path).read_bytes()
     if data[:4] != MAGIC:
         raise ValueError(f"{path}: not a checkpoint file (bad magic)")
@@ -132,12 +143,20 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
             )
         start = pos
         (name_len,) = struct.unpack("<H", read(2, "entry header"))
-        name = bytes(read(name_len, "entry name")).decode("utf-8")
+        raw = bytes(read(name_len, "entry name"))
+        try:
+            name = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: entry name at byte {start + 2} is not UTF-8") from None
         if name in out:
             raise ValueError(f"{path}: duplicate entry {name!r} at byte {start}")
         (rank,) = read(1, f"rank of {name!r}")
         shape = struct.unpack(f"<{rank}I", read(4 * rank, f"shape of {name!r}"))
-        count = int(np.prod(shape)) if rank else 1
-        payload = read(8 * count, f"payload of {name!r}")
-        out[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
+        # Python ints: no product of the u32 dims wraps round.
+        payload = read(8 * math.prod(shape), f"payload of {name!r}")
+        try:
+            arr = np.frombuffer(payload, dtype="<f8").reshape(shape)
+        except ValueError as exc:  # a rank past numpy's limit
+            raise ValueError(f"{path}: entry {name!r} at byte {start}: {exc}") from None
+        out[name] = arr.astype(np.float64)
     return out

@@ -64,16 +64,21 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _load_dataset(cfg, need_labels: bool = False) -> Graph:
-    require_dataset(cfg, need_labels=need_labels)
-    return load_graph(cfg.features, cfg.edges, cfg.labels)
+def _load_dataset(args, need_labels: bool = False):
+    """The config of args.config and its graph; a missing dataset key is an
+    error naming the config."""
+    cfg = parse_config(args.config)
+    try:
+        require_dataset(cfg, need_labels=need_labels)
+    except ConfigError as exc:
+        raise ConfigError(f"{args.config}: {exc}") from None
+    return cfg, load_graph(cfg.features, cfg.edges, cfg.labels)
 
 
 def _load_clustering(args, need_labels: bool = False):
     """The config and graph of a command that splits the graph into k
     clusters; a k above the node count is an error naming the config."""
-    cfg = parse_config(args.config)
-    g = _load_dataset(cfg, need_labels)
+    cfg, g = _load_dataset(args, need_labels)
     if g.n < cfg.k:
         raise ConfigError(f"{args.config}: k={cfg.k} exceeds node count {g.n}")
     return cfg, g
@@ -111,8 +116,7 @@ def _cmd_centrality(args) -> int:
 
 
 def _cmd_pretrain(args) -> int:
-    cfg = parse_config(args.config)
-    g = _load_dataset(cfg)
+    cfg, g = _load_dataset(args)
     pre = pretrain(g, cfg)
     out = _out_dir(args)
     save_checkpoint(out / "pretrain.gclc", pre.items())
@@ -129,7 +133,6 @@ def _load_pretrained(path: str, g: Graph, cfg):
 
 def _cmd_train(args) -> int:
     cfg, g = _load_clustering(args)
-    out = _out_dir(args)
     # Loaded in the call, so train() holds the only reference and frees the
     # pretrained arrays once the model has copied them.
     try:
@@ -139,8 +142,9 @@ def _cmd_train(args) -> int:
         )
     except NumericError as exc:
         if exc.state is not None:
-            save_checkpoint(out / "model.gclc", exc.state.named_arrays())
+            save_checkpoint(_out_dir(args) / "model.gclc", exc.state.named_arrays())
         raise
+    out = _out_dir(args)
     write_table(out / "history.csv", [
         HISTORY_COLUMNS, *([row[col] for col in HISTORY_COLUMNS] for row in result.history)
     ])

@@ -4,16 +4,15 @@ named presets carrying the standard per-dataset hyperparameters."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .centrality import MEASURES
+from .centrality import MEASURES, SPATIAL_MODES
 from .checkpoint import read_lines
 
 __all__ = [
     "ConfigError",
     "ABLATIONS",
-    "ContrastiveConfig",
     "ExperimentConfig",
     "PRESETS",
     "measure_list",
@@ -26,29 +25,9 @@ class ConfigError(ValueError):
     """Invalid, missing, or out-of-range configuration."""
 
 
-# The full model, then each module removed in turn.
-ABLATIONS = ("norm", "-GCN", "-Graphormer", "-ContrastiveLearning")
-_SPATIAL_MODES = ("euclidean", "shortest-path")
-
-
-@dataclass(frozen=True)
-class ContrastiveConfig:
-    p: float = 0.3  # feature mask rate
-    tau: float = 0.5  # softmax temperature
-    beta_sim: float = 1.0  # exponent of the combined similarity
-    hidden: int = 256
-    epochs: int = 50
-
-    def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise ConfigError(f"contrastive.p={self.p} outside [0, 1]")
-        for key, value in (("tau", self.tau), ("beta_sim", self.beta_sim)):
-            if not 0 < value < math.inf:
-                raise ConfigError(f"contrastive.{key} must be positive and finite, got {value!r}")
-        if self.hidden < 1:
-            raise ConfigError("contrastive.hidden must be >= 1")
-        if self.epochs < 0:
-            raise ConfigError("contrastive.epochs must be >= 0")
+# The full model, then each variant with the module it removes.
+ABLATIONS = {"norm": None, "-GCN": "gcn", "-Graphormer": "graphormer",
+             "-ContrastiveLearning": "contrastive"}
 
 
 @dataclass(frozen=True)
@@ -75,35 +54,42 @@ class ExperimentConfig:
     # of 1 on every edge (0 on self-loops); "euclidean" uses feature distance.
     spatial_mode: str = "euclidean"
     spatial_sign: str = "+"
-    contrastive: ContrastiveConfig = field(default_factory=ContrastiveConfig)
+    contrastive_p: float = 0.3  # feature mask rate
+    contrastive_tau: float = 0.5  # softmax temperature
+    contrastive_beta_sim: float = 1.0  # exponent of the combined similarity
+    contrastive_hidden: int = 256
+    contrastive_epochs: int = 50
     ablation: str = "norm"
 
     def __post_init__(self):
-        if self.epochs < 0:
-            raise ConfigError("epochs must be >= 0")
         # Keys as a config file spells them; a nan fails every comparison.
-        for key, value in (("lr", self.lr), ("t", self.t)):
+        for key, value in (("epochs", self.epochs),
+                           ("contrastive.epochs", self.contrastive_epochs)):
+            if value < 0:
+                raise ConfigError(f"{key} must be >= 0")
+        for key, value in (("n_z", self.n_z), ("k", self.k), ("heads", self.heads),
+                           ("contrastive.hidden", self.contrastive_hidden)):
+            if value < 1:
+                raise ConfigError(f"{key} must be >= 1")
+        for key, value in (("lr", self.lr), ("t", self.t),
+                           ("contrastive.tau", self.contrastive_tau),
+                           ("contrastive.beta_sim", self.contrastive_beta_sim)):
             if not 0 < value < math.inf:
                 raise ConfigError(f"{key} must be positive and finite, got {value!r}")
         for key, value in (("alpha", self.alpha), ("beta", self.beta), ("lambda", self.lam),
                            ("theta", self.theta), ("gamma", self.gamma)):
             if not 0 <= value < math.inf:
                 raise ConfigError(f"{key} must be finite and >= 0, got {value!r}")
-        if self.n_z < 1:
-            raise ConfigError("n_z must be >= 1")
+        for key, value in (("epsilon", self.epsilon), ("contrastive.p", self.contrastive_p)):
+            if not 0.0 <= value <= 1.0:
+                raise ConfigError(f"{key}={value} outside [0, 1]")
         if abs(self.lam + self.theta + self.gamma - 1.0) > 1e-9:
             raise ConfigError(
                 "fusion weights must sum to 1 "
                 f"(lambda+theta+gamma = {self.lam + self.theta + self.gamma!r})"
             )
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ConfigError(f"epsilon={self.epsilon} outside [0, 1]")
-        if self.k < 1:
-            raise ConfigError("k must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.heads < 1:
-            raise ConfigError("heads must be >= 1")
         if self.layers not in (1, 2, 3, 4):
             raise ConfigError("layers must be 1, 2, 3, or 4")
         object.__setattr__(self, "centrality", tuple(self.centrality))
@@ -112,12 +98,12 @@ class ExperimentConfig:
             raise ConfigError(
                 f"centrality must be a nonempty subset of {MEASURES}, got {self.centrality}"
             )
-        if self.spatial_mode not in _SPATIAL_MODES:
-            raise ConfigError(f"spatial_mode must be one of {_SPATIAL_MODES}")
+        if self.spatial_mode not in SPATIAL_MODES:
+            raise ConfigError(f"spatial_mode must be one of {SPATIAL_MODES}")
         if self.spatial_sign not in ("+", "-"):
             raise ConfigError("spatial_sign must be '+' or '-'")
         if self.ablation not in ABLATIONS:
-            raise ConfigError(f"ablation must be one of {ABLATIONS}")
+            raise ConfigError(f"ablation must be one of {tuple(ABLATIONS)}")
 
 
 # Stock per-dataset settings (epochs, loss weights, bottleneck width,
@@ -155,12 +141,12 @@ def _parser(default):
 
 
 # Every file key but preset, with its field's name and parser: each field of
-# ExperimentConfig but contrastive is keyed by its name ("lambda" for lam),
-# and each field of ContrastiveConfig by contrastive.<name>.
+# ExperimentConfig is keyed by its name, but lam by "lambda" and each
+# contrastive_<name> by contrastive.<name>.
 _KNOWN_KEYS = {
-    **{("lambda" if f.name == "lam" else f.name): (f.name, _parser(f.default))
-       for f in fields(ExperimentConfig) if f.name != "contrastive"},
-    **{f"contrastive.{f.name}": (f.name, _parser(f.default)) for f in fields(ContrastiveConfig)},
+    ("lambda" if f.name == "lam" else f.name.replace("contrastive_", "contrastive.", 1)):
+        (f.name, _parser(f.default))
+    for f in fields(ExperimentConfig)
 }
 
 
@@ -189,27 +175,21 @@ def parse_config(path: str | Path) -> ExperimentConfig:
 
 
 def _config_from_entries(entries: dict[str, str]) -> ExperimentConfig:
+    """The preset's values, then the parsed entries over them, validated
+    once as one ExperimentConfig."""
+    values: dict = {}
     preset = entries.pop("preset", None)
     if preset is not None:
         if preset.lower() not in PRESETS:
             raise ConfigError(f"unknown preset {preset!r}")
-        cfg = ExperimentConfig(**PRESETS[preset.lower()])
-    else:
-        cfg = ExperimentConfig()
-
-    values: dict = {}
-    contrastive: dict = {}
+        values.update(PRESETS[preset.lower()])
     for key, raw in entries.items():
         name, parse = _KNOWN_KEYS[key]
         try:
-            value = parse(raw)
+            values[name] = parse(raw)
         except ValueError:
             raise ConfigError(f"{key}: could not parse {raw!r}") from None
-        (contrastive if key.startswith("contrastive.") else values)[name] = value
-
-    if contrastive:
-        values["contrastive"] = replace(cfg.contrastive, **contrastive)
-    return replace(cfg, **values)
+    return ExperimentConfig(**values)
 
 
 def require_dataset(cfg: ExperimentConfig, need_labels: bool = False) -> None:

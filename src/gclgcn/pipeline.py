@@ -21,7 +21,7 @@ from . import autodiff as ad
 from .autodiff import AdamState, Tensor, adam_step, backward
 from .centrality import composite_centrality, spatial_bias
 from .cluster import METRICS, kmeans, metric_row, student_t
-from .config import ConfigError, ExperimentConfig
+from .config import ABLATIONS, ConfigError, ExperimentConfig
 from .graph import Graph, adjacency_matrix, normalize_adjacency
 from .layers import ae_loss, gcn_layer, glorot, graphormer_layer, ladder_dims
 
@@ -29,7 +29,6 @@ __all__ = [
     "NumericError",
     "Channel",
     "ModelState",
-    "AssignmentPair",
     "TrainResult",
     "AE_PRETRAIN_EPOCHS",
     "pretrain_ae",
@@ -49,9 +48,6 @@ _STREAM_AE = 0
 _STREAM_CONTRASTIVE_INIT = 3
 _STREAM_CONTRASTIVE_MASK = 4
 _STREAM_KMEANS = 5
-
-# The module each ablation variant removes ("norm" removes none).
-_REMOVED = {"-GCN": "gcn", "-Graphormer": "graphormer", "-ContrastiveLearning": "contrastive"}
 
 
 class NumericError(RuntimeError):
@@ -74,12 +70,12 @@ def _stream(seed: int, index: int) -> np.random.Generator:
 
 def _channels(cfg: ExperimentConfig) -> tuple[str, ...]:
     """The graph channels cfg.ablation leaves on, GCN before attention."""
-    return tuple(name for name in _GRAPH_CHANNELS if name != _REMOVED.get(cfg.ablation))
+    return tuple(name for name in _GRAPH_CHANNELS if name != ABLATIONS[cfg.ablation])
 
 
 def uses_contrastive(cfg: ExperimentConfig) -> bool:
     """Whether cfg.ablation leaves the contrastive features on."""
-    return _REMOVED.get(cfg.ablation) != "contrastive"
+    return ABLATIONS[cfg.ablation] != "contrastive"
 
 
 @dataclass
@@ -234,16 +230,6 @@ class ModelState:
 
 
 @dataclass
-class AssignmentPair:
-    """Per-epoch distributions: fused-channel Q, autoencoder-channel Q', and
-    the detached target P. Every row sums to 1."""
-
-    q: np.ndarray
-    q_prime: np.ndarray
-    p: np.ndarray
-
-
-@dataclass
 class TrainResult:
     state: ModelState
     history: list[dict]
@@ -304,10 +290,9 @@ def pretrain_contrastive(g: Graph, cfg: ExperimentConfig) -> np.ndarray:
     """Train the two-layer contrastive encoder on original-vs-masked views,
     propagating over the normalized adjacency, then return the frozen
     encoder output on the original features."""
-    cc = cfg.contrastive
     adj = normalize_adjacency(g)
     channel = _contrastive_channel(
-        _stream(cfg.seed, _STREAM_CONTRASTIVE_INIT), adj, g.f, cc.hidden
+        _stream(cfg.seed, _STREAM_CONTRASTIVE_INIT), adj, g.f, cfg.contrastive_hidden
     )
     mask_rng = _stream(cfg.seed, _STREAM_CONTRASTIVE_MASK)
     x = ad.constant(g.features)
@@ -316,10 +301,12 @@ def pretrain_contrastive(g: Graph, cfg: ExperimentConfig) -> np.ndarray:
         return channel.decode(channel.encode(v)[-1])
 
     def loss_of():
-        view = ad.constant(_mask_features(mask_rng, g.features, cc.p))
-        return ad.info_nce(encoder(x), encoder(view), cc.beta_sim, cc.tau)
+        view = ad.constant(_mask_features(mask_rng, g.features, cfg.contrastive_p))
+        return ad.info_nce(encoder(x), encoder(view), cfg.contrastive_beta_sim,
+                           cfg.contrastive_tau)
 
-    _pretrain("contrastive pretraining", channel.params(), cfg.lr, cc.epochs, loss_of)
+    _pretrain("contrastive pretraining", channel.params(), cfg.lr, cfg.contrastive_epochs,
+              loss_of)
     return encoder(x).value
 
 
@@ -520,8 +507,10 @@ def _epoch_losses(
     encoded,
     p_fixed: np.ndarray | None = None,
 ):
-    """The composite loss, its components and the assignments, from the
-    encoder outputs encoded = _encode(state, cons, cfg)."""
+    """The composite loss, its components and the clustering head, from the
+    encoder outputs encoded = _encode(state, cons, cfg). The head holds the
+    epoch's assignments: fused-channel q, autoencoder-channel q_prime and
+    the detached target p, each row summing to 1."""
     hs, zs = encoded
     xhat_ae, outs = _decode(state, hs, zs)
 
@@ -548,7 +537,7 @@ def _epoch_losses(
         "L_clu": head.kl[0],
         "L_con": head.kl[1],
     }
-    return total, components, AssignmentPair(q=head.q, q_prime=head.q_prime, p=head.p)
+    return total, components, head
 
 
 def train(
@@ -563,8 +552,9 @@ def train(
     centroids from the partition of the autoencoder bottleneck, then jointly
     optimize every enabled channel plus the centroids.
 
-    inspect, when given, is called every epoch with (epoch, AssignmentPair)
-    before the update step. Pretraining and joint training raise
+    inspect, when given, is called every epoch with (epoch, head), head
+    the cluster_kl node whose q, q_prime and p are that epoch's
+    assignments, before the update step. Pretraining and joint training raise
     NumericError at the first non-finite loss, and at the first non-finite
     gradient before the Adam step that would apply it; a gradient message
     names the epoch and the parameter (for example graphormer.enc.2.w_key).
@@ -588,14 +578,14 @@ def train(
 
     history: list[dict] = []
     for epoch in range(cfg.epochs):
-        total, components, assignments = _epoch_losses(state, cons, cfg, encoded)
+        total, components, head = _epoch_losses(state, cons, cfg, encoded)
         if not np.isfinite(total.value[0, 0]):
             raise NumericError(f"training: non-finite loss at epoch {epoch}: {components}", state)
         if inspect is not None:
-            inspect(epoch, assignments)
+            inspect(epoch, head)
         row = {"epoch": epoch, "L": float(total.value[0, 0]), **components}
         if g.labels is not None:
-            row.update(metric_row(assign_labels(assignments.q), g.labels))
+            row.update(metric_row(assign_labels(head.q), g.labels))
         else:
             row.update(dict.fromkeys(METRICS, np.nan))
         history.append(row)
@@ -605,7 +595,7 @@ def train(
         # backward freed the tape's inner nodes; drop the loss and the encoder
         # outputs, whose values are the last of it, before the next encoder
         # pass, which feeds the next epoch or, after the last step, the labels.
-        del total, assignments, encoded
+        del total, head, encoded
         encoded = _encode(state, cons, cfg)
 
     hs, zs = encoded

@@ -18,7 +18,7 @@ from gclgcn.centrality import (
     spatial_bias,
 )
 from gclgcn.cluster import kmeans, metric_row, target_distribution
-from gclgcn.config import ContrastiveConfig, ExperimentConfig
+from gclgcn.config import ExperimentConfig
 from gclgcn.graph import Graph, SbmSpec, generate_sbm, normalize_adjacency
 from gclgcn.layers import ae_loss, gcn_layer, glorot, graphormer_layer
 from gclgcn import pipeline as P
@@ -223,7 +223,7 @@ def test_c4_distribution_invariants():
     g = generate_sbm(spec, seed=1)
     cfg = ExperimentConfig(
         epochs=50, k=3, n_z=5, layers=3, lr=1e-4, seed=0,
-        contrastive=ContrastiveConfig(hidden=32, epochs=20),
+        contrastive_hidden=32, contrastive_epochs=20,
     )
     epochs_seen = []
 

@@ -1,3 +1,5 @@
+import struct
+
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
@@ -96,6 +98,51 @@ def test_duplicate_entry_names_entry_and_offset(tmp_path):
     # then "w": name length, 1 name byte, rank, 2 dims, 3 floats.
     offset = 4 + 2 + (2 + 3 + 1 + 8 + 64) + (2 + 1 + 1 + 8 + 24)
     with pytest.raises(ValueError, match=rf"m.gclc: duplicate entry 'x_c' at byte {offset}$"):
+        load_checkpoint(path)
+
+
+def _entry(name: bytes, shape, payload: bytes = b"") -> bytes:
+    """One entry as the file lays it out: name length, name, rank, dims,
+    then payload."""
+    return (struct.pack("<H", len(name)) + name + struct.pack("<B", len(shape))
+            + struct.pack(f"<{len(shape)}I", *shape) + payload)
+
+
+# Past int64 the product of the dims wraps: (2**31, 2**31, 4) to 0, and four
+# dims of 2**32 - 1 to a negative count.
+@pytest.mark.parametrize("shape, size", [
+    ((2**31, 2**31, 4), 8 * 2**64),
+    ((2**32 - 1,) * 4, 8 * (2**32 - 1) ** 4),
+])
+def test_oversized_shape_is_a_truncated_payload(tmp_path, shape, size):
+    path = tmp_path / "m.gclc"
+    path.write_bytes(MAGIC + struct.pack("<H", 1) + _entry(b"w", shape, b"\0" * 16))
+    offset = 4 + 2 + 2 + 1 + 1 + 4 * len(shape)
+    with pytest.raises(ValueError, match=rf"m.gclc: truncated payload of 'w' at byte {offset}: "
+                                         rf"needs {size} bytes, 16 left$"):
+        load_checkpoint(path)
+
+
+def test_rank_zero_entry_holds_one_value(tmp_path):
+    path = tmp_path / "m.gclc"
+    path.write_bytes(MAGIC + struct.pack("<H", 1) + _entry(b"s", (), struct.pack("<d", 2.5)))
+    loaded = load_checkpoint(path)
+    assert loaded["s"].shape == () and loaded["s"] == 2.5
+
+
+def test_name_not_utf8_names_file_and_offset(tmp_path):
+    path = tmp_path / "m.gclc"
+    good = _entry(b"w", (1,), b"\0" * 8)
+    path.write_bytes(MAGIC + struct.pack("<H", 1) + good + _entry(b"a\xff", (1,), b"\0" * 8))
+    offset = 4 + 2 + len(good) + 2
+    with pytest.raises(ValueError, match=rf"m.gclc: entry name at byte {offset} is not UTF-8$"):
+        load_checkpoint(path)
+
+
+def test_rank_past_numpy_names_file_and_entry(tmp_path):
+    path = tmp_path / "m.gclc"
+    path.write_bytes(MAGIC + struct.pack("<H", 1) + _entry(b"w", (1,) * 100, b"\0" * 8))
+    with pytest.raises(ValueError, match=r"m.gclc: entry 'w' at byte 6: maximum supported "):
         load_checkpoint(path)
 
 

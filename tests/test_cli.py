@@ -166,6 +166,14 @@ class TestTrainCommand:
         assert code == 1
         assert "pretrain.gclc" in capsys.readouterr().err
 
+    def test_missing_pretrained_writes_no_out_dir(self, run_cfg, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = run(["train", "--config", str(run_cfg), "--out", str(out),
+                    "--pretrained", str(tmp_path / "nowhere")])
+        assert code == 1
+        assert str(tmp_path / "nowhere") in capsys.readouterr().err
+        assert not out.exists()
+
     def test_pretrained_from_another_graph_exits_one(self, run_cfg, dataset, tmp_path, capsys):
         small = tmp_path / "small"
         assert run(["gen-sbm", "--blocks", "5,5", "--p-in", "0.7", "--p-out", "0.05",
@@ -605,6 +613,10 @@ class TestBadInput:
         "label past 64 bits": (None, {"y.txt": "0\n9223372036854775808\n"},
                                ":2: label does not fit in 64 bits"),
         "no labels": (None, {"y.txt": "# none\n"}, ": no labels"),
+        "label not UTF-8": (None, {"y.txt": "0\n\udcff\n"}, ":2: not UTF-8 text"),
+        "feature comment not UTF-8": (None, {"f.csv": "1.0,2.0\n# caf\udce9\n"},
+                                      ":2: not UTF-8 text"),
+        "config not UTF-8": ("seed=\udcc3", {}, ":4: not UTF-8 text"),
     }
 
     @pytest.mark.parametrize("check", sorted(INPUT_CHECKS))
@@ -612,16 +624,33 @@ class TestBadInput:
         line, files, message = self.INPUT_CHECKS[check]
         features, labels = _two_blobs()
         cfg = _write_dataset(tmp_path / "data", features, _RINGS, labels, 2)
+        # A lone surrogate \udcXX in a text stands for the undecodable byte XX.
         for name, text in files.items():
-            (tmp_path / "data" / name).write_text(text)
+            (tmp_path / "data" / name).write_bytes(text.encode("utf-8", "surrogateescape"))
         if line is not None:
             key = line.partition("=")[0]
             kept = [row for row in cfg.read_text().splitlines() if not row.startswith(key + "=")]
-            cfg.write_text("\n".join([*kept[:3], line, *kept[3:]]) + "\n")
+            cfg.write_bytes(("\n".join([*kept[:3], line, *kept[3:]]) + "\n")
+                            .encode("utf-8", "surrogateescape"))
         out = tmp_path / "out"
         assert run(["train", "--config", str(cfg), "--out", str(out)]) == 1
         bad = tmp_path / "data" / next(iter(files), "run.cfg")
         assert capsys.readouterr().err == f"error: {bad}{message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, key", [
+        *((command, key) for command in ("pretrain", "train", "ablate")
+          for key in ("features", "edges")),
+        ("ablate", "labels"),
+    ])
+    def test_missing_key_names_the_config(self, command, key, tmp_path, capsys):
+        features, labels = _two_blobs()
+        cfg = _write_dataset(tmp_path / "data", features, _RINGS, labels, 2)
+        cfg.write_text("".join(f"{row}\n" for row in cfg.read_text().splitlines()
+                               if not row.startswith(key + "=")))
+        out = tmp_path / "out"
+        assert run([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}: missing key: {key}\n"
         assert not out.exists()
 
     def test_a_model_past_memory_exits_one(self, tmp_path):

@@ -2,7 +2,6 @@ import pytest
 
 from gclgcn.config import (
     ConfigError,
-    ContrastiveConfig,
     ExperimentConfig,
     PRESETS,
     _KNOWN_KEYS,
@@ -76,9 +75,9 @@ class TestValidation:
 
     def test_contrastive_ranges(self):
         with pytest.raises(ConfigError, match="contrastive.p"):
-            ContrastiveConfig(p=2.0)
+            ExperimentConfig(contrastive_p=2.0)
         with pytest.raises(ConfigError, match="tau"):
-            ContrastiveConfig(tau=0.0)
+            ExperimentConfig(contrastive_tau=0.0)
 
     def test_contrastive_variant_key_unknown(self, tmp_path):
         path = tmp_path / "variant.cfg"
@@ -111,7 +110,7 @@ class TestConfigFile:
         assert cfg.k == 7  # from preset
         assert (cfg.lam, cfg.theta, cfg.gamma) == (0.2, 0.3, 0.5)
         assert cfg.centrality == ("degree", "closeness")
-        assert cfg.contrastive.tau == 0.25
+        assert cfg.contrastive_tau == 0.25
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -178,7 +177,8 @@ class TestConfigFile:
             lam=0.25, theta=0.45, gamma=0.3, epsilon=0.4, t=2.0, k=4,
             seed=99, heads=2, layers=3, centrality=("degree", "betweenness"),
             spatial_mode="shortest-path", spatial_sign="-",
-            contrastive=ContrastiveConfig(p=0.4, tau=0.33, beta_sim=2.0, hidden=64, epochs=25),
+            contrastive_p=0.4, contrastive_tau=0.33, contrastive_beta_sim=2.0,
+            contrastive_hidden=64, contrastive_epochs=25,
             ablation="-GCN",
         )
 

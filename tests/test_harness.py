@@ -5,7 +5,7 @@ import pytest
 
 from gclgcn import harness, pipeline
 from gclgcn.cluster import METRICS, metric_row
-from gclgcn.config import ABLATIONS, ConfigError, ContrastiveConfig, ExperimentConfig
+from gclgcn.config import ABLATIONS, ConfigError, ExperimentConfig
 from gclgcn.graph import SbmSpec, generate_sbm
 from gclgcn.harness import (
     ENCODING_VARIANTS,
@@ -31,7 +31,7 @@ def sbm(seed=2, sizes=(15, 15, 15), f=6):
 def cfg(**over):
     base = dict(
         epochs=3, k=3, n_z=3, layers=2, lr=1e-3, seed=0,
-        contrastive=ContrastiveConfig(hidden=8, epochs=2),
+        contrastive_hidden=8, contrastive_epochs=2,
     )
     base.update(over)
     return ExperimentConfig(**base)

@@ -5,7 +5,7 @@ import scipy.sparse as sp
 from gclgcn import autodiff as ad
 from gclgcn import pipeline as P
 from gclgcn.centrality import composite_centrality, spatial_bias
-from gclgcn.config import ConfigError, ContrastiveConfig, ExperimentConfig
+from gclgcn.config import ConfigError, ExperimentConfig
 from gclgcn.graph import Graph, normalize_adjacency
 from gclgcn.pipeline import _build_constants, _mask_features  # noqa: internal
 from gclgcn.layers import ae_loss, gcn_layer, glorot, graphormer_layer, ladder_dims
@@ -273,7 +273,7 @@ class TestAugment:
     def test_bad_rate(self):
         # the mask rate is validated where it enters: contrastive.p
         with pytest.raises(ConfigError, match="contrastive.p"):
-            ContrastiveConfig(p=1.5)
+            ExperimentConfig(contrastive_p=1.5)
 
 
 class TestContrastive:

@@ -5,7 +5,7 @@ import pytest
 
 from gclgcn import autodiff as ad
 from gclgcn.centrality import composite_centrality
-from gclgcn.config import ConfigError, ContrastiveConfig, ExperimentConfig
+from gclgcn.config import ConfigError, ExperimentConfig
 from gclgcn.graph import Graph, SbmSpec, generate_sbm, normalize_adjacency
 from gclgcn.cluster import metric_row, student_t, target_distribution
 from gclgcn.config import ABLATIONS
@@ -46,7 +46,7 @@ def small_sbm(seed=3, sizes=(8, 8), p_in=0.6, p_out=0.05, f=6, sep=2.0):
 def tiny_cfg(**over):
     base = dict(
         epochs=3, k=2, n_z=3, layers=2, lr=1e-3, seed=0,
-        contrastive=ContrastiveConfig(hidden=8, epochs=3),
+        contrastive_hidden=8, contrastive_epochs=3,
     )
     base.update(over)
     return ExperimentConfig(**base)
@@ -266,7 +266,7 @@ class TestPretraining:
 
     def test_contrastive_deterministic_and_improves(self):
         g = small_sbm()
-        cfg = tiny_cfg(contrastive=ContrastiveConfig(hidden=8, epochs=8))
+        cfg = tiny_cfg(contrastive_hidden=8, contrastive_epochs=8)
         xc1 = pretrain_contrastive(g, cfg)
         xc2 = pretrain_contrastive(g, cfg)
         assert np.array_equal(xc1, xc2)
@@ -280,28 +280,28 @@ class TestPretraining:
         from gclgcn.layers import glorot
 
         g = small_sbm()
-        cfg = tiny_cfg(contrastive=ContrastiveConfig(hidden=8, epochs=20))
-        cc = cfg.contrastive
+        cfg = tiny_cfg(contrastive_hidden=8, contrastive_epochs=20)
         adj = normalize_adjacency(g)
         x = ad.constant(g.features)
         init_rng = P._stream(cfg.seed, P._STREAM_CONTRASTIVE_INIT)
-        w0 = ad.parameter(glorot(init_rng, g.f, cc.hidden))
-        w1 = ad.parameter(glorot(init_rng, cc.hidden, g.f))
+        w0 = ad.parameter(glorot(init_rng, g.f, cfg.contrastive_hidden))
+        w1 = ad.parameter(glorot(init_rng, cfg.contrastive_hidden, g.f))
 
         def reference(v):
             return ad.propagate(adj, ad.relu(ad.propagate(adj, v, w0)), w1)
 
         def eval_loss():
-            view = _mask_features(np.random.default_rng(99), g.features, cc.p)
+            view = _mask_features(np.random.default_rng(99), g.features, cfg.contrastive_p)
             return ad.info_nce(reference(x), reference(ad.constant(view)),
-                               cc.beta_sim, cc.tau).value[0, 0]
+                               cfg.contrastive_beta_sim, cfg.contrastive_tau).value[0, 0]
 
         before = eval_loss()
         opt = ad.AdamState.for_params([w0, w1], cfg.lr)
         mask_rng = P._stream(cfg.seed, P._STREAM_CONTRASTIVE_MASK)
-        for _ in range(cc.epochs):
-            view = ad.constant(_mask_features(mask_rng, g.features, cc.p))
-            loss = ad.info_nce(reference(x), reference(view), cc.beta_sim, cc.tau)
+        for _ in range(cfg.contrastive_epochs):
+            view = ad.constant(_mask_features(mask_rng, g.features, cfg.contrastive_p))
+            loss = ad.info_nce(reference(x), reference(view), cfg.contrastive_beta_sim,
+                               cfg.contrastive_tau)
             ad.backward(loss, opt)
             ad.adam_step(opt)
         assert np.array_equal(reference(x).value, pretrain_contrastive(g, cfg))
@@ -790,9 +790,9 @@ class TestAblate:
     def test_contrastive_ablation_ignores_contrastive_settings(self):
         g = small_sbm()
         a = train(g, tiny_cfg(epochs=2, ablation="-ContrastiveLearning",
-                              contrastive=ContrastiveConfig(p=0.1, hidden=8, epochs=3)))
+                              contrastive_p=0.1, contrastive_hidden=8, contrastive_epochs=3))
         b = train(g, tiny_cfg(epochs=2, ablation="-ContrastiveLearning",
-                              contrastive=ContrastiveConfig(p=0.9, hidden=16, epochs=7)))
+                              contrastive_p=0.9, contrastive_hidden=16, contrastive_epochs=7))
         assert a.history == b.history
         assert np.array_equal(a.labels, b.labels)
 
