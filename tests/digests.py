@@ -6,7 +6,9 @@ partition of 3x20 nodes with 8 features: pretrain and then train
 attention heads, with each module ablated in turn, and with the
 shortest-path spatial bias, a negative sign and two centrality measures;
 one plain train, and one ablation study; then centrality and eval, each to
-a file, a fusion sweep over two grid points, and one train without labels.
+a file, a fusion sweep over two grid points, one train without labels, a
+layer study (all four depths, as the command has no depth flag), an
+encoding study at layers 2 and a loss-weight sweep over two grid points.
 Each run's output files (whichever of OUTPUTS it writes) are digested, and
 the text of its history.csv and labels.txt is kept too, so that a mismatch
 can name the row and column that differ.
@@ -65,6 +67,10 @@ RUNS = [
     ("sweep-fusion-L2", ["sweep", "--config", "{config}", "--out", "{out}", "--grid", "fusion",
                          "--lambdas", "0.2", "--thetas", "0.3,0.4"], "layers=2\n", None),
     ("train-L2-unlabeled", "train", "layers=2\nlabels=\n", None),
+    ("layers", "layers", "", None),
+    ("encodings-L2", "encodings", "layers=2\n", None),
+    ("sweep-loss-L2", ["sweep", "--config", "{config}", "--out", "{out}", "--grid", "loss",
+                       "--alphas", "0.1", "--betas", "0.1,0.3"], "layers=2\n", None),
 ]
 
 
