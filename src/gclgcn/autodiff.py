@@ -69,14 +69,15 @@ backward(loss, state) hands each finished gradient to the AdamState, which
 holds the parameter list it was built for (AdamState.for_params), rather
 than storing it, so no parameter-sized gradient store outlives the sweep; a
 parameter the state holds that the loss does not reach is a ValueError, as
-is a leaf the loss reaches that the state does not hold. It counts each
-leaf's consumers while it orders the tape, and a leaf's gradient is finished
-when its last contribution arrives (a leaf reached twice sums its
-contributions in sweep order); the state folds it into Adam's moments at
-once. dense, propagate and attention write a weight's gradient into a
-scratch buffer the state owns and lends (attention hands each over as soon
-as it is written, so with one head its three roles share one buffer), and
-adam_step(state) applies the update from the moments afterwards.
+is a leaf the loss reaches that the state does not hold. One accumulator
+sums every node's contributions in sweep order. It counts each leaf's
+consumers while it orders the tape, and a leaf's gradient is finished when
+its last contribution arrives; the state folds it into Adam's moments at
+once. dense, propagate and attention write a weight's gradient into one of
+the state's scratch buffers, which the sweep lends (attention hands each
+over as soon as it is written, so with one head its three roles share one
+buffer), and adam_step(state) applies the update from the moments
+afterwards.
 """
 
 from __future__ import annotations
@@ -197,45 +198,45 @@ def _check(cond: bool, op: str, msg: str) -> None:
 
 
 class _Sweep:
-    """Where one running backward collects each leaf's gradient. A leaf's
-    gradient is finished when its last contribution arrives: it is then
-    handed to state.absorb under the leaf's index in the state's parameter
-    list, and the scratch buffer it was summed in goes back to the state."""
+    """Where one running backward keeps each gradient sum, and the state's
+    scratch buffers it lends. Every contribution, to an inner node or a
+    leaf, goes through give. An inner node's sum is popped when the sweep
+    reaches it. A leaf's gradient is finished when its last contribution
+    arrives: it is then handed to state.absorb under the leaf's index in
+    the state's parameter list, and a buffer lent for it goes back to the
+    free list."""
 
     def __init__(self, uses: dict[int, int], state: "AdamState"):
         self.uses = uses  # id(leaf) -> contributions still to come
         self.state = state
-        self.sums: dict[int, np.ndarray] = {}  # id(leaf) -> the sum so far
-        self.held: dict[int, np.ndarray] = {}  # id(leaf) -> the buffer store lent it
+        self.sums: dict[int, np.ndarray] = {}  # id(node) -> the sum so far
+        self.free = list(state.scratch)  # the scratch buffers not lent
+        self.lent: dict[int, np.ndarray] = {}  # id(leaf) -> the buffer _grad_buffer lent it
 
-    def store(self, t: Tensor) -> np.ndarray:
-        """A scratch buffer the state lends for t's gradient, which nothing
-        else reads."""
-        buf = self.state._lend(t.shape)
-        self.held[id(t)] = buf
-        return buf
-
-    def give(self, t: Tensor, g: np.ndarray) -> None:
-        """Add one contribution g to leaf t's gradient: the first is written
-        into store(t) unless an op already wrote it there or it is t's only
-        one, which is absorbed where it is; later ones are added in place."""
+    def give(self, t: Tensor, g: np.ndarray, upstream: np.ndarray | None = None) -> None:
+        """Add one contribution g to t's gradient, where upstream is the
+        gradient of the rule that formed g. The first becomes the sum as it
+        is when it is the buffer lent for t or a fresh C-contiguous array;
+        otherwise (upstream itself, a view, another layout) the sum is a
+        copy, as sums are added to in place. Later ones are added in place."""
         key = id(t)
-        self.uses[key] -= 1
-        acc = self.sums.pop(key, None)
+        acc = self.sums.get(key)
         if acc is not None:
             acc += g
-        elif g is self.held.get(key) or (not self.uses[key] and g.flags.c_contiguous):
-            acc = g
+        elif g is self.lent.get(key) or (g is not upstream and g.base is None
+                                         and g.flags.c_contiguous):
+            self.sums[key] = g
         else:
-            acc = self.store(t)
-            np.copyto(acc, g)
-        if self.uses[key]:
-            self.sums[key] = acc
+            self.sums[key] = g.copy()
+        if not t.requires_grad:
             return
-        self.state.absorb(self.state._index[key], acc)
-        buf = self.held.pop(key, None)
+        self.uses[key] -= 1
+        if self.uses[key]:
+            return
+        self.state.absorb(self.state._index[key], self.sums.pop(key))
+        buf = self.lent.pop(key, None)
         if buf is not None:
-            self.state._give_back(buf)
+            self.free.append(buf.base)
 
 
 def backward(loss: Tensor, state: "AdamState") -> None:
@@ -247,10 +248,10 @@ def backward(loss: Tensor, state: "AdamState") -> None:
     raises ValueError naming the tensor once the tape is ordered, before any
     gradient is absorbed or scratch buffer lent.
 
-    Visits nodes in reverse topological order exactly once. A leaf's
-    contributions are summed in traversal order; an op that asks
-    _grad_buffer for a leaf's first one writes it straight into the buffer
-    the sum is kept in. Only inner nodes collect theirs in pending.
+    Visits nodes in reverse topological order exactly once. Every node's
+    contributions are summed in traversal order by one _Sweep; an op that
+    asks _grad_buffer for a leaf's first one writes it straight into the
+    scratch buffer the sum is kept in.
 
     A tape is good for one backward: each inner node drops its rule,
     parents and rebuild as soon as the sweep passes it, so the arrays its
@@ -287,36 +288,21 @@ def backward(loss: Tensor, state: "AdamState") -> None:
     for p in state.params:
         if id(p) not in seen:
             raise ValueError(f"backward: the loss does not reach {p!r}, which the state holds")
-    state._free = list(state.scratch)
     sweep = _Sweep(uses, state)
-    pending: dict[int, np.ndarray] = {}
-
-    def give(node: Tensor, g: np.ndarray, upstream: np.ndarray | None) -> None:
-        if node.requires_grad:
-            sweep.give(node, g)
-            return
-        acc = pending.get(id(node))
-        if acc is None:
-            # Copy anything that aliases the upstream gradient: stored
-            # buffers are accumulated into in place.
-            pending[id(node)] = g.copy() if (g is upstream or g.base is not None) else g
-        else:
-            acc += g
-
     for t in leaves:
         t._sweep = sweep
     try:
-        give(loss, np.ones((1, 1)), None)
+        sweep.give(loss, np.ones((1, 1)))
         while topo:
             # Popping drops the sweep's own reference, so a released node
             # nothing else holds is freed here.
             node = topo.pop()
-            g = pending.pop(id(node), None)
+            g = sweep.sums.pop(id(node), None)
             if g is not None:
-                # Only inner nodes get here: leaves take theirs in give.
+                # Only inner nodes get here: a leaf's sum is absorbed in give.
                 for parent, pg in zip(node._parents, node._rule(g)):
                     if pg is not None and parent._needs:
-                        give(parent, pg, g)
+                        sweep.give(parent, pg, g)
             node._rule = node._rebuild = None  # a leaf holds neither
             node._parents = ()
     finally:
@@ -325,13 +311,19 @@ def backward(loss: Tensor, state: "AdamState") -> None:
 
 
 def _grad_buffer(t: Tensor) -> np.ndarray:
-    """The array an op's backward rule writes t's gradient into: the
-    running backward's store for t when this is t's first contribution,
-    otherwise a new one."""
-    sweep = t._sweep
-    if sweep is None or id(t) in sweep.held:
+    """The array an op's backward rule writes t's gradient into: for t's
+    first contribution in a running backward, a scratch buffer the sweep
+    lends (when none is free, one the size of the largest parameter joins
+    the state's scratch); otherwise a new one."""
+    sweep, key = t._sweep, id(t)
+    if sweep is None or key in sweep.sums:
         return np.empty(t.shape)
-    return sweep.store(t)
+    if not sweep.free:
+        scratch = sweep.state.scratch
+        scratch.append(np.empty(max(m.size for m in sweep.state.m)))
+        sweep.free.append(scratch[-1])
+    buf = sweep.lent[key] = sweep.free.pop()[: t.shape[0] * t.shape[1]].reshape(t.shape)
+    return buf
 
 
 def _hand_over(t: Tensor, g: np.ndarray) -> np.ndarray | None:
@@ -996,9 +988,9 @@ class AdamState:
     gradient into the moments (backward(loss, state) does it as it finishes
     each gradient), then adam_step(state), which applies the bias-corrected
     update. The scratch is capacity-based: each buffer is the size of the
-    largest parameter, made when no free one is left (attention with more
-    than one head holds three at once, other ops one) and kept across
-    steps."""
+    largest parameter, made when a backward finds no free one to lend
+    (attention with more than one head holds three at once, other ops one)
+    and kept across steps."""
 
     lr: float
     params: list[Tensor] = field(default_factory=list)
@@ -1006,11 +998,9 @@ class AdamState:
     m: list[np.ndarray] = field(default_factory=list)
     v: list[np.ndarray] = field(default_factory=list)
     scratch: list[np.ndarray] = field(default_factory=list)
-    # id(parameter) -> its index, the scratch buffers not lent out, the
-    # parameters absorbed since the last step and those of them whose
-    # gradient held a non-finite entry
+    # id(parameter) -> its index, the parameters absorbed since the last
+    # step and those of them whose gradient held a non-finite entry
     _index: dict[int, int] = field(default_factory=dict)
-    _free: list[np.ndarray] = field(default_factory=list)
     _absorbed: set[int] = field(default_factory=set)
     _nonfinite: set[int] = field(default_factory=set)
     _work: np.ndarray = field(default_factory=lambda: np.empty(_ADAM_BLOCK))
@@ -1023,16 +1013,6 @@ class AdamState:
         state.m = [np.zeros(p.shape) for p in params]
         state.v = [np.zeros(p.shape) for p in params]
         return state
-
-    def _lend(self, shape: tuple[int, int]) -> np.ndarray:
-        """A free scratch buffer, viewed as an array of shape."""
-        if not self._free:
-            self.scratch.append(np.empty(max(m.size for m in self.m)))
-            self._free.append(self.scratch[-1])
-        return self._free.pop()[: shape[0] * shape[1]].reshape(shape)
-
-    def _give_back(self, buf: np.ndarray) -> None:
-        self._free.append(buf.base)
 
     def absorb(self, i: int, g: np.ndarray) -> None:
         """Fold parameter i's gradient g into its moments, m = beta1 m +

@@ -18,9 +18,7 @@ from .checkpoint import load_checkpoint, save_checkpoint, write_table
 from .cluster import METRICS, metric_row
 from .config import ConfigError, measure_list, parse_config, require_dataset
 from .graph import Graph, SbmSpec, generate_sbm, load_graph, read_labels, save_graph
-from .pipeline import NumericError, pretrain, pretrained_from_named, train
-
-HISTORY_COLUMNS = ("epoch", "L", "L_AE", "L_w", "L_a1", "L_a2", "L_clu", "L_con", *METRICS)
+from .pipeline import HISTORY_COLUMNS, NumericError, pretrain, pretrained_from_named, train
 
 
 class _Parser(argparse.ArgumentParser):

@@ -9,6 +9,7 @@ from pathlib import Path
 
 from .centrality import MEASURES, SPATIAL_MODES
 from .checkpoint import read_lines
+from .layers import DEPTHS
 
 __all__ = [
     "ConfigError",
@@ -90,8 +91,8 @@ class ExperimentConfig:
             )
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.layers not in (1, 2, 3, 4):
-            raise ConfigError("layers must be 1, 2, 3, or 4")
+        if self.layers not in DEPTHS:
+            raise ConfigError(f"layers must be one of {DEPTHS}")
         object.__setattr__(self, "centrality", tuple(self.centrality))
         bad = [m for m in self.centrality if m not in MEASURES]
         if bad or not self.centrality:
@@ -131,12 +132,22 @@ def measure_list(raw: str) -> tuple[str, ...]:
     return tuple(m.strip() for m in raw.split(",") if m.strip())
 
 
+def _path(raw: str) -> str:
+    """A path value: any text but the empty one."""
+    if not raw:
+        raise ValueError("empty path")
+    return raw
+
+
 def _parser(default):
     """A file value's parser, by the type of its field's default: int and
-    float parse, the centrality tuple is a measure_list, and a str or None
-    default takes the text as it is."""
+    float parse, the centrality tuple is a measure_list, a None default (a
+    path) takes any text but the empty one, and a str default takes the
+    text as it is."""
     if isinstance(default, tuple):
         return measure_list
+    if default is None:
+        return _path
     return type(default) if isinstance(default, (int, float)) else str
 
 

@@ -24,6 +24,7 @@ from .checkpoint import write_table
 from .cluster import METRICS, metric_row
 from .config import ABLATIONS, ConfigError, ExperimentConfig
 from .graph import Graph
+from .layers import DEPTHS
 from .pipeline import pretrain, pretrain_contrastive, train, uses_contrastive
 
 __all__ = [
@@ -94,7 +95,7 @@ def ablation_study(g: Graph, cfg: ExperimentConfig, dataset: str = "dataset") ->
 
 
 def layer_study(
-    g: Graph, cfg: ExperimentConfig, depths=(4, 3, 2, 1), dataset: str = "dataset"
+    g: Graph, cfg: ExperimentConfig, depths=DEPTHS[::-1], dataset: str = "dataset"
 ) -> list[dict]:
     """One row per encoder/decoder depth, labelled GCL-GCN-<depth>."""
     return _run_points(g, [

@@ -26,6 +26,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 
 __all__ = [
+    "DEPTHS",
     "ladder_dims",
     "glorot",
     "ae_loss",
@@ -37,12 +38,14 @@ __all__ = [
 # outermost entries so the deepest case is the full stock ladder.
 _FULL_HIDDEN = (500, 500, 2000)
 _HIDDEN_BY_DEPTH = {1: (), 2: (500,), 3: (500, 2000), 4: _FULL_HIDDEN}
+# The encoder depths a config may set.
+DEPTHS = tuple(_HIDDEN_BY_DEPTH)
 
 
 def ladder_dims(in_dim: int, bottleneck: int, depth: int = 4) -> list[int]:
     """Encoder dimension chain [in, hidden..., bottleneck] for a given depth."""
-    if depth not in _HIDDEN_BY_DEPTH:
-        raise ValueError(f"depth must be one of {sorted(_HIDDEN_BY_DEPTH)}, got {depth}")
+    if depth not in DEPTHS:
+        raise ValueError(f"depth must be one of {list(DEPTHS)}, got {depth}")
     return [in_dim, *_HIDDEN_BY_DEPTH[depth], bottleneck]
 
 

@@ -26,6 +26,7 @@ from .graph import Graph, adjacency_matrix, normalize_adjacency
 from .layers import ae_loss, gcn_layer, glorot, graphormer_layer, ladder_dims
 
 __all__ = [
+    "HISTORY_COLUMNS",
     "NumericError",
     "Channel",
     "ModelState",
@@ -129,18 +130,16 @@ class Channel:
         return outs
 
     def decode(self, z: Tensor) -> Tensor:
-        """The reconstruction from the bottleneck z; the last layer is linear."""
-        return self.decode_layers(z)[-1]
-
-    def decode_layers(self, z: Tensor) -> list[Tensor]:
-        """Every decoder layer output from the bottleneck z; the last one is
-        the reconstruction."""
+        """The reconstruction from the bottleneck z; the last layer is
+        linear. Every decoder layer output before it is forgotten once the
+        decoder has run (_forget_inner), in every phase."""
         outs: list[Tensor] = []
         last = len(self.dec) - 1
         for i, params in enumerate(self.dec):
             z = self.layer(z, params, i != last)
             outs.append(z)
-        return outs
+        _forget_inner(outs)
+        return z
 
 
 def _autoencoder(dims: list[int], weight: Callable) -> Channel:
@@ -197,6 +196,11 @@ def _attention_channel(
 # The graph channels in forward and checkpoint order: each prefix's builder,
 # child-stream index and history key of its adjacency-decoder loss.
 _GRAPH_CHANNELS = {"gcn": (_gcn_channel, 1, "L_a1"), "graphormer": (_attention_channel, 2, "L_a2")}
+
+# The columns of a history row, in history.csv's order: the epoch, the total
+# loss, the components _epoch_losses returns and the four metrics.
+HISTORY_COLUMNS = ("epoch", "L", "L_AE", "L_w", *(key for *_, key in _GRAPH_CHANNELS.values()),
+                   "L_clu", "L_con", *METRICS)
 
 
 def _contrastive_channel(
@@ -483,16 +487,9 @@ def _encode(state: ModelState, cons: _Constants, cfg: ExperimentConfig):
 def _decode(state: ModelState, hs: list[Tensor], zs: dict):
     """The decoders on the outputs hs, zs of _encode: the autoencoder's
     reconstruction, and (bottleneck, reconstruction) of every graph channel
-    keyed by its prefix. Each decoder's inner outputs are forgotten once it
-    has run."""
-
-    def decode(channel: Channel, z: Tensor) -> Tensor:
-        stack = channel.decode_layers(z)
-        _forget_inner(stack)
-        return stack[-1]
-
-    outs = {c.prefix: (zs[c.prefix], decode(c, zs[c.prefix])) for c in state.channels}
-    return decode(state.ae, hs[-1]), outs
+    keyed by its prefix."""
+    outs = {c.prefix: (zs[c.prefix], c.decode(zs[c.prefix])) for c in state.channels}
+    return state.ae.decode(hs[-1]), outs
 
 
 def _fuse(cons: _Constants, hs: list[Tensor], zs: dict) -> Tensor:

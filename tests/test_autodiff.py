@@ -986,7 +986,7 @@ class TestBackwardSetsGradients:
     def test_unreached_parameter_is_an_error(self):
         """A parameter the state holds that the loss does not reach is a
         ValueError naming it, raised before any gradient is absorbed: no
-        moment changes, no scratch buffer stays lent, and the tape is left
+        moment changes, no scratch buffer is added, and the tape is left
         whole, so a backward against a state that holds only the reached
         parameters still runs through it."""
         x = ad.constant([[1.0, 2.0]])
@@ -1009,7 +1009,7 @@ class TestBackwardSetsGradients:
                                              r"Tensor\(u, shape=\(1, 1\)\), which the state holds$"):
             ad.backward(loss, st)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(st.m + st.v, moments))
-        assert not st._absorbed and len(st._free) == len(st.scratch)
+        assert not st._absorbed and len(st.scratch) == 1
         got, want = backward_pair(loss, [w, c])
         for g, expected in zip(got, want):
             assert np.array_equal(g, expected)
@@ -1187,6 +1187,13 @@ class TestAdam:
             message = r"^absorb: the gradient of parameter 1 is not C-contiguous"
         with pytest.raises(ValueError, match=message):
             _adam(grads, st)
+
+    def test_wrong_shaped_gradient_rejected(self):
+        st = ad.AdamState.for_params([ad.parameter(np.ones((2, 3)))], lr=0.1)
+        with pytest.raises(ValueError, match=r"^absorb: the gradient of parameter 0 is "
+                                             r"\(3, 2\), expected \(2, 3\)$"):
+            st.absorb(0, np.ones((3, 2)))
+        assert not st._absorbed and not st.m[0].any()
 
     def test_step_needs_every_gradient(self):
         params = [ad.parameter([[1.0]]), ad.parameter([[2.0]], name="b")]

@@ -588,6 +588,7 @@ class TestBadInput:
         "k": ("k=0", {}, ": k must be >= 1"),
         "n_z": ("n_z=0", {}, ": n_z must be >= 1"),
         "heads": ("heads=0", {}, ": heads must be >= 1"),
+        "layers": ("layers=5", {}, ": layers must be one of (1, 2, 3, 4)"),
         "epochs": ("epochs=-1", {}, ": epochs must be >= 0"),
         "contrastive.hidden": ("contrastive.hidden=0", {}, ": contrastive.hidden must be >= 1"),
         "contrastive.epochs": ("contrastive.epochs=-1", {}, ": contrastive.epochs must be >= 0"),
@@ -651,6 +652,18 @@ class TestBadInput:
         out = tmp_path / "out"
         assert run([command, "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {cfg}: missing key: {key}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, key", [("train", "features"), ("train", "edges"),
+                                              ("train", "labels"), ("ablate", "labels")])
+    def test_empty_path_names_the_config_and_key(self, command, key, tmp_path, capsys):
+        features, labels = _two_blobs()
+        cfg = _write_dataset(tmp_path / "data", features, _RINGS, labels, 2)
+        cfg.write_text("".join(f"{key}=\n" if row.startswith(key + "=") else f"{row}\n"
+                               for row in cfg.read_text().splitlines()))
+        out = tmp_path / "out"
+        assert run([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}: {key}: could not parse ''\n"
         assert not out.exists()
 
     def test_a_model_past_memory_exits_one(self, tmp_path):

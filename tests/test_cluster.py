@@ -339,3 +339,8 @@ class TestNegativeIds:
     def test_negative_truth_names_the_argument_and_first_value(self):
         with pytest.raises(ValueError, match=r"^truth: .*non-negative, got -3$"):
             metric_row([0, 1, 1], [0, -3, -1])
+
+
+def test_empty_labellings_rejected():
+    with pytest.raises(ValueError, match=r"^empty label arrays$"):
+        metric_row([], [])

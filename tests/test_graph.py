@@ -36,6 +36,14 @@ class TestGraphInvariants:
         with pytest.raises(ValueError, match="labels"):
             Graph(features=np.zeros((2, 1)), edges=[], labels=[0, -1])
 
+    def test_rejects_features_that_are_not_2d(self):
+        with pytest.raises(ValueError, match=r"^features must be 2-D, got shape \(3,\)$"):
+            Graph(features=np.zeros(3), edges=[])
+
+    def test_rejects_labels_of_another_length(self):
+        with pytest.raises(ValueError, match=r"^labels length \(3,\) does not match n=2$"):
+            Graph(features=np.zeros((2, 1)), edges=[], labels=[0, 1, 0])
+
     def test_edges_canonicalized(self):
         g = Graph(features=np.zeros((4, 1)), edges=[(3, 1), (0, 2)])
         assert g.edges == ((1, 3), (0, 2))
@@ -124,6 +132,11 @@ class TestLoadGraph:
         save_graph(g2, tmp_path / "f2.csv", tmp_path / "e2.txt", tmp_path / "y2.txt")
         assert (tmp_path / "f.csv").read_bytes() == (tmp_path / "f2.csv").read_bytes()
         assert (tmp_path / "e.txt").read_bytes() == (tmp_path / "e2.txt").read_bytes()
+
+    def test_labels_path_for_an_unlabeled_graph_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match=r"^graph has no labels to save$"):
+            save_graph(path3(), tmp_path / "f.csv", tmp_path / "e.txt", tmp_path / "y.txt")
+        assert not any(tmp_path.iterdir())
 
 
 class TestNormalizedAdjacency:
@@ -221,6 +234,15 @@ class TestSbm:
     def test_block_probabilities_validated(self):
         with pytest.raises(ValueError, match="p_in"):
             SbmSpec(block_sizes=(2,), p_in=1.5, p_out=0.0, means=np.zeros((1, 2)))
+
+    def test_block_sizes_validated(self):
+        with pytest.raises(ValueError, match=r"^block sizes must be positive, got \(2, 0\)$"):
+            SbmSpec(block_sizes=(2, 0), p_in=0.5, p_out=0.0, means=np.zeros((2, 2)))
+
+    def test_means_shape_validated(self):
+        with pytest.raises(ValueError,
+                           match=r"^means must be \(k, f\) with k=2, got \(3, 2\)$"):
+            SbmSpec(block_sizes=(2, 2), p_in=0.5, p_out=0.0, means=np.zeros((3, 2)))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_nonfinite_feature_model_rejected(self, value):

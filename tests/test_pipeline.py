@@ -478,7 +478,7 @@ class TestTrain:
 
         decoded: list[str] = []
         calls = {"decoder_mse": 0}
-        decode = P.Channel.decode_layers
+        decode = P.Channel.decode
 
         def counting_decode(channel, z):
             decoded.append(channel.prefix)
@@ -493,7 +493,7 @@ class TestTrain:
 
         g, cfg = small_sbm(), tiny_cfg(epochs=2)
         pre = pretrain(g, cfg)  # autoencoder pretraining decodes every epoch
-        monkeypatch.setattr(P.Channel, "decode_layers", counting_decode)
+        monkeypatch.setattr(P.Channel, "decode", counting_decode)
         for attr in calls:
             monkeypatch.setattr(P.ad, attr, counting(attr, getattr(P.ad, attr)))
         train(g, cfg, pretrained=pre)
