@@ -179,8 +179,8 @@ class Tensor:
         return f"Tensor({tag}, shape={self.shape})"
 
 
-def constant(value, name: str | None = None) -> Tensor:
-    return Tensor(value, requires_grad=False, name=name)
+def constant(value) -> Tensor:
+    return Tensor(value, requires_grad=False)
 
 
 def parameter(value, name: str | None = None) -> Tensor:
@@ -889,14 +889,14 @@ class _ClusterHead(Tensor):
     __slots__ = ("q", "q_prime", "p", "kl")
 
 
-def cluster_kl(z: Tensor, z_ae: Tensor, centroids: Tensor, p: np.ndarray | None,
+def cluster_kl(z: Tensor, z_ae: Tensor, centroids: Tensor,
                t: float, alpha: float, beta: float) -> Tensor:
     """alpha KL(P||Q) + beta KL(Q||Q') as one node: SDCN's dual
     self-supervision (Bo et al., WWW 2020) over DEC's Student-t assignments
     (Xie et al., ICML 2016) Q = student_t(z, centroids, t) and Q' =
-    student_t(z_ae, centroids, t), with the detached target P = p, or
-    target_distribution(Q) when p is None. Each KL floors its entries at
-    1e-12 before the logs, and no gradient passes where a floor is active.
+    student_t(z_ae, centroids, t), with the detached target
+    P = target_distribution(Q). Each KL floors its entries at 1e-12 before
+    the logs, and no gradient passes where a floor is active.
 
     The gradients are the Student-t closed form, formed with the forward.
     For an assignment Q of x with dL/dQ = G, the gradient with respect to its
@@ -910,8 +910,7 @@ def cluster_kl(z: Tensor, z_ae: Tensor, centroids: Tensor, p: np.ndarray | None,
            f"widths differ: z {z.shape}, z_ae {z_ae.shape}, centroids {c.shape}")
     q, d2 = student_t(z.value, c.value, t)
     q_ae, d2_ae = student_t(z_ae.value, c.value, t)
-    p = target_distribution(q) if p is None else np.asarray(p, dtype=np.float64)
-    _check(p.shape == q.shape, "cluster_kl", f"p is {p.shape}, expected {q.shape}")
+    p = target_distribution(q)
     log_q, log_qa = np.log(np.maximum(q, 1e-12)), np.log(np.maximum(q_ae, 1e-12))
     kl = (float((p * (np.log(np.maximum(p, 1e-12)) - log_q)).sum()),
           float((q * (log_q - log_qa)).sum()))

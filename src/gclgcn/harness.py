@@ -14,7 +14,7 @@ mean).
 
 from __future__ import annotations
 
-import logging
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -39,8 +39,6 @@ __all__ = [
     "sweep_loss_weights",
     "best_fusion_row",
 ]
-
-log = logging.getLogger(__name__)
 
 # Stock sweep values for both loss weights.
 DEFAULT_LOSS_WEIGHTS = (0.01, 0.05, 0.08, 0.1, 0.12, 0.15, 0.3)
@@ -94,13 +92,12 @@ def ablation_study(g: Graph, cfg: ExperimentConfig, dataset: str = "dataset") ->
     ])
 
 
-def layer_study(
-    g: Graph, cfg: ExperimentConfig, depths=DEPTHS[::-1], dataset: str = "dataset"
-) -> list[dict]:
-    """One row per encoder/decoder depth, labelled GCL-GCN-<depth>."""
+def layer_study(g: Graph, cfg: ExperimentConfig, dataset: str = "dataset") -> list[dict]:
+    """One row per encoder/decoder depth, deepest first, labelled
+    GCL-GCN-<depth>."""
     return _run_points(g, [
         ({"dataset": dataset, "variant": f"GCL-GCN-{depth}"}, replace(cfg, layers=depth))
-        for depth in depths
+        for depth in DEPTHS[::-1]
     ])
 
 
@@ -122,14 +119,16 @@ def sweep_fusion(
     dataset: str = "dataset",
 ) -> list[dict]:
     """Grid over the first two fusion weights; the third is their complement.
-    Infeasible points (negative complement) are skipped; a grid with no
-    feasible point is a ConfigError, raised before any training."""
+    Infeasible points (negative complement) are skipped with a warning on
+    stderr; a grid with no feasible point is a ConfigError, raised before any
+    training."""
     points = []
     for lam in lambdas:
         for theta in thetas:
             gamma = 1.0 - lam - theta
             if gamma < -1e-9 or lam < 0 or theta < 0:
-                log.info("skipping infeasible grid point lambda=%g theta=%g", lam, theta)
+                print(f"warning: skipping infeasible grid point lambda={lam:g} theta={theta:g}",
+                      file=sys.stderr)
                 continue
             gamma = max(gamma, 0.0)
             keys = {"dataset": dataset, "lambda": repr(float(lam)),

@@ -497,13 +497,7 @@ def _fuse(cons: _Constants, hs: list[Tensor], zs: dict) -> Tensor:
     return fuse_final([(w, bottlenecks[name]) for name, w in cons.fusion.items()], cons.adj)
 
 
-def _epoch_losses(
-    state: ModelState,
-    cons: _Constants,
-    cfg: ExperimentConfig,
-    encoded,
-    p_fixed: np.ndarray | None = None,
-):
+def _epoch_losses(state: ModelState, cons: _Constants, cfg: ExperimentConfig, encoded):
     """The composite loss, its components and the clustering head, from the
     encoder outputs encoded = _encode(state, cons, cfg). The head holds the
     epoch's assignments: fused-channel q, autoencoder-channel q_prime and
@@ -511,8 +505,7 @@ def _epoch_losses(
     hs, zs = encoded
     xhat_ae, outs = _decode(state, hs, zs)
 
-    head = ad.cluster_kl(_fuse(cons, hs, zs), hs[-1], state.centroids, p_fixed,
-                         cfg.t, cfg.alpha, cfg.beta)
+    head = ad.cluster_kl(_fuse(cons, hs, zs), hs[-1], state.centroids, cfg.t, cfg.alpha, cfg.beta)
 
     # Joint reconstruction: the mean of the channels' reconstructions. There
     # are at most two, and halving is exact, so it is (z0 + z1) / 2 bit for bit.

@@ -13,21 +13,27 @@ Each run's output files (whichever of OUTPUTS it writes) are digested, and
 the text of its history.csv and labels.txt is kept too, so that a mismatch
 can name the row and column that differ.
 
-Training bytes depend on the BLAS kernels, so digests.json records numpy's
-version, the BLAS name and version and the CPU model beside the digests;
-tests/test_digests.py compares them only on a machine with that record.
+Training bytes depend on the BLAS kernels, and OpenBLAS's dgemm bits on
+how many threads it runs, so digests.json records numpy's version, the BLAS
+name and version, the CPU model and the BLAS thread count beside the
+digests. tests/test_digests.py runs every run in a child process told to
+use the recorded thread count, and compares the digests only when the
+child's record is the recorded one.
 
-    python tests/digests.py --write
+    python tests/digests.py --write [PATH]
 
-runs everything and rewrites digests.json with this machine's record.
+runs everything and writes the record of this process to PATH, by default
+digests.json.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
+import os
 import platform
 import sys
 import tempfile
@@ -85,19 +91,32 @@ def _cpu_model() -> str:
     return platform.processor() or platform.machine()
 
 
+def _blas_threads() -> int | None:
+    """The thread count of the OpenBLAS bundled with numpy, asked of the
+    loaded library; else OPENBLAS_NUM_THREADS, or None when that is unset."""
+    bundled = Path(np.__file__).parent.parent / "numpy.libs"
+    libs = sorted(bundled.glob("libscipy_openblas64_-*.so"))
+    try:
+        return int(ctypes.CDLL(str(libs[0])).scipy_openblas_get_num_threads64_())
+    except (IndexError, OSError, AttributeError):
+        count = os.environ.get("OPENBLAS_NUM_THREADS")
+        return int(count) if count else None
+
+
 def machine_record() -> dict:
-    """numpy's version, the BLAS name and version, and the CPU model."""
+    """numpy's version, the BLAS name and version, the CPU model and the
+    BLAS thread count."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     return {
         "numpy": np.__version__,
         "blas": f"{blas.get('name')} {blas.get('version')}",
         "cpu": _cpu_model(),
+        "blas_threads": _blas_threads(),
     }
 
 
-def record_difference(recorded: dict) -> str | None:
-    """How this machine's record differs from recorded, or None."""
-    here = machine_record()
+def record_difference(recorded: dict, here: dict) -> str | None:
+    """How the machine record here differs from recorded, or None."""
     diffs = [f"{key} is {here.get(key)!r}, digests were made with {recorded.get(key)!r}"
              for key in sorted(set(here) | set(recorded)) if here.get(key) != recorded.get(key)]
     return "; ".join(diffs) or None
@@ -144,15 +163,15 @@ def load() -> dict:
     return json.loads(RECORD_PATH.read_text())
 
 
-def write() -> None:
+def write(path: Path) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         runs, texts = compute(Path(tmp))
     record = {"machine": machine_record(), "runs": runs, "texts": texts}
-    RECORD_PATH.write_text(json.dumps(record, indent=2) + "\n")
+    path.write_text(json.dumps(record, indent=2) + "\n")
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: python tests/digests.py --write")
+    if sys.argv[1:2] != ["--write"] or len(sys.argv) > 3:
+        sys.exit("usage: python tests/digests.py --write [PATH]")
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-    write()
+    write(Path(sys.argv[2]) if len(sys.argv) == 3 else RECORD_PATH)

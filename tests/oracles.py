@@ -684,9 +684,10 @@ def kl_div(num, den) -> Tensor:
     return reduce_sum(hadamard(num, add(ln, scale(ld, -1.0))))
 
 
-def composed_cluster_kl(z, z_ae, centroids, p, t, alpha, beta) -> Tensor:
+def composed_cluster_kl(z, z_ae, centroids, t, alpha, beta, p=None) -> Tensor:
     """autodiff.cluster_kl as the composed head it replaced: two soft_assign
-    chains and two kl_div chains, weighted and added."""
+    chains and two kl_div chains, weighted and added. p, when given, is the
+    target in place of target_distribution(Q)."""
     q = soft_assign(z, centroids, t)
     if p is None:
         p = target_distribution(q.value)
@@ -1025,18 +1026,11 @@ def centroid_gradient(
     return np.einsum("nk,nkd->kd", coef, diff)
 
 
-def loss_total(
-    state: ModelState,
-    g: Graph,
-    cfg: ExperimentConfig,
-    p_fixed: np.ndarray | None = None,
-):
-    """Composite objective and its component values for the current state.
-
-    p_fixed pins the detached target distribution; by default it is
-    recomputed from the current soft assignment, as during training.
-    """
+def loss_total(state: ModelState, g: Graph, cfg: ExperimentConfig):
+    """Composite objective and its component values for the current state,
+    with the detached target distribution recomputed from the current soft
+    assignment, as during training."""
     cons = P._build_constants(g, cfg, state.x_c)
     encoded = P._encode(state, cons, cfg)
-    total, components, _ = P._epoch_losses(state, cons, cfg, encoded, p_fixed=p_fixed)
+    total, components, _ = P._epoch_losses(state, cons, cfg, encoded)
     return total, components

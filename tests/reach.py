@@ -2,14 +2,14 @@
 
 Records, with a stdlib sys.settrace line tracer started before gclgcn is
 imported, every line of src/gclgcn that these runs execute: the runs of
-tests/digests.py, then on the digest graph the layers and encodings
-studies, both sweeps (on small grids), centrality to stdout (also with no
-edges), eval to stdout on degenerate and awkward labellings, pretrain with
-a contrastive beta_sim above and below 1 and without contrastive learning,
-and train from a preset config with a comment line and on a graph whose
-feature rows are all one row, read from files with blank lines. Then
-prints each executable line that none of them reached, with its text, and
-a count.
+tests/digests.py, then on the digest graph a fusion sweep with an
+infeasible grid point, centrality to stdout (also with no edges), eval to
+stdout on degenerate and awkward labellings, pretrain with a contrastive
+beta_sim above and below 1 and without contrastive learning, and train
+from a preset config with a non-ASCII comment line and on a graph with no
+edges whose feature rows are all one row, read from files with blank
+lines. Then prints each executable line that none of them reached, with
+its text, and a count.
 
     python tests/reach.py
     python tests/reach.py --pytest tests/test_graph.py tests/test_config.py
@@ -64,17 +64,18 @@ def _runs(work: Path) -> None:
 
     def write(name: str, text: str) -> str:
         path = work / name
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         return str(path)
 
-    # The digest graph with every feature row that of node 0, so that the
-    # autoencoder's bottleneck rows coincide and kmeans and the centroid
-    # seeding must fill empty clusters, and a blank line before and after
-    # each file's rows.
+    # The digest graph with every feature row that of node 0 and no edges,
+    # so that the autoencoder's bottleneck rows coincide, kmeans and the
+    # centroid seeding must fill empty clusters, and the final labels use
+    # fewer than k clusters; and a blank line before and after each file's
+    # rows.
     (work / "odd").mkdir()
     first = (data / "features.csv").read_text().splitlines()[0]
     for name, text in (("features.csv", f"{first}\n" * len(truth.split())),
-                       ("edges.txt", (data / "edges.txt").read_text()), ("labels.txt", truth)):
+                       ("edges.txt", ""), ("labels.txt", truth)):
         write(f"odd/{name}", f"\n{text}\n")
     # Labellings scored against the 20 nodes of each class in turn: ids of n
     # and above; one whose best matching moves a cluster off its first choice
@@ -90,10 +91,7 @@ def _runs(work: Path) -> None:
               (write("one-point.txt", "0\n"),) * 2]
     cfg = str(work / "train-L3.cfg")
     pretrained = ["--pretrained", str(work / "pretrain-L3")]
-    for argv in (["layers", "--config", cfg], ["encodings", "--config", cfg],
-                 ["sweep", "--grid", "fusion", "--lambdas", "0.2,0.9", "--thetas", "0.2",
-                  "--config", cfg],
-                 ["sweep", "--grid", "loss", "--alphas", "0.1", "--betas", "0.1,0.2",
+    for argv in (["sweep", "--grid", "fusion", "--lambdas", "0.2,0.9", "--thetas", "0.2",
                   "--config", cfg],
                  ["centrality", "--features", str(data / "features.csv"),
                   "--edges", str(data / "edges.txt")],
@@ -104,15 +102,18 @@ def _runs(work: Path) -> None:
                    for name, line in (("beta-2", "contrastive.beta_sim=2\n"),
                                       ("beta-0.5", "contrastive.beta_sim=0.5\n"),
                                       ("no-contrastive", "ablation=-ContrastiveLearning\n"))),
+                 # An em dash in the comment: a line that is UTF-8 but not ASCII.
                  ["train", "--config",
-                  write("preset.cfg", f"# the cora preset, resized\npreset=cora\n{base}"),
+                  write("preset.cfg", f"# the cora preset \u2014 resized\npreset=cora\n{base}"),
                   *pretrained],
                  ["train", "--config",
                   write("odd.cfg", base.replace(str(data), str(work / "odd"))), *pretrained]):
         out = [] if argv[0] in ("centrality", "eval") else ["--out", str(work / f"reach-{argv[0]}")]
-        with contextlib.redirect_stdout(io.StringIO()):
-            if run([*argv, *out]) != 0:
-                raise RuntimeError(f"{' '.join(argv)} exited non-zero")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            status = run([*argv, *out])
+        if status != 0:
+            raise RuntimeError(f"{' '.join(argv)} exited {status}: {err.getvalue()}")
 
 
 def main(argv: list[str]) -> int:

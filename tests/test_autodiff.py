@@ -872,12 +872,14 @@ class TestClusterKl:
     @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("case", ["random", "floored"])
     @pytest.mark.parametrize("target", ["own", "given"])
-    def test_matches_composed_form(self, case, t, alpha, beta, target):
+    def test_matches_composed_form(self, monkeypatch, case, t, alpha, beta, target):
         for seed in range(3):
             rng = np.random.default_rng(seed)
             z, z_ae, c = _head_operands(rng, case)
             p = None if target == "own" else rng.dirichlet(np.ones(4), size=9)
-            head = ad.cluster_kl(z, z_ae, c, p, t, alpha, beta)
+            if p is not None:
+                monkeypatch.setattr(ad, "target_distribution", lambda q, p=p: p)
+            head = ad.cluster_kl(z, z_ae, c, t, alpha, beta)
             if case == "floored":
                 assert head.q[:, -1].max() < 1e-12 and head.q_prime[:, -1].max() < 1e-12
                 assert student_t(z.value, c.value, t)[1][0, 0] == 0.0
@@ -885,13 +887,13 @@ class TestClusterKl:
             assert np.array_equal(head.q, q.value)
             assert np.array_equal(head.q_prime, oracles.soft_assign(z_ae, c, t).value)
             assert np.array_equal(head.p, target_distribution(q.value) if p is None else p)
-            _agree(ad.cluster_kl, composed_cluster_kl,
-                   (z, z_ae, c, p, t, alpha, beta), [z, z_ae, c])
+            _agree(ad.cluster_kl, functools.partial(composed_cluster_kl, p=p),
+                   (z, z_ae, c, t, alpha, beta), [z, z_ae, c])
 
     def test_kl_values_are_the_composed_terms(self):
         rng = np.random.default_rng(5)
         z, z_ae, c = _head_operands(rng, "floored")
-        head = ad.cluster_kl(z, z_ae, c, None, 1.0, 0.3, 0.7)
+        head = ad.cluster_kl(z, z_ae, c, 1.0, 0.3, 0.7)
         q = oracles.soft_assign(z, c, 1.0)
         want = (oracles.kl_div(ad.constant(head.p), q),
                 oracles.kl_div(q, oracles.soft_assign(z_ae, c, 1.0)))
@@ -899,26 +901,25 @@ class TestClusterKl:
         assert head.value[0, 0] == head.kl[0] * 0.3 + head.kl[1] * 0.7
 
     @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
-    def test_finite_differences(self, t):
+    def test_finite_differences(self, monkeypatch, t):
         for seed in range(3):
             rng = np.random.default_rng(600 + seed)
             z, z_ae, c = _head_operands(rng, "random")
             p = rng.dirichlet(np.ones(4), size=9)
-            err = fd_scalar(lambda _: ad.cluster_kl(z, z_ae, c, p, t, 0.6, 0.4), [z, z_ae, c])
+            monkeypatch.setattr(ad, "target_distribution", lambda q, p=p: p)
+            err = fd_scalar(lambda _: ad.cluster_kl(z, z_ae, c, t, 0.6, 0.4), [z, z_ae, c])
             assert err <= 1e-6, f"seed {seed}: {err}"
 
     def test_errors_name_the_operation(self):
         z, c = np.zeros((4, 2)), np.zeros((3, 2))
         with pytest.raises(ValueError, match=r"^cluster_kl: t must be positive"):
-            ad.cluster_kl(z, z, c, None, 0.0, 1.0, 1.0)
+            ad.cluster_kl(z, z, c, 0.0, 1.0, 1.0)
         with pytest.raises(ValueError, match=r"^cluster_kl: t must be positive"):
-            ad.cluster_kl(z, z, c, None, -1.0, 1.0, 1.0)
-        with pytest.raises(ValueError, match=r"^cluster_kl: p is \(4, 2\), expected \(4, 3\)"):
-            ad.cluster_kl(z, z, c, np.zeros((4, 2)), 1.0, 1.0, 1.0)
+            ad.cluster_kl(z, z, c, -1.0, 1.0, 1.0)
         with pytest.raises(ValueError, match=r"^cluster_kl: widths differ"):
-            ad.cluster_kl(z, z, np.zeros((3, 5)), None, 1.0, 1.0, 1.0)
+            ad.cluster_kl(z, z, np.zeros((3, 5)), 1.0, 1.0, 1.0)
         with pytest.raises(ValueError, match=r"^cluster_kl: widths differ"):
-            ad.cluster_kl(z, np.zeros((4, 3)), c, None, 1.0, 1.0, 1.0)
+            ad.cluster_kl(z, np.zeros((4, 3)), c, 1.0, 1.0, 1.0)
 
 
 class TestBackwardSetsGradients:
@@ -977,8 +978,8 @@ class TestBackwardSetsGradients:
         rng = np.random.default_rng(11)
         z1, z2 = (ad.parameter(rng.standard_normal((12, 3))) for _ in range(2))
         c = ad.parameter(rng.standard_normal((4, 3)))
-        loss = ad.weighted_sum([(1.0, ad.cluster_kl(z1, z2, c, None, 1.0, 0.3, 0.7)),
-                                (1.0, ad.cluster_kl(z2, z1, c, None, 2.0, 0.5, 0.2))])
+        loss = ad.weighted_sum([(1.0, ad.cluster_kl(z1, z2, c, 1.0, 0.3, 0.7)),
+                                (1.0, ad.cluster_kl(z2, z1, c, 2.0, 0.5, 0.2))])
         got, want = backward_pair(loss, [z1, z2, c], stale)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)

@@ -315,6 +315,14 @@ class TestStudies:
         best = (out / "best.csv").read_text().strip().splitlines()
         assert len(best) == 2
 
+    def test_sweep_fusion_names_a_skipped_point(self, run_cfg, tmp_path, capsys):
+        out = tmp_path / "sw"
+        assert run(["sweep", "--config", str(run_cfg), "--out", str(out),
+                    "--grid", "fusion", "--lambdas", "0.2,0.9", "--thetas", "0.2"]) == 0
+        err = capsys.readouterr().err
+        assert err == "warning: skipping infeasible grid point lambda=0.9 theta=0.2\n"
+        assert len((out / "results.csv").read_text().splitlines()) - 1 == 1
+
     def test_sweep_fusion_without_feasible_point_writes_nothing(self, run_cfg, tmp_path, capsys):
         out = tmp_path / "sw"
         code = run(["sweep", "--config", str(run_cfg), "--out", str(out),

@@ -1,10 +1,17 @@
 """Training outputs pinned by SHA-256 (see tests/digests.py); the digests
-hold on the machine record they were made with and the test skips on any
-other. A history.csv or labels.txt that differs is named down to its first
-differing row and column."""
+hold on the machine record they were made with, BLAS thread count included,
+and the test skips on any other. The runs go in a child process whose
+OPENBLAS_NUM_THREADS is the recorded count, so the parent's own count does
+not matter. A history.csv or labels.txt that differs is named down to its
+first differing row and column."""
 
 import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,12 +20,23 @@ import digests
 RECORD = digests.load()
 
 
+def _child(args: list[str], threads) -> subprocess.CompletedProcess:
+    """Python run on args in the tests directory, with OPENBLAS_NUM_THREADS
+    set to threads."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads)}
+    return subprocess.run([sys.executable, *args], env=env, cwd=Path(digests.__file__).parent,
+                          check=True, capture_output=True, text=True)
+
+
 @pytest.fixture(scope="module")
 def produced(tmp_path_factory):
-    difference = digests.record_difference(RECORD["machine"])
+    path = tmp_path_factory.mktemp("digests") / "digests.json"
+    _child([digests.__file__, "--write", str(path)], RECORD["machine"]["blas_threads"])
+    record = json.loads(path.read_text())
+    difference = digests.record_difference(RECORD["machine"], record["machine"])
     if difference is not None:
         pytest.skip(f"other machine: {difference}")
-    return digests.compute(tmp_path_factory.mktemp("digests"))
+    return record["runs"], record["texts"]
 
 
 def _relative(a: str, b: str) -> float:
@@ -100,6 +118,12 @@ def test_a_text_difference_is_named_by_row_and_column():
 
 
 def test_another_machine_record_is_named():
-    other = {**digests.machine_record(), "cpu": "another CPU"}
-    assert "cpu is" in digests.record_difference(other)
-    assert digests.record_difference(digests.machine_record()) is None
+    here = digests.machine_record()
+    assert "cpu is" in digests.record_difference({**here, "cpu": "another CPU"}, here)
+    assert digests.record_difference(here, here) is None
+
+
+def test_the_record_names_the_blas_thread_count():
+    code = "import json, digests; print(json.dumps(digests.machine_record()))"
+    assert json.loads(_child(["-c", code], 1).stdout)["blas_threads"] == 1
+    assert digests.machine_record()["blas_threads"] >= 1

@@ -91,10 +91,11 @@ def test_encoding_study_labels_and_count():
     assert all(r["dataset"] == "toy" for r in rows)
 
 
-def test_layer_study_rows_and_depth_trend():
+def test_layer_study_rows_and_depth_trend(monkeypatch):
     g = sbm(seed=4)
     c = cfg(epochs=30, lr=1e-3, seed=1)
-    rows = layer_study(g, c, depths=(3, 1))
+    monkeypatch.setattr(harness, "DEPTHS", (1, 3))
+    rows = layer_study(g, c)
     assert [r["variant"] for r in rows] == ["GCL-GCN-3", "GCL-GCN-1"]
     by = {r["variant"]: r for r in rows}
     assert by["GCL-GCN-3"]["f1"] >= by["GCL-GCN-1"]["f1"]
