@@ -626,7 +626,7 @@ def attention(
             pr += cv @ wr[d:]
             proj.append(pr)
         for h in head_cols:
-            q, k, v = (pr if heads == 1 else np.ascontiguousarray(pr[:, h]) for pr in proj)
+            q, k, v = (np.ascontiguousarray(pr[:, h]) for pr in proj)
             kept.append((q, k, v, softmax(_sampled_dots(q, k, rows, cols) * scale + bias)))
         del proj
 

@@ -87,10 +87,18 @@ def _load_clustering(args, need_labels: bool = False):
 # ---------------------------------------------------------------------------
 
 def _cmd_gen_sbm(args) -> int:
-    if args.dim < 1:
-        raise ConfigError(f"--dim must be at least 1, got {args.dim}")
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be at least 0, got {args.seed}")
+    # SbmSpec checks these too, for library callers, but names its fields.
+    for flag, value, ok, want in (
+        ("--blocks", args.blocks, min(args.blocks, default=0) >= 1, "sizes of at least 1"),
+        ("--p-in", args.p_in, 0 <= args.p_in <= 1, "in [0, 1]"),
+        ("--p-out", args.p_out, 0 <= args.p_out <= 1, "in [0, 1]"),
+        ("--dim", args.dim, args.dim >= 1, "at least 1"),
+        ("--sep", args.sep, np.isfinite(args.sep), "finite"),
+        ("--noise", args.noise, 0 <= args.noise < np.inf, "finite and at least 0"),
+        ("--seed", args.seed, args.seed >= 0, "at least 0"),
+    ):
+        if not ok:
+            raise ConfigError(f"{flag} must be {want}, got {value}")
     sizes = args.blocks
     k = len(sizes)
     means = np.zeros((k, args.dim))
@@ -158,10 +166,18 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _ablate(g: Graph, cfg, args) -> list[dict]:
+    """The ablation study; a variant cfg cannot train is an error naming the config."""
+    try:
+        return harness.ablation_study(g, cfg, dataset=args.dataset)
+    except ConfigError as exc:
+        raise ConfigError(f"{args.config}: {exc}") from None
+
+
 # The study each study command runs (sweep: each --grid), called as
 # study(graph, config, args).
 _STUDIES = {
-    "ablate": lambda g, cfg, a: harness.ablation_study(g, cfg, dataset=a.dataset),
+    "ablate": _ablate,
     "layers": lambda g, cfg, a: harness.layer_study(g, cfg, dataset=a.dataset),
     "encodings": lambda g, cfg, a: harness.encoding_study(g, cfg, dataset=a.dataset),
     "fusion": lambda g, cfg, a: harness.sweep_fusion(

@@ -14,12 +14,9 @@ from one confusion matrix, sized by the ids that occur.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "KMeansResult",
     "kmeans",
     "student_t",
     "target_distribution",
@@ -33,13 +30,6 @@ __all__ = [
 _RESTARTS = 20
 _MAX_ITER = 300
 _TOL = 1e-4
-
-
-@dataclass(frozen=True)
-class KMeansResult:
-    centroids: np.ndarray  # (k, d)
-    labels: np.ndarray  # (n,)
-    sse: float
 
 
 def _squared_distances(z: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -67,9 +57,9 @@ def _plusplus_init(z: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
 
 
 def _lloyd(z: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Lloyd iterations from centers: the final (centers, labels, sse)."""
     k = centers.shape[0]
     prev_sse = np.inf
-    labels = np.zeros(z.shape[0], dtype=np.int64)
     for _ in range(_MAX_ITER):
         d2 = _squared_distances(z, centers)
         labels = d2.argmin(axis=1)
@@ -101,23 +91,19 @@ def _lloyd(z: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     return centers, labels, sse
 
 
-def kmeans(z: np.ndarray, k: int, seed: int = 0) -> KMeansResult:
-    """Lloyd iterations from each of _RESTARTS distance-proportional seedings;
-    the restart with the lowest SSE wins (ties broken by restart order). A
-    cluster that empties is re-seeded at the point farthest from its assigned
-    centroid. Deterministic for a seed."""
+def kmeans(z: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
+    """The labels of the restart with the lowest SSE (ties broken by restart
+    order) among Lloyd iterations from each of _RESTARTS
+    distance-proportional seedings. A cluster that empties is re-seeded at
+    the point farthest from its assigned centroid. Deterministic for a
+    seed."""
     z = np.asarray(z, dtype=np.float64)
     n = z.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"kmeans: need 1 <= k <= n, got k={k}, n={n}")
     rng = np.random.default_rng(seed)
-    best: KMeansResult | None = None
-    for _ in range(_RESTARTS):
-        centers = _plusplus_init(z, k, rng)
-        centers, labels, sse = _lloyd(z, centers)
-        if best is None or sse < best.sse:
-            best = KMeansResult(centroids=centers, labels=labels, sse=sse)
-    return best
+    runs = (_lloyd(z, _plusplus_init(z, k, rng)) for _ in range(_RESTARTS))
+    return min(runs, key=lambda run: run[2])[1]
 
 
 def student_t(z: np.ndarray, centroids: np.ndarray, t: float = 1.0):

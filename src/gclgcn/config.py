@@ -30,6 +30,9 @@ class ConfigError(ValueError):
 ABLATIONS = {"norm": None, "-GCN": "gcn", "-Graphormer": "graphormer",
              "-ContrastiveLearning": "contrastive"}
 
+# Each bottleneck in fusion summation order: its weight's file key and field.
+_FUSION = {"gcn": ("lambda", "lam"), "ae": ("theta", "theta"), "graphormer": ("gamma", "gamma")}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -105,6 +108,27 @@ class ExperimentConfig:
             raise ConfigError("spatial_sign must be '+' or '-'")
         if self.ablation not in ABLATIONS:
             raise ConfigError(f"ablation must be one of {tuple(ABLATIONS)}")
+        self.fusion  # raises ConfigError when the ablation leaves no fusion weight above 0
+
+    @property
+    def fusion(self) -> dict[str, float]:
+        """The fusion weight of each bottleneck the ablation leaves, in
+        summation order (gcn, ae, graphormer): as configured when no graph
+        channel is removed, otherwise renormalised to sum to 1."""
+        kept = {name: getattr(self, field) for name, (_, field) in _FUSION.items()
+                if name != ABLATIONS[self.ablation]}
+        rest = sum(kept.values())
+        if rest <= 0:
+            left = " and ".join(f"{_FUSION[name][0]}={w:g}" for name, w in kept.items())
+            raise ConfigError(
+                f"ablation={self.ablation} leaves fusion weights {left}, which must sum above 0"
+            )
+        return kept if len(kept) == len(_FUSION) else {name: w / rest for name, w in kept.items()}
+
+    @property
+    def contrastive(self) -> bool:
+        """Whether the ablation leaves the contrastive features on."""
+        return ABLATIONS[self.ablation] != "contrastive"
 
 
 # Stock per-dataset settings (epochs, loss weights, bottleneck width,

@@ -14,18 +14,17 @@ mean).
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from .checkpoint import write_table
 from .cluster import METRICS, metric_row
 from .config import ABLATIONS, ConfigError, ExperimentConfig
 from .graph import Graph
 from .layers import DEPTHS
-from .pipeline import pretrain, pretrain_contrastive, train, uses_contrastive
+from .pipeline import pretrain, pretrain_contrastive, train
 
 __all__ = [
     "DEFAULT_LOSS_WEIGHTS",
@@ -71,8 +70,8 @@ def _run_points(g: Graph, points: list[tuple[dict, ExperimentConfig]]) -> list[d
     """Train every (row keys, config) point in order; one row per point."""
     if g.labels is None:
         raise ConfigError("this study needs ground-truth labels")
-    users = [point for _, point in points if uses_contrastive(point)]
-    x_c = pretrain_contrastive(g, users[0]) if users else np.zeros_like(g.features)
+    users = [point for _, point in points if point.contrastive]
+    x_c = pretrain_contrastive(g, users[0]) if users else None
     rows, depth = [], None
     for keys, point in points:
         if point.layers != depth:
@@ -84,8 +83,9 @@ def _run_points(g: Graph, points: list[tuple[dict, ExperimentConfig]]) -> list[d
 
 
 def ablation_study(g: Graph, cfg: ExperimentConfig, dataset: str = "dataset") -> list[dict]:
-    """One row per variant: the full model and each module removed in turn.
-    train() zeroes the contrastive features for the -ContrastiveLearning row."""
+    """One row per variant: the full model and each module removed in turn,
+    every variant's config built, and so validated, before any row trains.
+    train() zeroes the contrastive features where the variant removes them."""
     return _run_points(g, [
         ({"dataset": dataset, "variant": variant}, replace(cfg, ablation=variant))
         for variant in ABLATIONS
@@ -119,21 +119,25 @@ def sweep_fusion(
     dataset: str = "dataset",
 ) -> list[dict]:
     """Grid over the first two fusion weights; the third is their complement.
-    Infeasible points (negative complement) are skipped with a warning on
-    stderr; a grid with no feasible point is a ConfigError, raised before any
-    training."""
+    A point the config rejects (a negative weight, or none left above 0 by
+    the ablation) is infeasible and skipped with a warning on stderr; a grid
+    with no feasible point is a ConfigError, raised before any training."""
     points = []
     for lam in lambdas:
         for theta in thetas:
             gamma = 1.0 - lam - theta
-            if gamma < -1e-9 or lam < 0 or theta < 0:
+            try:  # a complement within rounding of 0 is 0
+                point = replace(cfg, lam=lam, theta=theta,
+                                gamma=0.0 if -1e-9 <= gamma < 0 else gamma)
+            except ConfigError:
+                if math.isnan(lam) or math.isnan(theta):  # bad input, not a grid point
+                    raise
                 print(f"warning: skipping infeasible grid point lambda={lam:g} theta={theta:g}",
                       file=sys.stderr)
                 continue
-            gamma = max(gamma, 0.0)
             keys = {"dataset": dataset, "lambda": repr(float(lam)),
-                    "theta": repr(float(theta)), "gamma": repr(float(gamma))}
-            points.append((keys, replace(cfg, lam=lam, theta=theta, gamma=gamma)))
+                    "theta": repr(float(theta)), "gamma": repr(float(point.gamma))}
+            points.append((keys, point))
     if not points:
         raise ConfigError("fusion sweep produced no feasible grid points")
     return _run_points(g, points)

@@ -21,7 +21,7 @@ from . import autodiff as ad
 from .autodiff import AdamState, Tensor, adam_step, backward
 from .centrality import composite_centrality, spatial_bias
 from .cluster import METRICS, kmeans, metric_row, student_t
-from .config import ABLATIONS, ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .graph import Graph, adjacency_matrix, normalize_adjacency
 from .layers import ae_loss, gcn_layer, glorot, graphormer_layer, ladder_dims
 
@@ -35,7 +35,6 @@ __all__ = [
     "pretrain_ae",
     "pretrain_contrastive",
     "pretrain",
-    "uses_contrastive",
     "fuse_final",
     "assign_labels",
     "train",
@@ -67,16 +66,6 @@ def _stream_seed(seed: int, index: int) -> np.random.SeedSequence:
 
 def _stream(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(_stream_seed(seed, index))
-
-
-def _channels(cfg: ExperimentConfig) -> tuple[str, ...]:
-    """The graph channels cfg.ablation leaves on, GCN before attention."""
-    return tuple(name for name in _GRAPH_CHANNELS if name != ABLATIONS[cfg.ablation])
-
-
-def uses_contrastive(cfg: ExperimentConfig) -> bool:
-    """Whether cfg.ablation leaves the contrastive features on."""
-    return ABLATIONS[cfg.ablation] != "contrastive"
 
 
 @dataclass
@@ -322,10 +311,7 @@ def pretrain(g: Graph, cfg: ExperimentConfig,
     contrastive features, which do not depend on the encoder depth."""
     ae = pretrain_ae(g, cfg)
     if x_c is None:
-        if uses_contrastive(cfg):
-            x_c = pretrain_contrastive(g, cfg)
-        else:
-            x_c = np.zeros_like(g.features)
+        x_c = pretrain_contrastive(g, cfg) if cfg.contrastive else np.zeros_like(g.features)
     return {**{t.name: t.value.copy() for t in ae.params()}, "x_c": x_c}
 
 
@@ -382,25 +368,9 @@ class _Constants:
     adj: sp.csr_array  # normalized adjacency with self-loops
     adj_raw: sp.csr_array  # 0/1 adjacency without self-loops, the decoder losses' target
     target_feat: np.ndarray  # adj @ X, target of the autoencoder and joint reconstructions
-    fusion: dict[str, float]  # fusion weight per bottleneck, in summation order
 
 
-def _fusion_weights(cfg: ExperimentConfig) -> dict[str, float]:
-    """Fusion weight of each enabled bottleneck in summation order (GCN,
-    autoencoder, attention). With a channel removed, the remaining weights
-    are renormalised to sum to 1; otherwise they are used as configured."""
-    channels = _channels(cfg)
-    weights = {"gcn": cfg.lam, "ae": cfg.theta, "graphormer": cfg.gamma}
-    kept = {name: w for name, w in weights.items() if name == "ae" or name in channels}
-    if len(kept) == len(weights):
-        return kept
-    rest = sum(kept.values())
-    if rest <= 0:
-        raise ConfigError(f"the fusion weights left after the ablation must sum above 0: {kept}")
-    return {name: w / rest for name, w in kept.items()}
-
-
-def _build_constants(g: Graph, cfg: ExperimentConfig, x_c: np.ndarray) -> _Constants:
+def _build_constants(g: Graph, x_c: np.ndarray) -> _Constants:
     adj = normalize_adjacency(g)
     return _Constants(
         x=ad.constant(g.features),
@@ -408,7 +378,6 @@ def _build_constants(g: Graph, cfg: ExperimentConfig, x_c: np.ndarray) -> _Const
         adj=adj,
         adj_raw=adjacency_matrix(g),
         target_feat=adj @ g.features,
-        fusion=_fusion_weights(cfg),
     )
 
 
@@ -429,7 +398,7 @@ def _init_state(g: Graph, cfg: ExperimentConfig, pre: dict[str, np.ndarray], con
         ae=_pretrained_ae(pre, dims),
         channels=[
             build(g, cfg, cons.adj, dims, _stream(cfg.seed, stream))
-            for build, stream, _ in map(_GRAPH_CHANNELS.get, _channels(cfg))
+            for prefix, (build, stream, _) in _GRAPH_CHANNELS.items() if prefix in cfg.fusion
         ],
         centroids=ad.parameter(np.zeros((cfg.k, cfg.n_z)), name="centroids"),
         x_c=pre["x_c"],
@@ -439,9 +408,8 @@ def _init_state(g: Graph, cfg: ExperimentConfig, pre: dict[str, np.ndarray], con
     # the soft assignment actually measures, otherwise the first assignment
     # is degenerate and self-training cannot recover.
     hs, zs = _encode(state, cons, cfg)
-    km = kmeans(hs[-1].value, cfg.k, seed=_stream_seed(cfg.seed, _STREAM_KMEANS))
-    fused = _fuse(cons, hs, zs).value
-    state.centroids.value[...] = _partition_means(fused, km.labels, cfg.k)
+    labels = kmeans(hs[-1].value, cfg.k, seed=_stream_seed(cfg.seed, _STREAM_KMEANS))
+    state.centroids.value[...] = _partition_means(_fuse(cfg, cons, hs, zs).value, labels, cfg.k)
     return state, (hs, zs)
 
 
@@ -492,9 +460,9 @@ def _decode(state: ModelState, hs: list[Tensor], zs: dict):
     return state.ae.decode(hs[-1]), outs
 
 
-def _fuse(cons: _Constants, hs: list[Tensor], zs: dict) -> Tensor:
+def _fuse(cfg: ExperimentConfig, cons: _Constants, hs: list[Tensor], zs: dict) -> Tensor:
     bottlenecks = {"ae": hs[-1], **zs}
-    return fuse_final([(w, bottlenecks[name]) for name, w in cons.fusion.items()], cons.adj)
+    return fuse_final([(w, bottlenecks[name]) for name, w in cfg.fusion.items()], cons.adj)
 
 
 def _epoch_losses(state: ModelState, cons: _Constants, cfg: ExperimentConfig, encoded):
@@ -505,7 +473,8 @@ def _epoch_losses(state: ModelState, cons: _Constants, cfg: ExperimentConfig, en
     hs, zs = encoded
     xhat_ae, outs = _decode(state, hs, zs)
 
-    head = ad.cluster_kl(_fuse(cons, hs, zs), hs[-1], state.centroids, cfg.t, cfg.alpha, cfg.beta)
+    head = ad.cluster_kl(_fuse(cfg, cons, hs, zs), hs[-1], state.centroids, cfg.t, cfg.alpha,
+                         cfg.beta)
 
     # Joint reconstruction: the mean of the channels' reconstructions. There
     # are at most two, and halving is exact, so it is (z0 + z1) / 2 bit for bit.
@@ -557,9 +526,9 @@ def train(
         raise ConfigError(f"k={cfg.k} exceeds node count {g.n}")
     if pretrained is None:
         pretrained = pretrain(g, cfg)
-    if not uses_contrastive(cfg):
+    if not cfg.contrastive:
         pretrained = {**pretrained, "x_c": np.zeros_like(g.features)}
-    cons = _build_constants(g, cfg, pretrained["x_c"])
+    cons = _build_constants(g, pretrained["x_c"])
     state, encoded = _init_state(g, cfg, pretrained, cons)
     # The model holds copies of the pretrained arrays; a caller that shares
     # them across runs keeps its own reference.
@@ -589,5 +558,5 @@ def train(
         encoded = _encode(state, cons, cfg)
 
     hs, zs = encoded
-    q, _ = student_t(_fuse(cons, hs, zs).value, state.centroids.value, cfg.t)
+    q, _ = student_t(_fuse(cfg, cons, hs, zs).value, state.centroids.value, cfg.t)
     return TrainResult(state=state, history=history, labels=assign_labels(q))

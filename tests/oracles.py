@@ -1030,7 +1030,7 @@ def loss_total(state: ModelState, g: Graph, cfg: ExperimentConfig):
     """Composite objective and its component values for the current state,
     with the detached target distribution recomputed from the current soft
     assignment, as during training."""
-    cons = P._build_constants(g, cfg, state.x_c)
+    cons = P._build_constants(g, state.x_c)
     encoded = P._encode(state, cons, cfg)
     total, components, _ = P._epoch_losses(state, cons, cfg, encoded)
     return total, components

@@ -80,7 +80,7 @@ def _tiny_graph(rng, n=5, f=4, p=0.6):
 def _manual_state(rng, g, cfg, dims):
     # The graph channels read only the adjacency of their constants, which
     # does not depend on x_c, so they are built before x_c is drawn.
-    cons = P._build_constants(g, cfg, np.zeros_like(g.features))
+    cons = P._build_constants(g, np.zeros_like(g.features))
     state = P.ModelState(
         ae=P._autoencoder(dims, lambda a, b: glorot(rng, a, b)),
         channels=[build(g, cfg, cons.adj, dims, rng) for build, *_ in P._GRAPH_CHANNELS.values()],
@@ -168,7 +168,7 @@ def test_c2_gradient_suite(monkeypatch):
         g = _tiny_graph(rng, n=6, f=5)
         cfg = ExperimentConfig(k=2, n_z=3, alpha=0.3, beta=0.2, seed=0)
         state = _manual_state(rng, g, cfg, [5, 6, 3])
-        cons = P._build_constants(g, cfg, state.x_c)
+        cons = P._build_constants(g, state.x_c)
         _, _, assignments0 = P._epoch_losses(state, cons, cfg, P._encode(state, cons, cfg))
         # Finite differences need the detached target held at its value here.
         p_fixed = target_distribution(assignments0.q)
@@ -239,7 +239,7 @@ def test_c4_distribution_invariants():
 
     # analytic centroid gradient matches the tape at this run's first epoch
     pre = P.pretrain(g, cfg)
-    cons = P._build_constants(g, cfg, pre["x_c"])
+    cons = P._build_constants(g, pre["x_c"])
     state, (hs, zs) = P._init_state(g, cfg, pre, cons)
     fused = P.fuse_final(
         [(cfg.lam, zs["gcn"]), (cfg.theta, hs[-1]), (cfg.gamma, zs["graphormer"])],

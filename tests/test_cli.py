@@ -331,6 +331,18 @@ class TestStudies:
         assert "no feasible grid points" in capsys.readouterr().err
         assert not (out / "results.csv").exists()
 
+    def test_sweep_fusion_skips_a_point_the_ablation_leaves_no_weight(self, run_cfg, tmp_path,
+                                                                      capsys):
+        cfg = tmp_path / "gcn.cfg"
+        cfg.write_text(run_cfg.read_text() + "ablation=-GCN\n")
+        out = tmp_path / "sw"
+        assert run(["sweep", "--config", str(cfg), "--out", str(out),
+                    "--grid", "fusion", "--lambdas", "1,0.5", "--thetas", "0"]) == 0
+        err = capsys.readouterr().err
+        assert err == "warning: skipping infeasible grid point lambda=1 theta=0\n"
+        rows = (out / "results.csv").read_text().splitlines()
+        assert [row.split(",")[1:4] for row in rows[1:]] == [["0.5", "0.0", "0.5"]]
+
     def test_sweep_loss_rows(self, run_cfg, tmp_path):
         out = tmp_path / "swl"
         assert run(["sweep", "--config", str(run_cfg), "--out", str(out),
@@ -736,16 +748,6 @@ class TestBadInput:
         assert "error: lambda must be finite and >= 0, got nan" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag, value", [("--sep", "inf"), ("--sep", "nan"),
-                                             ("--noise", "nan"), ("--noise", "inf")])
-    def test_nonfinite_generator_value_writes_nothing(self, flag, value, tmp_path, capsys):
-        out = tmp_path / "data"
-        code = run(["gen-sbm", "--blocks", "4,4", "--p-in", "0.5", "--p-out", "0.1",
-                    flag, value, "--out", str(out)])
-        assert code == 1
-        assert "must be finite" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_bad_block_size_names_flag(self, tmp_path, capsys):
         out = tmp_path / "data"
         code = run(["gen-sbm", "--blocks", "4,four", "--p-in", "0.5", "--p-out", "0.1",
@@ -765,12 +767,70 @@ class TestBadInput:
         assert f"error: --dim must be at least 1, got {dim}" in capsys.readouterr().err
         assert not out.exists()
 
+    GENERATOR_CHECKS = [
+        ("--blocks", "0,3", "--blocks must be sizes of at least 1, got (0, 3)"),
+        ("--blocks", ",", "--blocks must be sizes of at least 1, got ()"),
+        ("--p-in", "2", "--p-in must be in [0, 1], got 2.0"),
+        ("--p-out", "-0.5", "--p-out must be in [0, 1], got -0.5"),
+        ("--p-in", "nan", "--p-in must be in [0, 1], got nan"),
+        ("--sep", "nan", "--sep must be finite, got nan"),
+        ("--sep", "inf", "--sep must be finite, got inf"),
+        ("--noise", "-1", "--noise must be finite and at least 0, got -1.0"),
+        ("--noise", "nan", "--noise must be finite and at least 0, got nan"),
+        ("--noise", "inf", "--noise must be finite and at least 0, got inf"),
+    ]
+
+    @pytest.mark.parametrize("flag, value, message", GENERATOR_CHECKS,
+                             ids=[f"{flag}={value}" for flag, value, _ in GENERATOR_CHECKS])
+    def test_bad_generator_value_names_flag(self, flag, value, message, tmp_path, capsys):
+        out = tmp_path / "data"
+        args = {"--blocks": "4,4", "--p-in": "0.5", "--p-out": "0.1", flag: value}
+        code = run(["gen-sbm", *(item for pair in args.items() for item in pair),
+                    "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_negative_seed_names_flag(self, tmp_path, capsys):
         out = tmp_path / "data"
         code = run(["gen-sbm", "--blocks", "4,4", "--p-in", "0.5", "--p-out", "0.1",
                     "--seed", "-2", "--out", str(out)])
         assert code == 1
         assert "error: --seed must be at least 0, got -2" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["pretrain", "train"])
+    def test_ablation_without_fusion_weight_stops_before_pretraining(self, command, run_cfg,
+                                                                      tmp_path, capsys,
+                                                                      monkeypatch):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(run_cfg.read_text() + "lambda=1\ntheta=0\ngamma=0\nablation=-GCN\n")
+        pretrained = []
+        monkeypatch.setattr("gclgcn.pipeline.pretrain_ae", lambda *a: pretrained.append(a))
+        out = tmp_path / "o"
+        assert run([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: ablation=-GCN leaves fusion weights theta=0 and gamma=0, "
+            "which must sum above 0\n"
+        )
+        assert pretrained == []
+        assert not out.exists()
+
+    def test_ablation_study_stops_before_any_row_at_a_variant_without_fusion_weight(
+            self, run_cfg, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(run_cfg.read_text() + "lambda=1\ntheta=0\ngamma=0\n")
+        trained = []
+        monkeypatch.setattr("gclgcn.pipeline.pretrain_ae", lambda *a: trained.append(a))
+        monkeypatch.setattr("gclgcn.harness.pretrain_contrastive", lambda *a: trained.append(a))
+        monkeypatch.setattr("gclgcn.harness.train", lambda *a, **k: trained.append(a))
+        out = tmp_path / "o"
+        assert run(["ablate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: ablation=-GCN leaves fusion weights theta=0 and gamma=0, "
+            "which must sum above 0\n"
+        )
+        assert trained == []
         assert not out.exists()
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])

@@ -28,37 +28,53 @@ def ari(pred, truth) -> float:
     return metric_row(pred, truth)["ari"]
 
 
+def lloyd(z, k, seed):
+    """One kmeans restart, (centers, labels, sse): Lloyd iterations from a
+    distance-proportional seeding drawn with seed."""
+    return cluster._lloyd(z, cluster._plusplus_init(z, k, np.random.default_rng(seed)))
+
+
 class TestKMeans:
     def test_two_coincident_groups(self):
         z = np.array([[0.0, 0.0]] * 4 + [[10.0, 10.0]] * 4)
-        res = kmeans(z, 2, seed=0)
-        assert res.sse == 0.0
-        assert len(set(res.labels[:4])) == 1
-        assert len(set(res.labels[4:])) == 1
-        assert res.labels[0] != res.labels[4]
+        _, restart, sse = lloyd(z, 2, seed=0)
+        assert sse == 0.0
+        for labels in (restart, kmeans(z, 2, seed=0)):
+            assert len(set(labels[:4])) == 1
+            assert len(set(labels[4:])) == 1
+            assert labels[0] != labels[4]
 
     def test_k_one_gives_mean_and_total_scatter(self):
         rng = np.random.default_rng(2)
         z = rng.standard_normal((20, 3))
-        res = kmeans(z, 1, seed=0)
-        assert np.allclose(res.centroids[0], z.mean(axis=0), atol=1e-12)
+        centers, _, sse = lloyd(z, 1, seed=0)
+        assert np.allclose(centers[0], z.mean(axis=0), atol=1e-12)
         want = ((z - z.mean(axis=0)) ** 2).sum()
-        assert res.sse == pytest.approx(want, rel=1e-12)
+        assert sse == pytest.approx(want, rel=1e-12)
 
     def test_k_equals_n_zero_sse(self):
         rng = np.random.default_rng(3)
         z = rng.standard_normal((6, 2))
-        res = kmeans(z, 6, seed=1)
-        assert res.sse == pytest.approx(0.0, abs=1e-18)
+        _, _, sse = lloyd(z, 6, seed=1)
+        assert sse == pytest.approx(0.0, abs=1e-18)
+        assert sorted(kmeans(z, 6, seed=1)) == list(range(6))
 
     def test_deterministic(self):
         rng = np.random.default_rng(4)
         z = rng.standard_normal((40, 4))
-        a = kmeans(z, 3, seed=9)
-        b = kmeans(z, 3, seed=9)
-        assert np.array_equal(a.labels, b.labels)
-        assert np.array_equal(a.centroids, b.centroids)
-        assert a.sse == b.sse
+        a, b = lloyd(z, 3, seed=9), lloyd(z, 3, seed=9)
+        assert np.array_equal(a[1], b[1])
+        assert np.array_equal(a[0], b[0])
+        assert a[2] == b[2]
+        assert np.array_equal(kmeans(z, 3, seed=9), kmeans(z, 3, seed=9))
+
+    def test_labels_are_the_lowest_sse_restart(self):
+        z = np.random.default_rng(7).standard_normal((30, 2))
+        rng = np.random.default_rng(3)
+        runs = [cluster._lloyd(z, cluster._plusplus_init(z, 4, rng))
+                for _ in range(cluster._RESTARTS)]
+        best = min(range(len(runs)), key=lambda i: runs[i][2])  # the first of equals
+        assert np.array_equal(kmeans(z, 4, seed=3), runs[best][1])
 
     def test_rising_sse_raises(self, monkeypatch):
         # A Lloyd step never raises the SSE; if distances ever make it rise,
@@ -80,10 +96,11 @@ class TestKMeans:
     def test_sse_matches_recomputation(self):
         rng = np.random.default_rng(5)
         z = rng.standard_normal((30, 2))
-        res = kmeans(z, 4, seed=0)
-        recomputed = ((z - res.centroids[res.labels]) ** 2).sum()
-        assert res.sse == pytest.approx(recomputed, abs=1e-9)
-        assert set(res.labels) <= set(range(4))
+        centers, labels, sse = lloyd(z, 4, seed=0)
+        recomputed = ((z - centers[labels]) ** 2).sum()
+        assert sse == pytest.approx(recomputed, abs=1e-9)
+        assert set(labels) <= set(range(4))
+        assert set(kmeans(z, 4, seed=0)) <= set(range(4))
 
     def test_k_bounds(self):
         with pytest.raises(ValueError, match="1 <= k <= n"):

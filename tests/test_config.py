@@ -1,6 +1,7 @@
 import pytest
 
 from gclgcn.config import (
+    ABLATIONS,
     ConfigError,
     ExperimentConfig,
     PRESETS,
@@ -72,6 +73,35 @@ class TestValidation:
     def test_ablation_values(self):
         with pytest.raises(ConfigError, match="ablation"):
             ExperimentConfig(ablation="-AE")
+
+    def test_ablation_renormalizes(self):
+        weights = ExperimentConfig(lam=0.4, theta=0.1, gamma=0.5, ablation="-GCN").fusion
+        assert list(weights) == ["ae", "graphormer"]
+        assert weights["ae"] + weights["graphormer"] == pytest.approx(1.0)
+        assert weights["ae"] == pytest.approx(0.1 / 0.6)
+        weights = ExperimentConfig(lam=0.4, theta=0.1, gamma=0.5, ablation="-Graphormer").fusion
+        assert list(weights) == ["gcn", "ae"]
+        assert weights["gcn"] + weights["ae"] == pytest.approx(1.0)
+        # all channels on: the configured weights, in summation order, untouched
+        for ablation in ("norm", "-ContrastiveLearning"):
+            cfg = ExperimentConfig(lam=0.4, theta=0.1, gamma=0.5, ablation=ablation)
+            assert cfg.fusion == {"gcn": 0.4, "ae": 0.1, "graphormer": 0.5}
+
+    @pytest.mark.parametrize("ablation, weights, left", [
+        ("-GCN", dict(lam=1.0, theta=0.0, gamma=0.0), "theta=0 and gamma=0"),
+        ("-Graphormer", dict(lam=0.0, theta=0.0, gamma=1.0), "lambda=0 and theta=0"),
+    ])
+    def test_ablation_must_leave_a_fusion_weight(self, ablation, weights, left):
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig(**weights, ablation=ablation)
+        assert str(info.value) == (
+            f"ablation={ablation} leaves fusion weights {left}, which must sum above 0"
+        )
+
+    def test_ablation_decides_contrastive(self):
+        assert [ExperimentConfig(ablation=a).contrastive for a in ABLATIONS] == [
+            True, True, True, False,
+        ]
 
     def test_contrastive_ranges(self):
         with pytest.raises(ConfigError, match="contrastive.p"):

@@ -151,3 +151,35 @@ def test_every_optional_parameter_is_passed_by_src():
                         changed = True
     names = {fn: f"{module}:{name}" for module, name, fn, _ in functions}
     assert sorted(f"{names[fn]}.{p}" for fn, p in unpassed) == sorted(UNPASSED_KEPT)
+
+
+def _ablation_reads(tree, names) -> list[int]:
+    """The lines that index ABLATIONS, or compare against one of names or
+    the ablation field."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript):
+            if (getattr(node.value, "id", None) or getattr(node.value, "attr", None)) == "ABLATIONS":
+                lines.add(node.lineno)
+        elif isinstance(node, ast.Compare):
+            inner = [n for side in (node.left, *node.comparators) for n in ast.walk(side)]
+            if any(isinstance(n, ast.Constant) and n.value in names
+                   or isinstance(n, ast.Attribute) and n.attr == "ablation" for n in inner):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_only_config_reads_an_ablation():
+    """Outside config.py no module of src indexes ABLATIONS or compares
+    against an ablation variant or the name of a module one removes: each
+    reads what the config's fusion and contrastive properties decide.
+    Iterating over the variants, as the ablation study does, is allowed."""
+    from gclgcn.config import ABLATIONS
+
+    names = {*ABLATIONS, *filter(None, ABLATIONS.values()), "ae"}
+    reads = [
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py")) if path.name != "config.py"
+        for line in _ablation_reads(ast.parse(path.read_text()), names)
+    ]
+    assert reads == []

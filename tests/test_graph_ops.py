@@ -212,13 +212,25 @@ def test_attention_rule_boundary(activate):
         kept[d_head] = (out.value.tobytes() == chain.value.tobytes(),
                         (g.n, d_head) in _kept_shapes(out))
         assert _relative(out.value, chain.value) <= 1e-12
+        if d_head == 7:
+            # One head's columns span each projection, so its q, k and v are
+            # views of the projections, not copies.
+            qkv = [a for a in _kept_arrays(out) if a.shape == (g.n, d_head)]
+            assert len(qkv) == 3
+            assert all(a.base is not None and np.shares_memory(a, a.base) for a in qkv)
     assert kept == {7: (True, True), 8: (False, False)}
 
 
 def _kept_shapes(node) -> set:
     """Shapes of the arrays the closure of a node's backward rule holds,
     through lists and tuples, besides the node's own output."""
-    shapes, stack = set(), []
+    return {a.shape for a in _kept_arrays(node)}
+
+
+def _kept_arrays(node) -> list:
+    """The arrays the closure of a node's backward rule holds, through lists
+    and tuples, besides the node's own output."""
+    arrays, stack = [], []
     for cell in node._rule.__closure__ or ():
         try:
             stack.append(cell.cell_contents)
@@ -229,10 +241,10 @@ def _kept_shapes(node) -> set:
         if item is node.value:
             continue
         if isinstance(item, np.ndarray):
-            shapes.add(item.shape)
+            arrays.append(item)
         elif isinstance(item, (list, tuple)):
             stack.extend(item)
-    return shapes
+    return arrays
 
 
 @pytest.mark.parametrize("d_head", [3, 8])
@@ -480,8 +492,8 @@ def test_node_permutation_permutes_channels_and_centrality(case, heads):
     assert np.allclose(composite_centrality(pg)[perm], cent, rtol=1e-12, atol=1e-12)
 
     cfg = ExperimentConfig(k=2, n_z=3, seed=0, heads=heads)
-    cons = P._build_constants(g, cfg, x_c)
-    pcons = P._build_constants(pg, cfg, x_c[inverse])
+    cons = P._build_constants(g, x_c)
+    pcons = P._build_constants(pg, x_c[inverse])
     state, pstate = _fixed_state(g, cfg, cons), _fixed_state(pg, cfg, pcons)
     for t, pt in zip(state.params(), pstate.params()):
         assert t.name == pt.name

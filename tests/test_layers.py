@@ -460,7 +460,7 @@ def _joint_epoch(g, layers, heads=1):
     rng = np.random.default_rng(12)
     ae = random_params(rng, ladder_dims(g.f, cfg.n_z, cfg.layers))
     pre = {**{t.name: t.value for t in ae.params()}, "x_c": rng.standard_normal(g.features.shape)}
-    cons = _build_constants(g, cfg, pre["x_c"])
+    cons = _build_constants(g, pre["x_c"])
     state, encoded = P._init_state(g, cfg, pre, cons)
     total, _, _ = P._epoch_losses(state, cons, cfg, encoded)
     return state, cons, cfg, total

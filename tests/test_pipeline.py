@@ -20,7 +20,7 @@ from gclgcn.pipeline import (
     pretrained_from_named,
     train,
 )
-from gclgcn.pipeline import _fusion_weights, _mask_features  # noqa: internal
+from gclgcn.pipeline import _mask_features  # noqa: internal
 
 import oracles
 from oracles import (
@@ -80,23 +80,6 @@ class TestFusion:
         m = ad.constant(np.random.default_rng(1).standard_normal((g.n, 3)))
         out = fuse_final([(0.25, m), (0.35, m), (0.4, m)], adj)
         assert np.allclose(out.value, adj @ m.value, atol=1e-12)
-
-    def test_ablation_renormalizes(self):
-        cfg = tiny_cfg(lam=0.4, theta=0.1, gamma=0.5, ablation="-GCN")
-        weights = _fusion_weights(cfg)
-        assert list(weights) == ["ae", "graphormer"]
-        assert weights["ae"] + weights["graphormer"] == pytest.approx(1.0)
-        assert weights["ae"] == pytest.approx(0.1 / 0.6)
-        cfg = tiny_cfg(lam=0.4, theta=0.1, gamma=0.5, ablation="-Graphormer")
-        weights = _fusion_weights(cfg)
-        assert list(weights) == ["gcn", "ae"]
-        assert weights["gcn"] + weights["ae"] == pytest.approx(1.0)
-        # all channels on: the configured weights, in summation order, untouched
-        for ablation in ("norm", "-ContrastiveLearning"):
-            cfg = tiny_cfg(lam=0.4, theta=0.1, gamma=0.5, ablation=ablation)
-            assert _fusion_weights(cfg) == {"gcn": 0.4, "ae": 0.1, "graphormer": 0.5}
-        with pytest.raises(ConfigError, match="sum above 0"):
-            _fusion_weights(tiny_cfg(lam=1.0, theta=0.0, gamma=0.0, ablation="-GCN"))
 
 
 class TestStudentT:
@@ -319,7 +302,7 @@ class TestBackwardInTraining:
 
         g, cfg = small_sbm(), tiny_cfg(layers=3, heads=2)
         pre = pretrain(g, cfg)
-        cons = P._build_constants(g, cfg, pre["x_c"])
+        cons = P._build_constants(g, pre["x_c"])
         state, encoded = P._init_state(g, cfg, pre, cons)
         params = state.params()
         total, _, _ = P._epoch_losses(state, cons, cfg, encoded)
@@ -351,7 +334,7 @@ class TestLossTotal:
         pre = pretrain(g, cfg)
         from gclgcn import pipeline as P
 
-        cons = P._build_constants(g, cfg, pre["x_c"])
+        cons = P._build_constants(g, pre["x_c"])
         state, _ = P._init_state(g, cfg, pre, cons)
         total, comps = loss_total(state, g, cfg)
         want = (
@@ -366,7 +349,7 @@ class TestLossTotal:
         pre = pretrain(g, cfg)
         from gclgcn import pipeline as P
 
-        cons = P._build_constants(g, cfg, pre["x_c"])
+        cons = P._build_constants(g, pre["x_c"])
         state, _ = P._init_state(g, cfg, pre, cons)
         total, comps = loss_total(state, g, cfg)
         want = comps["L_w"] + 0.1 * (comps["L_a1"] + comps["L_a2"]) + comps["L_AE"]
@@ -379,7 +362,7 @@ class TestLossTotal:
             pre = pretrain(g, cfg)
             from gclgcn import pipeline as P
 
-            cons = P._build_constants(g, cfg, pre["x_c"])
+            cons = P._build_constants(g, pre["x_c"])
             state, _ = P._init_state(g, cfg, pre, cons)
             _, comps = loss_total(state, g, cfg)
             assert comps[dead] == 0.0
@@ -417,7 +400,7 @@ class TestTrain:
         from gclgcn import pipeline as P
 
         pre = pretrain(g, cfg)
-        cons = P._build_constants(g, cfg, pre["x_c"])
+        cons = P._build_constants(g, pre["x_c"])
         state, encoded = P._init_state(g, cfg, pre, cons)
         _, _, assignments = P._epoch_losses(state, cons, cfg, encoded)
         assert np.array_equal(res.labels, assign_labels(assignments.q))
