@@ -16,7 +16,7 @@ from . import harness
 from .centrality import MEASURES, composite_centrality
 from .checkpoint import load_checkpoint, save_checkpoint, write_table
 from .cluster import METRICS, metric_row
-from .config import ConfigError, measure_list, parse_config, require_dataset
+from .config import ConfigError, measure_list, parse_config
 from .graph import Graph, SbmSpec, generate_sbm, load_graph, read_labels, save_graph
 from .pipeline import HISTORY_COLUMNS, NumericError, pretrain, pretrained_from_named, train
 
@@ -44,6 +44,17 @@ def _number_list(kind):
     return parse
 
 
+def _weights(raw: str) -> tuple[float, ...]:
+    """argparse type for the sweep flags: a nonempty comma list of finite
+    numbers >= 0; a bad list is a usage error naming the flag."""
+    values = _number_list(float)(raw)
+    if not values or not all(0 <= v < np.inf for v in values):
+        raise argparse.ArgumentTypeError(
+            f"expected a nonempty comma list of finite numbers >= 0, got {raw!r}"
+        )
+    return values
+
+
 def _measures(raw: str) -> tuple[str, ...]:
     """argparse type for --measures: 'all', or a comma list of centrality
     measures read as the config key centrality reads it; an unknown measure
@@ -66,10 +77,9 @@ def _load_dataset(args, need_labels: bool = False):
     """The config of args.config and its graph; a missing dataset key is an
     error naming the config."""
     cfg = parse_config(args.config)
-    try:
-        require_dataset(cfg, need_labels=need_labels)
-    except ConfigError as exc:
-        raise ConfigError(f"{args.config}: {exc}") from None
+    for key in ("features", "edges") + (("labels",) if need_labels else ()):
+        if getattr(cfg, key) is None:
+            raise ConfigError(f"{args.config}: missing key: {key}")
     return cfg, load_graph(cfg.features, cfg.edges, cfg.labels)
 
 
@@ -166,35 +176,25 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _ablate(g: Graph, cfg, args) -> list[dict]:
-    """The ablation study; a variant cfg cannot train is an error naming the config."""
-    try:
-        return harness.ablation_study(g, cfg, dataset=args.dataset)
-    except ConfigError as exc:
-        raise ConfigError(f"{args.config}: {exc}") from None
-
-
-# The study each study command runs (sweep: each --grid), called as
-# study(graph, config, args).
+# The study each study command runs (sweep: each --grid): study(graph, config, args).
 _STUDIES = {
-    "ablate": _ablate,
-    "layers": lambda g, cfg, a: harness.layer_study(g, cfg, dataset=a.dataset),
-    "encodings": lambda g, cfg, a: harness.encoding_study(g, cfg, dataset=a.dataset),
-    "fusion": lambda g, cfg, a: harness.sweep_fusion(
-        g, cfg, a.lambdas, a.thetas, dataset=a.dataset
-    ),
-    "loss": lambda g, cfg, a: harness.sweep_loss_weights(
-        g, cfg, a.alphas, a.betas, dataset=a.dataset
-    ),
+    "ablate": lambda g, cfg, a: harness.ablation_study(g, cfg),
+    "layers": lambda g, cfg, a: harness.layer_study(g, cfg),
+    "encodings": lambda g, cfg, a: harness.encoding_study(g, cfg),
+    "fusion": lambda g, cfg, a: harness.sweep_fusion(g, cfg, a.lambdas, a.thetas),
+    "loss": lambda g, cfg, a: harness.sweep_loss_weights(g, cfg, a.alphas, a.betas),
 }
 
 
 def _cmd_study(args) -> int:
-    """results.csv with one row per study point; the fusion sweep also
-    writes its best row to best.csv."""
+    """results.csv with one row per study point, led by the --dataset column;
+    the fusion sweep also writes its best row to best.csv."""
     name = args.grid if args.command == "sweep" else args.command
     cfg, g = _load_clustering(args, need_labels=True)
-    rows = _STUDIES[name](g, cfg, args)
+    try:
+        rows = [{"dataset": args.dataset, **row} for row in _STUDIES[name](g, cfg, args)]
+    except ConfigError as exc:
+        raise ConfigError(f"{args.config}: {exc}") from None
     out = _out_dir(args)
     harness.write_result_table(out / "results.csv", rows)
     if name == "fusion":
@@ -242,14 +242,16 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default=None, help="output file (default: stdout)")
     p.set_defaults(func=_cmd_centrality)
 
-    p = sub.add_parser("pretrain", help="run both pretraining phases, save artifacts")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
+    # The config and output directory of every command that reads a config.
+    configured = _Parser(add_help=False)
+    configured.add_argument("--config", required=True)
+    configured.add_argument("--out", required=True)
+
+    p = sub.add_parser("pretrain", parents=[configured],
+                       help="run both pretraining phases, save artifacts")
     p.set_defaults(func=_cmd_pretrain)
 
-    p = sub.add_parser("train", help="full training run")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("train", parents=[configured], help="full training run")
     p.add_argument("--pretrained", default=None,
                    help="a pretrain.gclc, or a directory holding one, from pretraining "
                         "this graph at this config's layers and n_z; a model.gclc also "
@@ -263,18 +265,15 @@ def build_parser() -> _Parser:
         ("sweep", "hyperparameter sweeps"),
     )
     for name, help_text in studies:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", required=True)
-        p.add_argument("--out", required=True)
+        p = sub.add_parser(name, parents=[configured], help=help_text)
         p.add_argument("--dataset", default="dataset", help="dataset column value")
         p.set_defaults(func=_cmd_study)
-    floats = _number_list(float)
     p.add_argument("--grid", choices=("fusion", "loss"), required=True)
-    p.add_argument("--lambdas", type=floats, default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8")
-    p.add_argument("--thetas", type=floats, default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8")
+    p.add_argument("--lambdas", type=_weights, default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8")
+    p.add_argument("--thetas", type=_weights, default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8")
     loss_weights = ",".join(str(v) for v in harness.DEFAULT_LOSS_WEIGHTS)
-    p.add_argument("--alphas", type=floats, default=loss_weights)
-    p.add_argument("--betas", type=floats, default=loss_weights)
+    p.add_argument("--alphas", type=_weights, default=loss_weights)
+    p.add_argument("--betas", type=_weights, default=loss_weights)
 
     p = sub.add_parser("eval", help="score predicted labels against ground truth")
     p.add_argument("--pred", required=True)

@@ -18,7 +18,6 @@ __all__ = [
     "PRESETS",
     "measure_list",
     "parse_config",
-    "require_dataset",
 ]
 
 
@@ -225,9 +224,3 @@ def _config_from_entries(entries: dict[str, str]) -> ExperimentConfig:
         except ValueError:
             raise ConfigError(f"{key}: could not parse {raw!r}") from None
     return ExperimentConfig(**values)
-
-
-def require_dataset(cfg: ExperimentConfig, need_labels: bool = False) -> None:
-    for key in ("features", "edges") + (("labels",) if need_labels else ()):
-        if getattr(cfg, key) is None:
-            raise ConfigError(f"missing key: {key}")

@@ -6,10 +6,10 @@ trains them all. Of what a study varies, pretraining reads only the encoder
 depth, so the loop pretrains the autoencoder again only when the depth
 changes from one point to the next, and computes the contrastive features
 once, when some point uses them. Each train() call derives the graph's
-normalized adjacency, centrality and spatial bias itself: they cost
-milliseconds to seconds, against seconds to an hour of training per point.
-Rows hold the row keys, the four metrics and the composite index (their
-mean).
+normalized adjacency, centrality and spatial bias itself. The centrality
+took 1.88 s a call at the Cora shape and 23.9 s at n=10000 on 2 cores
+(ROADMAP.md, "Where things stand"): about 20 min of a 49-point sweep at
+n=10000. Rows hold only the study's keys and the four metrics.
 """
 
 from __future__ import annotations
@@ -82,42 +82,35 @@ def _run_points(g: Graph, points: list[tuple[dict, ExperimentConfig]]) -> list[d
     return rows
 
 
-def ablation_study(g: Graph, cfg: ExperimentConfig, dataset: str = "dataset") -> list[dict]:
+def ablation_study(g: Graph, cfg: ExperimentConfig) -> list[dict]:
     """One row per variant: the full model and each module removed in turn,
     every variant's config built, and so validated, before any row trains.
     train() zeroes the contrastive features where the variant removes them."""
     return _run_points(g, [
-        ({"dataset": dataset, "variant": variant}, replace(cfg, ablation=variant))
+        ({"variant": variant}, replace(cfg, ablation=variant))
         for variant in ABLATIONS
     ])
 
 
-def layer_study(g: Graph, cfg: ExperimentConfig, dataset: str = "dataset") -> list[dict]:
+def layer_study(g: Graph, cfg: ExperimentConfig) -> list[dict]:
     """One row per encoder/decoder depth, deepest first, labelled
     GCL-GCN-<depth>."""
     return _run_points(g, [
-        ({"dataset": dataset, "variant": f"GCL-GCN-{depth}"}, replace(cfg, layers=depth))
+        ({"variant": f"GCL-GCN-{depth}"}, replace(cfg, layers=depth))
         for depth in DEPTHS[::-1]
     ])
 
 
-def encoding_study(g: Graph, cfg: ExperimentConfig, dataset: str = "dataset") -> list[dict]:
+def encoding_study(g: Graph, cfg: ExperimentConfig) -> list[dict]:
     """The five standard encoding variants: the full composite with feature
     distances, the composite with hop distances, and each single measure."""
     return _run_points(g, [
-        ({"dataset": dataset, "variant": label},
-         replace(cfg, centrality=measures, spatial_mode=mode))
+        ({"variant": label}, replace(cfg, centrality=measures, spatial_mode=mode))
         for label, measures, mode in ENCODING_VARIANTS
     ])
 
 
-def sweep_fusion(
-    g: Graph,
-    cfg: ExperimentConfig,
-    lambdas,
-    thetas,
-    dataset: str = "dataset",
-) -> list[dict]:
+def sweep_fusion(g: Graph, cfg: ExperimentConfig, lambdas, thetas) -> list[dict]:
     """Grid over the first two fusion weights; the third is their complement.
     A point the config rejects (a negative weight, or none left above 0 by
     the ablation) is infeasible and skipped with a warning on stderr; a grid
@@ -135,8 +128,8 @@ def sweep_fusion(
                 print(f"warning: skipping infeasible grid point lambda={lam:g} theta={theta:g}",
                       file=sys.stderr)
                 continue
-            keys = {"dataset": dataset, "lambda": repr(float(lam)),
-                    "theta": repr(float(theta)), "gamma": repr(float(point.gamma))}
+            keys = {"lambda": repr(float(lam)), "theta": repr(float(theta)),
+                    "gamma": repr(float(point.gamma))}
             points.append((keys, point))
     if not points:
         raise ConfigError("fusion sweep produced no feasible grid points")
@@ -149,17 +142,13 @@ def best_fusion_row(rows: list[dict]) -> dict:
 
 
 def sweep_loss_weights(
-    g: Graph,
-    cfg: ExperimentConfig,
-    alphas=DEFAULT_LOSS_WEIGHTS,
-    betas=DEFAULT_LOSS_WEIGHTS,
-    dataset: str = "dataset",
+    g: Graph, cfg: ExperimentConfig, alphas=DEFAULT_LOSS_WEIGHTS, betas=DEFAULT_LOSS_WEIGHTS
 ) -> list[dict]:
     """Full cross-product over the two loss weights."""
     if not alphas or not betas:
         raise ConfigError("loss-weight sweep needs nonempty value lists")
     return _run_points(g, [
-        ({"dataset": dataset, "alpha": repr(float(alpha)), "beta": repr(float(beta))},
+        ({"alpha": repr(float(alpha)), "beta": repr(float(beta))},
          replace(cfg, alpha=alpha, beta=beta))
         for alpha in alphas
         for beta in betas

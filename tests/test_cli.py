@@ -328,8 +328,11 @@ class TestStudies:
         code = run(["sweep", "--config", str(run_cfg), "--out", str(out),
                     "--grid", "fusion", "--lambdas", "0.9", "--thetas", "0.9"])
         assert code == 1
-        assert "no feasible grid points" in capsys.readouterr().err
-        assert not (out / "results.csv").exists()
+        assert capsys.readouterr().err == (
+            "warning: skipping infeasible grid point lambda=0.9 theta=0.9\n"
+            f"error: {run_cfg}: fusion sweep produced no feasible grid points\n"
+        )
+        assert not out.exists()
 
     def test_sweep_fusion_skips_a_point_the_ablation_leaves_no_weight(self, run_cfg, tmp_path,
                                                                       capsys):
@@ -350,6 +353,22 @@ class TestStudies:
         lines = (out / "results.csv").read_text().strip().splitlines()
         assert len(lines) - 1 == 4
         assert lines[0] == "dataset,alpha,beta,acc,nmi,ari,f1,composite"
+
+    @pytest.mark.parametrize("study", [
+        ["ablate"], ["layers"], ["encodings"],
+        ["sweep", "--grid", "fusion", "--lambdas", "0.2", "--thetas", "0.5"],
+        ["sweep", "--grid", "loss", "--alphas", "0.1", "--betas", "0.1"],
+    ], ids=["ablate", "layers", "encodings", "fusion", "loss"])
+    def test_dataset_fills_the_first_column(self, study, run_cfg, tmp_path):
+        out = tmp_path / "st"
+        assert run([*study, "--config", str(run_cfg), "--out", str(out),
+                    "--dataset", "toy"]) == 0
+        tables = [out / "results.csv", *([out / "best.csv"] if "fusion" in study else [])]
+        for table in tables:
+            with table.open() as fh:
+                header, *rows = csv.reader(fh)
+            assert header[0] == "dataset"
+            assert rows and all(row[0] == "toy" for row in rows)
 
     def test_composite_recomputes(self, run_cfg, tmp_path):
         out = tmp_path / "ab2"
@@ -728,16 +747,17 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert f"error: {cfg}: {field}" in err
 
+    @pytest.mark.parametrize("value", ["0.2,x", "-1", "inf", ",", "-0.1"])
     @pytest.mark.parametrize("flag", ["--lambdas", "--thetas", "--alphas", "--betas"])
-    def test_bad_sweep_value_names_flag(self, flag, run_cfg, tmp_path, capsys):
+    def test_bad_sweep_value_names_flag(self, flag, value, run_cfg, tmp_path, capsys):
         out = tmp_path / "sw"
         grid = "fusion" if flag in ("--lambdas", "--thetas") else "loss"
         code = run(["sweep", "--config", str(run_cfg), "--out", str(out),
-                    "--grid", grid, flag, "0.2,x"])
+                    "--grid", grid, flag, value])
         assert code == 1
-        assert f"argument {flag}: expected a comma list of float values, got '0.2,x'" in (
-            capsys.readouterr().err
-        )
+        want = ("a comma list of float values" if value == "0.2,x"
+                else "a nonempty comma list of finite numbers >= 0")
+        assert f"argument {flag}: expected {want}, got {value!r}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_nonfinite_sweep_value_exits_one(self, run_cfg, tmp_path, capsys):
@@ -745,7 +765,10 @@ class TestBadInput:
         code = run(["sweep", "--config", str(run_cfg), "--out", str(out),
                     "--grid", "fusion", "--lambdas", "nan", "--thetas", "0.1"])
         assert code == 1
-        assert "error: lambda must be finite and >= 0, got nan" in capsys.readouterr().err
+        assert capsys.readouterr().err.endswith(
+            "gclgcn sweep: error: argument --lambdas: expected a nonempty comma list of "
+            "finite numbers >= 0, got 'nan'\n"
+        )
         assert not out.exists()
 
     def test_bad_block_size_names_flag(self, tmp_path, capsys):

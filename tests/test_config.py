@@ -7,7 +7,6 @@ from gclgcn.config import (
     PRESETS,
     _KNOWN_KEYS,
     parse_config,
-    require_dataset,
 )
 
 
@@ -217,12 +216,3 @@ class TestConfigFile:
         path = tmp_path / "d.cfg"
         path.write_text("# nothing set\n\n")
         assert parse_config(path) == ExperimentConfig()
-
-
-def test_require_dataset():
-    with pytest.raises(ConfigError, match="missing key: features"):
-        require_dataset(ExperimentConfig())
-    cfg = ExperimentConfig(features="f", edges="e")
-    require_dataset(cfg)
-    with pytest.raises(ConfigError, match="missing key: labels"):
-        require_dataset(cfg, need_labels=True)

@@ -84,11 +84,10 @@ def test_alpha_beta_zero_matches_pure_reconstruction():
 
 def test_encoding_study_labels_and_count():
     g = sbm(sizes=(8, 8), f=4)
-    rows = encoding_study(g, cfg(k=2, epochs=1), dataset="toy")
+    rows = encoding_study(g, cfg(k=2, epochs=1))
     assert [r["variant"] for r in rows] == [
         "GCL-GCN", "DC, BC and CC + SPD", "DC + ED", "BC + ED", "CC + ED",
     ]
-    assert all(r["dataset"] == "toy" for r in rows)
 
 
 def test_layer_study_rows_and_depth_trend(monkeypatch):

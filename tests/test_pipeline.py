@@ -798,7 +798,7 @@ class TestAblate:
         rows = ablation_study(g, tiny_cfg(epochs=1))
         assert [r["variant"] for r in rows] == list(ABLATIONS)
         for row in rows:
-            assert set(row) == {"dataset", "variant", "acc", "nmi", "ari", "f1"}
+            assert set(row) == {"variant", "acc", "nmi", "ari", "f1"}
 
     def test_labels_required(self):
         g = Graph(features=np.zeros((4, 2)), edges=[(0, 1)])
