@@ -1,5 +1,6 @@
-"""KMeans with SSE-selected restarts, the Student-t soft assignment and its
-sharpened target distribution, and the four clustering metrics.
+"""KMeans with SSE-selected restarts, the partition means that kmeans and the
+centroid seeding share, the Student-t soft assignment and its sharpened
+target distribution, and the four clustering metrics.
 
 Metric conventions: ACC and F1 are computed after an optimal one-to-one
 label matching, a maximum-weight matching of the confusion matrix found by
@@ -18,6 +19,7 @@ import numpy as np
 
 __all__ = [
     "kmeans",
+    "partition_means",
     "student_t",
     "target_distribution",
     "METRICS",
@@ -56,9 +58,24 @@ def _plusplus_init(z: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
     return centers
 
 
+def partition_means(z: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """The centres of the partition of z's rows into the k clusters labels
+    names: an occupied cluster's centre is the mean of its rows, and the
+    empty clusters, in id order, take the rows in order of decreasing
+    squared distance to the nearest occupied mean (ties to the lower row)."""
+    centers = np.zeros((k, z.shape[1]))
+    occupied = np.bincount(labels, minlength=k) > 0
+    for j in np.flatnonzero(occupied):
+        centers[j] = z[labels == j].mean(axis=0)
+    empty = np.flatnonzero(~occupied)
+    if empty.size:
+        d2 = _squared_distances(z, centers[occupied]).min(axis=1)
+        centers[empty] = z[np.argsort(-d2, kind="stable")[: empty.size]]
+    return centers
+
+
 def _lloyd(z: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Lloyd iterations from centers: the final (centers, labels, sse)."""
-    k = centers.shape[0]
     prev_sse = np.inf
     for _ in range(_MAX_ITER):
         d2 = _squared_distances(z, centers)
@@ -70,17 +87,7 @@ def _lloyd(z: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
             )
         prev_sse = sse
 
-        new_centers = centers.copy()
-        for j in range(k):
-            members = labels == j
-            if members.any():
-                new_centers[j] = z[members].mean(axis=0)
-        # Re-seed empties at the point farthest from its assigned centroid.
-        empties = [j for j in range(k) if not (labels == j).any()]
-        if empties:
-            far_order = np.argsort(-d2[np.arange(z.shape[0]), labels], kind="stable")
-            for rank, j in enumerate(empties):
-                new_centers[j] = z[far_order[rank]]
+        new_centers = partition_means(z, labels, len(centers))
         shift = np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max()
         centers = new_centers
         if shift < _TOL:
@@ -94,9 +101,9 @@ def _lloyd(z: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
 def kmeans(z: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
     """The labels of the restart with the lowest SSE (ties broken by restart
     order) among Lloyd iterations from each of _RESTARTS
-    distance-proportional seedings. A cluster that empties is re-seeded at
-    the point farthest from its assigned centroid. Deterministic for a
-    seed."""
+    distance-proportional seedings. Each update step moves the centres to
+    partition_means of the labels, which also re-seeds a cluster that
+    empties. Deterministic for a seed."""
     z = np.asarray(z, dtype=np.float64)
     n = z.shape[0]
     if not 1 <= k <= n:

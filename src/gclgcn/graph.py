@@ -8,6 +8,7 @@ graphs can be shared freely.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,8 +47,11 @@ class Graph:
         n = feats.shape[0]
         canon = []
         seen = set()
-        for u, v in self.edges:
-            u, v = int(u), int(v)
+        for edge in self.edges:
+            try:
+                u, v = map(operator.index, edge)
+            except (TypeError, ValueError):
+                raise ValueError(f"edge {edge!r} is not a pair of integer node ids") from None
             if u == v:
                 raise ValueError(f"self-loop ({u}, {v}) not allowed")
             if not (0 <= u < n and 0 <= v < n):

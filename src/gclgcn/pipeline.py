@@ -20,7 +20,7 @@ import scipy.sparse as sp
 from . import autodiff as ad
 from .autodiff import AdamState, Tensor, adam_step, backward
 from .centrality import composite_centrality, spatial_bias
-from .cluster import METRICS, kmeans, metric_row, student_t
+from .cluster import METRICS, kmeans, metric_row, partition_means, student_t
 from .config import ConfigError, ExperimentConfig
 from .graph import Graph, adjacency_matrix, normalize_adjacency
 from .layers import ae_loss, gcn_layer, glorot, graphormer_layer, ladder_dims
@@ -409,27 +409,8 @@ def _init_state(g: Graph, cfg: ExperimentConfig, pre: dict[str, np.ndarray], con
     # is degenerate and self-training cannot recover.
     hs, zs = _encode(state, cons, cfg)
     labels = kmeans(hs[-1].value, cfg.k, seed=_stream_seed(cfg.seed, _STREAM_KMEANS))
-    state.centroids.value[...] = _partition_means(_fuse(cfg, cons, hs, zs).value, labels, cfg.k)
+    state.centroids.value[...] = partition_means(_fuse(cfg, cons, hs, zs).value, labels, cfg.k)
     return state, (hs, zs)
-
-
-def _partition_means(z: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
-    """Per-cluster means; an empty cluster takes the row farthest from the
-    occupied means (deterministic, mirrors the kmeans recovery rule)."""
-    centroids = np.zeros((k, z.shape[1]))
-    occupied = []
-    for j in range(k):
-        members = labels == j
-        if members.any():
-            centroids[j] = z[members].mean(axis=0)
-            occupied.append(j)
-    empty = [j for j in range(k) if j not in occupied]
-    if empty:
-        d2 = ((z[:, None, :] - centroids[None, occupied, :]) ** 2).sum(axis=2).min(axis=1)
-        order = np.argsort(-d2, kind="stable")
-        for rank, j in enumerate(empty):
-            centroids[j] = z[order[rank]]
-    return centroids
 
 
 def _forget_inner(stack: list[Tensor]) -> None:

@@ -3,7 +3,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from gclgcn import cluster
-from gclgcn.cluster import METRICS, _confusion, _match, kmeans, metric_row
+from gclgcn.cluster import METRICS, _confusion, _match, kmeans, metric_row, partition_means
 
 from oracles import brute_force_accuracy, metric_row_oracle
 
@@ -105,6 +105,29 @@ class TestKMeans:
     def test_k_bounds(self):
         with pytest.raises(ValueError, match="1 <= k <= n"):
             kmeans(np.zeros((3, 2)), 4)
+
+    def test_an_emptied_cluster_takes_the_row_farthest_from_the_occupied_means(self):
+        # Centre 100 draws no row, so partition_means re-seeds it. Rows 0 and
+        # 2 tie, 1 from the occupied mean 1; the lower row wins, and the
+        # partition {0, 2}, {10, 11} is then found with its ids swapped.
+        z = np.array([[0.0], [2.0], [10.0], [11.0]])
+        _, labels, sse = cluster._lloyd(z, np.array([[0.0], [10.5], [100.0]]))
+        assert labels.tolist() == [2, 0, 1, 1]
+        assert sse == 0.5
+
+
+class TestPartitionMeans:
+    def test_occupied_means_and_the_rows_the_empty_clusters_take(self):
+        z = np.array([[0.0, 1.0], [2.0, 1.0], [10.0, 1.0], [12.0, 1.0], [5.0, 1.0], [-5.0, 1.0]])
+        labels = np.array([1, 1, 3, 3, 3, 1])
+        centers = partition_means(z, labels, 4)
+        assert np.array_equal(centers[1], z[[0, 1, 5]].mean(axis=0))
+        assert np.array_equal(centers[3], z[[2, 3, 4]].mean(axis=0))
+        assert centers[[1, 3]].tolist() == [[-1.0, 1.0], [9.0, 1.0]]
+        # Rows 4 and 5 both lie 16 from their nearest occupied mean, further
+        # than any other row: the empty clusters 0 and 2 take them in row order.
+        assert np.array_equal(centers[0], z[4])
+        assert np.array_equal(centers[2], z[5])
 
 
 class TestAccuracy:

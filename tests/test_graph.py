@@ -44,6 +44,22 @@ class TestGraphInvariants:
         with pytest.raises(ValueError, match=r"^labels length \(3,\) does not match n=2$"):
             Graph(features=np.zeros((2, 1)), edges=[], labels=[0, 1, 0])
 
+    @pytest.mark.parametrize("edge, shown", [
+        ((0, 1, 2), "(0, 1, 2)"),
+        ((0,), "(0,)"),
+        ((0.5, 1), "(0.5, 1)"),
+        ((np.float64(1.9), 0), "(np.float64(1.9), 0)"),
+        (("0", "1"), "('0', '1')"),
+    ], ids=["three-ends", "one-end", "float", "numpy-float", "strings"])
+    def test_rejects_an_edge_that_is_not_a_pair_of_integer_ids(self, edge, shown):
+        with pytest.raises(ValueError) as err:
+            Graph(features=np.zeros((3, 1)), edges=[edge])
+        assert str(err.value) == f"edge {shown} is not a pair of integer node ids"
+
+    def test_numpy_integer_ids_pass(self):
+        g = Graph(features=np.zeros((3, 1)), edges=[(np.int64(2), np.int32(0))])
+        assert g.edges == ((0, 2),) and type(g.edges[0][0]) is int
+
     def test_edges_canonicalized(self):
         g = Graph(features=np.zeros((4, 1)), edges=[(3, 1), (0, 2)])
         assert g.edges == ((1, 3), (0, 2))

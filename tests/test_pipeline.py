@@ -7,7 +7,7 @@ from gclgcn import autodiff as ad
 from gclgcn.centrality import composite_centrality
 from gclgcn.config import ConfigError, ExperimentConfig
 from gclgcn.graph import Graph, SbmSpec, generate_sbm, normalize_adjacency
-from gclgcn.cluster import metric_row, student_t, target_distribution
+from gclgcn.cluster import kmeans, metric_row, partition_means, student_t, target_distribution
 from gclgcn.config import ABLATIONS
 from gclgcn.harness import ablation_study
 from gclgcn.pipeline import (
@@ -366,6 +366,25 @@ class TestLossTotal:
             state, _ = P._init_state(g, cfg, pre, cons)
             _, comps = loss_total(state, g, cfg)
             assert comps[dead] == 0.0
+
+
+class TestCentroidSeeding:
+    def test_centroids_are_the_fused_means_of_the_kmeans_partition(self):
+        """Two distinct feature rows leave kmeans on the bottleneck a
+        cluster short of k=3; the seeded centroids are still partition_means
+        of the fused bottleneck, where the ring's edges set the rows apart."""
+        from gclgcn import pipeline as P
+
+        g = Graph(features=[[1.0, 0.0, 2.0]] * 4 + [[0.0, 3.0, 1.0]] * 4,
+                  edges=[(i, (i + 1) % 8) for i in range(8)])
+        cfg = tiny_cfg(k=3)
+        pre = pretrain(g, cfg)
+        cons = P._build_constants(g, pre["x_c"])
+        state, (hs, zs) = P._init_state(g, cfg, pre, cons)
+        labels = kmeans(hs[-1].value, cfg.k, seed=P._stream_seed(cfg.seed, P._STREAM_KMEANS))
+        assert len(set(labels.tolist())) < cfg.k
+        fused = P._fuse(cfg, cons, hs, zs).value
+        assert np.array_equal(state.centroids.value, partition_means(fused, labels, cfg.k))
 
 
 class TestTrain:
